@@ -10,7 +10,6 @@ profiles provide the surrounding experiment harness.
 """
 
 from . import (
-    accel,
     config,
     errors,
     experiments,
@@ -35,7 +34,6 @@ from .spectral import Spectrum, eig_sym
 __version__ = "0.1.0"
 
 __all__ = [
-    "accel",
     "config",
     "errors",
     "experiments",

@@ -10,6 +10,7 @@ import hashlib
 import json
 import warnings
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .filters import (
     tikhonov,
 )
 from .instances import random_instance
-from .quadratic import from_kernel
+from .quadratic import QuadraticObjective
 from .regimes import attenuation, certify, check_assumptions
 from .reporting import AxesSpec, Series, render_svg, write_csv
 from .spectral import condition_number, eig_sym
@@ -144,6 +145,8 @@ def _run_quadratic_certify(cfg, out):
     schema = None
     for i in range(cfg.instances):
         inst = random_instance(stream(cfg.seed, f"certify-{i}"))
+        if i == 0:
+            spec = inst.pair.train.spectrum
         verdicts = check_assumptions(
             inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha
         )
@@ -164,7 +167,6 @@ def _run_quadratic_certify(cfg, out):
             schema = tuple(record)
         rows.append(tuple(record[k] for k in schema))
     out.csv("certificates.csv", rows, schema)
-    spec = random_instance(stream(cfg.seed, "certify-0")).pair.train.spectrum
     etas = np.linspace(0.01, 2.1 / spec.top, 200)
     series = [
         Series(
@@ -189,6 +191,16 @@ def _run_quadratic_certify(cfg, out):
     )
 
 
+@dataclass(frozen=True)
+class _Sweep:
+    """A kernel problem, its train objective, alpha* and the test data."""
+
+    prob: kernels.KernelProblem
+    obj: QuadraticObjective
+    alpha_star: np.ndarray
+    test: kernels.Dataset
+
+
 def _sweep_problem(cfg):
     if cfg.dataset_path:
         full = kernels.load_dataset(cfg.dataset_path)
@@ -198,12 +210,17 @@ def _sweep_problem(cfg):
         train = kernels.two_cluster_dataset(cfg.n, stream(cfg.seed, "train-data"))
         test = kernels.two_cluster_dataset(cfg.n_test, stream(cfg.seed, "test-data"))
     prob = kernels.kernel_problem(train, cfg.scale, cfg.lam)
-    obj = from_kernel(prob.K, prob.y, prob.lam)
-    return prob, obj, test
+    return _Sweep(
+        prob=prob,
+        obj=kernels.train_objective(prob),
+        alpha_star=kernels.ridge_alpha(prob.K, prob.y, prob.lam),
+        test=test,
+    )
 
 
-def _level_run_row(prob, obj, test, eta_mult, alpha):
+def _level_run_row(sweep, eta_mult, alpha):
     """Run theta-space GD to the alpha level set; report the sweep metrics."""
+    obj = sweep.obj
     sigma1 = obj.spectrum.top
     eta = eta_mult / sigma1
     beta0 = np.zeros(obj.n)
@@ -211,14 +228,14 @@ def _level_run_row(prob, obj, test, eta_mult, alpha):
     mu = run.mu
     proj_e1 = abs(float(mu[0]))
     hilbert_norm = float(np.sqrt(np.sum(mu * mu)))
-    alpha_star = kernels.ridge_alpha(prob.K, prob.y, prob.lam)
-    alpha_hat = alpha_star + kernels.from_eigen_coords(prob, mu)
-    accuracy = 1.0 - kernels.binary_error(prob, alpha_hat, test)
+    alpha_hat = sweep.alpha_star + kernels.from_eigen_coords(sweep.prob, mu)
+    accuracy = 1.0 - kernels.binary_error(sweep.prob, alpha_hat, sweep.test)
     return run, proj_e1, hilbert_norm, accuracy
 
 
 def _run_eta_sweep(cfg, out):
-    prob, obj, test = _sweep_problem(cfg)
+    sweep = _sweep_problem(cfg)
+    obj = sweep.obj
     excess0 = 0.5 * float(
         np.sum(obj.spectrum.eigenvalues * obj.optimum**2)
     )
@@ -226,7 +243,7 @@ def _run_eta_sweep(cfg, out):
     rows = []
     for eta_mult in cfg.eta_grid:
         run, proj_e1, hilbert_norm, accuracy = _level_run_row(
-            prob, obj, test, float(eta_mult), alpha
+            sweep, float(eta_mult), alpha
         )
         rows.append(
             (
@@ -266,7 +283,8 @@ def _run_eta_sweep(cfg, out):
 
 
 def _run_alpha_sweep(cfg, out):
-    prob, obj, test = _sweep_problem(cfg)
+    sweep = _sweep_problem(cfg)
+    obj = sweep.obj
     excess0 = 0.5 * float(
         np.sum(obj.spectrum.eigenvalues * obj.optimum**2)
     )
@@ -275,8 +293,8 @@ def _run_alpha_sweep(cfg, out):
     rows = []
     for frac in cfg.alpha_grid:
         alpha = float(frac) * excess0
-        _, _, _, acc_s = _level_run_row(prob, obj, test, eta_s, alpha)
-        _, _, _, acc_b = _level_run_row(prob, obj, test, eta_b, alpha)
+        _, _, _, acc_s = _level_run_row(sweep, eta_s, alpha)
+        _, _, _, acc_b = _level_run_row(sweep, eta_b, alpha)
         rows.append((float(frac), alpha, acc_s, acc_b))
     schema = ("alpha_fraction", "alpha", "accuracy_small", "accuracy_big")
     out.csv("alpha_sweep.csv", rows, schema)

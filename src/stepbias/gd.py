@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel
 from .errors import AlreadyBelowLevelSet
 from .quadratic import _check_dim, excess, grad
 
@@ -24,13 +23,6 @@ class StopStatus(enum.Enum):
     HIT_LEVEL_SET = "HitLevelSet"
     MAX_STEPS_EXCEEDED = "MaxStepsExceeded"
     DIVERGED = "Diverged"
-
-
-_STATUS_BY_CODE = {
-    accel.STATUS_HIT: StopStatus.HIT_LEVEL_SET,
-    accel.STATUS_MAX_STEPS: StopStatus.MAX_STEPS_EXCEEDED,
-    accel.STATUS_DIVERGED: StopStatus.DIVERGED,
-}
 
 
 @dataclass(frozen=True)
@@ -98,6 +90,28 @@ def closed_form(obj, theta0, eta, t):
     )
 
 
+def _level_set_run(sigma, mu0, eta, alpha, t_max, divergence_limit):
+    """Iterate GD in eigen-coordinates until the excess loss reaches alpha.
+
+    mu0 holds the initial eigen-coefficients of theta0 - optimum. The
+    per-step update multiplies coefficient i by (1 - eta * sigma_i);
+    the excess loss is 0.5 * sum(sigma * mu**2). Returns
+    (steps, final mu, per-step loss trace, status).
+    """
+    mu = mu0.copy()
+    factors = 1.0 - eta * sigma
+    trace = np.empty(t_max)
+    for t in range(1, t_max + 1):
+        mu = mu * factors
+        loss = 0.5 * np.sum(sigma * mu * mu)
+        trace[t - 1] = loss
+        if loss <= alpha:
+            return t, mu, trace[:t], StopStatus.HIT_LEVEL_SET
+        if loss > divergence_limit:
+            return t, mu, trace[:t], StopStatus.DIVERGED
+    return t_max, mu, trace[:t_max], StopStatus.MAX_STEPS_EXCEEDED
+
+
 def run_to_level_set(obj, theta0, eta, alpha, t_max, trace_stride=1):
     """Iterate GD until the excess train loss is <= alpha.
 
@@ -118,11 +132,9 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max, trace_stride=1):
         raise AlreadyBelowLevelSet(
             f"initial excess loss {loss0:.3e} is already <= alpha {alpha:.3e}"
         )
-    steps, mu, trace, code = accel.level_set_run(
+    steps, mu, trace, status = _level_set_run(
         sig, iota, float(eta), float(alpha), int(t_max), DIVERGENCE_FACTOR * loss0
     )
-    status = _STATUS_BY_CODE[code]
-    trace = np.asarray(trace)
     final = float(trace[-1])
     half_ok = final >= 0.5 * alpha if status is StopStatus.HIT_LEVEL_SET else None
     if trace_stride > 1:
@@ -132,12 +144,12 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max, trace_stride=1):
         trace = decimated
     return GDRun(
         eta=eta,
-        steps=int(steps),
-        mu=np.asarray(mu),
+        steps=steps,
+        mu=mu,
         iota=iota,
         loss_trace=trace,
         stop_status=status,
-        theta=reconstruct(obj, np.asarray(mu)),
+        theta=reconstruct(obj, mu),
         alpha=float(alpha),
         half_level_ok=half_ok,
     )

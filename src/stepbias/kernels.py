@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel
 from .errors import (
     DimensionMismatch,
     EmptyTestSet,
@@ -23,7 +22,7 @@ from .errors import (
     ParseError,
     SingularSystem,
 )
-from .quadratic import QuadraticObjective, from_kernel
+from .quadratic import QuadraticObjective, _ridge_objective
 from .spectral import Spectrum, eig_sym
 
 CHOLESKY_PIVOT_RTOL = 1e-12
@@ -71,18 +70,32 @@ class DualState:
 
 
 def gaussian_kernel_matrix(X, s):
-    """K_ij = exp(-||x_i - x_j||^2 / (2 s^2)); symmetric, unit diagonal."""
-    if s <= 0:
-        raise ValueError("kernel scale must be positive")
-    X = np.ascontiguousarray(np.asarray(X, dtype=float))
-    d2 = accel.pairwise_sq_dists(X)
-    return np.exp(-d2 / (2.0 * s * s))
+    """K_ij = exp(-||x_i - x_j||^2 / (2 s^2)); exactly symmetric, unit diagonal.
+
+    This is gaussian_cross_kernel(X, X, s) with the round-off asymmetry
+    of the distance expansion averaged away and the diagonal set to 1.
+    """
+    K = gaussian_cross_kernel(X, X, s)
+    K = 0.5 * (K + K.T)
+    np.fill_diagonal(K, 1.0)
+    return K
 
 
 def gaussian_cross_kernel(X_train, X_query, s):
-    """Kernel evaluations k(x_i, x) for training rows against query rows."""
+    """Kernel evaluations k(x_i, x) for training rows against query rows.
+
+    Both arguments are shifted by the training-row mean before expanding
+    ||a - b||^2 = ||a||^2 + ||b||^2 - 2 <a, b>: distances do not change,
+    and the expansion no longer cancels catastrophically on data far
+    from the origin.
+    """
+    if s <= 0:
+        raise ValueError("kernel scale must be positive")
     X_train = np.asarray(X_train, dtype=float)
     X_query = np.atleast_2d(np.asarray(X_query, dtype=float))
+    center = X_train.mean(axis=0)
+    X_train = X_train - center
+    X_query = X_query - center
     d2 = (
         np.sum(X_train**2, axis=1)[:, None]
         + np.sum(X_query**2, axis=1)[None, :]
@@ -165,8 +178,11 @@ def from_eigen_coords(prob, coeffs):
 
 
 def train_objective(prob):
-    """The theta-space ridge objective of this problem (see from_kernel)."""
-    return from_kernel(prob.K, prob.y, prob.lam)
+    """The theta-space ridge objective of this problem (see from_kernel).
+
+    Built from the stored spectrum of K/n, so K is not eigendecomposed again.
+    """
+    return _ridge_objective(prob.spectrum_of_Kn, prob.y, prob.lam)
 
 
 def dual_objective(prob, mode):

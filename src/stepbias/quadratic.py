@@ -95,13 +95,17 @@ def from_kernel(K, y, lam):
     lam = 0.
     """
     K = np.asarray(K, dtype=float)
+    return _ridge_objective(eig_sym(K / K.shape[0]), y, lam)
+
+
+def _ridge_objective(kn_spec, y, lam):
+    """from_kernel given the spectrum of K/n instead of K."""
     y = np.asarray(y, dtype=float)
-    n = K.shape[0]
+    n = kn_spec.n
     if y.shape[0] != n:
         raise DimensionMismatch("label vector length does not match kernel size")
     if lam < 0:
         raise ValueError("regularization must be nonnegative")
-    kn_spec = eig_sym(K / n)
     sig = kn_spec.eigenvalues
     if lam == 0.0 and sig[-1] < KERNEL_SINGULARITY_RTOL * sig[0] * n:
         raise SingularKernel(

@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition and spectrum utilities.
+"""Symmetric eigendecomposition (LAPACK, via numpy) and spectrum utilities.
 
 A Spectrum holds the ordered eigenvalues and orthonormal eigenbasis of a
 symmetric operator restricted to an n-dimensional subspace. It is the
@@ -12,11 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import accel
 from .errors import DegenerateSpectrum, NotPositiveDefinite, NotSymmetric
 
 SYMMETRY_RTOL = 1e-12
-JACOBI_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-10
 
 
@@ -76,7 +74,7 @@ def _check_degenerate(w):
 
 
 def eig_sym(A, require_positive_definite=False):
-    """Eigendecompose a symmetric matrix via cyclic Jacobi rotations.
+    """Eigendecompose a symmetric matrix with LAPACK (``np.linalg.eigh``).
 
     Eigenvalues come back sorted descending; each eigenvector is signed
     so its largest-magnitude entry is positive, keeping runs
@@ -90,10 +88,8 @@ def eig_sym(A, require_positive_definite=False):
     if np.max(np.abs(A - A.T)) > SYMMETRY_RTOL * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
     A = 0.5 * (A + A.T)
-    w, v, _ = accel.jacobi_eigh(A, JACOBI_RTOL)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = np.linalg.eigh(A)
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
     # Sign convention: largest-magnitude entry of each eigenvector positive.
     for i in range(v.shape[1]):
         j = int(np.argmax(np.abs(v[:, i])))

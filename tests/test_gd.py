@@ -6,6 +6,7 @@ import pytest
 from stepbias.errors import AlreadyBelowLevelSet
 from stepbias.gd import (
     StopStatus,
+    _level_set_run,
     closed_form,
     decompose,
     excess_loss,
@@ -75,6 +76,37 @@ def test_run_to_level_set_hits_with_half_level():
     # The step before stopping was still above the target.
     assert run.loss_trace[-2] > 1e-3
     assert run.half_level_ok == (run.final_excess >= 0.5e-3)
+
+
+def test_level_set_run_statuses():
+    sigma = np.array([2.0, 1.0])
+    mu0 = np.array([1.0, 1.0])
+    t, mu, trace, status = _level_set_run(sigma, mu0, 0.2, 1e-6, 10_000, 1e12)
+    assert status is StopStatus.HIT_LEVEL_SET
+    assert trace.shape == (t,)
+    assert trace[-1] <= 1e-6
+    assert 0.5 * np.sum(sigma * mu * mu) == trace[-1]
+
+    t, _, _, status = _level_set_run(sigma, mu0, 1e-5, 1e-9, 50, 1e12)
+    assert status is StopStatus.MAX_STEPS_EXCEEDED and t == 50
+
+    t, _, trace, status = _level_set_run(sigma, mu0, 10.0, 1e-9, 10_000, 1e6)
+    assert status is StopStatus.DIVERGED
+    assert trace[-1] > 1e6
+
+
+def test_level_set_run_matches_scalar_reference():
+    rng = np.random.default_rng(0)
+    sigma = np.sort(rng.uniform(0.1, 1.0, 6))[::-1].copy()
+    mu = rng.normal(size=6)
+    eta = 1.5
+    t, mu_out, trace, status = _level_set_run(sigma, mu, eta, 1e-10, 1000, 1e15)
+    ref = mu.copy()
+    for k in range(t):
+        ref = ref * (1.0 - eta * sigma)
+        loss = 0.5 * float(np.sum(sigma * ref * ref))
+        assert trace[k] == loss
+    assert np.array_equal(mu_out, ref)
 
 
 def test_run_to_level_set_max_steps():

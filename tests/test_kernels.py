@@ -23,15 +23,18 @@ def prob():
 
 
 def test_gaussian_kernel_matrix_oracle():
+    """Brute-force distances, also on data far from the origin."""
     rng = np.random.default_rng(1)
-    X = rng.normal(size=(6, 3))
-    K = kernels.gaussian_kernel_matrix(X, 0.7)
-    for i in range(6):
-        for j in range(6):
-            d2 = float(np.sum((X[i] - X[j]) ** 2))
-            assert K[i, j] == pytest.approx(np.exp(-d2 / (2 * 0.49)), rel=1e-12)
-    assert np.allclose(np.diag(K), 1.0)
-    assert np.array_equal(K, K.T)
+    X0 = rng.normal(size=(6, 3))
+    for offset in (0.0, 1e4):
+        X = X0 + offset
+        K = kernels.gaussian_kernel_matrix(X, 0.7)
+        for i in range(6):
+            for j in range(6):
+                d2 = float(np.sum((X[i] - X[j]) ** 2))
+                assert K[i, j] == pytest.approx(np.exp(-d2 / (2 * 0.49)), rel=1e-12)
+        assert np.all(np.diag(K) == 1.0)
+        assert np.array_equal(K, K.T)
     with pytest.raises(ValueError):
         kernels.gaussian_kernel_matrix(X, 0.0)
 
