@@ -3,22 +3,18 @@
 Two subcommands: ``run`` executes an experiment from a JSON config and
 writes CSV/SVG outputs plus a manifest; ``validate`` checks a config and
 exits. Exit codes: 0 success, 1 config parse/validation failure, 2
-certification failure, 3 I/O failure.
+certification failure or any other refusal by the library (an
+infeasible level-set window, a singular kernel, a target already below
+the initial loss), 3 I/O failure. No StepbiasError escapes as a
+traceback.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
-from .config import load_config
-from .errors import (
-    CertificationFailed,
-    InfeasibleWindow,
-    IoError,
-    ParseError,
-    ValidationError,
-)
+from .config import canonical_config, load_config, validate_config
+from .errors import IoError, ParseError, StepbiasError, ValidationError
 from .experiments import run_experiment
 
 EXIT_OK = 0
@@ -76,10 +72,10 @@ def main(argv=None):
         if args.command == "validate":
             _emit(out, f"ok: {cfg.experiment}", _GREEN)
             return EXIT_OK
-        if args.output_dir is not None:
-            cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+        overrides = {"output_dir": args.output_dir, "seed": args.seed}
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        if overrides:
+            cfg = validate_config({**canonical_config(cfg), **overrides})
         manifest = run_experiment(cfg)
         for entry in manifest["files"]:
             _emit(out, f"wrote {cfg.output_dir}/{entry['path']}", _GREEN)
@@ -88,12 +84,12 @@ def main(argv=None):
     except (ParseError, ValidationError) as exc:
         _emit(err, f"error: {exc}", _RED)
         return EXIT_VALIDATION
-    except (CertificationFailed, InfeasibleWindow) as exc:
-        _emit(err, f"error: {exc}", _RED)
-        return EXIT_CERTIFICATION
     except (IoError, OSError) as exc:
         _emit(err, f"error: {exc}", _RED)
         return EXIT_IO
+    except StepbiasError as exc:
+        _emit(err, f"error: {exc}", _RED)
+        return EXIT_CERTIFICATION
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Experiment configuration: a single validated JSON file."""
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import ParseError, ValidationError
@@ -93,6 +94,9 @@ def validate_config(raw):
         want = _FIELD_TYPES[key]
         if isinstance(value, bool) or not isinstance(value, want):
             raise ValidationError(f"{key}: expected {want}, got {value!r}")
+        entries = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+            raise ValidationError(f"{key}: numbers must be finite, got {value!r}")
     cfg = ExperimentConfig(**raw)
     if cfg.experiment not in EXPERIMENTS:
         raise ValidationError(
@@ -101,12 +105,15 @@ def validate_config(raw):
     for name in ("n", "d", "n_test", "instances"):
         if getattr(cfg, name) < 1:
             raise ValidationError(f"{name} must be positive")
-    for name in ("lam",):
+    for name in ("seed", "lam"):
         if getattr(cfg, name) < 0:
             raise ValidationError(f"{name} must be nonnegative")
     for name in ("scale", "sigma1", "sigma2"):
         if getattr(cfg, name) <= 0:
             raise ValidationError(f"{name} must be positive")
+    for name in ("eta_small", "eta_big", "alpha"):
+        if getattr(cfg, name) is not None and getattr(cfg, name) <= 0:
+            raise ValidationError(f"{name} must be positive when set")
     if cfg.experiment == "toy2d" and not cfg.sigma1 > cfg.sigma2:
         raise ValidationError("sigma1 must exceed sigma2")
     grid_name = _GRID_BY_EXPERIMENT.get(cfg.experiment)
@@ -119,13 +126,19 @@ def validate_config(raw):
             for v in grid
         ):
             raise ValidationError(f"{grid_name} must contain positive numbers")
+        if grid_name == "alpha_grid" and max(grid) >= 1:
+            # A fraction >= 1 puts the target at or above the initial loss.
+            raise ValidationError("alpha_grid fractions must be below 1")
     return cfg
 
 
 def load_config(path):
     """Parse and validate a JSON config file."""
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,15 +1,23 @@
-"""Gradient descent on quadratic objectives, iterative and closed form.
+"""Gradient descent on quadratic objectives, in closed form.
 
 Along eigendirection i the iterate obeys
 mu_i(t) = iota_i * (1 - eta sigma_i)^t, where iota is the initial
-eigen-coefficient vector of theta0 - optimum. run_to_level_set stops as
-soon as the excess train loss drops to the target alpha and reports
-whether the run also stayed above alpha/2 (the half-level condition is
-reported, never enforced).
+eigen-coefficient vector of theta0 - optimum, so the excess train loss
+after t steps is L(t) = 1/2 sum_i sigma_i iota_i^2 (1 - eta sigma_i)^{2t}.
+
+run_to_level_set finds the first step with L(t) <= alpha without
+stepping: L is a sum of exponentials in t, hence convex, and
+non-increasing when every |1 - eta sigma_i| <= 1, so exponential search
+and bisection find the hit step in O(n log t_max) work. It also reports
+whether the run stayed above alpha/2 (the half-level condition is
+reported, never enforced). The per-step loss trace of a run is computed
+from the closed form only when it is read.
 """
 
 import enum
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,25 +38,38 @@ class GDRun:
     """Record of one gradient-descent trajectory.
 
     mu holds the final per-eigendirection coefficients of
-    theta - optimum; iota the initial ones. loss_trace stores the excess
-    train loss after each step (possibly decimated by trace_stride).
-    half_level_ok is None unless the run targeted a level set, in which
-    case it reports whether the final excess loss is >= alpha/2.
+    theta - optimum; iota the initial ones; sigma the eigenvalues of the
+    train operator. final_excess is the excess train loss after the last
+    step (None after zero steps). half_level_ok is None unless the run
+    targeted a level set, in which case it reports whether the final
+    excess loss is >= alpha/2.
     """
 
     eta: float
     steps: int
     mu: np.ndarray
     iota: np.ndarray
-    loss_trace: np.ndarray
+    sigma: np.ndarray
     stop_status: StopStatus
     theta: np.ndarray
+    final_excess: float | None
     alpha: float | None = None
     half_level_ok: bool | None = None
 
-    @property
-    def final_excess(self):
-        return float(self.loss_trace[-1]) if self.loss_trace.size else None
+    @cached_property
+    def loss_trace(self):
+        """Excess train loss after each step 1..steps, from the closed form.
+
+        Built one direction at a time, so it needs O(steps) memory.
+        """
+        t = np.arange(1, self.steps + 1)
+        trace = np.zeros(self.steps)
+        with np.errstate(over="ignore"):
+            for s, i, f in zip(self.sigma, self.iota, 1.0 - self.eta * self.sigma):
+                if s * i * i != 0:
+                    mu = i * f**t
+                    trace += s * mu * mu
+        return 0.5 * trace
 
 
 def step(obj, theta, eta):
@@ -69,6 +90,14 @@ def reconstruct(obj, mu):
     return obj.optimum + obj.spectrum.eigenvectors @ mu
 
 
+def _final_mu(iota, factors, steps):
+    """iota * factors**steps, with 0 (not 0 * inf) on zero coefficients."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = iota * factors**steps
+    mu[iota == 0] = 0.0
+    return mu
+
+
 def closed_form(obj, theta0, eta, t):
     """Exact GD iterate after t steps via per-direction powers."""
     if t < 0:
@@ -76,53 +105,78 @@ def closed_form(obj, theta0, eta, t):
     iota = decompose(obj, theta0)
     sig = obj.spectrum.eigenvalues
     factors = 1.0 - eta * sig
-    mu = iota * factors**t
-    powers = np.power.outer(factors, np.arange(1, t + 1))
-    trace = 0.5 * np.sum(sig[:, None] * (iota[:, None] * powers) ** 2, axis=0)
+    mu = _final_mu(iota, factors, t)
     return GDRun(
         eta=eta,
         steps=t,
         mu=mu,
         iota=iota,
-        loss_trace=trace,
+        sigma=sig,
         stop_status=StopStatus.MAX_STEPS_EXCEEDED,
         theta=reconstruct(obj, mu),
+        final_excess=0.5 * float(np.sum(sig * mu * mu)) if t else None,
     )
 
 
-def _level_set_run(sigma, mu0, eta, alpha, t_max, divergence_limit):
-    """Iterate GD in eigen-coordinates until the excess loss reaches alpha.
+def _first_true(pred, lo, hi):
+    """Smallest t in [lo, hi] with pred(t), or hi + 1 if there is none.
 
-    mu0 holds the initial eigen-coefficients of theta0 - optimum. The
-    per-step update multiplies coefficient i by (1 - eta * sigma_i);
-    the excess loss is 0.5 * sum(sigma * mu**2). Returns
-    (steps, final mu, per-step loss trace, status).
+    pred must be false then true on [lo, hi] (monotone).
     """
-    mu = mu0.copy()
-    factors = 1.0 - eta * sigma
-    trace = np.empty(t_max)
-    for t in range(1, t_max + 1):
-        mu = mu * factors
-        loss = 0.5 * np.sum(sigma * mu * mu)
-        trace[t - 1] = loss
-        if loss <= alpha:
-            return t, mu, trace[:t], StopStatus.HIT_LEVEL_SET
-        if loss > divergence_limit:
-            return t, mu, trace[:t], StopStatus.DIVERGED
-    return t_max, mu, trace[:t_max], StopStatus.MAX_STEPS_EXCEEDED
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return lo
 
 
-def run_to_level_set(obj, theta0, eta, alpha, t_max, trace_stride=1):
-    """Iterate GD until the excess train loss is <= alpha.
+def level_set_search(loss, alpha, t_max, nonincreasing=True, limit=math.inf):
+    """First step t in 1..t_max with loss(t) <= alpha, as (t, StopStatus).
+
+    loss(t) is the excess loss after t steps and must be convex in t.
+    When it is also non-increasing, exponential search and bisection
+    find the hit in O(log t) evaluations. Otherwise bisection on the
+    sign of loss(t + 1) - loss(t) finds the minimiser t* first: the hit,
+    if any, lies in [1, t*], where loss is non-increasing, and without
+    one the run is Diverged at the first t >= t* with loss(t) > limit.
+    These are exactly the step and status of stepping t = 1, 2, ...
+    until loss(t) <= alpha (ties hit) or loss(t) > limit.
+    """
+
+    def below(t):
+        return loss(t) <= alpha
+
+    if nonincreasing:
+        lo = hi = 1
+        while not below(hi):
+            if hi == t_max:
+                return t_max, StopStatus.MAX_STEPS_EXCEEDED
+            lo, hi = hi + 1, min(2 * hi, t_max)
+        return _first_true(below, lo, hi), StopStatus.HIT_LEVEL_SET
+    bottom = _first_true(lambda t: loss(t + 1) >= loss(t), 1, t_max - 1)
+    if below(bottom):
+        return _first_true(below, 1, bottom), StopStatus.HIT_LEVEL_SET
+    t = _first_true(lambda t: loss(t) > limit, bottom, t_max)
+    if t <= t_max:
+        return t, StopStatus.DIVERGED
+    return t_max, StopStatus.MAX_STEPS_EXCEEDED
+
+
+def run_to_level_set(obj, theta0, eta, alpha, t_max):
+    """Run GD until the excess train loss is <= alpha.
 
     Stops with HitLevelSet at the first step whose excess loss is <=
     alpha (ties included); flags Diverged when the loss exceeds 1e12
-    times its initial value; MaxStepsExceeded otherwise. Raises
+    times its initial value; MaxStepsExceeded at t_max otherwise. Raises
     AlreadyBelowLevelSet when theta0 already sits at or below the level
-    set.
+    set, and ValueError on a non-finite or non-positive eta or alpha.
     """
-    if alpha <= 0:
-        raise ValueError("level-set target must be positive")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"step size must be finite and positive, got {eta!r}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"level-set target must be finite and positive, got {alpha!r}")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     iota = decompose(obj, theta0)
@@ -132,24 +186,36 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max, trace_stride=1):
         raise AlreadyBelowLevelSet(
             f"initial excess loss {loss0:.3e} is already <= alpha {alpha:.3e}"
         )
-    steps, mu, trace, status = _level_set_run(
-        sig, iota, float(eta), float(alpha), int(t_max), DIVERGENCE_FACTOR * loss0
+    factors = 1.0 - eta * sig
+    # Zero-weight directions never move the loss; dropping them keeps
+    # 0 * inf out of the powers of |factor| > 1.
+    live = sig * iota * iota != 0
+    sig_l, iota_l, fac_l = sig[live], iota[live], factors[live]
+
+    def loss(t):
+        with np.errstate(over="ignore"):
+            mu_t = iota_l * fac_l**t
+            return 0.5 * float(np.sum(sig_l * mu_t * mu_t))
+
+    steps, status = level_set_search(
+        loss,
+        float(alpha),
+        int(t_max),
+        nonincreasing=bool(np.all(np.abs(fac_l) <= 1.0)),
+        limit=DIVERGENCE_FACTOR * loss0,
     )
-    final = float(trace[-1])
+    final = loss(steps)
+    mu = _final_mu(iota, factors, steps)
     half_ok = final >= 0.5 * alpha if status is StopStatus.HIT_LEVEL_SET else None
-    if trace_stride > 1:
-        decimated = trace[trace_stride - 1 :: trace_stride]
-        if steps % trace_stride != 0:
-            decimated = np.concatenate([decimated, [final]])
-        trace = decimated
     return GDRun(
         eta=eta,
         steps=steps,
         mu=mu,
         iota=iota,
-        loss_trace=trace,
+        sigma=sig,
         stop_status=status,
         theta=reconstruct(obj, mu),
+        final_excess=final,
         alpha=float(alpha),
         half_level_ok=half_ok,
     )

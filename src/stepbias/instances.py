@@ -13,9 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InfeasibleWindow
 from .quadratic import ProblemPair, QuadraticObjective
 from .regimes import RegimeKind, alpha_one, step_window
 from .spectral import Spectrum
+
+MAX_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -65,44 +68,50 @@ def _test_spectrum(rng, n):
     return Spectrum(values, random_orthogonal(rng, n))
 
 
+def _draw(rng, n):
+    """Spectra, train optimum and initial eigen-coefficients of one attempt."""
+    train_spec = Spectrum(_train_eigenvalues(rng, n), random_orthogonal(rng, n))
+    test_spec = _test_spectrum(rng, n)
+    opt_train = rng.normal(size=n)
+    while True:
+        iota = rng.uniform(-1.0, 1.0, size=n)
+        if abs(iota[0]) >= 1e-3 and abs(iota[-1]) >= 1e-3:
+            return train_spec, test_spec, opt_train, iota
+
+
 def random_instance(rng, n=None, model_error_fraction=None):
     """Sample a CertifyInstance satisfying the certification assumptions.
 
     model_error_fraction positions R(theta_hat) at that fraction of its
     allowed cap (None draws 0 or 0.1 at random). alpha is set to half
-    the smaller alpha_1 reading, which orders every step window.
+    the smaller alpha_1 reading, which orders every step window. An
+    extremely unbalanced draw (alpha < 1e-280) is redrawn from the same
+    stream, at most MAX_DRAWS times in all; then InfeasibleWindow.
     """
     rng = np.random.default_rng(rng)
     if n is None:
         n = int(rng.integers(4, 9))
     if n < 4:
         raise ValueError("generator needs n >= 4")
-    train_vals = _train_eigenvalues(rng, n)
-    train_basis = random_orthogonal(rng, n)
-    train_spec = Spectrum(train_vals, train_basis)
-    test_spec = _test_spectrum(rng, n)
-
-    sig1, sign = train_vals[0], train_vals[-1]
-    eta_s = 1.0 / (sig1 + sign)
-    eta_b = 1.9 / sig1
-
-    opt_train = rng.normal(size=n)
-    while True:
-        iota = rng.uniform(-1.0, 1.0, size=n)
-        if abs(iota[0]) >= 1e-3 and abs(iota[-1]) >= 1e-3:
+    for _ in range(MAX_DRAWS):
+        train_spec, test_spec, opt_train, iota = _draw(rng, n)
+        sig1, sign = train_spec.eigenvalues[0], train_spec.eigenvalues[-1]
+        eta_s = 1.0 / (sig1 + sign)
+        eta_b = 1.9 / sig1
+        kappa_R = test_spec.top / test_spec.bottom
+        kappa_F = sig1 / sign
+        a_one = min(
+            alpha_one(train_spec, iota, eta_s, eta_b, kappa_R),
+            alpha_one(train_spec, iota, eta_s, eta_b, kappa_R, reading="split"),
+        )
+        alpha = 0.5 * a_one
+        if alpha >= 1e-280:
             break
-    theta0 = opt_train + train_basis @ iota
-
-    kappa_R = test_spec.top / test_spec.bottom
-    kappa_F = sig1 / sign
-    a_one = min(
-        alpha_one(train_spec, iota, eta_s, eta_b, kappa_R),
-        alpha_one(train_spec, iota, eta_s, eta_b, kappa_R, reading="split"),
-    )
-    alpha = 0.5 * a_one
-    if alpha < 1e-280:
-        # Extremely unbalanced draw; resample from the same stream.
-        return random_instance(rng, n=n, model_error_fraction=model_error_fraction)
+    else:
+        raise InfeasibleWindow(
+            f"no draw in {MAX_DRAWS} gave a level-set target alpha >= 1e-280"
+        )
+    theta0 = opt_train + train_spec.eigenvectors @ iota
 
     fraction = model_error_fraction
     if fraction is None:

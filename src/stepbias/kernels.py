@@ -256,11 +256,15 @@ def predict_many(prob, alpha, X):
 
 
 def binary_error(prob, alpha, test):
-    """Misclassification rate on a dataset; zero scores count as errors."""
+    """Misclassification rate on a dataset.
+
+    Zero and non-finite scores count as errors.
+    """
     if test.n == 0:
         raise EmptyTestSet("test dataset is empty")
     scores = predict_many(prob, alpha, test.points)
-    return float(np.mean(scores * test.labels <= 0.0))
+    correct = np.isfinite(scores) & (scores * test.labels > 0.0)
+    return float(np.mean(~correct))
 
 
 def margin_certificate(prob, alpha, alpha_ref, delta):
@@ -310,7 +314,12 @@ def load_dataset(path):
             labels[i] = float(row[-1])
         except ValueError as exc:
             raise ParseError(f"{path}: row {i + 2}: {exc}") from exc
-    return Dataset(points=points, labels=labels)
+        if not (np.all(np.isfinite(points[i])) and np.isfinite(labels[i])):
+            raise ParseError(f"{path}: row {i + 2}: non-finite value")
+    try:
+        return Dataset(points=points, labels=labels)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_dataset(dataset, path):

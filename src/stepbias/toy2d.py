@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleWindow, InvalidRegime
-from .gd import StopStatus, run_to_level_set
+from .gd import StopStatus, level_set_search, run_to_level_set
 from .quadratic import QuadraticObjective, evaluate
 from .regimes import RegimeKind, classify_rate
 from .spectral import Spectrum, diagonal_spectrum
@@ -108,6 +108,14 @@ def excess_loss(inst, eta, t):
     return 0.5 * (inst.sigma1 * x * x + inst.sigma2 * y * y)
 
 
+def _first_hit(inst, eta, level, name):
+    """First step at which the exact loss at rate eta is <= level."""
+    t, status = level_set_search(lambda t: excess_loss(inst, eta, t), level, 10**7)
+    if status is not StopStatus.HIT_LEVEL_SET:
+        raise InfeasibleWindow(f"{name}-rate loss never reaches the target")
+    return t
+
+
 def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02, scan=400):
     """Pick a level-set target near ``target`` on which the ratio test is safe.
 
@@ -115,24 +123,18 @@ def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02, scan=400):
     alpha], so an arbitrary alpha can make the small-rate run undershoot
     and lose the predicted R(theta_s)/R(theta_b) >= kappa margin. We
     align alpha just above a small-rate landing point and keep the first
-    candidate whose predicted ratio clears kappa by ``margin``.
+    candidate whose predicted ratio clears kappa by ``margin``. Both
+    regimes have every |1 - eta sigma_i| < 1, so each landing step is
+    found by gd.level_set_search on the exact, non-increasing loss.
     """
     _regime_kind(inst, eta_s, RegimeKind.SMALL)
     _regime_kind(inst, eta_b, RegimeKind.BIG)
-    t = 1
-    while excess_loss(inst, eta_s, t) > target:
-        t += 1
-        if t > 10**7:
-            raise InfeasibleWindow("small-rate loss never reaches the target")
+    t = _first_hit(inst, eta_s, target, "small")
     for candidate_t in range(t, t + scan):
         alpha = excess_loss(inst, eta_s, candidate_t) * (1.0 + 1e-9)
         if alpha <= 0:
             break
-        tb = 1
-        while excess_loss(inst, eta_b, tb) > alpha:
-            tb += 1
-            if tb > 10**7:
-                raise InfeasibleWindow("big-rate loss never reaches the target")
+        tb = _first_hit(inst, eta_b, alpha, "big")
         xs, ys = trajectory(inst, eta_s, candidate_t)
         xb, yb = trajectory(inst, eta_b, tb)
         r_small = 0.5 * (xs * xs + ys * ys)

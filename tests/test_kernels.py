@@ -144,6 +144,16 @@ def test_predict_and_binary_error(prob):
         kernels.binary_error(prob, astar, _empty_dataset())
 
 
+def test_binary_error_counts_non_finite_scores_as_errors(prob, monkeypatch):
+    test = kernels.Dataset(np.zeros((4, 2)), np.array([1.0, 1.0, -1.0, 1.0]))
+    scores = np.array([0.5, np.nan, -np.inf, -0.5])
+    monkeypatch.setattr(kernels, "predict_many", lambda *args: scores)
+    assert kernels.binary_error(prob, np.zeros(prob.n), test) == 0.75
+    nan_alpha = np.full(prob.n, np.nan)
+    monkeypatch.undo()
+    assert kernels.binary_error(prob, nan_alpha, test) == 1.0
+
+
 def _empty_dataset():
     d = kernels.Dataset(np.zeros((1, 2)), np.array([1.0]))
     object.__setattr__(d, "points", np.zeros((0, 2)))
@@ -197,6 +207,14 @@ def test_load_dataset_errors(tmp_path):
     p.write_text("x_1,x_2,label\n0.0,zero,1\n")
     with pytest.raises(ParseError):
         kernels.load_dataset(p)
+    for text in ("x_1,x_2,label\n", "x_1,x_2,label\n0.0,0.0,2\n"):
+        p.write_text(text)
+        with pytest.raises(ParseError):
+            kernels.load_dataset(p)
+    for bad in ("nan,0.0,1", "0.0,inf,1", "0.0,0.0,nan", "-Infinity,0.0,-1"):
+        p.write_text(f"x_1,x_2,label\n0.0,0.0,1\n{bad}\n")
+        with pytest.raises(ParseError, match="row 3"):
+            kernels.load_dataset(p)
     p.write_text("")
     with pytest.raises(ParseError):
         kernels.load_dataset(p)

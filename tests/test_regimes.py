@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from stepbias import gd
+from stepbias import gd, instances
 from stepbias.errors import (
     DegenerateSpectrum,
+    InfeasibleWindow,
     InvalidRegime,
     LevelSetMismatch,
     RegimeMismatch,
@@ -106,9 +107,10 @@ def _fake_run(mu):
         steps=1,
         mu=np.asarray(mu, dtype=float),
         iota=np.asarray(mu, dtype=float),
-        loss_trace=np.array([1.0]),
+        sigma=np.ones(len(mu)),
         stop_status=gd.StopStatus.HIT_LEVEL_SET,
         theta=np.asarray(mu, dtype=float),
+        final_excess=1.0,
     )
 
 
@@ -193,6 +195,47 @@ def _generated(seed=0, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateSpectrum)
         return random_instance(stream(seed, "regimes-test"), **kw)
+
+
+def _generated_from(rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSpectrum)
+        return random_instance(rng, n=5)
+
+
+def _alpha_one_failing(monkeypatch, failures):
+    """Make the first ``failures`` alpha_one calls underflow; count calls."""
+    real = instances.alpha_one
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(1)
+        return 0.0 if len(calls) <= failures else real(*args, **kwargs)
+
+    monkeypatch.setattr(instances, "alpha_one", fake)
+    return calls
+
+
+def test_random_instance_retry_redraws_from_the_same_stream(monkeypatch):
+    # One rejected attempt (two alpha_one readings) consumes exactly one
+    # attempt's draws, then the next attempt proceeds as a fresh call.
+    ref_rng = stream(3, "retry")
+    instances._draw(ref_rng, 5)
+    want = _generated_from(ref_rng)
+    calls = _alpha_one_failing(monkeypatch, 2)
+    got = _generated_from(stream(3, "retry"))
+    assert len(calls) == 4
+    assert got.alpha == want.alpha and got.t_max == want.t_max
+    assert np.array_equal(got.theta0, want.theta0)
+    assert np.array_equal(got.pair.test.optimum, want.pair.test.optimum)
+    assert np.array_equal(got.pair.train.spectrum.matrix(), want.pair.train.spectrum.matrix())
+
+
+def test_random_instance_gives_up_after_max_draws(monkeypatch):
+    calls = _alpha_one_failing(monkeypatch, math.inf)
+    with pytest.raises(InfeasibleWindow):
+        _generated_from(stream(3, "retry"))
+    assert len(calls) == 2 * instances.MAX_DRAWS
 
 
 def test_check_assumptions_pass_on_generated_instance():

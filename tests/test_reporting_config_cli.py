@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from stepbias import cli
+from stepbias import cli, errors
 from stepbias.config import (
     DEFAULT_ETA_GRID,
     canonical_config,
@@ -103,10 +103,20 @@ def test_validate_config_defaults():
         {"experiment": "eta_sweep", "seed": True},
         {"experiment": "eta_sweep", "n": 0},
         {"experiment": "eta_sweep", "lam": -1.0},
+        {"experiment": "eta_sweep", "seed": -5},
         {"experiment": "toy2d", "sigma1": 0.1, "sigma2": 0.2},
         {"experiment": "eta_sweep", "eta_grid": []},
         {"experiment": "eta_sweep", "eta_grid": [0.5, -1.0]},
         {"experiment": "alpha_sweep", "alpha_grid": [0.1, "x"]},
+        {"experiment": "alpha_sweep", "alpha_grid": [0.5, 1.0]},
+        {"experiment": "toy2d", "alpha": float("nan")},
+        {"experiment": "toy2d", "alpha": -1e-8},
+        {"experiment": "toy2d", "sigma1": float("inf")},
+        {"experiment": "alpha_sweep", "eta_big": 0.0},
+        {"experiment": "eta_sweep", "lam": float("nan")},
+        {"experiment": "eta_sweep", "eta_grid": [0.5, float("inf")]},
+        {"experiment": "scale_sweep", "scale_grid": [float("nan")]},
+        {"experiment": "toy2d", "alpha_grid": [float("-inf")]},
         "not a dict",
     ],
 )
@@ -186,6 +196,55 @@ def test_cli_exit_code_certification(tmp_path, capsys):
     out_dir = tmp_path / "o"
     assert cli.main(["run", "--config", path, "--output-dir", str(out_dir)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_json_numbers(tmp_path, capsys):
+    # JSON's NaN and Infinity literals must not reach the experiments.
+    for text in (
+        '{"experiment": "toy2d", "alpha": NaN}',
+        '{"experiment": "eta_sweep", "eta_grid": [Infinity]}',
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "o")]) == 1
+        assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_maps_library_refusals_without_traceback(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"experiment": "toy2d", "output_dir": "\u00e9"}'.encode("latin-1"))
+    assert cli.main(["validate", "--config", str(bad)]) == 1
+    path = _write_cfg(tmp_path, experiment="alpha_sweep", n=20, alpha_grid=[2.0])
+    assert cli.main(["run", "--config", path, "--output-dir", str(tmp_path / "o")]) == 1
+    # lam = 0 leaves the kernel system singular.
+    path = _write_cfg(tmp_path, experiment="eta_sweep", n=50, lam=0.0)
+    assert cli.main(["run", "--config", path, "--output-dir", str(tmp_path / "o")]) == 2
+    # A negative seed, from the file or the command line, is a config error.
+    path = _write_cfg(tmp_path, experiment="filter_profiles")
+    assert cli.main(["run", "--config", path, "--seed", "-5"]) == 1
+    assert capsys.readouterr().err.count("error: ") == 4
+
+
+def _stepbias_errors(cls=errors.StepbiasError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _stepbias_errors(sub)
+
+
+# The exit codes documented in the cli docstring and the README.
+_DOCUMENTED_EXIT = {errors.ParseError: 1, errors.ValidationError: 1, errors.IoError: 3}
+
+
+@pytest.mark.parametrize("exc", list(_stepbias_errors()), ids=lambda e: e.__name__)
+def test_cli_every_stepbias_error_has_an_exit_code(exc, tmp_path, monkeypatch, capsys):
+    def fail(cfg):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    path = _write_cfg(tmp_path, experiment="filter_profiles")
+    assert cli.main(["run", "--config", path]) == _DOCUMENTED_EXIT.get(exc, 2)
+    assert "error: boom" in capsys.readouterr().err
 
 
 def test_cli_exit_code_io(tmp_path, capsys):

@@ -72,6 +72,45 @@ def test_feasible_alpha_then_ratio_check():
     assert ok and ratio >= inst.kappa
 
 
+def _feasible_alpha_by_scan(inst, eta_s, eta_b, target, margin, scan=400):
+    """Oracle: feasible_alpha with both landing steps found by linear scans."""
+
+    def first_hit(eta, level):
+        t = 1
+        while toy2d.excess_loss(inst, eta, t) > level:
+            t += 1
+        return t
+
+    t = first_hit(eta_s, target)
+    for candidate_t in range(t, t + scan):
+        alpha = toy2d.excess_loss(inst, eta_s, candidate_t) * (1.0 + 1e-9)
+        tb = first_hit(eta_b, alpha)
+        xs, ys = toy2d.trajectory(inst, eta_s, candidate_t)
+        xb, yb = toy2d.trajectory(inst, eta_b, tb)
+        if (xs * xs + ys * ys) / (xb * xb + yb * yb) >= inst.kappa * margin:
+            return alpha
+    return None
+
+
+@pytest.mark.parametrize(
+    "sigma2, eta_b, target, margin",
+    [
+        (0.2, 1.95, 1e-8, 1.01),
+        (0.5, 1.9, 1e-6, 1.0 + 1e-9),
+        (0.1, 1.99, 1e-10, 1.05),
+        (0.2, 1.7, 1e-4, 1.0),
+    ],
+)
+def test_feasible_alpha_matches_linear_scan(sigma2, eta_b, target, margin):
+    inst = toy2d.ToyInstance(1.0, sigma2)
+    want = _feasible_alpha_by_scan(inst, 1.0, eta_b, target, margin)
+    if want is None:
+        with pytest.raises(InfeasibleWindow):
+            toy2d.feasible_alpha(inst, 1.0, eta_b, target, margin)
+    else:
+        assert toy2d.feasible_alpha(inst, 1.0, eta_b, target, margin) == want
+
+
 def test_ratio_check_infeasible_for_large_alpha():
     inst = toy2d.ToyInstance(1.0, 0.2)
     with pytest.raises(InfeasibleWindow):
