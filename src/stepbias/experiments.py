@@ -29,7 +29,7 @@ from .instances import random_instance
 from .quadratic import QuadraticObjective
 from .regimes import attenuation, certify, check_assumptions
 from .reporting import AxesSpec, Series, render_svg, write_csv
-from .spectral import condition_number, eig_sym
+from .spectral import Spectrum, condition_number, eig_sym
 
 T_MAX_SWEEP = 500_000
 
@@ -193,12 +193,17 @@ def _run_quadratic_certify(cfg, out):
 
 @dataclass(frozen=True)
 class _Sweep:
-    """A kernel problem, its train objective, alpha* and the test data."""
+    """A kernel problem, its train objective, alpha* and the test data.
+
+    ``cross`` is the train-by-test kernel, built once per sweep and used
+    to score every grid point.
+    """
 
     prob: kernels.KernelProblem
     obj: QuadraticObjective
     alpha_star: np.ndarray
     test: kernels.Dataset
+    cross: np.ndarray
 
 
 def _sweep_problem(cfg):
@@ -215,6 +220,9 @@ def _sweep_problem(cfg):
         obj=kernels.train_objective(prob),
         alpha_star=kernels.ridge_alpha(prob.K, prob.y, prob.lam),
         test=test,
+        cross=kernels.gaussian_cross_kernel(
+            prob.dataset.points, test.points, prob.scale
+        ),
     )
 
 
@@ -229,7 +237,9 @@ def _level_run_row(sweep, eta_mult, alpha):
     proj_e1 = abs(float(mu[0]))
     hilbert_norm = float(np.sqrt(np.sum(mu * mu)))
     alpha_hat = sweep.alpha_star + kernels.from_eigen_coords(sweep.prob, mu)
-    accuracy = 1.0 - kernels.binary_error(sweep.prob, alpha_hat, sweep.test)
+    accuracy = 1.0 - kernels.binary_error(
+        sweep.prob, alpha_hat, sweep.test, cross=sweep.cross
+    )
     return run, proj_e1, hilbert_norm, accuracy
 
 
@@ -322,18 +332,16 @@ def _run_scale_sweep(cfg, out):
     for s in cfg.scale_grid:
         K = kernels.gaussian_kernel_matrix(data.points, float(s))
         spec = eig_sym(K / data.n)
-        shifted_kappa = (spec.top + cfg.lam) / (spec.bottom + cfg.lam)
-        rows.append((float(s), condition_number(spec), shifted_kappa))
+        shifted = Spectrum(spec.eigenvalues + cfg.lam, spec.eigenvectors)
+        rows.append((float(s), condition_number(spec), condition_number(shifted)))
     schema = ("scale", "kappa", "kappa_regularized")
     out.csv("scale_sweep.csv", rows, schema)
+    xs = tuple(r[0] for r in rows)
     out.svg(
         "scale_sweep.svg",
         [
-            Series(
-                "log10 kappa",
-                tuple(r[0] for r in rows),
-                tuple(r[1] for r in rows),
-            )
+            Series("log10 kappa", xs, tuple(r[1] for r in rows)),
+            Series("log10 kappa_regularized", xs, tuple(r[2] for r in rows)),
         ],
         AxesSpec(
             title="Condition number of K/n across kernel scales",

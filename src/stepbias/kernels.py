@@ -249,20 +249,34 @@ def predict(prob, alpha, x):
     return float(scores[0])
 
 
-def predict_many(prob, alpha, X):
-    """Scores for every row of X."""
-    cross = gaussian_cross_kernel(prob.dataset.points, X, prob.scale)
+def _scores(cross, alpha):
+    """Scores sum_i alpha_i cross[i, j] for every column j."""
     return cross.T @ np.asarray(alpha, dtype=float)
 
 
-def binary_error(prob, alpha, test):
+def predict_many(prob, alpha, X):
+    """Scores for every row of X."""
+    return _scores(gaussian_cross_kernel(prob.dataset.points, X, prob.scale), alpha)
+
+
+def binary_error(prob, alpha, test, cross=None):
     """Misclassification rate on a dataset.
 
-    Zero and non-finite scores count as errors.
+    Zero and non-finite scores count as errors. ``cross`` may pass in
+    gaussian_cross_kernel(prob.dataset.points, test.points, prob.scale)
+    when the caller scores many alphas on one test set; the scores are
+    then computed by the same expression that predict_many uses.
     """
     if test.n == 0:
         raise EmptyTestSet("test dataset is empty")
-    scores = predict_many(prob, alpha, test.points)
+    if cross is None:
+        scores = predict_many(prob, alpha, test.points)
+    elif cross.shape != (prob.n, test.n):
+        raise DimensionMismatch(
+            f"cross kernel has shape {cross.shape}, expected {(prob.n, test.n)}"
+        )
+    else:
+        scores = _scores(cross, alpha)
     correct = np.isfinite(scores) & (scores * test.labels > 0.0)
     return float(np.mean(~correct))
 

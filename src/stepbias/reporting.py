@@ -84,17 +84,15 @@ def _coord(v):
     return f"{v:.3f}"
 
 
-def _spans(series, axes):
-    xs = [x for s in series for x in s.xs]
-    ys = [_y_value(y, axes) for s in series for y in s.ys]
-    xs += list(axes.vlines)
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    return x_lo, x_hi, y_lo, y_hi
+def _span(values):
+    """(lo, hi) of the values, widened to a non-empty range; (0, 1) if none."""
+    if not values:
+        return 0.0, 1.0
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        # nextafter keeps the range open where 1.0 is absorbed (|lo| >= 2**53).
+        hi = max(lo + 1.0, math.nextafter(lo, math.inf))
+    return lo, hi
 
 
 def _y_value(y, axes):
@@ -103,16 +101,30 @@ def _y_value(y, axes):
     return float(y)
 
 
+def _finite_points(s, axes):
+    """The (x, y) pairs of a series that have a finite place on the axes."""
+    return [
+        (float(x), y)
+        for x, y in zip(s.xs, s.ys)
+        if math.isfinite(float(x)) and math.isfinite(_y_value(y, axes))
+    ]
+
+
 def render_svg(series, axes, path):
     """Standalone SVG: one polyline per series, axes, legend.
 
-    Output bytes depend only on the inputs, so re-rendering the same
-    data is byte-identical.
+    Points with a non-finite coordinate (after the log for log_y axes)
+    are left out of the axis ranges and the polylines. Output bytes
+    depend only on the inputs, so re-rendering the same data is
+    byte-identical.
     """
     series = list(series)
     if not series:
         raise ValueError("render_svg needs at least one series")
-    x_lo, x_hi, y_lo, y_hi = _spans(series, axes)
+    points = [_finite_points(s, axes) for s in series]
+    vlines = [float(v) for v in axes.vlines if math.isfinite(float(v))]
+    x_lo, x_hi = _span([x for pts in points for x, _ in pts] + vlines)
+    y_lo, y_hi = _span([_y_value(y, axes) for pts in points for _, y in pts])
 
     def px(x):
         return _MARGIN + (float(x) - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * _MARGIN)
@@ -149,18 +161,18 @@ def render_svg(series, axes, path):
             f'font-size="12" transform="rotate(-90 18 {_coord(_HEIGHT / 2)})">'
             f"{axes.ylabel}</text>"
         )
-    for v in axes.vlines:
+    for v in vlines:
         parts.append(
             f'<line x1="{_coord(px(v))}" y1="{_coord(_MARGIN)}" '
             f'x2="{_coord(px(v))}" y2="{_coord(_HEIGHT - _MARGIN)}" '
             'stroke="gray" stroke-width="1" stroke-dasharray="4 3"/>'
         )
-    for i, s in enumerate(series):
+    for i, (s, pts) in enumerate(zip(series, points)):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{_coord(px(x))},{_coord(py(y))}" for x, y in zip(s.xs, s.ys))
+        coords = " ".join(f"{_coord(px(x))},{_coord(py(y))}" for x, y in pts)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
+            f'points="{coords}"/>'
         )
         ly = _MARGIN + 16.0 * i
         parts.append(

@@ -7,6 +7,7 @@ learning-rate regimes are classified against one, and kernel problems
 bridge to one through K/n.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,6 +17,7 @@ from .errors import DegenerateSpectrum, NotPositiveDefinite, NotSymmetric
 
 SYMMETRY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-10
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,13 @@ def _check_degenerate(w):
     return bool(np.any(gaps <= DEGENERACY_RTOL * abs(w[0])))
 
 
+def _sign_convention(v):
+    """Negate, in place, each column whose first largest-magnitude entry is negative."""
+    top = np.argmax(np.abs(v), axis=0)
+    flip = v[top, np.arange(v.shape[1])] < 0
+    v[:, flip] = -v[:, flip]
+
+
 def eig_sym(A, require_positive_definite=False):
     """Eigendecompose a symmetric matrix with LAPACK (``np.linalg.eigh``).
 
@@ -90,11 +99,7 @@ def eig_sym(A, require_positive_definite=False):
     A = 0.5 * (A + A.T)
     w, v = np.linalg.eigh(A)
     w, v = w[::-1].copy(), v[:, ::-1].copy()
-    # Sign convention: largest-magnitude entry of each eigenvector positive.
-    for i in range(v.shape[1]):
-        j = int(np.argmax(np.abs(v[:, i])))
-        if v[j, i] < 0:
-            v[:, i] = -v[:, i]
+    _sign_convention(v)
     if require_positive_definite and w[-1] <= 0.0:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {w[-1]:.3e} is not positive"
@@ -109,5 +114,12 @@ def eig_sym(A, require_positive_definite=False):
 
 
 def condition_number(s):
-    """Ratio of the largest to the smallest eigenvalue."""
+    """Ratio of the largest to the smallest eigenvalue.
+
+    inf when the smallest eigenvalue is at most n eps times the largest,
+    i.e. zero up to round-off: the ratio is never negative, never a
+    division by zero and never a quotient of round-off.
+    """
+    if s.bottom <= s.n * EPS * s.top:
+        return math.inf
     return s.top / s.bottom

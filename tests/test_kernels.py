@@ -154,6 +154,22 @@ def test_binary_error_counts_non_finite_scores_as_errors(prob, monkeypatch):
     assert kernels.binary_error(prob, nan_alpha, test) == 1.0
 
 
+def test_binary_error_with_cross_kernel_matches_plain_path(prob):
+    rng = np.random.default_rng(10)
+    test = kernels.two_cluster_dataset(40, rng)
+    cross = kernels.gaussian_cross_kernel(prob.dataset.points, test.points, prob.scale)
+    for alpha in (
+        kernels.ridge_alpha(prob.K, prob.y, prob.lam),
+        rng.normal(size=prob.n),
+        np.full(prob.n, np.nan),
+    ):
+        assert kernels.binary_error(prob, alpha, test, cross=cross) == (
+            kernels.binary_error(prob, alpha, test)
+        )
+    with pytest.raises(DimensionMismatch):
+        kernels.binary_error(prob, alpha, test, cross=cross[:, :-1])
+
+
 def _empty_dataset():
     d = kernels.Dataset(np.zeros((1, 2)), np.array([1.0]))
     object.__setattr__(d, "points", np.zeros((0, 2)))

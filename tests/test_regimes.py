@@ -283,6 +283,20 @@ def test_check_assumptions_detects_violations():
     assert not v["A4_level_set_target"]
 
 
+def test_check_assumptions_on_singular_spectra_returns_verdicts():
+    # Non-positive bottom eigenvalues give infinite condition numbers,
+    # not a division by zero or a negative ratio.
+    theta0 = np.array([0.5, 0.5, 0.5, 0.5])
+    for bottom in (0.0, -1e-3):
+        train = QuadraticObjective(diagonal_spectrum([1.0, 0.6, 0.3, bottom]), np.zeros(4))
+        test = QuadraticObjective(diagonal_spectrum([1.0, 0.8, 0.7, bottom]), np.zeros(4))
+        verdicts = check_assumptions(ProblemPair(train, test), theta0, 0.7, 1.9, 1e-10)
+        passed = {v.name: v.passed for v in verdicts}
+        assert len(verdicts) == 4
+        assert not passed["A1_distinct_eigenvalues"]
+        assert not passed["A4_level_set_target"]
+
+
 def _runs_for(inst):
     run_s = gd.run_to_level_set(
         inst.pair.train, inst.theta0, inst.eta_s, inst.alpha, inst.t_max

@@ -78,6 +78,31 @@ def test_render_svg_deterministic(tmp_path):
     assert "t</text>" in text
 
 
+def test_render_svg_leaves_out_non_finite_points(tmp_path):
+    axes = AxesSpec(title="t", vlines=(0.5, float("inf")))
+    with_gaps = [
+        Series("a", (0.0, 1.0, 2.0, float("nan")), (1.0, float("inf"), 9.0, 3.0)),
+        Series("b", (0.0, 2.0), (float("-inf"), 2.0)),
+    ]
+    finite = [Series("a", (0.0, 2.0), (1.0, 9.0)), Series("b", (2.0,), (2.0,))]
+    render_svg(with_gaps, AxesSpec(title="t", vlines=(0.5,)), tmp_path / "f.svg")
+    render_svg(with_gaps, axes, tmp_path / "g.svg")
+    render_svg(finite, AxesSpec(title="t", vlines=(0.5,)), tmp_path / "h.svg")
+    data = (tmp_path / "g.svg").read_bytes()
+    assert data == (tmp_path / "f.svg").read_bytes() == (tmp_path / "h.svg").read_bytes()
+    assert b"nan" not in data and b"inf" not in data
+
+
+def test_render_svg_without_finite_points_uses_a_unit_range(tmp_path):
+    series = [Series("a", (1.0, 2.0), (float("inf"), float("nan")))]
+    render_svg(series, AxesSpec(log_y=True), tmp_path / "a.svg")
+    text = (tmp_path / "a.svg").read_text()
+    assert 'points=""' in text and "nan" not in text
+    # One huge x value: adding 1.0 to it would not widen the axis range.
+    render_svg([Series("a", (1e300,), (0.5,))], AxesSpec(), tmp_path / "b.svg")
+    assert 'points="60.000,420.000"' in (tmp_path / "b.svg").read_text()
+
+
 def test_render_svg_needs_series(tmp_path):
     with pytest.raises(ValueError):
         render_svg([], AxesSpec(), tmp_path / "x.svg")
@@ -224,6 +249,20 @@ def test_cli_maps_library_refusals_without_traceback(tmp_path, capsys):
     path = _write_cfg(tmp_path, experiment="filter_profiles")
     assert cli.main(["run", "--config", path, "--seed", "-5"]) == 1
     assert capsys.readouterr().err.count("error: ") == 4
+
+
+def test_cli_huge_finite_step_size_writes_diverged_run(tmp_path, capsys):
+    # eta = 1e300 / sigma_1 diverges at step 1 with a Hilbert norm near the
+    # largest float; the SVG leaves a non-finite point out instead of crashing.
+    path = _write_cfg(tmp_path, experiment="eta_sweep", n=20, eta_grid=[1e300])
+    out_dir = tmp_path / "o"
+    assert cli.main(["run", "--config", path, "--output-dir", str(out_dir)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    _, rows = read_csv(out_dir / "eta_sweep.csv")
+    assert rows[0][3] == "Diverged"
+    proj_e1, hilbert_norm = rows[0][4], rows[0][5]
+    assert hilbert_norm == float("inf") or hilbert_norm >= proj_e1
+    assert "nan" not in (out_dir / "eta_sweep.svg").read_text()
 
 
 def _stepbias_errors(cls=errors.StepbiasError):

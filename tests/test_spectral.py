@@ -1,12 +1,20 @@
 """Eigendecomposition against the LAPACK oracle plus contract checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepbias.errors import DegenerateSpectrum, NotPositiveDefinite, NotSymmetric
-from stepbias.spectral import Spectrum, condition_number, diagonal_spectrum, eig_sym
+from stepbias.spectral import (
+    Spectrum,
+    _sign_convention,
+    condition_number,
+    diagonal_spectrum,
+    eig_sym,
+)
 
 
 def random_symmetric(rng, n):
@@ -41,6 +49,39 @@ def test_descending_order_and_sign_convention():
     for i in range(9):
         col = spec.eigenvectors[:, i]
         assert col[np.argmax(np.abs(col))] > 0
+
+
+def _sign_convention_by_column(v):
+    """The per-column loop the vectorized sign convention replaced."""
+    v = v.copy()
+    for i in range(v.shape[1]):
+        j = int(np.argmax(np.abs(v[:, i])))
+        if v[j, i] < 0:
+            v[:, i] = -v[:, i]
+    return v
+
+
+def test_sign_convention_matches_column_loop():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 17, 40):
+        A = random_symmetric(rng, n)
+        _, v = np.linalg.eigh(0.5 * (A + A.T))
+        expected = _sign_convention_by_column(v[:, ::-1])
+        assert np.array_equal(eig_sym(A).eigenvectors, expected)
+    # Columns whose largest-magnitude entries tie, with either sign first,
+    # plus an all-zero column and negative zeros: the first maximum decides.
+    for _ in range(50):
+        m, k = (int(x) for x in rng.integers(2, 9, size=2))
+        v = rng.uniform(-0.5, 0.5, size=(m, k))
+        for col in range(k):
+            rows = rng.choice(m, size=2, replace=False)
+            v[rows, col] = rng.choice([-1.0, 1.0], size=2)
+        v[:, rng.integers(k)] = 0.0
+        v[rng.integers(m), rng.integers(k)] = -0.0
+        got = v.copy()
+        _sign_convention(got)
+        assert np.array_equal(got, _sign_convention_by_column(v))
+        assert np.array_equal(np.signbit(got), np.signbit(_sign_convention_by_column(v)))
 
 
 def test_deterministic_across_calls():
@@ -87,6 +128,20 @@ def test_diagonal_spectrum_and_condition_number():
     assert spec.top == 4.0 and spec.bottom == 1.0
     assert condition_number(spec) == 4.0
     assert np.array_equal(spec.matrix(), np.diag([4.0, 2.0, 1.0]))
+
+
+def test_condition_number_never_negative():
+    # A zero bottom eigenvalue used to divide by zero, a negative one to
+    # give a negative ratio.
+    assert condition_number(diagonal_spectrum([1.0, 0.5, 0.0])) == math.inf
+    assert condition_number(diagonal_spectrum([1.0, -1e-17])) == math.inf
+    assert condition_number(diagonal_spectrum([-1.0, -2.0])) == math.inf
+    # A bottom eigenvalue at most n eps sigma_1 is round-off: singular.
+    eps = np.finfo(float).eps
+    assert condition_number(diagonal_spectrum([1.0, 1e-15])) == pytest.approx(1e15)
+    assert condition_number(diagonal_spectrum([1.0, 2 * eps])) == math.inf
+    assert condition_number(diagonal_spectrum([1.0, 1.0, 1.0, 5 * eps])) == 1 / (5 * eps)
+    assert condition_number(diagonal_spectrum([1.0, 1.0, 1.0, 4 * eps])) == math.inf
 
 
 def test_spectrum_accessors():

@@ -1,0 +1,149 @@
+"""Kernel sweep experiments: scoring against the shared test cross kernel,
+and condition numbers of the scale sweep."""
+
+import csv
+import math
+import re
+
+import numpy as np
+import pytest
+
+from stepbias import kernels
+from stepbias.config import validate_config
+from stepbias.experiments import run_experiment
+
+EPS = float(np.finfo(float).eps)
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture
+def noisy_dataset(tmp_path):
+    """Overlapping clusters with flipped labels, so accuracies vary by run."""
+    rng = np.random.default_rng(3)
+    data = kernels.two_cluster_dataset(200, rng)
+    points = data.points + 0.5 * rng.standard_normal(data.points.shape)
+    labels = np.where(rng.random(data.n) < 0.15, -data.labels, data.labels)
+    path = tmp_path / "noisy.csv"
+    kernels.save_dataset(kernels.Dataset(points, labels), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "raw, columns",
+    [
+        ({"experiment": "eta_sweep"}, ("accuracy",)),
+        (
+            {"experiment": "alpha_sweep", "alpha_grid": [0.3, 0.1, 0.03, 0.01]},
+            ("accuracy_small", "accuracy_big"),
+        ),
+    ],
+)
+def test_sweep_accuracy_matches_binary_error_from_scratch(
+    raw, columns, noisy_dataset, tmp_path, monkeypatch
+):
+    scored = []
+    original = kernels.binary_error
+
+    def recording(prob, alpha, test, cross=None):
+        scored.append(np.array(alpha))
+        return original(prob, alpha, test, cross=cross)
+
+    monkeypatch.setattr(kernels, "binary_error", recording)
+    out = tmp_path / "o"
+    cfg = validate_config(
+        dict(raw, dataset_path=str(noisy_dataset), scale=0.5, output_dir=str(out))
+    )
+    run_experiment(cfg)
+    monkeypatch.undo()
+
+    full = kernels.load_dataset(noisy_dataset)
+    train = kernels.Dataset(full.points[0::2], full.labels[0::2])
+    test = kernels.Dataset(full.points[1::2], full.labels[1::2])
+    prob = kernels.kernel_problem(train, cfg.scale, cfg.lam)
+    rows = _rows(out / f"{cfg.experiment}.csv")
+    reported = [float(r[c]) for r in rows for c in columns]
+    assert len(scored) == len(reported)
+    fresh = [1.0 - kernels.binary_error(prob, a, test) for a in scored]
+    assert reported == fresh
+    assert len(set(reported)) > 1  # the task is hard enough to tell runs apart
+
+
+@pytest.mark.parametrize("experiment", ["eta_sweep", "alpha_sweep"])
+@pytest.mark.parametrize("grid_length", [1, 6])
+def test_sweep_builds_the_test_cross_kernel_once(
+    experiment, grid_length, tmp_path, monkeypatch
+):
+    n_test = 30
+    query_rows = []
+    original = kernels.gaussian_cross_kernel
+
+    def counting(X_train, X_query, s):
+        query_rows.append(np.atleast_2d(X_query).shape[0])
+        return original(X_train, X_query, s)
+
+    monkeypatch.setattr(kernels, "gaussian_cross_kernel", counting)
+    grid = {
+        "eta_sweep": {"eta_grid": list(np.linspace(0.25, 1.9, grid_length))},
+        "alpha_sweep": {"alpha_grid": list(np.geomspace(0.2, 0.01, grid_length))},
+    }[experiment]
+    cfg = validate_config(
+        {"experiment": experiment, "n": 20, "n_test": n_test,
+         "output_dir": str(tmp_path / "o"), **grid}
+    )
+    run_experiment(cfg)
+    assert query_rows.count(n_test) == 1
+    assert query_rows.count(20) == 1  # the train kernel matrix
+
+
+def test_scale_sweep_kappa_is_inf_or_in_range(tmp_path):
+    for seed in (0, 1):
+        for n in (50, 100):
+            out = tmp_path / f"{seed}-{n}"
+            cfg = validate_config(
+                {"experiment": "scale_sweep", "n": n, "seed": seed,
+                 "output_dir": str(out)}
+            )
+            run_experiment(cfg)
+            for row in _rows(out / "scale_sweep.csv"):
+                kappa = float(row["kappa"])
+                assert kappa == math.inf or 1.0 <= kappa <= 1.0 / (n * EPS)
+                assert 1.0 <= float(row["kappa_regularized"]) < math.inf
+
+
+def test_scale_sweep_singular_kernel_regression(tmp_path):
+    # n = 50, seed 0: K/n at scale 1.0 has a bottom eigenvalue of about
+    # -1e-17, which used to be reported as kappa = -5.3e16.
+    out = tmp_path / "o"
+    run_experiment(
+        validate_config(
+            {"experiment": "scale_sweep", "n": 50, "seed": 0, "output_dir": str(out)}
+        )
+    )
+    rows = _rows(out / "scale_sweep.csv")
+    assert [r["scale"] for r in rows] == ["0.5", "1.0", "2.0", "4.0"]
+    assert rows[1]["kappa"] == "inf"
+    svg = (out / "scale_sweep.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    # One polyline per series; infinite kappas are left out, the
+    # regularized series is always drawn in full.
+    kappa_pts, regularized_pts = [
+        len(p.split()) for p in re.findall(r'points="([^"]*)"', svg)
+    ]
+    assert kappa_pts == sum(r["kappa"] != "inf" for r in rows)
+    assert regularized_pts == 4
+
+
+def test_scale_sweep_at_lam_zero_never_reports_a_negative_kappa(tmp_path):
+    out = tmp_path / "o"
+    run_experiment(
+        validate_config(
+            {"experiment": "scale_sweep", "n": 50, "lam": 0.0, "output_dir": str(out)}
+        )
+    )
+    for row in _rows(out / "scale_sweep.csv"):
+        for column in ("kappa", "kappa_regularized"):
+            assert float(row[column]) >= 1.0
