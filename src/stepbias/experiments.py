@@ -8,6 +8,7 @@ written file with its content hash.
 
 import hashlib
 import json
+import math
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .filters import (
 )
 from .instances import random_instance
 from .quadratic import QuadraticObjective
-from .regimes import attenuation, certify, check_assumptions
+from .regimes import certify, check_assumptions
 from .reporting import AxesSpec, Series, render_svg, write_csv
 from .spectral import Spectrum, condition_number, eig_sym
 
@@ -168,12 +169,10 @@ def _run_quadratic_certify(cfg, out):
         rows.append(tuple(record[k] for k in schema))
     out.csv("certificates.csv", rows, schema)
     etas = np.linspace(0.01, 2.1 / spec.top, 200)
+    # |1 - eta sigma|: the IEEE operations of regimes.attenuation, per array.
+    xs = tuple(etas.tolist())
     series = [
-        Series(
-            f"sigma_{i + 1}",
-            tuple(etas),
-            tuple(attenuation(float(e), float(s)) for e in etas),
-        )
+        Series(f"sigma_{i + 1}", xs, tuple(np.abs(1.0 - etas * s).tolist()))
         for i, s in enumerate(spec.eigenvalues)
     ]
     out.svg(
@@ -212,8 +211,12 @@ def _sweep_problem(cfg):
         train = kernels.Dataset(full.points[0::2], full.labels[0::2])
         test = kernels.Dataset(full.points[1::2], full.labels[1::2])
     else:
-        train = kernels.two_cluster_dataset(cfg.n, stream(cfg.seed, "train-data"))
-        test = kernels.two_cluster_dataset(cfg.n_test, stream(cfg.seed, "test-data"))
+        train = kernels.two_cluster_dataset(
+            cfg.n, stream(cfg.seed, "train-data"), d=cfg.d
+        )
+        test = kernels.two_cluster_dataset(
+            cfg.n_test, stream(cfg.seed, "test-data"), d=cfg.d
+        )
     prob = kernels.kernel_problem(train, cfg.scale, cfg.lam)
     return _Sweep(
         prob=prob,
@@ -226,6 +229,20 @@ def _sweep_problem(cfg):
     )
 
 
+def _norm(mu):
+    """Euclidean norm of mu, finite whenever the true norm is.
+
+    sqrt(sum(mu * mu)) overflows once mu reaches about 1e154; only then,
+    if every mu is finite, is the norm taken over mu / max|mu| instead.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(mu * mu)))
+        if math.isinf(norm) and np.all(np.isfinite(mu)):
+            top = float(np.max(np.abs(mu)))
+            norm = top * float(np.sqrt(np.sum((mu / top) ** 2)))
+    return norm
+
+
 def _level_run_row(sweep, eta_mult, alpha):
     """Run theta-space GD to the alpha level set; report the sweep metrics."""
     obj = sweep.obj
@@ -235,7 +252,7 @@ def _level_run_row(sweep, eta_mult, alpha):
     run = gd.run_to_level_set(obj, beta0, eta, alpha, T_MAX_SWEEP)
     mu = run.mu
     proj_e1 = abs(float(mu[0]))
-    hilbert_norm = float(np.sqrt(np.sum(mu * mu)))
+    hilbert_norm = _norm(mu)
     alpha_hat = sweep.alpha_star + kernels.from_eigen_coords(sweep.prob, mu)
     accuracy = 1.0 - kernels.binary_error(
         sweep.prob, alpha_hat, sweep.test, cross=sweep.cross
@@ -327,7 +344,9 @@ def _run_scale_sweep(cfg, out):
     if cfg.dataset_path:
         data = kernels.load_dataset(cfg.dataset_path)
     else:
-        data = kernels.two_cluster_dataset(cfg.n, stream(cfg.seed, "train-data"))
+        data = kernels.two_cluster_dataset(
+            cfg.n, stream(cfg.seed, "train-data"), d=cfg.d
+        )
     rows = []
     for s in cfg.scale_grid:
         K = kernels.gaussian_kernel_matrix(data.points, float(s))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InfeasibleWindow
 from .quadratic import ProblemPair, QuadraticObjective
-from .regimes import RegimeKind, alpha_one, step_window
+from .regimes import RegimeKind, _alpha_one_readings, step_window
 from .spectral import Spectrum
 
 MAX_DRAWS = 100
@@ -32,17 +32,23 @@ class CertifyInstance:
 
 
 def random_orthogonal(rng, n):
-    """Orthogonal matrix built by composing random Givens rotations."""
-    q = np.eye(n)
+    """Orthogonal matrix built by composing random Givens rotations.
+
+    The n(n-1)/2 angles come from one rng.uniform call (the same values
+    and generator state as one call per rotation), and each rotation
+    updates two columns held as lists of floats, with the same IEEE
+    operations as the numpy column update.
+    """
+    angles = iter(rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2).tolist())
+    cols = np.eye(n).tolist()
     for p in range(n - 1):
         for r in range(p + 1, n):
-            angle = rng.uniform(0.0, 2.0 * math.pi)
+            angle = next(angles)
             c, s = math.cos(angle), math.sin(angle)
-            col_p = q[:, p].copy()
-            col_r = q[:, r].copy()
-            q[:, p] = c * col_p - s * col_r
-            q[:, r] = s * col_p + c * col_r
-    return q
+            col_p, col_r = cols[p], cols[r]
+            cols[p] = [c * x - s * y for x, y in zip(col_p, col_r)]
+            cols[r] = [s * x + c * y for x, y in zip(col_p, col_r)]
+    return np.array(cols).T.copy()
 
 
 def _spaced_descending(rng, count, low, high, min_gap=1e-3):
@@ -100,11 +106,9 @@ def random_instance(rng, n=None, model_error_fraction=None):
         eta_b = 1.9 / sig1
         kappa_R = test_spec.top / test_spec.bottom
         kappa_F = sig1 / sign
-        a_one = min(
-            alpha_one(train_spec, iota, eta_s, eta_b, kappa_R),
-            alpha_one(train_spec, iota, eta_s, eta_b, kappa_R, reading="split"),
+        alpha = 0.5 * min(
+            _alpha_one_readings(train_spec, iota, eta_s, eta_b, kappa_R)
         )
-        alpha = 0.5 * a_one
         if alpha >= 1e-280:
             break
     else:

@@ -293,12 +293,14 @@ def margin_certificate(prob, alpha, alpha_ref, delta):
     return bool(dist <= delta / (2.0 * prob.C_K))
 
 
-def two_cluster_dataset(n, rng):
-    """Two d=2 Gaussian clusters at (+-1, 0), std 0.2, labels by cluster."""
+def two_cluster_dataset(n, rng, d=2):
+    """Two Gaussian clusters in d dimensions at +-e_1, std 0.2, labels by cluster."""
     rng = np.random.default_rng(rng)
     cluster = rng.integers(0, 2, size=n)
-    centers = np.where(cluster[:, None] == 0, 1.0, -1.0) * np.array([1.0, 0.0])
-    points = centers + 0.2 * rng.standard_normal((n, 2))
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    centers = np.where(cluster[:, None] == 0, 1.0, -1.0) * e1
+    points = centers + 0.2 * rng.standard_normal((n, d))
     labels = np.where(cluster == 0, 1.0, -1.0)
     return Dataset(points=points, labels=labels)
 

@@ -152,13 +152,8 @@ def _boundary_iota(iota):
     return i1, inn
 
 
-def alpha_one(spectrum, iota, eta_s, eta_b, kappa_R, reading="displayed"):
-    """Level-set ceiling alpha_1 under which the step windows are ordered.
-
-    The displayed reading evaluates the single formula with the combined
-    numerator; the split reading takes the minimum of its two per-regime
-    specializations. Certificates record both.
-    """
+def _alpha_one_readings(spectrum, iota, eta_s, eta_b, kappa_R):
+    """The (displayed, split) alpha_1 readings from one set of intermediates."""
     _validate_rates(spectrum, eta_s, eta_b)
     iota = np.asarray(iota, dtype=float)
     i1, inn = _boundary_iota(iota)
@@ -174,24 +169,34 @@ def alpha_one(spectrum, iota, eta_s, eta_b, kappa_R, reading="displayed"):
     den_big = math.log(a1 / ab_bar)
     small_tail = 1.0 / (1.0 - eta_s * sig[-1])
     big_tail = 1.0 / (eta_b * sig[0] - 1.0)
+    small_factor = max(16 * n * kappa_R, 4 * kappa_F)
+    num = math.log(
+        norm_sq * small_factor * max(1.0 / i1**2, 1.0 / inn**2)
+        + small_tail
+        + big_tail
+    )
+    displayed = 0.5 * sig[-1] * inn**2 * math.exp(-num / min(den_small, den_big))
+    num_big = math.log(norm_sq / i1**2 * 4 * n * kappa_R + big_tail)
+    num_small = math.log(norm_sq / inn**2 * small_factor + small_tail)
+    split = min(
+        0.5 * sig[0] * i1**2 * math.exp(-num_big / den_big),
+        0.5 * sig[-1] * inn**2 * math.exp(-num_small / den_small),
+    )
+    return displayed, split
+
+
+def alpha_one(spectrum, iota, eta_s, eta_b, kappa_R, reading="displayed"):
+    """Level-set ceiling alpha_1 under which the step windows are ordered.
+
+    The displayed reading evaluates the single formula with the combined
+    numerator; the split reading takes the minimum of its two per-regime
+    specializations. Certificates record both.
+    """
+    displayed, split = _alpha_one_readings(spectrum, iota, eta_s, eta_b, kappa_R)
     if reading == "displayed":
-        num = math.log(
-            norm_sq
-            * max(16 * n * kappa_R, 4 * kappa_F)
-            * max(1.0 / i1**2, 1.0 / inn**2)
-            + small_tail
-            + big_tail
-        )
-        return 0.5 * sig[-1] * inn**2 * math.exp(-num / min(den_small, den_big))
+        return displayed
     if reading == "split":
-        num_big = math.log(norm_sq / i1**2 * 4 * n * kappa_R + big_tail)
-        num_small = math.log(
-            norm_sq / inn**2 * max(16 * n * kappa_R, 4 * kappa_F) + small_tail
-        )
-        return min(
-            0.5 * sig[0] * i1**2 * math.exp(-num_big / den_big),
-            0.5 * sig[-1] * inn**2 * math.exp(-num_small / den_small),
-        )
+        return split
     raise ValueError(f"unknown reading {reading!r}")
 
 
@@ -477,9 +482,8 @@ def certify(pair, run_s, run_b, alpha):
     r_big = _test_loss(pair, run_b)
     r_small = _test_loss(pair, run_s)
     iota = run_s.iota
-    a_one = alpha_one(spec, iota, run_s.eta, run_b.eta, kappa_R)
-    a_one_split = alpha_one(
-        spec, iota, run_s.eta, run_b.eta, kappa_R, reading="split"
+    a_one, a_one_split = _alpha_one_readings(
+        spec, iota, run_s.eta, run_b.eta, kappa_R
     )
     win_s = step_window(spec, iota, run_s.eta, alpha, kappa_R, RegimeKind.SMALL)
     win_b = step_window(spec, iota, run_b.eta, alpha, kappa_R, RegimeKind.BIG)

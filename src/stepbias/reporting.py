@@ -102,12 +102,28 @@ def _y_value(y, axes):
 
 
 def _finite_points(s, axes):
-    """The (x, y) pairs of a series that have a finite place on the axes."""
-    return [
-        (float(x), y)
-        for x, y in zip(s.xs, s.ys)
-        if math.isfinite(float(x)) and math.isfinite(_y_value(y, axes))
-    ]
+    """(x, y on the axis scale) for each point with a finite place on the axes."""
+    points = []
+    for x, y in zip(s.xs, s.ys):
+        x, y = float(x), _y_value(y, axes)
+        if math.isfinite(x) and math.isfinite(y):
+            points.append((x, y))
+    return points
+
+
+def _unit(lo, hi):
+    """Map [lo, hi] onto [0, 1].
+
+    When hi - lo overflows, every operand is halved first, so a range
+    wider than the largest float still maps finite values to finite
+    coordinates.
+    """
+    span = hi - lo
+    if math.isfinite(span):
+        return lambda v: (v - lo) / span
+    half_lo = lo / 2
+    half_span = hi / 2 - half_lo
+    return lambda v: (v / 2 - half_lo) / half_span
 
 
 def render_svg(series, axes, path):
@@ -123,16 +139,14 @@ def render_svg(series, axes, path):
         raise ValueError("render_svg needs at least one series")
     points = [_finite_points(s, axes) for s in series]
     vlines = [float(v) for v in axes.vlines if math.isfinite(float(v))]
-    x_lo, x_hi = _span([x for pts in points for x, _ in pts] + vlines)
-    y_lo, y_hi = _span([_y_value(y, axes) for pts in points for _, y in pts])
+    x_unit = _unit(*_span([x for pts in points for x, _ in pts] + vlines))
+    y_unit = _unit(*_span([y for pts in points for _, y in pts]))
 
     def px(x):
-        return _MARGIN + (float(x) - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * _MARGIN)
+        return _MARGIN + x_unit(x) * (_WIDTH - 2 * _MARGIN)
 
     def py(y):
-        return _HEIGHT - _MARGIN - (_y_value(y, axes) - y_lo) / (y_hi - y_lo) * (
-            _HEIGHT - 2 * _MARGIN
-        )
+        return _HEIGHT - _MARGIN - y_unit(y) * (_HEIGHT - 2 * _MARGIN)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_WIDTH)}" '

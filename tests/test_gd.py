@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stepbias import gd
 from stepbias.errors import AlreadyBelowLevelSet
 from stepbias.gd import (
     DIVERGENCE_FACTOR,
@@ -10,7 +11,9 @@ from stepbias.gd import (
     closed_form,
     decompose,
     excess_loss,
+    hit_lower_bound,
     iterate,
+    level_set_search,
     reconstruct,
     run_to_level_set,
     step,
@@ -189,14 +192,9 @@ def _assert_matches_oracle(sigma, iota, eta, alpha, t_max):
     return run, trace
 
 
-def test_level_set_search_matches_oracle():
-    """Exact hit step and status, mu to 1e-12, on random problems.
-
-    Step sizes reach past the divergence threshold 2/sigma_1, up to
-    2.3/sigma_1, and targets go down to 1e-12 of the initial loss.
-    """
+def _random_problems():
+    """The 320 random (sigma, iota, eta, alpha, t_max) of the oracle test."""
     rng = np.random.default_rng(7)
-    statuses = set()
     for k in range(320):
         n = int(rng.integers(1, 31))
         sigma = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
@@ -206,7 +204,18 @@ def test_level_set_search_matches_oracle():
         loss0 = 0.5 * float(np.sum(sigma * iota * iota))
         alpha = loss0 * 10.0 ** float(rng.uniform(-12, -0.1))
         t_max = int(rng.integers(1, 3000))
-        run, _ = _assert_matches_oracle(sigma, iota, eta, alpha, t_max)
+        yield sigma, iota, eta, alpha, t_max
+
+
+def test_level_set_search_matches_oracle():
+    """Exact hit step and status, mu to 1e-12, on random problems.
+
+    Step sizes reach past the divergence threshold 2/sigma_1, up to
+    2.3/sigma_1, and targets go down to 1e-12 of the initial loss.
+    """
+    statuses = set()
+    for problem in _random_problems():
+        run, _ = _assert_matches_oracle(*problem)
         statuses.add(run.stop_status)
     assert statuses == set(StopStatus)
 
@@ -263,3 +272,148 @@ def test_loss_trace_matches_closed_form():
         for t in (1, run.steps // 2, run.steps):
             want = closed_form(obj, theta0, eta, t).final_excess
             assert trace[t - 1] == pytest.approx(want, rel=1e-12)
+
+
+def _tie_alpha(t):
+    """L(t) of the dyadic tie problem: sigma (1, 1/2), iota (1, 1), eta 1/2."""
+    return 0.5 * (0.5 ** (2 * t) + 0.5 * 0.75 ** (2 * t))
+
+
+def _search_cases():
+    """Problems for the lower bound: random, pinned factors, ties, short t_max."""
+    yield from _random_problems()
+    yield [1.0, 0.5], [1.0, 1.0], 1.0, 1e-3, 1000  # factor 0
+    yield [1.0, 0.5], [1.0, 1.0], 2.0, 1e-3, 500  # factor -1, never hits
+    yield [1.0, 0.5], [1.0, 1.0], 2.0, 0.6, 500  # factor -1, hits
+    yield [1.0, 0.001], [0.0, 1.0], 2.5, 1e-9, 10**6  # zero weight, |factor| 1.5
+    yield [1.0, 0.001], [0.0, 1.0], 2.5, 1e-9, 2000
+    for t in (1, 2, 5, 9, 16):
+        yield [1.0, 0.5], [1.0, 1.0], 0.5, _tie_alpha(t), 100
+        yield [1.0, 0.5], [1.0, 1.0], 0.5, np.nextafter(_tie_alpha(t), 0.0), 100
+    # The hit of this run is step 51 and its lower bound step 50; every
+    # t_max from below the bound to past the hit.
+    for t_max in (1, 30, 49, 50, 51, 52, 60, 10**6):
+        yield [1.0, 0.4, 0.1], [1.0, -2.0, 0.5], 0.9, 1e-6, t_max
+
+
+def test_search_from_the_lower_bound_matches_search_from_step_1(monkeypatch):
+    """The lower bound changes how the hit is found, never which step it is.
+
+    Each run is repeated with hit_lower_bound forced to 1, which is
+    exponential search from step 1; steps, status, mu and the final loss
+    must be identical.
+    """
+    starts = []
+    real = gd.hit_lower_bound
+
+    def recording(*args):
+        starts.append(real(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(gd, "hit_lower_bound", recording)
+    for sigma, iota, eta, alpha, t_max in _search_cases():
+        run = diagonal_run(sigma, iota, eta, alpha, t_max)
+        with monkeypatch.context() as m:
+            m.setattr(gd, "hit_lower_bound", lambda *args: 1)
+            ref = diagonal_run(sigma, iota, eta, alpha, t_max)
+        assert (run.steps, run.stop_status) == (ref.steps, ref.stop_status)
+        assert np.array_equal(run.mu, ref.mu)
+        assert run.final_excess == ref.final_excess
+    # The search did start from the bound, not always from step 1.
+    assert sum(start > 1 for start in starts) > 200
+
+
+def test_hit_lower_bound_is_no_later_than_the_first_hit():
+    offsets = []
+    for sigma, iota, eta, alpha, t_max in _search_cases():
+        sigma, iota = np.asarray(sigma, float), np.asarray(iota, float)
+        w = 0.5 * sigma * iota * iota
+        rates = np.abs(1.0 - eta * sigma)[w != 0]
+        if np.any(rates > 1.0):
+            continue
+        start = hit_lower_bound(w[w != 0], rates, alpha, t_max)
+        t, _, _, status = oracle_run(sigma, iota, eta, alpha, t_max)
+        assert 1 <= start <= t_max
+        if status is StopStatus.HIT_LEVEL_SET:
+            assert start <= t
+            offsets.append(t - start)
+    # Lowered by one step, the bound usually sits one step before the hit.
+    assert len(offsets) > 200 and np.median(offsets) <= 2
+
+
+def test_hit_lower_bound_edges():
+    w = np.array([0.5, 0.25])
+    # A rate of 1 leaves the bound undefined.
+    assert hit_lower_bound(w, np.array([1.0, 0.5]), 1e-3, 100) == 1
+    # A rate of 0: the term is gone after one step.
+    assert hit_lower_bound(w, np.array([0.0, 0.0]), 1e-3, 100) == 1
+    # Every term already at or below alpha.
+    assert hit_lower_bound(w, np.array([0.5, 0.5]), 0.6, 100) == 1
+    # One term: w r^{2t} = alpha at t = 5, lowered by one step.
+    one, half = np.array([0.5]), np.array([0.5])
+    assert hit_lower_bound(one, half, 0.5 * 0.25**5, 100) in (4, 5)
+    assert hit_lower_bound(one, half, 0.4 * 0.25**5, 100) == 5
+    # Clamped to t_max.
+    assert hit_lower_bound(w, np.array([0.999, 0.5]), 1e-9, 50) == 50
+    # An infinite weight has no finite bound.
+    assert hit_lower_bound(np.array([np.inf, 1.0]), half.repeat(2), 1e-3, 100) == 1
+
+
+def _counting(loss):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return loss(t)
+
+    return counted, calls
+
+
+def test_level_set_search_from_any_start_finds_the_first_hit():
+    """A start past the hit fails its check and the search restarts at 1."""
+    alpha = _tie_alpha(9)
+    want = level_set_search(_tie_alpha, alpha, 100)
+    assert want == (9, StopStatus.HIT_LEVEL_SET)
+    for start in range(1, 101):
+        counted, calls = _counting(_tie_alpha)
+        assert level_set_search(counted, alpha, 100, start=start) == want
+        if start > 1:
+            assert calls[0] == start - 1  # the check comes first
+    # From the step before the hit: the check and two probes.
+    counted, calls = _counting(_tie_alpha)
+    level_set_search(counted, alpha, 100, start=8)
+    assert calls == [7, 8, 9]
+    # t_max at or below the start: MaxStepsExceeded after the check.
+    counted, calls = _counting(_tie_alpha)
+    assert level_set_search(counted, _tie_alpha(60), 5, start=5) == (
+        5,
+        StopStatus.MAX_STEPS_EXCEEDED,
+    )
+    assert calls == [4, 5]
+
+
+def test_certify_runs_start_at_the_lower_bound(monkeypatch):
+    """On generated certify instances the bound is one step before the hit.
+
+    Each search costs three loss evaluations (the check and two probes),
+    against about 17 for exponential search from step 1.
+    """
+    from stepbias.experiments import stream
+    from stepbias.instances import random_instance
+
+    evaluations = []
+    real = gd.level_set_search
+
+    def counting_search(loss, *args, **kwargs):
+        counted, calls = _counting(loss)
+        result = real(counted, *args, **kwargs)
+        assert result[0] == kwargs["start"] + 1
+        evaluations.append(len(calls))
+        return result
+
+    monkeypatch.setattr(gd, "level_set_search", counting_search)
+    for seed in range(20):
+        inst = random_instance(stream(seed, "certify-0"))
+        for eta in (inst.eta_s, inst.eta_b):
+            run_to_level_set(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
+    assert evaluations == [3] * 40

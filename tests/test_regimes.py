@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stepbias import gd, instances
+from stepbias import gd, instances, regimes
 from stepbias.errors import (
     DegenerateSpectrum,
     InfeasibleWindow,
@@ -32,7 +32,7 @@ from stepbias.regimes import (
     second_attenuation,
     step_window,
 )
-from stepbias.spectral import diagonal_spectrum
+from stepbias.spectral import condition_number, diagonal_spectrum
 
 SPEC = diagonal_spectrum([1.0, 0.9, 0.3, 0.2])
 
@@ -164,6 +164,59 @@ def test_alpha_one_split_orders_the_windows():
                 assert win.feasible
 
 
+def _alpha_one_reference(spectrum, iota, eta_s, eta_b, kappa_R, reading):
+    """Oracle: one reading per call, each from its own intermediates."""
+    i1, inn = float(iota[0]), float(iota[-1])
+    sig = spectrum.eigenvalues
+    n = spectrum.n
+    kappa_F = condition_number(spectrum)
+    norm_sq = float(np.sum(iota * iota))
+    den_small = math.log(
+        leading_attenuation(eta_s, spectrum, RegimeKind.SMALL)
+        / second_attenuation(eta_s, spectrum, RegimeKind.SMALL)
+    )
+    den_big = math.log(
+        leading_attenuation(eta_b, spectrum, RegimeKind.BIG)
+        / second_attenuation(eta_b, spectrum, RegimeKind.BIG)
+    )
+    small_tail = 1.0 / (1.0 - eta_s * sig[-1])
+    big_tail = 1.0 / (eta_b * sig[0] - 1.0)
+    if reading == "displayed":
+        num = math.log(
+            norm_sq
+            * max(16 * n * kappa_R, 4 * kappa_F)
+            * max(1.0 / i1**2, 1.0 / inn**2)
+            + small_tail
+            + big_tail
+        )
+        return 0.5 * sig[-1] * inn**2 * math.exp(-num / min(den_small, den_big))
+    num_big = math.log(norm_sq / i1**2 * 4 * n * kappa_R + big_tail)
+    num_small = math.log(
+        norm_sq / inn**2 * max(16 * n * kappa_R, 4 * kappa_F) + small_tail
+    )
+    return min(
+        0.5 * sig[0] * i1**2 * math.exp(-num_big / den_big),
+        0.5 * sig[-1] * inn**2 * math.exp(-num_small / den_small),
+    )
+
+
+def test_alpha_one_readings_match_per_reading_evaluation():
+    """Both readings from one call equal each reading evaluated on its own."""
+    distinct = 0
+    for seed in range(30):
+        inst = _generated(seed)
+        spec = inst.pair.train.spectrum
+        iota = spec.eigenvectors.T @ (inst.theta0 - inst.pair.train.optimum)
+        args = (spec, iota, inst.eta_s, inst.eta_b, condition_number(inst.pair.test.spectrum))
+        displayed, split = regimes._alpha_one_readings(*args)
+        assert displayed == _alpha_one_reference(*args, "displayed")
+        assert split == _alpha_one_reference(*args, "split")
+        assert displayed == alpha_one(*args, reading="displayed")
+        assert split == alpha_one(*args, reading="split")
+        distinct += displayed != split
+    assert distinct > 0
+
+
 def test_alpha_one_rejects_unknown_reading():
     iota = np.array([0.5, -0.4, 0.3, 0.6])
     with pytest.raises(ValueError):
@@ -204,27 +257,31 @@ def _generated_from(rng):
 
 
 def _alpha_one_failing(monkeypatch, failures):
-    """Make the first ``failures`` alpha_one calls underflow; count calls."""
-    real = instances.alpha_one
+    """Make the first ``failures`` alpha_1 evaluations underflow; count them.
+
+    random_instance reads both alpha_1 readings from one call per attempt.
+    """
+    real = instances._alpha_one_readings
     calls = []
 
     def fake(*args, **kwargs):
         calls.append(1)
-        return 0.0 if len(calls) <= failures else real(*args, **kwargs)
+        return (0.0, 0.0) if len(calls) <= failures else real(*args, **kwargs)
 
-    monkeypatch.setattr(instances, "alpha_one", fake)
+    monkeypatch.setattr(instances, "_alpha_one_readings", fake)
     return calls
 
 
 def test_random_instance_retry_redraws_from_the_same_stream(monkeypatch):
-    # One rejected attempt (two alpha_one readings) consumes exactly one
-    # attempt's draws, then the next attempt proceeds as a fresh call.
+    # One rejected attempt (one alpha_1 evaluation, both readings)
+    # consumes exactly one attempt's draws, then the next attempt
+    # proceeds as a fresh call.
     ref_rng = stream(3, "retry")
     instances._draw(ref_rng, 5)
     want = _generated_from(ref_rng)
-    calls = _alpha_one_failing(monkeypatch, 2)
+    calls = _alpha_one_failing(monkeypatch, 1)
     got = _generated_from(stream(3, "retry"))
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert got.alpha == want.alpha and got.t_max == want.t_max
     assert np.array_equal(got.theta0, want.theta0)
     assert np.array_equal(got.pair.test.optimum, want.pair.test.optimum)
@@ -235,7 +292,7 @@ def test_random_instance_gives_up_after_max_draws(monkeypatch):
     calls = _alpha_one_failing(monkeypatch, math.inf)
     with pytest.raises(InfeasibleWindow):
         _generated_from(stream(3, "retry"))
-    assert len(calls) == 2 * instances.MAX_DRAWS
+    assert len(calls) == instances.MAX_DRAWS
 
 
 def test_check_assumptions_pass_on_generated_instance():

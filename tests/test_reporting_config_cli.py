@@ -1,11 +1,14 @@
 """CSV/SVG emission, config validation, and the CLI contract."""
 
 import json
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from stepbias import cli, errors
+from stepbias import cli, errors, experiments
 from stepbias.config import (
     DEFAULT_ETA_GRID,
     canonical_config,
@@ -101,6 +104,24 @@ def test_render_svg_without_finite_points_uses_a_unit_range(tmp_path):
     # One huge x value: adding 1.0 to it would not widen the axis range.
     render_svg([Series("a", (1e300,), (0.5,))], AxesSpec(), tmp_path / "b.svg")
     assert 'points="60.000,420.000"' in (tmp_path / "b.svg").read_text()
+
+
+def test_render_svg_range_wider_than_the_largest_float(tmp_path):
+    # hi - lo overflows to inf on this y axis and on the x axis.
+    render_svg([Series("a", (0.0, 1.0), (-1e308, 1e308))], AxesSpec(), tmp_path / "a.svg")
+    render_svg(
+        [Series("a", (-1.5e308, 1.5e308, 0.0), (1.0, 2.0, 3.0))],
+        AxesSpec(vlines=(1e308,)),
+        tmp_path / "b.svg",
+    )
+    for name in ("a.svg", "b.svg"):
+        text = (tmp_path / name).read_text()
+        assert "nan" not in text and "inf" not in text
+        coords = re.search(r'<polyline [^>]*points="([^"]*)"', text).group(1)
+        for pair in coords.split():
+            x, y = (float(v) for v in pair.split(","))
+            assert 60.0 <= x <= 580.0 and 60.0 <= y <= 420.0
+    assert 'points="60.000,420.000 580.000,60.000"' in (tmp_path / "a.svg").read_text()
 
 
 def test_render_svg_needs_series(tmp_path):
@@ -263,6 +284,26 @@ def test_cli_huge_finite_step_size_writes_diverged_run(tmp_path, capsys):
     proj_e1, hilbert_norm = rows[0][4], rows[0][5]
     assert hilbert_norm == float("inf") or hilbert_norm >= proj_e1
     assert "nan" not in (out_dir / "eta_sweep.svg").read_text()
+
+
+def test_cli_huge_finite_step_size_reports_a_finite_hilbert_norm(tmp_path, capsys):
+    # mu * mu overflows, the norm itself does not.
+    path = _write_cfg(tmp_path, experiment="eta_sweep", n=20, eta_grid=[1e300])
+    out_dir = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", "--config", path, "--output-dir", str(out_dir)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    _, rows = read_csv(out_dir / "eta_sweep.csv")
+    proj_e1, hilbert_norm = rows[0][4], rows[0][5]
+    assert math.isfinite(hilbert_norm) and hilbert_norm >= proj_e1 > 1e299
+
+
+def test_scaled_norm_only_on_overflow():
+    mu = np.array([3.0, -4.0, 1e-3])
+    assert experiments._norm(mu) == float(np.sqrt(np.sum(mu * mu)))
+    assert experiments._norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert experiments._norm(np.array([np.inf, 1.0])) == math.inf
 
 
 def _stepbias_errors(cls=errors.StepbiasError):

@@ -2,13 +2,14 @@
 and condition numbers of the scale sweep."""
 
 import csv
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
-from stepbias import kernels
+from stepbias import cli, kernels
 from stepbias.config import validate_config
 from stepbias.experiments import run_experiment
 
@@ -147,3 +148,38 @@ def test_scale_sweep_at_lam_zero_never_reports_a_negative_kappa(tmp_path):
     for row in _rows(out / "scale_sweep.csv"):
         for column in ("kappa", "kappa_regularized"):
             assert float(row[column]) >= 1.0
+
+
+def test_two_cluster_dataset_in_d_dimensions():
+    # At d = 2 the draws are those of the two-dimensional generator.
+    rng = np.random.default_rng(4)
+    cluster = rng.integers(0, 2, size=30)
+    noise = rng.standard_normal((30, 2))
+    want = np.where(cluster[:, None] == 0, 1.0, -1.0) * np.array([1.0, 0.0]) + 0.2 * noise
+    got = kernels.two_cluster_dataset(30, np.random.default_rng(4))
+    assert got.points.tobytes() == want.tobytes()
+    assert np.array_equal(got.points, kernels.two_cluster_dataset(30, 4, d=2).points)
+    data = kernels.two_cluster_dataset(30, np.random.default_rng(4), d=3)
+    assert data.points.shape == (30, 3)
+    assert np.array_equal(np.sign(data.points[:, 0]), data.labels)
+
+
+@pytest.mark.parametrize("experiment", ["eta_sweep", "scale_sweep"])
+def test_config_d_reaches_the_synthetic_data(tmp_path, monkeypatch, experiment):
+    shapes = []
+    real = kernels.two_cluster_dataset
+
+    def recording(*args, **kwargs):
+        data = real(*args, **kwargs)
+        shapes.append(data.points.shape[1])
+        return data
+
+    monkeypatch.setattr(kernels, "two_cluster_dataset", recording)
+    raw = {"experiment": experiment, "n": 30, "n_test": 40, "d": 3, "output_dir": str(tmp_path)}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    # Train and test sets for eta_sweep, the one data set for scale_sweep.
+    assert shapes == ([3, 3] if experiment == "eta_sweep" else [3])
+    rows = _rows(tmp_path / f"{experiment}.csv")
+    assert rows and all(v != "nan" for row in rows for v in row.values())
