@@ -28,7 +28,7 @@ from .filters import (
 )
 from .instances import random_instance
 from .quadratic import QuadraticObjective
-from .regimes import certify, check_assumptions
+from .regimes import certify, check_assumptions, pair_record
 from .reporting import AxesSpec, Series, render_svg, write_csv
 from .spectral import Spectrum, condition_number, eig_sym
 
@@ -148,8 +148,13 @@ def _run_quadratic_certify(cfg, out):
         inst = random_instance(stream(cfg.seed, f"certify-{i}"))
         if i == 0:
             spec = inst.pair.train.spectrum
+        # One record for the check and the certificate: its iota is the
+        # gd.decompose of theta0 that both runs start from.
+        shared = pair_record(
+            inst.pair, gd.decompose(inst.pair.train, inst.theta0), inst.eta_s, inst.eta_b
+        )
         verdicts = check_assumptions(
-            inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha
+            inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha, record=shared
         )
         failed = [v.name for v in verdicts if not v.passed]
         if failed:
@@ -162,7 +167,7 @@ def _run_quadratic_certify(cfg, out):
         run_b = gd.run_to_level_set(
             inst.pair.train, inst.theta0, inst.eta_b, inst.alpha, inst.t_max
         )
-        cert = certify(inst.pair, run_s, run_b, inst.alpha)
+        cert = certify(inst.pair, run_s, run_b, inst.alpha, record=shared)
         record = {"instance": i, **cert.to_record()}
         if schema is None:
             schema = tuple(record)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InfeasibleWindow
 from .quadratic import ProblemPair, QuadraticObjective
-from .regimes import RegimeKind, _alpha_one_readings, step_window
+from .regimes import regime_record
 from .spectral import Spectrum
 
 MAX_DRAWS = 100
@@ -104,11 +104,10 @@ def random_instance(rng, n=None, model_error_fraction=None):
         sig1, sign = train_spec.eigenvalues[0], train_spec.eigenvalues[-1]
         eta_s = 1.0 / (sig1 + sign)
         eta_b = 1.9 / sig1
-        kappa_R = test_spec.top / test_spec.bottom
-        kappa_F = sig1 / sign
-        alpha = 0.5 * min(
-            _alpha_one_readings(train_spec, iota, eta_s, eta_b, kappa_R)
+        record = regime_record(
+            train_spec, test_spec.top / test_spec.bottom, eta_s, eta_b, iota
         )
+        alpha = 0.5 * min(record.alpha_1, record.alpha_1_split)
         if alpha >= 1e-280:
             break
     else:
@@ -121,7 +120,7 @@ def random_instance(rng, n=None, model_error_fraction=None):
     if fraction is None:
         fraction = 0.1 if rng.uniform() < 0.5 else 0.0
     if fraction > 0:
-        cap = min(0.25, kappa_F / (72.0 * kappa_R))
+        cap = min(0.25, record.kappa_F / (72.0 * record.kappa_R))
         direction = rng.normal(size=n)
         quad = 0.5 * float(direction @ test_spec.apply(direction))
         scale = math.sqrt(fraction * cap * alpha / quad)
@@ -133,8 +132,7 @@ def random_instance(rng, n=None, model_error_fraction=None):
         train=QuadraticObjective(train_spec, opt_train),
         test=QuadraticObjective(test_spec, opt_test),
     )
-    win_s = step_window(train_spec, iota, eta_s, alpha, kappa_R, RegimeKind.SMALL)
-    win_b = step_window(train_spec, iota, eta_b, alpha, kappa_R, RegimeKind.BIG)
+    win_s, win_b = record.windows(alpha)
     t_max = int(10 + 4 * max(win_s.t3, win_b.t3))
     return CertifyInstance(
         pair=pair,

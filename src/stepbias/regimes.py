@@ -8,6 +8,13 @@ level-set run concentrates on its distinguished eigendirection, and the
 final certificate comparing the test losses of the two regimes against
 the 34 (kappa_R / kappa_F) bound.
 
+An instance's spectral numbers are derived once, by regime_record, into
+a frozen RegimeRecord of plain floats (kappa_F, kappa_R, thresholds,
+rate kinds, attenuations, log gaps, both alpha_1 readings, each t1);
+RegimeRecord.windows adds t2 and t3 for a target alpha. random_instance
+derives one per attempt; check_assumptions and certify share one
+pair_record, built from the runs' iota = V^T (theta0 - optimum).
+
 Attenuation comparisons use magnitudes |1 - eta sigma_i| throughout:
 for big rates the raw coefficient of sigma_2 can be negative and a
 signed max would pick the wrong direction.
@@ -27,7 +34,7 @@ from .errors import (
     ZeroDenominator,
     ZeroInitialization,
 )
-from .gd import StopStatus
+from .gd import StopStatus, decompose
 from .quadratic import evaluate
 from .spectral import condition_number
 
@@ -80,7 +87,7 @@ def classify_rate(eta, spectrum):
 
 
 def _kind_of(regime):
-    return regime.kind if isinstance(regime, RateRegime) else RegimeKind(regime)
+    return regime.kind if isinstance(regime, RateRegime) else regime
 
 
 def leading_attenuation(eta, spectrum, regime):
@@ -133,73 +140,6 @@ def epsilon_ratio(run, regime):
     return float(np.sum((rest / lead) ** 2))
 
 
-def _validate_rates(spectrum, eta_s, eta_b):
-    rs = classify_rate(eta_s, spectrum)
-    rb = classify_rate(eta_b, spectrum)
-    if rs.kind is not RegimeKind.SMALL:
-        raise InvalidRegime(f"eta_s={eta_s} is {rs.kind.value}, expected Small")
-    if rb.kind is not RegimeKind.BIG:
-        raise InvalidRegime(f"eta_b={eta_b} is {rb.kind.value}, expected Big")
-    return rs, rb
-
-
-def _boundary_iota(iota):
-    i1, inn = float(iota[0]), float(iota[-1])
-    if abs(i1) < UNDERFLOW_GUARD or abs(inn) < UNDERFLOW_GUARD:
-        raise ZeroInitialization(
-            "initialization has a zero coefficient on sigma_1 or sigma_n"
-        )
-    return i1, inn
-
-
-def _alpha_one_readings(spectrum, iota, eta_s, eta_b, kappa_R):
-    """The (displayed, split) alpha_1 readings from one set of intermediates."""
-    _validate_rates(spectrum, eta_s, eta_b)
-    iota = np.asarray(iota, dtype=float)
-    i1, inn = _boundary_iota(iota)
-    sig = spectrum.eigenvalues
-    n = spectrum.n
-    kappa_F = condition_number(spectrum)
-    norm_sq = float(np.sum(iota * iota))
-    a_lead_s = leading_attenuation(eta_s, spectrum, RegimeKind.SMALL)
-    a_second_s = second_attenuation(eta_s, spectrum, RegimeKind.SMALL)
-    a1 = leading_attenuation(eta_b, spectrum, RegimeKind.BIG)
-    ab_bar = second_attenuation(eta_b, spectrum, RegimeKind.BIG)
-    den_small = math.log(a_lead_s / a_second_s)
-    den_big = math.log(a1 / ab_bar)
-    small_tail = 1.0 / (1.0 - eta_s * sig[-1])
-    big_tail = 1.0 / (eta_b * sig[0] - 1.0)
-    small_factor = max(16 * n * kappa_R, 4 * kappa_F)
-    num = math.log(
-        norm_sq * small_factor * max(1.0 / i1**2, 1.0 / inn**2)
-        + small_tail
-        + big_tail
-    )
-    displayed = 0.5 * sig[-1] * inn**2 * math.exp(-num / min(den_small, den_big))
-    num_big = math.log(norm_sq / i1**2 * 4 * n * kappa_R + big_tail)
-    num_small = math.log(norm_sq / inn**2 * small_factor + small_tail)
-    split = min(
-        0.5 * sig[0] * i1**2 * math.exp(-num_big / den_big),
-        0.5 * sig[-1] * inn**2 * math.exp(-num_small / den_small),
-    )
-    return displayed, split
-
-
-def alpha_one(spectrum, iota, eta_s, eta_b, kappa_R, reading="displayed"):
-    """Level-set ceiling alpha_1 under which the step windows are ordered.
-
-    The displayed reading evaluates the single formula with the combined
-    numerator; the split reading takes the minimum of its two per-regime
-    specializations. Certificates record both.
-    """
-    displayed, split = _alpha_one_readings(spectrum, iota, eta_s, eta_b, kappa_R)
-    if reading == "displayed":
-        return displayed
-    if reading == "split":
-        return split
-    raise ValueError(f"unknown reading {reading!r}")
-
-
 @dataclass(frozen=True)
 class StepWindow:
     """Real-valued step thresholds for a level-set run.
@@ -222,55 +162,128 @@ class StepWindow:
         return math.ceil(self.t2) > math.floor(self.t3)
 
 
-def step_window(spectrum, iota, eta, alpha, kappa_R, regime):
-    """Step thresholds (t1, t2, t3) for a Small or Big level-set run."""
-    kind = _kind_of(regime)
-    if kind not in (RegimeKind.SMALL, RegimeKind.BIG):
-        raise InvalidRegime(f"no step window for {kind.value} regime")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    iota = np.asarray(iota, dtype=float)
-    i1, inn = _boundary_iota(iota)
-    sig = spectrum.eigenvalues
-    n = spectrum.n
-    kappa_F = condition_number(spectrum)
-    norm_sq = float(np.sum(iota * iota))
-    lead = leading_attenuation(eta, spectrum, kind)
-    second = second_attenuation(eta, spectrum, kind)
-    gap = math.log(lead / second)
-    if kind is RegimeKind.BIG:
-        t1 = 0.5 * math.log(4 * n * kappa_R * norm_sq / i1**2) / gap
-        scale = sig[0] * i1**2
-    else:
-        t1 = (
-            0.5
-            * math.log(max(16 * n * kappa_R, 4 * kappa_F) * norm_sq / inn**2)
-            / gap
+@dataclass(frozen=True)
+class RegimeRecord:
+    """Spectral numbers of one (train spectrum, kappa_R, eta_s, eta_b, iota).
+
+    Suffixes _s and _b name the Small and Big regimes. lead is the
+    attenuation on the distinguished direction, gap log(lead / second
+    attenuation), scale sigma iota^2 on that direction. Fields from
+    lead_s on are NaN outside the theorem's domain (see regime_record);
+    r_opt is R(theta_hat) in a pair_record, NaN otherwise.
+    """
+
+    eta_s: float
+    eta_b: float
+    kappa_F: float
+    kappa_R: float
+    threshold_low: float
+    threshold_high: float
+    kind_s: RegimeKind
+    kind_b: RegimeKind
+    iota_1: float
+    iota_n: float
+    r_opt: float
+    lead_s: float = math.nan
+    lead_b: float = math.nan
+    gap_s: float = math.nan
+    gap_b: float = math.nan
+    scale_s: float = math.nan
+    scale_b: float = math.nan
+    t1_s: float = math.nan
+    t1_b: float = math.nan
+    alpha_1: float = math.nan
+    alpha_1_split: float = math.nan
+
+    def windows(self, alpha):
+        """The (Small, Big) step windows for the level-set target alpha."""
+        if not alpha > 0:
+            raise ValueError("alpha must be positive")
+        return (
+            _window(self.t1_s, self.scale_s, self.lead_s, alpha),
+            _window(self.t1_b, self.scale_b, self.lead_b, alpha),
         )
-        scale = sig[-1] * inn**2
+
+
+def _window(t1, scale, lead, alpha):
     decay = math.log(1.0 / lead)
     t2 = 0.5 * math.log(0.5 * scale / alpha) / decay
     t3 = 0.5 * math.log(1.25 * scale / alpha) / decay
     return StepWindow(t1=t1, t2=t2, t3=t3)
 
 
-def complexity_bounds(spectrum, eta_s, eta_b):
-    """Log-gap denominators driving the t1 lower bounds of both regimes.
+def _positive_decreasing(w):
+    return bool(w.shape[0] >= 2 and w[-1] > 0 and (w[1:] < w[:-1]).all())
 
-    Returns (small, big) = (log((1-eta_s sigma_n)/(1-eta_s sigma_{n-1})),
-    log(A_1 / A_bar_b)); as the relevant spectral gap closes either
-    denominator tends to 0+ and the required step count diverges.
+
+def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
+    """Derive the RegimeRecord of an instance.
+
+    The theorem's domain: eta_s Small, eta_b Big, train eigenvalues
+    positive and strictly decreasing (n >= 2), and boundary coefficients
+    iota_1, iota_n whose squares do not underflow to 0. Outside it the
+    attenuations, gaps, windows and alpha_1 readings are NaN.
     """
-    _validate_rates(spectrum, eta_s, eta_b)
-    small = math.log(
-        leading_attenuation(eta_s, spectrum, RegimeKind.SMALL)
-        / second_attenuation(eta_s, spectrum, RegimeKind.SMALL)
+    # Plain floats throughout: the same IEEE results as numpy scalars, cheaper.
+    iota = np.asarray(iota, dtype=float)
+    eta_s, eta_b, kappa_R = float(eta_s), float(eta_b), float(kappa_R)
+    n, sig_1, sig_n = spectrum.n, spectrum.top, spectrum.bottom
+    kappa_F = condition_number(spectrum)
+    rs = classify_rate(eta_s, spectrum)
+    rb = classify_rate(eta_b, spectrum)
+    i1, inn = float(iota[0]), float(iota[-1])
+    base = (eta_s, eta_b, kappa_F, kappa_R, *rs.thresholds, rs.kind, rb.kind, i1, inn,
+            float(r_opt))
+    if not (
+        rs.kind is RegimeKind.SMALL
+        and rb.kind is RegimeKind.BIG
+        and _positive_decreasing(spectrum.eigenvalues)
+        and i1**2 > 0
+        and inn**2 > 0
+    ):
+        return RegimeRecord(*base)
+    lead_s = leading_attenuation(eta_s, spectrum, RegimeKind.SMALL)
+    second_s = second_attenuation(eta_s, spectrum, RegimeKind.SMALL)
+    lead_b = leading_attenuation(eta_b, spectrum, RegimeKind.BIG)
+    second_b = second_attenuation(eta_b, spectrum, RegimeKind.BIG)
+    if second_s == 0:  # eta_s sigma_{n-1} == 1: the Small gap is infinite.
+        return RegimeRecord(*base)
+    gap_s = math.log(lead_s / second_s)
+    gap_b = math.log(lead_b / second_b)
+    norm_sq = float((iota * iota).sum())
+    small_factor = max(16 * n * kappa_R, 4 * kappa_F)
+    small_tail = 1.0 / (1.0 - eta_s * sig_n)
+    big_tail = 1.0 / (eta_b * sig_1 - 1.0)
+    num = math.log(
+        norm_sq * small_factor * max(1.0 / i1**2, 1.0 / inn**2)
+        + small_tail
+        + big_tail
     )
-    big = math.log(
-        leading_attenuation(eta_b, spectrum, RegimeKind.BIG)
-        / second_attenuation(eta_b, spectrum, RegimeKind.BIG)
+    num_big = math.log(norm_sq / i1**2 * 4 * n * kappa_R + big_tail)
+    num_small = math.log(norm_sq / inn**2 * small_factor + small_tail)
+    return RegimeRecord(
+        *base,
+        lead_s=lead_s,
+        lead_b=lead_b,
+        gap_s=gap_s,
+        gap_b=gap_b,
+        scale_s=sig_n * inn**2,
+        scale_b=sig_1 * i1**2,
+        t1_s=0.5 * math.log(small_factor * norm_sq / inn**2) / gap_s,
+        t1_b=0.5 * math.log(4 * n * kappa_R * norm_sq / i1**2) / gap_b,
+        alpha_1=0.5 * sig_n * inn**2 * math.exp(-num / min(gap_s, gap_b)),
+        alpha_1_split=min(
+            0.5 * sig_1 * i1**2 * math.exp(-num_big / gap_b),
+            0.5 * sig_n * inn**2 * math.exp(-num_small / gap_s),
+        ),
     )
-    return small, big
+
+
+def pair_record(pair, iota, eta_s, eta_b):
+    """regime_record of a problem pair, with its kappa_R and R(theta_hat)."""
+    kappa_R = condition_number(pair.test.spectrum)
+    r_opt = evaluate(pair.test, pair.train.optimum)
+    return regime_record(pair.train.spectrum, kappa_R, eta_s, eta_b, iota, r_opt)
 
 
 @dataclass(frozen=True)
@@ -280,87 +293,64 @@ class AssumptionVerdict:
     details: dict = field(default_factory=dict)
 
 
-def check_assumptions(pair, theta0, eta_s, eta_b, alpha):
+def check_assumptions(pair, theta0, eta_s, eta_b, alpha, record=None):
     """Evaluate the four standing assumptions on a problem instance.
 
-    A1 distinct positive eigenvalues, A2 rate ordering, A3 nonzero
-    initialization on the boundary directions, A4 the level-set target
-    alpha below alpha_1 with small enough model error. Returns verdicts
-    with the computed numbers; never raises on failure.
+    A1 distinct positive eigenvalues (n >= 2), A2 rate ordering, A3
+    nonzero initialization on the boundary directions, A4 the level-set
+    target alpha, finite and positive, below alpha_1 with small enough
+    model error. Returns verdicts with the computed numbers; never
+    raises on failure. record, the pair_record of (pair, decomposed
+    theta0, eta_s, eta_b), is derived here unless the caller shares one.
     """
     train = pair.train
-    spec = train.spectrum
-    verdicts = []
-
-    def distinct(s):
-        w = s.eigenvalues
-        return bool(w[-1] > 0 and not s.degenerate and np.all(np.diff(w) < 0))
-
-    a1 = distinct(spec) and distinct(pair.test.spectrum)
-    verdicts.append(
+    spec, tspec = train.spectrum, pair.test.spectrum
+    if record is None:
+        record = pair_record(pair, decompose(train, theta0), eta_s, eta_b)
+    elif (record.eta_s, record.eta_b) != (eta_s, eta_b):
+        raise ValueError("record was derived for other step sizes")
+    a1 = all(
+        not s.degenerate and _positive_decreasing(s.eigenvalues) for s in (spec, tspec)
+    )
+    a2 = record.kind_s is RegimeKind.SMALL and record.kind_b is RegimeKind.BIG
+    a3 = abs(record.iota_1) >= UNDERFLOW_GUARD and abs(record.iota_n) >= UNDERFLOW_GUARD
+    ratio_cap = min(0.25, record.kappa_F / (72 * record.kappa_R))
+    # alpha_1 is undefined without distinct eigenvalues, valid rates and
+    # nonzero boundary coefficients; a NaN alpha_1 fails A4.
+    a_one = record.alpha_1 if a1 and a2 and a3 else math.nan
+    a4 = math.isfinite(alpha) and 0 < alpha <= a_one and record.r_opt / alpha <= ratio_cap
+    return [
         AssumptionVerdict(
             "A1_distinct_eigenvalues",
             a1,
-            {
-                "train_degenerate": spec.degenerate,
-                "test_degenerate": pair.test.spectrum.degenerate,
-            },
-        )
-    )
-
-    rs = classify_rate(eta_s, spec)
-    rb = classify_rate(eta_b, spec)
-    a2 = rs.kind is RegimeKind.SMALL and rb.kind is RegimeKind.BIG
-    verdicts.append(
+            {"train_degenerate": spec.degenerate, "test_degenerate": tspec.degenerate},
+        ),
         AssumptionVerdict(
             "A2_rate_ordering",
             a2,
             {
-                "eta_s_kind": rs.kind.value,
-                "eta_b_kind": rb.kind.value,
-                "threshold_low": rs.thresholds[0],
-                "threshold_high": rs.thresholds[1],
+                "eta_s_kind": record.kind_s.value,
+                "eta_b_kind": record.kind_b.value,
+                "threshold_low": record.threshold_low,
+                "threshold_high": record.threshold_high,
             },
-        )
-    )
-
-    iota = spec.eigenvectors.T @ (np.asarray(theta0, dtype=float) - train.optimum)
-    a3 = bool(
-        abs(iota[0]) >= UNDERFLOW_GUARD and abs(iota[-1]) >= UNDERFLOW_GUARD
-    )
-    verdicts.append(
+        ),
         AssumptionVerdict(
             "A3_nonzero_initialization",
             a3,
-            {"iota_1": float(iota[0]), "iota_n": float(iota[-1])},
-        )
-    )
-
-    kappa_R = condition_number(pair.test.spectrum)
-    kappa_F = condition_number(spec)
-    r_opt = evaluate(pair.test, train.optimum)
-    ratio_cap = min(0.25, kappa_F / (72 * kappa_R))
-    # alpha_1 is undefined without distinct eigenvalues, valid rates and
-    # nonzero boundary coefficients.
-    if a1 and a2 and a3:
-        a_one = alpha_one(spec, iota, eta_s, eta_b, kappa_R)
-        a4 = bool(alpha <= a_one and r_opt / alpha <= ratio_cap)
-    else:
-        a_one = math.nan
-        a4 = False
-    verdicts.append(
+            {"iota_1": record.iota_1, "iota_n": record.iota_n},
+        ),
         AssumptionVerdict(
             "A4_level_set_target",
-            a4,
+            bool(a4),
             {
                 "alpha": float(alpha),
                 "alpha_1": float(a_one),
-                "model_error": float(r_opt),
+                "model_error": float(record.r_opt),
                 "model_error_ratio_cap": float(ratio_cap),
             },
-        )
-    )
-    return verdicts
+        ),
+    ]
 
 
 @dataclass(frozen=True)
@@ -444,18 +434,26 @@ def _test_loss(pair, run):
     return 0.5 * float(err @ pair.test.spectrum.apply(err))
 
 
-def certify(pair, run_s, run_b, alpha):
+def certify(pair, run_s, run_b, alpha, record=None):
     """Evaluate the big-rate benefit bound on two finished level-set runs.
 
     Both runs must have hit the same alpha level set of pair.train, one
     with a Small rate and one with a Big rate. The certificate stores
     the measured test losses, the epsilon ratios, the step windows, the
     intermediate per-regime loss bounds, and the final inequality
-    R(theta_b) <= 34 (kappa_R/kappa_F) R(theta_s).
+    R(theta_b) <= 34 (kappa_R/kappa_F) R(theta_s). record, the
+    pair_record of (pair, run_s.iota, run_s.eta, run_b.eta), is derived
+    here unless the caller shares the one it gave check_assumptions.
     """
     spec = pair.train.spectrum
-    for run, want in ((run_s, RegimeKind.SMALL), (run_b, RegimeKind.BIG)):
-        got = classify_rate(run.eta, spec).kind
+    if record is None:
+        record = pair_record(pair, run_s.iota, run_s.eta, run_b.eta)
+    elif (record.eta_s, record.eta_b, record.iota_1) != (run_s.eta, run_b.eta, run_s.iota[0]):
+        raise ValueError("record was derived for other runs")
+    for run, want, got in (
+        (run_s, RegimeKind.SMALL, record.kind_s),
+        (run_b, RegimeKind.BIG, record.kind_b),
+    ):
         if got is not want:
             raise RegimeMismatch(
                 f"run with eta={run.eta} is {got.value}, expected {want.value}"
@@ -468,25 +466,25 @@ def certify(pair, run_s, run_b, alpha):
             raise LevelSetMismatch(
                 f"run targeted alpha={run.alpha}, certificate wants {alpha}"
             )
-    if not np.allclose(run_s.iota, run_b.iota, rtol=1e-12, atol=0.0):
+    if not (
+        np.array_equal(run_s.iota, run_b.iota)
+        or np.allclose(run_s.iota, run_b.iota, rtol=1e-12, atol=0.0)
+    ):
         raise LevelSetMismatch("runs started from different initializations")
 
     sig = spec.eigenvalues
     tspec = pair.test.spectrum
-    kappa_F = condition_number(spec)
-    kappa_R = condition_number(tspec)
+    kappa_F, kappa_R, r_opt = record.kappa_F, record.kappa_R, record.r_opt
     varsig1, varsign = tspec.top, tspec.bottom
-    r_opt = evaluate(pair.test, pair.train.optimum)
     eps_b2 = epsilon_ratio(run_b, RegimeKind.BIG)
     eps_s2 = epsilon_ratio(run_s, RegimeKind.SMALL)
     r_big = _test_loss(pair, run_b)
     r_small = _test_loss(pair, run_s)
-    iota = run_s.iota
-    a_one, a_one_split = _alpha_one_readings(
-        spec, iota, run_s.eta, run_b.eta, kappa_R
-    )
-    win_s = step_window(spec, iota, run_s.eta, alpha, kappa_R, RegimeKind.SMALL)
-    win_b = step_window(spec, iota, run_b.eta, alpha, kappa_R, RegimeKind.BIG)
+    if abs(record.iota_1) < UNDERFLOW_GUARD or abs(record.iota_n) < UNDERFLOW_GUARD:
+        raise ZeroInitialization("zero initial coefficient on sigma_1 or sigma_n")
+    if math.isnan(record.alpha_1):
+        raise InvalidRegime("instance outside the theorem's domain, see regime_record")
+    win_s, win_b = record.windows(alpha)
 
     c_alpha_den = 1.0 - math.sqrt(18.0 * (sig[-1] / varsign) * r_opt / alpha)
     if c_alpha_den > 0:
@@ -543,8 +541,8 @@ def certify(pair, run_s, run_b, alpha):
         r_opt=float(r_opt),
         epsilon_b2=eps_b2,
         epsilon_s2=eps_s2,
-        alpha_1=a_one,
-        alpha_1_split=a_one_split,
+        alpha_1=record.alpha_1,
+        alpha_1_split=record.alpha_1_split,
         c_alpha=c_alpha,
         r_small=float(r_small),
         r_big=float(r_big),

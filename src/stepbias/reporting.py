@@ -1,6 +1,7 @@
 """Deterministic CSV and SVG emission for experiment outputs."""
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -181,9 +182,13 @@ def render_svg(series, axes, path):
             f'x2="{_coord(px(v))}" y2="{_coord(_HEIGHT - _MARGIN)}" '
             'stroke="gray" stroke-width="1" stroke-dasharray="4 3"/>'
         )
+    # px and py map the points of every series as two arrays, with the
+    # operations they apply to one float; each polyline takes its share.
+    xs, ys = np.array([p for pts in points for p in pts], dtype=float).reshape(-1, 2).T
+    pixels = map("{:.3f},{:.3f}".format, px(xs).tolist(), py(ys).tolist())
     for i, (s, pts) in enumerate(zip(series, points)):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{_coord(px(x))},{_coord(py(y))}" for x, y in pts)
+        coords = " ".join(itertools.islice(pixels, len(pts)))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{coords}"/>'

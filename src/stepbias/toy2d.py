@@ -7,7 +7,7 @@ operator). Starting from (iota, iota), GD factorizes exactly:
 
 The threshold formulas follow the companion sketch conventions verbatim
 (including their alpha/(sigma iota) scaling, where the n-dimensional
-analysis uses iota^2); the general forms live in regimes.step_window.
+analysis uses iota^2); the general forms live in regimes.RegimeRecord.
 """
 
 import math

@@ -1,0 +1,105 @@
+"""The regime record against a 50-digit mpmath evaluation of the same formulas.
+
+Every input (eigenvalues, iota, step sizes, alpha) is taken exactly as
+the float code sees it, so the only difference is the rounding of the
+float arithmetic.
+"""
+
+import warnings
+
+import mpmath
+import pytest
+
+from stepbias import gd
+from stepbias.errors import DegenerateSpectrum
+from stepbias.experiments import stream
+from stepbias.instances import random_instance
+from stepbias.regimes import pair_record
+
+# Relative tolerances. Over these 30 instances the largest errors are
+# 7.0e-14 on both alpha_1 readings (exp(-num / gap) multiplies the
+# rounding of num / gap by its size, up to a few hundred), 1.5e-15 on
+# t1..t3 and 1.0e-16 on the condition numbers.
+ALPHA_RTOL = 1e-12
+RTOL = 1e-14
+
+
+def _mp_record(sig, iota, eta_s, eta_b, kappa_R, alpha):
+    """The record's numbers and both windows at 50 digits."""
+    mp = mpmath.mp
+    sig = [mp.mpf(float(s)) for s in sig]
+    iota = [mp.mpf(float(v)) for v in iota]
+    eta_s, eta_b, kappa_R, alpha = (
+        mp.mpf(float(v)) for v in (eta_s, eta_b, kappa_R, alpha)
+    )
+    n = len(sig)
+    i1, inn = iota[0], iota[-1]
+    kappa_F = sig[0] / sig[-1]
+    lead_s, second_s = abs(1 - eta_s * sig[-1]), abs(1 - eta_s * sig[-2])
+    lead_b = abs(1 - eta_b * sig[0])
+    second_b = max(abs(1 - eta_b * sig[1]), abs(1 - eta_b * sig[-1]))
+    gap_s, gap_b = mp.log(lead_s / second_s), mp.log(lead_b / second_b)
+    norm_sq = mp.fsum(v * v for v in iota)
+    factor = max(16 * n * kappa_R, 4 * kappa_F)
+    small_tail = 1 / (1 - eta_s * sig[-1])
+    big_tail = 1 / (eta_b * sig[0] - 1)
+    num = mp.log(norm_sq * factor * max(1 / i1**2, 1 / inn**2) + small_tail + big_tail)
+    num_big = mp.log(norm_sq / i1**2 * 4 * n * kappa_R + big_tail)
+    num_small = mp.log(norm_sq / inn**2 * factor + small_tail)
+    scale_s, scale_b = sig[-1] * inn**2, sig[0] * i1**2
+
+    def t23(scale, lead):
+        decay = mp.log(1 / lead)
+        return (
+            mp.log(scale / (2 * alpha)) / (2 * decay),
+            mp.log(mp.mpf(5) / 4 * scale / alpha) / (2 * decay),
+        )
+
+    return {
+        "kappa_F": kappa_F,
+        "alpha_1": scale_s / 2 * mp.exp(-num / min(gap_s, gap_b)),
+        "alpha_1_split": min(
+            scale_b / 2 * mp.exp(-num_big / gap_b),
+            scale_s / 2 * mp.exp(-num_small / gap_s),
+        ),
+        "small": (
+            mp.log(factor * norm_sq / inn**2) / (2 * gap_s),
+            *t23(scale_s, lead_s),
+        ),
+        "big": (
+            mp.log(4 * n * kappa_R * norm_sq / i1**2) / (2 * gap_b),
+            *t23(scale_b, lead_b),
+        ),
+    }
+
+
+def _rel(got, want):
+    return float(abs(mpmath.mpf(got) - want) / abs(want))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_record_agrees_with_50_digit_evaluation(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSpectrum)
+        inst = random_instance(stream(seed, "mp-oracle"), n=4 + seed % 5)
+    spec, tspec = inst.pair.train.spectrum, inst.pair.test.spectrum
+    iota = gd.decompose(inst.pair.train, inst.theta0)
+    rec = pair_record(inst.pair, iota, inst.eta_s, inst.eta_b)
+    with mpmath.workdps(50):
+        kappa_R = mpmath.mpf(tspec.top) / mpmath.mpf(tspec.bottom)
+        want = _mp_record(
+            spec.eigenvalues, iota, inst.eta_s, inst.eta_b, rec.kappa_R, inst.alpha
+        )
+        readings = {
+            "alpha_1": _rel(rec.alpha_1, want["alpha_1"]),
+            "alpha_1_split": _rel(rec.alpha_1_split, want["alpha_1_split"]),
+        }
+        others = {
+            "kappa_R": _rel(rec.kappa_R, kappa_R),
+            "kappa_F": _rel(rec.kappa_F, want["kappa_F"]),
+        }
+        for name, win in zip(("small", "big"), rec.windows(inst.alpha)):
+            for t, got, exact in zip(("t1", "t2", "t3"), (win.t1, win.t2, win.t3), want[name]):
+                others[f"{name}_{t}"] = _rel(got, exact)
+    assert max(readings.values()) <= ALPHA_RTOL, readings
+    assert max(others.values()) <= RTOL, others

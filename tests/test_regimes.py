@@ -1,12 +1,13 @@
 """Rate regimes, windows, and the certification bound."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from stepbias import gd, instances, regimes
+from stepbias import gd, instances
 from stepbias.errors import (
     DegenerateSpectrum,
     InfeasibleWindow,
@@ -21,16 +22,16 @@ from stepbias.instances import random_instance
 from stepbias.quadratic import ProblemPair, QuadraticObjective
 from stepbias.regimes import (
     RegimeKind,
-    alpha_one,
+    StepWindow,
     attenuation,
     certify,
     check_assumptions,
     classify_rate,
-    complexity_bounds,
     epsilon_ratio,
     leading_attenuation,
+    pair_record,
+    regime_record,
     second_attenuation,
-    step_window,
 )
 from stepbias.spectral import condition_number, diagonal_spectrum
 
@@ -145,7 +146,7 @@ def test_alpha_one_displayed_oracle():
     )
     den = min(math.log(a_s_lead / a_s_second), math.log(a_b_lead / a_b_second))
     want = 0.5 * sig[-1] * iota[-1] ** 2 * math.exp(-num / den)
-    got = alpha_one(SPEC, iota, eta_s, eta_b, kappa_r)
+    got = regime_record(SPEC, kappa_r, eta_s, eta_b, iota).alpha_1
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -158,10 +159,13 @@ def test_alpha_one_split_orders_the_windows():
             spec = inst.pair.train.spectrum
             iota = spec.eigenvectors.T @ (inst.theta0 - inst.pair.train.optimum)
             kappa_r = inst.pair.test.spectrum.top / inst.pair.test.spectrum.bottom
-            a1 = alpha_one(spec, iota, inst.eta_s, inst.eta_b, kappa_r, reading="split")
-            for kind, eta in ((RegimeKind.SMALL, inst.eta_s), (RegimeKind.BIG, inst.eta_b)):
-                win = step_window(spec, iota, eta, a1, kappa_r, kind)
+            rec = regime_record(spec, kappa_r, inst.eta_s, inst.eta_b, iota)
+            for win in rec.windows(rec.alpha_1_split):
                 assert win.feasible
+
+
+# The per-function derivations that regime_record replaced, kept as
+# bitwise oracles: each call derives its numbers again from the spectrum.
 
 
 def _alpha_one_reference(spectrum, iota, eta_s, eta_b, kappa_R, reading):
@@ -171,14 +175,7 @@ def _alpha_one_reference(spectrum, iota, eta_s, eta_b, kappa_R, reading):
     n = spectrum.n
     kappa_F = condition_number(spectrum)
     norm_sq = float(np.sum(iota * iota))
-    den_small = math.log(
-        leading_attenuation(eta_s, spectrum, RegimeKind.SMALL)
-        / second_attenuation(eta_s, spectrum, RegimeKind.SMALL)
-    )
-    den_big = math.log(
-        leading_attenuation(eta_b, spectrum, RegimeKind.BIG)
-        / second_attenuation(eta_b, spectrum, RegimeKind.BIG)
-    )
+    den_small, den_big = _log_gaps_reference(spectrum, eta_s, eta_b)
     small_tail = 1.0 / (1.0 - eta_s * sig[-1])
     big_tail = 1.0 / (eta_b * sig[0] - 1.0)
     if reading == "displayed":
@@ -200,48 +197,216 @@ def _alpha_one_reference(spectrum, iota, eta_s, eta_b, kappa_R, reading):
     )
 
 
+def _log_gaps_reference(spectrum, eta_s, eta_b):
+    """Oracle: the (Small, Big) log-gap denominators of t1."""
+    small = math.log(
+        leading_attenuation(eta_s, spectrum, RegimeKind.SMALL)
+        / second_attenuation(eta_s, spectrum, RegimeKind.SMALL)
+    )
+    big = math.log(
+        leading_attenuation(eta_b, spectrum, RegimeKind.BIG)
+        / second_attenuation(eta_b, spectrum, RegimeKind.BIG)
+    )
+    return small, big
+
+
+def _step_window_reference(spectrum, iota, eta, alpha, kappa_R, kind):
+    """Oracle: (t1, t2, t3) of one regime, derived from scratch."""
+    i1, inn = float(iota[0]), float(iota[-1])
+    sig = spectrum.eigenvalues
+    n = spectrum.n
+    kappa_F = condition_number(spectrum)
+    norm_sq = float(np.sum(iota * iota))
+    lead = leading_attenuation(eta, spectrum, kind)
+    gap = math.log(lead / second_attenuation(eta, spectrum, kind))
+    if kind is RegimeKind.BIG:
+        t1 = 0.5 * math.log(4 * n * kappa_R * norm_sq / i1**2) / gap
+        scale = sig[0] * i1**2
+    else:
+        t1 = (
+            0.5
+            * math.log(max(16 * n * kappa_R, 4 * kappa_F) * norm_sq / inn**2)
+            / gap
+        )
+        scale = sig[-1] * inn**2
+    decay = math.log(1.0 / lead)
+    t2 = 0.5 * math.log(0.5 * scale / alpha) / decay
+    t3 = 0.5 * math.log(1.25 * scale / alpha) / decay
+    return StepWindow(t1=t1, t2=t2, t3=t3)
+
+
+def _random_instance_reference(rng, n, model_error_fraction):
+    """Oracle: random_instance with every number derived per call."""
+    for _ in range(instances.MAX_DRAWS):
+        train_spec, test_spec, opt_train, iota = instances._draw(rng, n)
+        sig1, sign = train_spec.eigenvalues[0], train_spec.eigenvalues[-1]
+        eta_s = 1.0 / (sig1 + sign)
+        eta_b = 1.9 / sig1
+        kappa_R = test_spec.top / test_spec.bottom
+        kappa_F = sig1 / sign
+        args = (train_spec, iota, eta_s, eta_b, kappa_R)
+        alpha = 0.5 * min(
+            _alpha_one_reference(*args, "displayed"),
+            _alpha_one_reference(*args, "split"),
+        )
+        if alpha >= 1e-280:
+            break
+    theta0 = opt_train + train_spec.eigenvectors @ iota
+    fraction = model_error_fraction
+    if fraction is None:
+        fraction = 0.1 if rng.uniform() < 0.5 else 0.0
+    opt_test = opt_train.copy()
+    if fraction > 0:
+        cap = min(0.25, kappa_F / (72.0 * kappa_R))
+        direction = rng.normal(size=n)
+        quad = 0.5 * float(direction @ test_spec.apply(direction))
+        opt_test = opt_train + math.sqrt(fraction * cap * alpha / quad) * direction
+    small, big = RegimeKind.SMALL, RegimeKind.BIG
+    win_s = _step_window_reference(train_spec, iota, eta_s, alpha, kappa_R, small)
+    win_b = _step_window_reference(train_spec, iota, eta_b, alpha, kappa_R, big)
+    return alpha, int(10 + 4 * max(win_s.t3, win_b.t3)), theta0, opt_test
+
+
+def _draws(count=200):
+    """(seed, n, model-error fraction) of the record tests: n = 4..8, 0 and 0.1."""
+    return [(seed, 4 + seed % 5, (0.0, 0.1)[seed // 5 % 2]) for seed in range(count)]
+
+
 def test_alpha_one_readings_match_per_reading_evaluation():
-    """Both readings from one call equal each reading evaluated on its own."""
+    """Both readings of one record equal each reading evaluated on its own."""
     distinct = 0
     for seed in range(30):
         inst = _generated(seed)
         spec = inst.pair.train.spectrum
         iota = spec.eigenvectors.T @ (inst.theta0 - inst.pair.train.optimum)
         args = (spec, iota, inst.eta_s, inst.eta_b, condition_number(inst.pair.test.spectrum))
-        displayed, split = regimes._alpha_one_readings(*args)
-        assert displayed == _alpha_one_reference(*args, "displayed")
-        assert split == _alpha_one_reference(*args, "split")
-        assert displayed == alpha_one(*args, reading="displayed")
-        assert split == alpha_one(*args, reading="split")
-        distinct += displayed != split
+        rec = pair_record(inst.pair, iota, inst.eta_s, inst.eta_b)
+        assert rec.alpha_1 == _alpha_one_reference(*args, "displayed")
+        assert rec.alpha_1_split == _alpha_one_reference(*args, "split")
+        distinct += rec.alpha_1 != rec.alpha_1_split
     assert distinct > 0
 
 
-def test_alpha_one_rejects_unknown_reading():
-    iota = np.array([0.5, -0.4, 0.3, 0.6])
+def test_record_matches_the_per_function_oracles():
+    for seed, n, fraction in _draws():
+        inst = _generated(seed, n=n, model_error_fraction=fraction)
+        spec, tspec = inst.pair.train.spectrum, inst.pair.test.spectrum
+        iota = gd.decompose(inst.pair.train, inst.theta0)
+        kappa_r = condition_number(tspec)
+        rec = pair_record(inst.pair, iota, inst.eta_s, inst.eta_b)
+        assert rec.kappa_F == condition_number(spec)
+        assert rec.kappa_R == kappa_r
+        assert (rec.gap_s, rec.gap_b) == _log_gaps_reference(spec, inst.eta_s, inst.eta_b)
+        args = (spec, iota, inst.eta_s, inst.eta_b, kappa_r)
+        assert rec.alpha_1 == _alpha_one_reference(*args, "displayed")
+        assert rec.alpha_1_split == _alpha_one_reference(*args, "split")
+        assert rec.windows(inst.alpha) == (
+            _step_window_reference(spec, iota, inst.eta_s, inst.alpha, kappa_r, RegimeKind.SMALL),
+            _step_window_reference(spec, iota, inst.eta_b, inst.alpha, kappa_r, RegimeKind.BIG),
+        )
+
+
+def test_certify_with_a_shared_record_equals_certify_without():
+    for seed, n, fraction in _draws():
+        inst = _generated(seed, n=n, model_error_fraction=fraction)
+        iota = gd.decompose(inst.pair.train, inst.theta0)
+        rec = pair_record(inst.pair, iota, inst.eta_s, inst.eta_b)
+        args = (inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha)
+        assert check_assumptions(*args, record=rec) == check_assumptions(*args)
+        run_s, run_b = _runs_for(inst)
+        shared = certify(inst.pair, run_s, run_b, inst.alpha, record=rec)
+        own = certify(inst.pair, run_s, run_b, inst.alpha)
+        for f in dataclasses.fields(shared):
+            assert getattr(shared, f.name) == getattr(own, f.name), f.name
+
+
+def test_shared_record_must_match_the_runs():
+    inst = _generated(seed=5)
+    run_s, run_b = _runs_for(inst)
+    other = _generated(seed=6)
+    rec = pair_record(
+        other.pair, gd.decompose(other.pair.train, other.theta0), other.eta_s, other.eta_b
+    )
     with pytest.raises(ValueError):
-        alpha_one(SPEC, iota, 0.7, 1.9, 2.0, reading="typo")
+        certify(inst.pair, run_s, run_b, inst.alpha, record=rec)
+    with pytest.raises(ValueError):
+        check_assumptions(
+            inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha, record=rec
+        )
+
+
+def test_random_instance_matches_the_oracle_path():
+    for seed, n, fraction in _draws():
+        rng, ref_rng = stream(seed, "oracle-path"), stream(seed, "oracle-path")
+        inst = _generated_from(rng, n=n, model_error_fraction=fraction)
+        alpha, t_max, theta0, opt_test = _random_instance_reference(ref_rng, n, fraction)
+        assert inst.alpha == alpha and inst.t_max == t_max
+        assert np.array_equal(inst.theta0, theta0)
+        assert np.array_equal(inst.pair.test.optimum, opt_test)
+        assert rng.uniform() == ref_rng.uniform()
+
+
+def test_record_outside_the_domain_has_no_readings():
+    iota = np.array([0.5, -0.4, 0.3, 0.6])
+    inside = regime_record(SPEC, 2.0, 0.7, 1.9, iota)
+    assert all(math.isfinite(v) for v in (inside.alpha_1, inside.t1_s, inside.gap_b))
+    outside = {
+        "eta_s not Small": regime_record(SPEC, 2.0, 1.9, 1.9, iota),
+        "eta_b Divergent": regime_record(SPEC, 2.0, 0.7, 3.0, iota),
+        "zero iota_1": regime_record(SPEC, 2.0, 0.7, 1.9, np.array([0.0, 1, 1, 1])),
+        "iota_n squared underflows": regime_record(
+            SPEC, 2.0, 0.7, 1.9, np.array([1, 1, 1, 1e-200])
+        ),
+        "one eigenvalue": regime_record(diagonal_spectrum([2.0]), 2.0, 0.3, 0.8, [1.0]),
+        "repeated eigenvalue": regime_record(
+            diagonal_spectrum([1.0, 0.5, 0.5, 0.2]), 2.0, 0.7, 1.9, iota
+        ),
+        # eta_s sigma_{n-1} == 1 exactly: the second Small attenuation is 0.
+        "zero second attenuation": regime_record(
+            diagonal_spectrum([1.0, 0.9, 0.8, 0.2]), 2.0, 1.25, 1.9, iota
+        ),
+    }
+    for name, rec in outside.items():
+        numbers = (rec.alpha_1, rec.alpha_1_split, rec.gap_s, rec.t1_b)
+        numbers += dataclasses.astuple(rec.windows(1e-9)[1])
+        assert all(math.isnan(v) for v in numbers), name
+    assert outside["eta_s not Small"].kind_s is RegimeKind.BIG
+
+
+def test_certify_refuses_an_instance_outside_the_domain():
+    # eta_s sigma_{n-1} == 1: both runs hit, yet the Small gap is infinite.
+    spec = diagonal_spectrum([1.0, 0.9, 0.8, 0.2])
+    pair = ProblemPair(
+        QuadraticObjective(spec, np.zeros(4)),
+        QuadraticObjective(diagonal_spectrum([1.0, 0.8, 0.7, 0.5]), np.zeros(4)),
+    )
+    theta0 = np.array([0.5, -0.4, 0.3, 0.6])
+    runs = [gd.run_to_level_set(pair.train, theta0, eta, 1e-6, 1000) for eta in (1.25, 1.9)]
     with pytest.raises(InvalidRegime):
-        alpha_one(SPEC, iota, 1.9, 1.9, 2.0)  # eta_s not Small
+        certify(pair, *runs, 1e-6)
+    verdicts = check_assumptions(pair, theta0, 1.25, 1.9, 1e-6)
+    assert [v.passed for v in verdicts] == [True, True, True, False]
 
 
 def test_step_window_shape():
     iota = np.array([0.5, -0.4, 0.3, 0.6])
-    win = step_window(SPEC, iota, 0.7, 1e-10, 2.0, RegimeKind.SMALL)
+    rec = regime_record(SPEC, 2.0, 0.7, 1.9, iota)
+    win, _ = rec.windows(1e-10)
     assert win.t1 > 0 and win.t2 < win.t3
     assert win.feasible == (win.t2 > win.t1)
+    assert win.t1 == rec.t1_s
     with pytest.raises(ValueError):
-        step_window(SPEC, iota, 0.7, -1.0, 2.0, RegimeKind.SMALL)
-    with pytest.raises(InvalidRegime):
-        step_window(SPEC, iota, 0.7, 1e-10, 2.0, RegimeKind.DIVERGENT)
+        rec.windows(-1.0)
+    big = regime_record(SPEC, 2.0, 0.7, 3.0, iota).windows(1e-10)[1]
+    assert not big.feasible and math.isnan(big.t2)
 
 
 def test_complexity_bounds_shrink_with_gap():
-    wide = diagonal_spectrum([1.0, 0.9, 0.3, 0.2])
-    narrow = diagonal_spectrum([1.0, 0.9, 0.21, 0.2])
-    s_wide, _ = complexity_bounds(wide, 0.7, 1.9)
-    s_narrow, _ = complexity_bounds(narrow, 0.7, 1.9)
-    assert 0 < s_narrow < s_wide
+    iota = np.array([0.5, -0.4, 0.3, 0.6])
+    wide = regime_record(diagonal_spectrum([1.0, 0.9, 0.3, 0.2]), 2.0, 0.7, 1.9, iota)
+    narrow = regime_record(diagonal_spectrum([1.0, 0.9, 0.21, 0.2]), 2.0, 0.7, 1.9, iota)
+    assert 0 < narrow.gap_s < wide.gap_s
+    assert narrow.t1_s > wide.t1_s
 
 
 def _generated(seed=0, **kw):
@@ -250,25 +415,28 @@ def _generated(seed=0, **kw):
         return random_instance(stream(seed, "regimes-test"), **kw)
 
 
-def _generated_from(rng):
+def _generated_from(rng, n=5, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateSpectrum)
-        return random_instance(rng, n=5)
+        return random_instance(rng, n=n, **kw)
 
 
 def _alpha_one_failing(monkeypatch, failures):
     """Make the first ``failures`` alpha_1 evaluations underflow; count them.
 
-    random_instance reads both alpha_1 readings from one call per attempt.
+    random_instance reads both alpha_1 readings from one record per attempt.
     """
-    real = instances._alpha_one_readings
+    real = instances.regime_record
     calls = []
 
     def fake(*args, **kwargs):
         calls.append(1)
-        return (0.0, 0.0) if len(calls) <= failures else real(*args, **kwargs)
+        rec = real(*args, **kwargs)
+        if len(calls) <= failures:
+            rec = dataclasses.replace(rec, alpha_1=0.0, alpha_1_split=0.0)
+        return rec
 
-    monkeypatch.setattr(instances, "_alpha_one_readings", fake)
+    monkeypatch.setattr(instances, "regime_record", fake)
     return calls
 
 
@@ -414,3 +582,20 @@ def test_certify_rejects_mismatched_runs():
     )
     with pytest.raises(LevelSetMismatch):
         certify(inst.pair, unfinished, run_b, inst.alpha)
+
+
+def test_check_assumptions_fails_a4_on_bad_alpha():
+    inst = _generated()
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        verdicts = check_assumptions(inst.pair, inst.theta0, inst.eta_s, inst.eta_b, alpha)
+        assert [v.passed for v in verdicts] == [True, True, True, False], alpha
+
+
+def test_check_assumptions_on_a_one_dimensional_pair_returns_verdicts():
+    train = QuadraticObjective(diagonal_spectrum([2.0]), np.zeros(1))
+    test = QuadraticObjective(diagonal_spectrum([1.0]), np.zeros(1))
+    verdicts = check_assumptions(ProblemPair(train, test), np.ones(1), 0.3, 0.8, 1e-3)
+    passed = {v.name: v.passed for v in verdicts}
+    assert len(verdicts) == 4
+    assert not passed["A1_distinct_eigenvalues"]
+    assert not passed["A4_level_set_target"]

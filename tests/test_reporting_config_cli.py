@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stepbias import cli, errors, experiments
+from stepbias import cli, errors, experiments, reporting
 from stepbias.config import (
     DEFAULT_ETA_GRID,
     canonical_config,
@@ -122,6 +122,37 @@ def test_render_svg_range_wider_than_the_largest_float(tmp_path):
             x, y = (float(v) for v in pair.split(","))
             assert 60.0 <= x <= 580.0 and 60.0 <= y <= 420.0
     assert 'points="60.000,420.000 580.000,60.000"' in (tmp_path / "a.svg").read_text()
+
+
+def test_render_svg_coordinates_match_the_per_point_mapping(tmp_path):
+    """Each polyline holds the points of mapping and formatting one float at a time."""
+    rng = np.random.default_rng(7)
+    cases = [
+        (
+            [
+                Series(f"s{i}", tuple(rng.uniform(-3, 5, 50)), tuple(rng.lognormal(0, 4, 50)))
+                for i in range(3)
+            ],
+            AxesSpec(log_y=True, vlines=(0.25,)),
+        ),
+        ([Series("a", tuple(rng.normal(size=40) * 1e5), tuple(rng.normal(size=40)))], AxesSpec()),
+        ([Series("a", (-1.5e308, 1.5e308, 0.0), (1.0, 2.0, -1e308))], AxesSpec()),
+    ]
+    for k, (series, axes) in enumerate(cases):
+        path = tmp_path / f"{k}.svg"
+        render_svg(series, axes, path)
+        points = [reporting._finite_points(s, axes) for s in series]
+        xs = [x for pts in points for x, _ in pts] + list(axes.vlines)
+        x_unit = reporting._unit(*reporting._span(xs))
+        y_unit = reporting._unit(*reporting._span([y for pts in points for _, y in pts]))
+        want = [
+            " ".join(
+                f"{60.0 + x_unit(x) * 520.0:.3f},{420.0 - y_unit(y) * 360.0:.3f}"
+                for x, y in pts
+            )
+            for pts in points
+        ]
+        assert re.findall(r'<polyline [^>]*points="([^"]*)"', path.read_text()) == want
 
 
 def test_render_svg_needs_series(tmp_path):
