@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gd, kernels, toy2d
 from .config import TAU, canonical_config
-from .errors import CertificationFailed, DegenerateSpectrum
+from .errors import CertificationFailed, DegenerateSpectrum, InfeasibleWindow
 from .filters import (
     cut_off,
     gd_filter,
@@ -29,7 +29,7 @@ from .filters import (
 from .instances import random_instance
 from .quadratic import QuadraticObjective
 from .regimes import certify, check_assumptions, pair_record
-from .reporting import AxesSpec, Series, render_svg, write_csv
+from .reporting import AxesSpec, Series, render_svg, write_bytes, write_csv
 from .spectral import Spectrum, condition_number, eig_sym
 
 T_MAX_SWEEP = 500_000
@@ -40,42 +40,35 @@ def stream(seed, name):
     return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
 
 
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 class _Outputs:
+    """The files of one run, each hashed from the bytes written to it."""
+
     def __init__(self, out_dir):
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.files = []
 
+    def _add(self, path, data):
+        self.files.append({"path": path.name, "sha256": hashlib.sha256(data).hexdigest()})
+        return path
+
     def csv(self, name, rows, schema):
         path = self.dir / name
-        write_csv(rows, schema, path)
-        self.files.append(path)
-        return path
+        return self._add(path, write_csv(rows, schema, path))
 
     def svg(self, name, series, axes):
         path = self.dir / name
-        render_svg(series, axes, path)
-        self.files.append(path)
-        return path
+        return self._add(path, render_svg(series, axes, path))
 
     def manifest(self, cfg):
-        entries = [
-            {"path": p.name, "sha256": _sha256(p)} for p in self.files
-        ]
         manifest = {
             "experiment": cfg.experiment,
             "seed": cfg.seed,
             "config": canonical_config(cfg),
-            "files": entries,
+            "files": self.files,
         }
-        path = self.dir / "manifest.json"
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        write_bytes(text, self.dir / "manifest.json")
         return manifest
 
 
@@ -174,7 +167,7 @@ def _run_quadratic_certify(cfg, out):
         rows.append(tuple(record[k] for k in schema))
     out.csv("certificates.csv", rows, schema)
     etas = np.linspace(0.01, 2.1 / spec.top, 200)
-    # |1 - eta sigma|: the IEEE operations of regimes.attenuation, per array.
+    # The attenuation coefficient |1 - eta sigma| of each eigenvalue, per array.
     xs = tuple(etas.tolist())
     series = [
         Series(f"sigma_{i + 1}", xs, tuple(np.abs(1.0 - etas * s).tolist()))
@@ -265,13 +258,28 @@ def _level_run_row(sweep, eta_mult, alpha):
     return run, proj_e1, hilbert_norm, accuracy
 
 
+def _level_target(fraction, excess0):
+    """The level-set target fraction * excess0 of a sweep.
+
+    Raises InfeasibleWindow when it underflows to 0, as it does when a
+    huge lam leaves the initial excess loss below about 1e-300.
+    """
+    alpha = fraction * excess0
+    if not alpha > 0:
+        raise InfeasibleWindow(
+            f"level-set target {fraction!r} * initial excess loss {excess0!r} "
+            f"underflows to {alpha!r}"
+        )
+    return alpha
+
+
 def _run_eta_sweep(cfg, out):
     sweep = _sweep_problem(cfg)
     obj = sweep.obj
     excess0 = 0.5 * float(
         np.sum(obj.spectrum.eigenvalues * obj.optimum**2)
     )
-    alpha = cfg.alpha if cfg.alpha is not None else 0.05 * excess0
+    alpha = cfg.alpha if cfg.alpha is not None else _level_target(0.05, excess0)
     rows = []
     for eta_mult in cfg.eta_grid:
         run, proj_e1, hilbert_norm, accuracy = _level_run_row(
@@ -324,7 +332,7 @@ def _run_alpha_sweep(cfg, out):
     eta_b = cfg.eta_big if cfg.eta_big is not None else TAU * 2.0
     rows = []
     for frac in cfg.alpha_grid:
-        alpha = float(frac) * excess0
+        alpha = _level_target(float(frac), excess0)
         _, _, _, acc_s = _level_run_row(sweep, eta_s, alpha)
         _, _, _, acc_b = _level_run_row(sweep, eta_b, alpha)
         rows.append((float(frac), alpha, acc_s, acc_b))

@@ -13,10 +13,12 @@ r_i = |1 - eta sigma_i|), which gives a closed-form step no later than
 the hit; one loss evaluation confirms it, and exponential search from
 it and bisection find the hit step, in O(n log t_max) work and, when one
 direction dominates the loss at the hit, in about three evaluations. An
-unconfirmed bound falls back to the search from step 1. It also reports
-whether the run stayed above alpha/2 (the half-level condition is
-reported, never enforced). The per-step loss trace of a run is computed
-from the closed form only when it is read.
+unconfirmed bound falls back to the search from step 1. The bound is
+evaluated on plain floats, since it only picks where the search starts;
+the loss stays a numpy expression, evaluated once per step. It also
+reports whether the run stayed above alpha/2 (the half-level condition
+is reported, never enforced). The per-step loss trace of a run is
+computed from the closed form only when it is read.
 """
 
 import enum
@@ -96,9 +98,11 @@ def reconstruct(obj, mu):
 
 
 def _final_mu(iota, factors, steps):
-    """iota * factors**steps, with 0 (not 0 * inf) on zero coefficients."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = iota * factors**steps
+    """iota * factors**steps, with 0 (not 0 * inf) on zero coefficients.
+
+    Callers silence numpy's overflow and invalid-value warnings around it.
+    """
+    mu = iota * factors**steps
     mu[iota == 0] = 0.0
     return mu
 
@@ -109,8 +113,8 @@ def closed_form(obj, theta0, eta, t):
         raise ValueError("step count must be nonnegative")
     iota = decompose(obj, theta0)
     sig = obj.spectrum.eigenvalues
-    factors = 1.0 - eta * sig
-    mu = _final_mu(iota, factors, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = _final_mu(iota, 1.0 - eta * sig, t)
     return GDRun(
         eta=eta,
         steps=t,
@@ -140,19 +144,25 @@ def _first_true(pred, lo, hi):
 def hit_lower_bound(weights, rates, alpha, t_max):
     """A step in 1..t_max no later than the first L(t) <= alpha.
 
-    L(t) = sum_i w_i r_i^{2t} with weights w_i > 0 and rates r_i in
+    L(t) = sum_i w_i r_i^{2t} with weights w_i >= 0 and rates r_i in
     [0, 1] is at least its largest term, so no step before max_i T_i,
-    T_i = log(alpha / w_i) / (2 log r_i), reaches alpha; terms with
-    w_i <= alpha give T_i <= 0 and a rate of 0 gives T_i = 0. The bound
-    is lowered by one step against rounding and clamped to [1, t_max].
-    Where it is undefined (some rate is 1, or some T_i is not finite)
-    the bound is step 1.
+    T_i = log(alpha / w_i) / (2 log r_i), reaches alpha. Terms with
+    w_i <= alpha or r_i = 0 give T_i <= 0 and are skipped, as a step
+    below 1 bounds nothing. The bound is lowered by one step against
+    rounding and clamped to [1, t_max]. Where it is undefined (some rate
+    is 1 or some weight is not finite) the bound is step 1. Evaluated
+    on plain floats, one term at a time: it only picks where the search
+    starts, never which step it finds.
     """
-    if 1.0 in rates:
-        return 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (math.log(alpha) - np.log(weights)) / (2.0 * np.log(rates))
-    end = float(t.max())
+    log_alpha = math.log(alpha)
+    end = -math.inf
+    for w, r in zip(weights, rates):
+        if r == 1.0 or not w < math.inf:
+            return 1
+        if w > alpha and r > 0.0:
+            t = (log_alpha - math.log(w)) / (2.0 * math.log(r))
+            if t > end:
+                end = t
     if not math.isfinite(end):
         return 1
     return min(max(math.ceil(end) - 1, 1), t_max)
@@ -215,7 +225,8 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
         raise ValueError("t_max must be at least 1")
     iota = decompose(obj, theta0)
     sig = obj.spectrum.eigenvalues
-    loss0 = 0.5 * float(np.sum(sig * iota * iota))
+    power = sig * iota * iota
+    loss0 = 0.5 * float(power.sum())
     if loss0 <= alpha:
         raise AlreadyBelowLevelSet(
             f"initial excess loss {loss0:.3e} is already <= alpha {alpha:.3e}"
@@ -223,21 +234,21 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
     factors = 1.0 - eta * sig
     # Zero-weight directions never move the loss; dropping them keeps
     # 0 * inf out of the powers of |factor| > 1.
-    live = sig * iota * iota != 0
-    sig_l, iota_l, fac_l = sig[live], iota[live], factors[live]
+    live = power != 0
+    sig_l, iota_l, fac_l, power_l = sig[live], iota[live], factors[live], power[live]
 
     def loss(t):
         mu_t = iota_l * fac_l**t
         return 0.5 * float((sig_l * mu_t * mu_t).sum())
 
     rates = np.abs(fac_l)
-    nonincreasing = bool((rates <= 1.0).all())
+    nonincreasing = bool(rates.max() <= 1.0)
     start = 1
     if nonincreasing:
-        weights = 0.5 * sig_l * iota_l * iota_l
-        start = hit_lower_bound(weights, rates, alpha, int(t_max))
+        weights = 0.5 * power_l
+        start = hit_lower_bound(weights.tolist(), rates.tolist(), alpha, int(t_max))
     # Powers of |factor| > 1 may overflow to inf: that is the Diverged case.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         steps, status = level_set_search(
             loss,
             float(alpha),
@@ -247,7 +258,7 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
             start=start,
         )
         final = loss(steps)
-    mu = _final_mu(iota, factors, steps)
+        mu = _final_mu(iota, factors, steps)
     half_ok = final >= 0.5 * alpha if status is StopStatus.HIT_LEVEL_SET else None
     return GDRun(
         eta=eta,

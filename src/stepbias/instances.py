@@ -4,8 +4,9 @@ Instances are sampled so the standing assumptions hold by construction:
 spectra with comfortable gaps around sigma_1, sigma_{n-1} and sigma_n
 (keeping the log-gap denominators of the step windows away from 0, and
 with them the level-set target alpha away from underflow), random
-orthogonal bases composed from Givens rotations, and a model error
-either zero or scaled to a small fraction of its allowed cap.
+orthogonal bases composed from Givens rotations (built one row at a
+time on plain floats), and a model error either zero or scaled to a
+small fraction of its allowed cap.
 """
 
 import math
@@ -35,26 +36,48 @@ def random_orthogonal(rng, n):
     """Orthogonal matrix built by composing random Givens rotations.
 
     The n(n-1)/2 angles come from one rng.uniform call (the same values
-    and generator state as one call per rotation), and each rotation
-    updates two columns held as lists of floats, with the same IEEE
-    operations as the numpy column update.
+    and generator state as one call per rotation). Rotation (p, r)
+    replaces columns p and r by c col_p - s col_r and s col_p + c col_r,
+    which mixes entries p and r of each row and nothing else, so each
+    row is built on its own as a list of floats, with the same IEEE
+    operations as the column update. Row k starts as e_k, so in a sweep
+    p < k the rotations (p, r) with r < k only mix zeros and are
+    skipped. The zeros they would have signed are later replaced by
+    c x - s y with s y nonzero, where the sign of x cannot show (unless
+    a drawn angle is exactly 0, so s is).
     """
-    angles = iter(rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2).tolist())
-    cols = np.eye(n).tolist()
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2).tolist()
+    cos = [math.cos(a) for a in angles]
+    sin = [math.sin(a) for a in angles]
+    # offset[p] + r is the draw index of rotation (p, r).
+    offset = []
+    drawn = 0
     for p in range(n - 1):
-        for r in range(p + 1, n):
-            angle = next(angles)
-            c, s = math.cos(angle), math.sin(angle)
-            col_p, col_r = cols[p], cols[r]
-            cols[p] = [c * x - s * y for x, y in zip(col_p, col_r)]
-            cols[r] = [s * x + c * y for x, y in zip(col_p, col_r)]
-    return np.array(cols).T.copy()
+        offset.append(drawn - p - 1)
+        drawn += n - 1 - p
+    rows = []
+    for k in range(n):
+        row = [0.0] * n
+        row[k] = 1.0
+        for p in range(n - 1):
+            o = offset[p]
+            xp = row[p]
+            for r in range(k if k > p else p + 1, n):
+                c = cos[o + r]
+                s = sin[o + r]
+                xr = row[r]
+                row[r] = s * xp + c * xr
+                xp = c * xp - s * xr
+            row[p] = xp
+        rows.append(row)
+    return np.array(rows)
 
 
 def _spaced_descending(rng, count, low, high, min_gap=1e-3):
+    """count draws from [low, high], descending, redrawn until gaps >= min_gap."""
     while True:
-        vals = np.sort(rng.uniform(low, high, size=count))[::-1]
-        if count < 2 or np.min(vals[:-1] - vals[1:]) >= min_gap:
+        vals = np.sort(rng.uniform(low, high, size=count)).tolist()[::-1]
+        if count < 2 or min(a - b for a, b in zip(vals, vals[1:])) >= min_gap:
             return vals
 
 
@@ -63,15 +86,14 @@ def _train_eigenvalues(rng, n):
     sig_n1 = rng.uniform(0.30, 0.40)
     sig_2 = rng.uniform(0.55, 0.70)
     middles = _spaced_descending(rng, n - 4, 0.42, 0.52)
-    return np.concatenate([[1.0, sig_2], middles, [sig_n1, sig_n]])
+    return np.array([1.0, sig_2, *middles, sig_n1, sig_n])
 
 
 def _test_spectrum(rng, n):
     kappa_R = rng.uniform(1.2, 3.0)
     bottom = 1.0 / kappa_R
     interior = _spaced_descending(rng, n - 2, bottom + 0.02, 0.98)
-    values = np.concatenate([[1.0], interior, [bottom]])
-    return Spectrum(values, random_orthogonal(rng, n))
+    return Spectrum(np.array([1.0, *interior, bottom]), random_orthogonal(rng, n))
 
 
 def _draw(rng, n):

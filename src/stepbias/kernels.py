@@ -87,21 +87,34 @@ def gaussian_cross_kernel(X_train, X_query, s):
     Both arguments are shifted by the training-row mean before expanding
     ||a - b||^2 = ||a||^2 + ||b||^2 - 2 <a, b>: distances do not change,
     and the expansion no longer cancels catastrophically on data far
-    from the origin.
+    from the origin. Only when 2 s^2 underflows to 0 is the kernel its
+    s -> 0 limit, 1 where the two points are equal and 0 elsewhere. Above
+    that, the expansion can leave a round-off residue in the distance of
+    a point to itself, which a small s turns into a kernel value below
+    1, down to 0 (at s = 1e-155, for one): the limit is not reached
+    continuously.
     """
     if s <= 0:
         raise ValueError("kernel scale must be positive")
     X_train = np.asarray(X_train, dtype=float)
     X_query = np.atleast_2d(np.asarray(X_query, dtype=float))
+    width = 2.0 * s * s
+    if width == 0.0:
+        same = (X_train[:, None, :] == X_query[None, :, :]).all(axis=2)
+        return same.astype(float)
     center = X_train.mean(axis=0)
     X_train = X_train - center
     X_query = X_query - center
-    d2 = (
+    d2 = np.maximum(
         np.sum(X_train**2, axis=1)[:, None]
         + np.sum(X_query**2, axis=1)[None, :]
-        - 2.0 * X_train @ X_query.T
+        - 2.0 * X_train @ X_query.T,
+        0.0,
     )
-    return np.exp(-np.maximum(d2, 0.0) / (2.0 * s * s))
+    # For a tiny s, d2 / width overflows to inf, where exp(-inf) = 0 is
+    # the kernel's value.
+    with np.errstate(over="ignore"):
+        return np.exp(-d2 / width)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .errors import (
     InvalidRegime,
     LevelSetMismatch,
     RegimeMismatch,
-    WrongRegime,
     ZeroDenominator,
     ZeroInitialization,
 )
@@ -47,6 +46,7 @@ class RegimeKind(enum.Enum):
     BIG = "Big"
     DIVERGENT = "Divergent"
     BOUNDARY = "Boundary"
+    NOT_POSITIVE = "NotPositive"
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,20 @@ class RateRegime:
     thresholds: tuple[float, float]
 
 
-def attenuation(eta, sigma):
-    """Per-step multiplier |1 - eta sigma| on an eigendirection."""
-    if eta <= 0 or sigma <= 0:
-        raise ValueError("eta and sigma must be positive")
-    return abs(1.0 - eta * sigma)
+def _rate_kind(eta, low, high):
+    """Kind of the rate eta between the thresholds low and high.
+
+    A rate <= 0 is NotPositive: gradient descent does not descend.
+    """
+    if eta <= 0:
+        return RegimeKind.NOT_POSITIVE
+    if abs(eta - low) <= BOUNDARY_RTOL * low or abs(eta - high) <= BOUNDARY_RTOL * high:
+        return RegimeKind.BOUNDARY
+    if eta < low:
+        return RegimeKind.SMALL
+    if eta < high:
+        return RegimeKind.BIG
+    return RegimeKind.DIVERGENT
 
 
 def classify_rate(eta, spectrum):
@@ -68,76 +77,28 @@ def classify_rate(eta, spectrum):
 
     Small: eta < 2/(sigma_1+sigma_n); Big: up to 2/sigma_1; Divergent
     beyond. Rates within 1e-12 relative of either threshold are
-    Boundary.
+    Boundary. Raises ValueError on a rate <= 0.
     """
     if eta <= 0:
         raise ValueError("step size must be positive")
     low = 2.0 / (spectrum.top + spectrum.bottom)
     high = 2.0 / spectrum.top
-    thresholds = (low, high)
-    if abs(eta - low) <= BOUNDARY_RTOL * low or abs(eta - high) <= BOUNDARY_RTOL * high:
-        kind = RegimeKind.BOUNDARY
-    elif eta < low:
-        kind = RegimeKind.SMALL
-    elif eta < high:
-        kind = RegimeKind.BIG
-    else:
-        kind = RegimeKind.DIVERGENT
-    return RateRegime(kind=kind, eta=eta, thresholds=thresholds)
+    return RateRegime(kind=_rate_kind(eta, low, high), eta=eta, thresholds=(low, high))
 
 
-def _kind_of(regime):
-    return regime.kind if isinstance(regime, RateRegime) else regime
+def _mass_ratio(lead, rest):
+    """Squared mass ratio off the distinguished direction, an epsilon ratio.
 
-
-def leading_attenuation(eta, spectrum, regime):
-    """|1 - eta sigma| on the regime's distinguished direction."""
-    kind = _kind_of(regime)
-    if kind is RegimeKind.SMALL:
-        return attenuation(eta, spectrum.bottom)
-    if kind is RegimeKind.BIG:
-        return attenuation(eta, spectrum.top)
-    raise WrongRegime(f"no distinguished direction for {kind.value} regime")
-
-
-def second_attenuation(eta, spectrum, regime):
-    """Second-biggest attenuation coefficient for a Small or Big rate.
-
-    Small: |1 - eta sigma_{n-1}|. Big: max(|1 - eta sigma_2|,
-    |1 - eta sigma_n|). Strictly below the leading attenuation in both
-    valid regimes.
+    sum(rest_i^2) / lead^2, as the sum of (rest_i / lead)^2: Big takes
+    lead mu_1 and rest mu_2..mu_n, Small lead mu_n and rest mu_1..mu_{n-1}.
     """
-    kind = _kind_of(regime)
-    if spectrum.n < 2:
-        raise WrongRegime("second attenuation needs at least two eigenvalues")
-    sig = spectrum.eigenvalues
-    if kind is RegimeKind.SMALL:
-        return attenuation(eta, sig[-2])
-    if kind is RegimeKind.BIG:
-        return max(attenuation(eta, sig[1]), attenuation(eta, sig[-1]))
-    raise WrongRegime(f"second attenuation undefined for {kind.value} regime")
-
-
-def epsilon_ratio(run, regime):
-    """Squared mass ratio off the distinguished direction.
-
-    Big: sum_{i>1} mu_i^2 / mu_1^2. Small: sum_{i<n} mu_i^2 / mu_n^2.
-    """
-    kind = _kind_of(regime)
-    mu = np.asarray(run.mu, dtype=float)
-    if kind is RegimeKind.BIG:
-        lead = mu[0]
-        rest = mu[1:]
-    elif kind is RegimeKind.SMALL:
-        lead = mu[-1]
-        rest = mu[:-1]
-    else:
-        raise WrongRegime(f"epsilon ratio undefined for {kind.value} regime")
     if abs(lead) < UNDERFLOW_GUARD:
         raise ZeroDenominator(
             "distinguished coefficient underflowed below 1e-300"
         )
-    return float(np.sum((rest / lead) ** 2))
+    ratio = rest / lead
+    ratio *= ratio
+    return float(ratio.sum())
 
 
 @dataclass(frozen=True)
@@ -213,7 +174,8 @@ def _window(t1, scale, lead, alpha):
 
 
 def _positive_decreasing(w):
-    return bool(w.shape[0] >= 2 and w[-1] > 0 and (w[1:] < w[:-1]).all())
+    """Whether the list w holds at least two positive, strictly decreasing values."""
+    return len(w) >= 2 and w[-1] > 0 and all(a > b for a, b in zip(w, w[1:]))
 
 
 def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
@@ -227,25 +189,28 @@ def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
     # Plain floats throughout: the same IEEE results as numpy scalars, cheaper.
     iota = np.asarray(iota, dtype=float)
     eta_s, eta_b, kappa_R = float(eta_s), float(eta_b), float(kappa_R)
-    n, sig_1, sig_n = spectrum.n, spectrum.top, spectrum.bottom
+    sig = spectrum.eigenvalues.tolist()
+    n, sig_1, sig_n = len(sig), sig[0], sig[-1]
     kappa_F = condition_number(spectrum)
-    rs = classify_rate(eta_s, spectrum)
-    rb = classify_rate(eta_b, spectrum)
+    low, high = 2.0 / (sig_1 + sig_n), 2.0 / sig_1
+    kind_s, kind_b = _rate_kind(eta_s, low, high), _rate_kind(eta_b, low, high)
     i1, inn = float(iota[0]), float(iota[-1])
-    base = (eta_s, eta_b, kappa_F, kappa_R, *rs.thresholds, rs.kind, rb.kind, i1, inn,
+    base = (eta_s, eta_b, kappa_F, kappa_R, low, high, kind_s, kind_b, i1, inn,
             float(r_opt))
     if not (
-        rs.kind is RegimeKind.SMALL
-        and rb.kind is RegimeKind.BIG
-        and _positive_decreasing(spectrum.eigenvalues)
+        kind_s is RegimeKind.SMALL
+        and kind_b is RegimeKind.BIG
+        and _positive_decreasing(sig)
         and i1**2 > 0
         and inn**2 > 0
     ):
         return RegimeRecord(*base)
-    lead_s = leading_attenuation(eta_s, spectrum, RegimeKind.SMALL)
-    second_s = second_attenuation(eta_s, spectrum, RegimeKind.SMALL)
-    lead_b = leading_attenuation(eta_b, spectrum, RegimeKind.BIG)
-    second_b = second_attenuation(eta_b, spectrum, RegimeKind.BIG)
+    # |1 - eta sigma| on each regime's distinguished direction (lead) and
+    # the largest one off it (second).
+    lead_s = abs(1.0 - eta_s * sig_n)
+    second_s = abs(1.0 - eta_s * sig[-2])
+    lead_b = abs(1.0 - eta_b * sig_1)
+    second_b = max(abs(1.0 - eta_b * sig[1]), abs(1.0 - eta_b * sig_n))
     if second_s == 0:  # eta_s sigma_{n-1} == 1: the Small gap is infinite.
         return RegimeRecord(*base)
     gap_s = math.log(lead_s / second_s)
@@ -296,7 +261,8 @@ class AssumptionVerdict:
 def check_assumptions(pair, theta0, eta_s, eta_b, alpha, record=None):
     """Evaluate the four standing assumptions on a problem instance.
 
-    A1 distinct positive eigenvalues (n >= 2), A2 rate ordering, A3
+    A1 distinct positive eigenvalues (n >= 2), A2 rate ordering (eta_s
+    Small, eta_b Big; a rate <= 0 is NotPositive), A3
     nonzero initialization on the boundary directions, A4 the level-set
     target alpha, finite and positive, below alpha_1 with small enough
     model error. Returns verdicts with the computed numbers; never
@@ -310,7 +276,8 @@ def check_assumptions(pair, theta0, eta_s, eta_b, alpha, record=None):
     elif (record.eta_s, record.eta_b) != (eta_s, eta_b):
         raise ValueError("record was derived for other step sizes")
     a1 = all(
-        not s.degenerate and _positive_decreasing(s.eigenvalues) for s in (spec, tspec)
+        not s.degenerate and _positive_decreasing(s.eigenvalues.tolist())
+        for s in (spec, tspec)
     )
     a2 = record.kind_s is RegimeKind.SMALL and record.kind_b is RegimeKind.BIG
     a3 = abs(record.iota_1) >= UNDERFLOW_GUARD and abs(record.iota_n) >= UNDERFLOW_GUARD
@@ -421,16 +388,17 @@ class Certificate:
         return rec
 
 
-def _test_loss(pair, run):
-    """Test loss of a run, evaluated from its error coordinates.
+def _test_loss(pair, mu, offset):
+    """Test loss of a run with error coordinates mu, from those coordinates.
 
     At small level-set targets the error theta - theta_hat_* sits many
     orders of magnitude below theta itself, so evaluating the test loss
-    from run.theta cancels catastrophically. Reassembling the error from
-    mu (exact in relative terms) avoids the O(1) subtraction.
+    from run.theta cancels catastrophically. Reassembling the error
+    V mu + offset, with offset = theta_hat - theta_hat_*, from mu (exact
+    in relative terms) avoids the O(1) subtraction.
     """
-    offset = pair.train.optimum - pair.test.optimum
-    err = pair.train.spectrum.eigenvectors @ run.mu + offset
+    err = pair.train.spectrum.eigenvectors @ mu
+    err += offset
     return 0.5 * float(err @ pair.test.spectrum.apply(err))
 
 
@@ -472,14 +440,16 @@ def certify(pair, run_s, run_b, alpha, record=None):
     ):
         raise LevelSetMismatch("runs started from different initializations")
 
-    sig = spec.eigenvalues
+    sig = spec.eigenvalues.tolist()
     tspec = pair.test.spectrum
     kappa_F, kappa_R, r_opt = record.kappa_F, record.kappa_R, record.r_opt
     varsig1, varsign = tspec.top, tspec.bottom
-    eps_b2 = epsilon_ratio(run_b, RegimeKind.BIG)
-    eps_s2 = epsilon_ratio(run_s, RegimeKind.SMALL)
-    r_big = _test_loss(pair, run_b)
-    r_small = _test_loss(pair, run_s)
+    mu_b, mu_s = np.asarray(run_b.mu, dtype=float), np.asarray(run_s.mu, dtype=float)
+    eps_b2 = _mass_ratio(mu_b[0], mu_b[1:])
+    eps_s2 = _mass_ratio(mu_s[-1], mu_s[:-1])
+    offset = pair.train.optimum - pair.test.optimum
+    r_big = _test_loss(pair, mu_b, offset)
+    r_small = _test_loss(pair, mu_s, offset)
     if abs(record.iota_1) < UNDERFLOW_GUARD or abs(record.iota_n) < UNDERFLOW_GUARD:
         raise ZeroInitialization("zero initial coefficient on sigma_1 or sigma_n")
     if math.isnan(record.alpha_1):
@@ -495,9 +465,9 @@ def certify(pair, run_s, run_b, alpha, record=None):
     bound_general = 17.0 * c_alpha * ratio * r_small if math.isfinite(c_alpha) else math.inf
     bound_rhs = 34.0 * ratio * r_small
 
-    n = spec.n
-    mu_b1 = float(run_b.mu[0])
-    mu_sn = float(run_s.mu[-1])
+    n = len(sig)
+    mu_b1 = float(mu_b[0])
+    mu_sn = float(mu_s[-1])
     lower_arg = 18.0 * r_opt * sig[-1] / (varsign * alpha)
     r_small_floor = (
         0.3 * alpha * (varsign / sig[-1]) * (1.0 - math.sqrt(lower_arg))

@@ -1,6 +1,7 @@
 """Deterministic CSV and SVG emission for experiment outputs."""
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -19,25 +20,33 @@ def format_value(value):
     return str(value)
 
 
+def write_bytes(text, path):
+    """Write text to path as UTF-8 in one call; return the bytes written."""
+    data = text.encode("utf-8")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    return data
+
+
 def write_csv(rows, schema, path):
     """Write rows under a header; floats print shortest-round-trip.
 
     RFC-4180-style quoting, '\\n' line endings, no locale formatting.
-    Every row must match the schema arity.
+    Every row must match the schema arity. Returns the bytes written.
     """
     for i, row in enumerate(rows):
         if len(row) != len(schema):
             raise ValueError(
                 f"row {i} has {len(row)} fields, schema has {len(schema)}"
             )
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(schema)
-            for row in rows:
-                writer.writerow([format_value(v) for v in row])
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(schema)
+    writer.writerows([format_value(v) for v in row] for row in rows)
+    return write_bytes(buf.getvalue(), path)
 
 
 def read_csv(path):
@@ -86,30 +95,30 @@ def _coord(v):
 
 
 def _span(values):
-    """(lo, hi) of the values, widened to a non-empty range; (0, 1) if none."""
-    if not values:
+    """(lo, hi) of a float array, widened to a non-empty range; (0, 1) if empty."""
+    if not values.size:
         return 0.0, 1.0
-    lo, hi = min(values), max(values)
+    lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         # nextafter keeps the range open where 1.0 is absorbed (|lo| >= 2**53).
         hi = max(lo + 1.0, math.nextafter(lo, math.inf))
     return lo, hi
 
 
-def _y_value(y, axes):
-    if axes.log_y:
-        return math.log10(max(float(y), 1e-300))
-    return float(y)
-
-
 def _finite_points(s, axes):
-    """(x, y on the axis scale) for each point with a finite place on the axes."""
-    points = []
-    for x, y in zip(s.xs, s.ys):
-        x, y = float(x), _y_value(y, axes)
-        if math.isfinite(x) and math.isfinite(y):
-            points.append((x, y))
-    return points
+    """(xs, ys on the axis scale) of the points with a finite place on the axes.
+
+    Two float arrays; points pair up as zip(s.xs, s.ys) does. The log of
+    a log_y axis is math.log10, one value at a time.
+    """
+    count = min(len(s.xs), len(s.ys))
+    xs = np.array(s.xs[:count], dtype=float)
+    if axes.log_y:
+        ys = np.array([math.log10(max(float(y), 1e-300)) for y in s.ys[:count]], dtype=float)
+    else:
+        ys = np.array(s.ys[:count], dtype=float)
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    return xs[keep], ys[keep]
 
 
 def _unit(lo, hi):
@@ -133,15 +142,17 @@ def render_svg(series, axes, path):
     Points with a non-finite coordinate (after the log for log_y axes)
     are left out of the axis ranges and the polylines. Output bytes
     depend only on the inputs, so re-rendering the same data is
-    byte-identical.
+    byte-identical. Returns the bytes written.
     """
     series = list(series)
     if not series:
         raise ValueError("render_svg needs at least one series")
     points = [_finite_points(s, axes) for s in series]
     vlines = [float(v) for v in axes.vlines if math.isfinite(float(v))]
-    x_unit = _unit(*_span([x for pts in points for x, _ in pts] + vlines))
-    y_unit = _unit(*_span([y for pts in points for _, y in pts]))
+    xs = np.concatenate([x for x, _ in points])
+    ys = np.concatenate([y for _, y in points])
+    x_unit = _unit(*_span(np.concatenate([xs, vlines])))
+    y_unit = _unit(*_span(ys))
 
     def px(x):
         return _MARGIN + x_unit(x) * (_WIDTH - 2 * _MARGIN)
@@ -184,9 +195,8 @@ def render_svg(series, axes, path):
         )
     # px and py map the points of every series as two arrays, with the
     # operations they apply to one float; each polyline takes its share.
-    xs, ys = np.array([p for pts in points for p in pts], dtype=float).reshape(-1, 2).T
     pixels = map("{:.3f},{:.3f}".format, px(xs).tolist(), py(ys).tolist())
-    for i, (s, pts) in enumerate(zip(series, points)):
+    for i, (s, (pts, _)) in enumerate(zip(series, points)):
         color = _PALETTE[i % len(_PALETTE)]
         coords = " ".join(itertools.islice(pixels, len(pts)))
         parts.append(
@@ -204,8 +214,4 @@ def render_svg(series, axes, path):
             f'font-size="11">{s.name}</text>'
         )
     parts.append("</svg>")
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    return write_bytes("\n".join(parts) + "\n", path)

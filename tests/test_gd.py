@@ -1,5 +1,7 @@
 """Gradient descent: closed form and level-set search vs step-by-step loops."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -417,3 +419,41 @@ def test_certify_runs_start_at_the_lower_bound(monkeypatch):
         for eta in (inst.eta_s, inst.eta_b):
             run_to_level_set(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
     assert evaluations == [3] * 40
+
+
+def _numpy_hit_lower_bound(weights, rates, alpha, t_max):
+    """Oracle: the lower bound evaluated with numpy logs on arrays."""
+    weights, rates = np.asarray(weights, dtype=float), np.asarray(rates, dtype=float)
+    if 1.0 in rates:
+        return 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (math.log(alpha) - np.log(weights)) / (2.0 * np.log(rates))
+    end = float(t.max())
+    if not math.isfinite(end):
+        return 1
+    return min(max(math.ceil(end) - 1, 1), t_max)
+
+
+def test_lower_bound_on_floats_finds_what_the_numpy_bound_finds(monkeypatch):
+    """Steps, status, mu and final loss are those of a search from the numpy bound.
+
+    On the 320 random problems and the edge cases; the two bounds also agree.
+    """
+    starts = []
+    real = gd.hit_lower_bound
+
+    def both(*args):
+        starts.append((real(*args), _numpy_hit_lower_bound(*args)))
+        return starts[-1][0]
+
+    monkeypatch.setattr(gd, "hit_lower_bound", both)
+    for sigma, iota, eta, alpha, t_max in _search_cases():
+        run = diagonal_run(sigma, iota, eta, alpha, t_max)
+        with monkeypatch.context() as m:
+            m.setattr(gd, "hit_lower_bound", _numpy_hit_lower_bound)
+            ref = diagonal_run(sigma, iota, eta, alpha, t_max)
+        assert (run.steps, run.stop_status) == (ref.steps, ref.stop_status)
+        assert np.array_equal(run.mu, ref.mu)
+        assert run.final_excess == ref.final_excess
+    assert len(starts) > 200
+    assert all(got == want for got, want in starts)

@@ -37,3 +37,29 @@ def test_random_orthogonal_matches_rotation_loop(n):
 def test_random_orthogonal_is_orthogonal():
     q = random_orthogonal(np.random.default_rng(0), 8)
     assert np.allclose(q.T @ q, np.eye(8), atol=1e-13)
+
+
+def _column_list_loop(rng, n):
+    """Oracle: each rotation updates two columns held as lists of floats."""
+    angles = iter(rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2).tolist())
+    cols = np.eye(n).tolist()
+    for p in range(n - 1):
+        for r in range(p + 1, n):
+            angle = next(angles)
+            c, s = math.cos(angle), math.sin(angle)
+            col_p, col_r = cols[p], cols[r]
+            cols[p] = [c * x - s * y for x, y in zip(col_p, col_r)]
+            cols[r] = [s * x + c * y for x, y in zip(col_p, col_r)]
+    return np.array(cols).T.copy()
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_random_orthogonal_matches_column_list_loop(n):
+    """Row-wise rotations, with the zero-only ones skipped, give the same bits."""
+    for seed in range(50):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _column_list_loop(want_rng, n)
+        got = random_orthogonal(got_rng, n)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got_rng.uniform() == want_rng.uniform()

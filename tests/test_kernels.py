@@ -1,5 +1,7 @@
 """Kernel ridge machinery against direct linear-algebra oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from stepbias.errors import (
     SingularSystem,
 )
 from stepbias.gd import iterate
+from stepbias.kernels import gaussian_cross_kernel, gaussian_kernel_matrix
 from stepbias.quadratic import from_kernel
 
 
@@ -236,3 +239,44 @@ def test_load_dataset_errors(tmp_path):
         kernels.load_dataset(p)
     with pytest.raises(IoError):
         kernels.load_dataset(tmp_path / "missing.csv")
+
+
+def _expanded_kernel(X_train, X_query, s):
+    """Oracle: the distance expansion and exp of gaussian_cross_kernel at a normal scale."""
+    center = X_train.mean(axis=0)
+    a, b = X_train - center, X_query - center
+    d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T
+    return np.exp(-np.maximum(d2, 0.0) / (2.0 * s * s))
+
+
+def test_gaussian_cross_kernel_at_an_underflowing_scale():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(6, 2))
+    Q = np.vstack([X[[0, 4]], rng.normal(size=(3, 2))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # 2 s^2 underflows to 0: the s -> 0 limit, 1 on equal points.
+        K = gaussian_cross_kernel(X, Q, 1e-200)
+        want = np.zeros((6, 5))
+        want[0, 0] = want[4, 1] = 1.0
+        assert np.array_equal(K, want)
+        assert np.array_equal(gaussian_kernel_matrix(X, 1e-200), np.eye(6))
+        # 2 s^2 is tiny but not 0: the plain expression, where d2 / (2 s^2)
+        # overflows to inf and exp gives 0. The limit does not apply here,
+        # so an equal pair gives 1 only where the expansion leaves no
+        # residue: Q[1] against X[4] does, Q[0] against X[0] does not.
+        K = gaussian_cross_kernel(X, Q, 1e-155)
+        with np.errstate(over="ignore"):
+            assert K.tobytes() == _expanded_kernel(X, Q, 1e-155).tobytes()
+        assert K[4, 1] == 1.0 and K[0, 0] == 0.0
+        assert np.count_nonzero(K) == 1
+        # At normal scales the values are those of the plain expression.
+        for s in (0.3, 1.0, 7.0):
+            assert gaussian_cross_kernel(X, Q, s).tobytes() == _expanded_kernel(X, Q, s).tobytes()
+
+
+def test_underflowing_scale_compares_the_points_themselves():
+    # Centering by the mean (about 1) would round both points to -1.0 + 1.0.
+    X = np.array([[1e-20], [2e-20], [3.0]])
+    K = gaussian_cross_kernel(X, X, 1e-200)
+    assert np.array_equal(K, np.eye(3))

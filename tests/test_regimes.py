@@ -21,21 +21,79 @@ from stepbias.experiments import stream
 from stepbias.instances import random_instance
 from stepbias.quadratic import ProblemPair, QuadraticObjective
 from stepbias.regimes import (
+    RateRegime,
     RegimeKind,
     StepWindow,
-    attenuation,
+    _mass_ratio,
     certify,
     check_assumptions,
     classify_rate,
-    epsilon_ratio,
-    leading_attenuation,
     pair_record,
     regime_record,
-    second_attenuation,
 )
 from stepbias.spectral import condition_number, diagonal_spectrum
 
 SPEC = diagonal_spectrum([1.0, 0.9, 0.3, 0.2])
+
+
+# regime_record and certify take these numbers inline; the per-quantity
+# functions they replaced are kept here as the bitwise oracles.
+
+
+def attenuation(eta, sigma):
+    """Oracle: per-step multiplier |1 - eta sigma| on an eigendirection."""
+    if eta <= 0 or sigma <= 0:
+        raise ValueError("eta and sigma must be positive")
+    return abs(1.0 - eta * sigma)
+
+
+def _kind_of(regime):
+    return regime.kind if isinstance(regime, RateRegime) else regime
+
+
+def leading_attenuation(eta, spectrum, regime):
+    """Oracle: |1 - eta sigma| on the regime's distinguished direction."""
+    kind = _kind_of(regime)
+    if kind is RegimeKind.SMALL:
+        return attenuation(eta, spectrum.bottom)
+    if kind is RegimeKind.BIG:
+        return attenuation(eta, spectrum.top)
+    raise WrongRegime(f"no distinguished direction for {kind.value} regime")
+
+
+def second_attenuation(eta, spectrum, regime):
+    """Oracle: second-biggest attenuation coefficient for a Small or Big rate.
+
+    Small: |1 - eta sigma_{n-1}|. Big: max(|1 - eta sigma_2|,
+    |1 - eta sigma_n|).
+    """
+    kind = _kind_of(regime)
+    if spectrum.n < 2:
+        raise WrongRegime("second attenuation needs at least two eigenvalues")
+    sig = spectrum.eigenvalues
+    if kind is RegimeKind.SMALL:
+        return attenuation(eta, sig[-2])
+    if kind is RegimeKind.BIG:
+        return max(attenuation(eta, sig[1]), attenuation(eta, sig[-1]))
+    raise WrongRegime(f"second attenuation undefined for {kind.value} regime")
+
+
+def epsilon_ratio(run, regime):
+    """Oracle: squared mass ratio off the distinguished direction.
+
+    Big: sum_{i>1} mu_i^2 / mu_1^2. Small: sum_{i<n} mu_i^2 / mu_n^2.
+    """
+    kind = _kind_of(regime)
+    mu = np.asarray(run.mu, dtype=float)
+    if kind is RegimeKind.BIG:
+        lead, rest = mu[0], mu[1:]
+    elif kind is RegimeKind.SMALL:
+        lead, rest = mu[-1], mu[:-1]
+    else:
+        raise WrongRegime(f"epsilon ratio undefined for {kind.value} regime")
+    if abs(lead) < 1e-300:
+        raise ZeroDenominator("distinguished coefficient underflowed below 1e-300")
+    return float(np.sum((rest / lead) ** 2))
 
 
 def test_attenuation_formula():
@@ -121,6 +179,8 @@ def test_epsilon_ratio():
     assert epsilon_ratio(run, RegimeKind.SMALL) == pytest.approx((4.0 + 1.0) / 0.25)
     with pytest.raises(ZeroDenominator):
         epsilon_ratio(_fake_run([0.0, 1.0]), RegimeKind.BIG)
+    with pytest.raises(ZeroDenominator):
+        _mass_ratio(0.0, np.ones(1))
     with pytest.raises(WrongRegime):
         epsilon_ratio(run, RegimeKind.DIVERGENT)
 
@@ -599,3 +659,42 @@ def test_check_assumptions_on_a_one_dimensional_pair_returns_verdicts():
     assert len(verdicts) == 4
     assert not passed["A1_distinct_eigenvalues"]
     assert not passed["A4_level_set_target"]
+
+
+def test_check_assumptions_on_non_positive_rates_fails_a2():
+    # A rate <= 0 used to raise from classify_rate through regime_record.
+    train = QuadraticObjective(diagonal_spectrum([1.0, 0.6, 0.3, 0.2]), np.zeros(4))
+    test = QuadraticObjective(diagonal_spectrum([1.0, 0.8, 0.7, 0.5]), np.zeros(4))
+    pair = ProblemPair(train, test)
+    theta0 = np.array([0.5, 0.5, 0.5, 0.5])
+    for eta_s, eta_b in ((0.0, 1.9), (-1.0, 1.9), (0.7, 0.0)):
+        verdicts = check_assumptions(pair, theta0, eta_s, eta_b, 1e-10)
+        assert [v.passed for v in verdicts] == [True, False, True, False], (eta_s, eta_b)
+        kinds = verdicts[1].details
+        assert "NotPositive" in (kinds["eta_s_kind"], kinds["eta_b_kind"])
+    with pytest.raises(ValueError):
+        classify_rate(0.0, SPEC)
+
+
+def _test_loss_reference(pair, run):
+    """Oracle: R(theta) of a run from V mu + (theta_hat - theta_hat_*)."""
+    offset = pair.train.optimum - pair.test.optimum
+    err = pair.train.spectrum.eigenvectors @ run.mu + offset
+    return 0.5 * float(err @ pair.test.spectrum.apply(err))
+
+
+def test_certify_ratios_and_test_losses_match_the_references():
+    """Bitwise, on generated pairs with and without model error."""
+    for seed, n, fraction in _draws(60):
+        inst = _generated(seed, n=n, model_error_fraction=fraction)
+        run_s, run_b = _runs_for(inst)
+        cert = certify(inst.pair, run_s, run_b, inst.alpha)
+        assert cert.epsilon_b2 == epsilon_ratio(run_b, RegimeKind.BIG)
+        assert cert.epsilon_s2 == epsilon_ratio(run_s, RegimeKind.SMALL)
+        assert cert.r_big == _test_loss_reference(inst.pair, run_b)
+        assert cert.r_small == _test_loss_reference(inst.pair, run_s)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        mu = rng.normal(size=int(rng.integers(2, 12))) * 10.0 ** rng.integers(-5, 5)
+        assert _mass_ratio(mu[0], mu[1:]) == epsilon_ratio(_fake_run(mu), RegimeKind.BIG)
+        assert _mass_ratio(mu[-1], mu[:-1]) == epsilon_ratio(_fake_run(mu), RegimeKind.SMALL)

@@ -17,6 +17,7 @@ from stepbias.config import (
     validate_config,
 )
 from stepbias.errors import IoError, ParseError, ValidationError
+from stepbias.regimes import RegimeKind
 from stepbias.reporting import (
     AxesSpec,
     Series,
@@ -38,6 +39,11 @@ def test_format_value():
     assert format_value(np.bool_(True)) == "true"
     assert format_value(3) == "3"
     assert format_value("x") == "x"
+    assert format_value(-0.0) == "-0.0"
+    assert format_value(np.float64(math.nan)) == "nan"
+    assert format_value(np.float32(0.1)) == "0.10000000149011612"
+    assert format_value(np.int64(-4)) == "-4"
+    assert format_value(None) == "None"
 
 
 def test_csv_roundtrip_exact(tmp_path):
@@ -141,10 +147,12 @@ def test_render_svg_coordinates_match_the_per_point_mapping(tmp_path):
     for k, (series, axes) in enumerate(cases):
         path = tmp_path / f"{k}.svg"
         render_svg(series, axes, path)
-        points = [reporting._finite_points(s, axes) for s in series]
+        points = [
+            list(zip(*(a.tolist() for a in reporting._finite_points(s, axes)))) for s in series
+        ]
         xs = [x for pts in points for x, _ in pts] + list(axes.vlines)
-        x_unit = reporting._unit(*reporting._span(xs))
-        y_unit = reporting._unit(*reporting._span([y for pts in points for _, y in pts]))
+        x_unit = reporting._unit(*reporting._span(np.array(xs)))
+        y_unit = reporting._unit(*reporting._span(np.array([y for pts in points for _, y in pts])))
         want = [
             " ".join(
                 f"{60.0 + x_unit(x) * 520.0:.3f},{420.0 - y_unit(y) * 360.0:.3f}"
@@ -374,3 +382,66 @@ def test_cli_manifest_hashes_match_files(tmp_path):
         digest = hashlib.sha256((out_dir / entry["path"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
     assert manifest["config"]["experiment"] == "toy2d"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"experiment": "eta_sweep", "n": 20, "lam": 1e300},
+        {"experiment": "eta_sweep", "n": 20, "lam": 1e200},
+        {"experiment": "alpha_sweep", "n": 20, "lam": 1e300},
+        {"experiment": "alpha_sweep", "n": 20, "lam": 1e200},
+    ],
+)
+def test_cli_underflowed_level_set_target_is_a_refusal(raw, tmp_path, capsys):
+    # A huge lam leaves the initial excess loss at 0, and with it alpha.
+    path = _write_cfg(tmp_path, **raw)
+    assert cli.main(["run", "--config", path, "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "level-set target" in err and "underflows to 0.0" in err
+    assert "Traceback" not in err
+
+
+_FIELD_VALUES = [
+    0.1, -0.0, 0.0, math.inf, -math.inf, math.nan, 1e-320, 1.7976931348623157e308,
+    np.float64(0.1), np.float64(-0.0), np.float64(math.nan), np.float32(0.1), np.float16(2.5),
+    True, False, np.bool_(True), np.bool_(False),
+    0, -7, 2**70, np.int64(3), np.int32(-4),
+    "", "x", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "é",
+    None, RegimeKind.BIG,
+]
+
+
+def test_write_csv_matches_a_csv_writer_on_the_file(tmp_path):
+    """One formatted write gives the bytes of csv.writer writing row by row."""
+    import csv
+
+    rows = [tuple(_FIELD_VALUES[i:i + 4]) for i in range(0, len(_FIELD_VALUES) - 3)]
+    rows += [("",), ("only",)]
+    for k, group in enumerate((rows[:-2], rows[-2:])):
+        schema = ("a", "b", "c", "d")[: len(group[0])]
+        got = write_csv(group, schema, tmp_path / f"got{k}.csv")
+        with open(tmp_path / f"want{k}.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(schema)
+            for row in group:
+                writer.writerow([format_value(v) for v in row])
+        want = (tmp_path / f"want{k}.csv").read_bytes()
+        assert got == want == (tmp_path / f"got{k}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("experiment", sorted(experiments._RUNNERS))
+def test_manifest_hashes_the_files_on_disk(experiment, tmp_path):
+    """Each file's hash, taken from the bytes written, is the SHA-256 of the file."""
+    import hashlib
+
+    out_dir = tmp_path / "o"
+    manifest = experiments.run_experiment(
+        validate_config({"experiment": experiment, "output_dir": str(out_dir)})
+    )
+    assert len(manifest["files"]) == 2
+    for entry in manifest["files"]:
+        assert entry["sha256"] == hashlib.sha256((out_dir / entry["path"]).read_bytes()).hexdigest()
+    on_disk = (out_dir / "manifest.json").read_bytes()
+    assert on_disk == (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    assert json.loads(on_disk) == manifest
