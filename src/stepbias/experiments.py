@@ -30,7 +30,7 @@ from .instances import random_instance
 from .quadratic import QuadraticObjective
 from .regimes import certify, check_assumptions, pair_record
 from .reporting import AxesSpec, Series, render_svg, write_bytes, write_csv
-from .spectral import Spectrum, condition_number, eig_sym
+from .spectral import condition_number, eigvals_sym
 
 T_MAX_SWEEP = 500_000
 
@@ -216,10 +216,11 @@ def _sweep_problem(cfg):
             cfg.n_test, stream(cfg.seed, "test-data"), d=cfg.d
         )
     prob = kernels.kernel_problem(train, cfg.scale, cfg.lam)
+    obj, alpha_star = kernels.ridge_fit(prob)
     return _Sweep(
         prob=prob,
-        obj=kernels.train_objective(prob),
-        alpha_star=kernels.ridge_alpha(prob.K, prob.y, prob.lam),
+        obj=obj,
+        alpha_star=alpha_star,
         test=test,
         cross=kernels.gaussian_cross_kernel(
             prob.dataset.points, test.points, prob.scale
@@ -362,10 +363,8 @@ def _run_scale_sweep(cfg, out):
         )
     rows = []
     for s in cfg.scale_grid:
-        K = kernels.gaussian_kernel_matrix(data.points, float(s))
-        spec = eig_sym(K / data.n)
-        shifted = Spectrum(spec.eigenvalues + cfg.lam, spec.eigenvectors)
-        rows.append((float(s), condition_number(spec), condition_number(shifted)))
+        sig = eigvals_sym(kernels.gaussian_kernel_matrix(data.points, float(s)) / data.n)
+        rows.append((float(s), condition_number(sig), condition_number(sig + cfg.lam)))
     schema = ("scale", "kappa", "kappa_regularized")
     out.csv("scale_sweep.csv", rows, schema)
     xs = tuple(r[0] for r in rows)

@@ -7,6 +7,13 @@ eigen-coefficient of theta on the eigenbasis of K/n is
 sqrt(n sigma_i) <alpha, u_i>, which is how kernel problems talk to the
 quadratic/GD machinery. Hilbert-norm functionals are always computed
 through K, never through K^{-1}.
+
+Gaussian kernels come from a centred distance expansion evaluated in
+place on one buffer (gaussian_cross_kernel); at scales small enough
+for its round-off to matter, direct differences replace it.
+A sweep's ridge system (K + n lam I) alpha* = y is solved once, in the
+eigenbasis of K/n that the problem already holds (ridge_fit);
+ridge_alpha's Cholesky solve serves the dual-space code.
 """
 
 import csv
@@ -22,10 +29,11 @@ from .errors import (
     ParseError,
     SingularSystem,
 )
-from .quadratic import QuadraticObjective, _ridge_objective
+from .quadratic import QuadraticObjective, _ridge_fit
 from .spectral import Spectrum, eig_sym
 
 CHOLESKY_PIVOT_RTOL = 1e-12
+SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 GAUSSIAN_C_K = 1.0
 
 
@@ -76,7 +84,8 @@ def gaussian_kernel_matrix(X, s):
     of the distance expansion averaged away and the diagonal set to 1.
     """
     K = gaussian_cross_kernel(X, X, s)
-    K = 0.5 * (K + K.T)
+    K += K.T  # numpy copies an operand that overlaps the output first
+    K *= 0.5
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -87,34 +96,57 @@ def gaussian_cross_kernel(X_train, X_query, s):
     Both arguments are shifted by the training-row mean before expanding
     ||a - b||^2 = ||a||^2 + ||b||^2 - 2 <a, b>: distances do not change,
     and the expansion no longer cancels catastrophically on data far
-    from the origin. Only when 2 s^2 underflows to 0 is the kernel its
-    s -> 0 limit, 1 where the two points are equal and 0 elsewhere. Above
-    that, the expansion can leave a round-off residue in the distance of
-    a point to itself, which a small s turns into a kernel value below
-    1, down to 0 (at s = 1e-155, for one): the limit is not reached
-    continuously.
+    from the origin. The expansion is evaluated in place on one n x m
+    buffer, with the same IEEE operations in the same order as
+    exp(-max(||a||^2 + ||b||^2 - (2 a) b^T, 0) / (2 s^2)).
+
+    The expansion leaves a round-off residue of about eps max ||x||^2
+    (centred) in each distance, which exp(-d2 / (2 s^2)) magnifies as s
+    shrinks. Where 2 s^2 is at most sqrt(eps) max ||x||^2, the kernel is
+    computed from direct differences of the uncentred points instead,
+    exp(-sum_k ((a_k - b_k) / s)^2 / 2): there a point against itself
+    gives exactly 1, and distinct points give 0 once the scaled distance
+    overflows, which is the s -> 0 limit. Above that line the expansion
+    is kept, so a point against itself can still read below 1, by at
+    most a few sqrt(eps) relative.
     """
     if s <= 0:
         raise ValueError("kernel scale must be positive")
     X_train = np.asarray(X_train, dtype=float)
     X_query = np.atleast_2d(np.asarray(X_query, dtype=float))
     width = 2.0 * s * s
-    if width == 0.0:
-        same = (X_train[:, None, :] == X_query[None, :, :]).all(axis=2)
-        return same.astype(float)
     center = X_train.mean(axis=0)
-    X_train = X_train - center
-    X_query = X_query - center
-    d2 = np.maximum(
-        np.sum(X_train**2, axis=1)[:, None]
-        + np.sum(X_query**2, axis=1)[None, :]
-        - 2.0 * X_train @ X_query.T,
-        0.0,
-    )
-    # For a tiny s, d2 / width overflows to inf, where exp(-inf) = 0 is
-    # the kernel's value.
+    train = X_train - center
+    query = X_query - center
+    train_sq = np.sum(train**2, axis=1)
+    query_sq = np.sum(query**2, axis=1)
+    if width <= SQRT_EPS * max(train_sq.max(initial=0.0), query_sq.max(initial=0.0)):
+        return _direct_kernel(X_train, X_query, s)
+    gram = (2.0 * train) @ query.T
+    d2 = np.add.outer(train_sq, query_sq)
+    d2 -= gram
+    np.maximum(d2, 0.0, out=d2)
+    np.negative(d2, out=d2)
+    d2 /= width
+    return np.exp(d2, out=d2)
+
+
+def _direct_kernel(X_train, X_query, s):
+    """exp(-sum_k ((a_k - b_k) / s)^2 / 2) from differences of the raw points.
+
+    A coordinate difference is 0 only where the coordinates are equal,
+    so equal points give exactly 1; a scaled difference that overflows
+    gives inf, hence 0, without a warning.
+    """
+    q = np.zeros((X_train.shape[0], X_query.shape[0]))
     with np.errstate(over="ignore"):
-        return np.exp(-d2 / width)
+        for k in range(X_train.shape[1]):
+            z = np.subtract.outer(X_train[:, k], X_query[:, k])
+            z /= s
+            z *= z
+            q += z
+    q *= -0.5
+    return np.exp(q, out=q)
 
 
 @dataclass(frozen=True)
@@ -190,12 +222,27 @@ def from_eigen_coords(prob, coeffs):
     return prob.spectrum_of_Kn.eigenvectors @ (coeffs / safe)
 
 
-def train_objective(prob):
-    """The theta-space ridge objective of this problem (see from_kernel).
+def ridge_fit(prob):
+    """The theta-space ridge objective (see from_kernel) and alpha*, from one solve.
 
-    Built from the stored spectrum of K/n, so K is not eigendecomposed again.
+    Both come from the stored spectrum U diag(sigma) U^T of K/n, so K is
+    neither eigendecomposed nor factored again: alpha* =
+    U diag(1 / (n (sigma + lam))) U^T y solves (K + n lam I) alpha* = y.
+    Raises SingularSystem, like ridge_alpha's pivot test but judged on
+    eigenvalues, when the smallest eigenvalue n (sigma_n + lam) of
+    K + n lam I is below 1e-12 times its largest diagonal entry; no
+    Cholesky pivot is below the smallest eigenvalue, so this refuses a
+    few systems near the line that the pivot test let through.
     """
-    return _ridge_objective(prob.spectrum_of_Kn, prob.y, prob.lam)
+    obj, coeffs = _ridge_fit(prob.spectrum_of_Kn, prob.y, prob.lam)
+    n, lam = prob.n, prob.lam
+    smallest = n * (prob.spectrum_of_Kn.bottom + lam)
+    if smallest < CHOLESKY_PIVOT_RTOL * float(np.max(np.diag(prob.K) + n * lam)):
+        raise SingularSystem(
+            f"smallest eigenvalue {smallest:.3e} of K + n lam I is below "
+            "1e-12 of the largest diagonal entry"
+        )
+    return obj, prob.spectrum_of_Kn.eigenvectors @ coeffs
 
 
 def dual_objective(prob, mode):

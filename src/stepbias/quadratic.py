@@ -95,11 +95,15 @@ def from_kernel(K, y, lam):
     lam = 0.
     """
     K = np.asarray(K, dtype=float)
-    return _ridge_objective(eig_sym(K / K.shape[0]), y, lam)
+    return _ridge_fit(eig_sym(K / K.shape[0]), y, lam)[0]
 
 
-def _ridge_objective(kn_spec, y, lam):
-    """from_kernel given the spectrum of K/n instead of K."""
+def _ridge_fit(kn_spec, y, lam):
+    """from_kernel given the spectrum of K/n instead of K.
+
+    Returns the objective and alpha*'s coefficients on the eigenbasis U
+    of K/n, U^T y / (n (sigma + lam)), so alpha* = U times them.
+    """
     y = np.asarray(y, dtype=float)
     n = kn_spec.n
     if y.shape[0] != n:
@@ -121,7 +125,8 @@ def _ridge_objective(kn_spec, y, lam):
     shifted = Spectrum(
         sig + lam, np.eye(n), degenerate=kn_spec.degenerate
     )
-    return QuadraticObjective(shifted, optimum, min_value=max(min_value, 0.0))
+    obj = QuadraticObjective(shifted, optimum, min_value=max(min_value, 0.0))
+    return obj, alpha_star_coeffs
 
 
 def normalize(pair):

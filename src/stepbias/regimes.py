@@ -191,7 +191,7 @@ def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
     eta_s, eta_b, kappa_R = float(eta_s), float(eta_b), float(kappa_R)
     sig = spectrum.eigenvalues.tolist()
     n, sig_1, sig_n = len(sig), sig[0], sig[-1]
-    kappa_F = condition_number(spectrum)
+    kappa_F = condition_number(spectrum.eigenvalues)
     low, high = 2.0 / (sig_1 + sig_n), 2.0 / sig_1
     kind_s, kind_b = _rate_kind(eta_s, low, high), _rate_kind(eta_b, low, high)
     i1, inn = float(iota[0]), float(iota[-1])
@@ -246,7 +246,7 @@ def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
 
 def pair_record(pair, iota, eta_s, eta_b):
     """regime_record of a problem pair, with its kappa_R and R(theta_hat)."""
-    kappa_R = condition_number(pair.test.spectrum)
+    kappa_R = condition_number(pair.test.spectrum.eigenvalues)
     r_opt = evaluate(pair.test, pair.train.optimum)
     return regime_record(pair.train.spectrum, kappa_R, eta_s, eta_b, iota, r_opt)
 

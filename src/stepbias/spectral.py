@@ -4,7 +4,10 @@ A Spectrum holds the ordered eigenvalues and orthonormal eigenbasis of a
 symmetric operator restricted to an n-dimensional subspace. It is the
 foundation every other module builds on: quadratic objectives store one,
 learning-rate regimes are classified against one, and kernel problems
-bridge to one through K/n.
+bridge to one through K/n. Callers that read only eigenvalues, such as
+condition numbers, take them from eigvals_sym (``np.linalg.eigvalsh``),
+which skips the eigenvectors; it shares eig_sym's symmetry check,
+symmetrization and DegenerateSpectrum warning.
 """
 
 import math
@@ -82,6 +85,28 @@ def _sign_convention(v):
     v[:, flip] = -v[:, flip]
 
 
+def _symmetrized(A):
+    """A as a float matrix, checked square and symmetric within 1e-12, then averaged with A^T."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise NotSymmetric(f"expected a square matrix, got shape {A.shape}")
+    scale = float(np.max(np.abs(A))) or 1.0
+    if np.max(np.abs(A - A.T)) > SYMMETRY_RTOL * scale:
+        raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
+    return 0.5 * (A + A.T)
+
+
+def _flag_degenerate(w):
+    """The degenerate flag of descending eigenvalues w, warning when it is set."""
+    degenerate = _check_degenerate(w)
+    if degenerate:
+        warnings.warn(
+            "spectrum has eigenvalues within 1e-10 relative of each other",
+            DegenerateSpectrum,
+        )
+    return degenerate
+
+
 def eig_sym(A, require_positive_definite=False):
     """Eigendecompose a symmetric matrix with LAPACK (``np.linalg.eigh``).
 
@@ -90,36 +115,38 @@ def eig_sym(A, require_positive_definite=False):
     byte-reproducible. Emits a DegenerateSpectrum warning when two
     eigenvalues are within 1e-10 relative.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {A.shape}")
-    scale = float(np.max(np.abs(A))) or 1.0
-    if np.max(np.abs(A - A.T)) > SYMMETRY_RTOL * scale:
-        raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
-    A = 0.5 * (A + A.T)
-    w, v = np.linalg.eigh(A)
+    w, v = np.linalg.eigh(_symmetrized(A))
     w, v = w[::-1].copy(), v[:, ::-1].copy()
     _sign_convention(v)
     if require_positive_definite and w[-1] <= 0.0:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {w[-1]:.3e} is not positive"
         )
-    degenerate = _check_degenerate(w)
-    if degenerate:
-        warnings.warn(
-            "spectrum has eigenvalues within 1e-10 relative of each other",
-            DegenerateSpectrum,
-        )
-    return Spectrum(w, v, degenerate=degenerate)
+    return Spectrum(w, v, degenerate=_flag_degenerate(w))
 
 
-def condition_number(s):
-    """Ratio of the largest to the smallest eigenvalue.
+def eigvals_sym(A):
+    """Eigenvalues of a symmetric matrix, descending, without eigenvectors.
+
+    The matrix is checked and symmetrized as in eig_sym, and the same
+    DegenerateSpectrum warning is emitted. LAPACK's eigenvalue-only
+    routine (``np.linalg.eigvalsh``) rounds differently from ``eigh``:
+    the two agree to within a few n eps sigma_1, so eigenvalues near
+    zero differ in relative terms.
+    """
+    w = np.linalg.eigvalsh(_symmetrized(A))[::-1]
+    _flag_degenerate(w)
+    return w
+
+
+def condition_number(w):
+    """Ratio of the largest to the smallest of descending eigenvalues w.
 
     inf when the smallest eigenvalue is at most n eps times the largest,
     i.e. zero up to round-off: the ratio is never negative, never a
     division by zero and never a quotient of round-off.
     """
-    if s.bottom <= s.n * EPS * s.top:
+    top, bottom = float(w[0]), float(w[-1])
+    if bottom <= len(w) * EPS * top:
         return math.inf
-    return s.top / s.bottom
+    return top / bottom

@@ -1,5 +1,6 @@
 """Kernel ridge machinery against direct linear-algebra oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -242,7 +243,8 @@ def test_load_dataset_errors(tmp_path):
 
 
 def _expanded_kernel(X_train, X_query, s):
-    """Oracle: the distance expansion and exp of gaussian_cross_kernel at a normal scale."""
+    """Oracle: the distance expansion and exp of gaussian_cross_kernel at a normal
+    scale, written as one expression (the kernel evaluates it in place)."""
     center = X_train.mean(axis=0)
     a, b = X_train - center, X_query - center
     d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T
@@ -261,15 +263,10 @@ def test_gaussian_cross_kernel_at_an_underflowing_scale():
         want[0, 0] = want[4, 1] = 1.0
         assert np.array_equal(K, want)
         assert np.array_equal(gaussian_kernel_matrix(X, 1e-200), np.eye(6))
-        # 2 s^2 is tiny but not 0: the plain expression, where d2 / (2 s^2)
-        # overflows to inf and exp gives 0. The limit does not apply here,
-        # so an equal pair gives 1 only where the expansion leaves no
-        # residue: Q[1] against X[4] does, Q[0] against X[0] does not.
-        K = gaussian_cross_kernel(X, Q, 1e-155)
-        with np.errstate(over="ignore"):
-            assert K.tobytes() == _expanded_kernel(X, Q, 1e-155).tobytes()
-        assert K[4, 1] == 1.0 and K[0, 0] == 0.0
-        assert np.count_nonzero(K) == 1
+        # 2 s^2 is tiny but not 0: direct differences, so both equal
+        # pairs give 1 (the expansion's residue gave 0 for Q[0] against
+        # X[0]) and the distinct pairs, whose scaled distance overflows, 0.
+        assert np.array_equal(gaussian_cross_kernel(X, Q, 1e-155), want)
         # At normal scales the values are those of the plain expression.
         for s in (0.3, 1.0, 7.0):
             assert gaussian_cross_kernel(X, Q, s).tobytes() == _expanded_kernel(X, Q, s).tobytes()
@@ -280,3 +277,67 @@ def test_underflowing_scale_compares_the_points_themselves():
     X = np.array([[1e-20], [2e-20], [3.0]])
     K = gaussian_cross_kernel(X, X, 1e-200)
     assert np.array_equal(K, np.eye(3))
+
+
+def _expansion_floor(X_train, X_query):
+    """The scale at and below which direct differences replace the expansion:
+    2 s^2 = sqrt(eps) max ||x - mean||^2."""
+    center = X_train.mean(axis=0)
+    top = max(
+        np.sum((X_train - center) ** 2, axis=1).max(),
+        np.sum((X_query - center) ** 2, axis=1).max(),
+    )
+    return math.sqrt(kernels.SQRT_EPS * top / 2.0)
+
+
+def _direct_oracle(X_train, X_query, s):
+    """exp(-||(a - b) / s||^2 / 2), one pair at a time."""
+    out = np.empty((X_train.shape[0], X_query.shape[0]))
+    with np.errstate(over="ignore"):
+        for i, a in enumerate(X_train):
+            for j, b in enumerate(X_query):
+                z = (a - b) / s
+                out[i, j] = np.exp(-0.5 * float(np.sum(z * z)))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("offset", [0.0, 1e4, -3e7])
+def test_in_place_cross_kernel_is_the_expression_bitwise(d, offset):
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(40, d)) + offset
+    Q = np.vstack([X[:3], 2.0 * rng.normal(size=(25, d)) + offset])
+    floor = _expansion_floor(X, Q)
+    scales = (1.0001 * floor, 10.0 * floor, 1e-3, 0.05, 0.7, 3.0, 1e3, 1e150, 1e200)
+    for s in scales:
+        if s > floor:
+            K = gaussian_cross_kernel(X, Q, s)
+            assert K.tobytes() == _expanded_kernel(X, Q, s).tobytes()
+            # Above the floor the expansion's residue can leave a point
+            # against itself below 1, but by at most a few sqrt(eps).
+            assert np.all(1.0 - K[[0, 1, 2], [0, 1, 2]] <= 4 * kernels.SQRT_EPS)
+    # Below the floor, direct differences: equal points give exactly 1.
+    for s in (floor, 0.5 * floor, 1e-9 * floor, 1e-170, 1e-300):
+        K = gaussian_cross_kernel(X, Q, s)
+        assert np.allclose(K, _direct_oracle(X, Q, s), rtol=1e-14, atol=0.0)
+        assert np.all(K[[0, 1, 2], [0, 1, 2]] == 1.0)
+
+
+def test_a_point_against_itself_gives_exactly_1_at_small_scales():
+    # The expansion's residue gave k(x_0, x_0) = 0.33 at s = 1e-8, 6e-49
+    # at 1e-9 and 0 at 1e-155.
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    points = np.random.default_rng(4).normal(size=(50, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for s in (1e-6, 1e-8, 1e-9, 1e-155, 1e-200):
+            assert np.array_equal(gaussian_cross_kernel(X, X, s), np.eye(3))
+            assert np.all(np.diag(gaussian_cross_kernel(points, points, s)) == 1.0)
+    # Above the line 2 s^2 = sqrt(eps) max ||x - mean||^2 the expansion is
+    # kept, and its residue of about 2.2e-16 at x_0 leaves k(x_0, x_0)
+    # below 1, by less than a few sqrt(eps).
+    floor = _expansion_floor(X, X)
+    for s in (1.0001 * floor, 2.0 * floor, 1e-3, 0.1):
+        diag = np.diag(gaussian_cross_kernel(X, X, s))
+        assert diag[0] < 1.0 and np.all(1.0 - diag <= 4 * kernels.SQRT_EPS)
+

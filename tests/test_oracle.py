@@ -1,17 +1,20 @@
-"""The regime record against a 50-digit mpmath evaluation of the same formulas.
+"""The regime record and kernel eigenvalues against 50-digit mpmath evaluations.
 
-Every input (eigenvalues, iota, step sizes, alpha) is taken exactly as
-the float code sees it, so the only difference is the rounding of the
-float arithmetic.
+Every input (eigenvalues, iota, step sizes, alpha, kernel matrices) is
+taken exactly as the float code sees it, so the only difference is the
+rounding of the float arithmetic.
 """
 
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from stepbias import gd
 from stepbias.errors import DegenerateSpectrum
+from stepbias.kernels import gaussian_kernel_matrix, two_cluster_dataset
+from stepbias.spectral import DEGENERACY_RTOL, EPS, _check_degenerate, eig_sym, eigvals_sym
 from stepbias.experiments import stream
 from stepbias.instances import random_instance
 from stepbias.regimes import pair_record
@@ -103,3 +106,28 @@ def test_record_agrees_with_50_digit_evaluation(seed):
                 others[f"{name}_{t}"] = _rel(got, exact)
     assert max(readings.values()) <= ALPHA_RTOL, readings
     assert max(others.values()) <= RTOL, others
+
+
+# Absolute tolerance on each eigenvalue of K/n: n eps sigma_1, the size
+# of LAPACK's backward-error bound. On these three problems the largest
+# error is 1.4 eps sigma_1 for eigh and 1.7 eps sigma_1 for eigvalsh. The
+# exact bottom eigenvalues are 2.1e-7, 1.4e-13 and -9.3e-19 (the rounded
+# kernel matrix at scale 2 is not positive semidefinite), so below about
+# eps sigma_1 the computed ones are right in absolute terms only.
+@pytest.mark.parametrize("scale, seed", [(0.3, 0), (1.0, 0), (2.0, 1)])
+def test_small_kernel_eigenvalues_agree_with_50_digit_eigsy(scale, seed):
+    n = 30
+    A = gaussian_kernel_matrix(two_cluster_dataset(n, np.random.default_rng(seed)).points, scale) / n
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSpectrum)
+        spec = eig_sym(A)
+        values = eigvals_sym(A)
+    with mpmath.workdps(50):
+        exact = sorted(mpmath.eigsy(mpmath.matrix(A.tolist()), eigvals_only=True), reverse=True)
+        gaps = [exact[i] - exact[i + 1] for i in range(n - 1)]
+        exact_degenerate = any(g <= DEGENERACY_RTOL * abs(exact[0]) for g in gaps)
+        atol = n * EPS * float(exact[0])
+        for got in (spec.eigenvalues, values):
+            errors = [float(abs(mpmath.mpf(float(g)) - e)) for g, e in zip(got, exact)]
+            assert max(errors) <= atol, errors
+    assert spec.degenerate == _check_degenerate(values) == exact_degenerate

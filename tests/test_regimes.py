@@ -233,7 +233,7 @@ def _alpha_one_reference(spectrum, iota, eta_s, eta_b, kappa_R, reading):
     i1, inn = float(iota[0]), float(iota[-1])
     sig = spectrum.eigenvalues
     n = spectrum.n
-    kappa_F = condition_number(spectrum)
+    kappa_F = condition_number(spectrum.eigenvalues)
     norm_sq = float(np.sum(iota * iota))
     den_small, den_big = _log_gaps_reference(spectrum, eta_s, eta_b)
     small_tail = 1.0 / (1.0 - eta_s * sig[-1])
@@ -275,7 +275,7 @@ def _step_window_reference(spectrum, iota, eta, alpha, kappa_R, kind):
     i1, inn = float(iota[0]), float(iota[-1])
     sig = spectrum.eigenvalues
     n = spectrum.n
-    kappa_F = condition_number(spectrum)
+    kappa_F = condition_number(spectrum.eigenvalues)
     norm_sq = float(np.sum(iota * iota))
     lead = leading_attenuation(eta, spectrum, kind)
     gap = math.log(lead / second_attenuation(eta, spectrum, kind))
@@ -339,7 +339,8 @@ def test_alpha_one_readings_match_per_reading_evaluation():
         inst = _generated(seed)
         spec = inst.pair.train.spectrum
         iota = spec.eigenvectors.T @ (inst.theta0 - inst.pair.train.optimum)
-        args = (spec, iota, inst.eta_s, inst.eta_b, condition_number(inst.pair.test.spectrum))
+        kappa_r = condition_number(inst.pair.test.spectrum.eigenvalues)
+        args = (spec, iota, inst.eta_s, inst.eta_b, kappa_r)
         rec = pair_record(inst.pair, iota, inst.eta_s, inst.eta_b)
         assert rec.alpha_1 == _alpha_one_reference(*args, "displayed")
         assert rec.alpha_1_split == _alpha_one_reference(*args, "split")
@@ -352,9 +353,9 @@ def test_record_matches_the_per_function_oracles():
         inst = _generated(seed, n=n, model_error_fraction=fraction)
         spec, tspec = inst.pair.train.spectrum, inst.pair.test.spectrum
         iota = gd.decompose(inst.pair.train, inst.theta0)
-        kappa_r = condition_number(tspec)
+        kappa_r = condition_number(tspec.eigenvalues)
         rec = pair_record(inst.pair, iota, inst.eta_s, inst.eta_b)
-        assert rec.kappa_F == condition_number(spec)
+        assert rec.kappa_F == condition_number(spec.eigenvalues)
         assert rec.kappa_R == kappa_r
         assert (rec.gap_s, rec.gap_b) == _log_gaps_reference(spec, inst.eta_s, inst.eta_b)
         args = (spec, iota, inst.eta_s, inst.eta_b, kappa_r)

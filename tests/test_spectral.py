@@ -1,6 +1,7 @@
 """Eigendecomposition against the LAPACK oracle plus contract checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,15 @@ from hypothesis import strategies as st
 from stepbias.errors import DegenerateSpectrum, NotPositiveDefinite, NotSymmetric
 from stepbias.spectral import (
     Spectrum,
+    _check_degenerate,
     _sign_convention,
+    EPS,
     condition_number,
     diagonal_spectrum,
     eig_sym,
+    eigvals_sym,
 )
+from stepbias.kernels import gaussian_kernel_matrix, two_cluster_dataset
 
 
 def random_symmetric(rng, n):
@@ -94,10 +99,11 @@ def test_deterministic_across_calls():
 
 
 def test_rejects_asymmetric_and_nonsquare():
-    with pytest.raises(NotSymmetric):
-        eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(NotSymmetric):
-        eig_sym(np.zeros((2, 3)))
+    for decompose in (eig_sym, eigvals_sym):
+        with pytest.raises(NotSymmetric):
+            decompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(NotSymmetric):
+            decompose(np.zeros((2, 3)))
 
 
 def test_positive_definite_gate():
@@ -112,6 +118,8 @@ def test_degenerate_spectrum_warns():
     with pytest.warns(DegenerateSpectrum):
         spec = eig_sym(np.eye(3))
     assert spec.degenerate
+    with pytest.warns(DegenerateSpectrum):
+        eigvals_sym(np.eye(3))
 
 
 def test_distinct_spectrum_does_not_warn():
@@ -120,28 +128,55 @@ def test_distinct_spectrum_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DegenerateSpectrum)
         spec = eig_sym(np.diag([3.0, 2.0, 1.0]))
+        w = eigvals_sym(np.diag([3.0, 2.0, 1.0]))
     assert not spec.degenerate
+    assert w.tolist() == [3.0, 2.0, 1.0]
 
 
 def test_diagonal_spectrum_and_condition_number():
     spec = diagonal_spectrum([4.0, 2.0, 1.0])
     assert spec.top == 4.0 and spec.bottom == 1.0
-    assert condition_number(spec) == 4.0
+    assert condition_number(spec.eigenvalues) == 4.0
     assert np.array_equal(spec.matrix(), np.diag([4.0, 2.0, 1.0]))
 
 
 def test_condition_number_never_negative():
     # A zero bottom eigenvalue used to divide by zero, a negative one to
     # give a negative ratio.
-    assert condition_number(diagonal_spectrum([1.0, 0.5, 0.0])) == math.inf
-    assert condition_number(diagonal_spectrum([1.0, -1e-17])) == math.inf
-    assert condition_number(diagonal_spectrum([-1.0, -2.0])) == math.inf
+    assert condition_number(diagonal_spectrum([1.0, 0.5, 0.0]).eigenvalues) == math.inf
+    assert condition_number(diagonal_spectrum([1.0, -1e-17]).eigenvalues) == math.inf
+    assert condition_number(diagonal_spectrum([-1.0, -2.0]).eigenvalues) == math.inf
     # A bottom eigenvalue at most n eps sigma_1 is round-off: singular.
     eps = np.finfo(float).eps
-    assert condition_number(diagonal_spectrum([1.0, 1e-15])) == pytest.approx(1e15)
-    assert condition_number(diagonal_spectrum([1.0, 2 * eps])) == math.inf
-    assert condition_number(diagonal_spectrum([1.0, 1.0, 1.0, 5 * eps])) == 1 / (5 * eps)
-    assert condition_number(diagonal_spectrum([1.0, 1.0, 1.0, 4 * eps])) == math.inf
+    assert condition_number(diagonal_spectrum([1.0, 1e-15]).eigenvalues) == pytest.approx(1e15)
+    assert condition_number(diagonal_spectrum([1.0, 2 * eps]).eigenvalues) == math.inf
+    assert condition_number(diagonal_spectrum([1.0, 1.0, 1.0, 5 * eps]).eigenvalues) == 1 / (5 * eps)
+    assert condition_number(diagonal_spectrum([1.0, 1.0, 1.0, 4 * eps]).eigenvalues) == math.inf
+
+
+def test_eigvals_sym_agrees_with_eig_sym():
+    rng = np.random.default_rng(12)
+    mats = [random_symmetric(rng, n) for n in (1, 2, 5, 25, 60)]
+    mats.append(np.diag([3.0, 2.0, 2.0, 1.0]))
+    # Kernel matrices K/n: eigenvalues down to round-off, some degenerate.
+    for scale in (0.1, 0.3, 1.0, 3.0):
+        points = two_cluster_dataset(40, np.random.default_rng(5)).points
+        mats.append(gaussian_kernel_matrix(points, scale) / 40)
+    flags = []
+    for A in mats:
+        n = A.shape[0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegenerateSpectrum)
+            spec = eig_sym(A)
+            w = eigvals_sym(A)
+        degenerate = _check_degenerate(w)
+        assert w.shape == (n,) and np.all(np.diff(w) <= 0.0)
+        sigma_1 = np.max(np.abs(spec.eigenvalues))
+        assert np.max(np.abs(w - spec.eigenvalues)) <= 4 * n * EPS * sigma_1
+        assert degenerate == spec.degenerate
+        assert len(caught) == 2 * degenerate
+        flags.append(degenerate)
+    assert any(flags) and not all(flags)
 
 
 def test_spectrum_accessors():

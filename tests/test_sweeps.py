@@ -9,9 +9,10 @@ import re
 import numpy as np
 import pytest
 
-from stepbias import cli, kernels
+from stepbias import cli, experiments, kernels
 from stepbias.config import validate_config
-from stepbias.experiments import run_experiment
+from stepbias.experiments import run_experiment, stream
+from stepbias.spectral import condition_number, eigvals_sym
 
 EPS = float(np.finfo(float).eps)
 
@@ -148,6 +149,71 @@ def test_scale_sweep_at_lam_zero_never_reports_a_negative_kappa(tmp_path):
     for row in _rows(out / "scale_sweep.csv"):
         for column in ("kappa", "kappa_regularized"):
             assert float(row[column]) >= 1.0
+
+
+def test_scale_sweep_reads_eigenvalues_only(tmp_path, monkeypatch):
+    def no_eigenvectors(*args, **kwargs):
+        raise AssertionError("scale_sweep computed eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigenvectors)
+    out = tmp_path / "o"
+    cfg = validate_config({"experiment": "scale_sweep", "n": 40, "output_dir": str(out)})
+    run_experiment(cfg)
+    monkeypatch.undo()
+    # Each row is read from the scale's own kernel matrix.
+    data = kernels.two_cluster_dataset(40, stream(cfg.seed, "train-data"))
+    rows = _rows(out / "scale_sweep.csv")
+    assert len(rows) == len(cfg.scale_grid)
+    for row, s in zip(rows, cfg.scale_grid):
+        sig = eigvals_sym(kernels.gaussian_kernel_matrix(data.points, s) / 40)
+        assert float(row["kappa"]) == condition_number(sig)
+        assert float(row["kappa_regularized"]) == condition_number(sig + cfg.lam)
+
+
+@pytest.mark.parametrize("experiment", ["eta_sweep", "alpha_sweep"])
+def test_sweeps_eigendecompose_once_and_solve_no_second_system(
+    experiment, tmp_path, monkeypatch
+):
+    def second_solve(*args, **kwargs):
+        raise AssertionError("the sweep solved the ridge system again")
+
+    eighs = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(A):
+        eighs.append(A.shape)
+        return real_eigh(A)
+
+    monkeypatch.setattr(kernels, "ridge_alpha", second_solve)
+    monkeypatch.setattr(np.linalg, "cholesky", second_solve)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    run_experiment(
+        validate_config({"experiment": experiment, "n": 30, "output_dir": str(tmp_path)})
+    )
+    assert eighs == [(30, 30)]
+
+
+@pytest.mark.parametrize("n", [50, 100])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sweep_alpha_star_solves_the_ridge_system(n, seed):
+    # The kernel_sweeps benchmark problems.
+    cfg = validate_config({"experiment": "eta_sweep", "n": n, "seed": seed})
+    sweep = experiments._sweep_problem(cfg)
+    prob = sweep.prob
+    want = kernels.ridge_alpha(prob.K, prob.y, prob.lam)
+    assert np.linalg.norm(sweep.alpha_star - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("lam, code", [(1e-20, 2), (1e-15, 2), (1e-13, 0)])
+def test_cli_sweep_refuses_a_numerically_singular_ridge_system(lam, code, tmp_path, capsys):
+    # The Cholesky path refused the first two at n = 50, seed 0; so does
+    # the eigenvalue test on K + n lam I that replaced it.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "eta_sweep", "n": 50, "seed": 0, "lam": lam}))
+    assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("K + n lam I" in err) == (code == 2)
 
 
 def test_two_cluster_dataset_in_d_dimensions():
