@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ParseError, ValidationError
 
@@ -148,9 +148,20 @@ def load_config(path):
     return validate_config(raw)
 
 
+_FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
+
+
 def canonical_config(cfg):
-    """Mapping that round-trips through validate_config to an equal config."""
-    return asdict(cfg)
+    """Mapping that round-trips through validate_config to an equal config.
+
+    Equal to dataclasses.asdict(cfg). Of its deep copy a validated config
+    needs only the grid lists copied: every other field is a str, a
+    number or None.
+    """
+    out = {name: getattr(cfg, name) for name in _FIELD_NAMES}
+    for name in _GRID_BY_EXPERIMENT.values():
+        out[name] = list(out[name])
+    return out
 
 
 def save_config(cfg, path):

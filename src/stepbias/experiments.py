@@ -9,10 +9,10 @@ written file with its content hash.
 import hashlib
 import json
 import math
+import os
 import warnings
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -44,21 +44,18 @@ class _Outputs:
     """The files of one run, each hashed from the bytes written to it."""
 
     def __init__(self, out_dir):
-        self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        self.dir = out_dir
+        os.makedirs(out_dir, exist_ok=True)
         self.files = []
 
-    def _add(self, path, data):
-        self.files.append({"path": path.name, "sha256": hashlib.sha256(data).hexdigest()})
-        return path
+    def _add(self, name, data):
+        self.files.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
 
     def csv(self, name, rows, schema):
-        path = self.dir / name
-        return self._add(path, write_csv(rows, schema, path))
+        self._add(name, write_csv(rows, schema, os.path.join(self.dir, name)))
 
     def svg(self, name, series, axes):
-        path = self.dir / name
-        return self._add(path, render_svg(series, axes, path))
+        self._add(name, render_svg(series, axes, os.path.join(self.dir, name)))
 
     def manifest(self, cfg):
         manifest = {
@@ -68,7 +65,7 @@ class _Outputs:
             "files": self.files,
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        write_bytes(text, self.dir / "manifest.json")
+        write_bytes(text, os.path.join(self.dir, "manifest.json"))
         return manifest
 
 
@@ -117,11 +114,11 @@ def _run_toy2d(cfg, out):
             "passes",
         ),
     )
-    ts = np.arange(0, 41)
-    series = []
-    for name, eta in (("small rate", eta_s), ("big rate", eta_b)):
-        losses = [toy2d.excess_loss(inst, eta, int(t)) for t in ts]
-        series.append(Series(name, tuple(ts), tuple(losses)))
+    ts = tuple(range(41))
+    series = [
+        Series(name, ts, tuple([toy2d.excess_loss(inst, eta, t) for t in ts]))
+        for name, eta in (("small rate", eta_s), ("big rate", eta_b))
+    ]
     out.svg(
         "toy2d_loss.svg",
         series,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InfeasibleWindow,
     InvalidRegime,
     LevelSetMismatch,
     RegimeMismatch,
@@ -56,10 +57,12 @@ class RateRegime:
     thresholds: tuple[float, float]
 
 
-def _rate_kind(eta, low, high):
+def rate_kind(eta, low, high):
     """Kind of the rate eta between the thresholds low and high.
 
-    A rate <= 0 is NotPositive: gradient descent does not descend.
+    The rule of classify_rate, on low = 2/(sigma_1+sigma_n) and high =
+    2/sigma_1 as floats. A rate <= 0 is NotPositive: gradient descent
+    does not descend.
     """
     if eta <= 0:
         return RegimeKind.NOT_POSITIVE
@@ -83,7 +86,7 @@ def classify_rate(eta, spectrum):
         raise ValueError("step size must be positive")
     low = 2.0 / (spectrum.top + spectrum.bottom)
     high = 2.0 / spectrum.top
-    return RateRegime(kind=_rate_kind(eta, low, high), eta=eta, thresholds=(low, high))
+    return RateRegime(kind=rate_kind(eta, low, high), eta=eta, thresholds=(low, high))
 
 
 def _mass_ratio(lead, rest):
@@ -193,7 +196,7 @@ def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
     n, sig_1, sig_n = len(sig), sig[0], sig[-1]
     kappa_F = condition_number(spectrum.eigenvalues)
     low, high = 2.0 / (sig_1 + sig_n), 2.0 / sig_1
-    kind_s, kind_b = _rate_kind(eta_s, low, high), _rate_kind(eta_b, low, high)
+    kind_s, kind_b = rate_kind(eta_s, low, high), rate_kind(eta_b, low, high)
     i1, inn = float(iota[0]), float(iota[-1])
     base = (eta_s, eta_b, kappa_F, kappa_R, low, high, kind_s, kind_b, i1, inn,
             float(r_opt))
@@ -264,10 +267,12 @@ def check_assumptions(pair, theta0, eta_s, eta_b, alpha, record=None):
     A1 distinct positive eigenvalues (n >= 2), A2 rate ordering (eta_s
     Small, eta_b Big; a rate <= 0 is NotPositive), A3
     nonzero initialization on the boundary directions, A4 the level-set
-    target alpha, finite and positive, below alpha_1 with small enough
-    model error. Returns verdicts with the computed numbers; never
-    raises on failure. record, the pair_record of (pair, decomposed
-    theta0, eta_s, eta_b), is derived here unless the caller shares one.
+    target alpha, between UNDERFLOW_GUARD and alpha_1, with small enough
+    model error (below UNDERFLOW_GUARD the step windows overflow and the
+    loss bounds divide by products that underflow to 0). Returns verdicts
+    with the computed numbers; never raises on failure. record, the
+    pair_record of (pair, decomposed theta0, eta_s, eta_b), is derived
+    here unless the caller shares one.
     """
     train = pair.train
     spec, tspec = train.spectrum, pair.test.spectrum
@@ -285,7 +290,7 @@ def check_assumptions(pair, theta0, eta_s, eta_b, alpha, record=None):
     # alpha_1 is undefined without distinct eigenvalues, valid rates and
     # nonzero boundary coefficients; a NaN alpha_1 fails A4.
     a_one = record.alpha_1 if a1 and a2 and a3 else math.nan
-    a4 = math.isfinite(alpha) and 0 < alpha <= a_one and record.r_opt / alpha <= ratio_cap
+    a4 = UNDERFLOW_GUARD <= alpha <= a_one and record.r_opt / alpha <= ratio_cap
     return [
         AssumptionVerdict(
             "A1_distinct_eigenvalues",
@@ -454,6 +459,11 @@ def certify(pair, run_s, run_b, alpha, record=None):
         raise ZeroInitialization("zero initial coefficient on sigma_1 or sigma_n")
     if math.isnan(record.alpha_1):
         raise InvalidRegime("instance outside the theorem's domain, see regime_record")
+    if not alpha >= UNDERFLOW_GUARD:
+        raise InfeasibleWindow(
+            f"level-set target {alpha!r} is below {UNDERFLOW_GUARD}, where the step "
+            "windows and loss bounds leave the float range"
+        )
     win_s, win_b = record.windows(alpha)
 
     c_alpha_den = 1.0 - math.sqrt(18.0 * (sig[-1] / varsign) * r_opt / alpha)

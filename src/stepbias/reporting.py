@@ -2,19 +2,31 @@
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import IoError
 
 
+def _bool_text(value):
+    return "true" if value else "false"
+
+
+# The text of each exact builtin type, found by one dict lookup; numpy
+# scalars and subclasses fall through to the isinstance chain.
+_TEXT_BY_TYPE = {float: float.__repr__, int: int.__repr__, str: str, bool: _bool_text}
+
+
 def format_value(value):
     """Shortest round-trip text for a CSV field."""
+    text = _TEXT_BY_TYPE.get(type(value))
+    if text is not None:
+        return text(value)
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+        return _bool_text(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -45,7 +57,7 @@ def write_csv(rows, schema, path):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(schema)
-    writer.writerows([format_value(v) for v in row] for row in rows)
+    writer.writerows(map(format_value, row) for row in rows)
     return write_bytes(buf.getvalue(), path)
 
 
@@ -94,6 +106,49 @@ def _coord(v):
     return f"{v:.3f}"
 
 
+def _escape(text):
+    """Text content with &, < and > written as XML entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+# The markup that does not depend on the data, built once. Each %s or
+# %.3f takes an argument in render_svg.
+_FRAME = "\n".join([
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_WIDTH)}" '
+    f'height="{int(_HEIGHT)}" viewBox="0 0 {int(_WIDTH)} {int(_HEIGHT)}">',
+    f'<rect width="{int(_WIDTH)}" height="{int(_HEIGHT)}" fill="white"/>',
+    f'<line x1="{_coord(_MARGIN)}" y1="{_coord(_HEIGHT - _MARGIN)}" '
+    f'x2="{_coord(_WIDTH - _MARGIN)}" y2="{_coord(_HEIGHT - _MARGIN)}" '
+    'stroke="black" stroke-width="1"/>',
+    f'<line x1="{_coord(_MARGIN)}" y1="{_coord(_MARGIN)}" '
+    f'x2="{_coord(_MARGIN)}" y2="{_coord(_HEIGHT - _MARGIN)}" '
+    'stroke="black" stroke-width="1"/>',
+])
+_TITLE = (
+    f'<text x="{_coord(_WIDTH / 2)}" y="30" text-anchor="middle" '
+    'font-size="16">%s</text>'
+)
+_XLABEL = (
+    f'<text x="{_coord(_WIDTH / 2)}" y="{_coord(_HEIGHT - 15)}" '
+    'text-anchor="middle" font-size="12">%s</text>'
+)
+_YLABEL = (
+    f'<text x="18" y="{_coord(_HEIGHT / 2)}" text-anchor="middle" '
+    f'font-size="12" transform="rotate(-90 18 {_coord(_HEIGHT / 2)})">%s</text>'
+)
+_VLINE = (
+    f'<line x1="%.3f" y1="{_coord(_MARGIN)}" x2="%.3f" y2="{_coord(_HEIGHT - _MARGIN)}" '
+    'stroke="gray" stroke-width="1" stroke-dasharray="4 3"/>'
+)
+# Polyline, legend line and legend name of one series.
+_SERIES = "\n".join([
+    '<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>',
+    f'<line x1="{_coord(_WIDTH - _MARGIN - 120)}" y1="%.3f" '
+    f'x2="{_coord(_WIDTH - _MARGIN - 100)}" y2="%.3f" stroke="%s" stroke-width="1.5"/>',
+    f'<text x="{_coord(_WIDTH - _MARGIN - 94)}" y="%.3f" font-size="11">%s</text>',
+])
+
+
 def _span(values):
     """(lo, hi) of a float array, widened to a non-empty range; (0, 1) if empty."""
     if not values.size:
@@ -105,20 +160,28 @@ def _span(values):
     return lo, hi
 
 
-def _finite_points(s, axes):
-    """(xs, ys on the axis scale) of the points with a finite place on the axes.
+def _finite_points(series, log_y):
+    """The points of every series with a finite place on the axes.
 
-    Two float arrays; points pair up as zip(s.xs, s.ys) does. The log of
-    a log_y axis is math.log10, one value at a time.
+    Returns (xs, ys, edges): two float arrays with the kept points of
+    all series in order, ys on the axis scale, and the offsets at which
+    each series starts and ends in them, so series i holds the points
+    edges[i]:edges[i + 1]. Points pair up as zip(s.xs, s.ys) does. The
+    log of a log_y axis is math.log10 of max(y, 1e-300), one value at a
+    time.
     """
-    count = min(len(s.xs), len(s.ys))
-    xs = np.array(s.xs[:count], dtype=float)
-    if axes.log_y:
-        ys = np.array([math.log10(max(float(y), 1e-300)) for y in s.ys[:count]], dtype=float)
-    else:
-        ys = np.array(s.ys[:count], dtype=float)
+    counts = [min(len(s.xs), len(s.ys)) for s in series]
+    size = sum(counts)
+    xs = np.fromiter(chain.from_iterable(s.xs[:c] for s, c in zip(series, counts)), float, size)
+    ys = chain.from_iterable(s.ys[:c] for s, c in zip(series, counts))
+    if log_y:
+        # log10 of max(y, 1e-300); a NaN stays NaN.
+        ys = [math.log10(1e-300 if y < 1e-300 else y) for y in map(float, ys)]
+    ys = np.fromiter(ys, float, size)
     keep = np.isfinite(xs) & np.isfinite(ys)
-    return xs[keep], ys[keep]
+    kept_before = [0, *np.cumsum(keep).tolist()]
+    edges = [kept_before[i] for i in accumulate(counts, initial=0)]
+    return xs[keep], ys[keep], edges
 
 
 def _unit(lo, hi):
@@ -136,21 +199,25 @@ def _unit(lo, hi):
     return lambda v: (v / 2 - half_lo) / half_span
 
 
+def _points_attr(flat):
+    """'x,y x,y ...' from [x0, y0, x1, y1, ...], each coordinate to 3 decimals."""
+    return ("%.3f,%.3f " * (len(flat) // 2))[:-1] % tuple(flat)
+
+
 def render_svg(series, axes, path):
     """Standalone SVG: one polyline per series, axes, legend.
 
     Points with a non-finite coordinate (after the log for log_y axes)
-    are left out of the axis ranges and the polylines. Output bytes
-    depend only on the inputs, so re-rendering the same data is
-    byte-identical. Returns the bytes written.
+    are left out of the axis ranges and the polylines. The title, axis
+    labels and series names are XML-escaped. Output bytes depend only on
+    the inputs, so re-rendering the same data is byte-identical. Returns
+    the bytes written.
     """
     series = list(series)
     if not series:
         raise ValueError("render_svg needs at least one series")
-    points = [_finite_points(s, axes) for s in series]
+    xs, ys, edges = _finite_points(series, axes.log_y)
     vlines = [float(v) for v in axes.vlines if math.isfinite(float(v))]
-    xs = np.concatenate([x for x, _ in points])
-    ys = np.concatenate([y for _, y in points])
     x_unit = _unit(*_span(np.concatenate([xs, vlines])))
     y_unit = _unit(*_span(ys))
 
@@ -160,58 +227,27 @@ def render_svg(series, axes, path):
     def py(y):
         return _HEIGHT - _MARGIN - y_unit(y) * (_HEIGHT - 2 * _MARGIN)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_WIDTH)}" '
-        f'height="{int(_HEIGHT)}" viewBox="0 0 {int(_WIDTH)} {int(_HEIGHT)}">',
-        f'<rect width="{int(_WIDTH)}" height="{int(_HEIGHT)}" fill="white"/>',
-        f'<line x1="{_coord(_MARGIN)}" y1="{_coord(_HEIGHT - _MARGIN)}" '
-        f'x2="{_coord(_WIDTH - _MARGIN)}" y2="{_coord(_HEIGHT - _MARGIN)}" '
-        'stroke="black" stroke-width="1"/>',
-        f'<line x1="{_coord(_MARGIN)}" y1="{_coord(_MARGIN)}" '
-        f'x2="{_coord(_MARGIN)}" y2="{_coord(_HEIGHT - _MARGIN)}" '
-        'stroke="black" stroke-width="1"/>',
-    ]
+    parts = [_FRAME]
     if axes.title:
-        parts.append(
-            f'<text x="{_coord(_WIDTH / 2)}" y="30" text-anchor="middle" '
-            f'font-size="16">{axes.title}</text>'
-        )
+        parts.append(_TITLE % _escape(axes.title))
     if axes.xlabel:
-        parts.append(
-            f'<text x="{_coord(_WIDTH / 2)}" y="{_coord(_HEIGHT - 15)}" '
-            f'text-anchor="middle" font-size="12">{axes.xlabel}</text>'
-        )
+        parts.append(_XLABEL % _escape(axes.xlabel))
     if axes.ylabel:
-        parts.append(
-            f'<text x="18" y="{_coord(_HEIGHT / 2)}" text-anchor="middle" '
-            f'font-size="12" transform="rotate(-90 18 {_coord(_HEIGHT / 2)})">'
-            f"{axes.ylabel}</text>"
-        )
+        parts.append(_YLABEL % _escape(axes.ylabel))
     for v in vlines:
-        parts.append(
-            f'<line x1="{_coord(px(v))}" y1="{_coord(_MARGIN)}" '
-            f'x2="{_coord(px(v))}" y2="{_coord(_HEIGHT - _MARGIN)}" '
-            'stroke="gray" stroke-width="1" stroke-dasharray="4 3"/>'
-        )
+        x = px(v)
+        parts.append(_VLINE % (x, x))
     # px and py map the points of every series as two arrays, with the
-    # operations they apply to one float; each polyline takes its share.
-    pixels = map("{:.3f},{:.3f}".format, px(xs).tolist(), py(ys).tolist())
-    for i, (s, (pts, _)) in enumerate(zip(series, points)):
-        color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(itertools.islice(pixels, len(pts)))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{coords}"/>'
-        )
+    # operations they apply to one float, into [x0, y0, x1, y1, ...];
+    # each polyline formats its share in one pass.
+    flat = np.empty(2 * xs.size)
+    flat[0::2] = px(xs)
+    flat[1::2] = py(ys)
+    flat = flat.tolist()
+    for i, s in enumerate(series):
         ly = _MARGIN + 16.0 * i
-        parts.append(
-            f'<line x1="{_coord(_WIDTH - _MARGIN - 120)}" y1="{_coord(ly)}" '
-            f'x2="{_coord(_WIDTH - _MARGIN - 100)}" y2="{_coord(ly)}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{_coord(_WIDTH - _MARGIN - 94)}" y="{_coord(ly + 4)}" '
-            f'font-size="11">{s.name}</text>'
-        )
-    parts.append("</svg>")
-    return write_bytes("\n".join(parts) + "\n", path)
+        color = _PALETTE[i % len(_PALETTE)]
+        coords = _points_attr(flat[2 * edges[i]:2 * edges[i + 1]])
+        parts.append(_SERIES % (color, coords, ly, ly, color, ly + 4, _escape(s.name)))
+    parts.append("</svg>\n")
+    return write_bytes("\n".join(parts), path)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InfeasibleWindow, InvalidRegime
 from .gd import StopStatus, level_set_search, run_to_level_set
 from .quadratic import QuadraticObjective, evaluate
-from .regimes import RegimeKind, classify_rate
+from .regimes import RegimeKind, rate_kind
 from .spectral import Spectrum, diagonal_spectrum
 
 
@@ -62,9 +62,14 @@ def trajectory(inst, eta, t):
 
 
 def _regime_kind(inst, eta, regime):
+    """The requested Small or Big kind, if eta has it on the instance.
+
+    eta is classified by regimes.rate_kind, the rule of classify_rate,
+    on the two eigenvalues as floats. Raises InvalidRegime otherwise, a
+    rate <= 0 included.
+    """
     kind = regime.kind if hasattr(regime, "kind") else RegimeKind(regime)
-    spec = diagonal_spectrum([inst.sigma1, inst.sigma2])
-    actual = classify_rate(eta, spec).kind
+    actual = rate_kind(eta, 2.0 / (inst.sigma1 + inst.sigma2), 2.0 / inst.sigma1)
     if kind not in (RegimeKind.SMALL, RegimeKind.BIG) or actual is not kind:
         raise InvalidRegime(
             f"eta={eta} is {actual.value}, requested {getattr(kind, 'value', kind)}"

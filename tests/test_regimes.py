@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepbias import gd, instances
 from stepbias.errors import (
@@ -647,9 +649,52 @@ def test_certify_rejects_mismatched_runs():
 
 def test_check_assumptions_fails_a4_on_bad_alpha():
     inst = _generated()
-    for alpha in (0.0, -1.0, math.nan, math.inf):
+    for alpha in (0.0, -1.0, math.nan, math.inf, 5e-324, 1e-310, 0.99e-300):
         verdicts = check_assumptions(inst.pair, inst.theta0, inst.eta_s, inst.eta_b, alpha)
         assert [v.passed for v in verdicts] == [True, True, True, False], alpha
+
+
+def test_certify_refuses_a_target_below_the_underflow_guard():
+    # Below 1e-300 the windows' log(scale / alpha) overflows and
+    # 18 r_opt sigma_n / (varsigma_n alpha) can divide by 0; both used to
+    # escape as OverflowError or ZeroDivisionError.
+    inst = _generated(model_error_fraction=0.0)
+    for alpha in (1e-310, 5e-324):
+        run_s = gd.run_to_level_set(inst.pair.train, inst.theta0, inst.eta_s, alpha, 10**6)
+        run_b = gd.run_to_level_set(inst.pair.train, inst.theta0, inst.eta_b, alpha, 10**6)
+        with pytest.raises(InfeasibleWindow):
+            certify(inst.pair, run_s, run_b, alpha)
+
+
+# About 2 ms per certified draw; three in four draws pass A1-A4.
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    model_error_fraction=st.floats(0.0, 1.0, exclude_max=True),
+    alpha_fraction=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_theorem_holds_wherever_its_assumptions_do(seed, model_error_fraction, alpha_fraction):
+    """Every sub-verdict and the final bound hold on each pair that passes A1-A4.
+
+    alpha is drawn in (0, alpha_1]; a draw that fails an assumption
+    (mostly A4's model-error cap, or a target that underflows) checks
+    nothing.
+    """
+    inst = _generated_from(np.random.default_rng(seed), n=None,
+                           model_error_fraction=model_error_fraction)
+    pair = inst.pair
+    record = pair_record(pair, gd.decompose(pair.train, inst.theta0), inst.eta_s, inst.eta_b)
+    alpha = alpha_fraction * record.alpha_1
+    verdicts = check_assumptions(pair, inst.theta0, inst.eta_s, inst.eta_b, alpha, record=record)
+    if not all(v.passed for v in verdicts):
+        return
+    win_s, win_b = record.windows(alpha)
+    t_max = int(10 + 4 * max(win_s.t3, win_b.t3))
+    run_s = gd.run_to_level_set(pair.train, inst.theta0, inst.eta_s, alpha, t_max)
+    run_b = gd.run_to_level_set(pair.train, inst.theta0, inst.eta_b, alpha, t_max)
+    cert = certify(pair, run_s, run_b, alpha, record=record)
+    assert all(cert.verdicts.values()), cert.verdicts
+    assert cert.verdict_final, cert.reason
 
 
 def test_check_assumptions_on_a_one_dimensional_pair_returns_verdicts():

@@ -1,9 +1,11 @@
 """CSV/SVG emission, config validation, and the CLI contract."""
 
+import dataclasses
 import json
 import math
 import re
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from stepbias import cli, errors, experiments, reporting
 from stepbias.config import (
     DEFAULT_ETA_GRID,
+    EXPERIMENTS,
     canonical_config,
     load_config,
     save_config,
@@ -44,6 +47,19 @@ def test_format_value():
     assert format_value(np.float32(0.1)) == "0.10000000149011612"
     assert format_value(np.int64(-4)) == "-4"
     assert format_value(None) == "None"
+    assert format_value(math.inf) == "inf"
+    assert format_value(-math.inf) == "-inf"
+    assert format_value(np.float64(-math.inf)) == "-inf"
+
+    class Tagged(float):
+        def __repr__(self):
+            return "tagged"
+
+        __str__ = __repr__
+
+    # A float subclass prints as the float it holds.
+    assert format_value(Tagged(0.25)) == "0.25"
+    assert format_value(Tagged(-math.inf)) == "-inf"
 
 
 def test_csv_roundtrip_exact(tmp_path):
@@ -130,6 +146,42 @@ def test_render_svg_range_wider_than_the_largest_float(tmp_path):
     assert 'points="60.000,420.000 580.000,60.000"' in (tmp_path / "a.svg").read_text()
 
 
+def _per_point_polylines(series, axes):
+    """The points attribute of each polyline, mapping and formatting one float at a time."""
+
+    def axis_range(values):
+        if not values:
+            return 0.0, 1.0
+        lo, hi = min(values), max(values)
+        return (lo, max(lo + 1.0, math.nextafter(lo, math.inf)) if hi == lo else hi)
+
+    def unit(v, lo, hi):
+        if math.isfinite(hi - lo):
+            return (v - lo) / (hi - lo)
+        return (v / 2 - lo / 2) / (hi / 2 - lo / 2)
+
+    points = []
+    for s in series:
+        pts = []
+        for x, y in zip(s.xs, s.ys):
+            x, y = float(x), float(y)
+            if axes.log_y:
+                y = math.log10(max(y, 1e-300))
+            if math.isfinite(x) and math.isfinite(y):
+                pts.append((x, y))
+        points.append(pts)
+    vlines = [float(v) for v in axes.vlines if math.isfinite(float(v))]
+    x_lo, x_hi = axis_range([x for pts in points for x, _ in pts] + vlines)
+    y_lo, y_hi = axis_range([y for pts in points for _, y in pts])
+    return [
+        " ".join(
+            f"{60.0 + unit(x, x_lo, x_hi) * 520.0:.3f},{420.0 - unit(y, y_lo, y_hi) * 360.0:.3f}"
+            for x, y in pts
+        )
+        for pts in points
+    ]
+
+
 def test_render_svg_coordinates_match_the_per_point_mapping(tmp_path):
     """Each polyline holds the points of mapping and formatting one float at a time."""
     rng = np.random.default_rng(7)
@@ -143,24 +195,58 @@ def test_render_svg_coordinates_match_the_per_point_mapping(tmp_path):
         ),
         ([Series("a", tuple(rng.normal(size=40) * 1e5), tuple(rng.normal(size=40)))], AxesSpec()),
         ([Series("a", (-1.5e308, 1.5e308, 0.0), (1.0, 2.0, -1e308))], AxesSpec()),
+        # Integer and numpy xs, unequal lengths, gaps, an empty series and
+        # y values at and below the log floor.
+        (
+            [
+                Series("a", tuple(range(6)), (1.0, 0.0, -2.0, 1e-300, math.nan, 3.0, 9.0)),
+                Series("b", (), ()),
+                Series("c", tuple(np.arange(4)), (math.inf, 2.0, 5e-301, 4.0)),
+            ],
+            AxesSpec(log_y=True, vlines=(math.inf, 7.5)),
+        ),
     ]
     for k, (series, axes) in enumerate(cases):
         path = tmp_path / f"{k}.svg"
         render_svg(series, axes, path)
-        points = [
-            list(zip(*(a.tolist() for a in reporting._finite_points(s, axes)))) for s in series
-        ]
-        xs = [x for pts in points for x, _ in pts] + list(axes.vlines)
-        x_unit = reporting._unit(*reporting._span(np.array(xs)))
-        y_unit = reporting._unit(*reporting._span(np.array([y for pts in points for _, y in pts])))
-        want = [
-            " ".join(
-                f"{60.0 + x_unit(x) * 520.0:.3f},{420.0 - y_unit(y) * 360.0:.3f}"
-                for x, y in pts
-            )
-            for pts in points
-        ]
-        assert re.findall(r'<polyline [^>]*points="([^"]*)"', path.read_text()) == want
+        got = re.findall(r'<polyline [^>]*points="([^"]*)"', path.read_text())
+        assert got == _per_point_polylines(series, axes)
+
+
+def test_svg_coordinates_format_like_str_format():
+    """The one-pass formatting writes what "{:.3f}" writes, -0.000 included."""
+    flat = [-0.0004, 1e-4, -0.0, 419.9995, 59.99949999, -1e-300, 123.4565, math.nan]
+    want = " ".join(
+        "{:.3f},{:.3f}".format(*flat[i:i + 2]) for i in range(0, len(flat), 2)
+    )
+    assert reporting._points_attr(flat) == want
+    assert want.startswith("-0.000,0.000 -0.000,")
+    assert reporting._points_attr([]) == ""
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_written_svg_is_well_formed_xml(experiment, tmp_path):
+    """Escaped text keeps each figure parseable, eta_sweep's |<theta - ...>| legend included."""
+    raw = {"experiment": experiment, "n": 20, "n_test": 20, "instances": 2,
+           "output_dir": str(tmp_path)}
+    manifest = experiments.run_experiment(validate_config(raw))
+    svgs = [f["path"] for f in manifest["files"] if f["path"].endswith(".svg")]
+    assert svgs
+    for name in svgs:
+        root = ElementTree.parse(tmp_path / name).getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    if experiment == "eta_sweep":
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "|<theta - theta_hat, e_1>|" in texts
+
+
+def test_svg_text_is_escaped(tmp_path):
+    axes = AxesSpec(title="a & b", xlabel="x < 1", ylabel="y > 2")
+    render_svg([Series("<s> & </s>", (0.0, 1.0), (0.0, 1.0))], axes, tmp_path / "a.svg")
+    text = (tmp_path / "a.svg").read_text()
+    assert "a &amp; b</text>" in text and "x &lt; 1</text>" in text and "y &gt; 2</text>" in text
+    assert "&lt;s&gt; &amp; &lt;/s&gt;</text>" in text
+    ElementTree.parse(tmp_path / "a.svg")
 
 
 def test_render_svg_needs_series(tmp_path):
@@ -217,6 +303,27 @@ def test_config_file_roundtrip(tmp_path):
     back = load_config(path)
     assert back == cfg
     assert validate_config(canonical_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"experiment": "toy2d"},
+        {"experiment": "eta_sweep", "seed": 3, "dataset_path": "d.csv", "eta_grid": [0.5, 1]},
+        {"experiment": "alpha_sweep", "alpha": 1e-3, "alpha_grid": [0.1], "eta_big": 1.9},
+    ],
+)
+def test_canonical_config_is_asdict_with_its_own_lists(raw):
+    cfg = validate_config(raw)
+    got = canonical_config(cfg)
+    assert got == dataclasses.asdict(cfg)
+    assert list(got) == [f.name for f in dataclasses.fields(cfg)]
+    for name in ("eta_grid", "alpha_grid", "scale_grid"):
+        before = list(getattr(cfg, name))
+        got[name].append(99.0)
+        got[name][0] = -1.0
+        assert getattr(cfg, name) == before
+    assert canonical_config(cfg) == dataclasses.asdict(cfg)
 
 
 def test_load_config_parse_error(tmp_path):

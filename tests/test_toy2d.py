@@ -7,7 +7,8 @@ from stepbias import toy2d
 from stepbias.errors import InfeasibleWindow, InvalidRegime
 from stepbias.gd import iterate
 from stepbias.quadratic import evaluate, excess
-from stepbias.regimes import RegimeKind
+from stepbias.regimes import RegimeKind, classify_rate
+from stepbias.spectral import diagonal_spectrum
 
 
 def test_instance_validation():
@@ -121,3 +122,25 @@ def test_feasible_alpha_validates_regimes():
     inst = toy2d.ToyInstance(1.0, 0.2)
     with pytest.raises(InvalidRegime):
         toy2d.feasible_alpha(inst, 1.95, 1.95, target=1e-8)
+
+
+@pytest.mark.parametrize("sigma1, sigma2", [(1.0, 0.2), (10, 10 / 3), (3.0, 2.999)])
+def test_regime_gate_classifies_like_classify_rate(sigma1, sigma2):
+    """The gate's float rule gives classify_rate's kind on the instance's spectrum."""
+    inst = toy2d.ToyInstance(sigma1, sigma2)
+    spec = diagonal_spectrum([sigma1, sigma2])
+    low, high = 2.0 / (sigma1 + sigma2), 2.0 / sigma1
+    etas = [0.5 * low, low * (1 - 1e-10), low * (1 - 5e-13), low, low * (1 + 5e-13),
+            0.5 * (low + high), high * (1 - 5e-13), high, high * (1 + 1e-10), 3.0 * high]
+    for eta in etas:
+        want = classify_rate(eta, spec).kind
+        for kind in (RegimeKind.SMALL, RegimeKind.BIG):
+            if want is kind:
+                assert toy2d.thresholds(inst, eta, 1e-8, kind) is not None
+            else:
+                with pytest.raises(InvalidRegime):
+                    toy2d.thresholds(inst, eta, 1e-8, kind)
+    # A rate <= 0 is NotPositive, refused like any other wrong kind.
+    for eta in (0.0, -0.5):
+        with pytest.raises(InvalidRegime, match="NotPositive"):
+            toy2d.thresholds(inst, eta, 1e-8, RegimeKind.SMALL)

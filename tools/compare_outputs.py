@@ -16,7 +16,9 @@ Prints the configs whose outcome differs, the files that differ or exist
 on one side only, and for each CSV column with a differing cell the worst
 relative drift |a - b| / max(|a|, |b|) over finite cells, the number of
 differing cells and whether non-finite values sit in the same cells.
-Exits 0 when every file of every config is byte-identical, 1 otherwise.
+Also lists every SVG, on either tree, that does not parse as XML.
+Exits 0 when every file of every config is byte-identical and every SVG
+parses, 1 otherwise.
 """
 
 import argparse
@@ -30,6 +32,7 @@ import sys
 import tempfile
 from collections import defaultdict
 from pathlib import Path
+from xml.etree import ElementTree
 
 HERE = Path(__file__).resolve().parents[1]
 EXPERIMENTS = (
@@ -150,8 +153,19 @@ def compare_csv(name, path_a, path_b, drifts, problems):
             drifts[(Path(name).name, column)].add(a, b)
 
 
+def ill_formed_svgs(base):
+    """'label/name: error' for each SVG under base that does not parse as XML."""
+    bad = []
+    for path in sorted(base.glob("*/*.svg")):
+        try:
+            ElementTree.parse(path)
+        except ElementTree.ParseError as exc:
+            bad.append(f"{path.parent.name}/{path.name}: {exc}")
+    return bad
+
+
 def compare(configs, outcomes_a, outcomes_b, base_a, base_b):
-    """Print the differences; return True when everything is byte-identical."""
+    """Print the differences; return True when all is byte-identical and every SVG parses."""
     same = True
     drifts = defaultdict(ColumnDrift)
     problems = []
@@ -188,6 +202,10 @@ def compare(configs, outcomes_a, outcomes_b, base_a, base_b):
           f"{differing} differ")
     for problem in problems:
         print(problem)
+    for side, base in (("A", base_a), ("B", base_b)):
+        for bad in ill_formed_svgs(base):
+            problems.append(bad)
+            print(f"ill-formed SVG in {side}: {bad}")
     moved = [(key, d) for key, d in sorted(drifts.items()) if d.differing]
     if moved:
         print("CSV columns with differing cells (worst relative drift over finite cells):")
