@@ -9,10 +9,6 @@ class NotSymmetric(StepbiasError):
     pass
 
 
-class NotPositiveDefinite(StepbiasError):
-    pass
-
-
 class DimensionMismatch(StepbiasError):
     pass
 
@@ -38,10 +34,6 @@ class InvalidRegime(StepbiasError):
 
 
 class ZeroDenominator(StepbiasError):
-    pass
-
-
-class ZeroInitialization(StepbiasError):
     pass
 
 

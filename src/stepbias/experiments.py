@@ -190,7 +190,8 @@ class _Sweep:
     """A kernel problem, its train objective, alpha* and the test data.
 
     ``cross`` is the train-by-test kernel, built once per sweep and used
-    to score every grid point.
+    to score every grid point; ``excess0`` is the excess train loss at
+    the zero start of every run.
     """
 
     prob: kernels.KernelProblem
@@ -198,6 +199,7 @@ class _Sweep:
     alpha_star: np.ndarray
     test: kernels.Dataset
     cross: np.ndarray
+    excess0: float
 
 
 def _sweep_problem(cfg):
@@ -222,6 +224,7 @@ def _sweep_problem(cfg):
         cross=kernels.gaussian_cross_kernel(
             prob.dataset.points, test.points, prob.scale
         ),
+        excess0=0.5 * float(np.sum(obj.spectrum.eigenvalues * obj.optimum**2)),
     )
 
 
@@ -273,11 +276,7 @@ def _level_target(fraction, excess0):
 
 def _run_eta_sweep(cfg, out):
     sweep = _sweep_problem(cfg)
-    obj = sweep.obj
-    excess0 = 0.5 * float(
-        np.sum(obj.spectrum.eigenvalues * obj.optimum**2)
-    )
-    alpha = cfg.alpha if cfg.alpha is not None else _level_target(0.05, excess0)
+    alpha = cfg.alpha if cfg.alpha is not None else _level_target(0.05, sweep.excess0)
     rows = []
     for eta_mult in cfg.eta_grid:
         run, proj_e1, hilbert_norm, accuracy = _level_run_row(
@@ -322,15 +321,11 @@ def _run_eta_sweep(cfg, out):
 
 def _run_alpha_sweep(cfg, out):
     sweep = _sweep_problem(cfg)
-    obj = sweep.obj
-    excess0 = 0.5 * float(
-        np.sum(obj.spectrum.eigenvalues * obj.optimum**2)
-    )
     eta_s = cfg.eta_small if cfg.eta_small is not None else 1.0
     eta_b = cfg.eta_big if cfg.eta_big is not None else TAU * 2.0
     rows = []
     for frac in cfg.alpha_grid:
-        alpha = _level_target(float(frac), excess0)
+        alpha = _level_target(float(frac), sweep.excess0)
         _, _, _, acc_s = _level_run_row(sweep, eta_s, alpha)
         _, _, _, acc_b = _level_run_row(sweep, eta_b, alpha)
         rows.append((float(frac), alpha, acc_s, acc_b))

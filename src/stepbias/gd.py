@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlreadyBelowLevelSet
-from .quadratic import _check_dim, excess, grad
+from .quadratic import _check_dim, grad
 
 DIVERGENCE_FACTOR = 1e12
 
@@ -280,8 +280,3 @@ def iterate(obj, theta0, eta, t):
     for _ in range(t):
         theta = step(obj, theta, eta)
     return theta
-
-
-def excess_loss(obj, theta):
-    """Excess train loss, re-exported for callers holding a run."""
-    return excess(obj, theta)

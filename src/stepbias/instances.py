@@ -142,10 +142,9 @@ def random_instance(rng, n=None, model_error_fraction=None):
     if fraction is None:
         fraction = 0.1 if rng.uniform() < 0.5 else 0.0
     if fraction > 0:
-        cap = min(0.25, record.kappa_F / (72.0 * record.kappa_R))
         direction = rng.normal(size=n)
         quad = 0.5 * float(direction @ test_spec.apply(direction))
-        scale = math.sqrt(fraction * cap * alpha / quad)
+        scale = math.sqrt(fraction * record.model_error_cap * alpha / quad)
         opt_test = opt_train + scale * direction
     else:
         opt_test = opt_train.copy()

@@ -12,8 +12,9 @@ Gaussian kernels come from a centred distance expansion evaluated in
 place on one buffer (gaussian_cross_kernel); at scales small enough
 for its round-off to matter, direct differences replace it.
 A sweep's ridge system (K + n lam I) alpha* = y is solved once, in the
-eigenbasis of K/n that the problem already holds (ridge_fit);
-ridge_alpha's Cholesky solve serves the dual-space code.
+eigenbasis of K/n that the problem already holds (ridge_fit), and
+dual_objective takes its optimum from the same solve; ridge_alpha's
+Cholesky solve is an independent check of it.
 """
 
 import csv
@@ -30,7 +31,7 @@ from .errors import (
     SingularSystem,
 )
 from .quadratic import QuadraticObjective, _ridge_fit
-from .spectral import Spectrum, eig_sym
+from .spectral import Spectrum, diagonal_spectrum, eig_sym
 
 CHOLESKY_PIVOT_RTOL = 1e-12
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -156,7 +157,6 @@ class KernelProblem:
     lam: float
     K: np.ndarray
     spectrum_of_Kn: Spectrum
-    C_K: float = GAUSSIAN_C_K
 
     @property
     def n(self):
@@ -258,11 +258,9 @@ def dual_objective(prob, mode):
         values = prob.n * sig * (sig + prob.lam)
     else:
         values = prob.n * (sig + prob.lam)
-    alpha_star = ridge_alpha(prob.K, prob.y, prob.lam)
-    optimum = to_eigen_coords(prob, alpha_star)
-    spec = Spectrum(
-        values, np.eye(prob.n), degenerate=prob.spectrum_of_Kn.degenerate
-    )
+    # ridge_fit's optimum is to_eigen_coords of its alpha*: sqrt(n sigma_i) <alpha*, u_i>.
+    optimum = ridge_fit(prob)[0].optimum
+    spec = diagonal_spectrum(values, degenerate=prob.spectrum_of_Kn.degenerate)
     return QuadraticObjective(spec, optimum)
 
 
@@ -303,19 +301,13 @@ def hilbert_distance2(prob, alpha_a, alpha_b):
     return float(diff @ (prob.K @ diff))
 
 
-def predict(prob, alpha, x):
-    """Score theta(x) = sum_i alpha_i k(x_i, x)."""
-    scores = predict_many(prob, alpha, np.atleast_2d(np.asarray(x, dtype=float)))
-    return float(scores[0])
-
-
 def _scores(cross, alpha):
     """Scores sum_i alpha_i cross[i, j] for every column j."""
     return cross.T @ np.asarray(alpha, dtype=float)
 
 
 def predict_many(prob, alpha, X):
-    """Scores for every row of X."""
+    """Scores theta(x) = sum_i alpha_i k(x_i, x) for every row x of X."""
     return _scores(gaussian_cross_kernel(prob.dataset.points, X, prob.scale), alpha)
 
 
@@ -350,7 +342,7 @@ def margin_certificate(prob, alpha, alpha_ref, delta):
     if not 0.0 < delta < 1.0:
         raise ValueError("margin delta must lie in (0, 1)")
     dist = np.sqrt(hilbert_distance2(prob, alpha, alpha_ref))
-    return bool(dist <= delta / (2.0 * prob.C_K))
+    return bool(dist <= delta / (2.0 * GAUSSIAN_C_K))
 
 
 def two_cluster_dataset(n, rng, d=2):

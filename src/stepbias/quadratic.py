@@ -7,12 +7,12 @@ representation once (from_kernel), so the GD analysis never has to
 re-solve linear systems.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, SingularKernel
-from .spectral import Spectrum, eig_sym
+from .spectral import Spectrum, diagonal_spectrum, eig_sym
 
 KERNEL_SINGULARITY_RTOL = 1e-12
 
@@ -122,29 +122,6 @@ def _ridge_fit(kn_spec, y, lam):
     optimum = np.sqrt(n * np.maximum(sig, 0.0)) * alpha_star_coeffs
     # m_hat = (1/2n) y^T [I - (K/n)(K/n + lam)^{-1}] y.
     min_value = float(np.sum(yu * yu * (1.0 - sig / (sig + lam)))) / (2 * n)
-    shifted = Spectrum(
-        sig + lam, np.eye(n), degenerate=kn_spec.degenerate
-    )
+    shifted = diagonal_spectrum(sig + lam, degenerate=kn_spec.degenerate)
     obj = QuadraticObjective(shifted, optimum, min_value=max(min_value, 0.0))
     return obj, alpha_star_coeffs
-
-
-def normalize(pair):
-    """Rescale both operators so their top eigenvalue is 1.
-
-    Condition numbers and argmins are unchanged; the train min_value is
-    rescaled by the same factor as its operator.
-    """
-    out = []
-    for obj in (pair.train, pair.test):
-        top = obj.spectrum.top
-        if top == 1.0:
-            out.append(obj)
-            continue
-        spec = Spectrum(
-            obj.spectrum.eigenvalues / top,
-            obj.spectrum.eigenvectors,
-            degenerate=obj.spectrum.degenerate,
-        )
-        out.append(replace(obj, spectrum=spec, min_value=obj.min_value / top))
-    return ProblemPair(train=out[0], test=out[1])

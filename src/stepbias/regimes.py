@@ -32,7 +32,6 @@ from .errors import (
     LevelSetMismatch,
     RegimeMismatch,
     ZeroDenominator,
-    ZeroInitialization,
 )
 from .gd import StopStatus, decompose
 from .quadratic import evaluate
@@ -159,10 +158,25 @@ class RegimeRecord:
     alpha_1: float = math.nan
     alpha_1_split: float = math.nan
 
+    @property
+    def model_error_cap(self):
+        """The largest R(theta_hat) / alpha that assumption A4 allows."""
+        return min(0.25, self.kappa_F / (72 * self.kappa_R))
+
     def windows(self, alpha):
-        """The (Small, Big) step windows for the level-set target alpha."""
+        """The (Small, Big) step windows for the level-set target alpha.
+
+        Raises InfeasibleWindow below UNDERFLOW_GUARD, where the window
+        bounds and the certificate's loss bounds leave the float range,
+        and wherever scale / alpha overflows.
+        """
         if not alpha > 0:
             raise ValueError("alpha must be positive")
+        if alpha < UNDERFLOW_GUARD:
+            raise InfeasibleWindow(
+                f"level-set target {alpha!r} is below {UNDERFLOW_GUARD}, where the step "
+                "windows and loss bounds leave the float range"
+            )
         return (
             _window(self.t1_s, self.scale_s, self.lead_s, alpha),
             _window(self.t1_b, self.scale_b, self.lead_b, alpha),
@@ -173,6 +187,10 @@ def _window(t1, scale, lead, alpha):
     decay = math.log(1.0 / lead)
     t2 = 0.5 * math.log(0.5 * scale / alpha) / decay
     t3 = 0.5 * math.log(1.25 * scale / alpha) / decay
+    if t3 == math.inf:  # 1.25 scale / alpha overflowed
+        raise InfeasibleWindow(
+            f"step window for scale {scale!r} and alpha {alpha!r} overflows"
+        )
     return StepWindow(t1=t1, t2=t2, t3=t3)
 
 
@@ -286,7 +304,7 @@ def check_assumptions(pair, theta0, eta_s, eta_b, alpha, record=None):
     )
     a2 = record.kind_s is RegimeKind.SMALL and record.kind_b is RegimeKind.BIG
     a3 = abs(record.iota_1) >= UNDERFLOW_GUARD and abs(record.iota_n) >= UNDERFLOW_GUARD
-    ratio_cap = min(0.25, record.kappa_F / (72 * record.kappa_R))
+    ratio_cap = record.model_error_cap
     # alpha_1 is undefined without distinct eigenvalues, valid rates and
     # nonzero boundary coefficients; a NaN alpha_1 fails A4.
     a_one = record.alpha_1 if a1 and a2 and a3 else math.nan
@@ -333,7 +351,8 @@ class Certificate:
     R(theta_s); bound_general the 17 c_alpha (kappa_R/kappa_F) R(theta_s)
     form that does not need the model-error assumption. verdict_final is
     the measured specialized inequality (false with reason
-    ModelErrorTooLarge when c_alpha is undefined).
+    ModelErrorTooLarge when c_alpha is undefined). The fields are in the
+    order of to_record's columns.
     """
 
     alpha: float
@@ -351,45 +370,31 @@ class Certificate:
     r_big: float
     bound_general: float
     bound_rhs: float
-    window_small: StepWindow
-    window_big: StepWindow
     t_small: int
     t_big: int
-    verdicts: dict
+    window_small: StepWindow
+    window_big: StepWindow
     verdict_final: bool
     reason: str
+    verdicts: dict
 
     def to_record(self):
-        """Flatten to a key-value record for CSV emission."""
-        rec = {
-            "alpha": self.alpha,
-            "eta_s": self.eta_s,
-            "eta_b": self.eta_b,
-            "kappa_F": self.kappa_F,
-            "kappa_R": self.kappa_R,
-            "r_opt": self.r_opt,
-            "epsilon_b2": self.epsilon_b2,
-            "epsilon_s2": self.epsilon_s2,
-            "alpha_1": self.alpha_1,
-            "alpha_1_split": self.alpha_1_split,
-            "c_alpha": self.c_alpha,
-            "r_small": self.r_small,
-            "r_big": self.r_big,
-            "bound_general": self.bound_general,
-            "bound_rhs": self.bound_rhs,
-            "t_small": self.t_small,
-            "t_big": self.t_big,
-            "window_small_t1": self.window_small.t1,
-            "window_small_t2": self.window_small.t2,
-            "window_small_t3": self.window_small.t3,
-            "window_big_t1": self.window_big.t1,
-            "window_big_t2": self.window_big.t2,
-            "window_big_t3": self.window_big.t3,
-            "verdict_final": self.verdict_final,
-            "reason": self.reason,
-        }
-        for name, value in self.verdicts.items():
-            rec[f"verdict_{name}"] = value
+        """Flatten to a key-value record for CSV emission, in field order.
+
+        A StepWindow field becomes <field>_t1.._t3 and the verdicts dict
+        one verdict_<name> column per entry.
+        """
+        rec = {}
+        # vars() of a dataclass holds its fields in declaration order.
+        for name, value in vars(self).items():
+            if isinstance(value, StepWindow):
+                for bound, t in vars(value).items():
+                    rec[f"{name}_{bound}"] = t
+            elif isinstance(value, dict):
+                for check, verdict in value.items():
+                    rec[f"verdict_{check}"] = verdict
+            else:
+                rec[name] = value
         return rec
 
 
@@ -455,15 +460,8 @@ def certify(pair, run_s, run_b, alpha, record=None):
     offset = pair.train.optimum - pair.test.optimum
     r_big = _test_loss(pair, mu_b, offset)
     r_small = _test_loss(pair, mu_s, offset)
-    if abs(record.iota_1) < UNDERFLOW_GUARD or abs(record.iota_n) < UNDERFLOW_GUARD:
-        raise ZeroInitialization("zero initial coefficient on sigma_1 or sigma_n")
     if math.isnan(record.alpha_1):
         raise InvalidRegime("instance outside the theorem's domain, see regime_record")
-    if not alpha >= UNDERFLOW_GUARD:
-        raise InfeasibleWindow(
-            f"level-set target {alpha!r} is below {UNDERFLOW_GUARD}, where the step "
-            "windows and loss bounds leave the float range"
-        )
     win_s, win_b = record.windows(alpha)
 
     c_alpha_den = 1.0 - math.sqrt(18.0 * (sig[-1] / varsign) * r_opt / alpha)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NotPositiveDefinite, NotSymmetric
+from .errors import DegenerateSpectrum, NotSymmetric
 
 SYMMETRY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-10
@@ -107,7 +107,7 @@ def _flag_degenerate(w):
     return degenerate
 
 
-def eig_sym(A, require_positive_definite=False):
+def eig_sym(A):
     """Eigendecompose a symmetric matrix with LAPACK (``np.linalg.eigh``).
 
     Eigenvalues come back sorted descending; each eigenvector is signed
@@ -118,10 +118,6 @@ def eig_sym(A, require_positive_definite=False):
     w, v = np.linalg.eigh(_symmetrized(A))
     w, v = w[::-1].copy(), v[:, ::-1].copy()
     _sign_convention(v)
-    if require_positive_definite and w[-1] <= 0.0:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {w[-1]:.3e} is not positive"
-        )
     return Spectrum(w, v, degenerate=_flag_degenerate(w))
 
 

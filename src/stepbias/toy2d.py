@@ -19,7 +19,9 @@ from .errors import InfeasibleWindow, InvalidRegime
 from .gd import StopStatus, level_set_search, run_to_level_set
 from .quadratic import QuadraticObjective, evaluate
 from .regimes import RegimeKind, rate_kind
-from .spectral import Spectrum, diagonal_spectrum
+from .spectral import diagonal_spectrum
+
+ALIGN_SCAN = 400  # small-rate landing steps feasible_alpha tries
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,9 @@ class ToyInstance:
         )
 
     def test_objective(self):
-        ident = Spectrum(np.ones(2), np.eye(2), degenerate=True)
-        return QuadraticObjective(ident, np.zeros(2))
+        return QuadraticObjective(
+            diagonal_spectrum(np.ones(2), degenerate=True), np.zeros(2)
+        )
 
     def theta0(self):
         return np.array([self.iota, self.iota])
@@ -68,12 +71,10 @@ def _regime_kind(inst, eta, regime):
     on the two eigenvalues as floats. Raises InvalidRegime otherwise, a
     rate <= 0 included.
     """
-    kind = regime.kind if hasattr(regime, "kind") else RegimeKind(regime)
+    kind = RegimeKind(regime)
     actual = rate_kind(eta, 2.0 / (inst.sigma1 + inst.sigma2), 2.0 / inst.sigma1)
     if kind not in (RegimeKind.SMALL, RegimeKind.BIG) or actual is not kind:
-        raise InvalidRegime(
-            f"eta={eta} is {actual.value}, requested {getattr(kind, 'value', kind)}"
-        )
+        raise InvalidRegime(f"eta={eta} is {actual.value}, requested {kind.value}")
     return kind
 
 
@@ -121,7 +122,7 @@ def _first_hit(inst, eta, level, name):
     return t
 
 
-def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02, scan=400):
+def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02):
     """Pick a level-set target near ``target`` on which the ratio test is safe.
 
     Discrete stopping lands the excess loss anywhere in (A^2 alpha,
@@ -135,7 +136,7 @@ def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02, scan=400):
     _regime_kind(inst, eta_s, RegimeKind.SMALL)
     _regime_kind(inst, eta_b, RegimeKind.BIG)
     t = _first_hit(inst, eta_s, target, "small")
-    for candidate_t in range(t, t + scan):
+    for candidate_t in range(t, t + ALIGN_SCAN):
         alpha = excess_loss(inst, eta_s, candidate_t) * (1.0 + 1e-9)
         if alpha <= 0:
             break

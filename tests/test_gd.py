@@ -12,7 +12,6 @@ from stepbias.gd import (
     StopStatus,
     closed_form,
     decompose,
-    excess_loss,
     hit_lower_bound,
     iterate,
     level_set_search,
@@ -20,7 +19,7 @@ from stepbias.gd import (
     run_to_level_set,
     step,
 )
-from stepbias.quadratic import QuadraticObjective
+from stepbias.quadratic import QuadraticObjective, excess
 from stepbias.spectral import diagonal_spectrum, eig_sym
 
 
@@ -95,7 +94,7 @@ def test_closed_form_matches_iterative():
         theta_t = iterate(obj, theta0, eta, t)
         assert np.allclose(run.theta, theta_t, rtol=1e-9, atol=1e-12)
         assert run.loss_trace.shape == (t,)
-        assert run.loss_trace[-1] == pytest.approx(excess_loss(obj, theta_t), rel=1e-9)
+        assert run.loss_trace[-1] == pytest.approx(excess(obj, theta_t), rel=1e-9)
 
 
 def test_closed_form_trace_is_per_step_excess():
@@ -104,7 +103,7 @@ def test_closed_form_trace_is_per_step_excess():
     theta = np.array([1.0, 1.0])
     for k in range(4):
         theta = step(obj, theta, 0.3)
-        assert run.loss_trace[k] == pytest.approx(excess_loss(obj, theta), rel=1e-12)
+        assert run.loss_trace[k] == pytest.approx(excess(obj, theta), rel=1e-12)
 
 
 def test_run_to_level_set_hits_with_half_level():
@@ -112,7 +111,7 @@ def test_run_to_level_set_hits_with_half_level():
     run = run_to_level_set(obj, np.array([1.0, 1.0]), 0.2, 1e-3, 1000)
     assert run.stop_status is StopStatus.HIT_LEVEL_SET
     assert run.final_excess <= 1e-3
-    assert excess_loss(obj, run.theta) == pytest.approx(run.final_excess, rel=1e-9)
+    assert excess(obj, run.theta) == pytest.approx(run.final_excess, rel=1e-9)
     # The step before stopping was still above the target.
     assert run.loss_trace[-2] > 1e-3
     assert run.half_level_ok == (run.final_excess >= 0.5e-3)

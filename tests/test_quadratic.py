@@ -12,7 +12,6 @@ from stepbias.quadratic import (
     excess,
     from_kernel,
     grad,
-    normalize,
 )
 from stepbias.spectral import diagonal_spectrum, eig_sym
 
@@ -115,18 +114,3 @@ def test_from_kernel_rejects_bad_inputs():
         from_kernel(K, np.ones(2), 0.1)
     with pytest.raises(ValueError):
         from_kernel(K, np.ones(3), -0.1)
-
-
-def test_normalize_scales_top_to_one():
-    rng = np.random.default_rng(4)
-    train = QuadraticObjective(
-        diagonal_spectrum([4.0, 2.0, 1.0]), rng.normal(size=3), min_value=0.8
-    )
-    test = QuadraticObjective(diagonal_spectrum([6.0, 3.0, 2.0]), rng.normal(size=3))
-    pair = normalize(ProblemPair(train, test))
-    assert pair.train.spectrum.top == 1.0
-    assert pair.test.spectrum.top == 1.0
-    assert pair.train.spectrum.bottom == pytest.approx(0.25)
-    assert pair.test.spectrum.bottom == pytest.approx(2.0 / 6.0)
-    assert pair.train.min_value == pytest.approx(0.2)
-    assert np.array_equal(pair.train.optimum, train.optimum)

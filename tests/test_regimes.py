@@ -19,7 +19,8 @@ from stepbias.errors import (
     WrongRegime,
     ZeroDenominator,
 )
-from stepbias.experiments import stream
+from stepbias.config import validate_config
+from stepbias.experiments import run_experiment, stream
 from stepbias.instances import random_instance
 from stepbias.quadratic import ProblemPair, QuadraticObjective
 from stepbias.regimes import (
@@ -464,6 +465,21 @@ def test_step_window_shape():
     assert not big.feasible and math.isnan(big.t2)
 
 
+def test_windows_refuse_targets_whose_bounds_leave_the_float_range():
+    # log(0.5 scale / alpha) overflows there: t2 = t3 = inf, and
+    # window_empty would raise OverflowError on them.
+    inst = _generated(model_error_fraction=0.0)
+    rec = pair_record(inst.pair, gd.decompose(inst.pair.train, inst.theta0), inst.eta_s, inst.eta_b)
+    for alpha in (1e-310, 5e-324):
+        with pytest.raises(InfeasibleWindow):
+            rec.windows(alpha)
+    assert all(win.t3 < math.inf for win in rec.windows(1e-300))
+    # Above the guard, a large boundary coefficient can still overflow scale / alpha.
+    large = regime_record(SPEC, 2.0, 0.7, 1.9, np.array([1e5, 1.0, 1.0, 1e5]))
+    with pytest.raises(InfeasibleWindow):
+        large.windows(1e-299)
+
+
 def test_complexity_bounds_shrink_with_gap():
     iota = np.array([0.5, -0.4, 0.3, 0.6])
     wide = regime_record(diagonal_spectrum([1.0, 0.9, 0.3, 0.2]), 2.0, 0.7, 1.9, iota)
@@ -607,6 +623,29 @@ def test_certify_happy_path():
     rec = cert.to_record()
     assert rec["verdict_final"] is True
     assert rec["verdict_epsilon_b_bound"] is True
+
+
+CERTIFICATE_COLUMNS = (
+    "instance,alpha,eta_s,eta_b,kappa_F,kappa_R,r_opt,epsilon_b2,epsilon_s2,"
+    "alpha_1,alpha_1_split,c_alpha,r_small,r_big,bound_general,bound_rhs,"
+    "t_small,t_big,window_small_t1,window_small_t2,window_small_t3,"
+    "window_big_t1,window_big_t2,window_big_t3,verdict_final,reason,"
+    "verdict_epsilon_b_bound,verdict_epsilon_s_bound,verdict_mu_big_window,"
+    "verdict_mu_small_window,verdict_r_big_upper,verdict_r_small_lower,"
+    "verdict_half_level_small,verdict_half_level_big,"
+    "verdict_window_small_feasible,verdict_window_big_feasible"
+).split(",")
+
+
+def test_certificate_columns_are_pinned(tmp_path):
+    # to_record follows the Certificate's field order: reordering the
+    # fields must not move a column of certificates.csv unnoticed.
+    run_experiment(
+        validate_config({"experiment": "quadratic_certify", "output_dir": str(tmp_path)})
+    )
+    header = (tmp_path / "certificates.csv").read_text().split("\n", 1)[0]
+    assert header.split(",") == CERTIFICATE_COLUMNS
+    assert len(CERTIFICATE_COLUMNS) == 36
 
 
 def test_certify_with_model_error():

@@ -14,9 +14,9 @@ from stepbias import cli, errors, experiments, reporting
 from stepbias.config import (
     DEFAULT_ETA_GRID,
     EXPERIMENTS,
+    ExperimentConfig,
     canonical_config,
     load_config,
-    save_config,
     validate_config,
 )
 from stepbias.errors import IoError, ParseError, ValidationError
@@ -296,10 +296,26 @@ def test_validate_config_rejects(raw):
         validate_config(raw)
 
 
+FLOAT_FIELDS = {"eta_small", "eta_big", "alpha", "lam", "scale", "sigma1", "sigma2"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_config_field_types(name):
+    # The types come from ExperimentConfig's annotations.
+    base = {"experiment": "eta_sweep"}
+    with pytest.raises(ValidationError):
+        validate_config({**base, name: True})
+    if name in FLOAT_FIELDS:
+        assert validate_config({**base, name: 1}) == validate_config({**base, name: 1.0})
+    else:
+        with pytest.raises(ValidationError):
+            validate_config({**base, name: 1.0})
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = validate_config({"experiment": "toy2d", "seed": 7, "sigma2": 0.1})
     path = tmp_path / "cfg.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(canonical_config(cfg)))
     back = load_config(path)
     assert back == cfg
     assert validate_config(canonical_config(cfg)) == cfg

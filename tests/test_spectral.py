@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepbias.errors import DegenerateSpectrum, NotPositiveDefinite, NotSymmetric
+from stepbias.errors import DegenerateSpectrum, NotSymmetric
 from stepbias.spectral import (
     Spectrum,
     _check_degenerate,
@@ -104,14 +104,6 @@ def test_rejects_asymmetric_and_nonsquare():
             decompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(NotSymmetric):
             decompose(np.zeros((2, 3)))
-
-
-def test_positive_definite_gate():
-    A = np.diag([1.0, -0.5])
-    with pytest.raises(NotPositiveDefinite):
-        eig_sym(A, require_positive_definite=True)
-    spec = eig_sym(A)  # allowed without the flag
-    assert spec.bottom == -0.5
 
 
 def test_degenerate_spectrum_warns():
