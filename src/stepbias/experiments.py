@@ -26,13 +26,17 @@ from .filters import (
     residual,
     tikhonov,
 )
-from .instances import random_instance
+from .instances import random_instance, random_instances
 from .quadratic import QuadraticObjective
 from .regimes import certify, check_assumptions, pair_record
 from .reporting import AxesSpec, Series, render_svg, write_bytes, write_csv
 from .spectral import condition_number, eigvals_sym
 
 T_MAX_SWEEP = 500_000
+# Streams per random_instances call in quadratic_certify. Memory grows
+# with it, not with the number of instances; the cost per instance stops
+# falling at about 20 streams.
+CERTIFY_BLOCK = 40
 
 
 def stream(seed, name):
@@ -131,11 +135,25 @@ def _run_toy2d(cfg, out):
     )
 
 
+def _certify_instances(cfg):
+    """The run's instances in order, generated CERTIFY_BLOCK streams at a time."""
+    for start in range(0, cfg.instances, CERTIFY_BLOCK):
+        stop = min(start + CERTIFY_BLOCK, cfg.instances)
+        names = [f"certify-{i}" for i in range(start, stop)]
+        try:
+            block = random_instances([stream(cfg.seed, name) for name in names])
+        except InfeasibleWindow:
+            # A stream ran out of draws. Generating the block one instance
+            # at a time raises it only after the instances before it are
+            # certified, so an earlier failure is still the one raised.
+            block = (random_instance(stream(cfg.seed, name)) for name in names)
+        yield from block
+
+
 def _run_quadratic_certify(cfg, out):
     rows = []
     schema = None
-    for i in range(cfg.instances):
-        inst = random_instance(stream(cfg.seed, f"certify-{i}"))
+    for i, inst in enumerate(_certify_instances(cfg)):
         if i == 0:
             spec = inst.pair.train.spectrum
         # One record for the check and the certificate: its iota is the

@@ -17,8 +17,9 @@ unconfirmed bound falls back to the search from step 1. The bound is
 evaluated on plain floats, since it only picks where the search starts;
 the loss stays a numpy expression, evaluated once per step. It also
 reports whether the run stayed above alpha/2 (the half-level condition
-is reported, never enforced). The per-step loss trace of a run is
-computed from the closed form only when it is read.
+is reported, never enforced). The final loss is the one the search
+evaluated at the returned step. The final iterate and the per-step loss
+trace of a run are computed only when they are read.
 """
 
 import enum
@@ -29,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlreadyBelowLevelSet
-from .quadratic import _check_dim, grad
+from .quadratic import QuadraticObjective, _check_dim, grad
 
 DIVERGENCE_FACTOR = 1e12
 
@@ -46,10 +47,11 @@ class GDRun:
 
     mu holds the final per-eigendirection coefficients of
     theta - optimum; iota the initial ones; sigma the eigenvalues of the
-    train operator. final_excess is the excess train loss after the last
-    step (None after zero steps). half_level_ok is None unless the run
-    targeted a level set, in which case it reports whether the final
-    excess loss is >= alpha/2.
+    train operator; objective the train objective the run descends.
+    final_excess is the excess train loss after the last step (None
+    after zero steps). half_level_ok is None unless the run targeted a
+    level set, in which case it reports whether the final excess loss is
+    >= alpha/2.
     """
 
     eta: float
@@ -58,10 +60,15 @@ class GDRun:
     iota: np.ndarray
     sigma: np.ndarray
     stop_status: StopStatus
-    theta: np.ndarray
+    objective: QuadraticObjective
     final_excess: float | None
     alpha: float | None = None
     half_level_ok: bool | None = None
+
+    @cached_property
+    def theta(self):
+        """The final iterate optimum + V mu, reconstructed when first read."""
+        return reconstruct(self.objective, self.mu)
 
     @cached_property
     def loss_trace(self):
@@ -122,7 +129,7 @@ def closed_form(obj, theta0, eta, t):
         iota=iota,
         sigma=sig,
         stop_status=StopStatus.MAX_STEPS_EXCEEDED,
-        theta=reconstruct(obj, mu),
+        objective=obj,
         final_excess=0.5 * float(np.sum(sig * mu * mu)) if t else None,
     )
 
@@ -236,10 +243,12 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
     # 0 * inf out of the powers of |factor| > 1.
     live = power != 0
     sig_l, iota_l, fac_l, power_l = sig[live], iota[live], factors[live], power[live]
+    evaluated = {}
 
     def loss(t):
         mu_t = iota_l * fac_l**t
-        return 0.5 * float((sig_l * mu_t * mu_t).sum())
+        evaluated[t] = value = 0.5 * float((sig_l * mu_t * mu_t).sum())
+        return value
 
     rates = np.abs(fac_l)
     nonincreasing = bool(rates.max() <= 1.0)
@@ -257,7 +266,7 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
             limit=DIVERGENCE_FACTOR * loss0,
             start=start,
         )
-        final = loss(steps)
+        final = evaluated[steps] if steps in evaluated else loss(steps)
         mu = _final_mu(iota, factors, steps)
     half_ok = final >= 0.5 * alpha if status is StopStatus.HIT_LEVEL_SET else None
     return GDRun(
@@ -267,7 +276,7 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
         iota=iota,
         sigma=sig,
         stop_status=status,
-        theta=reconstruct(obj, mu),
+        objective=obj,
         final_excess=final,
         alpha=float(alpha),
         half_level_ok=half_ok,

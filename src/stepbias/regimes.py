@@ -11,7 +11,7 @@ the 34 (kappa_R / kappa_F) bound.
 An instance's spectral numbers are derived once, by regime_record, into
 a frozen RegimeRecord of plain floats (kappa_F, kappa_R, thresholds,
 rate kinds, attenuations, log gaps, both alpha_1 readings, each t1);
-RegimeRecord.windows adds t2 and t3 for a target alpha. random_instance
+RegimeRecord.windows adds t2 and t3 for a target alpha. random_instances
 derives one per attempt; check_assumptions and certify share one
 pair_record, built from the runs' iota = V^T (theta0 - optimum).
 
@@ -22,6 +22,7 @@ signed max would pick the wrong direction.
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,8 +99,10 @@ def _mass_ratio(lead, rest):
         raise ZeroDenominator(
             "distinguished coefficient underflowed below 1e-300"
         )
-    ratio = rest / lead
-    ratio *= ratio
+    # A ratio past 1e154 squares to inf, as it should: no warning.
+    with np.errstate(over="ignore"):
+        ratio = rest / lead
+        ratio *= ratio
     return float(ratio.sum())
 
 
@@ -166,12 +169,14 @@ class RegimeRecord:
     def windows(self, alpha):
         """The (Small, Big) step windows for the level-set target alpha.
 
-        Raises InfeasibleWindow below UNDERFLOW_GUARD, where the window
-        bounds and the certificate's loss bounds leave the float range,
-        and wherever scale / alpha overflows.
+        Raises ValueError unless alpha is positive and finite, and
+        InfeasibleWindow below UNDERFLOW_GUARD, where the window bounds
+        and the certificate's loss bounds leave the float range, and
+        wherever scale / alpha overflows. Where it underflows, the bounds
+        come from logs (see _log_quotient).
         """
-        if not alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if alpha < UNDERFLOW_GUARD:
             raise InfeasibleWindow(
                 f"level-set target {alpha!r} is below {UNDERFLOW_GUARD}, where the step "
@@ -183,10 +188,24 @@ class RegimeRecord:
         )
 
 
+def _log_quotient(factor, scale, alpha):
+    """log(factor scale / alpha); in logs where the quotient underflows.
+
+    Where factor scale / alpha is a normal float its log is taken, which
+    keeps every window that fits in floats as it was. Below that the
+    quotient has lost bits or is 0, and the logs are summed instead.
+    An overflowed quotient stays inf.
+    """
+    quotient = factor * scale / alpha
+    if quotient >= sys.float_info.min:
+        return math.log(quotient)
+    return math.log(factor) + math.log(scale) - math.log(alpha)
+
+
 def _window(t1, scale, lead, alpha):
     decay = math.log(1.0 / lead)
-    t2 = 0.5 * math.log(0.5 * scale / alpha) / decay
-    t3 = 0.5 * math.log(1.25 * scale / alpha) / decay
+    t2 = 0.5 * _log_quotient(0.5, scale, alpha) / decay
+    t3 = 0.5 * _log_quotient(1.25, scale, alpha) / decay
     if t3 == math.inf:  # 1.25 scale / alpha overflowed
         raise InfeasibleWindow(
             f"step window for scale {scale!r} and alpha {alpha!r} overflows"
@@ -203,8 +222,10 @@ def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
     """Derive the RegimeRecord of an instance.
 
     The theorem's domain: eta_s Small, eta_b Big, train eigenvalues
-    positive and strictly decreasing (n >= 2), and boundary coefficients
-    iota_1, iota_n whose squares do not underflow to 0. Outside it the
+    positive and strictly decreasing (n >= 2), boundary coefficients
+    iota_1, iota_n whose scales sigma iota^2 do not underflow to 0, and
+    attenuations that give both regimes a positive log gap in floats
+    (adjacent eigenvalues can round to one attenuation). Outside it the
     attenuations, gaps, windows and alpha_1 readings are NaN.
     """
     # Plain floats throughout: the same IEEE results as numpy scalars, cheaper.
@@ -222,8 +243,8 @@ def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
         kind_s is RegimeKind.SMALL
         and kind_b is RegimeKind.BIG
         and _positive_decreasing(sig)
-        and i1**2 > 0
-        and inn**2 > 0
+        and sig_1 * i1**2 > 0
+        and sig_n * inn**2 > 0
     ):
         return RegimeRecord(*base)
     # |1 - eta sigma| on each regime's distinguished direction (lead) and
@@ -236,6 +257,8 @@ def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
         return RegimeRecord(*base)
     gap_s = math.log(lead_s / second_s)
     gap_b = math.log(lead_b / second_b)
+    if not (gap_s > 0 and gap_b > 0):  # a zero gap in floats
+        return RegimeRecord(*base)
     norm_sq = float((iota * iota).sum())
     small_factor = max(16 * n * kappa_R, 4 * kappa_F)
     small_tail = 1.0 / (1.0 - eta_s * sig_n)

@@ -456,3 +456,53 @@ def test_lower_bound_on_floats_finds_what_the_numpy_bound_finds(monkeypatch):
         assert run.final_excess == ref.final_excess
     assert len(starts) > 200
     assert all(got == want for got, want in starts)
+
+
+def _eager_final(obj, theta0, eta, steps):
+    """Oracle: the final loss evaluated again at the run's step, and its iterate.
+
+    run_to_level_set computed both this way, eagerly, before it reused the
+    search's loss and reconstructed theta on first read.
+    """
+    iota = decompose(obj, theta0)
+    sig = obj.spectrum.eigenvalues
+    live = sig * iota * iota != 0
+    factors = 1.0 - eta * sig
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_t = iota[live] * factors[live] ** steps
+        final = 0.5 * float((sig[live] * mu_t * mu_t).sum())
+        mu = gd._final_mu(iota, factors, steps)
+    return final, reconstruct(obj, mu)
+
+
+def test_final_loss_and_iterate_are_bitwise_the_eager_ones():
+    from stepbias.experiments import stream
+    from stepbias.instances import random_instance
+
+    problems = []
+    for sigma, iota, eta, alpha, t_max in _search_cases():
+        sigma = np.asarray(sigma, dtype=float)
+        obj = QuadraticObjective(diagonal_spectrum(sigma), np.zeros(sigma.size))
+        problems.append((obj, np.asarray(iota, dtype=float), eta, alpha, t_max))
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        obj = random_objective(rng, int(rng.integers(1, 9)))
+        theta0 = obj.optimum + rng.normal(size=obj.n)
+        top = obj.spectrum.top
+        loss0 = excess(obj, theta0)
+        for eta in (0.5 / top, 1.9 / top, 2.1 / top):
+            problems.append((obj, theta0, eta, loss0 * 1e-6, 10**5))
+    for seed in range(20):
+        inst = random_instance(stream(seed, "certify-0"))
+        for eta in (inst.eta_s, inst.eta_b):
+            problems.append((inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max))
+    statuses = set()
+    for obj, theta0, eta, alpha, t_max in problems:
+        run = run_to_level_set(obj, theta0, eta, alpha, t_max)
+        statuses.add(run.stop_status)
+        assert "theta" not in vars(run)
+        final, theta = _eager_final(obj, theta0, eta, run.steps)
+        assert np.float64(run.final_excess).tobytes() == np.float64(final).tobytes()
+        assert run.theta.tobytes() == theta.tobytes()
+        assert run.theta is run.theta
+    assert statuses == set(StopStatus)

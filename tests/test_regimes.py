@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -34,7 +35,7 @@ from stepbias.regimes import (
     pair_record,
     regime_record,
 )
-from stepbias.spectral import condition_number, diagonal_spectrum
+from stepbias.spectral import Spectrum, condition_number, diagonal_spectrum
 
 SPEC = diagonal_spectrum([1.0, 0.9, 0.3, 0.2])
 
@@ -171,7 +172,7 @@ def _fake_run(mu):
         iota=np.asarray(mu, dtype=float),
         sigma=np.ones(len(mu)),
         stop_status=gd.StopStatus.HIT_LEVEL_SET,
-        theta=np.asarray(mu, dtype=float),
+        objective=None,
         final_excess=1.0,
     )
 
@@ -301,7 +302,12 @@ def _step_window_reference(spectrum, iota, eta, alpha, kappa_R, kind):
 def _random_instance_reference(rng, n, model_error_fraction):
     """Oracle: random_instance with every number derived per call."""
     for _ in range(instances.MAX_DRAWS):
-        train_spec, test_spec, opt_train, iota = instances._draw(rng, n)
+        train_vals, train_angles, test_vals, test_angles, opt_train, iota = (
+            instances._draw(rng, n)
+        )
+        train_basis, test_basis = instances.givens_bases([(n, train_angles), (n, test_angles)])
+        train_spec = Spectrum(train_vals, train_basis)
+        test_spec = Spectrum(test_vals, test_basis)
         sig1, sign = train_spec.eigenvalues[0], train_spec.eigenvalues[-1]
         eta_s = 1.0 / (sig1 + sign)
         eta_b = 1.9 / sig1
@@ -421,6 +427,8 @@ def test_record_outside_the_domain_has_no_readings():
         "iota_n squared underflows": regime_record(
             SPEC, 2.0, 0.7, 1.9, np.array([1, 1, 1, 1e-200])
         ),
+        # iota_n^2 is the least subnormal, and sigma_n iota_n^2 rounds to 0.
+        "scale underflows": regime_record(SPEC, 2.0, 0.7, 1.9, np.array([1, 1, 1, 3e-162])),
         "one eigenvalue": regime_record(diagonal_spectrum([2.0]), 2.0, 0.3, 0.8, [1.0]),
         "repeated eigenvalue": regime_record(
             diagonal_spectrum([1.0, 0.5, 0.5, 0.2]), 2.0, 0.7, 1.9, iota
@@ -459,8 +467,9 @@ def test_step_window_shape():
     assert win.t1 > 0 and win.t2 < win.t3
     assert win.feasible == (win.t2 > win.t1)
     assert win.t1 == rec.t1_s
-    with pytest.raises(ValueError):
-        rec.windows(-1.0)
+    for alpha in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            rec.windows(alpha)
     big = regime_record(SPEC, 2.0, 0.7, 3.0, iota).windows(1e-10)[1]
     assert not big.feasible and math.isnan(big.t2)
 
@@ -478,6 +487,67 @@ def test_windows_refuse_targets_whose_bounds_leave_the_float_range():
     large = regime_record(SPEC, 2.0, 0.7, 1.9, np.array([1e5, 1.0, 1.0, 1e5]))
     with pytest.raises(InfeasibleWindow):
         large.windows(1e-299)
+
+
+def test_a_zero_float_gap_is_outside_the_domain():
+    """Adjacent eigenvalues whose attenuations round to one float: NaN, A4 fails."""
+    # 1 - eta_s sigma_n and 1 - eta_s sigma_{n-1} are one float: Small gap 0.
+    small = diagonal_spectrum([1.0, 0.5, 1e-3, np.nextafter(1e-3, 0.0)])
+    pair = ProblemPair(
+        QuadraticObjective(small, np.zeros(4)),
+        QuadraticObjective(diagonal_spectrum([1.0, 0.8, 0.7, 0.5]), np.zeros(4)),
+    )
+    verdicts = check_assumptions(pair, np.ones(4), 1.0, 1.9995, 1e-6)
+    assert [v.passed for v in verdicts] == [True, True, True, False]
+    assert math.isnan(verdicts[3].details["alpha_1"])
+    # |1 - eta_b sigma_1| and |1 - eta_b sigma_2| are one float: Big gap 0.
+    s1 = 1.761975919418575
+    big = diagonal_spectrum([s1, np.nextafter(s1, 0.0), 0.3 * s1, 0.2 * s1])
+    records = {
+        "Small": regime_record(small, 2.0, 1.0, 1.9995, np.ones(4)),
+        "Big": regime_record(big, 2.0, 0.7 / s1, 0.9585242630026088, [0.5, 1, 1, 1]),
+    }
+    for name, rec in records.items():
+        assert (rec.kind_s, rec.kind_b) == (RegimeKind.SMALL, RegimeKind.BIG), name
+        numbers = (rec.gap_s, rec.gap_b, rec.t1_s, rec.t1_b, rec.alpha_1, rec.alpha_1_split)
+        assert all(math.isnan(v) for v in numbers), name
+
+
+def test_windows_take_logs_where_the_quotient_underflows():
+    # scale_s = 0.2 * 1e-320 is subnormal: 0.5 scale_s / 1e10 underflows to 0.
+    rec = regime_record(SPEC, 2.0, 0.7, 1.9, [0.5, 1, 1, 1e-160])
+    win_s, win_b = rec.windows(1e10)
+    decay = math.log(1.0 / rec.lead_s)
+    log_ratio = math.log(rec.scale_s) - math.log(1e10)
+    assert win_s.t2 == pytest.approx(0.5 * (math.log(0.5) + log_ratio) / decay, rel=1e-15)
+    assert win_s.t3 == pytest.approx(0.5 * (math.log(1.25) + log_ratio) / decay, rel=1e-15)
+    assert win_s.t2 < win_s.t3 < 0 and not win_s.feasible
+    # Where the quotient is a normal float the window is the quotient's.
+    assert win_b.t2 == 0.5 * math.log(0.5 * rec.scale_b / 1e10) / math.log(1.0 / rec.lead_b)
+    # Across the switch the bounds move continuously.
+    tiny = regime_record(SPEC, 2.0, 0.7, 1.9, [0.5, 1, 1, 1e-100])
+    edge = 0.5 * tiny.scale_s / sys.float_info.min
+    above, below = tiny.windows(edge)[0], tiny.windows(np.nextafter(edge, math.inf))[0]
+    assert below.t2 == pytest.approx(above.t2, rel=1e-13)
+    for alpha in (1e-300, 1e-3, 1.0, 1e300, sys.float_info.max):
+        for win in tiny.windows(alpha) + rec.windows(alpha):
+            assert not (math.isnan(win.t2) or math.isnan(win.t3))
+            assert win.window_empty in (True, False)
+
+
+def test_mass_ratio_overflow_is_silent():
+    """A tiny distinguished coefficient gives an infinite ratio, not a RuntimeWarning."""
+    pair = ProblemPair(
+        QuadraticObjective(diagonal_spectrum([1.0, 0.6, 0.3, 0.2]), np.zeros(4)),
+        QuadraticObjective(diagonal_spectrum([1.0, 0.8, 0.7, 0.5]), np.zeros(4)),
+    )
+    theta0 = np.array([1e-200, 0.4, 0.3, 0.6])
+    runs = [gd.run_to_level_set(pair.train, theta0, eta, 1e-6, 10**6) for eta in (1 / 1.2, 1.9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _mass_ratio(1e-299, np.array([1e10, 1.0])) == math.inf
+        with pytest.raises(InvalidRegime):
+            certify(pair, *runs, 1e-6)
 
 
 def test_complexity_bounds_shrink_with_gap():

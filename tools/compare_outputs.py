@@ -4,13 +4,16 @@
 
 Each root is a source checkout; its package is imported from ROOT/src in a
 child process with BLAS pinned to one thread. Both run the same configs:
-by default the default config of every experiment plus the cold op and
+by default the default config of every experiment, the cold op and
 every distinct op of the three benchmark workloads (perfbench/workloads.py
-of this checkout) at workload seed N (default 1). --configs FILE runs the
-JSON list of experiment configs in FILE instead. A config that a tree
-refuses with a library error records the error's class name. --keep DIR
-writes tree A's outputs to DIR/a and tree B's to DIR/b and keeps them; it
-refuses a DIR that already holds run, a or b.
+of this checkout) at workload seed N (default 1), and quadratic_certify
+at the edges of its instance blocks (B - 1, B, B + 1 and 2B + 3
+instances for the CERTIFY_BLOCK B of this checkout) at config seeds N
+and N + 1. --configs FILE runs the JSON list of experiment configs in
+FILE instead. A config that a tree refuses with a library error records
+the error's class name. --keep DIR writes tree A's outputs to DIR/a and
+tree B's to DIR/b and keeps them; it refuses a DIR that already holds
+run, a or b.
 
 Prints the configs whose outcome differs, the files that differ or exist
 on one side only, and for each CSV column with a differing cell the worst
@@ -22,6 +25,7 @@ parses, 1 otherwise.
 """
 
 import argparse
+import ast
 import csv
 import importlib.util
 import json
@@ -82,7 +86,23 @@ def default_configs(seed):
             if key not in seen:
                 seen.add(key)
                 configs.append([f"{name}-{len(seen) - 1:03d}-{raw['experiment']}", raw])
+    block = certify_block()
+    for config_seed in (seed, seed + 1):
+        for count in (block - 1, block, block + 1, 2 * block + 3):
+            raw = {"experiment": "quadratic_certify", "instances": count, "seed": config_seed}
+            configs.append([f"certify-block-{count}-seed{config_seed}", raw])
     return configs
+
+
+def certify_block():
+    """experiments.CERTIFY_BLOCK of this checkout, read without importing it."""
+    tree = ast.parse((HERE / "src" / "stepbias" / "experiments.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "CERTIFY_BLOCK" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    sys.exit("src/stepbias/experiments.py defines no CERTIFY_BLOCK")
 
 
 def run_tree(root, configs, base):
