@@ -28,7 +28,7 @@ from .errors import StepbiasError
 from .experiments import run_experiment
 from .gd import GDRun, StopStatus, run_to_level_set
 from .quadratic import ProblemPair, QuadraticObjective, from_kernel
-from .regimes import Certificate, RegimeKind, certify, check_assumptions, classify_rate
+from .regimes import Certificate, RegimeKind, certify, check_assumptions
 from .spectral import Spectrum, eig_sym
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __all__ = [
     "RegimeKind",
     "certify",
     "check_assumptions",
-    "classify_rate",
     "Spectrum",
     "eig_sym",
     "__version__",

@@ -57,18 +57,11 @@ def build_parser():
     return parser
 
 
-def _load(path):
-    try:
-        return load_config(path)
-    except FileNotFoundError as exc:
-        raise IoError(str(exc)) from exc
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     out, err = sys.stdout, sys.stderr
     try:
-        cfg = _load(args.config)
+        cfg = load_config(args.config)
         if args.command == "validate":
             _emit(out, f"ok: {cfg.experiment}", _GREEN)
             return EXIT_OK

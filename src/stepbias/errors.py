@@ -25,10 +25,6 @@ class AlreadyBelowLevelSet(StepbiasError):
     pass
 
 
-class WrongRegime(StepbiasError):
-    pass
-
-
 class InvalidRegime(StepbiasError):
     pass
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gd, kernels, toy2d
 from .config import TAU, canonical_config
-from .errors import CertificationFailed, DegenerateSpectrum, InfeasibleWindow
+from .errors import CertificationFailed, DegenerateSpectrum, InfeasibleWindow, ParseError
 from .filters import (
     cut_off,
     gd_filter,
@@ -26,7 +26,7 @@ from .filters import (
     residual,
     tikhonov,
 )
-from .instances import random_instance, random_instances
+from .instances import random_instances
 from .quadratic import QuadraticObjective
 from .regimes import certify, check_assumptions, pair_record
 from .reporting import AxesSpec, Series, render_svg, write_bytes, write_csv
@@ -139,15 +139,9 @@ def _certify_instances(cfg):
     """The run's instances in order, generated CERTIFY_BLOCK streams at a time."""
     for start in range(0, cfg.instances, CERTIFY_BLOCK):
         stop = min(start + CERTIFY_BLOCK, cfg.instances)
-        names = [f"certify-{i}" for i in range(start, stop)]
-        try:
-            block = random_instances([stream(cfg.seed, name) for name in names])
-        except InfeasibleWindow:
-            # A stream ran out of draws. Generating the block one instance
-            # at a time raises it only after the instances before it are
-            # certified, so an earlier failure is still the one raised.
-            block = (random_instance(stream(cfg.seed, name)) for name in names)
-        yield from block
+        yield from random_instances(
+            [stream(cfg.seed, f"certify-{i}") for i in range(start, stop)]
+        )
 
 
 def _run_quadratic_certify(cfg, out):
@@ -223,6 +217,11 @@ class _Sweep:
 def _sweep_problem(cfg):
     if cfg.dataset_path:
         full = kernels.load_dataset(cfg.dataset_path)
+        if full.n < 2:
+            raise ParseError(
+                f"{cfg.dataset_path}: a sweep needs at least 2 data rows "
+                f"(alternate rows train and test), got {full.n}"
+            )
         train = kernels.Dataset(full.points[0::2], full.labels[0::2])
         test = kernels.Dataset(full.points[1::2], full.labels[1::2])
     else:

@@ -46,8 +46,8 @@ class GDRun:
     """Record of one gradient-descent trajectory.
 
     mu holds the final per-eigendirection coefficients of
-    theta - optimum; iota the initial ones; sigma the eigenvalues of the
-    train operator; objective the train objective the run descends.
+    theta - optimum; iota the initial ones; objective the train
+    objective the run descends, whose spectrum gives the eigenvalues.
     final_excess is the excess train loss after the last step (None
     after zero steps). half_level_ok is None unless the run targeted a
     level set, in which case it reports whether the final excess loss is
@@ -58,7 +58,6 @@ class GDRun:
     steps: int
     mu: np.ndarray
     iota: np.ndarray
-    sigma: np.ndarray
     stop_status: StopStatus
     objective: QuadraticObjective
     final_excess: float | None
@@ -76,10 +75,11 @@ class GDRun:
 
         Built one direction at a time, so it needs O(steps) memory.
         """
+        sig = self.objective.spectrum.eigenvalues
         t = np.arange(1, self.steps + 1)
         trace = np.zeros(self.steps)
         with np.errstate(over="ignore"):
-            for s, i, f in zip(self.sigma, self.iota, 1.0 - self.eta * self.sigma):
+            for s, i, f in zip(sig, self.iota, 1.0 - self.eta * sig):
                 if s * i * i != 0:
                     mu = i * f**t
                     trace += s * mu * mu
@@ -127,7 +127,6 @@ def closed_form(obj, theta0, eta, t):
         steps=t,
         mu=mu,
         iota=iota,
-        sigma=sig,
         stop_status=StopStatus.MAX_STEPS_EXCEEDED,
         objective=obj,
         final_excess=0.5 * float(np.sum(sig * mu * mu)) if t else None,
@@ -274,7 +273,6 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
         steps=steps,
         mu=mu,
         iota=iota,
-        sigma=sig,
         stop_status=status,
         objective=obj,
         final_excess=final,

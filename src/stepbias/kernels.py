@@ -388,15 +388,3 @@ def load_dataset(path):
         return Dataset(points=points, labels=labels)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def save_dataset(dataset, path):
-    """Write a dataset in the load_dataset CSV schema."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"x_{i+1}" for i in range(dataset.d)] + ["label"])
-            for row, label in zip(dataset.points, dataset.labels):
-                writer.writerow([repr(float(v)) for v in row] + [int(label)])
-    except OSError as exc:
-        raise IoError(str(exc)) from exc

@@ -73,11 +73,6 @@ def evaluate(obj, theta):
     return 0.5 * float(np.sum(obj.spectrum.eigenvalues * coeffs * coeffs)) + obj.min_value
 
 
-def excess(obj, theta):
-    """Objective value above its minimum (the level-set quantity)."""
-    return evaluate(obj, theta) - obj.min_value
-
-
 def grad(obj, theta):
     """Gradient T (theta - optimum); zero at the optimum."""
     theta = _check_dim(obj, theta)

@@ -50,19 +50,13 @@ class RegimeKind(enum.Enum):
     NOT_POSITIVE = "NotPositive"
 
 
-@dataclass(frozen=True)
-class RateRegime:
-    kind: RegimeKind
-    eta: float
-    thresholds: tuple[float, float]
-
-
 def rate_kind(eta, low, high):
     """Kind of the rate eta between the thresholds low and high.
 
-    The rule of classify_rate, on low = 2/(sigma_1+sigma_n) and high =
-    2/sigma_1 as floats. A rate <= 0 is NotPositive: gradient descent
-    does not descend.
+    With low = 2/(sigma_1+sigma_n) and high = 2/sigma_1 as floats: Small
+    below low, Big up to high, Divergent beyond, and Boundary within
+    1e-12 relative of either threshold. A rate <= 0 is NotPositive:
+    gradient descent does not descend.
     """
     if eta <= 0:
         return RegimeKind.NOT_POSITIVE
@@ -73,20 +67,6 @@ def rate_kind(eta, low, high):
     if eta < high:
         return RegimeKind.BIG
     return RegimeKind.DIVERGENT
-
-
-def classify_rate(eta, spectrum):
-    """Partition (0, inf) into Small / Big / Divergent rate regimes.
-
-    Small: eta < 2/(sigma_1+sigma_n); Big: up to 2/sigma_1; Divergent
-    beyond. Rates within 1e-12 relative of either threshold are
-    Boundary. Raises ValueError on a rate <= 0.
-    """
-    if eta <= 0:
-        raise ValueError("step size must be positive")
-    low = 2.0 / (spectrum.top + spectrum.bottom)
-    high = 2.0 / spectrum.top
-    return RateRegime(kind=rate_kind(eta, low, high), eta=eta, thresholds=(low, high))
 
 
 def _mass_ratio(lead, rest):

@@ -61,26 +61,6 @@ def write_csv(rows, schema, path):
     return write_bytes(buf.getvalue(), path)
 
 
-def read_csv(path):
-    """Reload a write_csv file as (schema, rows of floats-or-strings)."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            schema = next(reader)
-            rows = []
-            for raw in reader:
-                row = []
-                for v in raw:
-                    try:
-                        row.append(float(v))
-                    except ValueError:
-                        row.append(v)
-                rows.append(row)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    return schema, rows
-
-
 @dataclass(frozen=True)
 class Series:
     name: str

@@ -67,9 +67,8 @@ def trajectory(inst, eta, t):
 def _regime_kind(inst, eta, regime):
     """The requested Small or Big kind, if eta has it on the instance.
 
-    eta is classified by regimes.rate_kind, the rule of classify_rate,
-    on the two eigenvalues as floats. Raises InvalidRegime otherwise, a
-    rate <= 0 included.
+    eta is classified by regimes.rate_kind on the two eigenvalues as
+    floats. Raises InvalidRegime otherwise, a rate <= 0 included.
     """
     kind = RegimeKind(regime)
     actual = rate_kind(eta, 2.0 / (inst.sigma1 + inst.sigma2), 2.0 / inst.sigma1)

@@ -5,7 +5,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from stepbias import cli
@@ -35,12 +35,31 @@ _KEYS = {
 }
 
 
+# The experiments that read dataset_path.
+_KERNEL_EXPERIMENTS = ("eta_sweep", "alpha_sweep", "scale_sweep")
+
+
+@st.composite
+def data_files(draw):
+    """The text of a data file: 0 to 3 rows, d from 1 to 3, labels +-1."""
+    d = draw(st.integers(1, 3))
+    point = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)
+    rows = draw(st.lists(st.tuples(point, st.sampled_from((-1, 1))), max_size=3))
+    lines = [",".join([*(f"x_{i + 1}" for i in range(d)), "label"])]
+    lines += [",".join([*map(repr, xs), str(label)]) for xs, label in rows]
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def raw_configs(draw):
+    """A raw config, and the text of its data file or None."""
     raw = {"experiment": draw(st.sampled_from(EXPERIMENTS))}
     for key in draw(st.sets(st.sampled_from(sorted(_KEYS)))):
         raw[key] = draw(_KEYS[key])
-    return raw
+    data = None
+    if raw["experiment"] in _KERNEL_EXPERIMENTS:
+        data = draw(st.none() | data_files())
+    return raw, data
 
 
 @settings(
@@ -48,13 +67,19 @@ def raw_configs(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(raw=raw_configs())
-def test_accepted_configs_run_to_a_documented_exit_code(raw):
-    try:
-        validate_config(raw)
-    except ValidationError:
-        assume(False)
+@given(case=raw_configs())
+@example(case=({"experiment": "eta_sweep"}, "x_1,x_2,label\n0.5,0.1,1\n"))
+def test_accepted_configs_run_to_a_documented_exit_code(case):
+    raw, data = case
     with tempfile.TemporaryDirectory() as tmp:
+        if data is not None:
+            data_path = Path(tmp) / "data.csv"
+            data_path.write_text(data)
+            raw = dict(raw, dataset_path=str(data_path))
+        try:
+            validate_config(raw)
+        except ValidationError:
+            assume(False)
         out_dir = Path(tmp) / "out"
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(dict(raw, output_dir=str(out_dir))))

@@ -8,7 +8,7 @@ import pytest
 
 from stepbias import experiments, instances
 from stepbias.config import validate_config
-from stepbias.errors import CertificationFailed, InfeasibleWindow
+from stepbias.errors import InfeasibleWindow
 from stepbias.experiments import run_experiment, stream
 from stepbias.instances import (
     givens_angles,
@@ -16,7 +16,6 @@ from stepbias.instances import (
     random_instance,
     random_instances,
 )
-from stepbias.regimes import check_assumptions
 
 
 def random_orthogonal(rng, n):
@@ -253,11 +252,11 @@ def test_certify_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
         assert _certify_files(tmp_path, f"block-{block}", 7) == want
 
 
-def test_an_earlier_instance_fails_before_a_later_stream_runs_out(tmp_path, monkeypatch):
-    """Instance 0's refusal is raised, not stream 1's InfeasibleWindow.
+def test_a_stream_that_runs_out_of_draws_refuses_the_run(tmp_path, monkeypatch):
+    """quadratic_certify raises InfeasibleWindow when a stream runs out of draws.
 
     Every attempt but instance 0's first one underflows, so stream 1 of the
-    block runs out of draws before instance 0 is checked.
+    block runs out of draws.
     """
     real = instances.regime_record
     first = []
@@ -274,11 +273,3 @@ def test_an_earlier_instance_fails_before_a_later_stream_runs_out(tmp_path, monk
     monkeypatch.setattr(instances, "regime_record", only_the_first_draw)
     with pytest.raises(InfeasibleWindow, match=f"no draw in {instances.MAX_DRAWS}"):
         _certify_files(tmp_path, "infeasible", 3)
-
-    def failing(*args, **kwargs):
-        verdicts = check_assumptions(*args, **kwargs)
-        return [dataclasses.replace(verdicts[0], passed=False), *verdicts[1:]]
-
-    monkeypatch.setattr(experiments, "check_assumptions", failing)
-    with pytest.raises(CertificationFailed, match="instance 0 fails assumptions: A1"):
-        _certify_files(tmp_path, "refused", 3)

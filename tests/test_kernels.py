@@ -209,7 +209,11 @@ def test_dataset_validation():
 def test_dataset_csv_roundtrip(tmp_path):
     data = kernels.two_cluster_dataset(10, np.random.default_rng(1))
     path = tmp_path / "data.csv"
-    kernels.save_dataset(data, path)
+    rows = [
+        ",".join([*(repr(float(v)) for v in row), str(int(label))])
+        for row, label in zip(data.points, data.labels)
+    ]
+    path.write_text("\n".join(["x_1,x_2,label", *rows]) + "\n")
     back = kernels.load_dataset(path)
     assert np.array_equal(back.points, data.points)
     assert np.array_equal(back.labels, data.labels)

@@ -9,7 +9,6 @@ from stepbias.quadratic import (
     ProblemPair,
     QuadraticObjective,
     evaluate,
-    excess,
     from_kernel,
     grad,
 )
@@ -31,7 +30,7 @@ def test_evaluate_matches_matrix_form():
         d = theta - obj.optimum
         want = 0.5 * d @ T @ d + 0.3
         assert evaluate(obj, theta) == pytest.approx(want, rel=1e-12)
-        assert excess(obj, theta) == pytest.approx(want - 0.3, rel=1e-12)
+        assert evaluate(obj, theta) - obj.min_value == pytest.approx(want - 0.3, rel=1e-12)
         assert np.allclose(grad(obj, theta), T @ d, atol=1e-12)
 
 
@@ -39,7 +38,7 @@ def test_grad_zero_at_optimum():
     rng = np.random.default_rng(1)
     obj = make_objective(rng, 4)
     assert np.allclose(grad(obj, obj.optimum), 0.0, atol=1e-14)
-    assert excess(obj, obj.optimum) == pytest.approx(0.0, abs=1e-15)
+    assert evaluate(obj, obj.optimum) - obj.min_value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dimension_checks():

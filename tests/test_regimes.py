@@ -17,7 +17,6 @@ from stepbias.errors import (
     InvalidRegime,
     LevelSetMismatch,
     RegimeMismatch,
-    WrongRegime,
     ZeroDenominator,
 )
 from stepbias.config import validate_config
@@ -25,19 +24,24 @@ from stepbias.experiments import run_experiment, stream
 from stepbias.instances import random_instance
 from stepbias.quadratic import ProblemPair, QuadraticObjective
 from stepbias.regimes import (
-    RateRegime,
     RegimeKind,
     StepWindow,
     _mass_ratio,
     certify,
     check_assumptions,
-    classify_rate,
     pair_record,
+    rate_kind,
     regime_record,
 )
 from stepbias.spectral import Spectrum, condition_number, diagonal_spectrum
 
 SPEC = diagonal_spectrum([1.0, 0.9, 0.3, 0.2])
+# The rate thresholds 2/(sigma_1+sigma_n) and 2/sigma_1 of SPEC.
+LOW, HIGH = 2.0 / (SPEC.top + SPEC.bottom), 2.0 / SPEC.top
+
+
+class WrongRegime(Exception):
+    """An oracle was asked for a quantity its regime does not define."""
 
 
 # regime_record and certify take these numbers inline; the per-quantity
@@ -51,13 +55,8 @@ def attenuation(eta, sigma):
     return abs(1.0 - eta * sigma)
 
 
-def _kind_of(regime):
-    return regime.kind if isinstance(regime, RateRegime) else regime
-
-
-def leading_attenuation(eta, spectrum, regime):
+def leading_attenuation(eta, spectrum, kind):
     """Oracle: |1 - eta sigma| on the regime's distinguished direction."""
-    kind = _kind_of(regime)
     if kind is RegimeKind.SMALL:
         return attenuation(eta, spectrum.bottom)
     if kind is RegimeKind.BIG:
@@ -65,13 +64,12 @@ def leading_attenuation(eta, spectrum, regime):
     raise WrongRegime(f"no distinguished direction for {kind.value} regime")
 
 
-def second_attenuation(eta, spectrum, regime):
+def second_attenuation(eta, spectrum, kind):
     """Oracle: second-biggest attenuation coefficient for a Small or Big rate.
 
     Small: |1 - eta sigma_{n-1}|. Big: max(|1 - eta sigma_2|,
     |1 - eta sigma_n|).
     """
-    kind = _kind_of(regime)
     if spectrum.n < 2:
         raise WrongRegime("second attenuation needs at least two eigenvalues")
     sig = spectrum.eigenvalues
@@ -82,12 +80,11 @@ def second_attenuation(eta, spectrum, regime):
     raise WrongRegime(f"second attenuation undefined for {kind.value} regime")
 
 
-def epsilon_ratio(run, regime):
+def epsilon_ratio(run, kind):
     """Oracle: squared mass ratio off the distinguished direction.
 
     Big: sum_{i>1} mu_i^2 / mu_1^2. Small: sum_{i<n} mu_i^2 / mu_n^2.
     """
-    kind = _kind_of(regime)
     mu = np.asarray(run.mu, dtype=float)
     if kind is RegimeKind.BIG:
         lead, rest = mu[0], mu[1:]
@@ -107,23 +104,22 @@ def test_attenuation_formula():
         attenuation(-1.0, 1.0)
 
 
-def test_classify_rate_partition():
-    low = 2.0 / 1.2
-    high = 2.0
-    assert classify_rate(0.5 * low, SPEC).kind is RegimeKind.SMALL
-    assert classify_rate(0.5 * (low + high), SPEC).kind is RegimeKind.BIG
-    assert classify_rate(2.5, SPEC).kind is RegimeKind.DIVERGENT
-    assert classify_rate(high, SPEC).kind is RegimeKind.BOUNDARY
-    r = classify_rate(1.0, SPEC)
-    assert r.thresholds == (pytest.approx(low), pytest.approx(high))
+def test_rate_kind_partition():
+    assert (LOW, HIGH) == (2.0 / 1.2, 2.0)
+    assert rate_kind(0.5 * LOW, LOW, HIGH) is RegimeKind.SMALL
+    assert rate_kind(0.5 * (LOW + HIGH), LOW, HIGH) is RegimeKind.BIG
+    assert rate_kind(2.5, LOW, HIGH) is RegimeKind.DIVERGENT
+    assert rate_kind(LOW, LOW, HIGH) is RegimeKind.BOUNDARY
+    assert rate_kind(HIGH, LOW, HIGH) is RegimeKind.BOUNDARY
+    assert rate_kind(0.0, LOW, HIGH) is RegimeKind.NOT_POSITIVE
+    assert rate_kind(-1.0, LOW, HIGH) is RegimeKind.NOT_POSITIVE
 
 
 def test_boundary_tolerance():
-    high = 2.0
-    assert classify_rate(high * (1 + 5e-13), SPEC).kind is RegimeKind.BOUNDARY
-    assert classify_rate(high * (1 - 5e-13), SPEC).kind is RegimeKind.BOUNDARY
-    assert classify_rate(high * (1 - 1e-10), SPEC).kind is RegimeKind.BIG
-    assert classify_rate(high * (1 + 1e-10), SPEC).kind is RegimeKind.DIVERGENT
+    assert rate_kind(HIGH * (1 + 5e-13), LOW, HIGH) is RegimeKind.BOUNDARY
+    assert rate_kind(HIGH * (1 - 5e-13), LOW, HIGH) is RegimeKind.BOUNDARY
+    assert rate_kind(HIGH * (1 - 1e-10), LOW, HIGH) is RegimeKind.BIG
+    assert rate_kind(HIGH * (1 + 1e-10), LOW, HIGH) is RegimeKind.DIVERGENT
 
 
 def test_leading_and_second_attenuation():
@@ -170,7 +166,6 @@ def _fake_run(mu):
         steps=1,
         mu=np.asarray(mu, dtype=float),
         iota=np.asarray(mu, dtype=float),
-        sigma=np.ones(len(mu)),
         stop_status=gd.StopStatus.HIT_LEVEL_SET,
         objective=None,
         final_excess=1.0,
@@ -817,7 +812,6 @@ def test_check_assumptions_on_a_one_dimensional_pair_returns_verdicts():
 
 
 def test_check_assumptions_on_non_positive_rates_fails_a2():
-    # A rate <= 0 used to raise from classify_rate through regime_record.
     train = QuadraticObjective(diagonal_spectrum([1.0, 0.6, 0.3, 0.2]), np.zeros(4))
     test = QuadraticObjective(diagonal_spectrum([1.0, 0.8, 0.7, 0.5]), np.zeros(4))
     pair = ProblemPair(train, test)
@@ -827,8 +821,6 @@ def test_check_assumptions_on_non_positive_rates_fails_a2():
         assert [v.passed for v in verdicts] == [True, False, True, False], (eta_s, eta_b)
         kinds = verdicts[1].details
         assert "NotPositive" in (kinds["eta_s_kind"], kinds["eta_b_kind"])
-    with pytest.raises(ValueError):
-        classify_rate(0.0, SPEC)
 
 
 def _test_loss_reference(pair, run):

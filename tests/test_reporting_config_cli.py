@@ -1,5 +1,6 @@
 """CSV/SVG emission, config validation, and the CLI contract."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -25,13 +26,26 @@ from stepbias.reporting import (
     AxesSpec,
     Series,
     format_value,
-    read_csv,
     render_svg,
     write_csv,
 )
 
 
 # ---------------------------------------------------------------- reporting
+
+
+def _field(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def read_csv(path):
+    """A write_csv file as (schema, rows), each field a float where it parses as one."""
+    with open(path, newline="") as fh:
+        schema, *rows = csv.reader(fh)
+    return schema, [[_field(v) for v in row] for row in rows]
 
 
 def test_format_value():
@@ -84,8 +98,6 @@ def test_csv_arity_and_io_errors(tmp_path):
         write_csv([(1, 2)], ("a",), tmp_path / "x.csv")
     with pytest.raises(IoError):
         write_csv([], ("a",), tmp_path / "missing" / "x.csv")
-    with pytest.raises(IoError):
-        read_csv(tmp_path / "missing.csv")
 
 
 def test_render_svg_deterministic(tmp_path):

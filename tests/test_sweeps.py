@@ -30,7 +30,10 @@ def noisy_dataset(tmp_path):
     points = data.points + 0.5 * rng.standard_normal(data.points.shape)
     labels = np.where(rng.random(data.n) < 0.15, -data.labels, data.labels)
     path = tmp_path / "noisy.csv"
-    kernels.save_dataset(kernels.Dataset(points, labels), path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["x_1", "x_2", "label"])
+        writer.writerows([*map(repr, row.tolist()), int(y)] for row, y in zip(points, labels))
     return path
 
 
@@ -214,6 +217,22 @@ def test_cli_sweep_refuses_a_numerically_singular_ridge_system(lam, code, tmp_pa
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert ("K + n lam I" in err) == (code == 2)
+
+
+@pytest.mark.parametrize(
+    "experiment, code", [("eta_sweep", 1), ("alpha_sweep", 1), ("scale_sweep", 0)]
+)
+def test_cli_one_row_data_file(experiment, code, tmp_path, capsys):
+    # Alternate rows train and test, so one row leaves the sweeps no test
+    # set; scale_sweep reads every row as training data.
+    data = tmp_path / "one.csv"
+    data.write_text("x_1,x_2,label\n0.5,0.1,1")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": experiment, "dataset_path": str(data)}))
+    assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (str(data) in err) == (code == 1)
 
 
 def test_two_cluster_dataset_in_d_dimensions():

@@ -6,8 +6,8 @@ import pytest
 from stepbias import toy2d
 from stepbias.errors import InfeasibleWindow, InvalidRegime
 from stepbias.gd import iterate
-from stepbias.quadratic import evaluate, excess
-from stepbias.regimes import RegimeKind, classify_rate
+from stepbias.quadratic import evaluate
+from stepbias.regimes import RegimeKind, rate_kind
 from stepbias.spectral import diagonal_spectrum
 
 
@@ -37,7 +37,8 @@ def test_excess_loss_matches_objectives():
     train = inst.train_objective()
     test = inst.test_objective()
     theta = iterate(train, inst.theta0(), 0.5, 7)
-    assert toy2d.excess_loss(inst, 0.5, 7) == pytest.approx(excess(train, theta), rel=1e-12)
+    want = evaluate(train, theta) - train.min_value
+    assert toy2d.excess_loss(inst, 0.5, 7) == pytest.approx(want, rel=1e-12)
     x, y = toy2d.trajectory(inst, 0.5, 7)
     assert evaluate(test, np.array([x, y])) == pytest.approx(0.5 * (x * x + y * y))
 
@@ -124,6 +125,11 @@ def test_feasible_alpha_validates_regimes():
         toy2d.feasible_alpha(inst, 1.95, 1.95, target=1e-8)
 
 
+def classify_rate(eta, spectrum):
+    """The kind of eta on a spectrum: rate_kind at its thresholds 2/(sigma_1+sigma_n), 2/sigma_1."""
+    return rate_kind(eta, 2.0 / (spectrum.top + spectrum.bottom), 2.0 / spectrum.top)
+
+
 @pytest.mark.parametrize("sigma1, sigma2", [(1.0, 0.2), (10, 10 / 3), (3.0, 2.999)])
 def test_regime_gate_classifies_like_classify_rate(sigma1, sigma2):
     """The gate's float rule gives classify_rate's kind on the instance's spectrum."""
@@ -133,7 +139,7 @@ def test_regime_gate_classifies_like_classify_rate(sigma1, sigma2):
     etas = [0.5 * low, low * (1 - 1e-10), low * (1 - 5e-13), low, low * (1 + 5e-13),
             0.5 * (low + high), high * (1 - 5e-13), high, high * (1 + 1e-10), 3.0 * high]
     for eta in etas:
-        want = classify_rate(eta, spec).kind
+        want = classify_rate(eta, spec)
         for kind in (RegimeKind.SMALL, RegimeKind.BIG):
             if want is kind:
                 assert toy2d.thresholds(inst, eta, 1e-8, kind) is not None
