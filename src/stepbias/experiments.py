@@ -27,15 +27,17 @@ from .filters import (
     tikhonov,
 )
 from .instances import random_instances
-from .quadratic import QuadraticObjective
-from .regimes import certify, check_assumptions, pair_record
+from .quadratic import QuadraticObjective, coefficients, excess_losses
+from .regimes import certify, check_assumptions, pair_record, run_measurements
 from .reporting import AxesSpec, Series, render_svg, write_bytes, write_csv
 from .spectral import condition_number, eigvals_sym
 
 T_MAX_SWEEP = 500_000
-# Streams per random_instances call in quadratic_certify. Memory grows
-# with it, not with the number of instances; the cost per instance stops
-# falling at about 20 streams.
+# Streams per random_instances block in quadratic_certify, each block
+# generated and certified as one. Memory grows with it (about 10 kB per
+# stream), not with the number of instances. Generation to certificate
+# records took 592, 496 and 436 us of CPU per instance at 10, 20 and 40
+# streams; past 40 each doubling of the memory saves only 3-7 %.
 CERTIFY_BLOCK = 40
 
 
@@ -135,45 +137,114 @@ def _run_toy2d(cfg, out):
     )
 
 
-def _certify_instances(cfg):
-    """The run's instances in order, generated CERTIFY_BLOCK streams at a time."""
-    for start in range(0, cfg.instances, CERTIFY_BLOCK):
-        stop = min(start + CERTIFY_BLOCK, cfg.instances)
-        yield from random_instances(
-            [stream(cfg.seed, f"certify-{i}") for i in range(start, stop)]
+def _certify_block(block, first):
+    """The certificates of a block of instances, numbered from first, in order.
+
+    The array work runs once per dimension n (_block_numbers). Then each
+    instance, in order, gets its record, its assumption check and its
+    certificate, so the error raised is that of the earliest failing
+    instance, as if each were certified alone. An instance with a lane
+    outside the lockstep search runs both its lanes through
+    gd.run_to_level_set at its turn.
+    """
+    shared = [None] * len(block)
+    by_n = {}
+    for k, inst in enumerate(block):
+        by_n.setdefault(inst.pair.n, []).append(k)
+    for ks in by_n.values():
+        for k, numbers in zip(ks, _block_numbers([block[k] for k in ks])):
+            shared[k] = numbers
+    for k, (inst, (iota, r_opt, runs, measured)) in enumerate(zip(block, shared)):
+        pair = inst.pair
+        # One record for the check and the certificate: its iota is the
+        # gd.decompose of theta0 that both runs start from.
+        record = pair_record(pair, iota, inst.eta_s, inst.eta_b, r_opt=r_opt)
+        verdicts = check_assumptions(
+            pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha, record=record
         )
+        failed = [v.name for v in verdicts if not v.passed]
+        if failed:
+            raise CertificationFailed(
+                f"instance {first + k} fails assumptions: {', '.join(failed)}"
+            )
+        if runs is None:
+            runs = [
+                gd.run_to_level_set(pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
+                for eta in (inst.eta_s, inst.eta_b)
+            ]
+        yield certify(pair, *runs, inst.alpha, record=record, measured=measured)
+
+
+def _block_numbers(group):
+    """(iota, r_opt, runs, measured) of each instance of a group of one dimension.
+
+    One matmul gives the gd.decompose of every theta0 and the test
+    coefficients of every train optimum, from which R(theta_hat) is
+    evaluated; one gd.level_set_runs searches the Small and the Big lane
+    of every instance, and run_measurements reads their final
+    coefficients. runs and measured are None for an instance with a lane
+    that level_set_runs leaves to gd.run_to_level_set.
+    """
+    size, n = len(group), group[0].pair.n
+    pairs = [inst.pair for inst in group]
+    # Per instance: the train and the test eigenbasis, and the vectors
+    # theta0, train optimum, test optimum, so that [:, :2] - [:, 1:]
+    # is theta0 - theta_hat, theta_hat - theta_hat_* on those bases.
+    bases = np.array(
+        [b for p in pairs for b in (p.train.spectrum.eigenvectors, p.test.spectrum.eigenvectors)]
+    ).reshape(size, 2, n, n)
+    points = np.array(
+        [x for inst in group for x in (inst.theta0, inst.pair.train.optimum, inst.pair.test.optimum)]
+    ).reshape(size, 3, n)
+    offsets = points[:, 1] - points[:, 2]
+    test_sig = np.array([p.test.spectrum.eigenvalues for p in pairs])
+    coeffs = coefficients(bases, points[:, :2], points[:, 1:])
+    iota = coeffs[:, 0]
+    r_opt = excess_losses(test_sig, coeffs[:, 1])
+    r_opt += [p.test.min_value for p in pairs]
+    train = [p.train for p in pairs]
+    lanes = gd.level_set_runs(
+        train * 2,
+        np.concatenate([iota, iota]),
+        [inst.eta_s for inst in group] + [inst.eta_b for inst in group],
+        [inst.alpha for inst in group] * 2,
+        [inst.t_max for inst in group] * 2,
+    )
+    runs = [None if None in pair else pair for pair in zip(lanes[:size], lanes[size:])]
+    # The rows of an instance left to run_to_level_set are NaN and unread.
+    blank = np.full(n, np.nan)
+    mu_s, mu_b = np.array(
+        [blank if pair is None else pair[j].mu for j in (0, 1) for pair in runs]
+    ).reshape(2, size, n)
+    measured = zip(
+        *(
+            m.tolist()
+            for m in run_measurements(
+                bases[:, 0], bases[:, 1], test_sig, offsets, mu_s, mu_b
+            )
+        )
+    )
+    return [
+        (row, r, pair, None if pair is None else m)
+        for row, r, pair, m in zip(iota, r_opt.tolist(), runs, measured)
+    ]
 
 
 def _run_quadratic_certify(cfg, out):
     rows = []
     schema = None
-    for i, inst in enumerate(_certify_instances(cfg)):
-        if i == 0:
-            spec = inst.pair.train.spectrum
-        # One record for the check and the certificate: its iota is the
-        # gd.decompose of theta0 that both runs start from.
-        shared = pair_record(
-            inst.pair, gd.decompose(inst.pair.train, inst.theta0), inst.eta_s, inst.eta_b
+    for first in range(0, cfg.instances, CERTIFY_BLOCK):
+        stop = min(first + CERTIFY_BLOCK, cfg.instances)
+        block = random_instances(
+            [stream(cfg.seed, f"certify-{i}") for i in range(first, stop)]
         )
-        verdicts = check_assumptions(
-            inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha, record=shared
-        )
-        failed = [v.name for v in verdicts if not v.passed]
-        if failed:
-            raise CertificationFailed(
-                f"instance {i} fails assumptions: {', '.join(failed)}"
-            )
-        run_s = gd.run_to_level_set(
-            inst.pair.train, inst.theta0, inst.eta_s, inst.alpha, inst.t_max
-        )
-        run_b = gd.run_to_level_set(
-            inst.pair.train, inst.theta0, inst.eta_b, inst.alpha, inst.t_max
-        )
-        cert = certify(inst.pair, run_s, run_b, inst.alpha, record=shared)
-        record = {"instance": i, **cert.to_record()}
-        if schema is None:
-            schema = tuple(record)
-        rows.append(tuple(record[k] for k in schema))
+        if first == 0:
+            spec = block[0].pair.train.spectrum
+        for i, cert in enumerate(_certify_block(block, first), first):
+            record = {"instance": i, **cert.to_record()}
+            if schema is None:
+                schema = tuple(record)
+            rows.append(tuple(record[k] for k in schema))
     out.csv("certificates.csv", rows, schema)
     etas = np.linspace(0.01, 2.1 / spec.top, 200)
     # The attenuation coefficient |1 - eta sigma| of each eigenvalue, per array.

@@ -6,20 +6,27 @@ eigen-coefficient vector of theta0 - optimum, so the excess train loss
 after t steps is L(t) = 1/2 sum_i sigma_i iota_i^2 (1 - eta sigma_i)^{2t}.
 
 run_to_level_set finds the first step with L(t) <= alpha without
-stepping: L is a sum of exponentials in t, hence convex, and
+stepping. L is a sum of exponentials in t, hence convex, and
 non-increasing when every |1 - eta sigma_i| <= 1. In that case L is at
 least its largest term w_i r_i^{2t} (w_i = sigma_i iota_i^2 / 2,
 r_i = |1 - eta sigma_i|), which gives a closed-form step no later than
-the hit; one loss evaluation confirms it, and exponential search from
-it and bisection find the hit step, in O(n log t_max) work and, when one
-direction dominates the loss at the hit, in about three evaluations. An
-unconfirmed bound falls back to the search from step 1. The bound is
-evaluated on plain floats, since it only picks where the search starts;
-the loss stays a numpy expression, evaluated once per step. It also
-reports whether the run stayed above alpha/2 (the half-level condition
-is reported, never enforced). The final loss is the one the search
-evaluated at the returned step. The final iterate and the per-step loss
-trace of a run are computed only when they are read.
+the hit (hit_lower_bound); one loss evaluation confirms it, and
+exponential search from it and bisection find the hit step, in about
+three evaluations when one direction dominates the loss at the hit. An
+unconfirmed bound falls back to the search from step 1. Otherwise
+bisection on the sign of L(t + 1) - L(t) finds the minimiser first.
+
+Each search is a coroutine (_descent, _first_true) that names the next
+step to test and is told whether the test holds. run_to_level_set
+drives one; level_set_runs drives the monotone searches of many lanes
+of one dimension in lockstep (_lockstep), each round's losses being rows
+of one array expression. Each lane tests the steps, and reads the loss
+bits, of its own run_to_level_set.
+
+A run also reports whether it stayed above alpha/2 (the half-level
+condition is reported, never enforced). The final loss is the one the
+search evaluated at the returned step. The final iterate and the
+per-step loss trace of a run are computed only when they are read.
 """
 
 import enum
@@ -30,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlreadyBelowLevelSet
-from .quadratic import QuadraticObjective, _check_dim, grad
+from .quadratic import QuadraticObjective, _check_dim, coefficients, excess_losses, grad
 
 DIVERGENCE_FACTOR = 1e12
 
@@ -96,7 +103,7 @@ def step(obj, theta, eta):
 def decompose(obj, theta):
     """Eigen-coefficients mu_i = <theta - optimum, e_i>."""
     theta = _check_dim(obj, theta)
-    return obj.spectrum.eigenvectors.T @ (theta - obj.optimum)
+    return coefficients(obj.spectrum.eigenvectors, theta, obj.optimum)
 
 
 def reconstruct(obj, mu):
@@ -104,12 +111,37 @@ def reconstruct(obj, mu):
     return obj.optimum + obj.spectrum.eigenvectors @ mu
 
 
+def _powers(factors, steps):
+    """factors ** steps along the last axis, each row to its own step.
+
+    One int step is ``factors ** step``. An array of steps broadcasts
+    against the leading axes of factors, and each row gets the bits of
+    ``row ** step``: numpy's ``**`` with an int exponent takes fast paths
+    at 1 (a copy) and 2 (a square), and a SIMD power kernel can differ
+    from the square in the last bit, so rows at those steps are computed
+    as ``**`` computes them. Callers silence numpy's overflow warnings
+    around it.
+    """
+    if isinstance(steps, int):
+        return factors**steps
+    t = np.asarray(steps, dtype=float)[..., None]
+    powers = np.power(factors, t)
+    if t.min() <= 2.0:
+        powers = np.where(t == 1.0, factors, np.where(t == 2.0, factors * factors, powers))
+    return powers
+
+
+def _losses(sig, iota, factors, steps):
+    """L(t) = 1/2 sum_i sig_i (iota_i factors_i^t)^2 of each row at its step."""
+    return excess_losses(sig, iota * _powers(factors, steps))
+
+
 def _final_mu(iota, factors, steps):
-    """iota * factors**steps, with 0 (not 0 * inf) on zero coefficients.
+    """iota * factors**steps per row, with 0 (not 0 * inf) on zero coefficients.
 
     Callers silence numpy's overflow and invalid-value warnings around it.
     """
-    mu = iota * factors**steps
+    mu = iota * _powers(factors, steps)
     mu[iota == 0] = 0.0
     return mu
 
@@ -129,22 +161,76 @@ def closed_form(obj, theta0, eta, t):
         iota=iota,
         stop_status=StopStatus.MAX_STEPS_EXCEEDED,
         objective=obj,
-        final_excess=0.5 * float(np.sum(sig * mu * mu)) if t else None,
+        final_excess=float(excess_losses(sig, mu)) if t else None,
     )
 
 
-def _first_true(pred, lo, hi):
-    """Smallest t in [lo, hi] with pred(t), or hi + 1 if there is none.
+def _first_true(lo, hi):
+    """Search coroutine: the smallest t in [lo, hi] whose test holds, or hi + 1.
 
-    pred must be false then true on [lo, hi] (monotone).
+    It yields each step to test and is sent whether the test holds
+    there; the test must be false then true on [lo, hi] (monotone).
     """
     while lo <= hi:
         mid = (lo + hi) // 2
-        if pred(mid):
+        if (yield mid):
             hi = mid - 1
         else:
             lo = mid + 1
     return lo
+
+
+def _descent(t_max, start):
+    """Search coroutine: the first step in 1..t_max with loss(t) <= alpha, as (t, StopStatus).
+
+    It yields each step to test and is sent whether loss(t) <= alpha
+    there, for a loss that does not increase. Exponential search from
+    step start and bisection find the hit; start must be a step no later
+    than the hit, which the first test checks (loss(start - 1) > alpha),
+    and the search starts from step 1 when the check fails.
+    """
+    if start > 1 and (yield start - 1):
+        start = 1
+    lo = hi = start
+    while not (yield hi):
+        if hi == t_max:
+            return t_max, StopStatus.MAX_STEPS_EXCEEDED
+        lo, hi = hi + 1, min(2 * hi - start + 1, t_max)
+    # The test holds at hi, so only [lo, hi - 1] is left to search.
+    return (yield from _first_true(lo, hi - 1)), StopStatus.HIT_LEVEL_SET
+
+
+def _lockstep(searches, test):
+    """Run search coroutines side by side; their results, in order.
+
+    Each round collects the step that every unfinished search asks
+    about and answers them all with one call test(lanes, steps), which
+    returns whether each lane's test holds at its step.
+    """
+    results = [None] * len(searches)
+    lanes = list(range(len(searches)))
+    answers = [None] * len(searches)
+    while lanes:
+        asking, steps = [], []
+        for lane, answer in zip(lanes, answers):
+            try:
+                steps.append(searches[lane].send(answer))
+                asking.append(lane)
+            except StopIteration as done:
+                results[lane] = done.value
+        lanes = asking
+        answers = test(lanes, steps) if lanes else []
+    return results
+
+
+def _solo(search, test):
+    """The result of one search coroutine, each step tested by test(t): _lockstep on one lane."""
+    try:
+        t = next(search)
+        while True:
+            t = search.send(test(t))
+    except StopIteration as done:
+        return done.value
 
 
 def hit_lower_bound(weights, rates, alpha, t_max):
@@ -180,14 +266,11 @@ def level_set_search(
     """First step t in 1..t_max with loss(t) <= alpha, as (t, StopStatus).
 
     loss(t) is the excess loss after t steps and must be convex in t.
-    When it is also non-increasing, exponential search from step start
-    and bisection find the hit in O(log(t - start)) evaluations; start
-    must be a step no later than the hit, which one evaluation checks
-    (loss(start - 1) > alpha), and the search starts from step 1 when
-    the check fails. Otherwise bisection on the sign of
-    loss(t + 1) - loss(t) finds the minimiser t* first: the hit, if any,
-    lies in [1, t*], where loss is non-increasing, and without one the
-    run is Diverged at the first t >= t* with loss(t) > limit.
+    When it is also non-increasing, the search is _descent from step
+    start, in O(log(t - start)) evaluations. Otherwise bisection on the
+    sign of loss(t + 1) - loss(t) finds the minimiser t* first: the hit,
+    if any, lies in [1, t*], where loss is non-increasing, and without
+    one the run is Diverged at the first t >= t* with loss(t) > limit.
     These are exactly the step and status of stepping t = 1, 2, ...
     until loss(t) <= alpha (ties hit) or loss(t) > limit.
     """
@@ -196,22 +279,25 @@ def level_set_search(
         return loss(t) <= alpha
 
     if nonincreasing:
-        if start > 1 and below(start - 1):
-            start = 1
-        lo = hi = start
-        while not below(hi):
-            if hi == t_max:
-                return t_max, StopStatus.MAX_STEPS_EXCEEDED
-            lo, hi = hi + 1, min(2 * hi - start + 1, t_max)
-        # below(hi) holds, so only [lo, hi - 1] is left to search.
-        return _first_true(below, lo, hi - 1), StopStatus.HIT_LEVEL_SET
-    bottom = _first_true(lambda t: loss(t + 1) >= loss(t), 1, t_max - 1)
+        return _solo(_descent(t_max, start), below)
+    bottom = _solo(_first_true(1, t_max - 1), lambda t: loss(t + 1) >= loss(t))
     if below(bottom):
-        return _first_true(below, 1, bottom), StopStatus.HIT_LEVEL_SET
-    t = _first_true(lambda t: loss(t) > limit, bottom, t_max)
+        return _solo(_first_true(1, bottom), below), StopStatus.HIT_LEVEL_SET
+    t = _solo(_first_true(bottom, t_max), lambda t: loss(t) > limit)
     if t <= t_max:
         return t, StopStatus.DIVERGED
     return t_max, StopStatus.MAX_STEPS_EXCEEDED
+
+
+def _argument_error(eta, alpha, t_max):
+    """The ValueError run_to_level_set raises on these arguments, or None."""
+    if not (math.isfinite(eta) and eta > 0):
+        return ValueError(f"step size must be finite and positive, got {eta!r}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        return ValueError(f"level-set target must be finite and positive, got {alpha!r}")
+    if t_max < 1:
+        return ValueError("t_max must be at least 1")
+    return None
 
 
 def run_to_level_set(obj, theta0, eta, alpha, t_max):
@@ -223,12 +309,9 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
     AlreadyBelowLevelSet when theta0 already sits at or below the level
     set, and ValueError on a non-finite or non-positive eta or alpha.
     """
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"step size must be finite and positive, got {eta!r}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"level-set target must be finite and positive, got {alpha!r}")
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
+    error = _argument_error(eta, alpha, t_max)
+    if error is not None:
+        raise error
     iota = decompose(obj, theta0)
     sig = obj.spectrum.eigenvalues
     power = sig * iota * iota
@@ -245,8 +328,7 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
     evaluated = {}
 
     def loss(t):
-        mu_t = iota_l * fac_l**t
-        evaluated[t] = value = 0.5 * float((sig_l * mu_t * mu_t).sum())
+        evaluated[t] = value = float(_losses(sig_l, iota_l, fac_l, t))
         return value
 
     rates = np.abs(fac_l)
@@ -267,6 +349,10 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
         )
         final = evaluated[steps] if steps in evaluated else loss(steps)
         mu = _final_mu(iota, factors, steps)
+    return _level_set_run(obj, eta, alpha, steps, status, final, mu, iota)
+
+
+def _level_set_run(obj, eta, alpha, steps, status, final, mu, iota):
     half_ok = final >= 0.5 * alpha if status is StopStatus.HIT_LEVEL_SET else None
     return GDRun(
         eta=eta,
@@ -279,6 +365,77 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
         alpha=float(alpha),
         half_level_ok=half_ok,
     )
+
+
+def level_set_runs(objs, iota, etas, alphas, t_maxes):
+    """run_to_level_set on many lanes of one dimension, searched in lockstep.
+
+    Lane k runs GD on objs[k] from the eigen-coefficients iota[k] (rows
+    of an (L, n) array) at rate etas[k] to alphas[k] within t_maxes[k]
+    steps. A lane with valid arguments, an initial loss above its target,
+    weight on every direction and every |1 - eta sigma_i| <= 1 is
+    searched by _descent from its hit_lower_bound, and gets the GDRun of
+    run_to_level_set bit for bit. The first round evaluates every lane's
+    start - 1, start and start + 1 at once, the steps a search tests when
+    its bound sits one step before the hit, as it usually does. Any
+    other lane gets None: run_to_level_set runs it alone.
+    """
+    sig = np.array([obj.spectrum.eigenvalues for obj in objs])
+    power = sig * iota * iota
+    loss0 = (0.5 * power.sum(axis=1)).tolist()
+    factors = 1.0 - np.array(etas)[:, None] * sig
+    rates = np.abs(factors)
+    weighted_monotone = ((power != 0).all(axis=1) & (rates.max(axis=1) <= 1.0)).tolist()
+    searched = [
+        k
+        for k, ok in enumerate(weighted_monotone)
+        if ok
+        and _argument_error(etas[k], alphas[k], t_maxes[k]) is None
+        and loss0[k] > alphas[k]
+    ]
+    runs = [None] * len(objs)
+    if not searched:
+        return runs
+    if len(searched) < len(objs):
+        sig, iota, factors, power, rates = (
+            a[searched] for a in (sig, iota, factors, power, rates)
+        )
+    targets = [alphas[k] for k in searched]
+    limits = [int(t_maxes[k]) for k in searched]
+    starts = [
+        hit_lower_bound(w, r, alpha, t_max)
+        for w, r, alpha, t_max in zip(
+            (0.5 * power).tolist(), rates.tolist(), targets, limits
+        )
+    ]
+    guesses = [
+        [max(start - 1, 1) for start in starts],
+        starts,
+        [min(start + 1, t_max) for start, t_max in zip(starts, limits)],
+    ]
+    # Monotone lanes stay finite unless iota itself is huge; the one-lane
+    # search silences the same warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = _losses(sig, iota, factors, guesses).tolist()
+        evaluated = [dict(zip(ts, values)) for ts, values in zip(zip(*guesses), zip(*first))]
+
+        def below(lanes, steps):
+            missing = [(lane, t) for lane, t in zip(lanes, steps) if t not in evaluated[lane]]
+            if missing:
+                rows, ts = (list(x) for x in zip(*missing))
+                values = _losses(sig[rows], iota[rows], factors[rows], ts).tolist()
+                for lane, t, value in zip(rows, ts, values):
+                    evaluated[lane][t] = value
+            return [evaluated[lane][t] <= targets[lane] for lane, t in zip(lanes, steps)]
+
+        found = _lockstep([_descent(*args) for args in zip(limits, starts)], below)
+        mu = _final_mu(iota, factors, [t for t, _ in found])
+    for lane, k in enumerate(searched):
+        t, status = found[lane]
+        runs[k] = _level_set_run(
+            objs[k], etas[k], alphas[k], t, status, evaluated[lane][t], mu[lane], iota[lane]
+        )
+    return runs
 
 
 def iterate(obj, theta0, eta, t):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularKernel
-from .spectral import Spectrum, diagonal_spectrum, eig_sym
+from .spectral import Spectrum, diagonal_spectrum, eig_sym, matvec
 
 KERNEL_SINGULARITY_RTOL = 1e-12
 
@@ -65,12 +65,21 @@ def _check_dim(obj, theta):
     return theta
 
 
+def coefficients(bases, points, optima):
+    """Eigen-coefficients V^T (point - optimum), over stacks of bases and points."""
+    return matvec(bases.swapaxes(-1, -2), points - optima)
+
+
+def excess_losses(sig, coeffs):
+    """1/2 sum_i sig_i c_i^2 of each row of eigen-coefficients c (the last axis)."""
+    return 0.5 * (sig * coeffs * coeffs).sum(axis=-1)
+
+
 def evaluate(obj, theta):
     """Objective value 0.5 (theta-opt)^T T (theta-opt) + min_value."""
     theta = _check_dim(obj, theta)
-    delta = theta - obj.optimum
-    coeffs = obj.spectrum.eigenvectors.T @ delta
-    return 0.5 * float(np.sum(obj.spectrum.eigenvalues * coeffs * coeffs)) + obj.min_value
+    coeffs = coefficients(obj.spectrum.eigenvectors, theta, obj.optimum)
+    return float(excess_losses(obj.spectrum.eigenvalues, coeffs)) + obj.min_value
 
 
 def grad(obj, theta):

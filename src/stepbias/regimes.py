@@ -36,7 +36,7 @@ from .errors import (
 )
 from .gd import StopStatus, decompose
 from .quadratic import evaluate
-from .spectral import condition_number
+from .spectral import apply_operator, condition_number, matvec
 
 BOUNDARY_RTOL = 1e-12
 UNDERFLOW_GUARD = 1e-300
@@ -69,21 +69,27 @@ def rate_kind(eta, low, high):
     return RegimeKind.DIVERGENT
 
 
-def _mass_ratio(lead, rest):
-    """Squared mass ratio off the distinguished direction, an epsilon ratio.
-
-    sum(rest_i^2) / lead^2, as the sum of (rest_i / lead)^2: Big takes
-    lead mu_1 and rest mu_2..mu_n, Small lead mu_n and rest mu_1..mu_{n-1}.
-    """
+def _check_lead(lead):
+    """Refuse a distinguished coefficient below UNDERFLOW_GUARD: no epsilon ratio divides by it."""
     if abs(lead) < UNDERFLOW_GUARD:
         raise ZeroDenominator(
             "distinguished coefficient underflowed below 1e-300"
         )
-    # A ratio past 1e154 squares to inf, as it should: no warning.
-    with np.errstate(over="ignore"):
-        ratio = rest / lead
+
+
+def _mass_ratios(leads, rests):
+    """Squared mass ratios off the distinguished direction, the epsilon ratios.
+
+    sum(rest_i^2) / lead^2 per row of rests (the last axis), as the sum
+    of (rest_i / lead)^2: Big takes lead mu_1 and rest mu_2..mu_n, Small
+    lead mu_n and rest mu_1..mu_{n-1}. A ratio past 1e154 squares to inf,
+    as it should, and a lead of 0 (which _check_lead refuses) divides by
+    0: neither warns.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = rests / np.asarray(leads)[..., None]
         ratio *= ratio
-    return float(ratio.sum())
+    return ratio.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -203,10 +209,12 @@ def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
 
     The theorem's domain: eta_s Small, eta_b Big, train eigenvalues
     positive and strictly decreasing (n >= 2), boundary coefficients
-    iota_1, iota_n whose scales sigma iota^2 do not underflow to 0, and
-    attenuations that give both regimes a positive log gap in floats
-    (adjacent eigenvalues can round to one attenuation). Outside it the
-    attenuations, gaps, windows and alpha_1 readings are NaN.
+    iota_1, iota_n whose squares and scales sigma iota^2 are normal
+    floats (a subnormal square overflows 1 / iota^2 to inf, and a
+    subnormal scale has lost bits), and attenuations that give both
+    regimes a positive log gap in floats (adjacent eigenvalues can round
+    to one attenuation). Outside it the attenuations, gaps, windows and
+    alpha_1 readings are NaN.
     """
     # Plain floats throughout: the same IEEE results as numpy scalars, cheaper.
     iota = np.asarray(iota, dtype=float)
@@ -223,8 +231,7 @@ def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
         kind_s is RegimeKind.SMALL
         and kind_b is RegimeKind.BIG
         and _positive_decreasing(sig)
-        and sig_1 * i1**2 > 0
-        and sig_n * inn**2 > 0
+        and min(i1**2, inn**2, sig_1 * i1**2, sig_n * inn**2) >= sys.float_info.min
     ):
         return RegimeRecord(*base)
     # |1 - eta sigma| on each regime's distinguished direction (lead) and
@@ -268,10 +275,15 @@ def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
     )
 
 
-def pair_record(pair, iota, eta_s, eta_b):
-    """regime_record of a problem pair, with its kappa_R and R(theta_hat)."""
+def pair_record(pair, iota, eta_s, eta_b, r_opt=None):
+    """regime_record of a problem pair, with its kappa_R and R(theta_hat).
+
+    r_opt, R(theta_hat), is evaluated here unless the caller evaluated
+    it for a block of pairs.
+    """
     kappa_R = condition_number(pair.test.spectrum.eigenvalues)
-    r_opt = evaluate(pair.test, pair.train.optimum)
+    if r_opt is None:
+        r_opt = evaluate(pair.test, pair.train.optimum)
     return regime_record(pair.train.spectrum, kappa_R, eta_s, eta_b, iota, r_opt)
 
 
@@ -401,8 +413,8 @@ class Certificate:
         return rec
 
 
-def _test_loss(pair, mu, offset):
-    """Test loss of a run with error coordinates mu, from those coordinates.
+def _test_losses(train_bases, test_bases, test_eigenvalues, mus, offsets):
+    """Test loss of each run from its error coordinates mu (rows of mus).
 
     At small level-set targets the error theta - theta_hat_* sits many
     orders of magnitude below theta itself, so evaluating the test loss
@@ -410,12 +422,35 @@ def _test_loss(pair, mu, offset):
     V mu + offset, with offset = theta_hat - theta_hat_*, from mu (exact
     in relative terms) avoids the O(1) subtraction.
     """
-    err = pair.train.spectrum.eigenvectors @ mu
-    err += offset
-    return 0.5 * float(err @ pair.test.spectrum.apply(err))
+    err = matvec(train_bases, mus)
+    err += offsets
+    applied = apply_operator(test_bases, test_eigenvalues, err)
+    return 0.5 * np.matmul(err[..., None, :], applied[..., None])[..., 0, 0]
 
 
-def certify(pair, run_s, run_b, alpha, record=None):
+def run_measurements(train_bases, test_bases, test_eigenvalues, offsets, mu_s, mu_b):
+    """The measured inputs of certificates: (eps_b2, eps_s2, r_big, r_small).
+
+    Each argument stacks one row per instance (an (L, n, n) basis, an
+    (L, n) vector), or is one instance's array; offsets are
+    theta_hat - theta_hat_*, mu_s and mu_b the final coefficients of the
+    Small and Big runs. Rows never mix: each result has the bits of its
+    instance computed alone. Nothing raises or warns here; certify
+    refuses, instance by instance, what these numbers cannot stand for.
+    """
+    with np.errstate(all="ignore"):
+        r_big, r_small = _test_losses(
+            train_bases, test_bases, test_eigenvalues, np.array([mu_b, mu_s]), offsets
+        )
+        return (
+            _mass_ratios(mu_b[..., 0], mu_b[..., 1:]),
+            _mass_ratios(mu_s[..., -1], mu_s[..., :-1]),
+            r_big,
+            r_small,
+        )
+
+
+def certify(pair, run_s, run_b, alpha, record=None, measured=None):
     """Evaluate the big-rate benefit bound on two finished level-set runs.
 
     Both runs must have hit the same alpha level set of pair.train, one
@@ -425,6 +460,9 @@ def certify(pair, run_s, run_b, alpha, record=None):
     R(theta_b) <= 34 (kappa_R/kappa_F) R(theta_s). record, the
     pair_record of (pair, run_s.iota, run_s.eta, run_b.eta), is derived
     here unless the caller shares the one it gave check_assumptions.
+    measured, this instance's (eps_b2, eps_s2, r_big, r_small) as plain
+    floats, comes from run_measurements on these runs alone unless the
+    caller measured a block of instances at once.
     """
     spec = pair.train.spectrum
     if record is None:
@@ -458,11 +496,21 @@ def certify(pair, run_s, run_b, alpha, record=None):
     kappa_F, kappa_R, r_opt = record.kappa_F, record.kappa_R, record.r_opt
     varsig1, varsign = tspec.top, tspec.bottom
     mu_b, mu_s = np.asarray(run_b.mu, dtype=float), np.asarray(run_s.mu, dtype=float)
-    eps_b2 = _mass_ratio(mu_b[0], mu_b[1:])
-    eps_s2 = _mass_ratio(mu_s[-1], mu_s[:-1])
-    offset = pair.train.optimum - pair.test.optimum
-    r_big = _test_loss(pair, mu_b, offset)
-    r_small = _test_loss(pair, mu_s, offset)
+    _check_lead(mu_b[0])
+    _check_lead(mu_s[-1])
+    if measured is None:
+        measured = [
+            float(x)
+            for x in run_measurements(
+                spec.eigenvectors,
+                tspec.eigenvectors,
+                tspec.eigenvalues,
+                pair.train.optimum - pair.test.optimum,
+                mu_s,
+                mu_b,
+            )
+        ]
+    eps_b2, eps_s2, r_big, r_small = measured
     if math.isnan(record.alpha_1):
         raise InvalidRegime("instance outside the theorem's domain, see regime_record")
     win_s, win_b = record.windows(alpha)

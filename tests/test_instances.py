@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from stepbias import experiments, instances
+from stepbias import experiments, gd, instances
 from stepbias.config import validate_config
-from stepbias.errors import InfeasibleWindow
+from stepbias.errors import CertificationFailed, InfeasibleWindow, InvalidRegime, LevelSetMismatch
 from stepbias.experiments import run_experiment, stream
 from stepbias.instances import (
     givens_angles,
@@ -16,6 +16,8 @@ from stepbias.instances import (
     random_instance,
     random_instances,
 )
+from stepbias.quadratic import ProblemPair, QuadraticObjective, evaluate
+from stepbias.spectral import diagonal_spectrum
 
 
 def random_orthogonal(rng, n):
@@ -273,3 +275,85 @@ def test_a_stream_that_runs_out_of_draws_refuses_the_run(tmp_path, monkeypatch):
     monkeypatch.setattr(instances, "regime_record", only_the_first_draw)
     with pytest.raises(InfeasibleWindow, match=f"no draw in {instances.MAX_DRAWS}"):
         _certify_files(tmp_path, "infeasible", 3)
+
+
+def _broken(inst, failure):
+    """inst made to fail one way: its assumption check, its search or its domain."""
+    if failure == "assumptions":  # a target above the initial loss fails A4
+        return dataclasses.replace(inst, alpha=10.0 * evaluate(inst.pair.train, inst.theta0))
+    if failure == "max_steps":  # both runs stop at step 1 above the level set
+        return dataclasses.replace(inst, t_max=1)
+    # On identity bases from the optimum 0, theta0 is iota. iota_n^2 is
+    # subnormal, so the record is outside the theorem's domain, yet both
+    # runs hit their level set.
+    iota = gd.decompose(inst.pair.train, inst.theta0)
+    iota[-1] = 1e-160
+    pair = ProblemPair(
+        *(
+            QuadraticObjective(diagonal_spectrum(obj.spectrum.eigenvalues), np.zeros(iota.size))
+            for obj in (inst.pair.train, inst.pair.test)
+        )
+    )
+    return dataclasses.replace(inst, pair=pair, theta0=iota)
+
+
+def _two_dimensions(block):
+    """Instances i < j of two dimensions, j's dimension that of instance 0.
+
+    Certified group by group in order of first appearance, j's group
+    would come first; certified in stream order, i comes first.
+    """
+    n0 = block[0].pair.n
+    i = next(k for k, inst in enumerate(block) if inst.pair.n != n0)
+    j = next(k for k in range(i + 1, len(block)) if block[k].pair.n == n0)
+    return i, j
+
+
+@pytest.mark.parametrize(
+    "failures, error, match",
+    [
+        (("max_steps", "assumptions"), LevelSetMismatch, "MaxStepsExceeded"),
+        (("assumptions", "max_steps"), CertificationFailed, "instance {0} fails assumptions"),
+        (("max_steps", "max_steps"), LevelSetMismatch, "eta={eta_s0}"),
+        (("assumptions", "assumptions"), CertificationFailed, "instance {0} fails assumptions"),
+    ],
+)
+def test_the_earliest_failing_instance_refuses_the_run(
+    tmp_path, monkeypatch, failures, error, match
+):
+    """Failures in two dimension groups of one block: the earlier instance's error wins.
+
+    The block is certified group by group, but each instance is checked
+    and certified in stream order, as if alone.
+    """
+    block = random_instances([stream(0, f"certify-{i}") for i in range(8)])
+    first, later = _two_dimensions(block)
+    broken = {first: failures[0], later: failures[1]}
+
+    def breaking(rngs):
+        return [
+            _broken(inst, broken[k]) if k in broken else inst
+            for k, inst in enumerate(random_instances(rngs))
+        ]
+
+    monkeypatch.setattr(experiments, "random_instances", breaking)
+    with pytest.raises(error, match=match.format(first, eta_s0=block[first].eta_s)):
+        _certify_files(tmp_path, "refused", 8)
+
+
+@pytest.mark.parametrize(
+    "failures, error",
+    [
+        (("invalid_regime", "max_steps"), InvalidRegime),
+        (("max_steps", "invalid_regime"), LevelSetMismatch),
+    ],
+)
+def test_the_earliest_certificate_error_refuses_the_block(monkeypatch, failures, error):
+    """With every assumption check passing, certify's own refusals come in stream order too."""
+    block = random_instances([stream(1, f"certify-{i}") for i in range(8)])
+    first, later = _two_dimensions(block)
+    block[first] = _broken(block[first], failures[0])
+    block[later] = _broken(block[later], failures[1])
+    monkeypatch.setattr(experiments, "check_assumptions", lambda *args, **kwargs: [])
+    with pytest.raises(error):
+        list(experiments._certify_block(block, 0))

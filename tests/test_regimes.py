@@ -26,7 +26,8 @@ from stepbias.quadratic import ProblemPair, QuadraticObjective
 from stepbias.regimes import (
     RegimeKind,
     StepWindow,
-    _mass_ratio,
+    _check_lead,
+    _mass_ratios,
     certify,
     check_assumptions,
     pair_record,
@@ -179,7 +180,7 @@ def test_epsilon_ratio():
     with pytest.raises(ZeroDenominator):
         epsilon_ratio(_fake_run([0.0, 1.0]), RegimeKind.BIG)
     with pytest.raises(ZeroDenominator):
-        _mass_ratio(0.0, np.ones(1))
+        _check_lead(0.0)
     with pytest.raises(WrongRegime):
         epsilon_ratio(run, RegimeKind.DIVERGENT)
 
@@ -508,9 +509,34 @@ def test_a_zero_float_gap_is_outside_the_domain():
         assert all(math.isnan(v) for v in numbers), name
 
 
+@pytest.mark.parametrize(
+    "iota",
+    [
+        [0.5, 1, 1, 1e-160],  # iota_n^2 is subnormal: 1 / iota_n^2 was inf
+        [0.5, 1, 1, 1.6e-154],  # iota_n^2 is normal, sigma_n iota_n^2 subnormal
+        [1e-160, 1, 1, 0.5],  # the same on the Big side
+    ],
+)
+def test_a_subnormal_boundary_scale_is_outside_the_domain(iota):
+    """No inf t1, no alpha_1 of 0 and no negative windows: NaN fields, and A4 fails."""
+    pair = ProblemPair(
+        QuadraticObjective(SPEC, np.zeros(4)),
+        QuadraticObjective(diagonal_spectrum([1.0, 0.8, 0.7, 0.5]), np.zeros(4)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = regime_record(SPEC, 2.0, 0.7, 1.9, iota)
+        numbers = (rec.t1_s, rec.t1_b, rec.alpha_1, rec.alpha_1_split, rec.scale_s)
+        numbers += dataclasses.astuple(rec.windows(1e-9)[0])
+        assert all(math.isnan(v) for v in numbers)
+        verdicts = check_assumptions(pair, np.array(iota), 0.7, 1.9, 1e-9)
+    assert [v.passed for v in verdicts] == [True, True, True, False]
+    assert math.isnan(verdicts[3].details["alpha_1"])
+
+
 def test_windows_take_logs_where_the_quotient_underflows():
-    # scale_s = 0.2 * 1e-320 is subnormal: 0.5 scale_s / 1e10 underflows to 0.
-    rec = regime_record(SPEC, 2.0, 0.7, 1.9, [0.5, 1, 1, 1e-160])
+    # scale_s = 0.2 * 1e-300 is normal, 0.5 scale_s / 1e10 is subnormal.
+    rec = regime_record(SPEC, 2.0, 0.7, 1.9, [0.5, 1, 1, 1e-150])
     win_s, win_b = rec.windows(1e10)
     decay = math.log(1.0 / rec.lead_s)
     log_ratio = math.log(rec.scale_s) - math.log(1e10)
@@ -540,7 +566,7 @@ def test_mass_ratio_overflow_is_silent():
     runs = [gd.run_to_level_set(pair.train, theta0, eta, 1e-6, 10**6) for eta in (1 / 1.2, 1.9)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _mass_ratio(1e-299, np.array([1e10, 1.0])) == math.inf
+        assert _mass_ratios(1e-299, np.array([1e10, 1.0])) == math.inf
         with pytest.raises(InvalidRegime):
             certify(pair, *runs, 1e-6)
 
@@ -843,5 +869,5 @@ def test_certify_ratios_and_test_losses_match_the_references():
     rng = np.random.default_rng(5)
     for _ in range(200):
         mu = rng.normal(size=int(rng.integers(2, 12))) * 10.0 ** rng.integers(-5, 5)
-        assert _mass_ratio(mu[0], mu[1:]) == epsilon_ratio(_fake_run(mu), RegimeKind.BIG)
-        assert _mass_ratio(mu[-1], mu[:-1]) == epsilon_ratio(_fake_run(mu), RegimeKind.SMALL)
+        assert _mass_ratios(mu[0], mu[1:]) == epsilon_ratio(_fake_run(mu), RegimeKind.BIG)
+        assert _mass_ratios(mu[-1], mu[:-1]) == epsilon_ratio(_fake_run(mu), RegimeKind.SMALL)
