@@ -143,9 +143,8 @@ def _certify_block(block, first):
     The array work runs once per dimension n (_block_numbers). Then each
     instance, in order, gets its record, its assumption check and its
     certificate, so the error raised is that of the earliest failing
-    instance, as if each were certified alone. An instance with a lane
-    outside the lockstep search runs both its lanes through
-    gd.run_to_level_set at its turn.
+    instance, as if each were certified alone: a failed level-set lane
+    raises at its instance's turn.
     """
     shared = [None] * len(block)
     by_n = {}
@@ -167,11 +166,9 @@ def _certify_block(block, first):
             raise CertificationFailed(
                 f"instance {first + k} fails assumptions: {', '.join(failed)}"
             )
-        if runs is None:
-            runs = [
-                gd.run_to_level_set(pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
-                for eta in (inst.eta_s, inst.eta_b)
-            ]
+        for run in runs:
+            if not isinstance(run, gd.GDRun):
+                raise run
         yield certify(pair, *runs, inst.alpha, record=record, measured=measured)
 
 
@@ -182,8 +179,8 @@ def _block_numbers(group):
     coefficients of every train optimum, from which R(theta_hat) is
     evaluated; one gd.level_set_runs searches the Small and the Big lane
     of every instance, and run_measurements reads their final
-    coefficients. runs and measured are None for an instance with a lane
-    that level_set_runs leaves to gd.run_to_level_set.
+    coefficients; a failed lane, which raises at its instance's turn,
+    is measured at iota.
     """
     size, n = len(group), group[0].pair.n
     pairs = [inst.pair for inst in group]
@@ -202,19 +199,16 @@ def _block_numbers(group):
     iota = coeffs[:, 0]
     r_opt = excess_losses(test_sig, coeffs[:, 1])
     r_opt += [p.test.min_value for p in pairs]
-    train = [p.train for p in pairs]
+    starts = np.concatenate([iota, iota])
     lanes = gd.level_set_runs(
-        train * 2,
-        np.concatenate([iota, iota]),
+        [p.train for p in pairs] * 2,
+        starts,
         [inst.eta_s for inst in group] + [inst.eta_b for inst in group],
         [inst.alpha for inst in group] * 2,
         [inst.t_max for inst in group] * 2,
     )
-    runs = [None if None in pair else pair for pair in zip(lanes[:size], lanes[size:])]
-    # The rows of an instance left to run_to_level_set are NaN and unread.
-    blank = np.full(n, np.nan)
     mu_s, mu_b = np.array(
-        [blank if pair is None else pair[j].mu for j in (0, 1) for pair in runs]
+        [run.mu if isinstance(run, gd.GDRun) else row for run, row in zip(lanes, starts)]
     ).reshape(2, size, n)
     measured = zip(
         *(
@@ -224,10 +218,7 @@ def _block_numbers(group):
             )
         )
     )
-    return [
-        (row, r, pair, None if pair is None else m)
-        for row, r, pair, m in zip(iota, r_opt.tolist(), runs, measured)
-    ]
+    return list(zip(iota, r_opt.tolist(), zip(lanes[:size], lanes[size:]), measured))
 
 
 def _run_quadratic_certify(cfg, out):
@@ -330,21 +321,31 @@ def _norm(mu):
     return norm
 
 
-def _level_run_row(sweep, eta_mult, alpha):
-    """Run theta-space GD to the alpha level set; report the sweep metrics."""
+def _level_runs(sweep, eta_mults, alphas):
+    """Theta-space GD from zero to each alpha at each eta_mult / sigma_1, searched at once.
+
+    Yields, in order, each run and its sweep metrics (proj_e1, Hilbert
+    norm, accuracy); a failed run raises at its turn.
+    """
     obj = sweep.obj
     sigma1 = obj.spectrum.top
-    eta = eta_mult / sigma1
-    beta0 = np.zeros(obj.n)
-    run = gd.run_to_level_set(obj, beta0, eta, alpha, T_MAX_SWEEP)
-    mu = run.mu
-    proj_e1 = abs(float(mu[0]))
-    hilbert_norm = _norm(mu)
-    alpha_hat = sweep.alpha_star + kernels.from_eigen_coords(sweep.prob, mu)
-    accuracy = 1.0 - kernels.binary_error(
-        sweep.prob, alpha_hat, sweep.test, cross=sweep.cross
+    iota = gd.decompose(obj, np.zeros(obj.n))
+    runs = gd.level_set_runs(
+        [obj] * len(alphas),
+        np.tile(iota, (len(alphas), 1)),
+        [eta_mult / sigma1 for eta_mult in eta_mults],
+        alphas,
+        [T_MAX_SWEEP] * len(alphas),
     )
-    return run, proj_e1, hilbert_norm, accuracy
+    for run in runs:
+        if not isinstance(run, gd.GDRun):
+            raise run
+        mu = run.mu
+        alpha_hat = sweep.alpha_star + kernels.from_eigen_coords(sweep.prob, mu)
+        accuracy = 1.0 - kernels.binary_error(
+            sweep.prob, alpha_hat, sweep.test, cross=sweep.cross
+        )
+        yield run, abs(float(mu[0])), _norm(mu), accuracy
 
 
 def _level_target(fraction, excess0):
@@ -365,22 +366,13 @@ def _level_target(fraction, excess0):
 def _run_eta_sweep(cfg, out):
     sweep = _sweep_problem(cfg)
     alpha = cfg.alpha if cfg.alpha is not None else _level_target(0.05, sweep.excess0)
-    rows = []
-    for eta_mult in cfg.eta_grid:
-        run, proj_e1, hilbert_norm, accuracy = _level_run_row(
-            sweep, float(eta_mult), alpha
+    grid = [float(eta_mult) for eta_mult in cfg.eta_grid]
+    rows = [
+        (eta_mult, run.eta, run.steps, run.stop_status.value, proj_e1, hilbert_norm, accuracy)
+        for eta_mult, (run, proj_e1, hilbert_norm, accuracy) in zip(
+            grid, _level_runs(sweep, grid, [alpha] * len(grid))
         )
-        rows.append(
-            (
-                float(eta_mult),
-                run.eta,
-                run.steps,
-                run.stop_status.value,
-                proj_e1,
-                hilbert_norm,
-                accuracy,
-            )
-        )
+    ]
     schema = (
         "eta_mult",
         "eta",
@@ -411,12 +403,17 @@ def _run_alpha_sweep(cfg, out):
     sweep = _sweep_problem(cfg)
     eta_s = cfg.eta_small if cfg.eta_small is not None else 1.0
     eta_b = cfg.eta_big if cfg.eta_big is not None else TAU * 2.0
+    fracs = [float(frac) for frac in cfg.alpha_grid]
+    # Each fraction's target is refused at its turn if it underflows,
+    # before its two runs (given the same product) are read.
+    runs = _level_runs(
+        sweep, [eta_s, eta_b] * len(fracs), [f * sweep.excess0 for f in fracs for _ in range(2)]
+    )
     rows = []
-    for frac in cfg.alpha_grid:
-        alpha = _level_target(float(frac), sweep.excess0)
-        _, _, _, acc_s = _level_run_row(sweep, eta_s, alpha)
-        _, _, _, acc_b = _level_run_row(sweep, eta_b, alpha)
-        rows.append((float(frac), alpha, acc_s, acc_b))
+    for frac in fracs:
+        alpha = _level_target(frac, sweep.excess0)
+        acc_s, acc_b = next(runs)[3], next(runs)[3]
+        rows.append((frac, alpha, acc_s, acc_b))
     schema = ("alpha_fraction", "alpha", "accuracy_small", "accuracy_big")
     out.csv("alpha_sweep.csv", rows, schema)
     xs = tuple(r[0] for r in rows)

@@ -5,7 +5,7 @@ mu_i(t) = iota_i * (1 - eta sigma_i)^t, where iota is the initial
 eigen-coefficient vector of theta0 - optimum, so the excess train loss
 after t steps is L(t) = 1/2 sum_i sigma_i iota_i^2 (1 - eta sigma_i)^{2t}.
 
-run_to_level_set finds the first step with L(t) <= alpha without
+A level-set run finds the first step with L(t) <= alpha without
 stepping. L is a sum of exponentials in t, hence convex, and
 non-increasing when every |1 - eta sigma_i| <= 1. In that case L is at
 least its largest term w_i r_i^{2t} (w_i = sigma_i iota_i^2 / 2,
@@ -16,12 +16,11 @@ three evaluations when one direction dominates the loss at the hit. An
 unconfirmed bound falls back to the search from step 1. Otherwise
 bisection on the sign of L(t + 1) - L(t) finds the minimiser first.
 
-Each search is a coroutine (_descent, _first_true) that names the next
-step to test and is told whether the test holds. run_to_level_set
-drives one; level_set_runs drives the monotone searches of many lanes
-of one dimension in lockstep (_lockstep), each round's losses being rows
-of one array expression. Each lane tests the steps, and reads the loss
-bits, of its own run_to_level_set.
+The search is a coroutine (_search) that names each step whose loss it
+reads and is sent that loss. level_set_runs drives the searches of
+many lanes in lockstep (_lockstep), each round's losses being rows of
+one array expression, with the loss bits of each lane run alone;
+run_to_level_set is one lane. level_set_search searches a scalar loss.
 
 A run also reports whether it stayed above alpha/2 (the half-level
 condition is reported, never enforced). The final loss is the one the
@@ -114,14 +113,16 @@ def reconstruct(obj, mu):
 def _powers(factors, steps):
     """factors ** steps along the last axis, each row to its own step.
 
-    One int step is ``factors ** step``. An array of steps broadcasts
-    against the leading axes of factors, and each row gets the bits of
-    ``row ** step``: numpy's ``**`` with an int exponent takes fast paths
-    at 1 (a copy) and 2 (a square), and a SIMD power kernel can differ
-    from the square in the last bit, so rows at those steps are computed
-    as ``**`` computes them. Callers silence numpy's overflow warnings
-    around it.
+    One int step, or a list of one, is ``factors ** step``. A list of
+    steps broadcasts against the leading axes of factors, and each row
+    gets the bits of ``row ** step``: numpy's ``**`` with an int exponent
+    takes fast paths at 1 (a copy) and 2 (a square), and a SIMD power
+    kernel can differ from the square in the last bit, so rows at those
+    steps are computed as ``**`` computes them. Callers silence numpy's
+    overflow warnings around it.
     """
+    if isinstance(steps, list) and len(steps) == 1:
+        (steps,) = steps  # one row: ** itself
     if isinstance(steps, int):
         return factors**steps
     t = np.asarray(steps, dtype=float)[..., None]
@@ -165,47 +166,70 @@ def closed_form(obj, theta0, eta, t):
     )
 
 
-def _first_true(lo, hi):
-    """Search coroutine: the smallest t in [lo, hi] whose test holds, or hi + 1.
+def _first(lo, hi, holds):
+    """Search coroutine: the smallest t in [lo, hi] where holds(L(t)), or hi + 1.
 
-    It yields each step to test and is sent whether the test holds
-    there; the test must be false then true on [lo, hi] (monotone).
+    It yields each step and is sent L(t); holds must be false, then true.
     """
     while lo <= hi:
         mid = (lo + hi) // 2
-        if (yield mid):
+        if holds((yield mid)):
             hi = mid - 1
         else:
             lo = mid + 1
     return lo
 
 
-def _descent(t_max, start):
-    """Search coroutine: the first step in 1..t_max with loss(t) <= alpha, as (t, StopStatus).
+def _search(alpha, t_max, start, limit):
+    """Search coroutine: the first step in 1..t_max with L(t) <= alpha, as (t, StopStatus).
 
-    It yields each step to test and is sent whether loss(t) <= alpha
-    there, for a loss that does not increase. Exponential search from
-    step start and bisection find the hit; start must be a step no later
-    than the hit, which the first test checks (loss(start - 1) > alpha),
-    and the search starts from step 1 when the check fails.
+    It yields each step whose loss it reads, the returned one included,
+    and is sent L(t); L is convex. start is a step no later than the hit
+    if L does not increase, else None. Then exponential search from start
+    and bisection find the hit; the first test checks the start
+    (L(start - 1) > alpha), and a failed check restarts from step 1.
+    Otherwise bisection on the sign of L(t + 1) - L(t) finds the
+    minimiser t* first: the hit, if any, lies in [1, t*], and without one
+    the run is Diverged at the first t >= t* with L(t) > limit. These are
+    the step and status of stepping until L(t) <= alpha (ties hit) or
+    L(t) > limit.
     """
-    if start > 1 and (yield start - 1):
+
+    def below(loss):
+        return loss <= alpha
+
+    if start is None:
+        lo, hi = 1, t_max - 1
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            if (yield mid + 1) >= (yield mid):
+                hi = mid - 1
+            else:
+                lo = mid + 1
+        if below((yield lo)):
+            return (yield from _first(1, lo, below)), StopStatus.HIT_LEVEL_SET
+        t = yield from _first(lo, t_max, lambda loss: loss > limit)
+        if t <= t_max:
+            return t, StopStatus.DIVERGED
+        yield t_max  # the final loss
+        return t_max, StopStatus.MAX_STEPS_EXCEEDED
+    if start > 1 and (yield start - 1) <= alpha:
         start = 1
     lo = hi = start
-    while not (yield hi):
+    while (yield hi) > alpha:
         if hi == t_max:
             return t_max, StopStatus.MAX_STEPS_EXCEEDED
         lo, hi = hi + 1, min(2 * hi - start + 1, t_max)
-    # The test holds at hi, so only [lo, hi - 1] is left to search.
-    return (yield from _first_true(lo, hi - 1)), StopStatus.HIT_LEVEL_SET
+    # L(hi) <= alpha, so only [lo, hi - 1] is left to search.
+    return (yield from _first(lo, hi - 1, below)), StopStatus.HIT_LEVEL_SET
 
 
-def _lockstep(searches, test):
+def _lockstep(searches, losses, known):
     """Run search coroutines side by side; their results, in order.
 
-    Each round collects the step that every unfinished search asks
-    about and answers them all with one call test(lanes, steps), which
-    returns whether each lane's test holds at its step.
+    known[k] maps steps to the losses search k has got; a known step is
+    answered at once. Each round answers the unknown steps asked with
+    one call losses(lanes, steps), each lane's loss at its step.
     """
     results = [None] * len(searches)
     lanes = list(range(len(searches)))
@@ -213,22 +237,31 @@ def _lockstep(searches, test):
     while lanes:
         asking, steps = [], []
         for lane, answer in zip(lanes, answers):
+            search, seen = searches[lane], known[lane]
             try:
-                steps.append(searches[lane].send(answer))
-                asking.append(lane)
+                t = search.send(answer)
+                while t in seen:
+                    t = search.send(seen[t])
             except StopIteration as done:
                 results[lane] = done.value
+                continue
+            asking.append(lane)
+            steps.append(t)
         lanes = asking
-        answers = test(lanes, steps) if lanes else []
+        answers = losses(lanes, steps) if lanes else []
+        for lane, t, loss in zip(lanes, steps, answers):
+            known[lane][t] = loss
     return results
 
 
-def _solo(search, test):
-    """The result of one search coroutine, each step tested by test(t): _lockstep on one lane."""
+def _solo(search, loss, known):
+    """_lockstep on one search, without rounds: unknown steps get loss(t)."""
     try:
         t = next(search)
         while True:
-            t = search.send(test(t))
+            if t not in known:
+                known[t] = loss(t)
+            t = search.send(known[t])
     except StopIteration as done:
         return done.value
 
@@ -260,37 +293,17 @@ def hit_lower_bound(weights, rates, alpha, t_max):
     return min(max(math.ceil(end) - 1, 1), t_max)
 
 
-def level_set_search(
-    loss, alpha, t_max, nonincreasing=True, limit=math.inf, start=1
-):
+def level_set_search(loss, alpha, t_max, start=1):
     """First step t in 1..t_max with loss(t) <= alpha, as (t, StopStatus).
 
-    loss(t) is the excess loss after t steps and must be convex in t.
-    When it is also non-increasing, the search is _descent from step
-    start, in O(log(t - start)) evaluations. Otherwise bisection on the
-    sign of loss(t + 1) - loss(t) finds the minimiser t* first: the hit,
-    if any, lies in [1, t*], where loss is non-increasing, and without
-    one the run is Diverged at the first t >= t* with loss(t) > limit.
-    These are exactly the step and status of stepping t = 1, 2, ...
-    until loss(t) <= alpha (ties hit) or loss(t) > limit.
+    loss(t) is the excess loss after t steps, convex and non-increasing
+    in t; start is a step no later than the hit (see _search).
     """
-
-    def below(t):
-        return loss(t) <= alpha
-
-    if nonincreasing:
-        return _solo(_descent(t_max, start), below)
-    bottom = _solo(_first_true(1, t_max - 1), lambda t: loss(t + 1) >= loss(t))
-    if below(bottom):
-        return _solo(_first_true(1, bottom), below), StopStatus.HIT_LEVEL_SET
-    t = _solo(_first_true(bottom, t_max), lambda t: loss(t) > limit)
-    if t <= t_max:
-        return t, StopStatus.DIVERGED
-    return t_max, StopStatus.MAX_STEPS_EXCEEDED
+    return _solo(_search(alpha, t_max, start, math.inf), loss, {})
 
 
 def _argument_error(eta, alpha, t_max):
-    """The ValueError run_to_level_set raises on these arguments, or None."""
+    """The ValueError a level-set run raises on these arguments, or None."""
     if not (math.isfinite(eta) and eta > 0):
         return ValueError(f"step size must be finite and positive, got {eta!r}")
     if not (math.isfinite(alpha) and alpha > 0):
@@ -309,47 +322,10 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
     AlreadyBelowLevelSet when theta0 already sits at or below the level
     set, and ValueError on a non-finite or non-positive eta or alpha.
     """
-    error = _argument_error(eta, alpha, t_max)
-    if error is not None:
-        raise error
-    iota = decompose(obj, theta0)
-    sig = obj.spectrum.eigenvalues
-    power = sig * iota * iota
-    loss0 = 0.5 * float(power.sum())
-    if loss0 <= alpha:
-        raise AlreadyBelowLevelSet(
-            f"initial excess loss {loss0:.3e} is already <= alpha {alpha:.3e}"
-        )
-    factors = 1.0 - eta * sig
-    # Zero-weight directions never move the loss; dropping them keeps
-    # 0 * inf out of the powers of |factor| > 1.
-    live = power != 0
-    sig_l, iota_l, fac_l, power_l = sig[live], iota[live], factors[live], power[live]
-    evaluated = {}
-
-    def loss(t):
-        evaluated[t] = value = float(_losses(sig_l, iota_l, fac_l, t))
-        return value
-
-    rates = np.abs(fac_l)
-    nonincreasing = bool(rates.max() <= 1.0)
-    start = 1
-    if nonincreasing:
-        weights = 0.5 * power_l
-        start = hit_lower_bound(weights.tolist(), rates.tolist(), alpha, int(t_max))
-    # Powers of |factor| > 1 may overflow to inf: that is the Diverged case.
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps, status = level_set_search(
-            loss,
-            float(alpha),
-            int(t_max),
-            nonincreasing=nonincreasing,
-            limit=DIVERGENCE_FACTOR * loss0,
-            start=start,
-        )
-        final = evaluated[steps] if steps in evaluated else loss(steps)
-        mu = _final_mu(iota, factors, steps)
-    return _level_set_run(obj, eta, alpha, steps, status, final, mu, iota)
+    (run,) = level_set_runs([obj], decompose(obj, theta0)[None], [eta], [alpha], [t_max])
+    if not isinstance(run, GDRun):
+        raise run
+    return run
 
 
 def _level_set_run(obj, eta, alpha, steps, status, final, mu, iota):
@@ -372,70 +348,84 @@ def level_set_runs(objs, iota, etas, alphas, t_maxes):
 
     Lane k runs GD on objs[k] from the eigen-coefficients iota[k] (rows
     of an (L, n) array) at rate etas[k] to alphas[k] within t_maxes[k]
-    steps. A lane with valid arguments, an initial loss above its target,
-    weight on every direction and every |1 - eta sigma_i| <= 1 is
-    searched by _descent from its hit_lower_bound, and gets the GDRun of
-    run_to_level_set bit for bit. The first round evaluates every lane's
-    start - 1, start and start + 1 at once, the steps a search tests when
-    its bound sits one step before the hit, as it usually does. Any
-    other lane gets None: run_to_level_set runs it alone.
+    steps. It gets its GDRun, or its ValueError or AlreadyBelowLevelSet
+    for the caller to raise. Lanes with the same live directions
+    (sigma_i iota_i^2 != 0) are searched together on those alone: the
+    rest never move the loss, and their zeros would regroup the sums.
     """
     sig = np.array([obj.spectrum.eigenvalues for obj in objs])
     power = sig * iota * iota
     loss0 = (0.5 * power.sum(axis=1)).tolist()
-    factors = 1.0 - np.array(etas)[:, None] * sig
-    rates = np.abs(factors)
-    weighted_monotone = ((power != 0).all(axis=1) & (rates.max(axis=1) <= 1.0)).tolist()
-    searched = [
-        k
-        for k, ok in enumerate(weighted_monotone)
-        if ok
-        and _argument_error(etas[k], alphas[k], t_maxes[k]) is None
-        and loss0[k] > alphas[k]
-    ]
-    runs = [None] * len(objs)
-    if not searched:
-        return runs
-    if len(searched) < len(objs):
-        sig, iota, factors, power, rates = (
-            a[searched] for a in (sig, iota, factors, power, rates)
-        )
-    targets = [alphas[k] for k in searched]
-    limits = [int(t_maxes[k]) for k in searched]
-    starts = [
-        hit_lower_bound(w, r, alpha, t_max)
-        for w, r, alpha, t_max in zip(
-            (0.5 * power).tolist(), rates.tolist(), targets, limits
-        )
-    ]
-    guesses = [
-        [max(start - 1, 1) for start in starts],
-        starts,
-        [min(start + 1, t_max) for start, t_max in zip(starts, limits)],
-    ]
-    # Monotone lanes stay finite unless iota itself is huge; the one-lane
-    # search silences the same warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = _losses(sig, iota, factors, guesses).tolist()
-        evaluated = [dict(zip(ts, values)) for ts, values in zip(zip(*guesses), zip(*first))]
-
-        def below(lanes, steps):
-            missing = [(lane, t) for lane, t in zip(lanes, steps) if t not in evaluated[lane]]
-            if missing:
-                rows, ts = (list(x) for x in zip(*missing))
-                values = _losses(sig[rows], iota[rows], factors[rows], ts).tolist()
-                for lane, t, value in zip(rows, ts, values):
-                    evaluated[lane][t] = value
-            return [evaluated[lane][t] <= targets[lane] for lane, t in zip(lanes, steps)]
-
-        found = _lockstep([_descent(*args) for args in zip(limits, starts)], below)
-        mu = _final_mu(iota, factors, [t for t, _ in found])
-    for lane, k in enumerate(searched):
-        t, status = found[lane]
-        runs[k] = _level_set_run(
-            objs[k], etas[k], alphas[k], t, status, evaluated[lane][t], mu[lane], iota[lane]
-        )
+    runs = [_argument_error(*args) for args in zip(etas, alphas, t_maxes)]
+    groups = {}
+    for k, live in enumerate(power != 0):
+        if runs[k] is not None:
+            continue
+        if loss0[k] <= alphas[k]:
+            runs[k] = AlreadyBelowLevelSet(
+                f"initial excess loss {loss0[k]:.3e} is already <= alpha {alphas[k]:.3e}"
+            )
+        else:
+            groups.setdefault(live.tobytes(), (live, []))[1].append(k)
+    eta_col = np.array(etas, dtype=float)[:, None]
+    for key, (live, lanes) in groups.items():
+        rows = sig, iota, power, eta_col
+        if len(lanes) < len(objs):
+            rows = [a.take(lanes, axis=0) for a in rows]
+        group_sig, group_iota, group_power, group_etas = rows
+        factors = 1.0 - group_etas * group_sig
+        searched = group_sig, group_iota, group_power, factors
+        if 0 in key:  # some direction is dead
+            searched = (a.compress(live, axis=1) for a in searched)
+        lane_args = [(alphas[k], int(t_maxes[k]), DIVERGENCE_FACTOR * loss0[k]) for k in lanes]
+        # Powers of |factor| > 1 may overflow to inf: that is the Diverged case.
+        with np.errstate(over="ignore", invalid="ignore"):
+            found = _search_lanes(*searched, *zip(*lane_args))
+            mu = _final_mu(group_iota, factors, [t for t, _, _ in found])
+        for lane, (k, (t, status, final)) in enumerate(zip(lanes, found)):
+            runs[k] = _level_set_run(
+                objs[k], etas[k], alphas[k], t, status, final, mu[lane], group_iota[lane]
+            )
     return runs
+
+
+def _search_lanes(sig, iota, power, factors, alphas, t_maxes, limits):
+    """(step, status, L(step)) of the _search of each row, all in lockstep.
+
+    Every row has weight on every direction. A row with every
+    |factor| <= 1 searches from its hit_lower_bound. With many rows, one
+    evaluation spares rounds: it gives each row L at the first three
+    steps its search asks if its tests fail (start - 1, start, start + 1,
+    or 1, 2, 4), and a bound usually sits one step before the hit.
+    """
+    rates = np.abs(factors)
+    starts = [
+        hit_lower_bound(w, r, alpha, t_max) if max(r) <= 1.0 else None
+        for w, r, alpha, t_max in zip(
+            (0.5 * power).tolist(), rates.tolist(), alphas, t_maxes
+        )
+    ]
+    known = [{} for _ in starts]
+    if len(starts) > 1:
+        guesses = [
+            [min(t, t_max) for t in ((s - 1, s, s + 1) if s and s > 1 else (1, 2, 4))]
+            for s, t_max in zip(starts, t_maxes)
+        ]
+        values = _losses(sig, iota, factors, list(zip(*guesses))).tolist()
+        known = [dict(zip(ts, vs)) for ts, vs in zip(guesses, zip(*values))]
+
+    def losses(lanes, steps):
+        arrays = (sig, iota, factors)
+        if len(lanes) < len(sig):
+            arrays = (a.take(lanes, axis=0) for a in arrays)
+        return _losses(*arrays, steps).tolist()
+
+    searches = [_search(*args) for args in zip(alphas, t_maxes, starts, limits)]
+    if len(searches) == 1:
+        found = [_solo(searches[0], lambda t: _losses(sig, iota, factors, t).item(), known[0])]
+    else:
+        found = _lockstep(searches, losses, known)
+    return [(t, status, seen[t]) for (t, status), seen in zip(found, known)]
 
 
 def iterate(obj, theta0, eta, t):

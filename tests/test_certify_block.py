@@ -1,11 +1,13 @@
-"""The block certificate and the lockstep search against their one-instance paths.
+"""The block certificate and the lockstep search against their one-instance oracle.
 
 quadratic_certify certifies each block of instances with stacked numpy
-work (experiments._certify_block) and searches every level set of a
-dimension in lockstep (gd.level_set_runs). Both must give the bits of
-certifying each instance alone: regimes.certify on two
-gd.run_to_level_set runs. CI reruns this file with numpy's AVX-512
-kernels disabled, since the agreement rests on numpy's SIMD dispatch.
+work (experiments._certify_block), and gd.level_set_runs searches every
+level set, of one lane or of many, in lockstep. Both must give the bits
+of the one-lane search they replaced, kept here as reference_run:
+regimes.certify on two such runs for a block, and the GDRun or the
+error of each lane for level_set_runs. CI reruns this file and
+tests/test_gd.py with numpy's AVX-512 kernels disabled, since the
+agreement rests on numpy's SIMD dispatch.
 """
 
 import dataclasses
@@ -15,16 +17,118 @@ import numpy as np
 import pytest
 
 from stepbias import experiments, gd
+from stepbias.errors import AlreadyBelowLevelSet
 from stepbias.experiments import stream
-from stepbias.gd import StopStatus, level_set_runs, run_to_level_set
+from stepbias.gd import GDRun, StopStatus, level_set_runs
 from stepbias.instances import random_instances
-from stepbias.quadratic import ProblemPair, QuadraticObjective
+from stepbias.quadratic import ProblemPair, QuadraticObjective, excess_losses
 from stepbias.regimes import certify, check_assumptions, pair_record
 from stepbias.spectral import diagonal_spectrum
 
+# The one-lane search as gd.run_to_level_set ran it before every lane
+# went through gd.level_set_runs: each search a coroutine told whether
+# its test holds, driven alone, on the live directions of one 1-D lane.
+
+
+def _first_true(lo, hi):
+    """Search coroutine: the smallest t in [lo, hi] whose test holds, or hi + 1."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if (yield mid):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _descent(t_max, start):
+    """Search coroutine: exponential search from start, then bisection, for loss <= alpha."""
+    if start > 1 and (yield start - 1):
+        start = 1
+    lo = hi = start
+    while not (yield hi):
+        if hi == t_max:
+            return t_max, StopStatus.MAX_STEPS_EXCEEDED
+        lo, hi = hi + 1, min(2 * hi - start + 1, t_max)
+    return (yield from _first_true(lo, hi - 1)), StopStatus.HIT_LEVEL_SET
+
+
+def _solo(search, test):
+    try:
+        t = next(search)
+        while True:
+            t = search.send(test(t))
+    except StopIteration as done:
+        return done.value
+
+
+def _reference_search(loss, alpha, t_max, nonincreasing, limit, start):
+    def below(t):
+        return loss(t) <= alpha
+
+    if nonincreasing:
+        return _solo(_descent(t_max, start), below)
+    bottom = _solo(_first_true(1, t_max - 1), lambda t: loss(t + 1) >= loss(t))
+    if below(bottom):
+        return _solo(_first_true(1, bottom), below), StopStatus.HIT_LEVEL_SET
+    t = _solo(_first_true(bottom, t_max), lambda t: loss(t) > limit)
+    if t <= t_max:
+        return t, StopStatus.DIVERGED
+    return t_max, StopStatus.MAX_STEPS_EXCEEDED
+
+
+def reference_run(obj, theta0, eta, alpha, t_max):
+    """Oracle: the GDRun of gd.run_to_level_set, or the error it raises."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"step size must be finite and positive, got {eta!r}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"level-set target must be finite and positive, got {alpha!r}")
+    if t_max < 1:
+        raise ValueError("t_max must be at least 1")
+    iota = gd.decompose(obj, theta0)
+    sig = obj.spectrum.eigenvalues
+    power = sig * iota * iota
+    loss0 = 0.5 * float(power.sum())
+    if loss0 <= alpha:
+        raise AlreadyBelowLevelSet(
+            f"initial excess loss {loss0:.3e} is already <= alpha {alpha:.3e}"
+        )
+    factors = 1.0 - eta * sig
+    live = power != 0
+    sig_l, iota_l, fac_l, power_l = sig[live], iota[live], factors[live], power[live]
+    evaluated = {}
+
+    def loss(t):
+        evaluated[t] = value = float(excess_losses(sig_l, iota_l * fac_l**t))
+        return value
+
+    rates = np.abs(fac_l)
+    nonincreasing = bool(rates.max() <= 1.0)
+    start = 1
+    if nonincreasing:
+        start = gd.hit_lower_bound((0.5 * power_l).tolist(), rates.tolist(), alpha, int(t_max))
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps, status = _reference_search(
+            loss, float(alpha), int(t_max), nonincreasing, gd.DIVERGENCE_FACTOR * loss0, start
+        )
+        final = evaluated[steps] if steps in evaluated else loss(steps)
+        mu = iota * factors**steps
+        mu[iota == 0] = 0.0
+    return GDRun(
+        eta=eta,
+        steps=steps,
+        mu=mu,
+        iota=iota,
+        stop_status=status,
+        objective=obj,
+        final_excess=final,
+        alpha=float(alpha),
+        half_level_ok=final >= 0.5 * alpha if status is StopStatus.HIT_LEVEL_SET else None,
+    )
+
 
 def one_at_a_time(inst):
-    """The certificate record of inst, certified on its own."""
+    """The certificate record of inst, certified on its own on reference runs."""
     shared = pair_record(
         inst.pair, gd.decompose(inst.pair.train, inst.theta0), inst.eta_s, inst.eta_b
     )
@@ -33,7 +137,7 @@ def one_at_a_time(inst):
     )
     assert all(v.passed for v in verdicts)
     run_s, run_b = (
-        run_to_level_set(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
+        reference_run(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
         for eta in (inst.eta_s, inst.eta_b)
     )
     return certify(inst.pair, run_s, run_b, inst.alpha, record=shared).to_record()
@@ -74,22 +178,18 @@ def diagonal(inst, zero=None):
     return dataclasses.replace(inst, pair=pair, theta0=opt + iota)
 
 
-def test_an_instance_with_a_zero_weight_direction_runs_alone(monkeypatch):
-    """Its lanes leave the lockstep search; every row is still the one-instance row."""
+def test_an_instance_with_a_zero_weight_direction_is_searched_in_lockstep(monkeypatch):
+    """Its lanes are searched with the block's; every row is still the one-instance row."""
     block = random_instances([stream(3, f"certify-{i}") for i in range(12)])
     block[4] = diagonal(block[4], zero=1)
     block[5] = diagonal(block[5])
-    alone = []
-    real = gd.run_to_level_set
-
-    def recording(obj, theta0, *args):
-        alone.append(theta0.tobytes())
-        return real(obj, theta0, *args)
-
     want = [one_at_a_time(inst) for inst in block]
-    monkeypatch.setattr(gd, "run_to_level_set", recording)
+
+    def alone(*args):
+        raise AssertionError("a block lane ran alone")
+
+    monkeypatch.setattr(gd, "run_to_level_set", alone)
     assert_same_records(block_records(block), want)
-    assert alone == [block[4].theta0.tobytes()] * 2
 
 
 def test_block_rows_with_a_rejected_start(monkeypatch):
@@ -105,30 +205,52 @@ def _tie_alpha(t):
 
 
 def _lanes():
-    """(sigma, iota, eta, alpha, t_max) lanes, and whether each is searched in lockstep."""
+    """(sigma, iota, eta, alpha, t_max) lanes of every kind the search meets."""
     tie = ([1.0, 0.5], [1.0, 1.0], 0.5)
     for t in (1, 2, 3, 5, 9, 16):
-        yield (*tie, _tie_alpha(t), 100), True  # L(t) == alpha: a hit at t
-        yield (*tie, np.nextafter(_tie_alpha(t), 0.0), 100), True  # a hit at t + 1
-    yield (*tie, _tie_alpha(40), 3), True  # MaxStepsExceeded next to hits
-    yield (*tie, _tie_alpha(3), 1), True  # t_max 1
+        yield (*tie, _tie_alpha(t), 100)  # L(t) == alpha: a hit at t
+        yield (*tie, np.nextafter(_tie_alpha(t), 0.0), 100)  # a hit at t + 1
+    yield (*tie, _tie_alpha(40), 3)  # MaxStepsExceeded next to hits
+    yield (*tie, _tie_alpha(3), 1)  # t_max 1
     # Factor 0 on a negative coefficient: mu_1 is -0.0.
-    yield ([1.0, 0.5], [-1.0, 1.0], 1.0, 1e-3, 100), True
-    yield ([1.0, 0.5], [1.0, -1.0], 1.9, 1e-9, 10**6), True
-    yield ([1.0, 0.5], [0.0, 1.0], 1.0, 1e-3, 100), False  # a zero-weight direction
-    yield ([1.0, 0.5], [1.0, 1.0], 2.5, 1e-3, 100), False  # |factor| > 1
-    yield (*tie, 1.0, 100), False  # already below the level set
-    yield (*tie, math.inf, 100), False  # an invalid target
-    yield (*tie, _tie_alpha(3), 0), False  # an invalid t_max
+    yield ([1.0, 0.5], [-1.0, 1.0], 1.0, 1e-3, 100)
+    yield ([1.0, 0.5], [1.0, -1.0], 1.9, 1e-9, 10**6)
+    # Zero-weight directions, two masks in one dimension; on the second
+    # |factor| = 1.5 overflows past step 1750 without turning mu into NaN.
+    yield ([1.0, 0.5], [0.0, 1.0], 1.0, 1e-3, 100)
+    yield ([1.0, 0.001], [0.0, 1.0], 2.5, 1e-9, 10**6)
+    yield ([1.0, 0.001], [0.0, 1.0], 2.5, 1e-9, 2000)
+    yield ([1.0, 0.001], [1.0, 0.0], 1.5, 1e-9, 100)
+    yield ([1.0, 0.5, 0.25], [1.0, 0.0, -2.0], 0.9, 1e-6, 1000)
+    # |factor| >= 1 on a live direction: Diverged, or factor -1 that
+    # never decays, or a run that ends before it diverges.
+    yield ([1.0, 0.1], [1.0, 1.0], 2.2, 1e-9, 10**6)
+    yield ([1.0, 0.5], [1.0, 1.0], 2.5, 1e-3, 100)
+    yield ([1.0, 0.5], [1.0, 1.0], 1e6, 1e-3, 100)
+    yield ([1.0, 0.5], [1.0, 1.0], 2.0, 1e-3, 500)
+    yield ([1.0, 0.5], [1.0, 1.0], 2.0, 0.6, 500)
+    yield ([1.0, 0.1], [1.0, 1.0], 2.2, 1e-9, 20)
+    yield ([1.0, 0.5, 0.25], [1.0, 0.0, -2.0], 2.1, 1e-6, 1000)
+    # Lanes that fail, for the caller to raise.
+    yield (*tie, 1.0, 100)  # already below the level set
+    yield (*tie, _tie_alpha(0), 100)  # L(0) == alpha is below too
+    yield (*tie, math.inf, 100)
+    yield (*tie, 0.0, 100)
+    yield (*tie, _tie_alpha(3), 0)
+    yield ([1.0, 0.5], [1.0, 1.0], math.nan, 1e-3, 100)
+    yield ([1.0, 0.5], [1.0, 1.0], -0.5, 1e-3, 100)
+    yield ([1.0, 0.5], [0.0, 0.0], 0.5, 1e-3, 100)  # no weight at all
     rng = np.random.default_rng(13)
     for n in (2, 5, 9, 17):
-        for _ in range(40):
+        for k in range(40):
             sigma = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
             iota = rng.normal(size=n)
-            eta = float(rng.uniform(0.01, 2.0))
+            if k % 5 == 0:
+                iota[rng.integers(n)] = 0.0
+            eta = float(rng.uniform(2.0, 2.3) if k % 4 == 0 else rng.uniform(0.01, 2.0))
             loss0 = 0.5 * float(np.sum(sigma * iota * iota))
             alpha = loss0 * 10.0 ** float(rng.uniform(-12, -0.1))
-            yield (sigma, iota, eta, alpha, int(rng.integers(1, 3000))), None
+            yield sigma, iota, eta, alpha, int(rng.integers(1, 3000))
 
 
 def _assert_same_run(got, want):
@@ -144,35 +266,49 @@ def _assert_same_run(got, want):
     assert got.iota.tobytes() == want.iota.tobytes()
 
 
+def _assert_same_outcome(got, obj, iota, lane):
+    """got is the GDRun of reference_run on the lane, or the error it raises."""
+    try:
+        want = reference_run(obj, iota, *lane)
+    except (ValueError, AlreadyBelowLevelSet) as error:
+        assert type(got) is type(error) and str(got) == str(error), lane
+        return type(error)
+    assert isinstance(got, GDRun), lane
+    _assert_same_run(got, want)
+    return got.stop_status
+
+
 def _run_lanes(lanes):
-    """level_set_runs over each dimension's lanes at once, against one-lane runs."""
+    """level_set_runs over each dimension's lanes at once, against each lane alone.
+
+    Each lane must get what level_set_runs gives it on its own and what
+    reference_run gives or raises. Returns the outcomes seen: stop
+    statuses and error classes.
+    """
     by_n = {}
     for lane in lanes:
-        by_n.setdefault(len(lane[0][0]), []).append(lane)
-    statuses, searched = set(), 0
+        by_n.setdefault(len(lane[0]), []).append(lane)
+    outcomes = []
     for group in by_n.values():
         objs = [
             QuadraticObjective(diagonal_spectrum(np.asarray(s, float)), np.zeros(len(s)))
-            for (s, *_), _ in group
+            for s, *_ in group
         ]
-        iota = np.array([i for (_, i, *_), _ in group], dtype=float)
-        etas, alphas, t_maxes = ([lane[j] for lane, _ in group] for j in (2, 3, 4))
+        iota = np.array([i for _, i, *_ in group], dtype=float)
+        etas, alphas, t_maxes = ([lane[j] for lane in group] for j in (2, 3, 4))
         runs = level_set_runs(objs, iota, etas, alphas, t_maxes)
-        for run, obj, row, (lane, expected) in zip(runs, objs, iota, group):
-            if expected is not None:
-                assert (run is not None) == expected, lane
-            if run is None:
-                continue
-            searched += 1
-            statuses.add(run.stop_status)
-            _assert_same_run(run, run_to_level_set(obj, row, *lane[2:]))
-    return statuses, searched
+        assert len(runs) == len(group)
+        for run, obj, row, lane in zip(runs, objs, iota, group):
+            (alone,) = level_set_runs([obj], row[None], *([x] for x in lane[2:]))
+            outcomes.append(_assert_same_outcome(run, obj, row, lane[2:]))
+            assert _assert_same_outcome(alone, obj, row, lane[2:]) is outcomes[-1]
+    return outcomes
 
 
 def test_lockstep_runs_equal_one_lane_runs():
-    statuses, searched = _run_lanes(list(_lanes()))
-    assert statuses == {StopStatus.HIT_LEVEL_SET, StopStatus.MAX_STEPS_EXCEEDED}
-    assert searched > 150
+    outcomes = _run_lanes(list(_lanes()))
+    assert set(outcomes) == {*StopStatus, ValueError, AlreadyBelowLevelSet}
+    assert outcomes.count(StopStatus.DIVERGED) > 10
 
 
 def test_lockstep_runs_from_rejected_and_early_starts(monkeypatch):
@@ -180,8 +316,8 @@ def test_lockstep_runs_from_rejected_and_early_starts(monkeypatch):
     for bound in (lambda w, r, alpha, t_max: t_max, lambda w, r, alpha, t_max: 1):
         with monkeypatch.context() as m:
             m.setattr(gd, "hit_lower_bound", bound)
-            _, searched = _run_lanes(list(_lanes()))
-            assert searched > 150
+            outcomes = _run_lanes(list(_lanes()))
+            assert outcomes.count(StopStatus.HIT_LEVEL_SET) > 150
 
 
 def test_lockstep_steps_one_and_two_take_numpys_fast_paths():

@@ -399,28 +399,35 @@ def test_level_set_search_from_any_start_finds_the_first_hit():
 def test_certify_runs_start_at_the_lower_bound(monkeypatch):
     """On generated certify instances the bound is one step before the hit.
 
-    Each search costs three loss evaluations (the check and two probes),
-    against about 17 for exponential search from step 1.
+    Each one-lane search evaluates three losses (the check and two
+    probes), one step per round, against about 17 for exponential search
+    from step 1.
     """
     from stepbias.experiments import stream
     from stepbias.instances import random_instance
 
-    evaluations = []
-    real = gd.level_set_search
+    evaluated, starts = [], []
+    real_losses, real_bound = gd._losses, gd.hit_lower_bound
 
-    def counting_search(loss, *args, **kwargs):
-        counted, calls = _counting(loss)
-        result = real(counted, *args, **kwargs)
-        assert result[0] == kwargs["start"] + 1
-        evaluations.append(len(calls))
-        return result
+    def counting_losses(sig, iota, factors, steps):
+        evaluated.append(steps)
+        return real_losses(sig, iota, factors, steps)
 
-    monkeypatch.setattr(gd, "level_set_search", counting_search)
+    def recording_bound(*args):
+        starts.append(real_bound(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(gd, "_losses", counting_losses)
+    monkeypatch.setattr(gd, "hit_lower_bound", recording_bound)
     for seed in range(20):
         inst = random_instance(stream(seed, "certify-0"))
         for eta in (inst.eta_s, inst.eta_b):
-            run_to_level_set(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
-    assert evaluations == [3] * 40
+            evaluated.clear()
+            run = run_to_level_set(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
+            start = starts[-1]
+            assert run.steps == start + 1
+            assert evaluated == [start - 1, start, start + 1]
+    assert len(starts) == 40
 
 
 def _numpy_hit_lower_bound(weights, rates, alpha, t_max):

@@ -17,6 +17,7 @@ from stepbias.errors import (
     InvalidRegime,
     LevelSetMismatch,
     RegimeMismatch,
+    StepbiasError,
     ZeroDenominator,
 )
 from stepbias.config import validate_config
@@ -825,6 +826,91 @@ def test_theorem_holds_wherever_its_assumptions_do(seed, model_error_fraction, a
     cert = certify(pair, run_s, run_b, alpha, record=record)
     assert all(cert.verdicts.values()), cert.verdicts
     assert cert.verdict_final, cert.reason
+
+
+_RATE_FRACTION = st.floats(0.05, 0.95)
+_NEAR_1E_300 = st.floats(1e-301, 1e-299)
+_COEFFICIENT = st.one_of(
+    st.floats(0.1, 10.0),
+    st.floats(-10.0, -0.1),
+    st.floats(-1e3, 1e3),
+    _NEAR_1E_300,
+    _NEAR_1E_300.map(lambda x: -x),
+)
+
+
+@st.composite
+def _decreasing_spectra(draw, n):
+    """n finite, positive, strictly decreasing floats.
+
+    Their spread is within 1e3 at a scale from 1e-297 to 1e300, or
+    across the float range; half end on a pair of adjacent floats.
+    """
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([1e-297, 1e-150, 1.0, 1e150, 1e300]))
+        element = st.floats(1e-3, 1.0).map(lambda x: x * scale)
+    else:
+        element = st.floats(1e-300, 1e300)
+    values = sorted(draw(st.lists(element, min_size=n, max_size=n, unique=True)), reverse=True)
+    if draw(st.booleans()):
+        values[-1] = math.nextafter(values[-2], 0.0)
+    return values
+
+
+@st.composite
+def _regime_inputs(draw):
+    """(train eigenvalues, test eigenvalues, iota, test optimum, eta_s, eta_b, kappa_R, alpha).
+
+    The rates are mostly Small and Big, sometimes a threshold or 0.
+    alpha is positive and finite, or a negative fraction: that fraction
+    of the record's alpha_1.
+    """
+    n = draw(st.integers(2, 6))
+    sig = draw(_decreasing_spectra(n))
+    low, high = 2.0 / (sig[0] + sig[-1]), 2.0 / sig[0]
+    edge = st.sampled_from([low, high, 0.0])
+    small = _RATE_FRACTION.map(lambda u: u * low)
+    big = _RATE_FRACTION.map(lambda u: low + u * (high - low))
+    return (
+        sig,
+        draw(_decreasing_spectra(n)),
+        draw(st.lists(_COEFFICIENT, min_size=n, max_size=n)),
+        draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)),
+        draw(st.one_of(small, small, edge)),
+        draw(st.one_of(big, big, edge)),
+        draw(st.floats(1.0, 1e10)),
+        draw(st.one_of(st.floats(5e-324, 1e300), _RATE_FRACTION.map(lambda u: -u))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_regime_inputs())
+def test_the_regime_numbers_return_or_raise_a_library_error(inputs):
+    """regime_record, windows and check_assumptions never escape otherwise.
+
+    No other exception and no warning (warnings are errors here), on
+    spectra with adjacent-float bottom pairs and coefficients near 1e-300.
+    """
+    sig, test_sig, iota, test_optimum, eta_s, eta_b, kappa_R, alpha = inputs
+    train = diagonal_spectrum(sig)
+    pair = ProblemPair(
+        QuadraticObjective(train, np.zeros(len(sig))),
+        QuadraticObjective(diagonal_spectrum(test_sig), np.array(test_optimum)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = regime_record(train, kappa_R, eta_s, eta_b, iota)
+        if alpha < 0:
+            finite = 0 < record.alpha_1 < math.inf
+            alpha = max(-alpha * record.alpha_1, 5e-324) if finite else 1e-6
+        try:
+            record.windows(alpha)
+        except StepbiasError:
+            pass
+        try:
+            check_assumptions(pair, np.array(iota), eta_s, eta_b, alpha)
+        except StepbiasError:
+            pass
 
 
 def test_check_assumptions_on_a_one_dimensional_pair_returns_verdicts():

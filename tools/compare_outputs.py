@@ -9,7 +9,9 @@ every distinct op of the three benchmark workloads (perfbench/workloads.py
 of this checkout) at workload seed N (default 1), and quadratic_certify
 at the edges of its instance blocks (B - 1, B, B + 1 and 2B + 3
 instances for the CERTIFY_BLOCK B of this checkout) at config seeds N
-and N + 1. --configs FILE runs the JSON list of experiment configs in
+and N + 1, and the sweeps of LEVEL_SET_EDGES, whose level-set runs
+reach rates past 2/sigma_1 (MaxStepsExceeded and Diverged) and targets
+that are refused. --configs FILE runs the JSON list of experiment configs in
 FILE instead. A config that a tree refuses with a library error records
 the error's class name. --keep DIR writes tree A's outputs to DIR/a and
 tree B's to DIR/b and keeps them; it refuses a DIR that already holds
@@ -48,6 +50,20 @@ EXPERIMENTS = (
     "filter_profiles",
 )
 WORKLOADS = ("certify_stream", "toy2d_grid", "kernel_sweeps")
+# Kernel sweeps at rates past 2/sigma_1, at n = 20 and the default n, and
+# two that a tree refuses: a target above the initial loss, and a target
+# fraction that underflows after one that does not.
+LEVEL_SET_EDGES = [
+    {"experiment": experiment, "n": n, **edge}
+    for n in (20, 200)
+    for experiment, edge in (
+        ("eta_sweep", {"eta_grid": [1.9, 2.0, 2.5, 3.0, 1e6]}),
+        ("alpha_sweep", {"eta_big": 2.5}),
+    )
+] + [
+    {"experiment": "eta_sweep", "n": 20, "alpha": 1e6},
+    {"experiment": "alpha_sweep", "n": 20, "alpha_grid": [0.5, 5e-324]},
+]
 
 # Runs in the child: reads {"base": dir, "configs": [[label, raw], ...]}
 # on stdin, prints {"package": path, "outcomes": {label: outcome}}.
@@ -91,6 +107,8 @@ def default_configs(seed):
         for count in (block - 1, block, block + 1, 2 * block + 3):
             raw = {"experiment": "quadratic_certify", "instances": count, "seed": config_seed}
             configs.append([f"certify-block-{count}-seed{config_seed}", raw])
+    for i, raw in enumerate(LEVEL_SET_EDGES):
+        configs.append([f"level-set-edge-{i}-{raw['experiment']}", dict(raw, seed=seed)])
     return configs
 
 
