@@ -17,10 +17,11 @@ unconfirmed bound falls back to the search from step 1. Otherwise
 bisection on the sign of L(t + 1) - L(t) finds the minimiser first.
 
 The search is a coroutine (_search) that names each step whose loss it
-reads and is sent that loss. level_set_runs drives the searches of
-many lanes in lockstep (_lockstep), each round's losses being rows of
-one array expression, with the loss bits of each lane run alone;
-run_to_level_set is one lane. level_set_search searches a scalar loss.
+reads and is sent that loss. One loop, _lockstep, runs every search:
+level_set_runs drives the searches of many lanes side by side, each
+round's losses being rows of one array expression, with the loss bits
+of each lane run alone, and run_to_level_set is its one-lane case;
+level_set_search drives one search of a scalar loss.
 
 A run also reports whether it stayed above alpha/2 (the half-level
 condition is reported, never enforced). The final loss is the one the
@@ -113,16 +114,14 @@ def reconstruct(obj, mu):
 def _powers(factors, steps):
     """factors ** steps along the last axis, each row to its own step.
 
-    One int step, or a list of one, is ``factors ** step``. A list of
-    steps broadcasts against the leading axes of factors, and each row
-    gets the bits of ``row ** step``: numpy's ``**`` with an int exponent
-    takes fast paths at 1 (a copy) and 2 (a square), and a SIMD power
-    kernel can differ from the square in the last bit, so rows at those
-    steps are computed as ``**`` computes them. Callers silence numpy's
-    overflow warnings around it.
+    One int step is ``factors ** step``. A list of steps broadcasts
+    against the leading axes of factors, and each row gets the bits of
+    ``row ** step``: numpy's ``**`` with an int exponent takes fast paths
+    at 1 (a copy) and 2 (a square), and a SIMD power kernel can differ
+    from the square in the last bit, so rows at those steps are computed
+    as ``**`` computes them. Callers silence numpy's overflow warnings
+    around it.
     """
-    if isinstance(steps, list) and len(steps) == 1:
-        (steps,) = steps  # one row: ** itself
     if isinstance(steps, int):
         return factors**steps
     t = np.asarray(steps, dtype=float)[..., None]
@@ -254,18 +253,6 @@ def _lockstep(searches, losses, known):
     return results
 
 
-def _solo(search, loss, known):
-    """_lockstep on one search, without rounds: unknown steps get loss(t)."""
-    try:
-        t = next(search)
-        while True:
-            if t not in known:
-                known[t] = loss(t)
-            t = search.send(known[t])
-    except StopIteration as done:
-        return done.value
-
-
 def hit_lower_bound(weights, rates, alpha, t_max):
     """A step in 1..t_max no later than the first L(t) <= alpha.
 
@@ -299,7 +286,9 @@ def level_set_search(loss, alpha, t_max, start=1):
     loss(t) is the excess loss after t steps, convex and non-increasing
     in t; start is a step no later than the hit (see _search).
     """
-    return _solo(_search(alpha, t_max, start, math.inf), loss, {})
+    search = _search(alpha, t_max, start, math.inf)
+    (found,) = _lockstep([search], lambda lanes, steps: [loss(t) for t in steps], [{}])
+    return found
 
 
 def _argument_error(eta, alpha, t_max):
@@ -393,10 +382,10 @@ def _search_lanes(sig, iota, power, factors, alphas, t_maxes, limits):
     """(step, status, L(step)) of the _search of each row, all in lockstep.
 
     Every row has weight on every direction. A row with every
-    |factor| <= 1 searches from its hit_lower_bound. With many rows, one
-    evaluation spares rounds: it gives each row L at the first three
-    steps its search asks if its tests fail (start - 1, start, start + 1,
-    or 1, 2, 4), and a bound usually sits one step before the hit.
+    |factor| <= 1 searches from its hit_lower_bound. One evaluation
+    spares rounds: it gives each row L at the first three steps its
+    search asks if its tests fail (start - 1, start, start + 1, or 1, 2,
+    4), and a bound usually sits one step before the hit.
     """
     rates = np.abs(factors)
     starts = [
@@ -405,14 +394,12 @@ def _search_lanes(sig, iota, power, factors, alphas, t_maxes, limits):
             (0.5 * power).tolist(), rates.tolist(), alphas, t_maxes
         )
     ]
-    known = [{} for _ in starts]
-    if len(starts) > 1:
-        guesses = [
-            [min(t, t_max) for t in ((s - 1, s, s + 1) if s and s > 1 else (1, 2, 4))]
-            for s, t_max in zip(starts, t_maxes)
-        ]
-        values = _losses(sig, iota, factors, list(zip(*guesses))).tolist()
-        known = [dict(zip(ts, vs)) for ts, vs in zip(guesses, zip(*values))]
+    guesses = [
+        [min(t, t_max) for t in ((s - 1, s, s + 1) if s and s > 1 else (1, 2, 4))]
+        for s, t_max in zip(starts, t_maxes)
+    ]
+    values = _losses(sig, iota, factors, list(zip(*guesses))).tolist()
+    known = [dict(zip(ts, vs)) for ts, vs in zip(guesses, zip(*values))]
 
     def losses(lanes, steps):
         arrays = (sig, iota, factors)
@@ -421,10 +408,7 @@ def _search_lanes(sig, iota, power, factors, alphas, t_maxes, limits):
         return _losses(*arrays, steps).tolist()
 
     searches = [_search(*args) for args in zip(alphas, t_maxes, starts, limits)]
-    if len(searches) == 1:
-        found = [_solo(searches[0], lambda t: _losses(sig, iota, factors, t).item(), known[0])]
-    else:
-        found = _lockstep(searches, losses, known)
+    found = _lockstep(searches, losses, known)
     return [(t, status, seen[t]) for (t, status), seen in zip(found, known)]
 
 

@@ -11,12 +11,13 @@ analysis uses iota^2); the general forms live in regimes.RegimeRecord.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleWindow, InvalidRegime
-from .gd import StopStatus, level_set_search, run_to_level_set
+from .errors import InfeasibleWindow, InvalidRegime, ZeroDenominator
+from .gd import GDRun, StopStatus, decompose, hit_lower_bound, level_set_runs, level_set_search
 from .quadratic import QuadraticObjective, evaluate
 from .regimes import RegimeKind, rate_kind
 from .spectral import diagonal_spectrum
@@ -77,12 +78,40 @@ def _regime_kind(inst, eta, regime):
     return kind
 
 
+def _log_quotient(numerator, *denominator):
+    """log(numerator / the product of denominator).
+
+    As in regimes._log_quotient, a quotient that is a normal float keeps
+    the bits of its log. Where the quotient or the product underflowed,
+    lost bits or overflowed, the logs are subtracted, log 0 being -inf.
+    """
+    product = math.prod(denominator)
+    if 0.0 < product < math.inf and sys.float_info.min <= numerator / product < math.inf:
+        return math.log(numerator / product)
+    if numerator == 0.0:
+        return -math.inf
+    return math.log(numerator) - sum(map(math.log, denominator))
+
+
+def _t1(log_target, a2, a1):
+    """0.5 log_target / log(a2 / a1), the step where (a2/a1)^{2t} reaches the target."""
+    log_ratio = _log_quotient(a2, a1)
+    if log_ratio == 0.0:
+        raise InfeasibleWindow(
+            f"t1 is undefined: the factors {a1!r} and {a2!r} decay alike in floats"
+        )
+    return 0.5 * log_target / log_ratio
+
+
 def thresholds(inst, eta, alpha, regime):
     """Sketch-note step thresholds (t1, t2, t3) for one regime.
 
     t1 caps the off-direction mass (epsilon_s^2 <= sigma_2/(2 sigma_1)
     for Small, epsilon_b^2 <= 1/2 for Big); t2 and t3 bracket the steps
     at which the leading-direction loss passes through the level set.
+    Raises InfeasibleWindow where a threshold is undefined in floats: a
+    leading factor |1 - eta sigma| that rounds to 0 or 1, or two factors
+    whose quotient rounds to 1.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -90,20 +119,22 @@ def thresholds(inst, eta, alpha, regime):
     a1 = abs(1.0 - eta * inst.sigma1)
     a2 = abs(1.0 - eta * inst.sigma2)
     iota = abs(inst.iota)
-    if kind is RegimeKind.SMALL:
-        # epsilon_s^2 = (a1/a2)^{2t} <= sigma_2 / (2 sigma_1).
-        t1 = (
-            1.0
-            if a1 == 0.0
-            else 0.5 * math.log(2 * inst.sigma1 / inst.sigma2) / math.log(a2 / a1)
+    lead_sigma, lead_a = (inst.sigma2, a2) if kind is RegimeKind.SMALL else (inst.sigma1, a1)
+    if not 0.0 < lead_a < 1.0:
+        raise InfeasibleWindow(
+            f"level-set window undefined for eta={eta}: the leading factor is {lead_a!r}"
         )
-        lead_sigma, lead_a = inst.sigma2, a2
-    else:
+    if kind is RegimeKind.BIG:
         # epsilon_b^2 = (a2/a1)^{2t} <= 1/2.
-        t1 = 0.5 * math.log(0.5) / math.log(a2 / a1)
-        lead_sigma, lead_a = inst.sigma1, a1
-    t2 = 0.5 * math.log(alpha / (lead_sigma * iota)) / math.log(lead_a)
-    t3 = 0.5 * math.log((4.0 / 3.0) * alpha / (lead_sigma * iota)) / math.log(lead_a)
+        t1 = _t1(math.log(0.5), a2, a1)
+    elif a1 == 0.0:
+        t1 = 1.0
+    else:
+        # epsilon_s^2 = (a1/a2)^{2t} <= sigma_2 / (2 sigma_1).
+        t1 = _t1(_log_quotient(2 * inst.sigma1, inst.sigma2), a2, a1)
+    decay = math.log(lead_a)
+    t2 = 0.5 * _log_quotient(alpha, lead_sigma, iota) / decay
+    t3 = 0.5 * _log_quotient((4.0 / 3.0) * alpha, lead_sigma, iota) / decay
     return t1, t2, t3
 
 
@@ -114,8 +145,14 @@ def excess_loss(inst, eta, t):
 
 
 def _first_hit(inst, eta, level, name):
-    """First step at which the exact loss at rate eta is <= level."""
-    t, status = level_set_search(lambda t: excess_loss(inst, eta, t), level, 10**7)
+    """First step at which the exact loss at rate eta is <= level.
+
+    The search starts at gd.hit_lower_bound of the loss's two terms.
+    """
+    sigmas = (inst.sigma1, inst.sigma2)
+    weights = [0.5 * s * inst.iota**2 for s in sigmas]
+    start = hit_lower_bound(weights, [abs(1.0 - eta * s) for s in sigmas], level, 10**7)
+    t, status = level_set_search(lambda t: excess_loss(inst, eta, t), level, 10**7, start)
     if status is not StopStatus.HIT_LEVEL_SET:
         raise InfeasibleWindow(f"{name}-rate loss never reaches the target")
     return t
@@ -130,7 +167,8 @@ def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02):
     align alpha just above a small-rate landing point and keep the first
     candidate whose predicted ratio clears kappa by ``margin``. Both
     regimes have every |1 - eta sigma_i| < 1, so each landing step is
-    found by gd.level_set_search on the exact, non-increasing loss.
+    found by gd.level_set_search on the exact, non-increasing loss, from
+    gd.hit_lower_bound.
     """
     _regime_kind(inst, eta_s, RegimeKind.SMALL)
     _regime_kind(inst, eta_b, RegimeKind.BIG)
@@ -152,7 +190,8 @@ def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02):
 def ratio_check(inst, eta_s, eta_b, alpha, t_max):
     """Run both regimes to the alpha level set and compare test losses.
 
-    Returns (measured R(theta_s)/R(theta_b), ratio >= sigma_1/sigma_2).
+    Returns (measured R(theta_s)/R(theta_b), ratio >= sigma_1/sigma_2);
+    raises ZeroDenominator where R(theta_b) is too small for a finite ratio.
     The sketch claims the stronger constant (9/8) kappa; only the
     kappa multiple is asserted, the measured ratio is returned so the
     stronger constant can be observed.
@@ -164,17 +203,16 @@ def ratio_check(inst, eta_s, eta_b, alpha, t_max):
                 f"level-set window infeasible for eta={eta}: t2={t2:.3f} <= t1={t1:.3f}"
             )
     train = inst.train_objective()
-    test = inst.test_objective()
-    theta0 = inst.theta0()
-    runs = {}
-    for name, eta in (("small", eta_s), ("big", eta_b)):
-        run = run_to_level_set(train, theta0, eta, alpha, t_max)
+    iota = np.tile(decompose(train, inst.theta0()), (2, 1))
+    runs = level_set_runs([train] * 2, iota, [eta_s, eta_b], [alpha] * 2, [t_max] * 2)
+    for name, run in zip(("small", "big"), runs):
+        if not isinstance(run, GDRun):
+            raise run
         if run.stop_status is not StopStatus.HIT_LEVEL_SET:
-            raise InfeasibleWindow(
-                f"{name}-rate run stopped with {run.stop_status.value}"
-            )
-        runs[name] = run
-    r_small = evaluate(test, runs["small"].theta)
-    r_big = evaluate(test, runs["big"].theta)
-    ratio = r_small / r_big
+            raise InfeasibleWindow(f"{name}-rate run stopped with {run.stop_status.value}")
+    test = inst.test_objective()
+    r_small, r_big = (evaluate(test, run.theta) for run in runs)
+    ratio = r_small / r_big if r_big else math.inf
+    if ratio == math.inf:
+        raise ZeroDenominator(f"the big-rate test loss {r_big!r} leaves no finite ratio")
     return ratio, bool(ratio >= inst.kappa)

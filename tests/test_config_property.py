@@ -69,6 +69,12 @@ def raw_configs(draw):
 )
 @given(case=raw_configs())
 @example(case=({"experiment": "eta_sweep"}, "x_1,x_2,label\n0.5,0.1,1\n"))
+# The first two crashed toy2d.thresholds: a leading factor that rounds to
+# 1, and a target over sigma_1 that underflows to 0. The third ran on to a
+# big-rate test loss of 0 and divided by it.
+@example(case=({"experiment": "toy2d", "sigma2": 1e-300, "alpha": 1e-300}, None))
+@example(case=({"experiment": "toy2d", "sigma1": 10, "sigma2": 0.2, "alpha": 5e-324}, None))
+@example(case=({"experiment": "toy2d", "sigma2": 0.5, "eta_big": 1.5, "alpha": 5e-324}, None))
 def test_accepted_configs_run_to_a_documented_exit_code(case):
     raw, data = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -399,9 +399,9 @@ def test_level_set_search_from_any_start_finds_the_first_hit():
 def test_certify_runs_start_at_the_lower_bound(monkeypatch):
     """On generated certify instances the bound is one step before the hit.
 
-    Each one-lane search evaluates three losses (the check and two
-    probes), one step per round, against about 17 for exponential search
-    from step 1.
+    Each one-lane search evaluates the losses of three steps (the check
+    and two probes), against about 17 for exponential search from step 1.
+    The steps evaluated are counted, however many calls evaluate them.
     """
     from stepbias.experiments import stream
     from stepbias.instances import random_instance
@@ -410,7 +410,7 @@ def test_certify_runs_start_at_the_lower_bound(monkeypatch):
     real_losses, real_bound = gd._losses, gd.hit_lower_bound
 
     def counting_losses(sig, iota, factors, steps):
-        evaluated.append(steps)
+        evaluated.extend(np.ravel(steps).tolist())
         return real_losses(sig, iota, factors, steps)
 
     def recording_bound(*args):

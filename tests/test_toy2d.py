@@ -1,11 +1,14 @@
 """The closed-form 2-D instance against the generic GD machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
 from stepbias import toy2d
-from stepbias.errors import InfeasibleWindow, InvalidRegime
-from stepbias.gd import iterate
+from stepbias.config import TAU
+from stepbias.errors import InfeasibleWindow, InvalidRegime, ZeroDenominator
+from stepbias.gd import StopStatus, iterate, level_set_search
 from stepbias.quadratic import evaluate
 from stepbias.regimes import RegimeKind, rate_kind
 from stepbias.spectral import diagonal_spectrum
@@ -57,6 +60,44 @@ def test_thresholds_ordering_and_regime_gate():
         toy2d.thresholds(inst, 0.5, 1e-8, RegimeKind.DIVERGENT)
     with pytest.raises(ValueError):
         toy2d.thresholds(inst, 0.5, -1.0, RegimeKind.SMALL)
+
+
+def test_thresholds_keep_the_float_quotient_where_it_is_normal():
+    inst = toy2d.ToyInstance(1.0, 0.2, iota=0.7)
+    eta, alpha = 1.9, 1e-8
+    a1, a2 = abs(1.0 - eta), abs(1.0 - eta * 0.2)
+    assert toy2d.thresholds(inst, eta, alpha, RegimeKind.BIG) == (
+        0.5 * math.log(0.5) / math.log(a2 / a1),
+        0.5 * math.log(alpha / (1.0 * 0.7)) / math.log(a1),
+        0.5 * math.log((4.0 / 3.0) * alpha / (1.0 * 0.7)) / math.log(a1),
+    )
+
+
+def test_thresholds_refuse_a_factor_that_rounds_to_one():
+    """A zero log is InfeasibleWindow (exit 2), not ZeroDivisionError."""
+    # eta sigma_2 is below half an ulp of 1: the leading Small factor is 1.
+    inst = toy2d.ToyInstance(1.0, 1e-300)
+    with pytest.raises(InfeasibleWindow, match="leading factor is 1.0"):
+        toy2d.thresholds(inst, 1.0, 1e-300, RegimeKind.SMALL)
+    # Adjacent eigenvalues at a tiny rate: both factors round alike, so
+    # log(a2 / a1) is 0.
+    inst = toy2d.ToyInstance(math.nextafter(1.0, 2.0), 1.0)
+    with pytest.raises(InfeasibleWindow, match="t1 is undefined"):
+        toy2d.thresholds(inst, 1e-10, 1e-8, RegimeKind.SMALL)
+
+
+def test_thresholds_take_logs_where_the_quotient_underflows():
+    # alpha / sigma_1 underflows to 0; its log is log(alpha) - log(sigma_1).
+    inst = toy2d.ToyInstance(10.0, 0.2)
+    eta = 2.0 * TAU / 10.0
+    lead = abs(1.0 - eta * 10.0)
+    _, t2, t3 = toy2d.thresholds(inst, eta, 5e-324, RegimeKind.BIG)
+    want = 0.5 * (math.log(5e-324) - math.log(10.0)) / math.log(lead)
+    assert t2 == pytest.approx(want, rel=1e-12) and t3 == pytest.approx(want, rel=1e-12)
+    # eta = 1/sigma_2 kills the off direction of a Big run: a2/a1 is 0,
+    # its log -inf, and t1 is 0.
+    t1, t2, t3 = toy2d.thresholds(toy2d.ToyInstance(1.0, 0.6), 1.0 / 0.6, 1e-8, RegimeKind.BIG)
+    assert t1 == 0.0 and 0.0 < t3 < t2 < math.inf
 
 
 def test_small_t1_handles_exact_kill():
@@ -117,6 +158,61 @@ def test_ratio_check_infeasible_for_large_alpha():
     inst = toy2d.ToyInstance(1.0, 0.2)
     with pytest.raises(InfeasibleWindow):
         toy2d.ratio_check(inst, 1.0, 1.95, 0.4, 10**6)
+
+
+def test_ratio_check_refuses_a_run_that_stops_short_small_rate_first():
+    inst = toy2d.ToyInstance(1.0, 0.2)
+    alpha = toy2d.feasible_alpha(inst, 1.0, 1.9, target=1e-8, margin=1.01)
+    with pytest.raises(InfeasibleWindow, match="^small-rate run stopped with MaxStepsExceeded$"):
+        toy2d.ratio_check(inst, 1.0, 1.9, alpha, 10)
+    with pytest.raises(InfeasibleWindow, match="^big-rate run stopped with MaxStepsExceeded$"):
+        toy2d.ratio_check(inst, 1.0, 1.9, alpha, 50)
+    with pytest.raises(ValueError, match="t_max must be at least 1"):
+        toy2d.ratio_check(inst, 1.0, 1.9, alpha, 0)
+
+
+def test_ratio_check_refuses_a_big_rate_test_loss_that_underflows():
+    # At alpha 5e-324 the big-rate iterate's test loss is 0 in floats.
+    inst = toy2d.ToyInstance(1.0, 0.5)
+    with pytest.raises(ZeroDenominator, match="leaves no finite ratio"):
+        toy2d.ratio_check(inst, 1.0, 1.5, 5e-324, 10**7)
+
+
+# The toy2d_grid benchmark instances: (sigma1, sigma2, eta_big in 1/sigma1 units).
+TOY2D_GRID = [
+    (sigma1, sigma1 / kappa, eta_big)
+    for kappa in (2.0, 5.0, 10.0)
+    for sigma1 in (1.0, 10.0)
+    for eta_big in (2.0 * TAU, 1.9)
+]
+
+
+def test_first_hit_from_the_lower_bound_is_the_hit_from_step_1(monkeypatch):
+    """feasible_alpha's landing searches start at gd.hit_lower_bound.
+
+    At both rates of each toy2d_grid instance (the small rate at the
+    target, the big rate at the aligned alpha) the step is the one the
+    search from step 1 finds, after at most 3 loss evaluations.
+    """
+    real = toy2d.excess_loss
+    evaluated = []
+
+    def counting(inst, eta, t):
+        evaluated.append(t)
+        return real(inst, eta, t)
+
+    for sigma1, sigma2, eta_big in TOY2D_GRID:
+        inst = toy2d.ToyInstance(sigma1, sigma2)
+        eta_s, eta_b = 1.0 / sigma1, eta_big / sigma1
+        alpha = toy2d.feasible_alpha(inst, eta_s, eta_b, target=1e-8, margin=1.0 + 1e-9)
+        for eta, level in ((eta_s, 1e-8), (eta_b, alpha)):
+            want = level_set_search(lambda t: real(inst, eta, t), level, 10**7)
+            evaluated.clear()
+            with monkeypatch.context() as m:
+                m.setattr(toy2d, "excess_loss", counting)
+                got = toy2d._first_hit(inst, eta, level, "landing")
+            assert (got, StopStatus.HIT_LEVEL_SET) == want
+            assert len(evaluated) <= 3
 
 
 def test_feasible_alpha_validates_regimes():

@@ -9,13 +9,13 @@ every distinct op of the three benchmark workloads (perfbench/workloads.py
 of this checkout) at workload seed N (default 1), and quadratic_certify
 at the edges of its instance blocks (B - 1, B, B + 1 and 2B + 3
 instances for the CERTIFY_BLOCK B of this checkout) at config seeds N
-and N + 1, and the sweeps of LEVEL_SET_EDGES, whose level-set runs
-reach rates past 2/sigma_1 (MaxStepsExceeded and Diverged) and targets
-that are refused. --configs FILE runs the JSON list of experiment configs in
-FILE instead. A config that a tree refuses with a library error records
-the error's class name. --keep DIR writes tree A's outputs to DIR/a and
-tree B's to DIR/b and keeps them; it refuses a DIR that already holds
-run, a or b.
+and N + 1, the sweeps of LEVEL_SET_EDGES, whose level-set runs reach
+rates past 2/sigma_1 (MaxStepsExceeded and Diverged) and targets that
+are refused, and the toy2d runs of TOY2D_EDGES. --configs FILE runs the
+JSON list of experiment configs in FILE instead. A config that a tree
+refuses with a library error records the error's class name. --keep
+DIR writes tree A's outputs to DIR/a and tree B's to DIR/b and keeps
+them; it refuses a DIR that already holds run, a or b.
 
 Prints the configs whose outcome differs, the files that differ or exist
 on one side only, and for each CSV column with a differing cell the worst
@@ -64,6 +64,14 @@ LEVEL_SET_EDGES = [
     {"experiment": "eta_sweep", "n": 20, "alpha": 1e6},
     {"experiment": "alpha_sweep", "n": 20, "alpha_grid": [0.5, 5e-324]},
 ]
+# toy2d at fixed targets: one where the big-rate run stops at
+# MaxStepsExceeded, one the window gate refuses, and one that writes its
+# outputs at other rates.
+TOY2D_EDGES = [
+    {"experiment": "toy2d", "alpha": 1e-300},
+    {"experiment": "toy2d", "alpha": 0.4},
+    {"experiment": "toy2d", "alpha": 1e-9, "eta_small": 0.5, "eta_big": 1.9},
+]
 
 # Runs in the child: reads {"base": dir, "configs": [[label, raw], ...]}
 # on stdin, prints {"package": path, "outcomes": {label: outcome}}.
@@ -109,6 +117,8 @@ def default_configs(seed):
             configs.append([f"certify-block-{count}-seed{config_seed}", raw])
     for i, raw in enumerate(LEVEL_SET_EDGES):
         configs.append([f"level-set-edge-{i}-{raw['experiment']}", dict(raw, seed=seed)])
+    for i, raw in enumerate(TOY2D_EDGES):
+        configs.append([f"toy2d-edge-{i}", raw])
     return configs
 
 
