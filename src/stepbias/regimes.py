@@ -120,7 +120,10 @@ class RegimeRecord:
 
     Suffixes _s and _b name the Small and Big regimes. lead is the
     attenuation on the distinguished direction, gap log(lead / second
-    attenuation), scale sigma iota^2 on that direction. Fields from
+    attenuation), scale sigma iota^2 on that direction. projection_s is
+    1/2 sum_{i<n} sigma_i iota_i^2, the train loss of the start off the
+    Small run's distinguished direction, and projection_b 1/2 sum_{i>1}
+    sigma_i iota_i^2, off the Big run's (assumption A5). Fields from
     lead_s on are NaN outside the theorem's domain (see regime_record);
     r_opt is R(theta_hat) in a pair_record, NaN otherwise.
     """
@@ -136,6 +139,8 @@ class RegimeRecord:
     iota_1: float
     iota_n: float
     r_opt: float
+    projection_s: float
+    projection_b: float
     lead_s: float = math.nan
     lead_b: float = math.nan
     gap_s: float = math.nan
@@ -174,28 +179,31 @@ class RegimeRecord:
         )
 
 
-def _log_quotient(factor, scale, alpha):
-    """log(factor scale / alpha); in logs where the quotient underflows.
+def _log_quotient(numerators, denominators):
+    """log(prod(numerators) / prod(denominators)), from logs where floats cannot hold it.
 
-    Where factor scale / alpha is a normal float its log is taken, which
-    keeps every window that fits in floats as it was. Below that the
-    quotient has lost bits or is 0, and the logs are summed instead.
-    An overflowed quotient stays inf.
+    Where the quotient is a normal float its log is taken, which keeps
+    every threshold and window that fits in floats as it was. Where the
+    quotient or the denominators' product underflowed, lost bits or
+    overflowed, the logs of the factors are summed instead, log 0 being
+    -inf.
     """
-    quotient = factor * scale / alpha
-    if quotient >= sys.float_info.min:
-        return math.log(quotient)
-    return math.log(factor) + math.log(scale) - math.log(alpha)
+    num, den = math.prod(numerators), math.prod(denominators)
+    if 0.0 < den < math.inf and sys.float_info.min <= num / den < math.inf:
+        return math.log(num / den)
+    if 0.0 in numerators:
+        return -math.inf
+    return sum(map(math.log, numerators)) - sum(map(math.log, denominators))
 
 
 def _window(t1, scale, lead, alpha):
-    decay = math.log(1.0 / lead)
-    t2 = 0.5 * _log_quotient(0.5, scale, alpha) / decay
-    t3 = 0.5 * _log_quotient(1.25, scale, alpha) / decay
-    if t3 == math.inf:  # 1.25 scale / alpha overflowed
+    if 1.25 * scale / alpha == math.inf:
         raise InfeasibleWindow(
             f"step window for scale {scale!r} and alpha {alpha!r} overflows"
         )
+    decay = math.log(1.0 / lead)
+    t2 = 0.5 * _log_quotient((0.5, scale), (alpha,)) / decay
+    t3 = 0.5 * _log_quotient((1.25, scale), (alpha,)) / decay
     return StepWindow(t1=t1, t2=t2, t3=t3)
 
 
@@ -225,8 +233,9 @@ def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
     low, high = 2.0 / (sig_1 + sig_n), 2.0 / sig_1
     kind_s, kind_b = rate_kind(eta_s, low, high), rate_kind(eta_b, low, high)
     i1, inn = float(iota[0]), float(iota[-1])
+    power = [s * i * i for s, i in zip(sig, iota.tolist())]
     base = (eta_s, eta_b, kappa_F, kappa_R, low, high, kind_s, kind_b, i1, inn,
-            float(r_opt))
+            float(r_opt), 0.5 * sum(power[:-1]), 0.5 * sum(power[1:]))
     if not (
         kind_s is RegimeKind.SMALL
         and kind_b is RegimeKind.BIG
@@ -295,14 +304,18 @@ class AssumptionVerdict:
 
 
 def check_assumptions(pair, theta0, eta_s, eta_b, alpha, record=None):
-    """Evaluate the four standing assumptions on a problem instance.
+    """Evaluate the five standing assumptions on a problem instance.
 
     A1 distinct positive eigenvalues (n >= 2), A2 rate ordering (eta_s
     Small, eta_b Big; a rate <= 0 is NotPositive), A3
     nonzero initialization on the boundary directions, A4 the level-set
     target alpha, between UNDERFLOW_GUARD and alpha_1, with small enough
     model error (below UNDERFLOW_GUARD the step windows overflow and the
-    loss bounds divide by products that underflow to 0). Returns verdicts
+    loss bounds divide by products that underflow to 0), A5 the initial
+    projection: alpha <= 1/2 sum_{i<n} sigma_i iota_i^2 and alpha <= 1/2
+    sum_{i>1} sigma_i iota_i^2, so that neither run starts with its
+    projection off its distinguished direction inside the level set
+    (A4's alpha <= alpha_1 does not imply it). Returns verdicts
     with the computed numbers; never raises on failure. record, the
     pair_record of (pair, decomposed theta0, eta_s, eta_b), is derived
     here unless the caller shares one.
@@ -324,6 +337,7 @@ def check_assumptions(pair, theta0, eta_s, eta_b, alpha, record=None):
     # nonzero boundary coefficients; a NaN alpha_1 fails A4.
     a_one = record.alpha_1 if a1 and a2 and a3 else math.nan
     a4 = UNDERFLOW_GUARD <= alpha <= a_one and record.r_opt / alpha <= ratio_cap
+    a5 = alpha <= record.projection_s and alpha <= record.projection_b
     return [
         AssumptionVerdict(
             "A1_distinct_eigenvalues",
@@ -355,6 +369,15 @@ def check_assumptions(pair, theta0, eta_s, eta_b, alpha, record=None):
                 "model_error_ratio_cap": float(ratio_cap),
             },
         ),
+        AssumptionVerdict(
+            "A5_initial_projection",
+            bool(a5),
+            {
+                "alpha": float(alpha),
+                "projection_s": record.projection_s,
+                "projection_b": record.projection_b,
+            },
+        ),
     ]
 
 
@@ -364,10 +387,12 @@ class Certificate:
 
     bound_rhs is the specialized right-hand side 34 (kappa_R/kappa_F)
     R(theta_s); bound_general the 17 c_alpha (kappa_R/kappa_F) R(theta_s)
-    form that does not need the model-error assumption. verdict_final is
-    the measured specialized inequality (false with reason
-    ModelErrorTooLarge when c_alpha is undefined). The fields are in the
-    order of to_record's columns.
+    form that does not need the model-error assumption. verdict_final
+    reads only two things: a finite c_alpha (else false, with reason
+    ModelErrorTooLarge) and the measured r_big <= bound_rhs (else false,
+    BoundViolated). It reads none of the sub-verdicts in verdicts, which
+    can fail while verdict_final holds. The fields are in the order of
+    to_record's columns.
     """
 
     alpha: float

@@ -4,6 +4,7 @@ Train loss F(x, y) = 0.5 (sigma_1 x^2 + sigma_2 y^2) with optimum at the
 origin; population loss R(x, y) = 0.5 (x^2 + y^2) (identity test
 operator). Starting from (iota, iota), GD factorizes exactly:
 (x_t, y_t) = ((1 - eta sigma_1)^t iota, (1 - eta sigma_2)^t iota).
+Every landing step and test loss below is computed from that form.
 
 The threshold formulas follow the companion sketch conventions verbatim
 (including their alpha/(sigma iota) scaling, where the n-dimensional
@@ -11,15 +12,14 @@ analysis uses iota^2); the general forms live in regimes.RegimeRecord.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleWindow, InvalidRegime, ZeroDenominator
-from .gd import GDRun, StopStatus, decompose, hit_lower_bound, level_set_runs, level_set_search
-from .quadratic import QuadraticObjective, evaluate
-from .regimes import RegimeKind, rate_kind
+from .errors import AlreadyBelowLevelSet, InfeasibleWindow, InvalidRegime, ZeroDenominator
+from .gd import StopStatus, _argument_error, hit_lower_bound, level_set_search
+from .quadratic import QuadraticObjective
+from .regimes import RegimeKind, _log_quotient, rate_kind
 from .spectral import diagonal_spectrum
 
 ALIGN_SCAN = 400  # small-rate landing steps feasible_alpha tries
@@ -78,24 +78,9 @@ def _regime_kind(inst, eta, regime):
     return kind
 
 
-def _log_quotient(numerator, *denominator):
-    """log(numerator / the product of denominator).
-
-    As in regimes._log_quotient, a quotient that is a normal float keeps
-    the bits of its log. Where the quotient or the product underflowed,
-    lost bits or overflowed, the logs are subtracted, log 0 being -inf.
-    """
-    product = math.prod(denominator)
-    if 0.0 < product < math.inf and sys.float_info.min <= numerator / product < math.inf:
-        return math.log(numerator / product)
-    if numerator == 0.0:
-        return -math.inf
-    return math.log(numerator) - sum(map(math.log, denominator))
-
-
 def _t1(log_target, a2, a1):
     """0.5 log_target / log(a2 / a1), the step where (a2/a1)^{2t} reaches the target."""
-    log_ratio = _log_quotient(a2, a1)
+    log_ratio = _log_quotient((a2,), (a1,))
     if log_ratio == 0.0:
         raise InfeasibleWindow(
             f"t1 is undefined: the factors {a1!r} and {a2!r} decay alike in floats"
@@ -131,10 +116,10 @@ def thresholds(inst, eta, alpha, regime):
         t1 = 1.0
     else:
         # epsilon_s^2 = (a1/a2)^{2t} <= sigma_2 / (2 sigma_1).
-        t1 = _t1(_log_quotient(2 * inst.sigma1, inst.sigma2), a2, a1)
+        t1 = _t1(_log_quotient((2 * inst.sigma1,), (inst.sigma2,)), a2, a1)
     decay = math.log(lead_a)
-    t2 = 0.5 * _log_quotient(alpha, lead_sigma, iota) / decay
-    t3 = 0.5 * _log_quotient((4.0 / 3.0) * alpha, lead_sigma, iota) / decay
+    t2 = 0.5 * _log_quotient((alpha,), (lead_sigma, iota)) / decay
+    t3 = 0.5 * _log_quotient(((4.0 / 3.0) * alpha,), (lead_sigma, iota)) / decay
     return t1, t2, t3
 
 
@@ -144,18 +129,27 @@ def excess_loss(inst, eta, t):
     return 0.5 * (inst.sigma1 * x * x + inst.sigma2 * y * y)
 
 
-def _first_hit(inst, eta, level, name):
-    """First step at which the exact loss at rate eta is <= level.
+def _first_hit(inst, eta, level, name, t_max=10**7):
+    """First step in 1..t_max at which the exact loss at rate eta is <= level.
 
     The search starts at gd.hit_lower_bound of the loss's two terms.
     """
     sigmas = (inst.sigma1, inst.sigma2)
     weights = [0.5 * s * inst.iota**2 for s in sigmas]
-    start = hit_lower_bound(weights, [abs(1.0 - eta * s) for s in sigmas], level, 10**7)
-    t, status = level_set_search(lambda t: excess_loss(inst, eta, t), level, 10**7, start)
+    start = hit_lower_bound(weights, [abs(1.0 - eta * s) for s in sigmas], level, t_max)
+    t, status = level_set_search(lambda t: excess_loss(inst, eta, t), level, t_max, start)
     if status is not StopStatus.HIT_LEVEL_SET:
-        raise InfeasibleWindow(f"{name}-rate loss never reaches the target")
+        raise InfeasibleWindow(f"{name}-rate run stopped with {status.value}")
     return t
+
+
+def _test_losses(inst, eta_s, eta_b, alpha, t_max=10**7):
+    """[R(theta_s), R(theta_b)] at the landings on the alpha level set, searched small first."""
+    losses = []
+    for eta, name in ((eta_s, "small"), (eta_b, "big")):
+        x, y = trajectory(inst, eta, _first_hit(inst, eta, alpha, name, t_max))
+        losses.append(0.5 * (x * x + y * y))
+    return losses
 
 
 def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02):
@@ -163,12 +157,11 @@ def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02):
 
     Discrete stopping lands the excess loss anywhere in (A^2 alpha,
     alpha], so an arbitrary alpha can make the small-rate run undershoot
-    and lose the predicted R(theta_s)/R(theta_b) >= kappa margin. We
-    align alpha just above a small-rate landing point and keep the first
-    candidate whose predicted ratio clears kappa by ``margin``. Both
-    regimes have every |1 - eta sigma_i| < 1, so each landing step is
-    found by gd.level_set_search on the exact, non-increasing loss, from
-    gd.hit_lower_bound.
+    and lose the R(theta_s)/R(theta_b) >= kappa margin. We align alpha
+    just above a small-rate landing point and keep the first candidate
+    whose measured ratio, the one ratio_check reports at that alpha,
+    clears kappa by ``margin``. Each landing is searched within 10^7
+    steps, as ratio_check searches it.
     """
     _regime_kind(inst, eta_s, RegimeKind.SMALL)
     _regime_kind(inst, eta_b, RegimeKind.BIG)
@@ -177,11 +170,7 @@ def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02):
         alpha = excess_loss(inst, eta_s, candidate_t) * (1.0 + 1e-9)
         if alpha <= 0:
             break
-        tb = _first_hit(inst, eta_b, alpha, "big")
-        xs, ys = trajectory(inst, eta_s, candidate_t)
-        xb, yb = trajectory(inst, eta_b, tb)
-        r_small = 0.5 * (xs * xs + ys * ys)
-        r_big = 0.5 * (xb * xb + yb * yb)
+        r_small, r_big = _test_losses(inst, eta_s, eta_b, alpha)
         if r_big > 0 and r_small / r_big >= inst.kappa * margin:
             return alpha
     raise InfeasibleWindow("no aligned level-set target found in the scan range")
@@ -202,16 +191,15 @@ def ratio_check(inst, eta_s, eta_b, alpha, t_max):
             raise InfeasibleWindow(
                 f"level-set window infeasible for eta={eta}: t2={t2:.3f} <= t1={t1:.3f}"
             )
-    train = inst.train_objective()
-    iota = np.tile(decompose(train, inst.theta0()), (2, 1))
-    runs = level_set_runs([train] * 2, iota, [eta_s, eta_b], [alpha] * 2, [t_max] * 2)
-    for name, run in zip(("small", "big"), runs):
-        if not isinstance(run, GDRun):
-            raise run
-        if run.stop_status is not StopStatus.HIT_LEVEL_SET:
-            raise InfeasibleWindow(f"{name}-rate run stopped with {run.stop_status.value}")
-    test = inst.test_objective()
-    r_small, r_big = (evaluate(test, run.theta) for run in runs)
+    error = _argument_error(eta_s, alpha, t_max)
+    if error is not None:
+        raise error
+    loss0 = excess_loss(inst, eta_s, 0)
+    if loss0 <= alpha:
+        raise AlreadyBelowLevelSet(
+            f"initial excess loss {loss0:.3e} is already <= alpha {alpha:.3e}"
+        )
+    r_small, r_big = _test_losses(inst, eta_s, eta_b, alpha, t_max)
     ratio = r_small / r_big if r_big else math.inf
     if ratio == math.inf:
         raise ZeroDenominator(f"the big-rate test loss {r_big!r} leaves no finite ratio")

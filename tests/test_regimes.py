@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepbias import gd, instances
+from stepbias import experiments, gd, instances
 from stepbias.errors import (
+    CertificationFailed,
     DegenerateSpectrum,
     InfeasibleWindow,
     InvalidRegime,
@@ -28,6 +29,7 @@ from stepbias.regimes import (
     RegimeKind,
     StepWindow,
     _check_lead,
+    _log_quotient,
     _mass_ratios,
     certify,
     check_assumptions,
@@ -454,7 +456,7 @@ def test_certify_refuses_an_instance_outside_the_domain():
     with pytest.raises(InvalidRegime):
         certify(pair, *runs, 1e-6)
     verdicts = check_assumptions(pair, theta0, 1.25, 1.9, 1e-6)
-    assert [v.passed for v in verdicts] == [True, True, True, False]
+    assert [v.passed for v in verdicts] == [True, True, True, False, True]
 
 
 def test_step_window_shape():
@@ -495,7 +497,7 @@ def test_a_zero_float_gap_is_outside_the_domain():
         QuadraticObjective(diagonal_spectrum([1.0, 0.8, 0.7, 0.5]), np.zeros(4)),
     )
     verdicts = check_assumptions(pair, np.ones(4), 1.0, 1.9995, 1e-6)
-    assert [v.passed for v in verdicts] == [True, True, True, False]
+    assert [v.passed for v in verdicts] == [True, True, True, False, True]
     assert math.isnan(verdicts[3].details["alpha_1"])
     # |1 - eta_b sigma_1| and |1 - eta_b sigma_2| are one float: Big gap 0.
     s1 = 1.761975919418575
@@ -531,8 +533,21 @@ def test_a_subnormal_boundary_scale_is_outside_the_domain(iota):
         numbers += dataclasses.astuple(rec.windows(1e-9)[0])
         assert all(math.isnan(v) for v in numbers)
         verdicts = check_assumptions(pair, np.array(iota), 0.7, 1.9, 1e-9)
-    assert [v.passed for v in verdicts] == [True, True, True, False]
+    assert [v.passed for v in verdicts] == [True, True, True, False, True]
     assert math.isnan(verdicts[3].details["alpha_1"])
+
+
+def test_log_quotient_takes_logs_only_where_floats_cannot_hold_the_quotient():
+    """The one log-quotient rule of the step windows and of toy2d's thresholds."""
+    # A normal quotient: the log of its float, products taken in order.
+    assert _log_quotient((0.5, 0.3), (7.0,)) == math.log(0.5 * 0.3 / 7.0)
+    assert _log_quotient((1e-9,), (0.2, 0.7)) == math.log(1e-9 / (0.2 * 0.7))
+    # Underflowed, overflowed, or over a product that underflowed: sums of logs.
+    logs = math.log(0.5) + math.log(1e-300) - math.log(1e10)
+    assert _log_quotient((0.5, 1e-300), (1e10,)) == logs
+    assert _log_quotient((1e300,), (1e-10,)) == math.log(1e300) - math.log(1e-10)
+    assert _log_quotient((1.0,), (1e-200, 1e-200)) == -(math.log(1e-200) + math.log(1e-200))
+    assert _log_quotient((0.0,), (3.0,)) == -math.inf
 
 
 def test_windows_take_logs_where_the_quotient_underflows():
@@ -642,6 +657,7 @@ def test_check_assumptions_pass_on_generated_instance():
         "A2_rate_ordering",
         "A3_nonzero_initialization",
         "A4_level_set_target",
+        "A5_initial_projection",
     ]
     assert all(v.passed for v in verdicts)
 
@@ -679,6 +695,54 @@ def test_check_assumptions_detects_violations():
     assert not v["A4_level_set_target"]
 
 
+# The pair of the initial-projection probe: A1-A4 hold, yet theta0's
+# projection off the Small run's distinguished direction (sigma_1 iota_1^2
+# / 2 = 2.55e-6) already lies inside the level set alpha = 3e-5.
+PROJECTION_PAIR = ProblemPair(
+    QuadraticObjective(diagonal_spectrum([1.0, 0.6539088785463802]), np.zeros(2)),
+    QuadraticObjective(diagonal_spectrum([1.0, 0.5]), np.zeros(2)),
+)
+PROJECTION_ARGS = (
+    np.array([-0.0022587252701268944, 4.057105251940958]),
+    0.9228364331862055,
+    1.5780795515150112,
+    3e-5,
+)
+
+
+def test_check_assumptions_fails_a5_where_a1_to_a4_hold():
+    theta0, eta_s, eta_b, alpha = PROJECTION_ARGS
+    verdicts = check_assumptions(PROJECTION_PAIR, *PROJECTION_ARGS)
+    assert [v.passed for v in verdicts] == [True, True, True, True, False]
+    a4, a5 = verdicts[3].details, verdicts[4].details
+    assert a4["alpha_1"] > alpha  # A4's ceiling does not imply A5
+    # theta0 is iota on the identity basis.
+    assert a5["projection_s"] == 0.5 * (1.0 * theta0[0] * theta0[0])
+    assert a5["projection_s"] < alpha < a5["projection_b"]
+    assert a5["projection_b"] == 0.5 * (0.6539088785463802 * theta0[1] * theta0[1])
+    # A5 holds up to the smaller projection, a tie included.
+    edge = a5["projection_s"]
+    for target, want in ((edge, True), (np.nextafter(edge, math.inf), False)):
+        assert check_assumptions(PROJECTION_PAIR, theta0, eta_s, eta_b, target)[4].passed == want
+    # The i > 1 sum fails A5 alone once the two coefficients swap.
+    swapped = check_assumptions(PROJECTION_PAIR, theta0[::-1], eta_s, eta_b, alpha)[4]
+    assert swapped.details["projection_b"] < alpha < swapped.details["projection_s"]
+    assert not swapped.passed
+
+
+def test_verdict_final_reads_neither_a5_nor_the_sub_verdicts():
+    """certify still holds on the A5 pair; quadratic_certify refuses it."""
+    theta0, eta_s, eta_b, alpha = PROJECTION_ARGS
+    runs = [gd.run_to_level_set(PROJECTION_PAIR.train, theta0, eta, alpha, 10**6)
+            for eta in (eta_s, eta_b)]
+    cert = certify(PROJECTION_PAIR, *runs, alpha)
+    assert cert.verdict_final and math.isfinite(cert.c_alpha) and cert.r_big <= cert.bound_rhs
+    assert not all(cert.verdicts.values())
+    inst = instances.CertifyInstance(PROJECTION_PAIR, theta0, eta_s, eta_b, alpha, 10**6)
+    with pytest.raises(CertificationFailed, match="^instance 0 fails assumptions: A5_initial_projection$"):
+        list(experiments._certify_block([inst], 0))
+
+
 def test_check_assumptions_on_singular_spectra_returns_verdicts():
     # Non-positive bottom eigenvalues give infinite condition numbers,
     # not a division by zero or a negative ratio.
@@ -688,7 +752,7 @@ def test_check_assumptions_on_singular_spectra_returns_verdicts():
         test = QuadraticObjective(diagonal_spectrum([1.0, 0.8, 0.7, bottom]), np.zeros(4))
         verdicts = check_assumptions(ProblemPair(train, test), theta0, 0.7, 1.9, 1e-10)
         passed = {v.name: v.passed for v in verdicts}
-        assert len(verdicts) == 4
+        assert len(verdicts) == 5
         assert not passed["A1_distinct_eigenvalues"]
         assert not passed["A4_level_set_target"]
 
@@ -782,7 +846,9 @@ def test_check_assumptions_fails_a4_on_bad_alpha():
     inst = _generated()
     for alpha in (0.0, -1.0, math.nan, math.inf, 5e-324, 1e-310, 0.99e-300):
         verdicts = check_assumptions(inst.pair, inst.theta0, inst.eta_s, inst.eta_b, alpha)
-        assert [v.passed for v in verdicts] == [True, True, True, False], alpha
+        # A5 reads alpha <= both projections: true for alpha <= 0.
+        want = [True, True, True, False, alpha < math.inf]
+        assert [v.passed for v in verdicts] == want, alpha
 
 
 def test_certify_refuses_a_target_below_the_underflow_guard():
@@ -918,7 +984,7 @@ def test_check_assumptions_on_a_one_dimensional_pair_returns_verdicts():
     test = QuadraticObjective(diagonal_spectrum([1.0]), np.zeros(1))
     verdicts = check_assumptions(ProblemPair(train, test), np.ones(1), 0.3, 0.8, 1e-3)
     passed = {v.name: v.passed for v in verdicts}
-    assert len(verdicts) == 4
+    assert len(verdicts) == 5
     assert not passed["A1_distinct_eigenvalues"]
     assert not passed["A4_level_set_target"]
 
@@ -930,7 +996,7 @@ def test_check_assumptions_on_non_positive_rates_fails_a2():
     theta0 = np.array([0.5, 0.5, 0.5, 0.5])
     for eta_s, eta_b in ((0.0, 1.9), (-1.0, 1.9), (0.7, 0.0)):
         verdicts = check_assumptions(pair, theta0, eta_s, eta_b, 1e-10)
-        assert [v.passed for v in verdicts] == [True, False, True, False], (eta_s, eta_b)
+        assert [v.passed for v in verdicts] == [True, False, True, False, True], (eta_s, eta_b)
         kinds = verdicts[1].details
         assert "NotPositive" in (kinds["eta_s_kind"], kinds["eta_b_kind"])
 

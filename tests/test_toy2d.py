@@ -1,14 +1,18 @@
 """The closed-form 2-D instance against the generic GD machinery."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stepbias import toy2d
 from stepbias.config import TAU
-from stepbias.errors import InfeasibleWindow, InvalidRegime, ZeroDenominator
-from stepbias.gd import StopStatus, iterate, level_set_search
+from stepbias.errors import AlreadyBelowLevelSet, InfeasibleWindow, InvalidRegime, ZeroDenominator
+from stepbias.gd import StopStatus, decompose, iterate, level_set_runs, level_set_search
 from stepbias.quadratic import evaluate
 from stepbias.regimes import RegimeKind, rate_kind
 from stepbias.spectral import diagonal_spectrum
@@ -169,6 +173,19 @@ def test_ratio_check_refuses_a_run_that_stops_short_small_rate_first():
         toy2d.ratio_check(inst, 1.0, 1.9, alpha, 50)
     with pytest.raises(ValueError, match="t_max must be at least 1"):
         toy2d.ratio_check(inst, 1.0, 1.9, alpha, 0)
+    with pytest.raises(ValueError, match="level-set target must be finite and positive"):
+        toy2d.ratio_check(inst, 1.0, 1.9, math.nan, 10**6)
+    # A small iota starts below a target the window gate lets through.
+    small_start = toy2d.ToyInstance(1.0, 0.2, iota=0.01)
+    with pytest.raises(AlreadyBelowLevelSet, match=r"^initial excess loss 6\.000e-05 is already <= alpha 1\.000e-04$"):
+        toy2d.ratio_check(small_start, 1.0, 1.95, 1e-4, 10**6)
+
+
+def test_feasible_alpha_refuses_a_small_rate_search_that_stops_short():
+    # At sigma_2 = 1e-6 the small-rate loss needs about 1.6e7 steps to reach 1e-20.
+    inst = toy2d.ToyInstance(1.0, 1e-6)
+    with pytest.raises(InfeasibleWindow, match="^small-rate run stopped with MaxStepsExceeded$"):
+        toy2d.feasible_alpha(inst, 1.0, 2.0 - 1e-6, target=1e-20)
 
 
 def test_ratio_check_refuses_a_big_rate_test_loss_that_underflows():
@@ -246,3 +263,88 @@ def test_regime_gate_classifies_like_classify_rate(sigma1, sigma2):
     for eta in (0.0, -0.5):
         with pytest.raises(InvalidRegime, match="NotPositive"):
             toy2d.thresholds(inst, eta, 1e-8, RegimeKind.SMALL)
+
+
+def _toy2d_instances():
+    """(instance, eta_s, eta_b, alpha) of each toy2d_grid instance, alpha as the CLI picks it."""
+    for sigma1, sigma2, eta_big in TOY2D_GRID:
+        inst = toy2d.ToyInstance(sigma1, sigma2)
+        eta_s, eta_b = 1.0 / sigma1, eta_big / sigma1
+        alpha = toy2d.feasible_alpha(inst, eta_s, eta_b, target=1e-8, margin=1.0 + 1e-9)
+        yield inst, eta_s, eta_b, alpha
+
+
+def test_ratio_check_agrees_with_the_generic_pipeline():
+    """A two-lane gd.level_set_runs on the toy's objectives lands where ratio_check does.
+
+    Its test losses, evaluated at the reconstructed iterates, give
+    ratio_check's ratio to 1e-15 relative.
+    """
+    for inst, eta_s, eta_b, alpha in _toy2d_instances():
+        train = inst.train_objective()
+        iota = np.tile(decompose(train, inst.theta0()), (2, 1))
+        runs = level_set_runs([train] * 2, iota, [eta_s, eta_b], [alpha] * 2, [10**7] * 2)
+        for run, eta in zip(runs, (eta_s, eta_b)):
+            assert run.stop_status is StopStatus.HIT_LEVEL_SET
+            assert run.steps == toy2d._first_hit(inst, eta, alpha, "landing", 10**7)
+        r_small, r_big = (evaluate(inst.test_objective(), run.theta) for run in runs)
+        ratio, _ = toy2d.ratio_check(inst, eta_s, eta_b, alpha, 10**7)
+        assert ratio == pytest.approx(r_small / r_big, rel=1e-15, abs=0.0)
+
+
+def test_ratio_check_reports_the_ratio_feasible_alpha_accepted(monkeypatch):
+    cases = [(inst, eta_s, eta_b) for inst, eta_s, eta_b, _ in _toy2d_instances()]
+    # The toy2d_grid instances accept their first candidate; these two scan on.
+    cases += [(toy2d.ToyInstance(1.0, 0.05), eta_s, 1.91) for eta_s in (1.0, 0.2)]
+    real = toy2d._test_losses
+    scanned, lengths = [], []
+
+    def recording(*args):
+        scanned.append(real(*args))
+        return scanned[-1]
+
+    monkeypatch.setattr(toy2d, "_test_losses", recording)
+    for inst, eta_s, eta_b in cases:
+        scanned.clear()
+        alpha = toy2d.feasible_alpha(inst, eta_s, eta_b, target=1e-8, margin=1.0 + 1e-9)
+        r_small, r_big = scanned[-1]
+        assert toy2d.ratio_check(inst, eta_s, eta_b, alpha, 10**7) == (r_small / r_big, True)
+        lengths.append(len(scanned) - 1)  # ratio_check's own call is not the scan's
+    assert lengths == [1] * len(TOY2D_GRID) + [76, 301]
+
+
+# The AVX-512 features of numpy's runtime dispatch, read as CI reads them.
+_CORE = getattr(np, "_core", None) or np.core
+_AVX512 = [
+    f for f in _CORE._multiarray_umath.__cpu_dispatch__ if f.startswith("AVX512") or f == "X86_V4"
+]
+
+
+def _toy2d_ratio_csv(tmp_path, label, disabled):
+    """toy2d_ratio.csv of the default toy2d config, run in a child process."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(Path(toy2d.__file__).resolve().parents[1])
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    out = tmp_path / label
+    code = (
+        "import sys; from stepbias.cli import main; "
+        f"sys.exit(main(['run', '--config', sys.argv[1], '--output-dir', {str(out)!r}]))"
+    )
+    config = tmp_path / "toy2d.json"
+    config.write_text('{"experiment": "toy2d"}')
+    done = subprocess.run([sys.executable, "-c", code, str(config)], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    return (out / "toy2d_ratio.csv").read_bytes()
+
+
+@pytest.mark.skipif(
+    "NPY_DISABLE_CPU_FEATURES" not in os.environ
+    and not any(_CORE._multiarray_umath.__cpu_features__.get(f) for f in _AVX512),
+    reason="this CPU runs none of numpy's AVX-512 kernels: both dispatch paths are one",
+)
+def test_toy2d_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    """The closed-form toy writes the same bytes with and without numpy's AVX-512 kernels."""
+    assert _toy2d_ratio_csv(tmp_path, "default", []) == _toy2d_ratio_csv(
+        tmp_path, "no-avx512", _AVX512
+    )

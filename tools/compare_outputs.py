@@ -66,11 +66,16 @@ LEVEL_SET_EDGES = [
 ]
 # toy2d at fixed targets: one where the big-rate run stops at
 # MaxStepsExceeded, one the window gate refuses, and one that writes its
-# outputs at other rates.
+# outputs at other rates. Then feasible_alpha's scan past its first
+# candidate (every default toy2d op accepts that one): 76 and 301
+# candidates, and all 400 without a feasible one (refused).
 TOY2D_EDGES = [
     {"experiment": "toy2d", "alpha": 1e-300},
     {"experiment": "toy2d", "alpha": 0.4},
     {"experiment": "toy2d", "alpha": 1e-9, "eta_small": 0.5, "eta_big": 1.9},
+    {"experiment": "toy2d", "sigma2": 0.05, "eta_big": 1.91},
+    {"experiment": "toy2d", "sigma2": 0.05, "eta_small": 0.2, "eta_big": 1.91},
+    {"experiment": "toy2d", "sigma2": 0.1, "eta_small": 0.1, "eta_big": 1.82},
 ]
 
 # Runs in the child: reads {"base": dir, "configs": [[label, raw], ...]}
