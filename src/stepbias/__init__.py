@@ -18,6 +18,7 @@ from . import (
     instances,
     kernels,
     quadratic,
+    records,
     regimes,
     reporting,
     spectral,
@@ -28,7 +29,8 @@ from .errors import StepbiasError
 from .experiments import run_experiment
 from .gd import GDRun, StopStatus, run_to_level_set
 from .quadratic import ProblemPair, QuadraticObjective, from_kernel
-from .regimes import Certificate, RegimeKind, certify, check_assumptions
+from .records import RegimeKind
+from .regimes import Certificate, certify, check_assumptions
 from .spectral import Spectrum, eig_sym
 
 __version__ = "0.1.0"
@@ -42,6 +44,7 @@ __all__ = [
     "instances",
     "kernels",
     "quadratic",
+    "records",
     "regimes",
     "reporting",
     "spectral",

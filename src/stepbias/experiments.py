@@ -28,7 +28,8 @@ from .filters import (
 )
 from .instances import random_instances
 from .quadratic import QuadraticObjective, coefficients, excess_losses
-from .regimes import certify, check_assumptions, pair_record, run_measurements
+from .records import pair_records
+from .regimes import ASSUMPTIONS, assumption_checks, certificates, run_measurements
 from .reporting import AxesSpec, Series, render_svg, write_bytes, write_csv
 from .spectral import condition_number, eigvals_sym
 
@@ -36,8 +37,8 @@ T_MAX_SWEEP = 500_000
 # Streams per random_instances block in quadratic_certify, each block
 # generated and certified as one. Memory grows with it (about 10 kB per
 # stream), not with the number of instances. Generation to certificate
-# records took 592, 496 and 436 us of CPU per instance at 10, 20 and 40
-# streams; past 40 each doubling of the memory saves only 3-7 %.
+# rows took 420, 297, 247 and 222 us of CPU per instance at 10, 20, 40
+# and 80 streams: doubling the memory past 40 saves 10 %.
 CERTIFY_BLOCK = 40
 
 
@@ -138,13 +139,14 @@ def _run_toy2d(cfg, out):
 
 
 def _certify_block(block, first):
-    """The certificates of a block of instances, numbered from first, in order.
+    """The certificate columns of a block of instances, numbered from first, keyed as to_record's.
 
-    The array work runs once per dimension n (_block_numbers). Then each
-    instance, in order, gets its record, its assumption check and its
-    certificate, so the error raised is that of the earliest failing
-    instance, as if each were certified alone: a failed level-set lane
-    raises at its instance's turn.
+    The array work runs once per dimension n (_block_numbers); then one
+    pass over the whole block gives every record, assumption check and
+    certificate as columns. The error raised is that of the earliest
+    failing instance, as if each were certified alone: its failed
+    assumptions, else its failed level-set lane, else its certificate's
+    refusal.
     """
     shared = [None] * len(block)
     by_n = {}
@@ -153,23 +155,20 @@ def _certify_block(block, first):
     for ks in by_n.values():
         for k, numbers in zip(ks, _block_numbers([block[k] for k in ks])):
             shared[k] = numbers
-    for k, (inst, (iota, r_opt, runs, measured)) in enumerate(zip(block, shared)):
-        pair = inst.pair
-        # One record for the check and the certificate: its iota is the
-        # gd.decompose of theta0 that both runs start from.
-        record = pair_record(pair, iota, inst.eta_s, inst.eta_b, r_opt=r_opt)
-        verdicts = check_assumptions(
-            pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha, record=record
-        )
-        failed = [v.name for v in verdicts if not v.passed]
+    iota, r_opt, runs, measured = zip(*shared)
+    pairs, alpha = [inst.pair for inst in block], [inst.alpha for inst in block]
+    record = pair_records(pairs, iota, [i.eta_s for i in block], [i.eta_b for i in block], r_opt)
+    passed, _ = assumption_checks(pairs, record, alpha)
+    cert, refusals = certificates(pairs, *zip(*runs), alpha, record, np.array(measured).T)
+    for k, (verdicts, refusal) in enumerate(zip(passed.T.tolist(), refusals)):
+        failed = [name for name, ok in zip(ASSUMPTIONS, verdicts) if not ok]
         if failed:
             raise CertificationFailed(
                 f"instance {first + k} fails assumptions: {', '.join(failed)}"
             )
-        for run in runs:
-            if not isinstance(run, gd.GDRun):
-                raise run
-        yield certify(pair, *runs, inst.alpha, record=record, measured=measured)
+        if refusal is not None:
+            raise refusal
+    return cert.to_record()
 
 
 def _block_numbers(group):
@@ -223,7 +222,6 @@ def _block_numbers(group):
 
 def _run_quadratic_certify(cfg, out):
     rows = []
-    schema = None
     for first in range(0, cfg.instances, CERTIFY_BLOCK):
         stop = min(first + CERTIFY_BLOCK, cfg.instances)
         block = random_instances(
@@ -231,11 +229,12 @@ def _run_quadratic_certify(cfg, out):
         )
         if first == 0:
             spec = block[0].pair.train.spectrum
-        for i, cert in enumerate(_certify_block(block, first), first):
-            record = {"instance": i, **cert.to_record()}
-            if schema is None:
-                schema = tuple(record)
-            rows.append(tuple(record[k] for k in schema))
+        columns = _certify_block(block, first)
+        schema = ("instance", *columns)
+        rows += zip(
+            range(first, stop),
+            *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()),
+        )
     out.csv("certificates.csv", rows, schema)
     etas = np.linspace(0.01, 2.1 / spec.top, 200)
     # The attenuation coefficient |1 - eta sigma| of each eigenvalue, per array.

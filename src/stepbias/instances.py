@@ -8,8 +8,9 @@ orthogonal bases composed from Givens rotations, and a model error
 either zero or scaled to a small fraction of its allowed cap.
 
 Instances are generated in blocks (random_instances, one stream each):
-every draw of every stream comes first, in stream order, and then the
-bases of the whole block are built by one vectorized Givens pass.
+the first attempt of every stream is recorded by one regime_records
+pass, and the bases of the whole block are built by one vectorized
+Givens pass.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import InfeasibleWindow
 from .quadratic import ProblemPair, QuadraticObjective
-from .regimes import RegimeRecord, regime_record
+from .records import _window_bounds, regime_record, regime_records
 from .spectral import Spectrum, diagonal_spectrum
 
 MAX_DRAWS = 100
@@ -147,85 +148,48 @@ def _draw(rng, n):
             )
 
 
-@dataclass(frozen=True)
-class _Draws:
-    """The draws of one instance and what is read from them before its bases exist."""
-
-    n: int
-    train_eigenvalues: np.ndarray
-    train_angles: list
-    test_eigenvalues: np.ndarray
-    test_angles: list
-    opt_train: np.ndarray
-    iota: np.ndarray
-    eta_s: float
-    eta_b: float
-    record: RegimeRecord
-    alpha: float
-    fraction: float
-    direction: np.ndarray | None
+def _numbers(drawn):
+    """kappa_R, eta_s = 1/(sigma_1 + sigma_n) and eta_b = 1.9/sigma_1 of an attempt."""
+    sig, test = drawn[0], drawn[2]
+    return test[0] / test[-1], 1.0 / (sig[0] + sig[-1]), 1.9 / sig[0]
 
 
-def _draw_instance(rng, n, model_error_fraction):
-    """Every draw of one stream, retries included, in stream order."""
-    rng = np.random.default_rng(rng)
-    if n is None:
-        n = int(rng.integers(4, 9))
-    if n < 4:
-        raise ValueError("generator needs n >= 4")
-    for _ in range(MAX_DRAWS):
+def _target(record):
+    """The level-set target alpha of each attempt: half its smaller alpha_1 reading."""
+    return 0.5 * np.minimum(record.alpha_1, record.alpha_1_split)
+
+
+def _records(drawn):
+    """The regime_records of attempts and their targets; train eigenvalues stand for the spectra."""
+    record = regime_records(
+        [d[0] for d in drawn], *zip(*map(_numbers, drawn)), [d[5] for d in drawn],
+        np.full(len(drawn), math.nan),
+    )
+    return record, _target(record)
+
+
+def _redraw(rng, n):
+    """A refused stream's next attempts: the first with alpha >= 1e-280, by regime_record."""
+    for _ in range(MAX_DRAWS - 1):
         drawn = _draw(rng, n)
-        train_eigenvalues, _, test_eigenvalues, _, _, iota = drawn
-        sig1, sign = train_eigenvalues[0], train_eigenvalues[-1]
-        eta_s = 1.0 / (sig1 + sign)
-        eta_b = 1.9 / sig1
-        # The record reads the train eigenvalues only, so the diagonal
-        # spectrum stands in for the basis, which is built later.
-        record = regime_record(
-            diagonal_spectrum(train_eigenvalues),
-            test_eigenvalues[0] / test_eigenvalues[-1],
-            eta_s,
-            eta_b,
-            iota,
-        )
-        alpha = 0.5 * min(record.alpha_1, record.alpha_1_split)
-        if alpha >= 1e-280:
-            break
-    else:
-        raise InfeasibleWindow(
-            f"no draw in {MAX_DRAWS} gave a level-set target alpha >= 1e-280"
-        )
-    fraction = model_error_fraction
-    if fraction is None:
-        fraction = 0.1 if rng.uniform() < 0.5 else 0.0
-    direction = rng.normal(size=n) if fraction > 0 else None
-    return _Draws(n, *drawn, eta_s, eta_b, record, alpha, fraction, direction)
+        if _target(regime_record(diagonal_spectrum(drawn[0]), *_numbers(drawn), drawn[5])) >= 1e-280:
+            return drawn
+    raise InfeasibleWindow(f"no draw in {MAX_DRAWS} gave a level-set target alpha >= 1e-280")
 
 
-def _instance(d, train_basis, test_basis):
-    """The CertifyInstance of the draws d on their bases."""
-    train_spec = Spectrum(d.train_eigenvalues, train_basis)
-    test_spec = Spectrum(d.test_eigenvalues, test_basis)
-    theta0 = d.opt_train + train_basis @ d.iota
-    if d.fraction > 0:
-        quad = 0.5 * float(d.direction @ test_spec.apply(d.direction))
-        scale = math.sqrt(d.fraction * d.record.model_error_cap * d.alpha / quad)
-        opt_test = d.opt_train + scale * d.direction
-    else:
-        opt_test = d.opt_train.copy()
+def _instance(drawn, train_basis, test_basis, eta_s, eta_b, alpha, cap, fraction, direction, t_max):
+    """The CertifyInstance of an accepted attempt on its bases, from its record's numbers."""
+    train_eigenvalues, _, test_eigenvalues, _, opt_train, iota = drawn
+    test_spec = Spectrum(test_eigenvalues, test_basis)
+    opt_test = opt_train.copy()
+    if fraction > 0:
+        quad = 0.5 * float(direction @ test_spec.apply(direction))
+        opt_test = opt_train + math.sqrt(fraction * cap * alpha / quad) * direction
     pair = ProblemPair(
-        train=QuadraticObjective(train_spec, d.opt_train),
-        test=QuadraticObjective(test_spec, opt_test),
+        QuadraticObjective(Spectrum(train_eigenvalues, train_basis), opt_train),
+        QuadraticObjective(test_spec, opt_test),
     )
-    win_s, win_b = d.record.windows(d.alpha)
-    return CertifyInstance(
-        pair=pair,
-        theta0=theta0,
-        eta_s=d.eta_s,
-        eta_b=d.eta_b,
-        alpha=d.alpha,
-        t_max=int(10 + 4 * max(win_s.t3, win_b.t3)),
-    )
+    return CertifyInstance(pair, opt_train + train_basis @ iota, eta_s, eta_b, alpha, int(t_max))
 
 
 def random_instances(rngs, n=None, model_error_fraction=None):
@@ -237,16 +201,41 @@ def random_instances(rngs, n=None, model_error_fraction=None):
     direction. model_error_fraction positions R(theta_hat) at that
     fraction of its allowed cap (None draws 0 or 0.1 at random). alpha is
     set to half the smaller alpha_1 reading, which orders every step
-    window. An extremely unbalanced draw (alpha < 1e-280) is redrawn from
-    the same stream, at most MAX_DRAWS times in all; then
-    InfeasibleWindow, raised once the streams before it are drawn. After
-    every stream is drawn, all bases are built in one givens_bases pass.
+    window. The first attempts of all streams are recorded in one
+    regime_records pass; a stream whose attempt is extremely unbalanced
+    (alpha < 1e-280) then redraws from its own stream, at most MAX_DRAWS
+    times in all, or raises InfeasibleWindow. Then every stream draws its
+    model error, and all bases are built in one givens_bases pass.
     """
-    draws = [_draw_instance(rng, n, model_error_fraction) for rng in rngs]
-    bases = givens_bases(
-        [pair for d in draws for pair in ((d.n, d.train_angles), (d.n, d.test_angles))]
-    )
-    return [_instance(d, *bases[2 * k : 2 * k + 2]) for k, d in enumerate(draws)]
+    rngs = [np.random.default_rng(rng) for rng in rngs]
+    sizes = [int(rng.integers(4, 9)) if n is None else n for rng in rngs]
+    if min(sizes, default=4) < 4:
+        raise ValueError("generator needs n >= 4")
+    drawn = [_draw(rng, size) for rng, size in zip(rngs, sizes)]
+    record, alpha = _records(drawn)
+    redrawn = np.flatnonzero(~(alpha >= 1e-280)).tolist()
+    for k in redrawn:
+        drawn[k] = _redraw(rngs[k], sizes[k])
+    if redrawn:
+        record, alpha = _records(drawn)
+    fractions = [
+        (0.1 if rng.uniform() < 0.5 else 0.0) if model_error_fraction is None
+        else model_error_fraction
+        for rng in rngs
+    ]
+    directions = [rng.normal(size=m) if f > 0 else None for rng, m, f in zip(rngs, sizes, fractions)]
+    scale = np.concatenate([record.scale_s, record.scale_b])
+    lead = np.concatenate([record.lead_s, record.lead_b])
+    t3 = _window_bounds(scale, lead, np.tile(alpha, 2))[1].reshape(2, -1)
+    bases = givens_bases([pair for m, d in zip(sizes, drawn) for pair in ((m, d[1]), (m, d[3]))])
+    numbers = (record.eta_s, record.eta_b, alpha, record.model_error_cap)
+    return [
+        _instance(*args)
+        for args in zip(
+            drawn, bases[0::2], bases[1::2], *(c.tolist() for c in numbers), fractions,
+            directions, (10 + 4 * np.maximum(*t3)).tolist(),
+        )
+    ]
 
 
 def random_instance(rng, n=None, model_error_fraction=None):

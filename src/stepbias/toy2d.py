@@ -8,7 +8,7 @@ Every landing step and test loss below is computed from that form.
 
 The threshold formulas follow the companion sketch conventions verbatim
 (including their alpha/(sigma iota) scaling, where the n-dimensional
-analysis uses iota^2); the general forms live in regimes.RegimeRecord.
+analysis uses iota^2); the general forms live in records.RegimeRecord.
 """
 
 import math
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import AlreadyBelowLevelSet, InfeasibleWindow, InvalidRegime, ZeroDenominator
 from .gd import StopStatus, _argument_error, hit_lower_bound, level_set_search
 from .quadratic import QuadraticObjective
-from .regimes import RegimeKind, _log_quotient, rate_kind
+from .records import RegimeKind, _log_quotient, rate_kind
 from .spectral import diagonal_spectrum
 
 ALIGN_SCAN = 400  # small-rate landing steps feasible_alpha tries
@@ -68,7 +68,7 @@ def trajectory(inst, eta, t):
 def _regime_kind(inst, eta, regime):
     """The requested Small or Big kind, if eta has it on the instance.
 
-    eta is classified by regimes.rate_kind on the two eigenvalues as
+    eta is classified by records.rate_kind on the two eigenvalues as
     floats. Raises InvalidRegime otherwise, a rate <= 0 included.
     """
     kind = RegimeKind(regime)
@@ -129,25 +129,26 @@ def excess_loss(inst, eta, t):
     return 0.5 * (inst.sigma1 * x * x + inst.sigma2 * y * y)
 
 
-def _first_hit(inst, eta, level, name, t_max=10**7):
+def _first_hit(inst, eta, level, name, t_max=10**7, start=None):
     """First step in 1..t_max at which the exact loss at rate eta is <= level.
 
-    The search starts at gd.hit_lower_bound of the loss's two terms.
+    The search starts at start, else at gd.hit_lower_bound of the loss's two terms.
     """
-    sigmas = (inst.sigma1, inst.sigma2)
-    weights = [0.5 * s * inst.iota**2 for s in sigmas]
-    start = hit_lower_bound(weights, [abs(1.0 - eta * s) for s in sigmas], level, t_max)
+    if start is None:
+        sigmas = (inst.sigma1, inst.sigma2)
+        weights = [0.5 * s * inst.iota**2 for s in sigmas]
+        start = hit_lower_bound(weights, [abs(1.0 - eta * s) for s in sigmas], level, t_max)
     t, status = level_set_search(lambda t: excess_loss(inst, eta, t), level, t_max, start)
     if status is not StopStatus.HIT_LEVEL_SET:
         raise InfeasibleWindow(f"{name}-rate run stopped with {status.value}")
     return t
 
 
-def _test_losses(inst, eta_s, eta_b, alpha, t_max=10**7):
-    """[R(theta_s), R(theta_b)] at the landings on the alpha level set, searched small first."""
+def _test_losses(inst, eta_s, eta_b, alpha, t_max=10**7, start_s=None):
+    """[R(theta_s), R(theta_b)] at the landings on the alpha level set, the small one from start_s."""
     losses = []
-    for eta, name in ((eta_s, "small"), (eta_b, "big")):
-        x, y = trajectory(inst, eta, _first_hit(inst, eta, alpha, name, t_max))
+    for eta, name, start in ((eta_s, "small", start_s), (eta_b, "big", None)):
+        x, y = trajectory(inst, eta, _first_hit(inst, eta, alpha, name, t_max, start))
         losses.append(0.5 * (x * x + y * y))
     return losses
 
@@ -161,7 +162,8 @@ def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02):
     just above a small-rate landing point and keep the first candidate
     whose measured ratio, the one ratio_check reports at that alpha,
     clears kappa by ``margin``. Each landing is searched within 10^7
-    steps, as ratio_check searches it.
+    steps, as ratio_check searches it; the small one from candidate_t,
+    where alpha >= L(candidate_t) lands it but for a near-flat loss.
     """
     _regime_kind(inst, eta_s, RegimeKind.SMALL)
     _regime_kind(inst, eta_b, RegimeKind.BIG)
@@ -170,7 +172,7 @@ def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02):
         alpha = excess_loss(inst, eta_s, candidate_t) * (1.0 + 1e-9)
         if alpha <= 0:
             break
-        r_small, r_big = _test_losses(inst, eta_s, eta_b, alpha)
+        r_small, r_big = _test_losses(inst, eta_s, eta_b, alpha, 10**7, min(candidate_t, 10**7))
         if r_big > 0 and r_small / r_big >= inst.kappa * margin:
             return alpha
     raise InfeasibleWindow("no aligned level-set target found in the scan range")

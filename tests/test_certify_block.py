@@ -5,25 +5,36 @@ work (experiments._certify_block), and gd.level_set_runs searches every
 level set, of one lane or of many, in lockstep. Both must give the bits
 of the one-lane search they replaced, kept here as reference_run:
 regimes.certify on two such runs for a block, and the GDRun or the
-error of each lane for level_set_runs. CI reruns this file and
+error of each lane for level_set_runs. The column passes
+(records.regime_records, regimes.assumption_checks and
+regimes.certificates) must give each row the bits of their one-row
+views. CI reruns this file and
 tests/test_gd.py with numpy's AVX-512 kernels disabled, since the
 agreement rests on numpy's SIMD dispatch.
 """
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from stepbias import experiments, gd
-from stepbias.errors import AlreadyBelowLevelSet
+from stepbias.errors import AlreadyBelowLevelSet, StepbiasError
 from stepbias.experiments import stream
 from stepbias.gd import GDRun, StopStatus, level_set_runs
-from stepbias.instances import random_instances
-from stepbias.quadratic import ProblemPair, QuadraticObjective, excess_losses
-from stepbias.regimes import certify, check_assumptions, pair_record
-from stepbias.spectral import diagonal_spectrum
+from stepbias.instances import CertifyInstance, random_instances
+from stepbias.quadratic import ProblemPair, QuadraticObjective, evaluate, excess_losses
+from stepbias.records import pair_records, regime_record
+from stepbias.regimes import (
+    assumption_checks,
+    certificates,
+    certify,
+    check_assumptions,
+    run_measurements,
+)
+from stepbias.spectral import condition_number, diagonal_spectrum
 
 # The one-lane search as gd.run_to_level_set ran it before every lane
 # went through gd.level_set_runs: each search a coroutine told whether
@@ -129,18 +140,13 @@ def reference_run(obj, theta0, eta, alpha, t_max):
 
 def one_at_a_time(inst):
     """The certificate record of inst, certified on its own on reference runs."""
-    shared = pair_record(
-        inst.pair, gd.decompose(inst.pair.train, inst.theta0), inst.eta_s, inst.eta_b
-    )
-    verdicts = check_assumptions(
-        inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha, record=shared
-    )
+    verdicts = check_assumptions(inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha)
     assert all(v.passed for v in verdicts)
     run_s, run_b = (
         reference_run(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
         for eta in (inst.eta_s, inst.eta_b)
     )
-    return certify(inst.pair, run_s, run_b, inst.alpha, record=shared).to_record()
+    return certify(inst.pair, run_s, run_b, inst.alpha).to_record()
 
 
 def assert_same_records(got, want):
@@ -152,7 +158,10 @@ def assert_same_records(got, want):
 
 
 def block_records(block):
-    return [cert.to_record() for cert in experiments._certify_block(block, 0)]
+    """The certificate records of a block, one per row of _certify_block's columns."""
+    columns = experiments._certify_block(block, 0)
+    values = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 7, 11])
@@ -197,6 +206,118 @@ def test_block_rows_with_a_rejected_start(monkeypatch):
     monkeypatch.setattr(gd, "hit_lower_bound", lambda w, r, alpha, t_max: t_max)
     block = random_instances([stream(5, f"certify-{i}") for i in range(10)])
     assert_same_records(block_records(block), [one_at_a_time(inst) for inst in block])
+
+
+def _diagonal_pair(train, test, optimum_shift=0.0):
+    n = len(train)
+    return ProblemPair(
+        QuadraticObjective(diagonal_spectrum(train), np.zeros(n)),
+        QuadraticObjective(diagonal_spectrum(test), np.full(n, optimum_shift)),
+    )
+
+
+def _edge_instances():
+    """Instances outside the theorem's domain or refused, each on identity bases."""
+    spec = [1.0, 0.9, 0.3, 0.2]
+    test = [1.0, 0.8, 0.7, 0.5]
+    iota = [0.5, -0.4, 0.3, 0.6]
+    s1 = 1.761975919418575
+    edges = [
+        # A zero float gap, Small then Big.
+        (_diagonal_pair([1.0, 0.5, 1e-3, np.nextafter(1e-3, 0.0)], test), [1.0] * 4, 1.0, 1.9995, 1e-6),
+        (_diagonal_pair([s1, np.nextafter(s1, 0.0), 0.3 * s1, 0.2 * s1], test), [0.5, 1, 1, 1], 0.7 / s1,
+         0.9585242630026088, 1e-9),
+        # Subnormal boundary scales.
+        (_diagonal_pair(spec, test), [0.5, 1, 1, 1e-160], 0.7, 1.9, 1e-9),
+        (_diagonal_pair(spec, test), [1e-160, 1, 1, 0.5], 0.7, 1.9, 1e-9),
+        # Rates that are not Small and Big: Big, Divergent, NotPositive, a threshold.
+        (_diagonal_pair(spec, test), iota, 1.9, 1.9, 1e-9),
+        (_diagonal_pair(spec, test), iota, 0.7, 3.0, 1e-9),
+        (_diagonal_pair(spec, test), iota, 0.0, 1.9, 1e-9),
+        (_diagonal_pair(spec, test), iota, 2.0 / 1.2, 1.9, 1e-9),
+        # Targets below UNDERFLOW_GUARD, and c_alpha = inf.
+        (_diagonal_pair(spec, test), iota, 0.7, 1.9, 1e-310),
+        (_diagonal_pair(spec, test), iota, 0.7, 1.9, 5e-324),
+        (_diagonal_pair(spec, test, optimum_shift=10.0), iota, 0.7, 1.9, 1e-9),
+        # eta_s sigma_{n-1} == 1, two and one eigenvalues.
+        (_diagonal_pair([1.0, 0.9, 0.8, 0.2], test), iota, 1.25, 1.9, 1e-6),
+        (_diagonal_pair([1.0, 0.6539088785463802], [1.0, 0.5]), [-0.0022587252701268944, 4.057105251940958],
+         0.9228364331862055, 1.5780795515150112, 3e-5),
+        (_diagonal_pair([2.0], [1.0]), [1.0], 0.3, 0.8, 1e-3),
+    ]
+    return [
+        CertifyInstance(pair, np.array(theta0, dtype=float), eta_s, eta_b, alpha, 10**6)
+        for pair, theta0, eta_s, eta_b, alpha in edges
+    ]
+
+
+def _one_lane(obj, iota, eta, alpha, t_max):
+    (run,) = level_set_runs([obj], iota[None], [eta], [alpha], [t_max])
+    return run
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_column_rows_equal_their_one_row_views(seed):
+    """regime_records, assumption_checks and certificates over a mixed block, row by row.
+
+    Each row's record is regime_record's, its A1-A5 verdicts are
+    check_assumptions', and its certificate or refusal is certify's, by
+    repr, on generated instances of n = 4..8 and on the edge instances.
+    A row whose run failed is refused with that run's error.
+    """
+    block = random_instances([stream(seed, f"certify-{i}") for i in range(30)])
+    block += _edge_instances()
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(block))
+    block = [block[k] for k in order]
+    assert len({inst.pair.n for inst in block}) >= 5
+    pairs = [inst.pair for inst in block]
+    iota = [gd.decompose(p.train, inst.theta0) for p, inst in zip(pairs, block)]
+    runs = [
+        [_one_lane(p.train, i, eta, inst.alpha, inst.t_max) for eta in (inst.eta_s, inst.eta_b)]
+        for p, i, inst in zip(pairs, iota, block)
+    ]
+    alpha = [inst.alpha for inst in block]
+    record = pair_records(pairs, iota, [i.eta_s for i in block], [i.eta_b for i in block])
+    passed, a_one = assumption_checks(pairs, record, alpha)
+    mus = [[run.mu if isinstance(run, GDRun) else i for run in lanes] for lanes, i in zip(runs, iota)]
+    measured = np.array(
+        [
+            [
+                m.item()
+                for m in run_measurements(
+                    p.train.spectrum.eigenvectors, p.test.spectrum.eigenvectors,
+                    p.test.spectrum.eigenvalues, p.train.optimum - p.test.optimum, mu_s, mu_b,
+                )
+            ]
+            for p, (mu_s, mu_b) in zip(pairs, mus)
+        ]
+    ).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert, refusals = certificates(pairs, *zip(*runs), alpha, record, measured)
+    refused = 0
+    for k, (inst, p, i, (run_s, run_b)) in enumerate(zip(block, pairs, iota, runs)):
+        one = regime_record(
+            p.train.spectrum, condition_number(p.test.spectrum.eigenvalues), inst.eta_s,
+            inst.eta_b, i, evaluate(p.test, p.train.optimum),
+        )
+        assert repr(record.row(k)) == repr(one), k
+        verdicts = check_assumptions(p, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha)
+        assert passed[:, k].tolist() == [v.passed for v in verdicts], k
+        assert repr(a_one[k].item()) == repr(verdicts[3].details["alpha_1"]), k
+        failed_run = next((run for run in (run_s, run_b) if not isinstance(run, GDRun)), None)
+        if failed_run is not None:
+            assert refusals[k] is failed_run, k
+        elif refusals[k] is None:
+            assert repr(cert.row(k)) == repr(certify(p, run_s, run_b, inst.alpha)), k
+        else:
+            with pytest.raises(type(refusals[k])) as raised:
+                certify(p, run_s, run_b, inst.alpha)
+            assert str(raised.value) == str(refusals[k]), k
+        refused += refusals[k] is not None
+    assert 0 < refused < len(block)
+    assert sum(isinstance(r, StepbiasError) for r in refusals) >= 6
 
 
 def _tie_alpha(t):

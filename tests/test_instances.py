@@ -178,22 +178,6 @@ def _assert_same_instance(got, want):
         assert g.optimum.tobytes() == w.optimum.tobytes()
 
 
-def _retrying(monkeypatch, failing_calls):
-    """Make the attempts numbered failing_calls (from 1, in call order) underflow."""
-    real = instances.regime_record
-    calls = []
-
-    def fake(*args, **kwargs):
-        calls.append(1)
-        rec = real(*args, **kwargs)
-        if len(calls) in failing_calls:
-            rec = dataclasses.replace(rec, alpha_1=0.0, alpha_1_split=0.0)
-        return rec
-
-    monkeypatch.setattr(instances, "regime_record", fake)
-    return calls
-
-
 def test_block_generation_equals_one_instance_at_a_time():
     keys = [(seed, f"certify-{i}") for seed in range(13) for i in range(40)]
     start = 0
@@ -207,11 +191,11 @@ def test_block_generation_equals_one_instance_at_a_time():
     assert start == len(keys) == 520
 
 
-def test_block_generation_with_a_retrying_stream(monkeypatch):
+def test_block_generation_with_a_retrying_stream(monkeypatch, failing_attempts):
     """The second stream's first attempt is rejected: block and one at a time agree."""
     keys = [(3, "retry"), (4, "retry"), (5, "retry")]
-    # The second call is the first attempt of the second stream either way.
-    calls = _retrying(monkeypatch, {2})
+    # The second attempt drawn is the second stream's first either way.
+    calls = failing_attempts({2})
     got = random_instances([stream(*key) for key in keys], n=5)
     assert len(calls) == 4
     calls.clear()
@@ -254,25 +238,13 @@ def test_certify_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
         assert _certify_files(tmp_path, f"block-{block}", 7) == want
 
 
-def test_a_stream_that_runs_out_of_draws_refuses_the_run(tmp_path, monkeypatch):
+def test_a_stream_that_runs_out_of_draws_refuses_the_run(tmp_path, failing_attempts):
     """quadratic_certify raises InfeasibleWindow when a stream runs out of draws.
 
     Every attempt but instance 0's first one underflows, so stream 1 of the
     block runs out of draws.
     """
-    real = instances.regime_record
-    first = []
-
-    def only_the_first_draw(spectrum, *args, **kwargs):
-        rec = real(spectrum, *args, **kwargs)
-        key = spectrum.eigenvalues.tobytes()
-        if not first:
-            first.append(key)
-        if key != first[0]:
-            rec = dataclasses.replace(rec, alpha_1=0.0, alpha_1_split=0.0)
-        return rec
-
-    monkeypatch.setattr(instances, "regime_record", only_the_first_draw)
+    failing_attempts(range(2, 2 + 3 * instances.MAX_DRAWS))
     with pytest.raises(InfeasibleWindow, match=f"no draw in {instances.MAX_DRAWS}"):
         _certify_files(tmp_path, "infeasible", 3)
 
@@ -354,6 +326,31 @@ def test_the_earliest_certificate_error_refuses_the_block(monkeypatch, failures,
     first, later = _two_dimensions(block)
     block[first] = _broken(block[first], failures[0])
     block[later] = _broken(block[later], failures[1])
-    monkeypatch.setattr(experiments, "check_assumptions", lambda *args, **kwargs: [])
+    monkeypatch.setattr(
+        experiments, "assumption_checks", lambda pairs, *args: (np.ones((5, len(pairs)), bool), None)
+    )
     with pytest.raises(error):
-        list(experiments._certify_block(block, 0))
+        experiments._certify_block(block, 0)
+
+
+@pytest.mark.parametrize(
+    "failures, error, match",
+    [
+        (("assumptions", "max_steps"), CertificationFailed, "^instance 0 fails assumptions"),
+        (("max_steps", "assumptions"), LevelSetMismatch, "stopped with MaxStepsExceeded"),
+    ],
+)
+def test_the_earlier_of_an_assumption_and_a_refusal_in_one_dimension_refuses_the_block(
+    failures, error, match
+):
+    """Within the columns of one dimension, too, the earlier instance's failure is raised.
+
+    max_steps fails no assumption: its runs stop at step 1, which only
+    the certificate refuses.
+    """
+    block = random_instances([stream(2, f"certify-{i}") for i in range(8)])
+    first, later = [k for k, inst in enumerate(block) if inst.pair.n == block[0].pair.n][:2]
+    block[first] = _broken(block[first], failures[0])
+    block[later] = _broken(block[later], failures[1])
+    with pytest.raises(error, match=match):
+        experiments._certify_block(block, 0)

@@ -17,7 +17,7 @@ from stepbias.kernels import gaussian_kernel_matrix, two_cluster_dataset
 from stepbias.spectral import DEGENERACY_RTOL, EPS, _check_degenerate, eig_sym, eigvals_sym
 from stepbias.experiments import stream
 from stepbias.instances import random_instance
-from stepbias.regimes import pair_record
+from stepbias.records import pair_records
 
 # Relative tolerances. Over these 30 instances the largest errors are
 # 7.0e-14 on both alpha_1 readings (exp(-num / gap) multiplies the
@@ -87,7 +87,7 @@ def test_record_agrees_with_50_digit_evaluation(seed):
         inst = random_instance(stream(seed, "mp-oracle"), n=4 + seed % 5)
     spec, tspec = inst.pair.train.spectrum, inst.pair.test.spectrum
     iota = gd.decompose(inst.pair.train, inst.theta0)
-    rec = pair_record(inst.pair, iota, inst.eta_s, inst.eta_b)
+    rec = pair_records([inst.pair], [iota], [inst.eta_s], [inst.eta_b]).row(0)
     with mpmath.workdps(50):
         kappa_R = mpmath.mpf(tspec.top) / mpmath.mpf(tspec.bottom)
         want = _mp_record(

@@ -25,23 +25,33 @@ from stepbias.config import validate_config
 from stepbias.experiments import run_experiment, stream
 from stepbias.instances import random_instance
 from stepbias.quadratic import ProblemPair, QuadraticObjective
-from stepbias.regimes import (
+from stepbias.records import (
     RegimeKind,
     StepWindow,
-    _check_lead,
     _log_quotient,
-    _mass_ratios,
-    certify,
-    check_assumptions,
-    pair_record,
+    pair_records,
     rate_kind,
     regime_record,
+)
+from stepbias.regimes import (
+    _mass_ratios,
+    _refusal,
+    assumption_checks,
+    certificates,
+    certify,
+    check_assumptions,
+    run_measurements,
 )
 from stepbias.spectral import Spectrum, condition_number, diagonal_spectrum
 
 SPEC = diagonal_spectrum([1.0, 0.9, 0.3, 0.2])
 # The rate thresholds 2/(sigma_1+sigma_n) and 2/sigma_1 of SPEC.
 LOW, HIGH = 2.0 / (SPEC.top + SPEC.bottom), 2.0 / SPEC.top
+
+
+def pair_record(pair, iota, eta_s, eta_b):
+    """The record of one pair: row 0 of pair_records on a block of one."""
+    return pair_records([pair], [iota], [eta_s], [eta_b]).row(0)
 
 
 class WrongRegime(Exception):
@@ -182,8 +192,10 @@ def test_epsilon_ratio():
     assert epsilon_ratio(run, RegimeKind.SMALL) == pytest.approx((4.0 + 1.0) / 0.25)
     with pytest.raises(ZeroDenominator):
         epsilon_ratio(_fake_run([0.0, 1.0]), RegimeKind.BIG)
-    with pytest.raises(ZeroDenominator):
-        _check_lead(0.0)
+    tiny = dataclasses.replace(run, mu=np.array([1e-301, 1.0, 1e-301]), alpha=1e-3)
+    args = (RegimeKind.SMALL, RegimeKind.BIG, 1e-3, 1.0, 1.0, 1.0)
+    assert isinstance(_refusal(tiny, run, *args), LevelSetMismatch)  # run has no target
+    assert isinstance(_refusal(tiny, tiny, *args), ZeroDenominator)
     with pytest.raises(WrongRegime):
         epsilon_ratio(run, RegimeKind.DIVERGENT)
 
@@ -375,33 +387,38 @@ def test_record_matches_the_per_function_oracles():
         )
 
 
-def test_certify_with_a_shared_record_equals_certify_without():
-    for seed, n, fraction in _draws():
-        inst = _generated(seed, n=n, model_error_fraction=fraction)
-        iota = gd.decompose(inst.pair.train, inst.theta0)
-        rec = pair_record(inst.pair, iota, inst.eta_s, inst.eta_b)
-        args = (inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha)
-        assert check_assumptions(*args, record=rec) == check_assumptions(*args)
-        run_s, run_b = _runs_for(inst)
-        shared = certify(inst.pair, run_s, run_b, inst.alpha, record=rec)
-        own = certify(inst.pair, run_s, run_b, inst.alpha)
-        for f in dataclasses.fields(shared):
-            assert getattr(shared, f.name) == getattr(own, f.name), f.name
+def test_certificates_of_a_block_equal_certify_row_by_row():
+    """One certificates pass over 200 pairs of n = 4..8: each row is its pair's certify.
 
-
-def test_shared_record_must_match_the_runs():
-    inst = _generated(seed=5)
-    run_s, run_b = _runs_for(inst)
-    other = _generated(seed=6)
-    rec = pair_record(
-        other.pair, gd.decompose(other.pair.train, other.theta0), other.eta_s, other.eta_b
+    The assumption checks of the block are each pair's check_assumptions too.
+    """
+    block = [_generated(seed, n=n, model_error_fraction=fraction) for seed, n, fraction in _draws()]
+    runs = [_runs_for(inst) for inst in block]
+    pairs, alpha = [inst.pair for inst in block], [inst.alpha for inst in block]
+    record = pair_records(
+        pairs, [run_s.iota for run_s, _ in runs], [inst.eta_s for inst in block],
+        [inst.eta_b for inst in block],
     )
-    with pytest.raises(ValueError):
-        certify(inst.pair, run_s, run_b, inst.alpha, record=rec)
-    with pytest.raises(ValueError):
-        check_assumptions(
-            inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha, record=rec
-        )
+    measured = np.array(
+        [
+            [
+                m.item()
+                for m in run_measurements(
+                    p.train.spectrum.eigenvectors, p.test.spectrum.eigenvectors,
+                    p.test.spectrum.eigenvalues, p.train.optimum - p.test.optimum,
+                    run_s.mu, run_b.mu,
+                )
+            ]
+            for p, (run_s, run_b) in zip(pairs, runs)
+        ]
+    ).T
+    cert, refusals = certificates(pairs, *zip(*runs), alpha, record, measured)
+    passed, _ = assumption_checks(pairs, record, alpha)
+    assert refusals == [None] * len(block)
+    for k, (inst, (run_s, run_b)) in enumerate(zip(block, runs)):
+        assert repr(cert.row(k)) == repr(certify(inst.pair, run_s, run_b, inst.alpha)), k
+        verdicts = check_assumptions(inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha)
+        assert passed[:, k].tolist() == [v.passed for v in verdicts], k
 
 
 def test_random_instance_matches_the_oracle_path():
@@ -607,33 +624,14 @@ def _generated_from(rng, n=5, **kw):
         return random_instance(rng, n=n, **kw)
 
 
-def _alpha_one_failing(monkeypatch, failures):
-    """Make the first ``failures`` alpha_1 evaluations underflow; count them.
-
-    random_instance reads both alpha_1 readings from one record per attempt.
-    """
-    real = instances.regime_record
-    calls = []
-
-    def fake(*args, **kwargs):
-        calls.append(1)
-        rec = real(*args, **kwargs)
-        if len(calls) <= failures:
-            rec = dataclasses.replace(rec, alpha_1=0.0, alpha_1_split=0.0)
-        return rec
-
-    monkeypatch.setattr(instances, "regime_record", fake)
-    return calls
-
-
-def test_random_instance_retry_redraws_from_the_same_stream(monkeypatch):
-    # One rejected attempt (one alpha_1 evaluation, both readings)
+def test_random_instance_retry_redraws_from_the_same_stream(failing_attempts):
+    # One rejected attempt (both alpha_1 readings of its record)
     # consumes exactly one attempt's draws, then the next attempt
     # proceeds as a fresh call.
     ref_rng = stream(3, "retry")
     instances._draw(ref_rng, 5)
     want = _generated_from(ref_rng)
-    calls = _alpha_one_failing(monkeypatch, 1)
+    calls = failing_attempts({1})
     got = _generated_from(stream(3, "retry"))
     assert len(calls) == 2
     assert got.alpha == want.alpha and got.t_max == want.t_max
@@ -642,8 +640,8 @@ def test_random_instance_retry_redraws_from_the_same_stream(monkeypatch):
     assert np.array_equal(got.pair.train.spectrum.matrix(), want.pair.train.spectrum.matrix())
 
 
-def test_random_instance_gives_up_after_max_draws(monkeypatch):
-    calls = _alpha_one_failing(monkeypatch, math.inf)
+def test_random_instance_gives_up_after_max_draws(failing_attempts):
+    calls = failing_attempts(range(1, instances.MAX_DRAWS + 1))
     with pytest.raises(InfeasibleWindow):
         _generated_from(stream(3, "retry"))
     assert len(calls) == instances.MAX_DRAWS
@@ -882,14 +880,14 @@ def test_theorem_holds_wherever_its_assumptions_do(seed, model_error_fraction, a
     pair = inst.pair
     record = pair_record(pair, gd.decompose(pair.train, inst.theta0), inst.eta_s, inst.eta_b)
     alpha = alpha_fraction * record.alpha_1
-    verdicts = check_assumptions(pair, inst.theta0, inst.eta_s, inst.eta_b, alpha, record=record)
+    verdicts = check_assumptions(pair, inst.theta0, inst.eta_s, inst.eta_b, alpha)
     if not all(v.passed for v in verdicts):
         return
     win_s, win_b = record.windows(alpha)
     t_max = int(10 + 4 * max(win_s.t3, win_b.t3))
     run_s = gd.run_to_level_set(pair.train, inst.theta0, inst.eta_s, alpha, t_max)
     run_b = gd.run_to_level_set(pair.train, inst.theta0, inst.eta_b, alpha, t_max)
-    cert = certify(pair, run_s, run_b, alpha, record=record)
+    cert = certify(pair, run_s, run_b, alpha)
     assert all(cert.verdicts.values()), cert.verdicts
     assert cert.verdict_final, cert.reason
 

@@ -21,7 +21,7 @@ from stepbias.config import (
     validate_config,
 )
 from stepbias.errors import IoError, ParseError, ValidationError
-from stepbias.regimes import RegimeKind
+from stepbias.records import RegimeKind
 from stepbias.reporting import (
     AxesSpec,
     Series,

@@ -14,7 +14,7 @@ from stepbias.config import TAU
 from stepbias.errors import AlreadyBelowLevelSet, InfeasibleWindow, InvalidRegime, ZeroDenominator
 from stepbias.gd import StopStatus, decompose, iterate, level_set_runs, level_set_search
 from stepbias.quadratic import evaluate
-from stepbias.regimes import RegimeKind, rate_kind
+from stepbias.records import RegimeKind, rate_kind
 from stepbias.spectral import diagonal_spectrum
 
 
