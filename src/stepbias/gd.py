@@ -280,7 +280,7 @@ def hit_lower_bound(weights, rates, alpha, t_max):
     return min(max(math.ceil(end) - 1, 1), t_max)
 
 
-def level_set_search(loss, alpha, t_max, start=1):
+def level_set_search(loss, alpha, t_max, start):
     """First step t in 1..t_max with loss(t) <= alpha, as (t, StopStatus).
 
     loss(t) is the excess loss after t steps, convex and non-increasing

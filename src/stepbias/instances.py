@@ -8,9 +8,9 @@ orthogonal bases composed from Givens rotations, and a model error
 either zero or scaled to a small fraction of its allowed cap.
 
 Instances are generated in blocks (random_instances, one stream each):
-the first attempt of every stream is recorded by one regime_records
-pass, and the bases of the whole block are built by one vectorized
-Givens pass.
+the attempts of a block are recorded by one regime_records pass per
+round of draws, and the bases of the whole block are built by one
+vectorized Givens pass.
 """
 
 import math
@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InfeasibleWindow
 from .quadratic import ProblemPair, QuadraticObjective
-from .records import _window_bounds, regime_record, regime_records
-from .spectral import Spectrum, diagonal_spectrum
+from .records import _window_bounds, regime_records
+from .spectral import Spectrum
 
 MAX_DRAWS = 100
 
@@ -168,15 +168,6 @@ def _records(drawn):
     return record, _target(record)
 
 
-def _redraw(rng, n):
-    """A refused stream's next attempts: the first with alpha >= 1e-280, by regime_record."""
-    for _ in range(MAX_DRAWS - 1):
-        drawn = _draw(rng, n)
-        if _target(regime_record(diagonal_spectrum(drawn[0]), *_numbers(drawn), drawn[5])) >= 1e-280:
-            return drawn
-    raise InfeasibleWindow(f"no draw in {MAX_DRAWS} gave a level-set target alpha >= 1e-280")
-
-
 def _instance(drawn, train_basis, test_basis, eta_s, eta_b, alpha, cap, fraction, direction, t_max):
     """The CertifyInstance of an accepted attempt on its bases, from its record's numbers."""
     train_eigenvalues, _, test_eigenvalues, _, opt_train, iota = drawn
@@ -201,23 +192,30 @@ def random_instances(rngs, n=None, model_error_fraction=None):
     direction. model_error_fraction positions R(theta_hat) at that
     fraction of its allowed cap (None draws 0 or 0.1 at random). alpha is
     set to half the smaller alpha_1 reading, which orders every step
-    window. The first attempts of all streams are recorded in one
-    regime_records pass; a stream whose attempt is extremely unbalanced
-    (alpha < 1e-280) then redraws from its own stream, at most MAX_DRAWS
-    times in all, or raises InfeasibleWindow. Then every stream draws its
-    model error, and all bases are built in one givens_bases pass.
+    window. Every stream draws an attempt and the block is recorded in
+    one regime_records pass; each stream whose attempt is extremely
+    unbalanced (alpha < 1e-280) draws its next attempt from its own
+    stream and the block is recorded again, until every target is
+    accepted, or raises InfeasibleWindow after MAX_DRAWS attempts of one
+    stream. Then every stream draws its model error, and all bases are
+    built in one givens_bases pass. An empty block gives [].
     """
-    rngs = [np.random.default_rng(rng) for rng in rngs]
-    sizes = [int(rng.integers(4, 9)) if n is None else n for rng in rngs]
-    if min(sizes, default=4) < 4:
+    if n is not None and n < 4:
         raise ValueError("generator needs n >= 4")
-    drawn = [_draw(rng, size) for rng, size in zip(rngs, sizes)]
-    record, alpha = _records(drawn)
-    redrawn = np.flatnonzero(~(alpha >= 1e-280)).tolist()
-    for k in redrawn:
-        drawn[k] = _redraw(rngs[k], sizes[k])
-    if redrawn:
+    rngs = [np.random.default_rng(rng) for rng in rngs]
+    if not rngs:
+        return []
+    sizes = [int(rng.integers(4, 9)) if n is None else n for rng in rngs]
+    drawn, refused = [None] * len(rngs), range(len(rngs))
+    for _ in range(MAX_DRAWS):
+        for k in refused:
+            drawn[k] = _draw(rngs[k], sizes[k])
         record, alpha = _records(drawn)
+        refused = np.flatnonzero(~(alpha >= 1e-280)).tolist()
+        if not refused:
+            break
+    else:
+        raise InfeasibleWindow(f"no draw in {MAX_DRAWS} gave a level-set target alpha >= 1e-280")
     fractions = [
         (0.1 if rng.uniform() < 0.5 else 0.0) if model_error_fraction is None
         else model_error_fraction

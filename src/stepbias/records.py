@@ -7,9 +7,11 @@ the attenuations |1 - eta sigma|, the log gaps, both readings of the
 level-set ceiling alpha_1 and each t1 into a RegimeRecord of columns.
 Rows never mix. The arithmetic runs on numpy rows, with libm's log, exp
 and squares one float at a time, so no value depends on numpy's SIMD
-kernels; regime_record is the one-row view, in plain floats. Attenuation
-comparisons use magnitudes: for big rates the raw coefficient of
-sigma_2 can be negative and a signed max would pick the wrong direction.
+kernels; RegimeRecord.row(k) is row k, in plain floats. _window_bounds
+gives the step windows at the targets _window_refusal lets through.
+Attenuation comparisons use magnitudes: for big rates the raw
+coefficient of sigma_2 can be negative and a signed max would pick the
+wrong direction.
 """
 
 import dataclasses
@@ -171,20 +173,6 @@ class RegimeRecord:
             cap = self.kappa_F / (72 * self.kappa_R)
         return np.where(cap < 0.25, cap, 0.25)
 
-    def windows(self, alpha):
-        """The (Small, Big) step windows of a one-instance record for the level-set target alpha.
-
-        Raises ValueError unless alpha is positive and finite, and
-        InfeasibleWindow below UNDERFLOW_GUARD, where the window and loss
-        bounds leave the float range, or where scale / alpha overflows.
-        """
-        refusal = _window_refusal(alpha, self.scale_s, self.scale_b)
-        if refusal is not None:
-            raise refusal
-        scale, lead = np.array([self.scale_s, self.scale_b]), np.array([self.lead_s, self.lead_b])
-        (t2_s, t2_b), (t3_s, t3_b) = _window_bounds(scale, lead, np.full(2, alpha, float)).tolist()
-        return StepWindow(self.t1_s, t2_s, t3_s), StepWindow(self.t1_b, t2_b, t3_b)
-
 
 def _log_quotient(numerators, denominators):
     """log(prod(numerators) / prod(denominators)), from logs where floats cannot hold it.
@@ -307,12 +295,6 @@ def regime_records(train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
         gap[1], scale[0], scale[1], t1_s, t1_b, half_s * readings[0],
         np.minimum(half_b * readings[1], half_s * readings[2]),
     )
-
-
-def regime_record(spectrum, kappa_R, eta_s, eta_b, iota, r_opt=math.nan):
-    """The RegimeRecord of one instance: row 0 of regime_records on it alone."""
-    iota = np.asarray(iota, dtype=float)
-    return regime_records([spectrum.eigenvalues], [kappa_R], [eta_s], [eta_b], [iota], [r_opt]).row(0)
 
 
 def pair_records(pairs, iota, eta_s, eta_b, r_opt=None):

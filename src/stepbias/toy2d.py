@@ -144,7 +144,7 @@ def _first_hit(inst, eta, level, name, t_max=10**7, start=None):
     return t
 
 
-def _test_losses(inst, eta_s, eta_b, alpha, t_max=10**7, start_s=None):
+def _test_losses(inst, eta_s, eta_b, alpha, t_max, start_s=None):
     """[R(theta_s), R(theta_b)] at the landings on the alpha level set, the small one from start_s."""
     losses = []
     for eta, name, start in ((eta_s, "small", start_s), (eta_b, "big", None)):
@@ -153,7 +153,7 @@ def _test_losses(inst, eta_s, eta_b, alpha, t_max=10**7, start_s=None):
     return losses
 
 
-def feasible_alpha(inst, eta_s, eta_b, target, margin=1.02):
+def feasible_alpha(inst, eta_s, eta_b, target, margin):
     """Pick a level-set target near ``target`` on which the ratio test is safe.
 
     Discrete stopping lands the excess loss anywhere in (A^2 alpha,

@@ -10,17 +10,17 @@ from stepbias import instances
 def failing_attempts(monkeypatch):
     """fail(numbers): make the attempts numbered in numbers (from 1, in draw order) underflow.
 
-    An attempt's record, a row of regime_records for a stream's first
-    attempt or regime_record's for a redraw, gets alpha_1 = 0; the
-    attempt is known by its train eigenvalues. fail returns the list of
-    the attempts drawn, which the test may clear to number afresh.
+    An attempt's record, its row of regime_records, gets alpha_1 = 0;
+    the attempt is known by its train eigenvalues. Attempts are numbered
+    across the streams of a block: every stream's first, then each
+    refused stream's next in stream order, round by round. fail returns
+    the list of the attempts drawn, which the test may clear to number
+    afresh.
     """
 
     def fail(numbers):
         drawn, failed = [], set()
-        real_draw, real_records, real_record = (
-            instances._draw, instances.regime_records, instances.regime_record
-        )
+        real_draw, real_records = instances._draw, instances.regime_records
 
         def draw(rng, n):
             attempt = real_draw(rng, n)
@@ -37,15 +37,8 @@ def failing_attempts(monkeypatch):
                 alpha_1_split=np.where(zero, 0.0, rec.alpha_1_split),
             )
 
-        def record(spectrum, *args):
-            rec = real_record(spectrum, *args)
-            if spectrum.eigenvalues.tobytes() in failed:
-                rec = dataclasses.replace(rec, alpha_1=0.0, alpha_1_split=0.0)
-            return rec
-
         monkeypatch.setattr(instances, "_draw", draw)
         monkeypatch.setattr(instances, "regime_records", records)
-        monkeypatch.setattr(instances, "regime_record", record)
         return drawn
 
     return fail

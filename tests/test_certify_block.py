@@ -26,7 +26,7 @@ from stepbias.experiments import stream
 from stepbias.gd import GDRun, StopStatus, level_set_runs
 from stepbias.instances import CertifyInstance, random_instances
 from stepbias.quadratic import ProblemPair, QuadraticObjective, evaluate, excess_losses
-from stepbias.records import pair_records, regime_record
+from stepbias.records import pair_records, regime_records
 from stepbias.regimes import (
     assumption_checks,
     certificates,
@@ -260,9 +260,10 @@ def _one_lane(obj, iota, eta, alpha, t_max):
 def test_column_rows_equal_their_one_row_views(seed):
     """regime_records, assumption_checks and certificates over a mixed block, row by row.
 
-    Each row's record is regime_record's, its A1-A5 verdicts are
-    check_assumptions', and its certificate or refusal is certify's, by
-    repr, on generated instances of n = 4..8 and on the edge instances.
+    Each row's record is regime_records' on its instance alone, its A1-A5
+    verdicts are check_assumptions', and its certificate or refusal is
+    certify's, by repr, on generated instances of n = 4..8 and on the
+    edge instances.
     A row whose run failed is refused with that run's error.
     """
     block = random_instances([stream(seed, f"certify-{i}") for i in range(30)])
@@ -298,10 +299,10 @@ def test_column_rows_equal_their_one_row_views(seed):
         cert, refusals = certificates(pairs, *zip(*runs), alpha, record, measured)
     refused = 0
     for k, (inst, p, i, (run_s, run_b)) in enumerate(zip(block, pairs, iota, runs)):
-        one = regime_record(
-            p.train.spectrum, condition_number(p.test.spectrum.eigenvalues), inst.eta_s,
-            inst.eta_b, i, evaluate(p.test, p.train.optimum),
-        )
+        one = regime_records(
+            [p.train.spectrum.eigenvalues], [condition_number(p.test.spectrum.eigenvalues)],
+            [inst.eta_s], [inst.eta_b], [i], [evaluate(p.test, p.train.optimum)],
+        ).row(0)
         assert repr(record.row(k)) == repr(one), k
         verdicts = check_assumptions(p, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha)
         assert passed[:, k].tolist() == [v.passed for v in verdicts], k

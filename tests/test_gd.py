@@ -376,7 +376,7 @@ def _counting(loss):
 def test_level_set_search_from_any_start_finds_the_first_hit():
     """A start past the hit fails its check and the search restarts at 1."""
     alpha = _tie_alpha(9)
-    want = level_set_search(_tie_alpha, alpha, 100)
+    want = level_set_search(_tie_alpha, alpha, 100, start=1)
     assert want == (9, StopStatus.HIT_LEVEL_SET)
     for start in range(1, 101):
         counted, calls = _counting(_tie_alpha)

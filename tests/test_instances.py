@@ -192,22 +192,37 @@ def test_block_generation_equals_one_instance_at_a_time():
 
 
 def test_block_generation_with_a_retrying_stream(monkeypatch, failing_attempts):
-    """The second stream's first attempt is rejected: block and one at a time agree."""
+    """Refused streams redraw in block rounds: block and one at a time agree.
+
+    refusals counts each stream's refused attempts. Attempts are numbered
+    round by round: {2} refuses the second stream's first attempt; {1, 3,
+    5} the first and third streams' first attempts, then the third
+    stream's second.
+    """
     keys = [(3, "retry"), (4, "retry"), (5, "retry")]
-    # The second attempt drawn is the second stream's first either way.
-    calls = failing_attempts({2})
-    got = random_instances([stream(*key) for key in keys], n=5)
-    assert len(calls) == 4
-    calls.clear()
-    want = [random_instance(stream(*key), n=5) for key in keys]
-    assert len(calls) == 4
-    for g, w in zip(got, want, strict=True):
-        _assert_same_instance(g, w)
-    # The retrying stream's instance is the draw after its rejected attempt.
-    ref_rng = stream(4, "retry")
-    instances._draw(ref_rng, 5)
-    monkeypatch.undo()
-    _assert_same_instance(got[1], random_instance(ref_rng, n=5))
+    for failing, refusals in (({2}, (0, 1, 0)), ({1, 3, 5}, (1, 0, 2))):
+        calls = failing_attempts(failing)
+        got = random_instances([stream(*key) for key in keys], n=5)
+        draws = len(keys) + sum(refusals)
+        assert len(calls) == draws
+        # Numbered past the block's draws, one at a time refuses the same attempts.
+        want = [random_instance(stream(*key), n=5) for key in keys]
+        assert len(calls) == 2 * draws
+        for g, w in zip(got, want, strict=True):
+            _assert_same_instance(g, w)
+        # Each stream's instance is the draw after its refused attempts.
+        monkeypatch.undo()
+        for g, key, count in zip(got, keys, refusals):
+            ref_rng = stream(*key)
+            for _ in range(count):
+                instances._draw(ref_rng, 5)
+            _assert_same_instance(g, random_instance(ref_rng, n=5))
+
+
+def test_an_empty_block_has_no_instances():
+    assert random_instances([]) == random_instances([], n=5) == []
+    with pytest.raises(ValueError):
+        random_instances([], n=3)
 
 
 def test_random_instance_is_a_block_of_one():

@@ -1,4 +1,4 @@
-"""The regime record and kernel eigenvalues against 50-digit mpmath evaluations.
+"""The regime record, step windows and kernel eigenvalues against 50-digit mpmath evaluations.
 
 Every input (eigenvalues, iota, step sizes, alpha, kernel matrices) is
 taken exactly as the float code sees it, so the only difference is the
@@ -18,6 +18,7 @@ from stepbias.spectral import DEGENERACY_RTOL, EPS, _check_degenerate, eig_sym, 
 from stepbias.experiments import stream
 from stepbias.instances import random_instance
 from stepbias.records import pair_records
+from stepbias.regimes import certify
 
 # Relative tolerances. Over these 30 instances the largest errors are
 # 7.0e-14 on both alpha_1 readings (exp(-num / gap) multiplies the
@@ -88,6 +89,12 @@ def test_record_agrees_with_50_digit_evaluation(seed):
     spec, tspec = inst.pair.train.spectrum, inst.pair.test.spectrum
     iota = gd.decompose(inst.pair.train, inst.theta0)
     rec = pair_records([inst.pair], [iota], [inst.eta_s], [inst.eta_b]).row(0)
+    runs = [
+        gd.run_to_level_set(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
+        for eta in (inst.eta_s, inst.eta_b)
+    ]
+    # The step windows as certificates.csv reports them.
+    cert = certify(inst.pair, *runs, inst.alpha)
     with mpmath.workdps(50):
         kappa_R = mpmath.mpf(tspec.top) / mpmath.mpf(tspec.bottom)
         want = _mp_record(
@@ -101,7 +108,7 @@ def test_record_agrees_with_50_digit_evaluation(seed):
             "kappa_R": _rel(rec.kappa_R, kappa_R),
             "kappa_F": _rel(rec.kappa_F, want["kappa_F"]),
         }
-        for name, win in zip(("small", "big"), rec.windows(inst.alpha)):
+        for name, win in zip(("small", "big"), (cert.window_small, cert.window_big)):
             for t, got, exact in zip(("t1", "t2", "t3"), (win.t1, win.t2, win.t3), want[name]):
                 others[f"{name}_{t}"] = _rel(got, exact)
     assert max(readings.values()) <= ALPHA_RTOL, readings

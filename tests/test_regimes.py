@@ -29,9 +29,11 @@ from stepbias.records import (
     RegimeKind,
     StepWindow,
     _log_quotient,
+    _window_bounds,
+    _window_refusal,
     pair_records,
     rate_kind,
-    regime_record,
+    regime_records,
 )
 from stepbias.regimes import (
     _mass_ratios,
@@ -54,11 +56,30 @@ def pair_record(pair, iota, eta_s, eta_b):
     return pair_records([pair], [iota], [eta_s], [eta_b]).row(0)
 
 
+def one_record(spectrum, kappa_R, eta_s, eta_b, iota):
+    """The record of one instance without R(theta_hat): row 0 of regime_records on it alone."""
+    iota = np.asarray(iota, dtype=float)
+    return regime_records([spectrum.eigenvalues], [kappa_R], [eta_s], [eta_b], [iota], [math.nan]).row(0)
+
+
+def windows(record, alpha):
+    """The (Small, Big) step windows of a one-row record at alpha, as certificates computes them.
+
+    Raises the _window_refusal error on which certificates refuses the row.
+    """
+    refusal = _window_refusal(alpha, record.scale_s, record.scale_b)
+    if refusal is not None:
+        raise refusal
+    scale, lead = np.array([record.scale_s, record.scale_b]), np.array([record.lead_s, record.lead_b])
+    (t2_s, t2_b), (t3_s, t3_b) = _window_bounds(scale, lead, np.full(2, alpha, float)).tolist()
+    return StepWindow(record.t1_s, t2_s, t3_s), StepWindow(record.t1_b, t2_b, t3_b)
+
+
 class WrongRegime(Exception):
     """An oracle was asked for a quantity its regime does not define."""
 
 
-# regime_record and certify take these numbers inline; the per-quantity
+# regime_records and certify take these numbers inline; the per-quantity
 # functions they replaced are kept here as the bitwise oracles.
 
 
@@ -221,7 +242,7 @@ def test_alpha_one_displayed_oracle():
     )
     den = min(math.log(a_s_lead / a_s_second), math.log(a_b_lead / a_b_second))
     want = 0.5 * sig[-1] * iota[-1] ** 2 * math.exp(-num / den)
-    got = regime_record(SPEC, kappa_r, eta_s, eta_b, iota).alpha_1
+    got = one_record(SPEC, kappa_r, eta_s, eta_b, iota).alpha_1
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -234,12 +255,12 @@ def test_alpha_one_split_orders_the_windows():
             spec = inst.pair.train.spectrum
             iota = spec.eigenvectors.T @ (inst.theta0 - inst.pair.train.optimum)
             kappa_r = inst.pair.test.spectrum.top / inst.pair.test.spectrum.bottom
-            rec = regime_record(spec, kappa_r, inst.eta_s, inst.eta_b, iota)
-            for win in rec.windows(rec.alpha_1_split):
+            rec = one_record(spec, kappa_r, inst.eta_s, inst.eta_b, iota)
+            for win in windows(rec, rec.alpha_1_split):
                 assert win.feasible
 
 
-# The per-function derivations that regime_record replaced, kept as
+# The per-function derivations that regime_records replaced, kept as
 # bitwise oracles: each call derives its numbers again from the spectrum.
 
 
@@ -381,7 +402,7 @@ def test_record_matches_the_per_function_oracles():
         args = (spec, iota, inst.eta_s, inst.eta_b, kappa_r)
         assert rec.alpha_1 == _alpha_one_reference(*args, "displayed")
         assert rec.alpha_1_split == _alpha_one_reference(*args, "split")
-        assert rec.windows(inst.alpha) == (
+        assert windows(rec, inst.alpha) == (
             _step_window_reference(spec, iota, inst.eta_s, inst.alpha, kappa_r, RegimeKind.SMALL),
             _step_window_reference(spec, iota, inst.eta_b, inst.alpha, kappa_r, RegimeKind.BIG),
         )
@@ -434,29 +455,29 @@ def test_random_instance_matches_the_oracle_path():
 
 def test_record_outside_the_domain_has_no_readings():
     iota = np.array([0.5, -0.4, 0.3, 0.6])
-    inside = regime_record(SPEC, 2.0, 0.7, 1.9, iota)
+    inside = one_record(SPEC, 2.0, 0.7, 1.9, iota)
     assert all(math.isfinite(v) for v in (inside.alpha_1, inside.t1_s, inside.gap_b))
     outside = {
-        "eta_s not Small": regime_record(SPEC, 2.0, 1.9, 1.9, iota),
-        "eta_b Divergent": regime_record(SPEC, 2.0, 0.7, 3.0, iota),
-        "zero iota_1": regime_record(SPEC, 2.0, 0.7, 1.9, np.array([0.0, 1, 1, 1])),
-        "iota_n squared underflows": regime_record(
+        "eta_s not Small": one_record(SPEC, 2.0, 1.9, 1.9, iota),
+        "eta_b Divergent": one_record(SPEC, 2.0, 0.7, 3.0, iota),
+        "zero iota_1": one_record(SPEC, 2.0, 0.7, 1.9, np.array([0.0, 1, 1, 1])),
+        "iota_n squared underflows": one_record(
             SPEC, 2.0, 0.7, 1.9, np.array([1, 1, 1, 1e-200])
         ),
         # iota_n^2 is the least subnormal, and sigma_n iota_n^2 rounds to 0.
-        "scale underflows": regime_record(SPEC, 2.0, 0.7, 1.9, np.array([1, 1, 1, 3e-162])),
-        "one eigenvalue": regime_record(diagonal_spectrum([2.0]), 2.0, 0.3, 0.8, [1.0]),
-        "repeated eigenvalue": regime_record(
+        "scale underflows": one_record(SPEC, 2.0, 0.7, 1.9, np.array([1, 1, 1, 3e-162])),
+        "one eigenvalue": one_record(diagonal_spectrum([2.0]), 2.0, 0.3, 0.8, [1.0]),
+        "repeated eigenvalue": one_record(
             diagonal_spectrum([1.0, 0.5, 0.5, 0.2]), 2.0, 0.7, 1.9, iota
         ),
         # eta_s sigma_{n-1} == 1 exactly: the second Small attenuation is 0.
-        "zero second attenuation": regime_record(
+        "zero second attenuation": one_record(
             diagonal_spectrum([1.0, 0.9, 0.8, 0.2]), 2.0, 1.25, 1.9, iota
         ),
     }
     for name, rec in outside.items():
         numbers = (rec.alpha_1, rec.alpha_1_split, rec.gap_s, rec.t1_b)
-        numbers += dataclasses.astuple(rec.windows(1e-9)[1])
+        numbers += dataclasses.astuple(windows(rec, 1e-9)[1])
         assert all(math.isnan(v) for v in numbers), name
     assert outside["eta_s not Small"].kind_s is RegimeKind.BIG
 
@@ -478,15 +499,15 @@ def test_certify_refuses_an_instance_outside_the_domain():
 
 def test_step_window_shape():
     iota = np.array([0.5, -0.4, 0.3, 0.6])
-    rec = regime_record(SPEC, 2.0, 0.7, 1.9, iota)
-    win, _ = rec.windows(1e-10)
+    rec = one_record(SPEC, 2.0, 0.7, 1.9, iota)
+    win, _ = windows(rec, 1e-10)
     assert win.t1 > 0 and win.t2 < win.t3
     assert win.feasible == (win.t2 > win.t1)
     assert win.t1 == rec.t1_s
     for alpha in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            rec.windows(alpha)
-    big = regime_record(SPEC, 2.0, 0.7, 3.0, iota).windows(1e-10)[1]
+            windows(rec, alpha)
+    big = windows(one_record(SPEC, 2.0, 0.7, 3.0, iota), 1e-10)[1]
     assert not big.feasible and math.isnan(big.t2)
 
 
@@ -497,12 +518,12 @@ def test_windows_refuse_targets_whose_bounds_leave_the_float_range():
     rec = pair_record(inst.pair, gd.decompose(inst.pair.train, inst.theta0), inst.eta_s, inst.eta_b)
     for alpha in (1e-310, 5e-324):
         with pytest.raises(InfeasibleWindow):
-            rec.windows(alpha)
-    assert all(win.t3 < math.inf for win in rec.windows(1e-300))
+            windows(rec, alpha)
+    assert all(win.t3 < math.inf for win in windows(rec, 1e-300))
     # Above the guard, a large boundary coefficient can still overflow scale / alpha.
-    large = regime_record(SPEC, 2.0, 0.7, 1.9, np.array([1e5, 1.0, 1.0, 1e5]))
+    large = one_record(SPEC, 2.0, 0.7, 1.9, np.array([1e5, 1.0, 1.0, 1e5]))
     with pytest.raises(InfeasibleWindow):
-        large.windows(1e-299)
+        windows(large, 1e-299)
 
 
 def test_a_zero_float_gap_is_outside_the_domain():
@@ -520,8 +541,8 @@ def test_a_zero_float_gap_is_outside_the_domain():
     s1 = 1.761975919418575
     big = diagonal_spectrum([s1, np.nextafter(s1, 0.0), 0.3 * s1, 0.2 * s1])
     records = {
-        "Small": regime_record(small, 2.0, 1.0, 1.9995, np.ones(4)),
-        "Big": regime_record(big, 2.0, 0.7 / s1, 0.9585242630026088, [0.5, 1, 1, 1]),
+        "Small": one_record(small, 2.0, 1.0, 1.9995, np.ones(4)),
+        "Big": one_record(big, 2.0, 0.7 / s1, 0.9585242630026088, [0.5, 1, 1, 1]),
     }
     for name, rec in records.items():
         assert (rec.kind_s, rec.kind_b) == (RegimeKind.SMALL, RegimeKind.BIG), name
@@ -545,9 +566,9 @@ def test_a_subnormal_boundary_scale_is_outside_the_domain(iota):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rec = regime_record(SPEC, 2.0, 0.7, 1.9, iota)
+        rec = one_record(SPEC, 2.0, 0.7, 1.9, iota)
         numbers = (rec.t1_s, rec.t1_b, rec.alpha_1, rec.alpha_1_split, rec.scale_s)
-        numbers += dataclasses.astuple(rec.windows(1e-9)[0])
+        numbers += dataclasses.astuple(windows(rec, 1e-9)[0])
         assert all(math.isnan(v) for v in numbers)
         verdicts = check_assumptions(pair, np.array(iota), 0.7, 1.9, 1e-9)
     assert [v.passed for v in verdicts] == [True, True, True, False, True]
@@ -569,8 +590,8 @@ def test_log_quotient_takes_logs_only_where_floats_cannot_hold_the_quotient():
 
 def test_windows_take_logs_where_the_quotient_underflows():
     # scale_s = 0.2 * 1e-300 is normal, 0.5 scale_s / 1e10 is subnormal.
-    rec = regime_record(SPEC, 2.0, 0.7, 1.9, [0.5, 1, 1, 1e-150])
-    win_s, win_b = rec.windows(1e10)
+    rec = one_record(SPEC, 2.0, 0.7, 1.9, [0.5, 1, 1, 1e-150])
+    win_s, win_b = windows(rec, 1e10)
     decay = math.log(1.0 / rec.lead_s)
     log_ratio = math.log(rec.scale_s) - math.log(1e10)
     assert win_s.t2 == pytest.approx(0.5 * (math.log(0.5) + log_ratio) / decay, rel=1e-15)
@@ -579,12 +600,12 @@ def test_windows_take_logs_where_the_quotient_underflows():
     # Where the quotient is a normal float the window is the quotient's.
     assert win_b.t2 == 0.5 * math.log(0.5 * rec.scale_b / 1e10) / math.log(1.0 / rec.lead_b)
     # Across the switch the bounds move continuously.
-    tiny = regime_record(SPEC, 2.0, 0.7, 1.9, [0.5, 1, 1, 1e-100])
+    tiny = one_record(SPEC, 2.0, 0.7, 1.9, [0.5, 1, 1, 1e-100])
     edge = 0.5 * tiny.scale_s / sys.float_info.min
-    above, below = tiny.windows(edge)[0], tiny.windows(np.nextafter(edge, math.inf))[0]
+    above, below = windows(tiny, edge)[0], windows(tiny, np.nextafter(edge, math.inf))[0]
     assert below.t2 == pytest.approx(above.t2, rel=1e-13)
     for alpha in (1e-300, 1e-3, 1.0, 1e300, sys.float_info.max):
-        for win in tiny.windows(alpha) + rec.windows(alpha):
+        for win in windows(tiny, alpha) + windows(rec, alpha):
             assert not (math.isnan(win.t2) or math.isnan(win.t3))
             assert win.window_empty in (True, False)
 
@@ -606,8 +627,8 @@ def test_mass_ratio_overflow_is_silent():
 
 def test_complexity_bounds_shrink_with_gap():
     iota = np.array([0.5, -0.4, 0.3, 0.6])
-    wide = regime_record(diagonal_spectrum([1.0, 0.9, 0.3, 0.2]), 2.0, 0.7, 1.9, iota)
-    narrow = regime_record(diagonal_spectrum([1.0, 0.9, 0.21, 0.2]), 2.0, 0.7, 1.9, iota)
+    wide = one_record(diagonal_spectrum([1.0, 0.9, 0.3, 0.2]), 2.0, 0.7, 1.9, iota)
+    narrow = one_record(diagonal_spectrum([1.0, 0.9, 0.21, 0.2]), 2.0, 0.7, 1.9, iota)
     assert 0 < narrow.gap_s < wide.gap_s
     assert narrow.t1_s > wide.t1_s
 
@@ -883,7 +904,7 @@ def test_theorem_holds_wherever_its_assumptions_do(seed, model_error_fraction, a
     verdicts = check_assumptions(pair, inst.theta0, inst.eta_s, inst.eta_b, alpha)
     if not all(v.passed for v in verdicts):
         return
-    win_s, win_b = record.windows(alpha)
+    win_s, win_b = windows(record, alpha)
     t_max = int(10 + 4 * max(win_s.t3, win_b.t3))
     run_s = gd.run_to_level_set(pair.train, inst.theta0, inst.eta_s, alpha, t_max)
     run_b = gd.run_to_level_set(pair.train, inst.theta0, inst.eta_b, alpha, t_max)
@@ -950,7 +971,7 @@ def _regime_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(inputs=_regime_inputs())
 def test_the_regime_numbers_return_or_raise_a_library_error(inputs):
-    """regime_record, windows and check_assumptions never escape otherwise.
+    """regime_records, _window_refusal, _window_bounds and check_assumptions never escape otherwise.
 
     No other exception and no warning (warnings are errors here), on
     spectra with adjacent-float bottom pairs and coefficients near 1e-300.
@@ -963,12 +984,12 @@ def test_the_regime_numbers_return_or_raise_a_library_error(inputs):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        record = regime_record(train, kappa_R, eta_s, eta_b, iota)
+        record = one_record(train, kappa_R, eta_s, eta_b, iota)
         if alpha < 0:
             finite = 0 < record.alpha_1 < math.inf
             alpha = max(-alpha * record.alpha_1, 5e-324) if finite else 1e-6
         try:
-            record.windows(alpha)
+            windows(record, alpha)
         except StepbiasError:
             pass
         try:

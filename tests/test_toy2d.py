@@ -185,7 +185,7 @@ def test_feasible_alpha_refuses_a_small_rate_search_that_stops_short():
     # At sigma_2 = 1e-6 the small-rate loss needs about 1.6e7 steps to reach 1e-20.
     inst = toy2d.ToyInstance(1.0, 1e-6)
     with pytest.raises(InfeasibleWindow, match="^small-rate run stopped with MaxStepsExceeded$"):
-        toy2d.feasible_alpha(inst, 1.0, 2.0 - 1e-6, target=1e-20)
+        toy2d.feasible_alpha(inst, 1.0, 2.0 - 1e-6, target=1e-20, margin=1.02)
 
 
 def test_ratio_check_refuses_a_big_rate_test_loss_that_underflows():
@@ -223,7 +223,7 @@ def test_first_hit_from_the_lower_bound_is_the_hit_from_step_1(monkeypatch):
         eta_s, eta_b = 1.0 / sigma1, eta_big / sigma1
         alpha = toy2d.feasible_alpha(inst, eta_s, eta_b, target=1e-8, margin=1.0 + 1e-9)
         for eta, level in ((eta_s, 1e-8), (eta_b, alpha)):
-            want = level_set_search(lambda t: real(inst, eta, t), level, 10**7)
+            want = level_set_search(lambda t: real(inst, eta, t), level, 10**7, start=1)
             evaluated.clear()
             with monkeypatch.context() as m:
                 m.setattr(toy2d, "excess_loss", counting)
@@ -235,7 +235,7 @@ def test_first_hit_from_the_lower_bound_is_the_hit_from_step_1(monkeypatch):
 def test_feasible_alpha_validates_regimes():
     inst = toy2d.ToyInstance(1.0, 0.2)
     with pytest.raises(InvalidRegime):
-        toy2d.feasible_alpha(inst, 1.95, 1.95, target=1e-8)
+        toy2d.feasible_alpha(inst, 1.95, 1.95, target=1e-8, margin=1.02)
 
 
 def classify_rate(eta, spectrum):
