@@ -5,8 +5,8 @@ writes CSV/SVG outputs plus a manifest; ``validate`` checks a config and
 exits. Exit codes: 0 success, 1 config parse/validation failure, 2
 certification failure or any other refusal by the library (an
 infeasible level-set window, a singular kernel, a target already below
-the initial loss), 3 I/O failure. No StepbiasError escapes as a
-traceback.
+the initial loss) or a run too large for memory, 3 I/O failure. No
+StepbiasError or MemoryError escapes as a traceback.
 """
 
 import argparse
@@ -82,6 +82,9 @@ def main(argv=None):
         return EXIT_IO
     except StepbiasError as exc:
         _emit(err, f"error: {exc}", _RED)
+        return EXIT_CERTIFICATION
+    except MemoryError as exc:
+        _emit(err, f"error: out of memory: {exc}", _RED)
         return EXIT_CERTIFICATION
 
 

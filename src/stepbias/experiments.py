@@ -7,12 +7,12 @@ written file with its content hash.
 """
 
 import hashlib
-import json
 import math
 import os
 import warnings
 import zlib
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -71,9 +71,36 @@ class _Outputs:
             "config": canonical_config(cfg),
             "files": self.files,
         }
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        text = _json_text(manifest) + "\n"
         write_bytes(text, os.path.join(self.dir, "manifest.json"))
         return manifest
+
+
+def _json_text(value, indent="\n"):
+    """json.dumps(value, indent=2, sort_keys=True) of a manifest.
+
+    json.dumps with an indent runs the pure-Python encoder, whose
+    closures leave reference cycles for the collector on every call;
+    this writes the same text over the manifest's types (dicts with str
+    keys, lists, str, bool, None, int and finite float) and leaves none.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+    elif isinstance(value, list):
+        items = [_json_text(v, inner) for v in value]
+    elif isinstance(value, str):
+        return encode_basestring_ascii(value)
+    elif value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    elif isinstance(value, float):
+        return float.__repr__(value)
+    else:
+        return int.__repr__(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def run_experiment(cfg):
@@ -262,16 +289,17 @@ def _run_quadratic_certify(cfg, out):
 class _Sweep:
     """A kernel problem, its train objective, alpha* and the test data.
 
-    ``cross`` is the train-by-test kernel, built once per sweep and used
-    to score every grid point; ``excess0`` is the excess train loss at
-    the zero start of every run.
+    The test set is scored once per sweep, for every grid point at once
+    and one block of test points at a time (kernels.binary_error), so no
+    train-by-test kernel is kept: scoring memory is O(n x block), not
+    O(n x n_test). ``excess0`` is the excess train loss at the zero start
+    of every run.
     """
 
     prob: kernels.KernelProblem
     obj: QuadraticObjective
     alpha_star: np.ndarray
     test: kernels.Dataset
-    cross: np.ndarray
     excess0: float
 
 
@@ -299,9 +327,6 @@ def _sweep_problem(cfg):
         obj=obj,
         alpha_star=alpha_star,
         test=test,
-        cross=kernels.gaussian_cross_kernel(
-            prob.dataset.points, test.points, prob.scale
-        ),
         excess0=0.5 * float(np.sum(obj.spectrum.eigenvalues * obj.optimum**2)),
     )
 
@@ -323,8 +348,9 @@ def _norm(mu):
 def _level_runs(sweep, eta_mults, alphas):
     """Theta-space GD from zero to each alpha at each eta_mult / sigma_1, searched at once.
 
-    Yields, in order, each run and its sweep metrics (proj_e1, Hilbert
-    norm, accuracy); a failed run raises at its turn.
+    Returns, in order, each run and its sweep metrics (proj_e1, Hilbert
+    norm, accuracy); the first failed run raises. Every run's alpha_hat
+    is scored in one binary_error call.
     """
     obj = sweep.obj
     sigma1 = obj.spectrum.top
@@ -339,12 +365,12 @@ def _level_runs(sweep, eta_mults, alphas):
     for run in runs:
         if not isinstance(run, gd.GDRun):
             raise run
-        mu = run.mu
-        alpha_hat = sweep.alpha_star + kernels.from_eigen_coords(sweep.prob, mu)
-        accuracy = 1.0 - kernels.binary_error(
-            sweep.prob, alpha_hat, sweep.test, cross=sweep.cross
-        )
-        yield run, abs(float(mu[0])), _norm(mu), accuracy
+    alpha_hats = [sweep.alpha_star + kernels.from_eigen_coords(sweep.prob, run.mu) for run in runs]
+    errors = kernels.binary_error(sweep.prob, np.array(alpha_hats), sweep.test)
+    return [
+        (run, abs(float(run.mu[0])), _norm(run.mu), 1.0 - error)
+        for run, error in zip(runs, errors.tolist())
+    ]
 
 
 def _level_target(fraction, excess0):
@@ -403,11 +429,13 @@ def _run_alpha_sweep(cfg, out):
     eta_s = cfg.eta_small if cfg.eta_small is not None else 1.0
     eta_b = cfg.eta_big if cfg.eta_big is not None else TAU * 2.0
     fracs = [float(frac) for frac in cfg.alpha_grid]
-    # Each fraction's target is refused at its turn if it underflows,
-    # before its two runs (given the same product) are read.
-    runs = _level_runs(
-        sweep, [eta_s, eta_b] * len(fracs), [f * sweep.excess0 for f in fracs for _ in range(2)]
-    )
+    # Fractions past the first target that underflows are not run: a
+    # failed run before it refuses the sweep first, else _level_target
+    # below refuses it at that target.
+    alphas = [frac * sweep.excess0 for frac in fracs]
+    kept = next((k for k, alpha in enumerate(alphas) if not alpha > 0), len(fracs))
+    lanes = [alpha for alpha in alphas[:kept] for _ in range(2)]
+    runs = iter(_level_runs(sweep, [eta_s, eta_b] * kept, lanes) if kept else ())
     rows = []
     for frac in fracs:
         alpha = _level_target(frac, sweep.excess0)

@@ -137,40 +137,131 @@ def test_predict_and_binary_error(prob):
     rng = np.random.default_rng(9)
     astar = kernels.ridge_alpha(prob.K, prob.y, prob.lam)
     test = kernels.two_cluster_dataset(50, rng)
-    scores = kernels.predict_many(prob, astar, test.points)
-    assert scores.shape == (50,)
+    scores = gaussian_cross_kernel(prob.dataset.points, test.points, prob.scale).T @ astar
     err = kernels.binary_error(prob, astar, test)
     assert err == pytest.approx(float(np.mean(scores * test.labels <= 0)))
     # Zero scores count as errors.
     assert kernels.binary_error(prob, np.zeros(prob.n), test) == 1.0
     with pytest.raises(EmptyTestSet):
         kernels.binary_error(prob, astar, _empty_dataset())
-
-
-def test_binary_error_counts_non_finite_scores_as_errors(prob, monkeypatch):
-    test = kernels.Dataset(np.zeros((4, 2)), np.array([1.0, 1.0, -1.0, 1.0]))
-    scores = np.array([0.5, np.nan, -np.inf, -0.5])
-    monkeypatch.setattr(kernels, "predict_many", lambda *args: scores)
-    assert kernels.binary_error(prob, np.zeros(prob.n), test) == 0.75
-    nan_alpha = np.full(prob.n, np.nan)
-    monkeypatch.undo()
-    assert kernels.binary_error(prob, nan_alpha, test) == 1.0
-
-
-def test_binary_error_with_cross_kernel_matches_plain_path(prob):
-    rng = np.random.default_rng(10)
-    test = kernels.two_cluster_dataset(40, rng)
-    cross = kernels.gaussian_cross_kernel(prob.dataset.points, test.points, prob.scale)
-    for alpha in (
-        kernels.ridge_alpha(prob.K, prob.y, prob.lam),
-        rng.normal(size=prob.n),
-        np.full(prob.n, np.nan),
-    ):
-        assert kernels.binary_error(prob, alpha, test, cross=cross) == (
-            kernels.binary_error(prob, alpha, test)
-        )
     with pytest.raises(DimensionMismatch):
-        kernels.binary_error(prob, alpha, test, cross=cross[:, :-1])
+        kernels.binary_error(prob, np.zeros((2, prob.n + 1)), test)
+
+
+def test_binary_error_counts_non_finite_scores_as_errors(prob):
+    # Every kernel entry is positive here, so an infinite alpha entry
+    # makes every score of its row +-inf, and +inf and -inf together NaN.
+    # An infinite score of the label's sign still counts as an error.
+    picked = np.concatenate([np.flatnonzero(prob.y > 0)[:2], np.flatnonzero(prob.y < 0)[:2]])
+    test = kernels.Dataset(prob.dataset.points[picked], prob.y[picked])
+    astar = kernels.ridge_alpha(prob.K, prob.y, prob.lam)
+    rows = np.array([astar] * 4)
+    rows[1, 0] = np.inf
+    rows[2, 0] = -np.inf
+    rows[3, :2] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf in the product
+        rates = kernels.binary_error(prob, rows, test)
+    assert rates.tolist() == [kernels.binary_error(prob, astar, test), 1.0, 1.0, 1.0]
+    assert rates[0] == 0.0
+    assert kernels.binary_error(prob, np.full(prob.n, np.nan), test) == 1.0
+
+
+def test_a_nan_row_is_wrong_on_every_point_and_only_in_its_row(prob):
+    rng = np.random.default_rng(10)
+    test = kernels.two_cluster_dataset(300, rng)
+    rows = rng.normal(size=(4, prob.n))
+    rows[0] = kernels.ridge_alpha(prob.K, prob.y, prob.lam)
+    rows[2] = np.nan
+    rates = kernels.binary_error(prob, rows, test)
+    assert rates[2] == 1.0
+    for k in (0, 1, 3):
+        assert rates[k] == kernels.binary_error(prob, rows[k], test) < 1.0
+
+
+def _recorded_blocks(monkeypatch):
+    """(query row indices, kernel entries) of every block binary_error evaluates."""
+    blocks = []
+    original = kernels._cross_kernel
+
+    def recording(X_train, X_query, s):
+        columns = original(X_train, X_query, s)
+        indices = np.arange(np.atleast_2d(X_query).shape[0])
+
+        def evaluate(cols):
+            K = columns(cols)
+            blocks.append((indices[cols], K.copy()))
+            return K
+
+        return evaluate
+
+    monkeypatch.setattr(kernels, "_cross_kernel", recording)
+    return blocks
+
+
+def _scored_in_blocks(monkeypatch, prob, alphas, test):
+    """binary_error of the rows of alphas, checked block by block against
+    the full cross kernel and against scores computed from it.
+
+    Direct differences give each entry the bits of the full kernel's. The
+    expansion gives each block the bits of the expression on the block's
+    own points; BLAS can round an entry of a product differently by its
+    place in the call, so against the full kernel they agree to rounding.
+    """
+    blocks = _recorded_blocks(monkeypatch)
+    rates = kernels.binary_error(prob, alphas, test)
+    monkeypatch.undo()
+    X, s = prob.dataset.points, prob.scale
+    full = gaussian_cross_kernel(X, test.points, s)
+    direct = s <= _expansion_floor(X, test.points)
+    rows = kernels.SCORE_BLOCK_BYTES // (8 * prob.n)
+    assert np.array_equal(np.concatenate([cols for cols, _ in blocks]), np.arange(test.n))
+    for cols, K in blocks:
+        assert 1 <= len(cols) <= rows
+        if direct:
+            assert K.tobytes() == np.ascontiguousarray(full[:, cols]).tobytes()
+        else:
+            assert K.tobytes() == _expanded_kernel(X, test.points[cols], s).tobytes()
+            assert np.allclose(K, full[:, cols], rtol=1e-13, atol=0.0)
+    for alpha, rate in zip(alphas, rates):
+        scores = full.T @ alpha
+        assert rate == float(np.mean(~(np.isfinite(scores) & (scores * test.labels > 0))))
+    return blocks
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+def test_blocked_scoring_matches_the_full_cross_kernel(blocks, extra, monkeypatch):
+    n, d = 40, 5
+    rows = kernels.SCORE_BLOCK_BYTES // (8 * n)
+    n_test = blocks * rows + extra
+    rng = np.random.default_rng(n_test)
+    prob = kernels.kernel_problem(kernels.two_cluster_dataset(n, rng, d=d), 0.5, 1e-4)
+    test = kernels.two_cluster_dataset(n_test, rng, d=d)
+    alphas = rng.normal(size=(3, n))
+    alphas[0] = kernels.ridge_alpha(prob.K, prob.y, prob.lam)
+    evaluated = _scored_in_blocks(monkeypatch, prob, alphas, test)
+    assert len(evaluated) == -(-n_test // rows)
+
+
+def test_one_far_test_point_puts_every_block_on_direct_differences(monkeypatch):
+    # Only the far point, in the second block, puts 2 s^2 below
+    # sqrt(eps) max ||x - mean||^2; the first block on its own would be
+    # evaluated by the expansion, whose bits differ.
+    n, d = 40, 5
+    rows = kernels.SCORE_BLOCK_BYTES // (8 * n)
+    rng = np.random.default_rng(12)
+    X = 0.01 * rng.normal(size=(n, d))
+    Q = X[rng.integers(0, n, size=rows + 5)] + 3e-4 * rng.normal(size=(rows + 5, d))
+    Q[:10] = X[:10]
+    Q[rows + 2] = 100.0
+    s = math.sqrt(5e-7)
+    assert _expansion_floor(X, Q[:rows]) < s <= _expansion_floor(X, Q)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    prob = kernels.kernel_problem(kernels.Dataset(X, labels), s, 1e-4)
+    test = kernels.Dataset(Q, np.where(rng.random(len(Q)) < 0.5, 1.0, -1.0))
+    full = gaussian_cross_kernel(X, Q, s)
+    assert gaussian_cross_kernel(X, Q[:rows], s).tobytes() != full[:, :rows].tobytes()
+    alphas = rng.normal(size=(2, n))
+    assert len(_scored_in_blocks(monkeypatch, prob, alphas, test)) == 2
 
 
 def _empty_dataset():

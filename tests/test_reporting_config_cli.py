@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -501,6 +502,20 @@ def test_cli_every_stepbias_error_has_an_exit_code(exc, tmp_path, monkeypatch, c
     assert "error: boom" in capsys.readouterr().err
 
 
+def test_cli_maps_memory_error_to_exit_2(tmp_path, monkeypatch, capsys):
+    # As {"experiment": "eta_sweep", "n": 3000000} does: its n x n train
+    # kernel cannot be allocated.
+    def fail(cfg):
+        raise MemoryError("Unable to allocate 65.5 TiB")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    path = _write_cfg(tmp_path, experiment="eta_sweep")
+    assert cli.main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "error: out of memory: Unable to allocate 65.5 TiB" in err
+    assert "Traceback" not in err
+
+
 def test_cli_exit_code_io(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 3
     assert "error" in capsys.readouterr().err
@@ -580,3 +595,32 @@ def test_manifest_hashes_the_files_on_disk(experiment, tmp_path):
     on_disk = (out_dir / "manifest.json").read_bytes()
     assert on_disk == (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
     assert json.loads(on_disk) == manifest
+
+
+@pytest.mark.parametrize("experiment", sorted(experiments._RUNNERS))
+def test_an_op_leaves_no_cyclic_garbage(experiment, tmp_path):
+    cfg = validate_config({"experiment": experiment, "output_dir": str(tmp_path)})
+    experiments.run_experiment(cfg)  # first-call caches are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        experiments.run_experiment(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"config": {"output_dir": "sortie/été/日本", "eta_grid": [], "alpha": None,
+                    "eta_small": None, "seed": 0, "lam": 1e-06, "n": 2**70,
+                    "flag": True, "off": False, "scale": -0.0, "big": 1.7976931348623157e308},
+         "files": [], "experiment": "eta_sweep", "seed": 3},
+        {"files": [{"path": "a \"q\"\n.csv", "sha256": "00"}], "empty": {}, "nested": [[1, 2.5], []]},
+        {},
+        [],
+    ],
+)
+def test_manifest_text_is_json_dumps(manifest):
+    assert experiments._json_text(manifest) == json.dumps(manifest, indent=2, sort_keys=True)

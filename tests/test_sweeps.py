@@ -1,16 +1,18 @@
-"""Kernel sweep experiments: scoring against the shared test cross kernel,
-and condition numbers of the scale sweep."""
+"""Kernel sweep experiments: scoring the test set in blocks, and
+condition numbers of the scale sweep."""
 
 import csv
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stepbias import cli, experiments, kernels
+from stepbias import cli, experiments, gd, kernels
 from stepbias.config import validate_config
+from stepbias.errors import AlreadyBelowLevelSet, InfeasibleWindow
 from stepbias.experiments import run_experiment, stream
 from stepbias.spectral import condition_number, eigvals_sym
 
@@ -50,12 +52,12 @@ def noisy_dataset(tmp_path):
 def test_sweep_accuracy_matches_binary_error_from_scratch(
     raw, columns, noisy_dataset, tmp_path, monkeypatch
 ):
-    scored = []
+    stacks = []
     original = kernels.binary_error
 
-    def recording(prob, alpha, test, cross=None):
-        scored.append(np.array(alpha))
-        return original(prob, alpha, test, cross=cross)
+    def recording(prob, alpha, test):
+        stacks.append(np.array(alpha))
+        return original(prob, alpha, test)
 
     monkeypatch.setattr(kernels, "binary_error", recording)
     out = tmp_path / "o"
@@ -71,6 +73,8 @@ def test_sweep_accuracy_matches_binary_error_from_scratch(
     prob = kernels.kernel_problem(train, cfg.scale, cfg.lam)
     rows = _rows(out / f"{cfg.experiment}.csv")
     reported = [float(r[c]) for r in rows for c in columns]
+    assert len(stacks) == 1  # every grid point in one call
+    scored = list(stacks[0])
     assert len(scored) == len(reported)
     fresh = [1.0 - kernels.binary_error(prob, a, test) for a in scored]
     assert reported == fresh
@@ -79,29 +83,83 @@ def test_sweep_accuracy_matches_binary_error_from_scratch(
 
 @pytest.mark.parametrize("experiment", ["eta_sweep", "alpha_sweep"])
 @pytest.mark.parametrize("grid_length", [1, 6])
-def test_sweep_builds_the_test_cross_kernel_once(
+def test_sweep_evaluates_each_test_kernel_row_once_in_blocks(
     experiment, grid_length, tmp_path, monkeypatch
 ):
-    n_test = 30
-    query_rows = []
-    original = kernels.gaussian_cross_kernel
+    n, n_test = 20, 1000
+    rows = kernels.SCORE_BLOCK_BYTES // (8 * n)
+    point_sets, evaluated = [], []
+    original = kernels._cross_kernel
 
-    def counting(X_train, X_query, s):
-        query_rows.append(np.atleast_2d(X_query).shape[0])
-        return original(X_train, X_query, s)
+    def recording(X_train, X_query, s):
+        columns = original(X_train, X_query, s)
+        indices = np.arange(np.atleast_2d(X_query).shape[0])
+        point_sets.append(len(indices))
 
-    monkeypatch.setattr(kernels, "gaussian_cross_kernel", counting)
+        def evaluate(cols):
+            evaluated.append(indices[cols])
+            return columns(cols)
+
+        return evaluate
+
+    monkeypatch.setattr(kernels, "_cross_kernel", recording)
     grid = {
         "eta_sweep": {"eta_grid": list(np.linspace(0.25, 1.9, grid_length))},
         "alpha_sweep": {"alpha_grid": list(np.geomspace(0.2, 0.01, grid_length))},
     }[experiment]
     cfg = validate_config(
-        {"experiment": experiment, "n": 20, "n_test": n_test,
+        {"experiment": experiment, "n": n, "n_test": n_test,
          "output_dir": str(tmp_path / "o"), **grid}
     )
     run_experiment(cfg)
-    assert query_rows.count(n_test) == 1
-    assert query_rows.count(20) == 1  # the train kernel matrix
+    assert point_sets == [n, n_test]  # the train kernel matrix, then the test set
+    train, *blocks = evaluated
+    assert np.array_equal(train, np.arange(n))
+    assert np.array_equal(np.concatenate(blocks), np.arange(n_test))
+    assert len(blocks) == -(-n_test // rows) > 1
+    assert all(len(block) <= rows for block in blocks)
+
+
+@pytest.mark.parametrize(
+    "raw, failed_lanes, refusal",
+    [
+        # Lanes run Small, Big per fraction; the second target underflows.
+        ({"experiment": "alpha_sweep", "alpha_grid": [0.5, 5e-324, 0.1]}, (1,), "lane 1"),
+        ({"experiment": "alpha_sweep", "alpha_grid": [0.5, 5e-324, 0.1]}, (), "underflows"),
+        ({"experiment": "alpha_sweep", "alpha_grid": [5e-324, 0.1]}, (), "underflows"),
+        ({"experiment": "eta_sweep", "eta_grid": [0.5, 1.0, 1.5, 1.9]}, (3, 1), "lane 1"),
+    ],
+)
+def test_a_sweep_is_refused_at_its_first_failed_run_or_target(
+    raw, failed_lanes, refusal, tmp_path, monkeypatch
+):
+    real = gd.level_set_runs
+
+    def failing(*args):
+        runs = real(*args)
+        for k in failed_lanes:
+            runs[k] = AlreadyBelowLevelSet(f"lane {k}")
+        return runs
+
+    monkeypatch.setattr(gd, "level_set_runs", failing)
+    cfg = validate_config(dict(raw, n=20, output_dir=str(tmp_path)))
+    with pytest.raises((AlreadyBelowLevelSet, InfeasibleWindow), match=refusal):
+        run_experiment(cfg)
+
+
+def test_sweep_scoring_memory_does_not_grow_with_the_test_set(tmp_path):
+    n, n_test = 200, 5000
+    cfg = validate_config(
+        {"experiment": "eta_sweep", "n": n, "n_test": n_test, "output_dir": str(tmp_path)}
+    )
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One n x n_test cross kernel alone would take 8 MB.
+    assert peak < n * n_test * 8 / 2
 
 
 def test_scale_sweep_kappa_is_inf_or_in_range(tmp_path):
