@@ -18,10 +18,12 @@ bisection on the sign of L(t + 1) - L(t) finds the minimiser first.
 
 The search is a coroutine (_search) that names each step whose loss it
 reads and is sent that loss. One loop, _lockstep, runs every search:
-level_set_runs drives the searches of many lanes side by side, each
-round's losses being rows of one array expression, with the loss bits
-of each lane run alone, and run_to_level_set is its one-lane case;
-level_set_search drives one search of a scalar loss.
+level_set_runs drives the searches of many lanes side by side in one
+pass, each round's losses being rows of one array expression, with the
+loss bits of each lane run alone, and run_to_level_set is its one-lane
+case; level_set_search drives one search of a scalar loss. A dead
+direction (sigma_i iota_i^2 == 0) enters the search with coefficient 0
+and factor 0, so it adds an exact 0 to every L(t).
 
 A run also reports whether it stayed above alpha/2 (the half-level
 condition is reported, never enforced). The final loss is the one the
@@ -317,99 +319,79 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
     return run
 
 
-def _level_set_run(obj, eta, alpha, steps, status, final, mu, iota):
-    half_ok = final >= 0.5 * alpha if status is StopStatus.HIT_LEVEL_SET else None
-    return GDRun(
-        eta=eta,
-        steps=steps,
-        mu=mu,
-        iota=iota,
-        stop_status=status,
-        objective=obj,
-        final_excess=final,
-        alpha=float(alpha),
-        half_level_ok=half_ok,
-    )
-
-
 def level_set_runs(objs, iota, etas, alphas, t_maxes):
     """run_to_level_set on many lanes of one dimension, searched in lockstep.
 
     Lane k runs GD on objs[k] from the eigen-coefficients iota[k] (rows
     of an (L, n) array) at rate etas[k] to alphas[k] within t_maxes[k]
     steps. It gets its GDRun, or its ValueError or AlreadyBelowLevelSet
-    for the caller to raise. Lanes with the same live directions
-    (sigma_i iota_i^2 != 0) are searched together on those alone: the
-    rest never move the loss, and their zeros would regroup the sums.
+    for the caller to raise. Every other lane is searched in one pass. A
+    dead direction (sigma_i iota_i^2 == 0) never moves the loss, so the
+    search sees it with coefficient 0 and factor 0: it adds an exact 0 to
+    L(t), never 0 * inf, and at rate 0 it bounds no step. A lane with
+    every |factor| <= 1 searches from its hit_lower_bound. One evaluation
+    spares rounds: it gives each lane L at the first three steps its
+    search asks if its tests fail (start - 1, start, start + 1, or 1, 2,
+    4), and a bound usually sits one step before the hit. mu comes from
+    the lane's own iota and factors.
     """
     sig = np.array([obj.spectrum.eigenvalues for obj in objs])
     power = sig * iota * iota
     loss0 = (0.5 * power.sum(axis=1)).tolist()
     runs = [_argument_error(*args) for args in zip(etas, alphas, t_maxes)]
-    groups = {}
-    for k, live in enumerate(power != 0):
-        if runs[k] is not None:
-            continue
-        if loss0[k] <= alphas[k]:
+    for k, run in enumerate(runs):
+        if run is None and loss0[k] <= alphas[k]:
             runs[k] = AlreadyBelowLevelSet(
                 f"initial excess loss {loss0[k]:.3e} is already <= alpha {alphas[k]:.3e}"
             )
-        else:
-            groups.setdefault(live.tobytes(), (live, []))[1].append(k)
-    eta_col = np.array(etas, dtype=float)[:, None]
-    for key, (live, lanes) in groups.items():
-        rows = sig, iota, power, eta_col
-        if len(lanes) < len(objs):
-            rows = [a.take(lanes, axis=0) for a in rows]
-        group_sig, group_iota, group_power, group_etas = rows
-        factors = 1.0 - group_etas * group_sig
-        searched = group_sig, group_iota, group_power, factors
-        if 0 in key:  # some direction is dead
-            searched = (a.compress(live, axis=1) for a in searched)
-        lane_args = [(alphas[k], int(t_maxes[k]), DIVERGENCE_FACTOR * loss0[k]) for k in lanes]
-        # Powers of |factor| > 1 may overflow to inf: that is the Diverged case.
-        with np.errstate(over="ignore", invalid="ignore"):
-            found = _search_lanes(*searched, *zip(*lane_args))
-            mu = _final_mu(group_iota, factors, [t for t, _, _ in found])
-        for lane, (k, (t, status, final)) in enumerate(zip(lanes, found)):
-            runs[k] = _level_set_run(
-                objs[k], etas[k], alphas[k], t, status, final, mu[lane], group_iota[lane]
-            )
-    return runs
-
-
-def _search_lanes(sig, iota, power, factors, alphas, t_maxes, limits):
-    """(step, status, L(step)) of the _search of each row, all in lockstep.
-
-    Every row has weight on every direction. A row with every
-    |factor| <= 1 searches from its hit_lower_bound. One evaluation
-    spares rounds: it gives each row L at the first three steps its
-    search asks if its tests fail (start - 1, start, start + 1, or 1, 2,
-    4), and a bound usually sits one step before the hit.
-    """
-    rates = np.abs(factors)
+    lanes = [k for k, run in enumerate(runs) if run is None]
+    if not lanes:
+        return runs
+    sig, iota, power = sig[lanes], iota[lanes], power[lanes]
+    factors = 1.0 - np.array(etas, dtype=float)[lanes, None] * sig
+    dead = power == 0
+    live_iota, live_factors = np.where(dead, 0.0, iota), np.where(dead, 0.0, factors)
+    targets, t_caps, limits = zip(
+        *[(alphas[k], int(t_maxes[k]), DIVERGENCE_FACTOR * loss0[k]) for k in lanes]
+    )
+    weights, rates = (0.5 * power).tolist(), np.abs(live_factors).tolist()
     starts = [
         hit_lower_bound(w, r, alpha, t_max) if max(r) <= 1.0 else None
-        for w, r, alpha, t_max in zip(
-            (0.5 * power).tolist(), rates.tolist(), alphas, t_maxes
-        )
+        for w, r, alpha, t_max in zip(weights, rates, targets, t_caps)
     ]
     guesses = [
         [min(t, t_max) for t in ((s - 1, s, s + 1) if s and s > 1 else (1, 2, 4))]
-        for s, t_max in zip(starts, t_maxes)
+        for s, t_max in zip(starts, t_caps)
     ]
-    values = _losses(sig, iota, factors, list(zip(*guesses))).tolist()
-    known = [dict(zip(ts, vs)) for ts, vs in zip(guesses, zip(*values))]
 
-    def losses(lanes, steps):
-        arrays = (sig, iota, factors)
-        if len(lanes) < len(sig):
-            arrays = (a.take(lanes, axis=0) for a in arrays)
+    def losses(rows, steps):
+        arrays = sig, live_iota, live_factors
+        if len(rows) < len(sig):
+            arrays = (a.take(rows, axis=0) for a in arrays)
         return _losses(*arrays, steps).tolist()
 
-    searches = [_search(*args) for args in zip(alphas, t_maxes, starts, limits)]
-    found = _lockstep(searches, losses, known)
-    return [(t, status, seen[t]) for (t, status), seen in zip(found, known)]
+    searches = [_search(*args) for args in zip(targets, t_caps, starts, limits)]
+    # Powers of |factor| > 1 may overflow to inf: that is the Diverged case.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _losses(sig, live_iota, live_factors, list(zip(*guesses))).tolist()
+        known = [dict(zip(ts, vs)) for ts, vs in zip(guesses, zip(*values))]
+        found = _lockstep(searches, losses, known)
+        mu = _final_mu(iota, factors, [t for t, _ in found])
+    for row, (k, (t, status), seen) in enumerate(zip(lanes, found, known)):
+        final, alpha = seen[t], float(alphas[k])
+        hit = status is StopStatus.HIT_LEVEL_SET
+        runs[k] = GDRun(
+            eta=etas[k],
+            steps=t,
+            mu=mu[row],
+            iota=iota[row],
+            stop_status=status,
+            objective=objs[k],
+            final_excess=final,
+            alpha=alpha,
+            half_level_ok=final >= 0.5 * alpha if hit else None,
+        )
+    return runs
 
 
 def iterate(obj, theta0, eta, t):

@@ -164,11 +164,13 @@ def run_measurements(train_bases, test_bases, test_eigenvalues, offsets, mu_s, m
     Each argument stacks a row per instance ((L, n, n) bases, (L, n)
     vectors): offsets theta_hat - theta_hat_*, mu_s and mu_b the final
     coefficients of the runs. Each result has the bits of its instance
-    computed alone. A test loss comes from the error V mu + offset: at
-    small targets theta - theta_hat_* sits orders of magnitude below
-    theta, and from run.theta it would cancel catastrophically. Nothing
-    raises or warns; certificates refuses what these numbers cannot
-    stand for.
+    computed alone on the BLAS kernels spectral.matvec names; under
+    OpenBLAS's Prescott kernel the stacked dot products move r_big and
+    r_small by an ulp with the size of the stack. A test loss comes from
+    the error V mu + offset: at small targets theta - theta_hat_* sits
+    orders of magnitude below theta, and from run.theta it would cancel
+    catastrophically. Nothing raises or warns; certificates refuses what
+    these numbers cannot stand for.
     """
     with np.errstate(all="ignore"):
         err = matvec(train_bases, np.array([mu_b, mu_s]))

@@ -71,7 +71,9 @@ def matvec(a, v):
 
     One np.matmul call; on one matrix it is a @ v. Stacked, each product
     is the matrix-vector product of its own pair, as BLAS computes it for
-    that pair alone (tests/test_certify_block.py checks the bits).
+    that pair alone, on the OpenBLAS kernels checked (SkylakeX, Haswell
+    and Sandybridge; tests/test_certify_block.py checks the bits). Other
+    kernels may round a stacked product by the size of the stack.
     """
     return np.matmul(a, v[..., None])[..., 0]
 

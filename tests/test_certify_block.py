@@ -8,9 +8,8 @@ regimes.certify on two such runs for a block, and the GDRun or the
 error of each lane for level_set_runs. The column passes
 (records.regime_records, regimes.assumption_checks and
 regimes.certificates) must give each row the bits of their one-row
-views. CI reruns this file and
-tests/test_gd.py with numpy's AVX-512 kernels disabled, since the
-agreement rests on numpy's SIMD dispatch.
+views. CI reruns the suite with numpy's AVX-512 kernels disabled,
+since the agreement rests on numpy's SIMD dispatch.
 """
 
 import dataclasses
@@ -38,7 +37,8 @@ from stepbias.spectral import condition_number, diagonal_spectrum
 
 # The one-lane search as gd.run_to_level_set ran it before every lane
 # went through gd.level_set_runs: each search a coroutine told whether
-# its test holds, driven alone, on the live directions of one 1-D lane.
+# its test holds, driven alone, on one 1-D lane whose dead directions
+# (sigma_i iota_i^2 == 0) have coefficient and factor 0.
 
 
 def _first_true(lo, hi):
@@ -105,19 +105,19 @@ def reference_run(obj, theta0, eta, alpha, t_max):
             f"initial excess loss {loss0:.3e} is already <= alpha {alpha:.3e}"
         )
     factors = 1.0 - eta * sig
-    live = power != 0
-    sig_l, iota_l, fac_l, power_l = sig[live], iota[live], factors[live], power[live]
+    dead = power == 0
+    iota_z, fac_z = np.where(dead, 0.0, iota), np.where(dead, 0.0, factors)
     evaluated = {}
 
     def loss(t):
-        evaluated[t] = value = float(excess_losses(sig_l, iota_l * fac_l**t))
+        evaluated[t] = value = float(excess_losses(sig, iota_z * fac_z**t))
         return value
 
-    rates = np.abs(fac_l)
+    rates = np.abs(fac_z)
     nonincreasing = bool(rates.max() <= 1.0)
     start = 1
     if nonincreasing:
-        start = gd.hit_lower_bound((0.5 * power_l).tolist(), rates.tolist(), alpha, int(t_max))
+        start = gd.hit_lower_bound((0.5 * power).tolist(), rates.tolist(), alpha, int(t_max))
     with np.errstate(over="ignore", invalid="ignore"):
         steps, status = _reference_search(
             loss, float(alpha), int(t_max), nonincreasing, gd.DIVERGENCE_FACTOR * loss0, start
@@ -337,13 +337,14 @@ def _lanes():
     # Factor 0 on a negative coefficient: mu_1 is -0.0.
     yield ([1.0, 0.5], [-1.0, 1.0], 1.0, 1e-3, 100)
     yield ([1.0, 0.5], [1.0, -1.0], 1.9, 1e-9, 10**6)
-    # Zero-weight directions, two masks in one dimension; on the second
+    # Zero-weight directions, in two places in one dimension; on the second
     # |factor| = 1.5 overflows past step 1750 without turning mu into NaN.
     yield ([1.0, 0.5], [0.0, 1.0], 1.0, 1e-3, 100)
     yield ([1.0, 0.001], [0.0, 1.0], 2.5, 1e-9, 10**6)
     yield ([1.0, 0.001], [0.0, 1.0], 2.5, 1e-9, 2000)
     yield ([1.0, 0.001], [1.0, 0.0], 1.5, 1e-9, 100)
     yield ([1.0, 0.5, 0.25], [1.0, 0.0, -2.0], 0.9, 1e-6, 1000)
+    yield from _underflow_lanes()
     # |factor| >= 1 on a live direction: Diverged, or factor -1 that
     # never decays, or a run that ends before it diverges.
     yield ([1.0, 0.1], [1.0, 1.0], 2.2, 1e-9, 10**6)
@@ -373,6 +374,44 @@ def _lanes():
             loss0 = 0.5 * float(np.sum(sigma * iota * iota))
             alpha = loss0 * 10.0 ** float(rng.uniform(-12, -0.1))
             yield sigma, iota, eta, alpha, int(rng.integers(1, 3000))
+
+
+def _underflow_lanes():
+    """Lanes whose last direction is dead by underflow: sigma iota^2 == 0, both nonzero.
+
+    sigma = 1e-200 gives that direction a factor of exactly 1, at n = 3
+    and at n = 11 (where numpy's row sums are unrolled), at rates 1.0
+    and 2.5.
+    """
+    for sigma in ([1.0, 0.5, 1e-200], [0.75 * 0.7**k for k in range(10)] + [1e-200]):
+        iota = [1.0] * (len(sigma) - 1) + [1e-120]
+        for eta in (1.0, 2.5):
+            yield sigma, iota, eta, 1e-6, 10**6
+
+
+def test_a_direction_dead_by_underflow_keeps_its_coefficient(monkeypatch):
+    """Its mu is iota, and its factor of 1 does not send the search back to step 1."""
+    starts = []
+    real = gd.hit_lower_bound
+
+    def recorded(*args):
+        starts.append(real(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(gd, "hit_lower_bound", recorded)
+    found = []
+    for sigma, iota, eta, alpha, t_max in _underflow_lanes():
+        obj = QuadraticObjective(diagonal_spectrum(np.array(sigma)), np.zeros(len(sigma)))
+        (run,) = level_set_runs([obj], np.array([iota]), [eta], [alpha], [t_max])
+        assert run.mu[-1] == run.iota[-1] == 1e-120
+        found.append((run.steps, run.stop_status))
+    assert found == [
+        (9, StopStatus.HIT_LEVEL_SET),
+        (35, StopStatus.DIVERGED),
+        (157, StopStatus.HIT_LEVEL_SET),
+        (62, StopStatus.HIT_LEVEL_SET),
+    ]
+    assert starts == [8, 156, 61]
 
 
 def _assert_same_run(got, want):

@@ -431,13 +431,18 @@ def test_certify_runs_start_at_the_lower_bound(monkeypatch):
 
 
 def _numpy_hit_lower_bound(weights, rates, alpha, t_max):
-    """Oracle: the lower bound evaluated with numpy logs on arrays."""
+    """Oracle: the lower bound evaluated with numpy logs on arrays.
+
+    A rate-0 term (a dead direction, or a factor of exactly 0) bounds no
+    step, so it is skipped.
+    """
     weights, rates = np.asarray(weights, dtype=float), np.asarray(rates, dtype=float)
     if 1.0 in rates:
         return 1
+    moving = rates != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (math.log(alpha) - np.log(weights)) / (2.0 * np.log(rates))
-    end = float(t.max())
+        t = (math.log(alpha) - np.log(weights[moving])) / (2.0 * np.log(rates[moving]))
+    end = float(t.max()) if t.size else -math.inf
     if not math.isfinite(end):
         return 1
     return min(max(math.ceil(end) - 1, 1), t_max)

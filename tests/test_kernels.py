@@ -428,10 +428,11 @@ def test_a_point_against_itself_gives_exactly_1_at_small_scales():
             assert np.array_equal(gaussian_cross_kernel(X, X, s), np.eye(3))
             assert np.all(np.diag(gaussian_cross_kernel(points, points, s)) == 1.0)
     # Above the line 2 s^2 = sqrt(eps) max ||x - mean||^2 the expansion is
-    # kept, and its residue of about 2.2e-16 at x_0 leaves k(x_0, x_0)
-    # below 1, by less than a few sqrt(eps).
+    # kept: its residue, if the BLAS product leaves one, keeps k(x, x)
+    # within a few sqrt(eps) of 1.
     floor = _expansion_floor(X, X)
     for s in (1.0001 * floor, 2.0 * floor, 1e-3, 0.1):
-        diag = np.diag(gaussian_cross_kernel(X, X, s))
-        assert diag[0] < 1.0 and np.all(1.0 - diag <= 4 * kernels.SQRT_EPS)
+        K = gaussian_cross_kernel(X, X, s)
+        assert K.tobytes() == _expanded_kernel(X, X, s).tobytes()
+        assert np.all(1.0 - np.diag(K) <= 4 * kernels.SQRT_EPS)
 

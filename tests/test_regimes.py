@@ -890,7 +890,7 @@ def test_certify_refuses_a_target_below_the_underflow_guard():
     alpha_fraction=st.floats(0.0, 1.0, exclude_min=True),
 )
 def test_theorem_holds_wherever_its_assumptions_do(seed, model_error_fraction, alpha_fraction):
-    """Every sub-verdict and the final bound hold on each pair that passes A1-A4.
+    """Every sub-verdict and the final bound hold on each pair that passes A1-A5.
 
     alpha is drawn in (0, alpha_1]; a draw that fails an assumption
     (mostly A4's model-error cap, or a target that underflows) checks
