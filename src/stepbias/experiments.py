@@ -247,6 +247,23 @@ def _block_numbers(group):
     return list(zip(iota, r_opt.tolist(), zip(lanes[:size], lanes[size:]), measured))
 
 
+def _attenuation_series(spec):
+    """The attenuation coefficient |1 - eta sigma_i| of each eigenvalue.
+
+    Each series runs over eta in [0.01, 2.1/sigma_1] (an increasing range
+    for sigma_1 < 210). |1 - eta sigma_i| is linear on either side of its
+    kink at 1/sigma_i, so the two ends, and the kink where it lies
+    strictly between them, draw it exactly.
+    """
+    lo, hi = 0.01, 2.1 / spec.top
+    series = []
+    for i, s in enumerate(spec.eigenvalues.tolist()):
+        kink = 1.0 / s
+        xs = (lo, kink, hi) if lo < kink < hi else (lo, hi)
+        series.append(Series(f"sigma_{i + 1}", xs, tuple(abs(1.0 - eta * s) for eta in xs)))
+    return series
+
+
 def _run_quadratic_certify(cfg, out):
     rows = []
     for first in range(0, cfg.instances, CERTIFY_BLOCK):
@@ -263,16 +280,9 @@ def _run_quadratic_certify(cfg, out):
             *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()),
         )
     out.csv("certificates.csv", rows, schema)
-    etas = np.linspace(0.01, 2.1 / spec.top, 200)
-    # The attenuation coefficient |1 - eta sigma| of each eigenvalue, per array.
-    xs = tuple(etas.tolist())
-    series = [
-        Series(f"sigma_{i + 1}", xs, tuple(np.abs(1.0 - etas * s).tolist()))
-        for i, s in enumerate(spec.eigenvalues)
-    ]
     out.svg(
         "attenuation.svg",
-        series,
+        _attenuation_series(spec),
         AxesSpec(
             title="Attenuation coefficients of the first instance",
             xlabel="step size",

@@ -22,6 +22,7 @@ from stepbias.config import (
     validate_config,
 )
 from stepbias.errors import IoError, ParseError, ValidationError
+from stepbias.instances import random_instances
 from stepbias.records import RegimeKind
 from stepbias.reporting import (
     AxesSpec,
@@ -30,6 +31,7 @@ from stepbias.reporting import (
     render_svg,
     write_csv,
 )
+from stepbias.spectral import Spectrum
 
 
 # ---------------------------------------------------------------- reporting
@@ -251,6 +253,54 @@ def test_every_written_svg_is_well_formed_xml(experiment, tmp_path):
     if experiment == "eta_sweep":
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "|<theta - theta_hat, e_1>|" in texts
+
+
+def _attenuation_spectra():
+    """Descending spectra with sigma_1 < 210, so 0.01 < 2.1/sigma_1.
+
+    Random ones of n = 2..8 over four decades, then pinned ones: a kink
+    below 0.01 (sigma_i > 100), kinks past 2.1/sigma_1, and kinks within
+    a few ulps of either end.
+    """
+    rng = np.random.default_rng(21)
+    spectra = [
+        np.sort(10.0 ** rng.uniform(-2.0, 2.0, size=n))[::-1]
+        for n in (2, 2, 3, 4, 5, 8, 8)
+    ]
+    spectra.append(np.array([150.0, 120.0, 60.0, 0.5]))
+    for top in (1.0, 3.7, 150.0):
+        hi = 2.1 / top
+        near = [1.0 / (0.01 + k * math.ulp(0.01)) for k in range(-3, 4)]
+        near += [1.0 / (hi + k * math.ulp(hi)) for k in range(-3, 4)]
+        spectra.append(np.array([top, *sorted((s for s in near if s < top), reverse=True)]))
+    return spectra
+
+
+@pytest.mark.parametrize("sigma", _attenuation_spectra())
+def test_attenuation_series_are_exact_through_each_kink(sigma):
+    spec = Spectrum(sigma, np.eye(sigma.size))
+    lo, hi = 0.01, 2.1 / sigma[0]
+    series = experiments._attenuation_series(spec)
+    assert [s.name for s in series] == [f"sigma_{i + 1}" for i in range(sigma.size)]
+    grid = np.linspace(lo, hi, 2000)
+    for s, sig in zip(series, sigma):
+        assert len(s.xs) in (2, 3) and len(s.ys) == len(s.xs)
+        assert s.xs[0] == lo and s.xs[-1] == hi
+        assert all(a < b for a, b in zip(s.xs, s.xs[1:]))
+        assert (len(s.xs) == 3) == (lo < 1.0 / sig < hi)
+        want = np.abs(1.0 - grid * sig)
+        assert np.max(np.abs(np.interp(grid, s.xs, s.ys) - want)) <= 1e-12
+
+
+def test_default_attenuation_figure_draws_each_eigenvalue_of_instance_0(tmp_path):
+    cfg = validate_config({"experiment": "quadratic_certify", "output_dir": str(tmp_path)})
+    experiments.run_experiment(cfg)
+    spec = random_instances([experiments.stream(cfg.seed, "certify-0")])[0].pair.train.spectrum
+    root = ElementTree.parse(tmp_path / "attenuation.svg").getroot()
+    lines = root.findall("{http://www.w3.org/2000/svg}polyline")
+    assert len(lines) == spec.n
+    for line, s in zip(lines, experiments._attenuation_series(spec)):
+        assert len(line.get("points").split()) == len(s.xs)
 
 
 def test_svg_text_is_escaped(tmp_path):
