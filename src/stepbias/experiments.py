@@ -201,7 +201,7 @@ def _certify_block(block, first):
 def _block_numbers(group):
     """(iota, r_opt, runs, measured) of each instance of a group of one dimension.
 
-    One matmul gives the gd.decompose of every theta0 and the test
+    One spectral.matvec gives the gd.decompose of every theta0 and the test
     coefficients of every train optimum, from which R(theta_hat) is
     evaluated; one gd.level_set_runs searches the Small and the Big lane
     of every instance, and run_measurements reads their final

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InfeasibleWindow
 from .quadratic import ProblemPair, QuadraticObjective
 from .records import _window_bounds, regime_records
-from .spectral import Spectrum
+from .spectral import Spectrum, dot, matvec
 
 MAX_DRAWS = 100
 
@@ -174,13 +174,14 @@ def _instance(drawn, train_basis, test_basis, eta_s, eta_b, alpha, cap, fraction
     test_spec = Spectrum(test_eigenvalues, test_basis)
     opt_test = opt_train.copy()
     if fraction > 0:
-        quad = 0.5 * float(direction @ test_spec.apply(direction))
+        quad = 0.5 * float(dot(direction, test_spec.apply(direction)))
         opt_test = opt_train + math.sqrt(fraction * cap * alpha / quad) * direction
     pair = ProblemPair(
         QuadraticObjective(Spectrum(train_eigenvalues, train_basis), opt_train),
         QuadraticObjective(test_spec, opt_test),
     )
-    return CertifyInstance(pair, opt_train + train_basis @ iota, eta_s, eta_b, alpha, int(t_max))
+    theta0 = opt_train + matvec(train_basis, iota)
+    return CertifyInstance(pair, theta0, eta_s, eta_b, alpha, int(t_max))
 
 
 def random_instances(rngs, n=None, model_error_fraction=None):

@@ -19,7 +19,7 @@ from .records import (
     UNDERFLOW_GUARD, RegimeKind, StepWindow, _libm, _padded, _positive_decreasing, _row, _square,
     _window_bounds, _window_refusal, pair_records,
 )
-from .spectral import apply_operator, matvec
+from .spectral import apply_operator, dot, matvec
 
 ASSUMPTIONS = (
     "A1_distinct_eigenvalues", "A2_rate_ordering", "A3_nonzero_initialization",
@@ -163,20 +163,18 @@ def run_measurements(train_bases, test_bases, test_eigenvalues, offsets, mu_s, m
 
     Each argument stacks a row per instance ((L, n, n) bases, (L, n)
     vectors): offsets theta_hat - theta_hat_*, mu_s and mu_b the final
-    coefficients of the runs. Each result has the bits of its instance
-    computed alone on the BLAS kernels spectral.matvec names; under
-    OpenBLAS's Prescott kernel the stacked dot products move r_big and
-    r_small by an ulp with the size of the stack. A test loss comes from
-    the error V mu + offset: at small targets theta - theta_hat_* sits
-    orders of magnitude below theta, and from run.theta it would cancel
-    catastrophically. Nothing raises or warns; certificates refuses what
-    these numbers cannot stand for.
+    coefficients of the runs. Every product is spectral's matvec or dot,
+    so each result has the bits of its instance computed alone. A test
+    loss comes from the error V mu + offset: at small targets
+    theta - theta_hat_* sits orders of magnitude below theta, and from
+    run.theta it would cancel catastrophically. Nothing raises or warns;
+    certificates refuses what these numbers cannot stand for.
     """
     with np.errstate(all="ignore"):
         err = matvec(train_bases, np.array([mu_b, mu_s]))
         err += offsets
         applied = apply_operator(test_bases, test_eigenvalues, err)
-        r_big, r_small = 0.5 * np.matmul(err[..., None, :], applied[..., None])[..., 0, 0]
+        r_big, r_small = 0.5 * dot(err, applied)
         eps_b2 = _mass_ratios(mu_b[..., 0], mu_b[..., 1:])
         return eps_b2, _mass_ratios(mu_s[..., -1], mu_s[..., :-1]), r_big, r_small
 

@@ -67,15 +67,24 @@ class Spectrum:
 
 
 def matvec(a, v):
-    """a @ v over stacks: (..., m, n) matrices times (..., n) vectors.
+    """a v over stacks: (..., m, n) matrices times (..., n) vectors.
 
-    One np.matmul call; on one matrix it is a @ v. Stacked, each product
-    is the matrix-vector product of its own pair, as BLAS computes it for
-    that pair alone, on the OpenBLAS kernels checked (SkylakeX, Haswell
-    and Sandybridge; tests/test_certify_block.py checks the bits). Other
-    kernels may round a stacked product by the size of the stack.
+    Entry i is dot(a[..., i, :], v). matvec and dot are the certify
+    path's one product rule: no BLAS call rounds them.
     """
-    return np.matmul(a, v[..., None])[..., 0]
+    return dot(a, v[..., None, :])
+
+
+def dot(a, b):
+    """The dot products of a and b along the last axis, over broadcast stacks.
+
+    The elementwise products go into a fresh C-ordered array, so each row
+    is contiguous whatever the layout of a and b (a transposed basis
+    included), and numpy sums each contiguous row in one fixed pairwise
+    order. A row of a stack thus has the bits of that row alone, on any
+    BLAS library, kernel or thread count.
+    """
+    return np.multiply(a, b, order="C").sum(axis=-1)
 
 
 def apply_operator(q, w, v):

@@ -2,19 +2,21 @@
 
 quadratic_certify certifies each block of instances with stacked numpy
 work (experiments._certify_block), and gd.level_set_runs searches every
-level set, of one lane or of many, in lockstep. Both must give the bits
-of the one-lane search they replaced, kept here as reference_run:
-regimes.certify on two such runs for a block, and the GDRun or the
-error of each lane for level_set_runs. The column passes
+level set in lockstep. Both must give the bits of the one-lane search
+they replaced, kept here as reference_run, and the column passes
 (records.regime_records, regimes.assumption_checks and
-regimes.certificates) must give each row the bits of their one-row
-views. CI reruns the suite with numpy's AVX-512 kernels disabled,
-since the agreement rests on numpy's SIMD dispatch.
+regimes.certificates) the bits of their one-row views. The bits rest on
+numpy's SIMD dispatch and not on BLAS: CI reruns the suite with numpy's
+AVX-512 kernels disabled and under OpenBLAS's Prescott kernel.
 """
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,3 +490,50 @@ def test_lockstep_steps_one_and_two_take_numpys_fast_paths():
     for t in (0, 1, 2, 3, 7):
         got = gd._powers(factors, [t] * len(factors))
         assert got.tobytes() == np.array([row**t for row in factors]).tobytes()
+
+
+# Certifies the default quadratic_certify at CERTIFY_BLOCK 1 and 40 into
+# sys.argv[1] and prints each certificates.csv sha256.
+_HASH_CHILD = """
+import hashlib, sys
+from pathlib import Path
+from stepbias import experiments
+from stepbias.config import validate_config
+for block in (1, 40):
+    experiments.CERTIFY_BLOCK = block
+    out = Path(sys.argv[1]) / str(block)
+    experiments.run_experiment(
+        validate_config({"experiment": "quadratic_certify", "output_dir": str(out)})
+    )
+    print(hashlib.sha256((out / "certificates.csv").read_bytes()).hexdigest())
+"""
+
+
+def test_certificates_do_not_depend_on_the_blas_kernel_threads_or_block(tmp_path):
+    """One certificates.csv under three OpenBLAS kernels, 1 and 2 threads, blocks 1 and 40.
+
+    OpenBLAS reads its kernel and thread count when it loads, so each
+    setting runs in its own child process. Prescott is the kernel that
+    rounds a stacked BLAS product by the size of the stack.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("OPENBLAS_", "OMP_"))}
+    env["PYTHONPATH"] = str(Path(experiments.__file__).resolve().parents[1])
+    children = []
+    for coretype in (None, "Prescott", "Sandybridge"):
+        for threads in ("1", "2"):
+            setting = {"OPENBLAS_NUM_THREADS": threads}
+            if coretype:
+                setting["OPENBLAS_CORETYPE"] = coretype
+            out = tmp_path / f"{coretype}-{threads}"
+            child = subprocess.Popen(
+                [sys.executable, "-c", _HASH_CHILD, str(out)], env={**env, **setting},
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            children.append((setting, child))
+    hashes = {}
+    for setting, child in children:
+        stdout, stderr = child.communicate(timeout=120)
+        assert child.returncode == 0, (setting, stderr)
+        for block, digest in zip((1, 40), stdout.split()):
+            hashes.setdefault(digest, []).append((setting, block))
+    assert len(hashes) == 1, hashes

@@ -44,7 +44,7 @@ from stepbias.regimes import (
     check_assumptions,
     run_measurements,
 )
-from stepbias.spectral import Spectrum, condition_number, diagonal_spectrum
+from stepbias.spectral import Spectrum, condition_number, diagonal_spectrum, dot, matvec
 
 SPEC = diagonal_spectrum([1.0, 0.9, 0.3, 0.2])
 # The rate thresholds 2/(sigma_1+sigma_n) and 2/sigma_1 of SPEC.
@@ -352,7 +352,7 @@ def _random_instance_reference(rng, n, model_error_fraction):
         )
         if alpha >= 1e-280:
             break
-    theta0 = opt_train + train_spec.eigenvectors @ iota
+    theta0 = opt_train + matvec(train_spec.eigenvectors, iota)
     fraction = model_error_fraction
     if fraction is None:
         fraction = 0.1 if rng.uniform() < 0.5 else 0.0
@@ -360,7 +360,7 @@ def _random_instance_reference(rng, n, model_error_fraction):
     if fraction > 0:
         cap = min(0.25, kappa_F / (72.0 * kappa_R))
         direction = rng.normal(size=n)
-        quad = 0.5 * float(direction @ test_spec.apply(direction))
+        quad = 0.5 * float(dot(direction, test_spec.apply(direction)))
         opt_test = opt_train + math.sqrt(fraction * cap * alpha / quad) * direction
     small, big = RegimeKind.SMALL, RegimeKind.BIG
     win_s = _step_window_reference(train_spec, iota, eta_s, alpha, kappa_R, small)
@@ -1023,8 +1023,8 @@ def test_check_assumptions_on_non_positive_rates_fails_a2():
 def _test_loss_reference(pair, run):
     """Oracle: R(theta) of a run from V mu + (theta_hat - theta_hat_*)."""
     offset = pair.train.optimum - pair.test.optimum
-    err = pair.train.spectrum.eigenvectors @ run.mu + offset
-    return 0.5 * float(err @ pair.test.spectrum.apply(err))
+    err = matvec(pair.train.spectrum.eigenvectors, run.mu) + offset
+    return 0.5 * float(dot(err, pair.test.spectrum.apply(err)))
 
 
 def test_certify_ratios_and_test_losses_match_the_references():

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from stepbias.spectral import (
     EPS,
     condition_number,
     diagonal_spectrum,
+    dot,
     eig_sym,
     eigvals_sym,
+    matvec,
 )
 from stepbias.kernels import gaussian_kernel_matrix, two_cluster_dataset
 
@@ -188,3 +191,59 @@ def test_property_reconstruction(n, seed):
         spec = eig_sym(A)
     scale = max(np.max(np.abs(A)), 1.0)
     assert np.allclose(spec.matrix(), A, atol=1e-11 * scale * n)
+
+
+def _scaled(rng, shape):
+    """Normal draws of both signs scaled by 2^-20..2^20, so sums cancel and round."""
+    return rng.normal(size=shape) * np.exp2(rng.integers(-20, 21, size=shape))
+
+
+def test_stacked_products_have_the_bits_of_each_row_alone():
+    """matvec and dot on stacks of 1-50 rows of n = 1..12, fresh copies of each row alone.
+
+    From n = 8 numpy sums a row with eight accumulators. matvec is
+    checked as run_measurements calls it (one basis per row against two
+    stacked vectors) and on transposed bases, as apply_operator calls
+    it, where a transposed view and its contiguous copy give the same
+    bits.
+    """
+    rng = np.random.default_rng(11)
+    for n in range(1, 13):
+        for stack in range(1, 51):
+            a = _scaled(rng, (stack, n, n))
+            v, w = _scaled(rng, (2, stack, n))
+            both = matvec(a, np.array([v, w]))
+            transposed = matvec(a.swapaxes(-1, -2), v)
+            dots = dot(v, w)
+            for k in range(stack):
+                # Fresh copies: a row alone starts at its own allocation's
+                # alignment, not at byte k n^2 8 or k n 8 of the stack.
+                ak, vk, wk = a[k].copy(), v[k].copy(), w[k].copy()
+                assert both[0, k].tobytes() == matvec(ak, vk).tobytes()
+                assert both[1, k].tobytes() == matvec(ak, wk).tobytes()
+                assert transposed[k].tobytes() == matvec(ak.T, vk).tobytes()
+                assert transposed[k].tobytes() == matvec(ak.T.copy(), vk).tobytes()
+                assert dots[k].tobytes() == dot(vk, wk).tobytes()
+
+
+def test_products_are_within_the_dot_product_error_bound():
+    """|fl(a . b) - a . b| <= gamma_n sum |a_i b_i|, gamma_n = n u / (1 - n u).
+
+    The bound is Higham's (Accuracy and Stability of Numerical
+    Algorithms, section 3.1) for any summation order. The reference is
+    the exact sum of the exact products, in rationals: math.fsum would
+    take the products already rounded.
+    """
+    u = Fraction(1, 2**53)
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        gamma = n * u / (1 - n * u)
+        a = _scaled(rng, (20, n, n))
+        v, w = _scaled(rng, (2, 20, n))
+        pairs = [(v, w, dot(v, w))]
+        pairs += [(a[:, i], v, matvec(a, v)[:, i]) for i in range(n)]
+        for xs, ys, got in pairs:
+            for x, y, g in zip(xs.tolist(), ys.tolist(), got.tolist()):
+                products = [Fraction(p) * Fraction(q) for p, q in zip(x, y)]
+                exact = sum(products)
+                assert abs(Fraction(g) - exact) <= gamma * sum(map(abs, products))
