@@ -224,7 +224,6 @@ def _block_numbers(group):
     coeffs = coefficients(bases, points[:, :2], points[:, 1:])
     iota = coeffs[:, 0]
     r_opt = excess_losses(test_sig, coeffs[:, 1])
-    r_opt += [p.test.min_value for p in pairs]
     starts = np.concatenate([iota, iota])
     lanes = gd.level_set_runs(
         [p.train for p in pairs] * 2,
@@ -337,22 +336,8 @@ def _sweep_problem(cfg):
         obj=obj,
         alpha_star=alpha_star,
         test=test,
-        excess0=0.5 * float(np.sum(obj.spectrum.eigenvalues * obj.optimum**2)),
+        excess0=float(excess_losses(obj.spectrum.eigenvalues, obj.optimum)),
     )
-
-
-def _norm(mu):
-    """Euclidean norm of mu, finite whenever the true norm is.
-
-    sqrt(sum(mu * mu)) overflows once mu reaches about 1e154; only then,
-    if every mu is finite, is the norm taken over mu / max|mu| instead.
-    """
-    with np.errstate(over="ignore"):
-        norm = float(np.sqrt(np.sum(mu * mu)))
-        if math.isinf(norm) and np.all(np.isfinite(mu)):
-            top = float(np.max(np.abs(mu)))
-            norm = top * float(np.sqrt(np.sum((mu / top) ** 2)))
-    return norm
 
 
 def _level_runs(sweep, eta_mults, alphas):
@@ -378,7 +363,7 @@ def _level_runs(sweep, eta_mults, alphas):
     alpha_hats = [sweep.alpha_star + kernels.from_eigen_coords(sweep.prob, run.mu) for run in runs]
     errors = kernels.binary_error(sweep.prob, np.array(alpha_hats), sweep.test)
     return [
-        (run, abs(float(run.mu[0])), _norm(run.mu), 1.0 - error)
+        (run, abs(float(run.mu[0])), math.hypot(*run.mu.tolist()), 1.0 - error)
         for run, error in zip(runs, errors.tolist())
     ]
 
@@ -386,8 +371,11 @@ def _level_runs(sweep, eta_mults, alphas):
 def _level_target(fraction, excess0):
     """The level-set target fraction * excess0 of a sweep.
 
-    Raises InfeasibleWindow when it underflows to 0, as it does when a
-    huge lam leaves the initial excess loss below about 1e-300.
+    Raises InfeasibleWindow when it underflows to 0: for a fraction near
+    5e-324, or when n (sigma + lam) overflows, which leaves the optimum
+    and with it excess0 at 0. excess0 is quadratic.excess_losses of the
+    optimum, which multiplies sigma_i by each coefficient before the
+    other, so no coefficient is squared on its own to underflow.
     """
     alpha = fraction * excess0
     if not alpha > 0:

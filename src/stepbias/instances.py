@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleWindow
-from .quadratic import ProblemPair, QuadraticObjective
+from .quadratic import ProblemPair, QuadraticObjective, coefficients, excess_losses
 from .records import _window_bounds, regime_records
-from .spectral import Spectrum, dot, matvec
+from .spectral import Spectrum, condition_number, matvec
 
 MAX_DRAWS = 100
 
@@ -151,7 +151,7 @@ def _draw(rng, n):
 def _numbers(drawn):
     """kappa_R, eta_s = 1/(sigma_1 + sigma_n) and eta_b = 1.9/sigma_1 of an attempt."""
     sig, test = drawn[0], drawn[2]
-    return test[0] / test[-1], 1.0 / (sig[0] + sig[-1]), 1.9 / sig[0]
+    return condition_number(test), 1.0 / (sig[0] + sig[-1]), 1.9 / sig[0]
 
 
 def _target(record):
@@ -171,14 +171,13 @@ def _records(drawn):
 def _instance(drawn, train_basis, test_basis, eta_s, eta_b, alpha, cap, fraction, direction, t_max):
     """The CertifyInstance of an accepted attempt on its bases, from its record's numbers."""
     train_eigenvalues, _, test_eigenvalues, _, opt_train, iota = drawn
-    test_spec = Spectrum(test_eigenvalues, test_basis)
     opt_test = opt_train.copy()
     if fraction > 0:
-        quad = 0.5 * float(dot(direction, test_spec.apply(direction)))
+        quad = float(excess_losses(test_eigenvalues, coefficients(test_basis, direction, 0.0)))
         opt_test = opt_train + math.sqrt(fraction * cap * alpha / quad) * direction
     pair = ProblemPair(
         QuadraticObjective(Spectrum(train_eigenvalues, train_basis), opt_train),
-        QuadraticObjective(test_spec, opt_test),
+        QuadraticObjective(Spectrum(test_eigenvalues, test_basis), opt_test),
     )
     theta0 = opt_train + matvec(train_basis, iota)
     return CertifyInstance(pair, theta0, eta_s, eta_b, alpha, int(t_max))

@@ -85,7 +85,8 @@ def evaluate(obj, theta):
 def grad(obj, theta):
     """Gradient T (theta - optimum); zero at the optimum."""
     theta = _check_dim(obj, theta)
-    return obj.spectrum.apply(theta - obj.optimum)
+    q = obj.spectrum.eigenvectors
+    return matvec(q, obj.spectrum.eigenvalues * coefficients(q, theta, obj.optimum))
 
 
 def from_kernel(K, y, lam):

@@ -15,11 +15,12 @@ import numpy as np
 
 from .errors import InvalidRegime, LevelSetMismatch, RegimeMismatch, ZeroDenominator
 from .gd import GDRun, StopStatus, decompose
+from .quadratic import coefficients, excess_losses
 from .records import (
     UNDERFLOW_GUARD, RegimeKind, StepWindow, _libm, _padded, _positive_decreasing, _row, _square,
     _window_bounds, _window_refusal, pair_records,
 )
-from .spectral import apply_operator, dot, matvec
+from .spectral import matvec
 
 ASSUMPTIONS = (
     "A1_distinct_eigenvalues", "A2_rate_ordering", "A3_nonzero_initialization",
@@ -163,9 +164,10 @@ def run_measurements(train_bases, test_bases, test_eigenvalues, offsets, mu_s, m
 
     Each argument stacks a row per instance ((L, n, n) bases, (L, n)
     vectors): offsets theta_hat - theta_hat_*, mu_s and mu_b the final
-    coefficients of the runs. Every product is spectral's matvec or dot,
-    so each result has the bits of its instance computed alone. A test
-    loss comes from the error V mu + offset: at small targets
+    coefficients of the runs. Every product is spectral's matvec, so each
+    result has the bits of its instance computed alone. A test loss is
+    quadratic.excess_losses of the test eigen-coefficients of the error
+    V mu + offset, a sum of nonnegative terms: at small targets
     theta - theta_hat_* sits orders of magnitude below theta, and from
     run.theta it would cancel catastrophically. Nothing raises or warns;
     certificates refuses what these numbers cannot stand for.
@@ -173,8 +175,7 @@ def run_measurements(train_bases, test_bases, test_eigenvalues, offsets, mu_s, m
     with np.errstate(all="ignore"):
         err = matvec(train_bases, np.array([mu_b, mu_s]))
         err += offsets
-        applied = apply_operator(test_bases, test_eigenvalues, err)
-        r_big, r_small = 0.5 * dot(err, applied)
+        r_big, r_small = excess_losses(test_eigenvalues, coefficients(test_bases, err, 0.0))
         eps_b2 = _mass_ratios(mu_b[..., 0], mu_b[..., 1:])
         return eps_b2, _mass_ratios(mu_s[..., -1], mu_s[..., :-1]), r_big, r_small
 

@@ -61,35 +61,18 @@ class Spectrum:
         q = self.eigenvectors
         return (q * self.eigenvalues) @ q.T
 
-    def apply(self, vec):
-        """Apply the operator to a vector without forming the matrix."""
-        return apply_operator(self.eigenvectors, self.eigenvalues, np.asarray(vec))
-
 
 def matvec(a, v):
     """a v over stacks: (..., m, n) matrices times (..., n) vectors.
 
-    Entry i is dot(a[..., i, :], v). matvec and dot are the certify
-    path's one product rule: no BLAS call rounds them.
+    Entry i is the dot product of a[..., i, :] and v. The certify path's
+    one product: the elementwise products go into a fresh C-ordered
+    array, so each row is contiguous whatever the layout of a and v (a
+    transposed basis included), and numpy sums each contiguous row in
+    one fixed pairwise order. A row of a stack thus has the bits of that
+    row alone, on any BLAS library, kernel or thread count.
     """
-    return dot(a, v[..., None, :])
-
-
-def dot(a, b):
-    """The dot products of a and b along the last axis, over broadcast stacks.
-
-    The elementwise products go into a fresh C-ordered array, so each row
-    is contiguous whatever the layout of a and b (a transposed basis
-    included), and numpy sums each contiguous row in one fixed pairwise
-    order. A row of a stack thus has the bits of that row alone, on any
-    BLAS library, kernel or thread count.
-    """
-    return np.multiply(a, b, order="C").sum(axis=-1)
-
-
-def apply_operator(q, w, v):
-    """Q diag(w) Q^T v over stacks of eigenbases q, eigenvalues w and vectors v."""
-    return matvec(q, w * matvec(q.swapaxes(-1, -2), v))
+    return np.multiply(a, v[..., None, :], order="C").sum(axis=-1)
 
 
 def diagonal_spectrum(values, degenerate=False):

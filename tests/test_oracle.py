@@ -1,21 +1,23 @@
-"""The regime record, step windows and kernel eigenvalues against 50-digit mpmath evaluations.
+"""The regime record, step windows, kernel eigenvalues and sweep norms against 50-digit mpmath.
 
 Every input (eigenvalues, iota, step sizes, alpha, kernel matrices) is
 taken exactly as the float code sees it, so the only difference is the
 rounding of the float arithmetic.
 """
 
+import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from stepbias import gd
+from stepbias import experiments, gd
+from stepbias.config import validate_config
 from stepbias.errors import DegenerateSpectrum
 from stepbias.kernels import gaussian_kernel_matrix, two_cluster_dataset
 from stepbias.spectral import DEGENERACY_RTOL, EPS, _check_degenerate, eig_sym, eigvals_sym
-from stepbias.experiments import stream
+from stepbias.experiments import run_experiment, stream
 from stepbias.instances import random_instance
 from stepbias.records import pair_records
 from stepbias.regimes import certify
@@ -138,3 +140,27 @@ def test_small_kernel_eigenvalues_agree_with_50_digit_eigsy(scale, seed):
             errors = [float(abs(mpmath.mpf(float(g)) - e)) for g, e in zip(got, exact)]
             assert max(errors) <= atol, errors
     assert spec.degenerate == _check_degenerate(values) == exact_degenerate
+
+
+@pytest.mark.parametrize("lam", [1e155, 1e160, 1e200])
+def test_sweep_hilbert_norms_agree_with_50_digit_evaluation(lam, tmp_path):
+    """Every eta_sweep row's hilbert_norm within 2 ulps of ||mu|| at 50 digits.
+
+    At these lam every mu sits near 1e-156 to 1e-201, where squaring a
+    coefficient on its own loses digits or underflows.
+    """
+    raw = {"experiment": "eta_sweep", "n": 20, "lam": lam, "output_dir": str(tmp_path)}
+    cfg = validate_config(raw)
+    run_experiment(cfg)
+    with open(tmp_path / "eta_sweep.csv") as fh:
+        norms = [float(line.split(",")[5]) for line in fh.readlines()[1:]]
+    sweep = experiments._sweep_problem(cfg)
+    grid = [float(e) for e in cfg.eta_grid]
+    alpha = experiments._level_target(0.05, sweep.excess0)
+    runs = experiments._level_runs(sweep, grid, [alpha] * len(grid))
+    assert len(norms) == len(runs) == len(grid)
+    for got, (run, *_) in zip(norms, runs):
+        with mpmath.workdps(50):
+            want = mpmath.sqrt(mpmath.fsum(mpmath.mpf(m) ** 2 for m in run.mu.tolist()))
+            assert math.isfinite(got)
+            assert abs(mpmath.mpf(got) - want) <= 2 * math.ulp(float(want))

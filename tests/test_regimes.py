@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from stepbias.errors import (
 from stepbias.config import validate_config
 from stepbias.experiments import run_experiment, stream
 from stepbias.instances import random_instance
-from stepbias.quadratic import ProblemPair, QuadraticObjective
+from stepbias.quadratic import ProblemPair, QuadraticObjective, evaluate
 from stepbias.records import (
     RegimeKind,
     StepWindow,
@@ -44,7 +45,7 @@ from stepbias.regimes import (
     check_assumptions,
     run_measurements,
 )
-from stepbias.spectral import Spectrum, condition_number, diagonal_spectrum, dot, matvec
+from stepbias.spectral import Spectrum, condition_number, diagonal_spectrum, matvec
 
 SPEC = diagonal_spectrum([1.0, 0.9, 0.3, 0.2])
 # The rate thresholds 2/(sigma_1+sigma_n) and 2/sigma_1 of SPEC.
@@ -360,7 +361,7 @@ def _random_instance_reference(rng, n, model_error_fraction):
     if fraction > 0:
         cap = min(0.25, kappa_F / (72.0 * kappa_R))
         direction = rng.normal(size=n)
-        quad = 0.5 * float(dot(direction, test_spec.apply(direction)))
+        quad = evaluate(QuadraticObjective(test_spec, np.zeros(n)), direction)
         opt_test = opt_train + math.sqrt(fraction * cap * alpha / quad) * direction
     small, big = RegimeKind.SMALL, RegimeKind.BIG
     win_s = _step_window_reference(train_spec, iota, eta_s, alpha, kappa_R, small)
@@ -1020,11 +1021,16 @@ def test_check_assumptions_on_non_positive_rates_fails_a2():
         assert "NotPositive" in (kinds["eta_s_kind"], kinds["eta_b_kind"])
 
 
-def _test_loss_reference(pair, run):
-    """Oracle: R(theta) of a run from V mu + (theta_hat - theta_hat_*)."""
+def _test_error(pair, run):
+    """theta - theta_hat_* of a run, as V mu + (theta_hat - theta_hat_*)."""
     offset = pair.train.optimum - pair.test.optimum
-    err = matvec(pair.train.spectrum.eigenvectors, run.mu) + offset
-    return 0.5 * float(dot(err, pair.test.spectrum.apply(err)))
+    return matvec(pair.train.spectrum.eigenvectors, run.mu) + offset
+
+
+def _test_loss_reference(pair, run):
+    """Oracle: R(theta) of a run, the zero-optimum test objective at its error."""
+    zero_optimum = QuadraticObjective(pair.test.spectrum, np.zeros(pair.n))
+    return evaluate(zero_optimum, _test_error(pair, run))
 
 
 def test_certify_ratios_and_test_losses_match_the_references():
@@ -1042,3 +1048,49 @@ def test_certify_ratios_and_test_losses_match_the_references():
         mu = rng.normal(size=int(rng.integers(2, 12))) * 10.0 ** rng.integers(-5, 5)
         assert _mass_ratios(mu[0], mu[1:]) == epsilon_ratio(_fake_run(mu), RegimeKind.BIG)
         assert _mass_ratios(mu[-1], mu[:-1]) == epsilon_ratio(_fake_run(mu), RegimeKind.SMALL)
+
+
+def _within_the_test_loss_bound(got, eigenvalues, basis, err):
+    """|got - R| <= 4 gamma_{n+1} 1/2 sum_i sigma_i a_i^2, a_i = sum_j |W_ji err_j|.
+
+    R = 1/2 sum_i sigma_i (w_i . err)^2 is exact, in rationals, on the
+    float err, eigenbasis W and eigenvalues sigma; gamma_k = k u / (1 - k u).
+    Every term of the computed sum is nonnegative, so its rounding stays
+    within a few gamma_n of the terms (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1).
+    """
+    u = Fraction(1, 2**53)
+    n = len(err)
+    gamma = (n + 1) * u / (1 - (n + 1) * u)
+    err = [Fraction(e) for e in err.tolist()]
+    columns = [[Fraction(w) for w in col] for col in basis.T.tolist()]
+    sigma = [Fraction(s) for s in eigenvalues.tolist()]
+    coeffs = [sum(w * e for w, e in zip(col, err)) for col in columns]
+    mags = [sum(abs(w * e) for w, e in zip(col, err)) for col in columns]
+    exact = sum(s * c * c for s, c in zip(sigma, coeffs)) / 2
+    scale = sum(s * a * a for s, a in zip(sigma, mags)) / 2
+    return abs(Fraction(got) - exact) <= 4 * gamma * scale
+
+
+def test_certify_test_losses_are_within_the_rounding_bound_of_the_exact_loss():
+    """r_big and r_small against the exact R of their float errors, with and without model error."""
+    for seed, n, fraction in _draws(60):
+        inst = _generated(seed, n=n, model_error_fraction=fraction)
+        run_s, run_b = _runs_for(inst)
+        cert = certify(inst.pair, run_s, run_b, inst.alpha)
+        test = inst.pair.test.spectrum
+        for got, run in ((cert.r_big, run_b), (cert.r_small, run_s)):
+            err = _test_error(inst.pair, run)
+            assert _within_the_test_loss_bound(got, test.eigenvalues, test.eigenvectors, err)
+    # Stacks of n = 1..12 (numpy sums a row with eight accumulators from
+    # n = 8), whose errors cancel across scales 2^-20..2^20.
+    rng = np.random.default_rng(6)
+    for n in range(1, 13):
+        train, test = rng.normal(size=(2, 5, n, n))
+        sigma = rng.uniform(0.1, 1.0, size=(5, n))
+        offsets, mu_s, mu_b = rng.normal(size=(3, 5, n)) * np.exp2(rng.integers(-20, 21, (3, 5, n)))
+        _, _, r_big, r_small = run_measurements(train, test, sigma, offsets, mu_s, mu_b)
+        err_b, err_s = matvec(train, np.array([mu_b, mu_s])) + offsets
+        for k in range(5):
+            assert _within_the_test_loss_bound(r_big[k], sigma[k], test[k], err_b[k])
+            assert _within_the_test_loss_bound(r_small[k], sigma[k], test[k], err_s[k])

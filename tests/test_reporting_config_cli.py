@@ -524,13 +524,6 @@ def test_cli_huge_finite_step_size_reports_a_finite_hilbert_norm(tmp_path, capsy
     assert math.isfinite(hilbert_norm) and hilbert_norm >= proj_e1 > 1e299
 
 
-def test_scaled_norm_only_on_overflow():
-    mu = np.array([3.0, -4.0, 1e-3])
-    assert experiments._norm(mu) == float(np.sqrt(np.sum(mu * mu)))
-    assert experiments._norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
-    assert experiments._norm(np.array([np.inf, 1.0])) == math.inf
-
-
 def _stepbias_errors(cls=errors.StepbiasError):
     for sub in cls.__subclasses__():
         yield sub
@@ -587,19 +580,43 @@ def test_cli_manifest_hashes_match_files(tmp_path):
 @pytest.mark.parametrize(
     "raw",
     [
+        # The second fraction times the initial excess loss underflows.
+        {"experiment": "alpha_sweep", "n": 20, "alpha_grid": [0.5, 5e-324]},
+        # n (sigma + lam) overflows, so the optimum and the initial excess
+        # loss are 0, and with them alpha.
+        {"experiment": "eta_sweep", "n": 20, "lam": 1.7e308},
+    ],
+)
+def test_cli_underflowed_level_set_target_is_a_refusal(raw, tmp_path, capsys):
+    path = _write_cfg(tmp_path, **raw)
+    assert cli.main(["run", "--config", path, "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "level-set target" in err and "underflows to 0.0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
         {"experiment": "eta_sweep", "n": 20, "lam": 1e300},
         {"experiment": "eta_sweep", "n": 20, "lam": 1e200},
         {"experiment": "alpha_sweep", "n": 20, "lam": 1e300},
         {"experiment": "alpha_sweep", "n": 20, "lam": 1e200},
     ],
 )
-def test_cli_underflowed_level_set_target_is_a_refusal(raw, tmp_path, capsys):
-    # A huge lam leaves the initial excess loss at 0, and with it alpha.
+def test_cli_huge_lam_keeps_a_positive_level_set_target(raw, tmp_path, capsys):
+    # The initial excess loss sits near 1e-201 or 1e-301, far above the
+    # smallest float, and so does every target.
     path = _write_cfg(tmp_path, **raw)
-    assert cli.main(["run", "--config", path, "--output-dir", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "level-set target" in err and "underflows to 0.0" in err
-    assert "Traceback" not in err
+    out_dir = tmp_path / "o"
+    assert cli.main(["run", "--config", path, "--output-dir", str(out_dir)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    _, rows = read_csv(out_dir / f"{raw['experiment']}.csv")
+    assert rows and all(math.isfinite(v) for row in rows for v in row if not isinstance(v, str))
+    if raw["experiment"] == "alpha_sweep":
+        assert all(row[1] > 0 for row in rows)
+    else:
+        assert all(row[3] == "HitLevelSet" for row in rows)
 
 
 _FIELD_VALUES = [

@@ -17,12 +17,12 @@ from stepbias.spectral import (
     EPS,
     condition_number,
     diagonal_spectrum,
-    dot,
     eig_sym,
     eigvals_sym,
     matvec,
 )
 from stepbias.kernels import gaussian_kernel_matrix, two_cluster_dataset
+from stepbias.quadratic import QuadraticObjective, grad
 
 
 def random_symmetric(rng, n):
@@ -46,8 +46,9 @@ def test_eigenvectors_orthonormal_and_reconstruct():
     v = spec.eigenvectors
     assert np.allclose(v.T @ v, np.eye(12), atol=1e-12)
     assert np.allclose(spec.matrix(), A, atol=1e-12)
-    x = rng.normal(size=12)
-    assert np.allclose(spec.apply(x), A @ x, atol=1e-12)
+    theta, optimum = rng.normal(size=(2, 12))
+    got = grad(QuadraticObjective(spec, optimum), theta)
+    assert np.allclose(got, spec.matrix() @ (theta - optimum), atol=1e-12)
 
 
 def test_descending_order_and_sign_convention():
@@ -199,13 +200,13 @@ def _scaled(rng, shape):
 
 
 def test_stacked_products_have_the_bits_of_each_row_alone():
-    """matvec and dot on stacks of 1-50 rows of n = 1..12, fresh copies of each row alone.
+    """matvec on stacks of 1-50 rows of n = 1..12, fresh copies of each row alone.
 
     From n = 8 numpy sums a row with eight accumulators. matvec is
     checked as run_measurements calls it (one basis per row against two
-    stacked vectors) and on transposed bases, as apply_operator calls
-    it, where a transposed view and its contiguous copy give the same
-    bits.
+    stacked vectors), on transposed bases, as coefficients calls it,
+    where a transposed view and its contiguous copy give the same bits,
+    and on one-row matrices, a dot product per row.
     """
     rng = np.random.default_rng(11)
     for n in range(1, 13):
@@ -214,7 +215,7 @@ def test_stacked_products_have_the_bits_of_each_row_alone():
             v, w = _scaled(rng, (2, stack, n))
             both = matvec(a, np.array([v, w]))
             transposed = matvec(a.swapaxes(-1, -2), v)
-            dots = dot(v, w)
+            dots = matvec(v[:, None], w)[:, 0]
             for k in range(stack):
                 # Fresh copies: a row alone starts at its own allocation's
                 # alignment, not at byte k n^2 8 or k n 8 of the stack.
@@ -223,7 +224,7 @@ def test_stacked_products_have_the_bits_of_each_row_alone():
                 assert both[1, k].tobytes() == matvec(ak, wk).tobytes()
                 assert transposed[k].tobytes() == matvec(ak.T, vk).tobytes()
                 assert transposed[k].tobytes() == matvec(ak.T.copy(), vk).tobytes()
-                assert dots[k].tobytes() == dot(vk, wk).tobytes()
+                assert dots[k].tobytes() == matvec(vk[None], wk)[0].tobytes()
 
 
 def test_products_are_within_the_dot_product_error_bound():
@@ -240,7 +241,7 @@ def test_products_are_within_the_dot_product_error_bound():
         gamma = n * u / (1 - n * u)
         a = _scaled(rng, (20, n, n))
         v, w = _scaled(rng, (2, 20, n))
-        pairs = [(v, w, dot(v, w))]
+        pairs = [(v, w, matvec(v[:, None], w)[:, 0])]
         pairs += [(a[:, i], v, matvec(a, v)[:, i]) for i in range(n)]
         for xs, ys, got in pairs:
             for x, y, g in zip(xs.tolist(), ys.tolist(), got.tolist()):

@@ -52,7 +52,10 @@ EXPERIMENTS = (
 WORKLOADS = ("certify_stream", "toy2d_grid", "kernel_sweeps")
 # Kernel sweeps at rates past 2/sigma_1, at n = 20 and the default n, and
 # two that a tree refuses: a target above the initial loss, and a target
-# fraction that underflows after one that does not.
+# fraction that underflows after one that does not. Then sweeps at lam
+# 1e160 and 1e200, whose initial losses and Hilbert norms are formed from
+# coefficients whose squares alone would underflow, and one whose
+# n (sigma + lam) overflows, leaving the initial loss at 0 (refused).
 LEVEL_SET_EDGES = [
     {"experiment": experiment, "n": n, **edge}
     for n in (20, 200)
@@ -63,6 +66,10 @@ LEVEL_SET_EDGES = [
 ] + [
     {"experiment": "eta_sweep", "n": 20, "alpha": 1e6},
     {"experiment": "alpha_sweep", "n": 20, "alpha_grid": [0.5, 5e-324]},
+    {"experiment": "eta_sweep", "n": 20, "lam": 1e160},
+    {"experiment": "eta_sweep", "n": 20, "lam": 1e200},
+    {"experiment": "alpha_sweep", "n": 20, "lam": 1e200},
+    {"experiment": "eta_sweep", "n": 20, "lam": 1.7e308},
 ]
 # toy2d at fixed targets: one where the big-rate run stops at
 # MaxStepsExceeded, one the window gate refuses, and one that writes its
