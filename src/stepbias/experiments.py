@@ -371,11 +371,10 @@ def _level_runs(sweep, eta_mults, alphas):
 def _level_target(fraction, excess0):
     """The level-set target fraction * excess0 of a sweep.
 
-    Raises InfeasibleWindow when it underflows to 0: for a fraction near
-    5e-324, or when n (sigma + lam) overflows, which leaves the optimum
-    and with it excess0 at 0. excess0 is quadratic.excess_losses of the
-    optimum, which multiplies sigma_i by each coefficient before the
-    other, so no coefficient is squared on its own to underflow.
+    Raises InfeasibleWindow when it underflows to 0, for a fraction near
+    5e-324. excess0 is quadratic.excess_losses of the optimum, which
+    multiplies sigma_i by each coefficient before the other, so no
+    coefficient is squared on its own to underflow.
     """
     alpha = fraction * excess0
     if not alpha > 0:

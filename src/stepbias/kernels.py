@@ -8,11 +8,11 @@ sqrt(n sigma_i) <alpha, u_i>, which is how kernel problems talk to the
 quadratic/GD machinery. Hilbert-norm functionals are always computed
 through K, never through K^{-1}.
 
-Gaussian kernels come from a centred distance expansion evaluated in
-place (gaussian_cross_kernel); at scales small enough for its round-off
-to matter, direct differences replace it, a choice made once per pair
-of point sets. binary_error scores a test set one block of test points
-at a time, so scoring memory is O(n x block), not O(n x n_test).
+Gaussian kernels are computed from coordinate differences at every
+scale (gaussian_cross_kernel), so each entry depends only on its own
+pair of points. binary_error scores a test set one block of test points
+at a time, so scoring memory is O(n x block), not O(n x n_test), and a
+block's kernel entries are those of the whole cross kernel.
 A sweep's ridge system (K + n lam I) alpha* = y is solved once, in the
 eigenbasis of K/n that the problem already holds (ridge_fit), and
 dual_objective takes its optimum from the same solve; ridge_alpha's
@@ -36,15 +36,15 @@ from .quadratic import QuadraticObjective, _ridge_fit
 from .spectral import Spectrum, diagonal_spectrum, eig_sym
 
 CHOLESKY_PIVOT_RTOL = 1e-12
-SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 GAUSSIAN_C_K = 1.0
 # Bytes of kernel rows binary_error evaluates per block of test points.
 # 64 KiB is below glibc's default 128 KiB mmap threshold, so the block
 # buffers are reused from the heap instead of being faulted in anew, as
 # an n x n_test cross kernel's pages are on every sweep. On the
 # benchmark's sweeps (n = 50 and 100, 1000 test points; 2-vCPU x86-64,
-# OpenBLAS on one thread) 64, 128 and 256 KiB blocks took 5.5-7.5 % less
-# CPU than one block for the whole test set, 32 KiB about as much.
+# OpenBLAS on one thread) 64, 128 and 256 KiB blocks took 4.7, 7.0 and
+# 8.3 % less CPU than one block for the whole test set (medians of 200
+# paired passes), 32 KiB about as much.
 SCORE_BLOCK_BYTES = 64 * 1024
 
 
@@ -91,82 +91,28 @@ class DualState:
 def gaussian_kernel_matrix(X, s):
     """K_ij = exp(-||x_i - x_j||^2 / (2 s^2)); exactly symmetric, unit diagonal.
 
-    This is gaussian_cross_kernel(X, X, s) with the round-off asymmetry
-    of the distance expansion averaged away and the diagonal set to 1.
+    This is gaussian_cross_kernel(X, X, s): the difference a_k - b_k is
+    the negation of b_k - a_k, so K_ij and K_ji are the same float, and a
+    point against itself gives exp(-0) = 1.
     """
-    K = gaussian_cross_kernel(X, X, s)
-    K += K.T  # numpy copies an operand that overlaps the output first
-    K *= 0.5
-    np.fill_diagonal(K, 1.0)
-    return K
+    return gaussian_cross_kernel(X, X, s)
 
 
 def gaussian_cross_kernel(X_train, X_query, s):
     """Kernel evaluations k(x_i, x) for training rows against query rows.
 
-    Both arguments are shifted by the training-row mean before expanding
-    ||a - b||^2 = ||a||^2 + ||b||^2 - 2 <a, b>: distances do not change,
-    and the expansion no longer cancels catastrophically on data far
-    from the origin. The expansion is evaluated in place on one n x m
-    buffer, with the same IEEE operations in the same order as
-    exp(-max(||a||^2 + ||b||^2 - (2 a) b^T, 0) / (2 s^2)).
-
-    The expansion leaves a round-off residue of about eps max ||x||^2
-    (centred) in each distance, which exp(-d2 / (2 s^2)) magnifies as s
-    shrinks. Where 2 s^2 is at most sqrt(eps) max ||x||^2, the kernel is
-    computed from direct differences of the uncentred points instead,
-    exp(-sum_k ((a_k - b_k) / s)^2 / 2): there a point against itself
-    gives exactly 1, and distinct points give 0 once the scaled distance
-    overflows, which is the s -> 0 limit. Above that line the expansion
-    is kept, so a point against itself can still read below 1, by at
-    most a few sqrt(eps) relative.
-    """
-    return _cross_kernel(X_train, X_query, s)(slice(None))
-
-
-def _cross_kernel(X_train, X_query, s):
-    """The function cols -> gaussian_cross_kernel(X_train, X_query, s)[:, cols].
-
-    The expansion-or-direct choice is made here, once, over every query
-    row, so every block of columns is evaluated as the whole matrix is.
-    Direct differences give a block the whole matrix's bits; through the
-    expansion, a block gets the bits of the expression on its own query
-    rows, since BLAS may round an entry of the product (2 a) b^T
-    differently by its place in the call.
+    Computed as exp(-sum_k ((a_k - b_k) / s)^2 / 2) from coordinate
+    differences, summed over the d coordinates in order, at every scale.
+    An entry depends only on its own pair of points, so any block of
+    query rows gets the bits of the same columns of the whole matrix. A
+    difference is 0 only where the coordinates are equal, so equal points
+    give exactly 1; a scaled difference that overflows gives inf, hence
+    0, without a warning, which is the s -> 0 limit.
     """
     if s <= 0:
         raise ValueError("kernel scale must be positive")
     X_train = np.asarray(X_train, dtype=float)
     X_query = np.atleast_2d(np.asarray(X_query, dtype=float))
-    width = 2.0 * s * s
-    center = X_train.mean(axis=0)
-    train = X_train - center
-    query = X_query - center
-    train_sq = np.sum(train**2, axis=1)
-    query_sq = np.sum(query**2, axis=1)
-    if width <= SQRT_EPS * max(train_sq.max(initial=0.0), query_sq.max(initial=0.0)):
-        return lambda cols: _direct_kernel(X_train, X_query[cols], s)
-    train2 = 2.0 * train
-
-    def expanded(cols):
-        gram = train2 @ query[cols].T
-        d2 = np.add.outer(train_sq, query_sq[cols])
-        d2 -= gram
-        np.maximum(d2, 0.0, out=d2)
-        np.negative(d2, out=d2)
-        d2 /= width
-        return np.exp(d2, out=d2)
-
-    return expanded
-
-
-def _direct_kernel(X_train, X_query, s):
-    """exp(-sum_k ((a_k - b_k) / s)^2 / 2) from differences of the raw points.
-
-    A coordinate difference is 0 only where the coordinates are equal,
-    so equal points give exactly 1; a scaled difference that overflows
-    gives inf, hence 0, without a warning.
-    """
     q = np.zeros((X_train.shape[0], X_query.shape[0]))
     with np.errstate(over="ignore"):
         for k in range(X_train.shape[1]):
@@ -345,12 +291,12 @@ def binary_error(prob, alpha, test):
     rows = np.atleast_2d(alpha)
     if rows.shape[1] != prob.n:
         raise DimensionMismatch("alpha length does not match the training size")
-    kernel = _cross_kernel(prob.dataset.points, test.points, prob.scale)
+    train = prob.dataset.points
     block = max(SCORE_BLOCK_BYTES // (8 * prob.n), 1)
     errors = np.zeros(rows.shape[0], dtype=np.int64)
     for lo in range(0, test.n, block):
         cols = slice(lo, lo + block)
-        scores = rows @ kernel(cols)
+        scores = rows @ gaussian_cross_kernel(train, test.points[cols], prob.scale)
         correct = np.isfinite(scores) & (scores * test.labels[cols] > 0.0)
         errors += np.count_nonzero(~correct, axis=1)
     rates = errors / test.n

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularKernel
+from .errors import DimensionMismatch, SingularKernel, SingularSystem
 from .spectral import Spectrum, diagonal_spectrum, eig_sym, matvec
 
 KERNEL_SINGULARITY_RTOL = 1e-12
@@ -107,7 +107,8 @@ def _ridge_fit(kn_spec, y, lam):
     """from_kernel given the spectrum of K/n instead of K.
 
     Returns the objective and alpha*'s coefficients on the eigenbasis U
-    of K/n, U^T y / (n (sigma + lam)), so alpha* = U times them.
+    of K/n, U^T y / (n (sigma + lam)), so alpha* = U times them. Raises
+    SingularSystem when n (sigma + lam) overflows.
     """
     y = np.asarray(y, dtype=float)
     n = kn_spec.n
@@ -120,10 +121,14 @@ def _ridge_fit(kn_spec, y, lam):
         raise SingularKernel(
             "kernel matrix is numerically singular and lambda is 0"
         )
+    with np.errstate(over="ignore"):
+        shifted_n = n * (sig + lam)
+    if not np.all(np.isfinite(shifted_n)):
+        raise SingularSystem(f"n (sigma + lam) overflows at n = {n}, lam = {lam!r}")
     u = kn_spec.eigenvectors
     yu = u.T @ y
     # (K + n lam) alpha* = y solved in the eigenbasis of K/n.
-    alpha_star_coeffs = yu / (n * (sig + lam))
+    alpha_star_coeffs = yu / shifted_n
     optimum = np.sqrt(n * np.maximum(sig, 0.0)) * alpha_star_coeffs
     # m_hat = (1/2n) y^T [I - (K/n)(K/n + lam)^{-1}] y.
     min_value = float(np.sum(yu * yu * (1.0 - sig / (sig + lam)))) / (2 * n)

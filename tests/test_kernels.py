@@ -1,6 +1,5 @@
 """Kernel ridge machinery against direct linear-algebra oracles."""
 
-import math
 import warnings
 
 import numpy as np
@@ -48,7 +47,7 @@ def test_cross_kernel_consistent_with_square():
     X = rng.normal(size=(5, 2))
     K = kernels.gaussian_kernel_matrix(X, 0.9)
     C = kernels.gaussian_cross_kernel(X, X, 0.9)
-    assert np.allclose(C, K, atol=1e-12)
+    assert C.tobytes() == K.tobytes()
 
 
 def test_ridge_alpha_oracle(prob):
@@ -179,49 +178,34 @@ def test_a_nan_row_is_wrong_on_every_point_and_only_in_its_row(prob):
 
 
 def _recorded_blocks(monkeypatch):
-    """(query row indices, kernel entries) of every block binary_error evaluates."""
+    """(query points, kernel entries) of every cross kernel binary_error evaluates."""
     blocks = []
-    original = kernels._cross_kernel
+    original = kernels.gaussian_cross_kernel
 
     def recording(X_train, X_query, s):
-        columns = original(X_train, X_query, s)
-        indices = np.arange(np.atleast_2d(X_query).shape[0])
+        K = original(X_train, X_query, s)
+        blocks.append((np.array(X_query), K.copy()))
+        return K
 
-        def evaluate(cols):
-            K = columns(cols)
-            blocks.append((indices[cols], K.copy()))
-            return K
-
-        return evaluate
-
-    monkeypatch.setattr(kernels, "_cross_kernel", recording)
+    monkeypatch.setattr(kernels, "gaussian_cross_kernel", recording)
     return blocks
 
 
 def _scored_in_blocks(monkeypatch, prob, alphas, test):
     """binary_error of the rows of alphas, checked block by block against
-    the full cross kernel and against scores computed from it.
-
-    Direct differences give each entry the bits of the full kernel's. The
-    expansion gives each block the bits of the expression on the block's
-    own points; BLAS can round an entry of a product differently by its
-    place in the call, so against the full kernel they agree to rounding.
-    """
+    the full cross kernel and against scores computed from it: each
+    block's entries are the bits of the full kernel's columns."""
     blocks = _recorded_blocks(monkeypatch)
     rates = kernels.binary_error(prob, alphas, test)
     monkeypatch.undo()
-    X, s = prob.dataset.points, prob.scale
-    full = gaussian_cross_kernel(X, test.points, s)
-    direct = s <= _expansion_floor(X, test.points)
+    full = gaussian_cross_kernel(prob.dataset.points, test.points, prob.scale)
     rows = kernels.SCORE_BLOCK_BYTES // (8 * prob.n)
-    assert np.array_equal(np.concatenate([cols for cols, _ in blocks]), np.arange(test.n))
-    for cols, K in blocks:
-        assert 1 <= len(cols) <= rows
-        if direct:
-            assert K.tobytes() == np.ascontiguousarray(full[:, cols]).tobytes()
-        else:
-            assert K.tobytes() == _expanded_kernel(X, test.points[cols], s).tobytes()
-            assert np.allclose(K, full[:, cols], rtol=1e-13, atol=0.0)
+    assert np.concatenate([Q for Q, _ in blocks]).tobytes() == test.points.tobytes()
+    lo = 0
+    for Q, K in blocks:
+        assert 1 <= len(Q) <= rows
+        assert K.tobytes() == np.ascontiguousarray(full[:, lo:lo + len(Q)]).tobytes()
+        lo += len(Q)
     for alpha, rate in zip(alphas, rates):
         scores = full.T @ alpha
         assert rate == float(np.mean(~(np.isfinite(scores) & (scores * test.labels > 0))))
@@ -240,28 +224,6 @@ def test_blocked_scoring_matches_the_full_cross_kernel(blocks, extra, monkeypatc
     alphas[0] = kernels.ridge_alpha(prob.K, prob.y, prob.lam)
     evaluated = _scored_in_blocks(monkeypatch, prob, alphas, test)
     assert len(evaluated) == -(-n_test // rows)
-
-
-def test_one_far_test_point_puts_every_block_on_direct_differences(monkeypatch):
-    # Only the far point, in the second block, puts 2 s^2 below
-    # sqrt(eps) max ||x - mean||^2; the first block on its own would be
-    # evaluated by the expansion, whose bits differ.
-    n, d = 40, 5
-    rows = kernels.SCORE_BLOCK_BYTES // (8 * n)
-    rng = np.random.default_rng(12)
-    X = 0.01 * rng.normal(size=(n, d))
-    Q = X[rng.integers(0, n, size=rows + 5)] + 3e-4 * rng.normal(size=(rows + 5, d))
-    Q[:10] = X[:10]
-    Q[rows + 2] = 100.0
-    s = math.sqrt(5e-7)
-    assert _expansion_floor(X, Q[:rows]) < s <= _expansion_floor(X, Q)
-    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    prob = kernels.kernel_problem(kernels.Dataset(X, labels), s, 1e-4)
-    test = kernels.Dataset(Q, np.where(rng.random(len(Q)) < 0.5, 1.0, -1.0))
-    full = gaussian_cross_kernel(X, Q, s)
-    assert gaussian_cross_kernel(X, Q[:rows], s).tobytes() != full[:, :rows].tobytes()
-    alphas = rng.normal(size=(2, n))
-    assert len(_scored_in_blocks(monkeypatch, prob, alphas, test)) == 2
 
 
 def _empty_dataset():
@@ -336,13 +298,13 @@ def test_load_dataset_errors(tmp_path):
         kernels.load_dataset(tmp_path / "missing.csv")
 
 
-def _expanded_kernel(X_train, X_query, s):
-    """Oracle: the distance expansion and exp of gaussian_cross_kernel at a normal
-    scale, written as one expression (the kernel evaluates it in place)."""
-    center = X_train.mean(axis=0)
-    a, b = X_train - center, X_query - center
-    d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T
-    return np.exp(-np.maximum(d2, 0.0) / (2.0 * s * s))
+def _expression_kernel(X_train, X_query, s):
+    """Oracle: exp(-sum_k ((a_k - b_k) / s)^2 / 2) as one expression. numpy
+    sums fewer than 8 terms left to right, so for d <= 7 it gives the bits
+    of gaussian_cross_kernel's sum over the coordinates in order."""
+    with np.errstate(over="ignore"):
+        z = (X_train[:, None, :] - X_query[None, :, :]) / s
+        return np.exp(-0.5 * (z**2).sum(axis=2))
 
 
 def test_gaussian_cross_kernel_at_an_underflowing_scale():
@@ -357,13 +319,12 @@ def test_gaussian_cross_kernel_at_an_underflowing_scale():
         want[0, 0] = want[4, 1] = 1.0
         assert np.array_equal(K, want)
         assert np.array_equal(gaussian_kernel_matrix(X, 1e-200), np.eye(6))
-        # 2 s^2 is tiny but not 0: direct differences, so both equal
-        # pairs give 1 (the expansion's residue gave 0 for Q[0] against
-        # X[0]) and the distinct pairs, whose scaled distance overflows, 0.
+        # 2 s^2 is tiny but not 0: both equal pairs give 1 and the
+        # distinct pairs, whose scaled distance overflows, 0.
         assert np.array_equal(gaussian_cross_kernel(X, Q, 1e-155), want)
         # At normal scales the values are those of the plain expression.
         for s in (0.3, 1.0, 7.0):
-            assert gaussian_cross_kernel(X, Q, s).tobytes() == _expanded_kernel(X, Q, s).tobytes()
+            assert gaussian_cross_kernel(X, Q, s).tobytes() == _expression_kernel(X, Q, s).tobytes()
 
 
 def test_underflowing_scale_compares_the_points_themselves():
@@ -373,53 +334,24 @@ def test_underflowing_scale_compares_the_points_themselves():
     assert np.array_equal(K, np.eye(3))
 
 
-def _expansion_floor(X_train, X_query):
-    """The scale at and below which direct differences replace the expansion:
-    2 s^2 = sqrt(eps) max ||x - mean||^2."""
-    center = X_train.mean(axis=0)
-    top = max(
-        np.sum((X_train - center) ** 2, axis=1).max(),
-        np.sum((X_query - center) ** 2, axis=1).max(),
-    )
-    return math.sqrt(kernels.SQRT_EPS * top / 2.0)
-
-
-def _direct_oracle(X_train, X_query, s):
-    """exp(-||(a - b) / s||^2 / 2), one pair at a time."""
-    out = np.empty((X_train.shape[0], X_query.shape[0]))
-    with np.errstate(over="ignore"):
-        for i, a in enumerate(X_train):
-            for j, b in enumerate(X_query):
-                z = (a - b) / s
-                out[i, j] = np.exp(-0.5 * float(np.sum(z * z)))
-    return out
-
-
 @pytest.mark.parametrize("d", [1, 2, 5])
 @pytest.mark.parametrize("offset", [0.0, 1e4, -3e7])
 def test_in_place_cross_kernel_is_the_expression_bitwise(d, offset):
     rng = np.random.default_rng(d)
     X = rng.normal(size=(40, d)) + offset
     Q = np.vstack([X[:3], 2.0 * rng.normal(size=(25, d)) + offset])
-    floor = _expansion_floor(X, Q)
-    scales = (1.0001 * floor, 10.0 * floor, 1e-3, 0.05, 0.7, 3.0, 1e3, 1e150, 1e200)
-    for s in scales:
-        if s > floor:
-            K = gaussian_cross_kernel(X, Q, s)
-            assert K.tobytes() == _expanded_kernel(X, Q, s).tobytes()
-            # Above the floor the expansion's residue can leave a point
-            # against itself below 1, but by at most a few sqrt(eps).
-            assert np.all(1.0 - K[[0, 1, 2], [0, 1, 2]] <= 4 * kernels.SQRT_EPS)
-    # Below the floor, direct differences: equal points give exactly 1.
-    for s in (floor, 0.5 * floor, 1e-9 * floor, 1e-170, 1e-300):
+    for s in (1e-200, 1e-155, 1e-9, 1e-3, 0.05, 0.7, 3.0, 7.0):
         K = gaussian_cross_kernel(X, Q, s)
-        assert np.allclose(K, _direct_oracle(X, Q, s), rtol=1e-14, atol=0.0)
+        assert K.tobytes() == _expression_kernel(X, Q, s).tobytes()
         assert np.all(K[[0, 1, 2], [0, 1, 2]] == 1.0)
+        # Differences make the square matrix exactly symmetric, with an
+        # exactly unit diagonal, at every scale and offset.
+        K = gaussian_kernel_matrix(X, s)
+        assert np.array_equal(K, K.T)
+        assert np.all(np.diag(K) == 1.0)
 
 
 def test_a_point_against_itself_gives_exactly_1_at_small_scales():
-    # The expansion's residue gave k(x_0, x_0) = 0.33 at s = 1e-8, 6e-49
-    # at 1e-9 and 0 at 1e-155.
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     points = np.random.default_rng(4).normal(size=(50, 2))
     with warnings.catch_warnings():
@@ -427,12 +359,3 @@ def test_a_point_against_itself_gives_exactly_1_at_small_scales():
         for s in (1e-6, 1e-8, 1e-9, 1e-155, 1e-200):
             assert np.array_equal(gaussian_cross_kernel(X, X, s), np.eye(3))
             assert np.all(np.diag(gaussian_cross_kernel(points, points, s)) == 1.0)
-    # Above the line 2 s^2 = sqrt(eps) max ||x - mean||^2 the expansion is
-    # kept: its residue, if the BLAS product leaves one, keeps k(x, x)
-    # within a few sqrt(eps) of 1.
-    floor = _expansion_floor(X, X)
-    for s in (1.0001 * floor, 2.0 * floor, 1e-3, 0.1):
-        K = gaussian_cross_kernel(X, X, s)
-        assert K.tobytes() == _expanded_kernel(X, X, s).tobytes()
-        assert np.all(1.0 - np.diag(K) <= 4 * kernels.SQRT_EPS)
-

@@ -582,9 +582,6 @@ def test_cli_manifest_hashes_match_files(tmp_path):
     [
         # The second fraction times the initial excess loss underflows.
         {"experiment": "alpha_sweep", "n": 20, "alpha_grid": [0.5, 5e-324]},
-        # n (sigma + lam) overflows, so the optimum and the initial excess
-        # loss are 0, and with them alpha.
-        {"experiment": "eta_sweep", "n": 20, "lam": 1.7e308},
     ],
 )
 def test_cli_underflowed_level_set_target_is_a_refusal(raw, tmp_path, capsys):
@@ -593,6 +590,18 @@ def test_cli_underflowed_level_set_target_is_a_refusal(raw, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "level-set target" in err and "underflows to 0.0" in err
     assert "Traceback" not in err
+
+
+def test_cli_overflowing_ridge_shift_is_a_refusal(tmp_path, capsys):
+    # n (sigma + lam) overflows at n = 20: the ridge system is refused
+    # before its coefficients are formed.
+    path = _write_cfg(tmp_path, experiment="eta_sweep", n=20, lam=1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", "--config", path, "--output-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "n (sigma + lam) overflows at n = 20, lam = 1.7e+308" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 @pytest.mark.parametrize(

@@ -88,21 +88,14 @@ def test_sweep_evaluates_each_test_kernel_row_once_in_blocks(
 ):
     n, n_test = 20, 1000
     rows = kernels.SCORE_BLOCK_BYTES // (8 * n)
-    point_sets, evaluated = [], []
-    original = kernels._cross_kernel
+    calls = []
+    original = kernels.gaussian_cross_kernel
 
     def recording(X_train, X_query, s):
-        columns = original(X_train, X_query, s)
-        indices = np.arange(np.atleast_2d(X_query).shape[0])
-        point_sets.append(len(indices))
+        calls.append((np.array(X_train), np.array(X_query)))
+        return original(X_train, X_query, s)
 
-        def evaluate(cols):
-            evaluated.append(indices[cols])
-            return columns(cols)
-
-        return evaluate
-
-    monkeypatch.setattr(kernels, "_cross_kernel", recording)
+    monkeypatch.setattr(kernels, "gaussian_cross_kernel", recording)
     grid = {
         "eta_sweep": {"eta_grid": list(np.linspace(0.25, 1.9, grid_length))},
         "alpha_sweep": {"alpha_grid": list(np.geomspace(0.2, 0.01, grid_length))},
@@ -112,12 +105,15 @@ def test_sweep_evaluates_each_test_kernel_row_once_in_blocks(
          "output_dir": str(tmp_path / "o"), **grid}
     )
     run_experiment(cfg)
-    assert point_sets == [n, n_test]  # the train kernel matrix, then the test set
-    train, *blocks = evaluated
-    assert np.array_equal(train, np.arange(n))
-    assert np.array_equal(np.concatenate(blocks), np.arange(n_test))
+    train = kernels.two_cluster_dataset(n, stream(cfg.seed, "train-data")).points
+    test = kernels.two_cluster_dataset(n_test, stream(cfg.seed, "test-data")).points
+    # The train kernel matrix, then the test set block by block.
+    assert all(np.array_equal(X, train) for X, _ in calls)
+    (_, square), *blocks = calls
+    assert np.array_equal(square, train)
+    assert np.array_equal(np.concatenate([Q for _, Q in blocks]), test)
     assert len(blocks) == -(-n_test // rows) > 1
-    assert all(len(block) <= rows for block in blocks)
+    assert all(len(Q) <= rows for _, Q in blocks)
 
 
 @pytest.mark.parametrize(

@@ -9,13 +9,14 @@ every distinct op of the three benchmark workloads (perfbench/workloads.py
 of this checkout) at workload seed N (default 1), and quadratic_certify
 at the edges of its instance blocks (B - 1, B, B + 1 and 2B + 3
 instances for the CERTIFY_BLOCK B of this checkout) at config seeds N
-and N + 1, the sweeps of LEVEL_SET_EDGES, whose level-set runs reach
-rates past 2/sigma_1 (MaxStepsExceeded and Diverged) and targets that
-are refused, and the toy2d runs of TOY2D_EDGES. --configs FILE runs the
-JSON list of experiment configs in FILE instead. A config that a tree
-refuses with a library error records the error's class name. --keep
-DIR writes tree A's outputs to DIR/a and tree B's to DIR/b and keeps
-them; it refuses a DIR that already holds run, a or b.
+and N + 1, the sweeps of LEVEL_SET_EDGES (level-set runs at rates past
+2/sigma_1, MaxStepsExceeded and Diverged, targets that are refused, and
+the three kernel sweeps at d = 5), and the toy2d runs of TOY2D_EDGES.
+--configs FILE runs the JSON list of experiment configs in FILE
+instead. A config that a tree refuses with a library error records the
+error's class name. --keep DIR writes tree A's outputs to DIR/a and
+tree B's to DIR/b and keeps them; it refuses a DIR that already holds
+run, a or b.
 
 Prints the configs whose outcome differs, the files that differ or exist
 on one side only, and for each CSV column with a differing cell the worst
@@ -55,7 +56,8 @@ WORKLOADS = ("certify_stream", "toy2d_grid", "kernel_sweeps")
 # fraction that underflows after one that does not. Then sweeps at lam
 # 1e160 and 1e200, whose initial losses and Hilbert norms are formed from
 # coefficients whose squares alone would underflow, and one whose
-# n (sigma + lam) overflows, leaving the initial loss at 0 (refused).
+# n (sigma + lam) overflows (refused). Last, the three kernel sweeps at
+# d = 5, where the kernel sums more coordinates than any default op's.
 LEVEL_SET_EDGES = [
     {"experiment": experiment, "n": n, **edge}
     for n in (20, 200)
@@ -70,6 +72,9 @@ LEVEL_SET_EDGES = [
     {"experiment": "eta_sweep", "n": 20, "lam": 1e200},
     {"experiment": "alpha_sweep", "n": 20, "lam": 1e200},
     {"experiment": "eta_sweep", "n": 20, "lam": 1.7e308},
+] + [
+    {"experiment": experiment, "n": 20, "d": 5}
+    for experiment in ("eta_sweep", "alpha_sweep", "scale_sweep")
 ]
 # toy2d at fixed targets: one where the big-rate run stops at
 # MaxStepsExceeded, one the window gate refuses, and one that writes its
