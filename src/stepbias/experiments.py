@@ -31,14 +31,15 @@ from .quadratic import QuadraticObjective, coefficients, excess_losses
 from .records import pair_records
 from .regimes import ASSUMPTIONS, assumption_checks, certificates, run_measurements
 from .reporting import AxesSpec, Series, render_svg, write_bytes, write_csv
-from .spectral import condition_number, eigvals_sym
+from .spectral import condition_number, eigvals_sym, padded, unpadded
 
 T_MAX_SWEEP = 500_000
 # Streams per random_instances block in quadratic_certify, each block
 # generated and certified as one. Memory grows with it (about 10 kB per
 # stream), not with the number of instances. Generation to certificate
-# rows took 420, 297, 247 and 222 us of CPU per instance at 10, 20, 40
-# and 80 streams: doubling the memory past 40 saves 10 %.
+# rows took 244, 179, 150 and 134 us of CPU per instance at 10, 20, 40
+# and 80 streams (2-vCPU Xeon, BLAS on one thread): doubling the memory
+# past 40 saves 11 %.
 CERTIFY_BLOCK = 40
 
 
@@ -168,25 +169,17 @@ def _run_toy2d(cfg, out):
 def _certify_block(block, first):
     """The certificate columns of a block of instances, numbered from first, keyed as to_record's.
 
-    The array work runs once per dimension n (_block_numbers); then one
-    pass over the whole block gives every record, assumption check and
-    certificate as columns. The error raised is that of the earliest
-    failing instance, as if each were certified alone: its failed
-    assumptions, else its failed level-set lane, else its certificate's
-    refusal.
+    The array work runs once for the whole block (_block_numbers); then
+    one pass gives every record, assumption check and certificate as
+    columns. The error raised is that of the earliest failing instance,
+    as if each were certified alone: its failed assumptions, else its
+    failed level-set lane, else its certificate's refusal.
     """
-    shared = [None] * len(block)
-    by_n = {}
-    for k, inst in enumerate(block):
-        by_n.setdefault(inst.pair.n, []).append(k)
-    for ks in by_n.values():
-        for k, numbers in zip(ks, _block_numbers([block[k] for k in ks])):
-            shared[k] = numbers
-    iota, r_opt, runs, measured = zip(*shared)
+    iota, r_opt, runs_s, runs_b, measured = _block_numbers(block)
     pairs, alpha = [inst.pair for inst in block], [inst.alpha for inst in block]
     record = pair_records(pairs, iota, [i.eta_s for i in block], [i.eta_b for i in block], r_opt)
     passed, _ = assumption_checks(pairs, record, alpha)
-    cert, refusals = certificates(pairs, *zip(*runs), alpha, record, np.array(measured).T)
+    cert, refusals = certificates(pairs, runs_s, runs_b, alpha, record, measured)
     for k, (verdicts, refusal) in enumerate(zip(passed.T.tolist(), refusals)):
         failed = [name for name, ok in zip(ASSUMPTIONS, verdicts) if not ok]
         if failed:
@@ -198,52 +191,42 @@ def _certify_block(block, first):
     return cert.to_record()
 
 
-def _block_numbers(group):
-    """(iota, r_opt, runs, measured) of each instance of a group of one dimension.
+def _block_numbers(block):
+    """(iota, r_opt, runs_s, runs_b, measured) of a block of instances, as columns.
 
-    One spectral.matvec gives the gd.decompose of every theta0 and the test
-    coefficients of every train optimum, from which R(theta_hat) is
-    evaluated; one gd.level_set_runs searches the Small and the Big lane
-    of every instance, and run_measurements reads their final
-    coefficients; a failed lane, which raises at its instance's turn,
-    is measured at iota.
+    Each instance is spectral.padded to the block's largest n with dead
+    directions, which change no bit. One spectral.matvec gives the
+    gd.decompose of every theta0 and the test coefficients of every train
+    optimum, from which R(theta_hat) is evaluated; one gd.level_set_runs
+    searches the Small and the Big lane of every instance, and
+    run_measurements reads their final coefficients; a failed lane, which
+    raises at its instance's turn, is measured at iota.
     """
-    size, n = len(group), group[0].pair.n
-    pairs = [inst.pair for inst in group]
+    pairs, n = [inst.pair for inst in block], [inst.pair.n for inst in block]
+    size, width = len(block), max(n)
     # Per instance: the train and the test eigenbasis, and the vectors
     # theta0, train optimum, test optimum, so that [:, :2] - [:, 1:]
     # is theta0 - theta_hat, theta_hat - theta_hat_* on those bases.
-    bases = np.array(
-        [b for p in pairs for b in (p.train.spectrum.eigenvectors, p.test.spectrum.eigenvectors)]
-    ).reshape(size, 2, n, n)
-    points = np.array(
-        [x for inst in group for x in (inst.theta0, inst.pair.train.optimum, inst.pair.test.optimum)]
-    ).reshape(size, 3, n)
-    offsets = points[:, 1] - points[:, 2]
-    test_sig = np.array([p.test.spectrum.eigenvalues for p in pairs])
+    spectra = [s for p in pairs for s in (p.train.spectrum, p.test.spectrum)]
+    bases = padded([s.eigenvectors for s in spectra], width).reshape(size, 2, width, width)
+    vectors = [x for i in block for x in (i.theta0, i.pair.train.optimum, i.pair.test.optimum)]
+    points = padded(vectors, width).reshape(size, 3, width)
+    test_sig = padded([s.eigenvalues for s in spectra[1::2]], width)
     coeffs = coefficients(bases, points[:, :2], points[:, 1:])
-    iota = coeffs[:, 0]
-    r_opt = excess_losses(test_sig, coeffs[:, 1])
-    starts = np.concatenate([iota, iota])
     lanes = gd.level_set_runs(
-        [p.train for p in pairs] * 2,
-        starts,
-        [inst.eta_s for inst in group] + [inst.eta_b for inst in group],
-        [inst.alpha for inst in group] * 2,
-        [inst.t_max for inst in group] * 2,
+        [p.train for p in pairs] * 2, np.concatenate([coeffs[:, 0]] * 2),
+        [i.eta_s for i in block] + [i.eta_b for i in block], [i.alpha for i in block] * 2,
+        [i.t_max for i in block] * 2,
     )
-    mu_s, mu_b = np.array(
-        [run.mu if isinstance(run, gd.GDRun) else row for run, row in zip(lanes, starts)]
-    ).reshape(2, size, n)
-    measured = zip(
-        *(
-            m.tolist()
-            for m in run_measurements(
-                bases[:, 0], bases[:, 1], test_sig, offsets, mu_s, mu_b
-            )
-        )
-    )
-    return list(zip(iota, r_opt.tolist(), zip(lanes[:size], lanes[size:]), measured))
+    iota = unpadded(coeffs[:, 0], n)
+    mu_s, mu_b = padded(
+        [run.mu if isinstance(run, gd.GDRun) else row for run, row in zip(lanes, iota * 2)],
+        width,
+    ).reshape(2, size, width)
+    offsets = points[:, 1] - points[:, 2]
+    measured = run_measurements(bases[:, 0], bases[:, 1], test_sig, offsets, mu_s, mu_b)
+    r_opt = excess_losses(test_sig, coeffs[:, 1])
+    return iota, r_opt, lanes[:size], lanes[size:], measured
 
 
 def _attenuation_series(spec):

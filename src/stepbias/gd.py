@@ -18,12 +18,12 @@ bisection on the sign of L(t + 1) - L(t) finds the minimiser first.
 
 The search is a coroutine (_search) that names each step whose loss it
 reads and is sent that loss. One loop, _lockstep, runs every search:
-level_set_runs drives the searches of many lanes side by side in one
-pass, each round's losses being rows of one array expression, with the
-loss bits of each lane run alone, and run_to_level_set is its one-lane
-case; level_set_search drives one search of a scalar loss. A dead
-direction (sigma_i iota_i^2 == 0) enters the search with coefficient 0
-and factor 0, so it adds an exact 0 to every L(t).
+level_set_runs drives the searches of many lanes, padded to one width,
+side by side in one pass, each round's losses being rows of one array
+expression, with the loss bits of each lane run alone, and
+run_to_level_set is its one-lane case; level_set_search drives one
+search of a scalar loss. A dead direction (sigma_i iota_i^2 == 0) enters
+the search with coefficient 0 and factor 0: an exact 0 in every L(t).
 
 A run also reports whether it stayed above alpha/2 (the half-level
 condition is reported, never enforced). The final loss is the one the
@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import AlreadyBelowLevelSet
 from .quadratic import QuadraticObjective, _check_dim, coefficients, excess_losses, grad
+from .spectral import padded, row_sums, unpadded
 
 DIVERGENCE_FACTOR = 1e12
 
@@ -320,24 +321,25 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
 
 
 def level_set_runs(objs, iota, etas, alphas, t_maxes):
-    """run_to_level_set on many lanes of one dimension, searched in lockstep.
+    """run_to_level_set on many lanes, searched in lockstep.
 
     Lane k runs GD on objs[k] from the eigen-coefficients iota[k] (rows
-    of an (L, n) array) at rate etas[k] to alphas[k] within t_maxes[k]
-    steps. It gets its GDRun, or its ValueError or AlreadyBelowLevelSet
-    for the caller to raise. Every other lane is searched in one pass. A
-    dead direction (sigma_i iota_i^2 == 0) never moves the loss, so the
-    search sees it with coefficient 0 and factor 0: it adds an exact 0 to
-    L(t), never 0 * inf, and at rate 0 it bounds no step. A lane with
+    of an (L, width) array, spectral.padded from each lane's n) at rate
+    etas[k] to alphas[k] within t_maxes[k] steps. It gets its GDRun, at
+    its own n, or its ValueError or AlreadyBelowLevelSet for the caller
+    to raise. Every other lane is searched in one pass. A dead direction
+    (sigma_i iota_i^2 == 0, padding included) never moves the loss, so
+    the search sees it with coefficient 0 and factor 0: it adds an exact
+    0 to L(t), never 0 * inf, and at rate 0 it bounds no step. A lane with
     every |factor| <= 1 searches from its hit_lower_bound. One evaluation
     spares rounds: it gives each lane L at the first three steps its
     search asks if its tests fail (start - 1, start, start + 1, or 1, 2,
     4), and a bound usually sits one step before the hit. mu comes from
     the lane's own iota and factors.
     """
-    sig = np.array([obj.spectrum.eigenvalues for obj in objs])
+    sig = padded([obj.spectrum.eigenvalues for obj in objs], iota.shape[1])
     power = sig * iota * iota
-    loss0 = (0.5 * power.sum(axis=1)).tolist()
+    loss0 = (0.5 * row_sums(power)).tolist()
     runs = [_argument_error(*args) for args in zip(etas, alphas, t_maxes)]
     for k, run in enumerate(runs):
         if run is None and loss0[k] <= alphas[k]:
@@ -377,14 +379,16 @@ def level_set_runs(objs, iota, etas, alphas, t_maxes):
         known = [dict(zip(ts, vs)) for ts, vs in zip(guesses, zip(*values))]
         found = _lockstep(searches, losses, known)
         mu = _final_mu(iota, factors, [t for t, _ in found])
-    for row, (k, (t, status), seen) in enumerate(zip(lanes, found, known)):
+    n = [objs[k].n for k in lanes]
+    rows = zip(lanes, found, known, unpadded(mu, n), unpadded(iota, n))
+    for k, (t, status), seen, mu_k, iota_k in rows:
         final, alpha = seen[t], float(alphas[k])
         hit = status is StopStatus.HIT_LEVEL_SET
         runs[k] = GDRun(
             eta=etas[k],
             steps=t,
-            mu=mu[row],
-            iota=iota[row],
+            mu=mu_k,
+            iota=iota_k,
             stop_status=status,
             objective=objs[k],
             final_excess=final,

@@ -9,8 +9,8 @@ either zero or scaled to a small fraction of its allowed cap.
 
 Instances are generated in blocks (random_instances, one stream each):
 the attempts of a block are recorded by one regime_records pass per
-round of draws, and the bases of the whole block are built by one
-vectorized Givens pass.
+round of draws, and the bases and their products of the whole block by
+one vectorized Givens pass and one padded product.
 """
 
 import math
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InfeasibleWindow
 from .quadratic import ProblemPair, QuadraticObjective, coefficients, excess_losses
 from .records import _window_bounds, regime_records
-from .spectral import Spectrum, condition_number, matvec
+from .spectral import Spectrum, condition_number, matvec, padded, unpadded
 
 MAX_DRAWS = 100
 
@@ -168,19 +168,18 @@ def _records(drawn):
     return record, _target(record)
 
 
-def _instance(drawn, train_basis, test_basis, eta_s, eta_b, alpha, cap, fraction, direction, t_max):
-    """The CertifyInstance of an accepted attempt on its bases, from its record's numbers."""
-    train_eigenvalues, _, test_eigenvalues, _, opt_train, iota = drawn
+def _instance(drawn, train_basis, test_basis, v_iota, quad, eta_s, eta_b, alpha, cap, fraction,
+              direction, t_max):
+    """The CertifyInstance of an accepted attempt, from its block's bases, products and numbers."""
+    train_eigenvalues, _, test_eigenvalues, _, opt_train, _ = drawn
     opt_test = opt_train.copy()
     if fraction > 0:
-        quad = float(excess_losses(test_eigenvalues, coefficients(test_basis, direction, 0.0)))
         opt_test = opt_train + math.sqrt(fraction * cap * alpha / quad) * direction
     pair = ProblemPair(
         QuadraticObjective(Spectrum(train_eigenvalues, train_basis), opt_train),
         QuadraticObjective(Spectrum(test_eigenvalues, test_basis), opt_test),
     )
-    theta0 = opt_train + matvec(train_basis, iota)
-    return CertifyInstance(pair, theta0, eta_s, eta_b, alpha, int(t_max))
+    return CertifyInstance(pair, opt_train + v_iota, eta_s, eta_b, alpha, int(t_max))
 
 
 def random_instances(rngs, n=None, model_error_fraction=None):
@@ -197,8 +196,9 @@ def random_instances(rngs, n=None, model_error_fraction=None):
     unbalanced (alpha < 1e-280) draws its next attempt from its own
     stream and the block is recorded again, until every target is
     accepted, or raises InfeasibleWindow after MAX_DRAWS attempts of one
-    stream. Then every stream draws its model error, and all bases are
-    built in one givens_bases pass. An empty block gives [].
+    stream. Then every stream draws its model error, all bases are built
+    in one givens_bases pass, and every theta0 and model-error quadratic
+    comes from one padded product. An empty block gives [].
     """
     if n is not None and n < 4:
         raise ValueError("generator needs n >= 4")
@@ -221,16 +221,24 @@ def random_instances(rngs, n=None, model_error_fraction=None):
         else model_error_fraction
         for rng in rngs
     ]
-    directions = [rng.normal(size=m) if f > 0 else None for rng, m, f in zip(rngs, sizes, fractions)]
+    directions = [
+        rng.normal(size=m) if f > 0 else np.zeros(m) for rng, m, f in zip(rngs, sizes, fractions)
+    ]
     scale = np.concatenate([record.scale_s, record.scale_b])
     lead = np.concatenate([record.lead_s, record.lead_b])
     t3 = _window_bounds(scale, lead, np.tile(alpha, 2))[1].reshape(2, -1)
     bases = givens_bases([pair for m, d in zip(sizes, drawn) for pair in ((m, d[1]), (m, d[3]))])
-    numbers = (record.eta_s, record.eta_b, alpha, record.model_error_cap)
+    width = max(sizes)
+    train, test = padded(bases[0::2], width), padded(bases[1::2], width)
+    v_iota = unpadded(matvec(train, padded([d[5] for d in drawn], width)), sizes)
+    quads = excess_losses(
+        padded([d[2] for d in drawn], width), coefficients(test, padded(directions, width), 0.0)
+    )
+    numbers = (quads, record.eta_s, record.eta_b, alpha, record.model_error_cap)
     return [
         _instance(*args)
         for args in zip(
-            drawn, bases[0::2], bases[1::2], *(c.tolist() for c in numbers), fractions,
+            drawn, bases[0::2], bases[1::2], v_iota, *(c.tolist() for c in numbers), fractions,
             directions, (10 + 4 * np.maximum(*t3)).tolist(),
         )
     ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SingularKernel, SingularSystem
-from .spectral import Spectrum, diagonal_spectrum, eig_sym, matvec
+from .spectral import Spectrum, diagonal_spectrum, eig_sym, matvec, row_sums
 
 KERNEL_SINGULARITY_RTOL = 1e-12
 
@@ -71,8 +71,8 @@ def coefficients(bases, points, optima):
 
 
 def excess_losses(sig, coeffs):
-    """1/2 sum_i sig_i c_i^2 of each row of eigen-coefficients c (the last axis)."""
-    return 0.5 * (sig * coeffs * coeffs).sum(axis=-1)
+    """1/2 sum_i sig_i c_i^2 of each row of eigen-coefficients c (the last axis), by row_sums."""
+    return 0.5 * row_sums(sig * coeffs * coeffs)
 
 
 def evaluate(obj, theta):

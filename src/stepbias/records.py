@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InfeasibleWindow
 from .quadratic import evaluate
-from .spectral import condition_number
+from .spectral import condition_number, row_sums
 
 BOUNDARY_RTOL = 1e-12
 UNDERFLOW_GUARD = 1e-300
@@ -229,8 +229,8 @@ def regime_records(train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
     has lost bits), and a positive log gap in floats for both regimes
     (adjacent eigenvalues can round to one attenuation). Outside it the
     attenuations, gaps, windows and alpha_1 readings are NaN.
-    ||iota||^2 is summed on stacks of the rows of one n, as numpy sums
-    a row alone, and the projections term by term from 0.0, as Python.
+    ||iota||^2 and the projections are spectral.row_sums of zero-padded
+    rows, each with the bits of its row summed alone, left to right.
     """
     size = len(iota)
     padded, n = _padded([*train_eigenvalues, *iota])
@@ -239,16 +239,10 @@ def regime_records(train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
     picks = last * _PICKS[0] + _PICKS[1]
     sig_at, iota_end = sig[rows, picks], io[rows, picks[:2]]  # iota_end: [iota_n, iota_1]
     kappa_F = np.array([condition_number(w) for w in train_eigenvalues], dtype=float)
-    order = sorted(range(size), key=n.tolist().__getitem__)
-    io_sq, widths = (io * io)[order], n[order].tolist()
-    cuts = [0, *(k for k in range(1, size) if widths[k] != widths[k - 1]), size]
-    norm_sq = np.empty(size)
-    norm_sq[order] = np.concatenate([io_sq[a:b, : widths[a]].sum(1) for a, b in zip(cuts, cuts[1:])])
-    # Running sums of 0, p_1, ..., p_n and 0, 0, p_2, ..., p_n; p_i = sigma_i iota_i^2.
-    terms = np.zeros((2, size, sig.shape[1] + 1))
-    terms[:, :, 1:] = sig * io * io
-    terms[1, :, 1] = 0.0
-    sums = np.cumsum(terms, axis=2)
+    norm_sq = row_sums(io * io)
+    # p_i = sigma_i iota_i^2; the projections sum it over i < n and i > 1.
+    power = sig * io * io
+    power_s = np.where(np.arange(power.shape[1]) < last[:, None], power, 0.0)
     eta = np.array([eta_s, eta_b], dtype=float)
     kappa_R, r_opt = np.asarray(kappa_R, dtype=float), np.asarray(r_opt, dtype=float)
     with np.errstate(all="ignore"):
@@ -291,7 +285,7 @@ def regime_records(train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
         (t1_s, t1_b), lead, scale = 0.5 * logs[3:] / gap, lead * on, scale * on
     return RegimeRecord(
         eta[0], eta[1], kappa_F, kappa_R, low, high, kind_s, kind_b, iota_end[1], iota_end[0],
-        r_opt, 0.5 * sums[0, rows, last], 0.5 * sums[1, rows, n], lead[0], lead[1], gap[0],
+        r_opt, 0.5 * row_sums(power_s), 0.5 * row_sums(power[:, 1:]), lead[0], lead[1], gap[0],
         gap[1], scale[0], scale[1], t1_s, t1_b, half_s * readings[0],
         np.minimum(half_b * readings[1], half_s * readings[2]),
     )

@@ -20,7 +20,7 @@ from .records import (
     UNDERFLOW_GUARD, RegimeKind, StepWindow, _libm, _padded, _positive_decreasing, _row, _square,
     _window_bounds, _window_refusal, pair_records,
 )
-from .spectral import matvec
+from .spectral import matvec, row_sums
 
 ASSUMPTIONS = (
     "A1_distinct_eigenvalues", "A2_rate_ordering", "A3_nonzero_initialization",
@@ -38,7 +38,7 @@ def _mass_ratios(leads, rests):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratio = rests / np.asarray(leads)[..., None]
         ratio *= ratio
-    return ratio.sum(axis=-1)
+    return row_sums(ratio)
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,11 @@ def run_measurements(train_bases, test_bases, test_eigenvalues, offsets, mu_s, m
     """The measured inputs of certificates: (eps_b2, eps_s2, r_big, r_small).
 
     Each argument stacks a row per instance ((L, n, n) bases, (L, n)
-    vectors): offsets theta_hat - theta_hat_*, mu_s and mu_b the final
-    coefficients of the runs. Every product is spectral's matvec, so each
-    result has the bits of its instance computed alone. A test loss is
+    vectors; instances of n >= 2 may be spectral.padded to one n, as the
+    epsilon ratios read [..., 0] and [..., -1]): offsets theta_hat -
+    theta_hat_*, mu_s and mu_b the final coefficients of the runs. Every
+    product is spectral's matvec and every sum a row_sums, so each result
+    has the bits of its instance computed alone. A test loss is
     quadratic.excess_losses of the test eigen-coefficients of the error
     V mu + offset, a sum of nonnegative terms: at small targets
     theta - theta_hat_* sits orders of magnitude below theta, and from

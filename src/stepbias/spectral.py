@@ -62,17 +62,55 @@ class Spectrum:
         return (q * self.eigenvalues) @ q.T
 
 
-def matvec(a, v):
-    """a v over stacks: (..., m, n) matrices times (..., n) vectors.
+def row_sums(x):
+    """Sums over the last axis, each row added left to right from +0.0.
 
-    Entry i is the dot product of a[..., i, :] and v. The certify path's
-    one product: the elementwise products go into a fresh C-ordered
-    array, so each row is contiguous whatever the layout of a and v (a
-    transposed basis included), and numpy sums each contiguous row in
-    one fixed pairwise order. A row of a stack thus has the bits of that
-    row alone, on any BLAS library, kernel or thread count.
+    The running sum is never -0.0, so a zero term changes no sum wherever
+    it sits: a row keeps its bits in any stack, zero padding or SIMD
+    dispatch. Rows of at most 7 entries get the bits of numpy's ``.sum``,
+    which adds wider rows in pairwise blocks.
     """
-    return np.multiply(a, v[..., None, :], order="C").sum(axis=-1)
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1])
+    return np.cumsum(x, axis=-1)[..., -1] + 0.0
+
+
+def matvec(a, v):
+    """a v over stacks: (..., m, n) matrices times (..., n) vectors, each row by row_sums.
+
+    So a row has the bits of that row alone, whatever its stack, its zero
+    padding (padded) or the BLAS library, kernel or thread count.
+    """
+    return row_sums(a * v[..., None, :])
+
+
+def _live(n, width):
+    """Where rows of lengths n sit in a padded stack of the given width."""
+    live = np.arange(width) < np.array(n)[:, None] - 1
+    live[:, -1] = True
+    return live
+
+
+def padded(arrays, width):
+    """Arrays of shape (n,) or (n, n), n <= width, as one zero-padded stack.
+
+    An axis keeps its first n - 1 entries first and its last entry last,
+    so [..., 0] and [..., -1] are the first and last entry of every row
+    of n >= 2. Zero terms are exact under row_sums: padded sums keep the
+    unpadded bits.
+    """
+    live = _live([len(a) for a in arrays], width)
+    if arrays[0].ndim == 2:
+        live = live[:, :, None] & live[:, None, :]
+    out = np.zeros(live.shape)
+    out[live] = np.concatenate([a.ravel() for a in arrays])
+    return out
+
+
+def unpadded(rows, n):
+    """The rows of a padded (L, width) stack at their own lengths n, as views of one array."""
+    flat = rows[_live(n, rows.shape[-1])]
+    return [flat[end - m : end] for end, m in zip(np.cumsum(n).tolist(), n)]
 
 
 def diagonal_spectrum(values, degenerate=False):

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from stepbias import experiments, gd
+from stepbias.config import validate_config
 from stepbias.errors import AlreadyBelowLevelSet, StepbiasError
 from stepbias.experiments import stream
 from stepbias.gd import GDRun, StopStatus, level_set_runs
@@ -35,7 +36,7 @@ from stepbias.regimes import (
     check_assumptions,
     run_measurements,
 )
-from stepbias.spectral import condition_number, diagonal_spectrum
+from stepbias.spectral import condition_number, diagonal_spectrum, padded, row_sums
 
 # The one-lane search as gd.run_to_level_set ran it before every lane
 # went through gd.level_set_runs: each search a coroutine told whether
@@ -101,7 +102,7 @@ def reference_run(obj, theta0, eta, alpha, t_max):
     iota = gd.decompose(obj, theta0)
     sig = obj.spectrum.eigenvalues
     power = sig * iota * iota
-    loss0 = 0.5 * float(power.sum())
+    loss0 = 0.5 * float(row_sums(power))
     if loss0 <= alpha:
         raise AlreadyBelowLevelSet(
             f"initial excess loss {loss0:.3e} is already <= alpha {alpha:.3e}"
@@ -171,6 +172,34 @@ def test_block_rows_equal_the_one_instance_rows(seed):
     block = random_instances([stream(seed, f"certify-{i}") for i in range(40)])
     assert len({inst.pair.n for inst in block}) >= 4
     assert_same_records(block_records(block), [one_at_a_time(inst) for inst in block])
+
+
+def test_a_block_of_every_dimension_is_certified_in_one_pass(tmp_path, monkeypatch):
+    """The default quadratic_certify, one block of n = 4..8, makes one call of each pass."""
+    calls = {"_block_numbers": 0, "level_set_runs": 0}
+    sizes = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(experiments, "_block_numbers")
+    counted(gd, "level_set_runs")
+    real_block = experiments._certify_block
+    monkeypatch.setattr(
+        experiments, "_certify_block",
+        lambda block, first: sizes.append({i.pair.n for i in block}) or real_block(block, first),
+    )
+    experiments.run_experiment(
+        validate_config({"experiment": "quadratic_certify", "output_dir": str(tmp_path)})
+    )
+    assert sizes == [{4, 5, 6, 7, 8}]
+    assert calls == {"_block_numbers": 1, "level_set_runs": 1}
 
 
 def diagonal(inst, zero=None):
@@ -442,29 +471,26 @@ def _assert_same_outcome(got, obj, iota, lane):
 
 
 def _run_lanes(lanes):
-    """level_set_runs over each dimension's lanes at once, against each lane alone.
+    """level_set_runs over every lane at once, of mixed dimensions, against each lane alone.
 
-    Each lane must get what level_set_runs gives it on its own and what
-    reference_run gives or raises. Returns the outcomes seen: stop
-    statuses and error classes.
+    The lanes are padded to the widest (spectral.padded) and searched in
+    one call. Each lane must get what level_set_runs gives it on its own
+    and what reference_run gives or raises. Returns the outcomes seen:
+    stop statuses and error classes.
     """
-    by_n = {}
-    for lane in lanes:
-        by_n.setdefault(len(lane[0]), []).append(lane)
+    objs = [
+        QuadraticObjective(diagonal_spectrum(np.asarray(s, float)), np.zeros(len(s)))
+        for s, *_ in lanes
+    ]
+    iotas = [np.asarray(i, dtype=float) for _, i, *_ in lanes]
+    etas, alphas, t_maxes = ([lane[j] for lane in lanes] for j in (2, 3, 4))
+    runs = level_set_runs(objs, padded(iotas, max(map(len, iotas))), etas, alphas, t_maxes)
+    assert len(runs) == len(lanes)
     outcomes = []
-    for group in by_n.values():
-        objs = [
-            QuadraticObjective(diagonal_spectrum(np.asarray(s, float)), np.zeros(len(s)))
-            for s, *_ in group
-        ]
-        iota = np.array([i for _, i, *_ in group], dtype=float)
-        etas, alphas, t_maxes = ([lane[j] for lane in group] for j in (2, 3, 4))
-        runs = level_set_runs(objs, iota, etas, alphas, t_maxes)
-        assert len(runs) == len(group)
-        for run, obj, row, lane in zip(runs, objs, iota, group):
-            (alone,) = level_set_runs([obj], row[None], *([x] for x in lane[2:]))
-            outcomes.append(_assert_same_outcome(run, obj, row, lane[2:]))
-            assert _assert_same_outcome(alone, obj, row, lane[2:]) is outcomes[-1]
+    for run, obj, row, lane in zip(runs, objs, iotas, lanes):
+        (alone,) = level_set_runs([obj], row[None], *([x] for x in lane[2:]))
+        outcomes.append(_assert_same_outcome(run, obj, row, lane[2:]))
+        assert _assert_same_outcome(alone, obj, row, lane[2:]) is outcomes[-1]
     return outcomes
 
 

@@ -20,7 +20,7 @@ from stepbias.gd import (
     step,
 )
 from stepbias.quadratic import QuadraticObjective, evaluate
-from stepbias.spectral import diagonal_spectrum, eig_sym
+from stepbias.spectral import diagonal_spectrum, eig_sym, row_sums
 
 
 def _level_set_run(sigma, mu0, eta, alpha, t_max, divergence_limit):
@@ -28,7 +28,8 @@ def _level_set_run(sigma, mu0, eta, alpha, t_max, divergence_limit):
 
     mu0 holds the initial eigen-coefficients of theta0 - optimum. The
     per-step update multiplies coefficient i by (1 - eta * sigma_i);
-    the excess loss is 0.5 * sum(sigma * mu**2). Returns
+    the excess loss is 0.5 * sum(sigma * mu**2), summed left to right
+    (spectral.row_sums) as the program sums it. Returns
     (steps, final mu, per-step loss trace, status).
     """
     mu = mu0.copy()
@@ -36,7 +37,7 @@ def _level_set_run(sigma, mu0, eta, alpha, t_max, divergence_limit):
     trace = np.empty(t_max)
     for t in range(1, t_max + 1):
         mu = mu * factors
-        loss = 0.5 * np.sum(sigma * mu * mu)
+        loss = 0.5 * row_sums(sigma * mu * mu)
         trace[t - 1] = loss
         if loss <= alpha:
             return t, mu, trace[:t], StopStatus.HIT_LEVEL_SET
@@ -47,7 +48,7 @@ def _level_set_run(sigma, mu0, eta, alpha, t_max, divergence_limit):
 
 def oracle_run(sigma, iota, eta, alpha, t_max):
     """The oracle with run_to_level_set's divergence limit."""
-    loss0 = 0.5 * float(np.sum(sigma * iota * iota))
+    loss0 = 0.5 * float(row_sums(sigma * iota * iota))
     return _level_set_run(sigma, iota, eta, alpha, t_max, DIVERGENCE_FACTOR * loss0)
 
 
@@ -127,7 +128,7 @@ def test_level_set_run_statuses():
     assert status is StopStatus.HIT_LEVEL_SET
     assert trace.shape == (t,)
     assert trace[-1] <= 1e-6
-    assert 0.5 * np.sum(sigma * mu * mu) == trace[-1]
+    assert 0.5 * row_sums(sigma * mu * mu) == trace[-1]
 
     t, _, _, status = _level_set_run(sigma, mu0, 1e-5, 1e-9, 50, 1e12)
     assert status is StopStatus.MAX_STEPS_EXCEEDED and t == 50
@@ -146,7 +147,7 @@ def test_level_set_run_matches_scalar_reference():
     ref = mu.copy()
     for k in range(t):
         ref = ref * (1.0 - eta * sigma)
-        loss = 0.5 * float(np.sum(sigma * ref * ref))
+        loss = 0.5 * float(row_sums(sigma * ref * ref))
         assert trace[k] == loss
     assert np.array_equal(mu_out, ref)
 
@@ -485,7 +486,7 @@ def _eager_final(obj, theta0, eta, steps):
     factors = 1.0 - eta * sig
     with np.errstate(over="ignore", invalid="ignore"):
         mu_t = iota[live] * factors[live] ** steps
-        final = 0.5 * float((sig[live] * mu_t * mu_t).sum())
+        final = 0.5 * float(row_sums(sig[live] * mu_t * mu_t))
         mu = gd._final_mu(iota, factors, steps)
     return final, reconstruct(obj, mu)
 

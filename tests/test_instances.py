@@ -308,10 +308,10 @@ def _two_dimensions(block):
 def test_the_earliest_failing_instance_refuses_the_run(
     tmp_path, monkeypatch, failures, error, match
 ):
-    """Failures in two dimension groups of one block: the earlier instance's error wins.
+    """Failures at two dimensions of one block: the earlier instance's error wins.
 
-    The block is certified group by group, but each instance is checked
-    and certified in stream order, as if alone.
+    The block is certified in one pass padded to its widest instance, but
+    each instance is checked and certified in stream order, as if alone.
     """
     block = random_instances([stream(0, f"certify-{i}") for i in range(8)])
     first, later = _two_dimensions(block)

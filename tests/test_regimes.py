@@ -45,7 +45,7 @@ from stepbias.regimes import (
     check_assumptions,
     run_measurements,
 )
-from stepbias.spectral import Spectrum, condition_number, diagonal_spectrum, matvec
+from stepbias.spectral import Spectrum, condition_number, diagonal_spectrum, matvec, row_sums
 
 SPEC = diagonal_spectrum([1.0, 0.9, 0.3, 0.2])
 # The rate thresholds 2/(sigma_1+sigma_n) and 2/sigma_1 of SPEC.
@@ -119,7 +119,8 @@ def second_attenuation(eta, spectrum, kind):
 def epsilon_ratio(run, kind):
     """Oracle: squared mass ratio off the distinguished direction.
 
-    Big: sum_{i>1} mu_i^2 / mu_1^2. Small: sum_{i<n} mu_i^2 / mu_n^2.
+    Big: sum_{i>1} mu_i^2 / mu_1^2. Small: sum_{i<n} mu_i^2 / mu_n^2,
+    summed left to right (spectral.row_sums) as the program sums it.
     """
     mu = np.asarray(run.mu, dtype=float)
     if kind is RegimeKind.BIG:
@@ -130,7 +131,7 @@ def epsilon_ratio(run, kind):
         raise WrongRegime(f"epsilon ratio undefined for {kind.value} regime")
     if abs(lead) < 1e-300:
         raise ZeroDenominator("distinguished coefficient underflowed below 1e-300")
-    return float(np.sum((rest / lead) ** 2))
+    return float(row_sums((rest / lead) ** 2))
 
 
 def test_attenuation_formula():
@@ -271,7 +272,7 @@ def _alpha_one_reference(spectrum, iota, eta_s, eta_b, kappa_R, reading):
     sig = spectrum.eigenvalues
     n = spectrum.n
     kappa_F = condition_number(spectrum.eigenvalues)
-    norm_sq = float(np.sum(iota * iota))
+    norm_sq = float(row_sums(iota * iota))
     den_small, den_big = _log_gaps_reference(spectrum, eta_s, eta_b)
     small_tail = 1.0 / (1.0 - eta_s * sig[-1])
     big_tail = 1.0 / (eta_b * sig[0] - 1.0)
@@ -313,7 +314,7 @@ def _step_window_reference(spectrum, iota, eta, alpha, kappa_R, kind):
     sig = spectrum.eigenvalues
     n = spectrum.n
     kappa_F = condition_number(spectrum.eigenvalues)
-    norm_sq = float(np.sum(iota * iota))
+    norm_sq = float(row_sums(iota * iota))
     lead = leading_attenuation(eta, spectrum, kind)
     gap = math.log(lead / second_attenuation(eta, spectrum, kind))
     if kind is RegimeKind.BIG:
