@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gd, kernels, toy2d
 from .config import TAU, canonical_config
-from .errors import CertificationFailed, DegenerateSpectrum, InfeasibleWindow, ParseError
+from .errors import CertificationFailed, DegenerateSpectrum, InfeasibleWindow, InvalidRegime, ParseError
 from .filters import (
     cut_off,
     gd_filter,
@@ -327,20 +327,27 @@ def _level_runs(sweep, eta_mults, alphas):
     """Theta-space GD from zero to each alpha at each eta_mult / sigma_1, searched at once.
 
     Returns, in order, each run and its sweep metrics (proj_e1, Hilbert
-    norm, accuracy); the first failed run raises. Every run's alpha_hat
-    is scored in one binary_error call.
+    norm, accuracy); the first failed run raises, InvalidRegime where its
+    step size overflows to inf or rounds to 0. Every run's alpha_hat is
+    scored in one binary_error call.
     """
     obj = sweep.obj
     sigma1 = obj.spectrum.top
     iota = gd.decompose(obj, np.zeros(obj.n))
+    etas = [eta_mult / sigma1 for eta_mult in eta_mults]
     runs = gd.level_set_runs(
         [obj] * len(alphas),
         np.tile(iota, (len(alphas), 1)),
-        [eta_mult / sigma1 for eta_mult in eta_mults],
+        etas,
         alphas,
         [T_MAX_SWEEP] * len(alphas),
     )
-    for run in runs:
+    for eta_mult, eta, run in zip(eta_mults, etas, runs):
+        if not (math.isfinite(eta) and eta > 0):
+            raise InvalidRegime(
+                f"rate {eta_mult!r} / sigma_1 {sigma1!r} gives step size {eta!r}, "
+                "not a finite positive float"
+            )
         if not isinstance(run, gd.GDRun):
             raise run
     alpha_hats = [sweep.alpha_star + kernels.from_eigen_coords(sweep.prob, run.mu) for run in runs]

@@ -3,7 +3,7 @@
 quadratic_certify certifies each block of instances with stacked numpy
 work (experiments._certify_block), and gd.level_set_runs searches every
 level set in lockstep. Both must give the bits of the one-lane search
-they replaced, kept here as reference_run, and the column passes
+they replaced, reference.search_run, and the column passes
 (records.regime_records, regimes.assumption_checks and
 regimes.certificates) the bits of their one-row views. The bits rest on
 numpy's SIMD dispatch and not on BLAS: CI reruns the suite with numpy's
@@ -27,129 +27,17 @@ from stepbias.errors import AlreadyBelowLevelSet, StepbiasError
 from stepbias.experiments import stream
 from stepbias.gd import GDRun, StopStatus, level_set_runs
 from stepbias.instances import CertifyInstance, random_instances
-from stepbias.quadratic import ProblemPair, QuadraticObjective, evaluate, excess_losses
+from stepbias.quadratic import ProblemPair, QuadraticObjective, evaluate
 from stepbias.records import pair_records, regime_records
 from stepbias.regimes import (
     assumption_checks,
     certificates,
     certify,
     check_assumptions,
-    run_measurements,
 )
-from stepbias.spectral import condition_number, diagonal_spectrum, padded, row_sums
+from stepbias.spectral import condition_number, diagonal_spectrum, padded
 
-# The one-lane search as gd.run_to_level_set ran it before every lane
-# went through gd.level_set_runs: each search a coroutine told whether
-# its test holds, driven alone, on one 1-D lane whose dead directions
-# (sigma_i iota_i^2 == 0) have coefficient and factor 0.
-
-
-def _first_true(lo, hi):
-    """Search coroutine: the smallest t in [lo, hi] whose test holds, or hi + 1."""
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if (yield mid):
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _descent(t_max, start):
-    """Search coroutine: exponential search from start, then bisection, for loss <= alpha."""
-    if start > 1 and (yield start - 1):
-        start = 1
-    lo = hi = start
-    while not (yield hi):
-        if hi == t_max:
-            return t_max, StopStatus.MAX_STEPS_EXCEEDED
-        lo, hi = hi + 1, min(2 * hi - start + 1, t_max)
-    return (yield from _first_true(lo, hi - 1)), StopStatus.HIT_LEVEL_SET
-
-
-def _solo(search, test):
-    try:
-        t = next(search)
-        while True:
-            t = search.send(test(t))
-    except StopIteration as done:
-        return done.value
-
-
-def _reference_search(loss, alpha, t_max, nonincreasing, limit, start):
-    def below(t):
-        return loss(t) <= alpha
-
-    if nonincreasing:
-        return _solo(_descent(t_max, start), below)
-    bottom = _solo(_first_true(1, t_max - 1), lambda t: loss(t + 1) >= loss(t))
-    if below(bottom):
-        return _solo(_first_true(1, bottom), below), StopStatus.HIT_LEVEL_SET
-    t = _solo(_first_true(bottom, t_max), lambda t: loss(t) > limit)
-    if t <= t_max:
-        return t, StopStatus.DIVERGED
-    return t_max, StopStatus.MAX_STEPS_EXCEEDED
-
-
-def reference_run(obj, theta0, eta, alpha, t_max):
-    """Oracle: the GDRun of gd.run_to_level_set, or the error it raises."""
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"step size must be finite and positive, got {eta!r}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"level-set target must be finite and positive, got {alpha!r}")
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
-    iota = gd.decompose(obj, theta0)
-    sig = obj.spectrum.eigenvalues
-    power = sig * iota * iota
-    loss0 = 0.5 * float(row_sums(power))
-    if loss0 <= alpha:
-        raise AlreadyBelowLevelSet(
-            f"initial excess loss {loss0:.3e} is already <= alpha {alpha:.3e}"
-        )
-    factors = 1.0 - eta * sig
-    dead = power == 0
-    iota_z, fac_z = np.where(dead, 0.0, iota), np.where(dead, 0.0, factors)
-    evaluated = {}
-
-    def loss(t):
-        evaluated[t] = value = float(excess_losses(sig, iota_z * fac_z**t))
-        return value
-
-    rates = np.abs(fac_z)
-    nonincreasing = bool(rates.max() <= 1.0)
-    start = 1
-    if nonincreasing:
-        start = gd.hit_lower_bound((0.5 * power).tolist(), rates.tolist(), alpha, int(t_max))
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps, status = _reference_search(
-            loss, float(alpha), int(t_max), nonincreasing, gd.DIVERGENCE_FACTOR * loss0, start
-        )
-        final = evaluated[steps] if steps in evaluated else loss(steps)
-        mu = iota * factors**steps
-        mu[iota == 0] = 0.0
-    return GDRun(
-        eta=eta,
-        steps=steps,
-        mu=mu,
-        iota=iota,
-        stop_status=status,
-        objective=obj,
-        final_excess=final,
-        alpha=float(alpha),
-        half_level_ok=final >= 0.5 * alpha if status is StopStatus.HIT_LEVEL_SET else None,
-    )
-
-
-def one_at_a_time(inst):
-    """The certificate record of inst, certified on its own on reference runs."""
-    verdicts = check_assumptions(inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha)
-    assert all(v.passed for v in verdicts)
-    run_s, run_b = (
-        reference_run(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
-        for eta in (inst.eta_s, inst.eta_b)
-    )
-    return certify(inst.pair, run_s, run_b, inst.alpha).to_record()
+from reference import certified_alone, measurements, power, search_run, tie_alpha
 
 
 def assert_same_records(got, want):
@@ -171,7 +59,7 @@ def block_records(block):
 def test_block_rows_equal_the_one_instance_rows(seed):
     block = random_instances([stream(seed, f"certify-{i}") for i in range(40)])
     assert len({inst.pair.n for inst in block}) >= 4
-    assert_same_records(block_records(block), [one_at_a_time(inst) for inst in block])
+    assert_same_records(block_records(block), [certified_alone(inst) for inst in block])
 
 
 def test_a_block_of_every_dimension_is_certified_in_one_pass(tmp_path, monkeypatch):
@@ -223,7 +111,7 @@ def test_an_instance_with_a_zero_weight_direction_is_searched_in_lockstep(monkey
     block = random_instances([stream(3, f"certify-{i}") for i in range(12)])
     block[4] = diagonal(block[4], zero=1)
     block[5] = diagonal(block[5])
-    want = [one_at_a_time(inst) for inst in block]
+    want = [certified_alone(inst) for inst in block]
 
     def alone(*args):
         raise AssertionError("a block lane ran alone")
@@ -236,7 +124,7 @@ def test_block_rows_with_a_rejected_start(monkeypatch):
     """A bound past the hit fails its check: both paths restart from step 1."""
     monkeypatch.setattr(gd, "hit_lower_bound", lambda w, r, alpha, t_max: t_max)
     block = random_instances([stream(5, f"certify-{i}") for i in range(10)])
-    assert_same_records(block_records(block), [one_at_a_time(inst) for inst in block])
+    assert_same_records(block_records(block), [certified_alone(inst) for inst in block])
 
 
 def _diagonal_pair(train, test, optimum_shift=0.0):
@@ -313,18 +201,7 @@ def test_column_rows_equal_their_one_row_views(seed):
     record = pair_records(pairs, iota, [i.eta_s for i in block], [i.eta_b for i in block])
     passed, a_one = assumption_checks(pairs, record, alpha)
     mus = [[run.mu if isinstance(run, GDRun) else i for run in lanes] for lanes, i in zip(runs, iota)]
-    measured = np.array(
-        [
-            [
-                m.item()
-                for m in run_measurements(
-                    p.train.spectrum.eigenvectors, p.test.spectrum.eigenvectors,
-                    p.test.spectrum.eigenvalues, p.train.optimum - p.test.optimum, mu_s, mu_b,
-                )
-            ]
-            for p, (mu_s, mu_b) in zip(pairs, mus)
-        ]
-    ).T
+    measured = measurements(pairs, mus)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cert, refusals = certificates(pairs, *zip(*runs), alpha, record, measured)
@@ -352,19 +229,14 @@ def test_column_rows_equal_their_one_row_views(seed):
     assert sum(isinstance(r, StepbiasError) for r in refusals) >= 6
 
 
-def _tie_alpha(t):
-    """L(t) of the dyadic problem sigma (1, 1/2), iota (1, 1), eta 1/2: exact in floats."""
-    return 0.5 * (0.5 ** (2 * t) + 0.5 * 0.75 ** (2 * t))
-
-
 def _lanes():
     """(sigma, iota, eta, alpha, t_max) lanes of every kind the search meets."""
     tie = ([1.0, 0.5], [1.0, 1.0], 0.5)
     for t in (1, 2, 3, 5, 9, 16):
-        yield (*tie, _tie_alpha(t), 100)  # L(t) == alpha: a hit at t
-        yield (*tie, np.nextafter(_tie_alpha(t), 0.0), 100)  # a hit at t + 1
-    yield (*tie, _tie_alpha(40), 3)  # MaxStepsExceeded next to hits
-    yield (*tie, _tie_alpha(3), 1)  # t_max 1
+        yield (*tie, tie_alpha(t), 100)  # L(t) == alpha: a hit at t
+        yield (*tie, np.nextafter(tie_alpha(t), 0.0), 100)  # a hit at t + 1
+    yield (*tie, tie_alpha(40), 3)  # MaxStepsExceeded next to hits
+    yield (*tie, tie_alpha(3), 1)  # t_max 1
     # Factor 0 on a negative coefficient: mu_1 is -0.0.
     yield ([1.0, 0.5], [-1.0, 1.0], 1.0, 1e-3, 100)
     yield ([1.0, 0.5], [1.0, -1.0], 1.9, 1e-9, 10**6)
@@ -387,10 +259,10 @@ def _lanes():
     yield ([1.0, 0.5, 0.25], [1.0, 0.0, -2.0], 2.1, 1e-6, 1000)
     # Lanes that fail, for the caller to raise.
     yield (*tie, 1.0, 100)  # already below the level set
-    yield (*tie, _tie_alpha(0), 100)  # L(0) == alpha is below too
+    yield (*tie, tie_alpha(0), 100)  # L(0) == alpha is below too
     yield (*tie, math.inf, 100)
     yield (*tie, 0.0, 100)
-    yield (*tie, _tie_alpha(3), 0)
+    yield (*tie, tie_alpha(3), 0)
     yield ([1.0, 0.5], [1.0, 1.0], math.nan, 1e-3, 100)
     yield ([1.0, 0.5], [1.0, 1.0], -0.5, 1e-3, 100)
     yield ([1.0, 0.5], [0.0, 0.0], 0.5, 1e-3, 100)  # no weight at all
@@ -459,9 +331,9 @@ def _assert_same_run(got, want):
 
 
 def _assert_same_outcome(got, obj, iota, lane):
-    """got is the GDRun of reference_run on the lane, or the error it raises."""
+    """got is the GDRun of search_run on the lane, or the error it raises."""
     try:
-        want = reference_run(obj, iota, *lane)
+        want = search_run(obj, iota, *lane)
     except (ValueError, AlreadyBelowLevelSet) as error:
         assert type(got) is type(error) and str(got) == str(error), lane
         return type(error)
@@ -475,7 +347,7 @@ def _run_lanes(lanes):
 
     The lanes are padded to the widest (spectral.padded) and searched in
     one call. Each lane must get what level_set_runs gives it on its own
-    and what reference_run gives or raises. Returns the outcomes seen:
+    and what search_run gives or raises. Returns the outcomes seen:
     stop statuses and error classes.
     """
     objs = [
@@ -510,12 +382,24 @@ def test_lockstep_runs_from_rejected_and_early_starts(monkeypatch):
 
 
 def test_lockstep_steps_one_and_two_take_numpys_fast_paths():
-    """At steps 1 and 2 the powers are those of ** with an int exponent, bit for bit."""
+    """Each row's powers are reference.power's, ** with an int exponent, bit for bit.
+
+    At steps 1 and 2 numpy's ** takes fast paths (a copy, a square) that
+    gd._powers mirrors. Then padded stacks of n = 1..5, each row at its
+    own step, up to steps where |factor| > 1 overflows to +-inf.
+    """
     rng = np.random.default_rng(2)
     factors = rng.uniform(-1.0, 1.0, size=(2000, 3))
     for t in (0, 1, 2, 3, 7):
         got = gd._powers(factors, [t] * len(factors))
-        assert got.tobytes() == np.array([row**t for row in factors]).tobytes()
+        assert got.tobytes() == np.array([power(row, t) for row in factors]).tobytes()
+    stack = padded([rng.uniform(-2.5, 2.5, size=n) for n in rng.integers(1, 6, size=600)], 5)
+    steps = rng.choice([0, 1, 2, 3, 7, 1000, 1001], size=len(stack)).tolist()
+    with np.errstate(over="ignore"):
+        got = gd._powers(stack, steps)
+        want = np.array([power(row, t) for row, t in zip(stack, steps)])
+    assert got.tobytes() == want.tobytes()
+    assert np.isposinf(got).any() and np.isneginf(got).any()
 
 
 # Certifies the default quadratic_certify at CERTIFY_BLOCK 1 and 40 into

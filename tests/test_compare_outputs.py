@@ -10,12 +10,12 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = [{"experiment": "filter_profiles"}, {"experiment": "toy2d", "eta_big": 1.9}]
 
 
-def _compare(tmp_path, other):
-    configs = tmp_path / "configs.json"
-    configs.write_text(json.dumps(CONFIGS))
+def _compare(tmp_path, other, configs=CONFIGS):
+    path = tmp_path / "configs.json"
+    path.write_text(json.dumps(configs))
     tool = ROOT / "tools" / "compare_outputs.py"
     return subprocess.run(
-        [sys.executable, str(tool), str(ROOT), str(other), "--configs", str(configs)],
+        [sys.executable, str(tool), str(ROOT), str(other), "--configs", str(path)],
         capture_output=True, text=True, check=False,
     )
 
@@ -33,8 +33,21 @@ def test_a_changed_colour_lists_each_svg_and_its_manifest(tmp_path):
     text = reporting.read_text()
     assert text.count('"#1f77b4"') == 1
     reporting.write_text(text.replace('"#1f77b4"', '"#1f77b5"'))
-    done = _compare(tmp_path, copy)
+    # The copy also raises an exception that is no StepbiasError on a third
+    # config: compared as an outcome, not a crash of the run.
+    experiments = copy / "src" / "stepbias" / "experiments.py"
+    runner = "    runner = _RUNNERS[cfg.experiment]\n"
+    assert experiments.read_text().count(runner) == 1
+    experiments.write_text(experiments.read_text().replace(
+        runner, runner + '    if cfg.experiment == "quadratic_certify":\n        raise ValueError\n'
+    ))
+    certify = {"experiment": "quadratic_certify", "instances": 1}
+    done = _compare(tmp_path, copy, [*CONFIGS, certify])
     assert done.returncode == 1, done.stdout + done.stderr
+    assert (
+        f"outcome differs: config-002-quadratic_certify {json.dumps(certify)}: "
+        "ok -> uncaught ValueError"
+    ) in done.stdout
     differ = sorted(line for line in done.stdout.splitlines() if line.startswith("differs: "))
     assert differ == [
         "differs: config-000-filter_profiles/filter_profiles.svg",

@@ -75,6 +75,10 @@ def raw_configs(draw):
 @example(case=({"experiment": "toy2d", "sigma2": 1e-300, "alpha": 1e-300}, None))
 @example(case=({"experiment": "toy2d", "sigma1": 10, "sigma2": 0.2, "alpha": 5e-324}, None))
 @example(case=({"experiment": "toy2d", "sigma2": 0.5, "eta_big": 1.5, "alpha": 5e-324}, None))
+# Sweep rates whose step size eta_mult / sigma_1 overflows to inf or rounds to 0.
+@example(case=({"experiment": "eta_sweep", "eta_grid": [1.3383999106150952e308]}, None))
+@example(case=({"experiment": "alpha_sweep", "eta_big": 1.7e308}, None))
+@example(case=({"experiment": "eta_sweep", "lam": 1e160, "eta_grid": [1e-300]}, None))
 def test_accepted_configs_run_to_a_documented_exit_code(case):
     raw, data = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -20,36 +20,9 @@ from stepbias.gd import (
     step,
 )
 from stepbias.quadratic import QuadraticObjective, evaluate
-from stepbias.spectral import diagonal_spectrum, eig_sym, row_sums
+from stepbias.spectral import diagonal_spectrum, eig_sym
 
-
-def _level_set_run(sigma, mu0, eta, alpha, t_max, divergence_limit):
-    """Oracle: iterate GD in eigen-coordinates until the excess loss reaches alpha.
-
-    mu0 holds the initial eigen-coefficients of theta0 - optimum. The
-    per-step update multiplies coefficient i by (1 - eta * sigma_i);
-    the excess loss is 0.5 * sum(sigma * mu**2), summed left to right
-    (spectral.row_sums) as the program sums it. Returns
-    (steps, final mu, per-step loss trace, status).
-    """
-    mu = mu0.copy()
-    factors = 1.0 - eta * sigma
-    trace = np.empty(t_max)
-    for t in range(1, t_max + 1):
-        mu = mu * factors
-        loss = 0.5 * row_sums(sigma * mu * mu)
-        trace[t - 1] = loss
-        if loss <= alpha:
-            return t, mu, trace[:t], StopStatus.HIT_LEVEL_SET
-        if loss > divergence_limit:
-            return t, mu, trace[:t], StopStatus.DIVERGED
-    return t_max, mu, trace[:t_max], StopStatus.MAX_STEPS_EXCEEDED
-
-
-def oracle_run(sigma, iota, eta, alpha, t_max):
-    """The oracle with run_to_level_set's divergence limit."""
-    loss0 = 0.5 * float(row_sums(sigma * iota * iota))
-    return _level_set_run(sigma, iota, eta, alpha, t_max, DIVERGENCE_FACTOR * loss0)
+from reference import excess, power, row_sum, stepping_run, tie_alpha
 
 
 def diagonal_run(sigma, iota, eta, alpha, t_max):
@@ -124,16 +97,16 @@ def test_run_to_level_set_hits_with_half_level():
 def test_level_set_run_statuses():
     sigma = np.array([2.0, 1.0])
     mu0 = np.array([1.0, 1.0])
-    t, mu, trace, status = _level_set_run(sigma, mu0, 0.2, 1e-6, 10_000, 1e12)
+    t, mu, trace, status = stepping_run(sigma, mu0, 0.2, 1e-6, 10_000, 1e12)
     assert status is StopStatus.HIT_LEVEL_SET
     assert trace.shape == (t,)
     assert trace[-1] <= 1e-6
-    assert 0.5 * row_sums(sigma * mu * mu) == trace[-1]
+    assert 0.5 * row_sum(sigma * mu * mu) == trace[-1]
 
-    t, _, _, status = _level_set_run(sigma, mu0, 1e-5, 1e-9, 50, 1e12)
+    t, _, _, status = stepping_run(sigma, mu0, 1e-5, 1e-9, 50, 1e12)
     assert status is StopStatus.MAX_STEPS_EXCEEDED and t == 50
 
-    t, _, trace, status = _level_set_run(sigma, mu0, 10.0, 1e-9, 10_000, 1e6)
+    t, _, trace, status = stepping_run(sigma, mu0, 10.0, 1e-9, 10_000, 1e6)
     assert status is StopStatus.DIVERGED
     assert trace[-1] > 1e6
 
@@ -143,11 +116,11 @@ def test_level_set_run_matches_scalar_reference():
     sigma = np.sort(rng.uniform(0.1, 1.0, 6))[::-1].copy()
     mu = rng.normal(size=6)
     eta = 1.5
-    t, mu_out, trace, status = _level_set_run(sigma, mu, eta, 1e-10, 1000, 1e15)
+    t, mu_out, trace, status = stepping_run(sigma, mu, eta, 1e-10, 1000, 1e15)
     ref = mu.copy()
     for k in range(t):
         ref = ref * (1.0 - eta * sigma)
-        loss = 0.5 * float(row_sums(sigma * ref * ref))
+        loss = 0.5 * float(row_sum(sigma * ref * ref))
         assert trace[k] == loss
     assert np.array_equal(mu_out, ref)
 
@@ -190,7 +163,7 @@ def test_run_validates_arguments():
 def _assert_matches_oracle(sigma, iota, eta, alpha, t_max):
     run = diagonal_run(sigma, iota, eta, alpha, t_max)
     sigma, iota = np.asarray(sigma, float), np.asarray(iota, float)
-    t, mu, trace, status = oracle_run(sigma, iota, eta, alpha, t_max)
+    t, mu, trace, status = stepping_run(sigma, iota, eta, alpha, t_max)
     assert (run.steps, run.stop_status) == (t, status)
     scale = np.max(np.abs(mu))
     assert np.all(np.abs(run.mu - mu) <= 1e-12 * scale)
@@ -255,7 +228,7 @@ def test_level_set_search_tie_hits():
     """
     sigma, iota = np.array([1.0, 0.5]), np.array([1.0, 1.0])
     for t in (1, 2, 5, 9, 16):
-        alpha = 0.5 * (0.5 ** (2 * t) + 0.5 * 0.75 ** (2 * t))
+        alpha = tie_alpha(t)
         run, trace = _assert_matches_oracle(sigma, iota, 0.5, alpha, 100)
         assert run.steps == t and run.stop_status is StopStatus.HIT_LEVEL_SET
         assert trace[-1] == alpha == run.final_excess
@@ -279,11 +252,6 @@ def test_loss_trace_matches_closed_form():
             assert trace[t - 1] == pytest.approx(want, rel=1e-12)
 
 
-def _tie_alpha(t):
-    """L(t) of the dyadic tie problem: sigma (1, 1/2), iota (1, 1), eta 1/2."""
-    return 0.5 * (0.5 ** (2 * t) + 0.5 * 0.75 ** (2 * t))
-
-
 def _search_cases():
     """Problems for the lower bound: random, pinned factors, ties, short t_max."""
     yield from _random_problems()
@@ -293,8 +261,8 @@ def _search_cases():
     yield [1.0, 0.001], [0.0, 1.0], 2.5, 1e-9, 10**6  # zero weight, |factor| 1.5
     yield [1.0, 0.001], [0.0, 1.0], 2.5, 1e-9, 2000
     for t in (1, 2, 5, 9, 16):
-        yield [1.0, 0.5], [1.0, 1.0], 0.5, _tie_alpha(t), 100
-        yield [1.0, 0.5], [1.0, 1.0], 0.5, np.nextafter(_tie_alpha(t), 0.0), 100
+        yield [1.0, 0.5], [1.0, 1.0], 0.5, tie_alpha(t), 100
+        yield [1.0, 0.5], [1.0, 1.0], 0.5, np.nextafter(tie_alpha(t), 0.0), 100
     # The hit of this run is step 51 and its lower bound step 50; every
     # t_max from below the bound to past the hit.
     for t_max in (1, 30, 49, 50, 51, 52, 60, 10**6):
@@ -337,7 +305,7 @@ def test_hit_lower_bound_is_no_later_than_the_first_hit():
         if np.any(rates > 1.0):
             continue
         start = hit_lower_bound(w[w != 0], rates, alpha, t_max)
-        t, _, _, status = oracle_run(sigma, iota, eta, alpha, t_max)
+        t, _, _, status = stepping_run(sigma, iota, eta, alpha, t_max)
         assert 1 <= start <= t_max
         if status is StopStatus.HIT_LEVEL_SET:
             assert start <= t
@@ -376,21 +344,21 @@ def _counting(loss):
 
 def test_level_set_search_from_any_start_finds_the_first_hit():
     """A start past the hit fails its check and the search restarts at 1."""
-    alpha = _tie_alpha(9)
-    want = level_set_search(_tie_alpha, alpha, 100, start=1)
+    alpha = tie_alpha(9)
+    want = level_set_search(tie_alpha, alpha, 100, start=1)
     assert want == (9, StopStatus.HIT_LEVEL_SET)
     for start in range(1, 101):
-        counted, calls = _counting(_tie_alpha)
+        counted, calls = _counting(tie_alpha)
         assert level_set_search(counted, alpha, 100, start=start) == want
         if start > 1:
             assert calls[0] == start - 1  # the check comes first
     # From the step before the hit: the check and two probes.
-    counted, calls = _counting(_tie_alpha)
+    counted, calls = _counting(tie_alpha)
     level_set_search(counted, alpha, 100, start=8)
     assert calls == [7, 8, 9]
     # t_max at or below the start: MaxStepsExceeded after the check.
-    counted, calls = _counting(_tie_alpha)
-    assert level_set_search(counted, _tie_alpha(60), 5, start=5) == (
+    counted, calls = _counting(tie_alpha)
+    assert level_set_search(counted, tie_alpha(60), 5, start=5) == (
         5,
         StopStatus.MAX_STEPS_EXCEEDED,
     )
@@ -485,8 +453,7 @@ def _eager_final(obj, theta0, eta, steps):
     live = sig * iota * iota != 0
     factors = 1.0 - eta * sig
     with np.errstate(over="ignore", invalid="ignore"):
-        mu_t = iota[live] * factors[live] ** steps
-        final = 0.5 * float(row_sums(sig[live] * mu_t * mu_t))
+        final = float(excess(sig[live], iota[live] * power(factors[live], steps)))
         mu = gd._final_mu(iota, factors, steps)
     return final, reconstruct(obj, mu)
 

@@ -25,7 +25,7 @@ from stepbias.errors import (
 from stepbias.config import validate_config
 from stepbias.experiments import run_experiment, stream
 from stepbias.instances import random_instance
-from stepbias.quadratic import ProblemPair, QuadraticObjective, evaluate
+from stepbias.quadratic import ProblemPair, QuadraticObjective
 from stepbias.records import (
     RegimeKind,
     StepWindow,
@@ -45,7 +45,22 @@ from stepbias.regimes import (
     check_assumptions,
     run_measurements,
 )
-from stepbias.spectral import Spectrum, condition_number, diagonal_spectrum, matvec, row_sums
+from stepbias.spectral import condition_number, diagonal_spectrum, matvec
+
+from reference import (
+    WrongRegime,
+    alpha_one,
+    attenuation,
+    epsilon_ratio,
+    leading_attenuation,
+    log_gaps,
+    measurements,
+    random_instance_numbers,
+    risk,
+    run_error,
+    second_attenuation,
+    step_window,
+)
 
 SPEC = diagonal_spectrum([1.0, 0.9, 0.3, 0.2])
 # The rate thresholds 2/(sigma_1+sigma_n) and 2/sigma_1 of SPEC.
@@ -74,64 +89,6 @@ def windows(record, alpha):
     scale, lead = np.array([record.scale_s, record.scale_b]), np.array([record.lead_s, record.lead_b])
     (t2_s, t2_b), (t3_s, t3_b) = _window_bounds(scale, lead, np.full(2, alpha, float)).tolist()
     return StepWindow(record.t1_s, t2_s, t3_s), StepWindow(record.t1_b, t2_b, t3_b)
-
-
-class WrongRegime(Exception):
-    """An oracle was asked for a quantity its regime does not define."""
-
-
-# regime_records and certify take these numbers inline; the per-quantity
-# functions they replaced are kept here as the bitwise oracles.
-
-
-def attenuation(eta, sigma):
-    """Oracle: per-step multiplier |1 - eta sigma| on an eigendirection."""
-    if eta <= 0 or sigma <= 0:
-        raise ValueError("eta and sigma must be positive")
-    return abs(1.0 - eta * sigma)
-
-
-def leading_attenuation(eta, spectrum, kind):
-    """Oracle: |1 - eta sigma| on the regime's distinguished direction."""
-    if kind is RegimeKind.SMALL:
-        return attenuation(eta, spectrum.bottom)
-    if kind is RegimeKind.BIG:
-        return attenuation(eta, spectrum.top)
-    raise WrongRegime(f"no distinguished direction for {kind.value} regime")
-
-
-def second_attenuation(eta, spectrum, kind):
-    """Oracle: second-biggest attenuation coefficient for a Small or Big rate.
-
-    Small: |1 - eta sigma_{n-1}|. Big: max(|1 - eta sigma_2|,
-    |1 - eta sigma_n|).
-    """
-    if spectrum.n < 2:
-        raise WrongRegime("second attenuation needs at least two eigenvalues")
-    sig = spectrum.eigenvalues
-    if kind is RegimeKind.SMALL:
-        return attenuation(eta, sig[-2])
-    if kind is RegimeKind.BIG:
-        return max(attenuation(eta, sig[1]), attenuation(eta, sig[-1]))
-    raise WrongRegime(f"second attenuation undefined for {kind.value} regime")
-
-
-def epsilon_ratio(run, kind):
-    """Oracle: squared mass ratio off the distinguished direction.
-
-    Big: sum_{i>1} mu_i^2 / mu_1^2. Small: sum_{i<n} mu_i^2 / mu_n^2,
-    summed left to right (spectral.row_sums) as the program sums it.
-    """
-    mu = np.asarray(run.mu, dtype=float)
-    if kind is RegimeKind.BIG:
-        lead, rest = mu[0], mu[1:]
-    elif kind is RegimeKind.SMALL:
-        lead, rest = mu[-1], mu[:-1]
-    else:
-        raise WrongRegime(f"epsilon ratio undefined for {kind.value} regime")
-    if abs(lead) < 1e-300:
-        raise ZeroDenominator("distinguished coefficient underflowed below 1e-300")
-    return float(row_sums((rest / lead) ** 2))
 
 
 def test_attenuation_formula():
@@ -262,114 +219,6 @@ def test_alpha_one_split_orders_the_windows():
                 assert win.feasible
 
 
-# The per-function derivations that regime_records replaced, kept as
-# bitwise oracles: each call derives its numbers again from the spectrum.
-
-
-def _alpha_one_reference(spectrum, iota, eta_s, eta_b, kappa_R, reading):
-    """Oracle: one reading per call, each from its own intermediates."""
-    i1, inn = float(iota[0]), float(iota[-1])
-    sig = spectrum.eigenvalues
-    n = spectrum.n
-    kappa_F = condition_number(spectrum.eigenvalues)
-    norm_sq = float(row_sums(iota * iota))
-    den_small, den_big = _log_gaps_reference(spectrum, eta_s, eta_b)
-    small_tail = 1.0 / (1.0 - eta_s * sig[-1])
-    big_tail = 1.0 / (eta_b * sig[0] - 1.0)
-    if reading == "displayed":
-        num = math.log(
-            norm_sq
-            * max(16 * n * kappa_R, 4 * kappa_F)
-            * max(1.0 / i1**2, 1.0 / inn**2)
-            + small_tail
-            + big_tail
-        )
-        return 0.5 * sig[-1] * inn**2 * math.exp(-num / min(den_small, den_big))
-    num_big = math.log(norm_sq / i1**2 * 4 * n * kappa_R + big_tail)
-    num_small = math.log(
-        norm_sq / inn**2 * max(16 * n * kappa_R, 4 * kappa_F) + small_tail
-    )
-    return min(
-        0.5 * sig[0] * i1**2 * math.exp(-num_big / den_big),
-        0.5 * sig[-1] * inn**2 * math.exp(-num_small / den_small),
-    )
-
-
-def _log_gaps_reference(spectrum, eta_s, eta_b):
-    """Oracle: the (Small, Big) log-gap denominators of t1."""
-    small = math.log(
-        leading_attenuation(eta_s, spectrum, RegimeKind.SMALL)
-        / second_attenuation(eta_s, spectrum, RegimeKind.SMALL)
-    )
-    big = math.log(
-        leading_attenuation(eta_b, spectrum, RegimeKind.BIG)
-        / second_attenuation(eta_b, spectrum, RegimeKind.BIG)
-    )
-    return small, big
-
-
-def _step_window_reference(spectrum, iota, eta, alpha, kappa_R, kind):
-    """Oracle: (t1, t2, t3) of one regime, derived from scratch."""
-    i1, inn = float(iota[0]), float(iota[-1])
-    sig = spectrum.eigenvalues
-    n = spectrum.n
-    kappa_F = condition_number(spectrum.eigenvalues)
-    norm_sq = float(row_sums(iota * iota))
-    lead = leading_attenuation(eta, spectrum, kind)
-    gap = math.log(lead / second_attenuation(eta, spectrum, kind))
-    if kind is RegimeKind.BIG:
-        t1 = 0.5 * math.log(4 * n * kappa_R * norm_sq / i1**2) / gap
-        scale = sig[0] * i1**2
-    else:
-        t1 = (
-            0.5
-            * math.log(max(16 * n * kappa_R, 4 * kappa_F) * norm_sq / inn**2)
-            / gap
-        )
-        scale = sig[-1] * inn**2
-    decay = math.log(1.0 / lead)
-    t2 = 0.5 * math.log(0.5 * scale / alpha) / decay
-    t3 = 0.5 * math.log(1.25 * scale / alpha) / decay
-    return StepWindow(t1=t1, t2=t2, t3=t3)
-
-
-def _random_instance_reference(rng, n, model_error_fraction):
-    """Oracle: random_instance with every number derived per call."""
-    for _ in range(instances.MAX_DRAWS):
-        train_vals, train_angles, test_vals, test_angles, opt_train, iota = (
-            instances._draw(rng, n)
-        )
-        train_basis, test_basis = instances.givens_bases([(n, train_angles), (n, test_angles)])
-        train_spec = Spectrum(train_vals, train_basis)
-        test_spec = Spectrum(test_vals, test_basis)
-        sig1, sign = train_spec.eigenvalues[0], train_spec.eigenvalues[-1]
-        eta_s = 1.0 / (sig1 + sign)
-        eta_b = 1.9 / sig1
-        kappa_R = test_spec.top / test_spec.bottom
-        kappa_F = sig1 / sign
-        args = (train_spec, iota, eta_s, eta_b, kappa_R)
-        alpha = 0.5 * min(
-            _alpha_one_reference(*args, "displayed"),
-            _alpha_one_reference(*args, "split"),
-        )
-        if alpha >= 1e-280:
-            break
-    theta0 = opt_train + matvec(train_spec.eigenvectors, iota)
-    fraction = model_error_fraction
-    if fraction is None:
-        fraction = 0.1 if rng.uniform() < 0.5 else 0.0
-    opt_test = opt_train.copy()
-    if fraction > 0:
-        cap = min(0.25, kappa_F / (72.0 * kappa_R))
-        direction = rng.normal(size=n)
-        quad = evaluate(QuadraticObjective(test_spec, np.zeros(n)), direction)
-        opt_test = opt_train + math.sqrt(fraction * cap * alpha / quad) * direction
-    small, big = RegimeKind.SMALL, RegimeKind.BIG
-    win_s = _step_window_reference(train_spec, iota, eta_s, alpha, kappa_R, small)
-    win_b = _step_window_reference(train_spec, iota, eta_b, alpha, kappa_R, big)
-    return alpha, int(10 + 4 * max(win_s.t3, win_b.t3)), theta0, opt_test
-
-
 def _draws(count=200):
     """(seed, n, model-error fraction) of the record tests: n = 4..8, 0 and 0.1."""
     return [(seed, 4 + seed % 5, (0.0, 0.1)[seed // 5 % 2]) for seed in range(count)]
@@ -385,8 +234,8 @@ def test_alpha_one_readings_match_per_reading_evaluation():
         kappa_r = condition_number(inst.pair.test.spectrum.eigenvalues)
         args = (spec, iota, inst.eta_s, inst.eta_b, kappa_r)
         rec = pair_record(inst.pair, iota, inst.eta_s, inst.eta_b)
-        assert rec.alpha_1 == _alpha_one_reference(*args, "displayed")
-        assert rec.alpha_1_split == _alpha_one_reference(*args, "split")
+        assert rec.alpha_1 == alpha_one(*args, "displayed")
+        assert rec.alpha_1_split == alpha_one(*args, "split")
         distinct += rec.alpha_1 != rec.alpha_1_split
     assert distinct > 0
 
@@ -400,13 +249,13 @@ def test_record_matches_the_per_function_oracles():
         rec = pair_record(inst.pair, iota, inst.eta_s, inst.eta_b)
         assert rec.kappa_F == condition_number(spec.eigenvalues)
         assert rec.kappa_R == kappa_r
-        assert (rec.gap_s, rec.gap_b) == _log_gaps_reference(spec, inst.eta_s, inst.eta_b)
+        assert (rec.gap_s, rec.gap_b) == log_gaps(spec, inst.eta_s, inst.eta_b)
         args = (spec, iota, inst.eta_s, inst.eta_b, kappa_r)
-        assert rec.alpha_1 == _alpha_one_reference(*args, "displayed")
-        assert rec.alpha_1_split == _alpha_one_reference(*args, "split")
+        assert rec.alpha_1 == alpha_one(*args, "displayed")
+        assert rec.alpha_1_split == alpha_one(*args, "split")
         assert windows(rec, inst.alpha) == (
-            _step_window_reference(spec, iota, inst.eta_s, inst.alpha, kappa_r, RegimeKind.SMALL),
-            _step_window_reference(spec, iota, inst.eta_b, inst.alpha, kappa_r, RegimeKind.BIG),
+            step_window(spec, iota, inst.eta_s, inst.alpha, kappa_r, RegimeKind.SMALL),
+            step_window(spec, iota, inst.eta_b, inst.alpha, kappa_r, RegimeKind.BIG),
         )
 
 
@@ -422,19 +271,7 @@ def test_certificates_of_a_block_equal_certify_row_by_row():
         pairs, [run_s.iota for run_s, _ in runs], [inst.eta_s for inst in block],
         [inst.eta_b for inst in block],
     )
-    measured = np.array(
-        [
-            [
-                m.item()
-                for m in run_measurements(
-                    p.train.spectrum.eigenvectors, p.test.spectrum.eigenvectors,
-                    p.test.spectrum.eigenvalues, p.train.optimum - p.test.optimum,
-                    run_s.mu, run_b.mu,
-                )
-            ]
-            for p, (run_s, run_b) in zip(pairs, runs)
-        ]
-    ).T
+    measured = measurements(pairs, [(run_s.mu, run_b.mu) for run_s, run_b in runs])
     cert, refusals = certificates(pairs, *zip(*runs), alpha, record, measured)
     passed, _ = assumption_checks(pairs, record, alpha)
     assert refusals == [None] * len(block)
@@ -448,7 +285,7 @@ def test_random_instance_matches_the_oracle_path():
     for seed, n, fraction in _draws():
         rng, ref_rng = stream(seed, "oracle-path"), stream(seed, "oracle-path")
         inst = _generated_from(rng, n=n, model_error_fraction=fraction)
-        alpha, t_max, theta0, opt_test = _random_instance_reference(ref_rng, n, fraction)
+        alpha, t_max, theta0, opt_test = random_instance_numbers(ref_rng, n, fraction)
         assert inst.alpha == alpha and inst.t_max == t_max
         assert np.array_equal(inst.theta0, theta0)
         assert np.array_equal(inst.pair.test.optimum, opt_test)
@@ -1022,18 +859,6 @@ def test_check_assumptions_on_non_positive_rates_fails_a2():
         assert "NotPositive" in (kinds["eta_s_kind"], kinds["eta_b_kind"])
 
 
-def _test_error(pair, run):
-    """theta - theta_hat_* of a run, as V mu + (theta_hat - theta_hat_*)."""
-    offset = pair.train.optimum - pair.test.optimum
-    return matvec(pair.train.spectrum.eigenvectors, run.mu) + offset
-
-
-def _test_loss_reference(pair, run):
-    """Oracle: R(theta) of a run, the zero-optimum test objective at its error."""
-    zero_optimum = QuadraticObjective(pair.test.spectrum, np.zeros(pair.n))
-    return evaluate(zero_optimum, _test_error(pair, run))
-
-
 def test_certify_ratios_and_test_losses_match_the_references():
     """Bitwise, on generated pairs with and without model error."""
     for seed, n, fraction in _draws(60):
@@ -1042,8 +867,8 @@ def test_certify_ratios_and_test_losses_match_the_references():
         cert = certify(inst.pair, run_s, run_b, inst.alpha)
         assert cert.epsilon_b2 == epsilon_ratio(run_b, RegimeKind.BIG)
         assert cert.epsilon_s2 == epsilon_ratio(run_s, RegimeKind.SMALL)
-        assert cert.r_big == _test_loss_reference(inst.pair, run_b)
-        assert cert.r_small == _test_loss_reference(inst.pair, run_s)
+        assert cert.r_big == risk(inst.pair, run_b)
+        assert cert.r_small == risk(inst.pair, run_s)
     rng = np.random.default_rng(5)
     for _ in range(200):
         mu = rng.normal(size=int(rng.integers(2, 12))) * 10.0 ** rng.integers(-5, 5)
@@ -1081,7 +906,7 @@ def test_certify_test_losses_are_within_the_rounding_bound_of_the_exact_loss():
         cert = certify(inst.pair, run_s, run_b, inst.alpha)
         test = inst.pair.test.spectrum
         for got, run in ((cert.r_big, run_b), (cert.r_small, run_s)):
-            err = _test_error(inst.pair, run)
+            err = run_error(inst.pair, run)
             assert _within_the_test_loss_bound(got, test.eigenvalues, test.eigenvectors, err)
     # Stacks of n = 1..12 (numpy sums a row with eight accumulators from
     # n = 8), whose errors cancel across scales 2^-20..2^20.

@@ -6,10 +6,9 @@ regimes._mass_ratios sum their rows with it, which is what lets a block
 of instances of n = 4..8 be certified in one pass padded to the widest.
 numpy's ``.sum`` adds rows of 8 or more in pairwise blocks, whose bits
 move with the padding: the widths drawn here run past that, to 12.
+The tests' references sum by reference.row_sum, and build matvec and
+excess on it; each is pinned here to the program's bits.
 """
-
-import functools
-import operator
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,6 +17,8 @@ from hypothesis import strategies as st
 from stepbias.quadratic import excess_losses
 from stepbias.regimes import _mass_ratios
 from stepbias.spectral import matvec, padded, row_sums, unpadded
+
+import reference
 
 values = st.floats(min_value=-1e50, max_value=1e50, allow_nan=False)
 
@@ -54,13 +55,15 @@ def bits(x):
 @given(padded_rows(), st.integers(0, 5))
 def test_row_sums_is_left_to_right_and_blind_to_zeros_and_stacks(case, others):
     (row,), width, places = case
-    want = functools.reduce(operator.add, row.tolist(), 0.0)
+    want = reference.row_sum(row)
     assert bits(row_sums(row)) == bits(want)
     assert bits(row_sums(with_zeros(row, places))) == bits(want)
     stack = np.zeros((others + 1, row.size))
     stack[others] = row
     stack[:others] = np.arange(others * row.size).reshape(others, row.size) / 7.0
     assert bits(row_sums(stack)[others]) == bits(want)
+    stack = padded(list(stack), width)
+    assert bits(reference.row_sum(stack)) == bits(row_sums(stack))
 
 
 def entries(rng, shape):
@@ -86,6 +89,7 @@ def test_matvec_rows_keep_their_bits_padded_in_any_stack(case):
     mats, vecs, width = case
     n = [len(v) for v in vecs]
     a, v = padded(mats, width), padded(vecs, width)
+    assert bits(reference.matvec(a, v)) == bits(matvec(a, v))
     for got, want in zip(unpadded(matvec(a, v), n), (matvec(m, x) for m, x in zip(mats, vecs))):
         assert bits(got) == bits(want)
     got = unpadded(matvec(a.swapaxes(-1, -2), v), n)
@@ -102,6 +106,7 @@ def test_excess_losses_keep_their_bits_padded_in_any_stack(case, others):
     stack = padded([sig, *[np.full(width, 0.5)] * others], width)
     c = padded([coeffs, *[np.full(width, 3.0)] * others], width)
     assert bits(excess_losses(stack, c)[0]) == bits(want)
+    assert bits(reference.excess(stack, c)) == bits(excess_losses(stack, c))
 
 
 @settings(max_examples=200, deadline=None)

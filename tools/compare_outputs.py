@@ -14,7 +14,8 @@ and N + 1, the sweeps of LEVEL_SET_EDGES (level-set runs at rates past
 the three kernel sweeps at d = 5), and the toy2d runs of TOY2D_EDGES.
 --configs FILE runs the JSON list of experiment configs in FILE
 instead. A config that a tree refuses with a library error records the
-error's class name. --keep DIR writes tree A's outputs to DIR/a and
+error's class name, and one that raises any other exception records
+"uncaught" and its class name. --keep DIR writes tree A's outputs to DIR/a and
 tree B's to DIR/b and keeps them; it refuses a DIR that already holds
 run, a or b.
 
@@ -56,8 +57,10 @@ WORKLOADS = ("certify_stream", "toy2d_grid", "kernel_sweeps")
 # fraction that underflows after one that does not. Then sweeps at lam
 # 1e160 and 1e200, whose initial losses and Hilbert norms are formed from
 # coefficients whose squares alone would underflow, and one whose
-# n (sigma + lam) overflows (refused). Last, the three kernel sweeps at
+# n (sigma + lam) overflows (refused). Then the three kernel sweeps at
 # d = 5, where the kernel sums more coordinates than any default op's.
+# Last, three sweeps whose step size eta_mult / sigma_1 overflows to inf
+# or rounds to 0 (refused).
 LEVEL_SET_EDGES = [
     {"experiment": experiment, "n": n, **edge}
     for n in (20, 200)
@@ -75,6 +78,10 @@ LEVEL_SET_EDGES = [
 ] + [
     {"experiment": experiment, "n": 20, "d": 5}
     for experiment in ("eta_sweep", "alpha_sweep", "scale_sweep")
+] + [
+    {"experiment": "eta_sweep", "eta_grid": [1.3383999106150952e308]},
+    {"experiment": "alpha_sweep", "eta_big": 1.7e308},
+    {"experiment": "eta_sweep", "lam": 1e160, "eta_grid": [1e-300]},
 ]
 # toy2d at fixed targets: one where the big-rate run stops at
 # MaxStepsExceeded, one the window gate refuses, and one that writes its
@@ -107,6 +114,8 @@ for label, raw in job["configs"]:
         outcomes[label] = "ok"
     except StepbiasError as exc:
         outcomes[label] = type(exc).__name__
+    except Exception as exc:
+        outcomes[label] = "uncaught " + type(exc).__name__
 print(json.dumps({"package": stepbias.__file__, "outcomes": outcomes}))
 """
 
