@@ -294,14 +294,18 @@ def level_set_search(loss, alpha, t_max, start):
     return found
 
 
-def _argument_error(eta, alpha, t_max):
-    """The ValueError a level-set run raises on these arguments, or None."""
+def _argument_error(eta, alpha, t_max, loss0):
+    """The ValueError on the arguments, else AlreadyBelowLevelSet if loss0 <= alpha, or None."""
     if not (math.isfinite(eta) and eta > 0):
         return ValueError(f"step size must be finite and positive, got {eta!r}")
     if not (math.isfinite(alpha) and alpha > 0):
         return ValueError(f"level-set target must be finite and positive, got {alpha!r}")
     if t_max < 1:
         return ValueError("t_max must be at least 1")
+    if loss0 <= alpha:
+        return AlreadyBelowLevelSet(
+            f"initial excess loss {loss0:.3e} is already <= alpha {alpha:.3e}"
+        )
     return None
 
 
@@ -340,12 +344,7 @@ def level_set_runs(objs, iota, etas, alphas, t_maxes):
     sig = padded([obj.spectrum.eigenvalues for obj in objs], iota.shape[1])
     power = sig * iota * iota
     loss0 = (0.5 * row_sums(power)).tolist()
-    runs = [_argument_error(*args) for args in zip(etas, alphas, t_maxes)]
-    for k, run in enumerate(runs):
-        if run is None and loss0[k] <= alphas[k]:
-            runs[k] = AlreadyBelowLevelSet(
-                f"initial excess loss {loss0[k]:.3e} is already <= alpha {alphas[k]:.3e}"
-            )
+    runs = [_argument_error(*args) for args in zip(etas, alphas, t_maxes, loss0)]
     lanes = [k for k, run in enumerate(runs) if run is None]
     if not lanes:
         return runs

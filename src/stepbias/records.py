@@ -5,10 +5,11 @@ block of instances is computed at once, a row per instance:
 regime_records derives kappa_F, kappa_R, the thresholds, the rate kinds,
 the attenuations |1 - eta sigma|, the log gaps, both readings of the
 level-set ceiling alpha_1 and each t1 into a RegimeRecord of columns.
-Rows never mix. The arithmetic runs on numpy rows, with libm's log, exp
-and squares one float at a time, so no value depends on numpy's SIMD
-kernels; RegimeRecord.row(k) is row k, in plain floats. _window_bounds
-gives the step windows at the targets _window_refusal lets through.
+Rows never mix: they are spectral.padded to the block's largest n. The
+arithmetic runs on numpy rows, with libm's log, exp and squares one
+float at a time, so no value depends on numpy's SIMD kernels;
+RegimeRecord.row(k) is row k, in plain floats. _window_bounds gives the
+step windows at the targets _window_refusal lets through.
 Attenuation comparisons use magnitudes: for big rates the raw
 coefficient of sigma_2 can be negative and a signed max would pick the
 wrong direction.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import InfeasibleWindow
 from .quadratic import evaluate
-from .spectral import condition_number, row_sums
+from .spectral import condition_number, padded, row_sums
 
 BOUNDARY_RTOL = 1e-12
 UNDERFLOW_GUARD = 1e-300
@@ -77,18 +78,14 @@ def _square(x):
     return x**2  # libm's pow, as Python squares a float
 
 
-def _padded(rows):
-    """Rows of any lengths n as one array, zero past each row's end and in one more column, and n."""
-    n = np.array([len(row) for row in rows])
-    out = np.zeros((len(rows), n.max() + 1))
-    out[np.arange(out.shape[1], dtype=float) < n[:, None]] = np.concatenate(rows)
-    return out, n
+def _positive_decreasing(sig, n):
+    """Whether each spectral.padded row has n >= 2 values, each above the next and the last above 0.
 
-
-def _positive_decreasing(padded, n):
-    """Whether each _padded row has n >= 2 values, each above the next and the last above 0."""
-    steps = padded[:, :-1] > padded[:, 1:]
-    return (n >= 2) & (steps | (np.arange(steps.shape[1], dtype=float) >= n[:, None])).all(axis=1)
+    Entry n - 2 is compared with the last, at [..., -1], across the padding.
+    """
+    steps = (sig[:, :-1] > sig[:, 1:]) | (np.arange(sig.shape[1] - 1) >= n[:, None] - 2)
+    last = sig[:, -1]
+    return (n >= 2) & steps.all(axis=1) & (sig[np.arange(len(n)), n - 2] > last) & (last > 0)
 
 
 def _row(block, k):
@@ -229,20 +226,23 @@ def regime_records(train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
     has lost bits), and a positive log gap in floats for both regimes
     (adjacent eigenvalues can round to one attenuation). Outside it the
     attenuations, gaps, windows and alpha_1 readings are NaN.
-    ||iota||^2 and the projections are spectral.row_sums of zero-padded
-    rows, each with the bits of its row summed alone, left to right.
+    ||iota||^2 and the projections are spectral.row_sums of the rows,
+    spectral.padded to the block's largest n, each with the bits of its
+    row summed alone, left to right.
     """
-    size = len(iota)
-    padded, n = _padded([*train_eigenvalues, *iota])
-    sig, io, n = padded[:size], padded[size:], n[:size]
-    rows, last = np.arange(size), n - 1
+    size, n = len(iota), np.array([len(w) for w in train_eigenvalues])
+    stack = padded([*train_eigenvalues, *iota], n.max())
+    sig, io, rows, last = stack[:size], stack[size:], np.arange(size), n - 1
+    # Entry j of a row sits at position j before its last, which sits at -1.
     picks = last * _PICKS[0] + _PICKS[1]
+    picks = np.where(picks < last, picks, -1)
     sig_at, iota_end = sig[rows, picks], io[rows, picks[:2]]  # iota_end: [iota_n, iota_1]
     kappa_F = np.array([condition_number(w) for w in train_eigenvalues], dtype=float)
     norm_sq = row_sums(io * io)
-    # p_i = sigma_i iota_i^2; the projections sum it over i < n and i > 1.
+    # p_i = sigma_i iota_i^2; the projections sum it over i < n (all but
+    # position -1) and i > 1 (from position 1, on rows of n >= 2).
     power = sig * io * io
-    power_s = np.where(np.arange(power.shape[1]) < last[:, None], power, 0.0)
+    power_b = np.where(n[:, None] >= 2, power[:, 1:], 0.0)
     eta = np.array([eta_s, eta_b], dtype=float)
     kappa_R, r_opt = np.asarray(kappa_R, dtype=float), np.asarray(r_opt, dtype=float)
     with np.errstate(all="ignore"):
@@ -285,7 +285,7 @@ def regime_records(train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
         (t1_s, t1_b), lead, scale = 0.5 * logs[3:] / gap, lead * on, scale * on
     return RegimeRecord(
         eta[0], eta[1], kappa_F, kappa_R, low, high, kind_s, kind_b, iota_end[1], iota_end[0],
-        r_opt, 0.5 * row_sums(power_s), 0.5 * row_sums(power[:, 1:]), lead[0], lead[1], gap[0],
+        r_opt, 0.5 * row_sums(power[:, :-1]), 0.5 * row_sums(power_b), lead[0], lead[1], gap[0],
         gap[1], scale[0], scale[1], t1_s, t1_b, half_s * readings[0],
         np.minimum(half_b * readings[1], half_s * readings[2]),
     )

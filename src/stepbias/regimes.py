@@ -17,10 +17,10 @@ from .errors import InvalidRegime, LevelSetMismatch, RegimeMismatch, ZeroDenomin
 from .gd import GDRun, StopStatus, decompose
 from .quadratic import coefficients, excess_losses
 from .records import (
-    UNDERFLOW_GUARD, RegimeKind, StepWindow, _libm, _padded, _positive_decreasing, _row, _square,
+    UNDERFLOW_GUARD, RegimeKind, StepWindow, _libm, _positive_decreasing, _row, _square,
     _window_bounds, _window_refusal, pair_records,
 )
-from .spectral import matvec, row_sums
+from .spectral import matvec, padded, row_sums
 
 ASSUMPTIONS = (
     "A1_distinct_eigenvalues", "A2_rate_ordering", "A3_nonzero_initialization",
@@ -65,7 +65,8 @@ def assumption_checks(pairs, record, alpha):
     """
     alpha = np.asarray(alpha, dtype=float)
     spectra = [s for p in pairs for s in (p.train.spectrum, p.test.spectrum)]
-    a1 = _positive_decreasing(*_padded([s.eigenvalues for s in spectra]))
+    n = np.array([s.n for s in spectra])
+    a1 = _positive_decreasing(padded([s.eigenvalues for s in spectra], n.max()), n)
     a1 &= ~np.array([s.degenerate for s in spectra], dtype=bool)
     a1 = a1[0::2] & a1[1::2]
     kinds = zip(record.kind_s, record.kind_b)

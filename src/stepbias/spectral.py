@@ -94,16 +94,17 @@ def _live(n, width):
 def padded(arrays, width):
     """Arrays of shape (n,) or (n, n), n <= width, as one zero-padded stack.
 
-    An axis keeps its first n - 1 entries first and its last entry last,
-    so [..., 0] and [..., -1] are the first and last entry of every row
-    of n >= 2. Zero terms are exact under row_sums: padded sums keep the
-    unpadded bits.
+    The one layout of every stack of mixed n. An axis keeps its first
+    n - 1 entries first and its last entry last, so [..., 0] and [..., -1]
+    are the first and last entry of every row of n >= 2, and a row of
+    n = 1 keeps its one entry at [..., -1]. Zero terms are exact under
+    row_sums: padded sums keep the unpadded bits.
     """
     live = _live([len(a) for a in arrays], width)
     if arrays[0].ndim == 2:
         live = live[:, :, None] & live[:, None, :]
     out = np.zeros(live.shape)
-    out[live] = np.concatenate([a.ravel() for a in arrays])
+    out[live] = np.concatenate(arrays, axis=None)
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlreadyBelowLevelSet, InfeasibleWindow, InvalidRegime, ZeroDenominator
+from .errors import InfeasibleWindow, InvalidRegime, ZeroDenominator
 from .gd import StopStatus, _argument_error, hit_lower_bound, level_set_search
 from .quadratic import QuadraticObjective
 from .records import RegimeKind, _log_quotient, rate_kind
@@ -193,14 +193,9 @@ def ratio_check(inst, eta_s, eta_b, alpha, t_max):
             raise InfeasibleWindow(
                 f"level-set window infeasible for eta={eta}: t2={t2:.3f} <= t1={t1:.3f}"
             )
-    error = _argument_error(eta_s, alpha, t_max)
+    error = _argument_error(eta_s, alpha, t_max, excess_loss(inst, eta_s, 0))
     if error is not None:
         raise error
-    loss0 = excess_loss(inst, eta_s, 0)
-    if loss0 <= alpha:
-        raise AlreadyBelowLevelSet(
-            f"initial excess loss {loss0:.3e} is already <= alpha {alpha:.3e}"
-        )
     r_small, r_big = _test_losses(inst, eta_s, eta_b, alpha, t_max)
     ratio = r_small / r_big if r_big else math.inf
     if ratio == math.inf:

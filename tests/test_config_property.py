@@ -2,7 +2,10 @@
 
 import csv
 import json
+import math
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -12,8 +15,11 @@ from stepbias import cli
 from stepbias.config import EXPERIMENTS, validate_config
 from stepbias.errors import ValidationError
 
-_rates = st.floats(0.01, 3.0)
-_optional_rate = st.none() | _rates
+# Every positive float: log-uniform from the least subnormal to the
+# largest float, and the extremes on purpose.
+_floats = st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(math.exp)
+_floats |= st.sampled_from((5e-324, 1e-300, 1e160, 1e300, 1.7e308))
+_grid = st.lists(_floats, min_size=1, max_size=3)
 
 # Small sizes and short grids keep each run to milliseconds.
 _KEYS = {
@@ -21,16 +27,16 @@ _KEYS = {
     "n": st.integers(1, 12),
     "d": st.integers(1, 3),
     "n_test": st.integers(1, 20),
-    "eta_grid": st.lists(_rates, min_size=1, max_size=3),
-    "alpha_grid": st.lists(st.floats(1e-6, 0.99), min_size=1, max_size=3),
-    "scale_grid": st.lists(st.floats(0.05, 20.0), min_size=1, max_size=3),
-    "eta_small": _optional_rate,
-    "eta_big": _optional_rate,
-    "alpha": st.none() | st.floats(1e-12, 10.0),
-    "lam": st.floats(0.0, 1.0),
-    "scale": st.floats(0.05, 20.0),
-    "sigma1": st.floats(0.01, 100.0),
-    "sigma2": st.floats(0.01, 100.0),
+    "eta_grid": _grid,
+    "alpha_grid": _grid,
+    "scale_grid": _grid,
+    "eta_small": st.none() | _floats,
+    "eta_big": st.none() | _floats,
+    "alpha": st.none() | _floats,
+    "lam": st.just(0.0) | _floats,
+    "scale": _floats,
+    "sigma1": _floats,
+    "sigma2": _floats,
     "instances": st.integers(1, 3),
 }
 
@@ -93,8 +99,11 @@ def test_accepted_configs_run_to_a_documented_exit_code(case):
         out_dir = Path(tmp) / "out"
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(dict(raw, output_dir=str(out_dir))))
-        # An exception escaping main is the traceback the CLI must not give.
-        code = cli.main(["run", "--config", str(path)])
+        # An exception escaping main is the traceback the CLI must not give,
+        # and a warning is one too.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["run", "--config", str(path)])
         assert code in (0, 1, 2, 3)
         # inf is allowed (scale_sweep reports kappa = inf by design); nan never.
         for table in out_dir.glob("*.csv"):

@@ -30,6 +30,7 @@ from stepbias.records import (
     RegimeKind,
     StepWindow,
     _log_quotient,
+    _positive_decreasing,
     _window_bounds,
     _window_refusal,
     pair_records,
@@ -45,7 +46,7 @@ from stepbias.regimes import (
     check_assumptions,
     run_measurements,
 )
-from stepbias.spectral import condition_number, diagonal_spectrum, matvec
+from stepbias.spectral import condition_number, diagonal_spectrum, matvec, padded
 
 from reference import (
     WrongRegime,
@@ -613,6 +614,28 @@ def test_check_assumptions_on_singular_spectra_returns_verdicts():
         assert len(verdicts) == 5
         assert not passed["A1_distinct_eigenvalues"]
         assert not passed["A4_level_set_target"]
+
+
+def test_positive_decreasing_reads_each_padded_row_as_its_own():
+    """A1's predicate on a mixed spectral.padded stack is each row's own rule.
+
+    Rows of n = 1..9, drawn from few values so that ties fall at every
+    position, the one between entry n - 2 and the last entry across the
+    padding included, and last entries of 0 or below.
+    """
+    rng = np.random.default_rng(0)
+    rows = []
+    for n in rng.integers(1, 10, size=2000).tolist():
+        row = np.sort(rng.integers(-1, 6, size=n))[::-1].astype(float)
+        rows.append(rng.permutation(row) if rng.random() < 0.1 else row)
+    n = np.array([len(row) for row in rows])
+    got = _positive_decreasing(padded(rows, 9), n).tolist()
+    want = [
+        len(row) >= 2 and all(a > b for a, b in zip(row, row[1:])) and row[-1] > 0
+        for row in map(np.ndarray.tolist, rows)
+    ]
+    assert got == want
+    assert 0 < sum(want) < len(want)
 
 
 def _runs_for(inst):
