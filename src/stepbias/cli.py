@@ -2,11 +2,11 @@
 
 Two subcommands: ``run`` executes an experiment from a JSON config and
 writes CSV/SVG outputs plus a manifest; ``validate`` checks a config and
-exits. Exit codes: 0 success, 1 config parse/validation failure, 2
-certification failure or any other refusal by the library (an
-infeasible level-set window, a singular kernel, a target already below
-the initial loss) or a run too large for memory, 3 I/O failure. No
-StepbiasError or MemoryError escapes as a traceback.
+exits. Exit codes: 0 success, 1 config or data file parse/validation
+failure, 2 certification failure or any other refusal by the library
+(an infeasible level-set window, a singular kernel, a target already
+below the initial loss) or a run too large for memory, 3 I/O failure.
+No StepbiasError or MemoryError escapes as a traceback.
 """
 
 import argparse

@@ -127,6 +127,8 @@ def load_config(path):
         raise ParseError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: nested too deeply to parse") from exc
     return validate_config(raw)
 
 

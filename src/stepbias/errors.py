@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class StepbiasError(Exception):
@@ -64,10 +64,3 @@ class CertificationFailed(StepbiasError):
 class IoError(StepbiasError):
     pass
 
-
-class DegenerateSpectrum(UserWarning):
-    """Two eigenvalues are within 1e-10 relative of each other.
-
-    A warning rather than an error: simulation tolerates near-degenerate
-    spectra, certificate construction refuses them.
-    """

@@ -9,7 +9,6 @@ written file with its content hash.
 import hashlib
 import math
 import os
-import warnings
 import zlib
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import gd, kernels, toy2d
 from .config import TAU, canonical_config
-from .errors import CertificationFailed, DegenerateSpectrum, InfeasibleWindow, InvalidRegime, ParseError
+from .errors import CertificationFailed, InfeasibleWindow, InvalidRegime, ParseError
 from .filters import (
     cut_off,
     gd_filter,
@@ -108,9 +107,7 @@ def run_experiment(cfg):
     """Dispatch a validated config and return the output manifest."""
     out = _Outputs(cfg.output_dir)
     runner = _RUNNERS[cfg.experiment]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrum)
-        runner(cfg, out)
+    runner(cfg, out)
     return out.manifest(cfg)
 
 

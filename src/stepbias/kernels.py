@@ -330,13 +330,17 @@ def two_cluster_dataset(n, rng, d=2):
 def load_dataset(path):
     """Read a dataset CSV with header x_1..x_d,label and labels in {-1, 1}."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
+                rows = list(reader)
             except StopIteration:
                 raise ParseError(f"{path}: empty file, header required") from None
-            rows = list(reader)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+            except csv.Error as exc:
+                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise IoError(str(exc)) from exc
     d = len(header) - 1

@@ -6,17 +6,16 @@ foundation every other module builds on: quadratic objectives store one,
 learning-rate regimes are classified against one, and kernel problems
 bridge to one through K/n. Callers that read only eigenvalues, such as
 condition numbers, take them from eigvals_sym (``np.linalg.eigvalsh``),
-which skips the eigenvectors; it shares eig_sym's symmetry check,
-symmetrization and DegenerateSpectrum warning.
+which skips the eigenvectors; it shares eig_sym's symmetry check and
+symmetrization.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NotSymmetric
+from .errors import NotSymmetric
 
 SYMMETRY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-10
@@ -143,43 +142,29 @@ def _symmetrized(A):
     return 0.5 * (A + A.T)
 
 
-def _flag_degenerate(w):
-    """The degenerate flag of descending eigenvalues w, warning when it is set."""
-    degenerate = _check_degenerate(w)
-    if degenerate:
-        warnings.warn(
-            "spectrum has eigenvalues within 1e-10 relative of each other",
-            DegenerateSpectrum,
-        )
-    return degenerate
-
-
 def eig_sym(A):
     """Eigendecompose a symmetric matrix with LAPACK (``np.linalg.eigh``).
 
     Eigenvalues come back sorted descending; each eigenvector is signed
     so its largest-magnitude entry is positive, keeping runs
-    byte-reproducible. Emits a DegenerateSpectrum warning when two
+    byte-reproducible. The spectrum's ``degenerate`` flag is set when two
     eigenvalues are within 1e-10 relative.
     """
     w, v = np.linalg.eigh(_symmetrized(A))
     w, v = w[::-1].copy(), v[:, ::-1].copy()
     _sign_convention(v)
-    return Spectrum(w, v, degenerate=_flag_degenerate(w))
+    return Spectrum(w, v, degenerate=_check_degenerate(w))
 
 
 def eigvals_sym(A):
     """Eigenvalues of a symmetric matrix, descending, without eigenvectors.
 
-    The matrix is checked and symmetrized as in eig_sym, and the same
-    DegenerateSpectrum warning is emitted. LAPACK's eigenvalue-only
-    routine (``np.linalg.eigvalsh``) rounds differently from ``eigh``:
-    the two agree to within a few n eps sigma_1, so eigenvalues near
-    zero differ in relative terms.
+    The matrix is checked and symmetrized as in eig_sym. LAPACK's
+    eigenvalue-only routine (``np.linalg.eigvalsh``) rounds differently
+    from ``eigh``: the two agree to within a few n eps sigma_1, so
+    eigenvalues near zero differ in relative terms.
     """
-    w = np.linalg.eigvalsh(_symmetrized(A))[::-1]
-    _flag_degenerate(w)
-    return w
+    return np.linalg.eigvalsh(_symmetrized(A))[::-1]
 
 
 def condition_number(w):

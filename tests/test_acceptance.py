@@ -6,14 +6,12 @@ they are produced; without -s pytest shows them for failing criteria.
 
 import csv
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 from stepbias import gd, kernels, toy2d
 from stepbias.config import TAU, validate_config
-from stepbias.errors import DegenerateSpectrum
 from stepbias.experiments import run_experiment, stream
 from stepbias.filters import (
     cut_off,
@@ -27,8 +25,6 @@ from stepbias.instances import random_instance
 from stepbias.quadratic import from_kernel
 from stepbias.regimes import certify, check_assumptions
 from stepbias.spectral import diagonal_spectrum
-
-warnings.filterwarnings("ignore", category=DegenerateSpectrum)
 
 
 def report(number, label, ok):

@@ -6,7 +6,6 @@ rounding of the float arithmetic.
 """
 
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -14,7 +13,6 @@ import pytest
 
 from stepbias import experiments, gd
 from stepbias.config import validate_config
-from stepbias.errors import DegenerateSpectrum
 from stepbias.kernels import gaussian_kernel_matrix, two_cluster_dataset
 from stepbias.spectral import DEGENERACY_RTOL, EPS, _check_degenerate, eig_sym, eigvals_sym
 from stepbias.experiments import run_experiment, stream
@@ -85,9 +83,7 @@ def _rel(got, want):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_record_agrees_with_50_digit_evaluation(seed):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrum)
-        inst = random_instance(stream(seed, "mp-oracle"), n=4 + seed % 5)
+    inst = random_instance(stream(seed, "mp-oracle"), n=4 + seed % 5)
     spec, tspec = inst.pair.train.spectrum, inst.pair.test.spectrum
     iota = gd.decompose(inst.pair.train, inst.theta0)
     rec = pair_records([inst.pair], [iota], [inst.eta_s], [inst.eta_b]).row(0)
@@ -127,10 +123,8 @@ def test_record_agrees_with_50_digit_evaluation(seed):
 def test_small_kernel_eigenvalues_agree_with_50_digit_eigsy(scale, seed):
     n = 30
     A = gaussian_kernel_matrix(two_cluster_dataset(n, np.random.default_rng(seed)).points, scale) / n
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrum)
-        spec = eig_sym(A)
-        values = eigvals_sym(A)
+    spec = eig_sym(A)
+    values = eigvals_sym(A)
     with mpmath.workdps(50):
         exact = sorted(mpmath.eigsy(mpmath.matrix(A.tolist()), eigvals_only=True), reverse=True)
         gaps = [exact[i] - exact[i + 1] for i in range(n - 1)]

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from stepbias import experiments, gd, instances
 from stepbias.errors import (
     CertificationFailed,
-    DegenerateSpectrum,
     InfeasibleWindow,
     InvalidRegime,
     LevelSetMismatch,
@@ -208,16 +207,14 @@ def test_alpha_one_displayed_oracle():
 
 def test_alpha_one_split_orders_the_windows():
     """At the split-reading ceiling both step windows stay feasible."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrum)
-        for seed in range(30):
-            inst = random_instance(stream(seed, "window-check"))
-            spec = inst.pair.train.spectrum
-            iota = spec.eigenvectors.T @ (inst.theta0 - inst.pair.train.optimum)
-            kappa_r = inst.pair.test.spectrum.top / inst.pair.test.spectrum.bottom
-            rec = one_record(spec, kappa_r, inst.eta_s, inst.eta_b, iota)
-            for win in windows(rec, rec.alpha_1_split):
-                assert win.feasible
+    for seed in range(30):
+        inst = random_instance(stream(seed, "window-check"))
+        spec = inst.pair.train.spectrum
+        iota = spec.eigenvectors.T @ (inst.theta0 - inst.pair.train.optimum)
+        kappa_r = inst.pair.test.spectrum.top / inst.pair.test.spectrum.bottom
+        rec = one_record(spec, kappa_r, inst.eta_s, inst.eta_b, iota)
+        for win in windows(rec, rec.alpha_1_split):
+            assert win.feasible
 
 
 def _draws(count=200):
@@ -474,15 +471,11 @@ def test_complexity_bounds_shrink_with_gap():
 
 
 def _generated(seed=0, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrum)
-        return random_instance(stream(seed, "regimes-test"), **kw)
+    return random_instance(stream(seed, "regimes-test"), **kw)
 
 
 def _generated_from(rng, n=5, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrum)
-        return random_instance(rng, n=n, **kw)
+    return random_instance(rng, n=n, **kw)
 
 
 def test_random_instance_retry_redraws_from_the_same_stream(failing_attempts):

@@ -497,6 +497,32 @@ def test_cli_maps_library_refusals_without_traceback(tmp_path, capsys):
     assert capsys.readouterr().err.count("error: ") == 4
 
 
+_HEADER = b"x_1,x_2,label\n0.0,0.0,1\n"
+
+
+@pytest.mark.parametrize(
+    "command, name, data, message",
+    [
+        ("run", "data.csv", _HEADER + b"0.5,\xff,-1\n", "not UTF-8 text"),
+        # csv's default field size limit is 131,072 characters.
+        ("run", "data.csv", _HEADER + b"1" * 131_073 + b",0.0,-1\n", "line 3: field larger"),
+        ("validate", "deep.json", b"[" * 200_000 + b"]" * 200_000, "nested too deeply"),
+    ],
+    ids=["non-utf8-data", "oversized-data-field", "deeply-nested-config"],
+)
+def test_cli_maps_unreadable_input_files_to_exit_1(tmp_path, capsys, command, name, data, message):
+    target = tmp_path / name
+    target.write_bytes(data)
+    if command == "validate":
+        path = str(target)
+    else:
+        path = _write_cfg(tmp_path, experiment="eta_sweep", dataset_path=str(target))
+    assert cli.main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and message in err
+    assert "Traceback" not in err
+
+
 def test_cli_huge_finite_step_size_writes_diverged_run(tmp_path, capsys):
     # eta = 1e300 / sigma_1 diverges at step 1 with a Hilbert norm near the
     # largest float; the SVG leaves a non-finite point out instead of crashing.

@@ -1,7 +1,6 @@
 """Eigendecomposition against the LAPACK oracle plus contract checks."""
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepbias.errors import DegenerateSpectrum, NotSymmetric
+from stepbias.errors import NotSymmetric
 from stepbias.spectral import (
     Spectrum,
     _check_degenerate,
@@ -110,22 +109,20 @@ def test_rejects_asymmetric_and_nonsquare():
             decompose(np.zeros((2, 3)))
 
 
-def test_degenerate_spectrum_warns():
-    with pytest.warns(DegenerateSpectrum):
-        spec = eig_sym(np.eye(3))
+def test_degenerate_spectrum_is_flagged():
+    spec = eig_sym(np.eye(3))
     assert spec.degenerate
-    with pytest.warns(DegenerateSpectrum):
-        eigvals_sym(np.eye(3))
+    assert _check_degenerate(eigvals_sym(np.eye(3)))
+    # Two eigenvalues within 1e-10 relative of the top one are degenerate.
+    assert eig_sym(np.diag([1.0, 0.5, 0.5 + 1e-11])).degenerate
+    assert not eig_sym(np.diag([1.0, 0.5, 0.5 + 1e-9])).degenerate
 
 
-def test_distinct_spectrum_does_not_warn():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DegenerateSpectrum)
-        spec = eig_sym(np.diag([3.0, 2.0, 1.0]))
-        w = eigvals_sym(np.diag([3.0, 2.0, 1.0]))
+def test_distinct_spectrum_is_not_flagged():
+    spec = eig_sym(np.diag([3.0, 2.0, 1.0]))
+    w = eigvals_sym(np.diag([3.0, 2.0, 1.0]))
     assert not spec.degenerate
+    assert not _check_degenerate(w)
     assert w.tolist() == [3.0, 2.0, 1.0]
 
 
@@ -161,16 +158,13 @@ def test_eigvals_sym_agrees_with_eig_sym():
     flags = []
     for A in mats:
         n = A.shape[0]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DegenerateSpectrum)
-            spec = eig_sym(A)
-            w = eigvals_sym(A)
+        spec = eig_sym(A)
+        w = eigvals_sym(A)
         degenerate = _check_degenerate(w)
         assert w.shape == (n,) and np.all(np.diff(w) <= 0.0)
         sigma_1 = np.max(np.abs(spec.eigenvalues))
         assert np.max(np.abs(w - spec.eigenvalues)) <= 4 * n * EPS * sigma_1
         assert degenerate == spec.degenerate
-        assert len(caught) == 2 * degenerate
         flags.append(degenerate)
     assert any(flags) and not all(flags)
 
@@ -185,11 +179,7 @@ def test_spectrum_accessors():
 def test_property_reconstruction(n, seed):
     rng = np.random.default_rng(seed)
     A = random_symmetric(rng, n)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrum)
-        spec = eig_sym(A)
+    spec = eig_sym(A)
     scale = max(np.max(np.abs(A)), 1.0)
     assert np.allclose(spec.matrix(), A, atol=1e-11 * scale * n)
 

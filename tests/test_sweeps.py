@@ -261,6 +261,16 @@ def test_sweep_alpha_star_solves_the_ridge_system(n, seed):
     assert np.linalg.norm(sweep.alpha_star - want) <= 1e-9 * np.linalg.norm(want)
 
 
+def test_default_sweep_problem_is_degenerate_and_its_objectives_say_so():
+    """K/n of the default problem has eigenvalues within 1e-10 relative
+    of each other: the flag of its spectrum, carried into the objectives."""
+    sweep = experiments._sweep_problem(validate_config({"experiment": "eta_sweep"}))
+    assert sweep.prob.spectrum_of_Kn.degenerate
+    assert sweep.obj.spectrum.degenerate
+    for mode in kernels.GDMode:
+        assert kernels.dual_objective(sweep.prob, mode).spectrum.degenerate
+
+
 @pytest.mark.parametrize("lam, code", [(1e-20, 2), (1e-15, 2), (1e-13, 0)])
 def test_cli_sweep_refuses_a_numerically_singular_ridge_system(lam, code, tmp_path, capsys):
     # The Cholesky path refused the first two at n = 50, seed 0; so does
