@@ -28,7 +28,7 @@ from .config import ExperimentConfig, load_config, validate_config
 from .errors import StepbiasError
 from .experiments import run_experiment
 from .gd import GDRun, StopStatus, run_to_level_set
-from .quadratic import ProblemPair, QuadraticObjective, from_kernel
+from .quadratic import ProblemPair, QuadraticObjective
 from .records import RegimeKind
 from .regimes import Certificate, certify, check_assumptions
 from .spectral import Spectrum, eig_sym
@@ -59,7 +59,6 @@ __all__ = [
     "run_to_level_set",
     "ProblemPair",
     "QuadraticObjective",
-    "from_kernel",
     "Certificate",
     "RegimeKind",
     "certify",

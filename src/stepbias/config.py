@@ -2,6 +2,7 @@
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field, fields
 
 from .errors import ParseError, ValidationError
@@ -62,6 +63,16 @@ _GRID_BY_EXPERIMENT = {
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
+# The one form in which an error message echoes an input value: 4 list
+# entries, 2 dict entries, one level of nesting and 24 characters per
+# scalar at most, so an error line stays under 200 characters whatever
+# the config holds.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 1
+_ECHO.maxlist = 4
+_ECHO.maxdict = 2
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 24
+
 
 def validate_config(raw):
     """Check a raw mapping and build an ExperimentConfig from it."""
@@ -69,20 +80,22 @@ def validate_config(raw):
         raise ValidationError("config root must be a JSON object")
     unknown = set(raw) - set(_FIELD_TYPES)
     if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        raise ValidationError(f"unknown config keys: {_ECHO.repr(sorted(unknown))}")
     if "experiment" not in raw:
         raise ValidationError("experiment is required")
     for key, value in raw.items():
         want = _FIELD_TYPES[key]
         if isinstance(value, bool) or not isinstance(value, want):
-            raise ValidationError(f"{key}: expected {want}, got {value!r}")
+            # A plain type is named as annotated (int), not as <class 'int'>.
+            name = want.__name__ if isinstance(want, type) else want
+            raise ValidationError(f"{key}: expected {name}, got {_ECHO.repr(value)}")
         entries = value if isinstance(value, list) else [value]
         if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
-            raise ValidationError(f"{key}: numbers must be finite, got {value!r}")
+            raise ValidationError(f"{key}: numbers must be finite, got {_ECHO.repr(value)}")
     cfg = ExperimentConfig(**raw)
     if cfg.experiment not in EXPERIMENTS:
         raise ValidationError(
-            f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}"
+            f"experiment must be one of {EXPERIMENTS}, got {_ECHO.repr(cfg.experiment)}"
         )
     for name in ("n", "d", "n_test", "instances"):
         if getattr(cfg, name) < 1:

@@ -30,12 +30,14 @@ from .errors import (
     EmptyTestSet,
     IoError,
     ParseError,
+    SingularKernel,
     SingularSystem,
 )
-from .quadratic import QuadraticObjective, _ridge_fit
+from .quadratic import QuadraticObjective
 from .spectral import Spectrum, diagonal_spectrum, eig_sym
 
 CHOLESKY_PIVOT_RTOL = 1e-12
+KERNEL_SINGULARITY_RTOL = 1e-12
 GAUSSIAN_C_K = 1.0
 # Bytes of kernel rows binary_error evaluates per block of test points.
 # 64 KiB is below glibc's default 128 KiB mmap threshold, so the block
@@ -197,26 +199,48 @@ def from_eigen_coords(prob, coeffs):
 
 
 def ridge_fit(prob):
-    """The theta-space ridge objective (see from_kernel) and alpha*, from one solve.
+    """The theta-space ridge objective and alpha*, from one solve.
 
+    The objective has operator diag(sigma + lam), sigma the eigenvalues
+    of K/n, and optimum to_eigen_coords(alpha*), where (K + n lam I)
+    alpha* = y; at to_eigen_coords(a) it is the excess dual ridge loss
+    L(a) - L(alpha*), L(a) = (1/2n) ||y - K a||^2 + (lam/2) a^T K a.
     Both come from the stored spectrum U diag(sigma) U^T of K/n, so K is
     neither eigendecomposed nor factored again: alpha* =
-    U diag(1 / (n (sigma + lam))) U^T y solves (K + n lam I) alpha* = y.
-    Raises SingularSystem, like ridge_alpha's pivot test but judged on
-    eigenvalues, when the smallest eigenvalue n (sigma_n + lam) of
-    K + n lam I is below 1e-12 times its largest diagonal entry; no
-    Cholesky pivot is below the smallest eigenvalue, so this refuses a
-    few systems near the line that the pivot test let through.
+    U diag(1 / (n (sigma + lam))) U^T y.
+
+    Refuses, in order: labels not of the spectrum's length, lam < 0, a
+    numerically singular K/n at lam = 0 (SingularKernel), and, as
+    SingularSystem, an n (sigma + lam) that overflows or a smallest
+    eigenvalue n (sigma_n + lam) of K + n lam I below 1e-12 times its
+    largest diagonal entry. That is ridge_alpha's pivot test judged on
+    eigenvalues; no Cholesky pivot is below the smallest eigenvalue, so
+    it refuses a few systems near the line that the pivot test let through.
     """
-    obj, coeffs = _ridge_fit(prob.spectrum_of_Kn, prob.y, prob.lam)
-    n, lam = prob.n, prob.lam
-    smallest = n * (prob.spectrum_of_Kn.bottom + lam)
+    kn_spec, y, lam = prob.spectrum_of_Kn, prob.y, prob.lam
+    n = kn_spec.n
+    if y.shape[0] != n:
+        raise DimensionMismatch("label vector length does not match kernel size")
+    if lam < 0:
+        raise ValueError("regularization must be nonnegative")
+    sig = kn_spec.eigenvalues
+    if lam == 0.0 and sig[-1] < KERNEL_SINGULARITY_RTOL * sig[0] * n:
+        raise SingularKernel("kernel matrix is numerically singular and lambda is 0")
+    with np.errstate(over="ignore"):
+        shifted_n = n * (sig + lam)
+    if not np.all(np.isfinite(shifted_n)):
+        raise SingularSystem(f"n (sigma + lam) overflows at n = {n}, lam = {lam!r}")
+    smallest = n * (kn_spec.bottom + lam)
     if smallest < CHOLESKY_PIVOT_RTOL * float(np.max(np.diag(prob.K) + n * lam)):
         raise SingularSystem(
             f"smallest eigenvalue {smallest:.3e} of K + n lam I is below "
             "1e-12 of the largest diagonal entry"
         )
-    return obj, prob.spectrum_of_Kn.eigenvectors @ coeffs
+    u = kn_spec.eigenvectors
+    alpha_star_coeffs = (u.T @ y) / shifted_n
+    optimum = np.sqrt(n * np.maximum(sig, 0.0)) * alpha_star_coeffs
+    shifted = diagonal_spectrum(sig + lam, degenerate=kn_spec.degenerate)
+    return QuadraticObjective(shifted, optimum), u @ alpha_star_coeffs
 
 
 def dual_objective(prob, mode):

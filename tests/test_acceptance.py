@@ -22,7 +22,6 @@ from stepbias.filters import (
     tikhonov,
 )
 from stepbias.instances import random_instance
-from stepbias.quadratic import from_kernel
 from stepbias.regimes import certify, check_assumptions
 from stepbias.spectral import diagonal_spectrum
 

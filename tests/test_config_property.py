@@ -8,6 +8,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +93,22 @@ def raw_configs(draw):
 @example(case=({"experiment": "alpha_sweep", "eta_big": 1.7e308}, None))
 @example(case=({"experiment": "eta_sweep", "lam": 1e160, "eta_grid": [1e-300]}, None))
 def test_accepted_configs_run_to_a_documented_exit_code(case):
+    _runs_to_a_documented_exit_code(case)
+
+
+@pytest.mark.slow
+@settings(
+    max_examples=1000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=raw_configs())
+def test_accepted_configs_run_to_a_documented_exit_code_long(case):
+    """The same property over 1,000 examples, outside tier-1: pytest -m slow."""
+    _runs_to_a_documented_exit_code(case)
+
+
+def _runs_to_a_documented_exit_code(case):
     raw, data = case
     with tempfile.TemporaryDirectory() as tmp:
         if data is not None:

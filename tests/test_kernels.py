@@ -15,7 +15,6 @@ from stepbias.errors import (
 )
 from stepbias.gd import iterate
 from stepbias.kernels import gaussian_cross_kernel, gaussian_kernel_matrix
-from stepbias.quadratic import from_kernel
 
 
 @pytest.fixture
@@ -109,7 +108,7 @@ def test_hilbertnorm_step_maps_to_primal_rate(prob):
     """A HilbertNorm dual step of eta equals a theta step of n * eta."""
     rng = np.random.default_rng(7)
     alpha0 = rng.normal(size=prob.n) * 0.1
-    obj = from_kernel(prob.K, prob.y, prob.lam)
+    obj = kernels.ridge_fit(prob)[0]
     eta = 0.5 / (prob.n * obj.spectrum.top)
     state = kernels.run_gd_alpha(prob, alpha0, eta, kernels.GDMode.HILBERT_NORM, 25)
     theta = iterate(obj, kernels.to_eigen_coords(prob, alpha0), prob.n * eta, 25)

@@ -523,6 +523,23 @@ def test_cli_maps_unreadable_input_files_to_exit_1(tmp_path, capsys, command, na
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, echo",
+    [
+        (json.dumps({"experiment": "toy2d", "seed": list(range(100_000))}), "[0, 1, 2, 3, ...]"),
+        ('{"experiment": "toy2d", "seed": ' + "[" * 900 + "]" * 900 + "}", "[[...]]"),
+    ],
+    ids=["long-list", "deep-list"],
+)
+def test_cli_config_error_echoes_a_bounded_value(tmp_path, capsys, text, echo):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) <= 200
+    assert lines[0] == f"error: seed: expected int, got {echo}"
+
+
 def test_cli_huge_finite_step_size_writes_diverged_run(tmp_path, capsys):
     # eta = 1e300 / sigma_1 diverges at step 1 with a Hilbert norm near the
     # largest float; the SVG leaves a non-finite point out instead of crashing.
