@@ -3,7 +3,9 @@
 Every experiment is a pure function of (config, seed): randomness flows
 from the config seed through named streams (one per consumer), outputs
 are CSV tables plus SVG figures, and the returned manifest lists each
-written file with its content hash.
+written file with its content hash. quadratic_certify certifies its
+instances a block at a time with regimes.certify_block and raises the
+first refusal in stream order.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import gd, kernels, toy2d
 from .config import TAU, canonical_config
-from .errors import CertificationFailed, InfeasibleWindow, InvalidRegime, ParseError
+from .errors import InfeasibleWindow, InvalidRegime, ParseError
 from .filters import (
     cut_off,
     gd_filter,
@@ -26,11 +28,10 @@ from .filters import (
     tikhonov,
 )
 from .instances import random_instances
-from .quadratic import QuadraticObjective, coefficients, excess_losses
-from .records import pair_records
-from .regimes import ASSUMPTIONS, assumption_checks, certificates, run_measurements
+from .quadratic import QuadraticObjective, excess_losses
+from .regimes import certify_block
 from .reporting import AxesSpec, Series, render_svg, write_bytes, write_csv
-from .spectral import condition_number, eigvals_sym, padded, unpadded
+from .spectral import condition_number, eigvals_sym
 
 T_MAX_SWEEP = 500_000
 # Streams per random_instances block in quadratic_certify, each block
@@ -163,69 +164,6 @@ def _run_toy2d(cfg, out):
     )
 
 
-def _certify_block(block, first):
-    """The certificate columns of a block of instances, numbered from first, keyed as to_record's.
-
-    The array work runs once for the whole block (_block_numbers); then
-    one pass gives every record, assumption check and certificate as
-    columns. The error raised is that of the earliest failing instance,
-    as if each were certified alone: its failed assumptions, else its
-    failed level-set lane, else its certificate's refusal.
-    """
-    iota, r_opt, runs_s, runs_b, measured = _block_numbers(block)
-    pairs, alpha = [inst.pair for inst in block], [inst.alpha for inst in block]
-    record = pair_records(pairs, iota, [i.eta_s for i in block], [i.eta_b for i in block], r_opt)
-    passed, _ = assumption_checks(pairs, record, alpha)
-    cert, refusals = certificates(pairs, runs_s, runs_b, alpha, record, measured)
-    for k, (verdicts, refusal) in enumerate(zip(passed.T.tolist(), refusals)):
-        failed = [name for name, ok in zip(ASSUMPTIONS, verdicts) if not ok]
-        if failed:
-            raise CertificationFailed(
-                f"instance {first + k} fails assumptions: {', '.join(failed)}"
-            )
-        if refusal is not None:
-            raise refusal
-    return cert.to_record()
-
-
-def _block_numbers(block):
-    """(iota, r_opt, runs_s, runs_b, measured) of a block of instances, as columns.
-
-    Each instance is spectral.padded to the block's largest n with dead
-    directions, which change no bit. One spectral.matvec gives the
-    gd.decompose of every theta0 and the test coefficients of every train
-    optimum, from which R(theta_hat) is evaluated; one gd.level_set_runs
-    searches the Small and the Big lane of every instance, and
-    run_measurements reads their final coefficients; a failed lane, which
-    raises at its instance's turn, is measured at iota.
-    """
-    pairs, n = [inst.pair for inst in block], [inst.pair.n for inst in block]
-    size, width = len(block), max(n)
-    # Per instance: the train and the test eigenbasis, and the vectors
-    # theta0, train optimum, test optimum, so that [:, :2] - [:, 1:]
-    # is theta0 - theta_hat, theta_hat - theta_hat_* on those bases.
-    spectra = [s for p in pairs for s in (p.train.spectrum, p.test.spectrum)]
-    bases = padded([s.eigenvectors for s in spectra], width).reshape(size, 2, width, width)
-    vectors = [x for i in block for x in (i.theta0, i.pair.train.optimum, i.pair.test.optimum)]
-    points = padded(vectors, width).reshape(size, 3, width)
-    test_sig = padded([s.eigenvalues for s in spectra[1::2]], width)
-    coeffs = coefficients(bases, points[:, :2], points[:, 1:])
-    lanes = gd.level_set_runs(
-        [p.train for p in pairs] * 2, np.concatenate([coeffs[:, 0]] * 2),
-        [i.eta_s for i in block] + [i.eta_b for i in block], [i.alpha for i in block] * 2,
-        [i.t_max for i in block] * 2,
-    )
-    iota = unpadded(coeffs[:, 0], n)
-    mu_s, mu_b = padded(
-        [run.mu if isinstance(run, gd.GDRun) else row for run, row in zip(lanes, iota * 2)],
-        width,
-    ).reshape(2, size, width)
-    offsets = points[:, 1] - points[:, 2]
-    measured = run_measurements(bases[:, 0], bases[:, 1], test_sig, offsets, mu_s, mu_b)
-    r_opt = excess_losses(test_sig, coeffs[:, 1])
-    return iota, r_opt, lanes[:size], lanes[size:], measured
-
-
 def _attenuation_series(spec):
     """The attenuation coefficient |1 - eta sigma_i| of each eigenvalue.
 
@@ -252,7 +190,11 @@ def _run_quadratic_certify(cfg, out):
         )
         if first == 0:
             spec = block[0].pair.train.spectrum
-        columns = _certify_block(block, first)
+        cert, _, refusals = certify_block(block, first)
+        refusal = next((r for r in refusals if r is not None), None)
+        if refusal is not None:
+            raise refusal
+        columns = cert.to_record()
         schema = ("instance", *columns)
         rows += zip(
             range(first, stop),

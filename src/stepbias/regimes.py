@@ -6,6 +6,8 @@ runs' regime records (see records). A block of instances is checked and
 certified as columns, a row per instance: assumption_checks gives the
 verdicts, certificates the certificate and each row's refusal. Rows
 never mix; check_assumptions and certify are the one-row views.
+certify_block searches and certifies a block of instances, keeping each
+refused row beside its error.
 """
 
 import math
@@ -13,14 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidRegime, LevelSetMismatch, RegimeMismatch, ZeroDenominator
-from .gd import GDRun, StopStatus, decompose
+from .errors import (
+    CertificationFailed, InvalidRegime, LevelSetMismatch, RegimeMismatch, ZeroDenominator,
+)
+from .gd import GDRun, StopStatus, decompose, level_set_runs
 from .quadratic import coefficients, excess_losses
 from .records import (
     UNDERFLOW_GUARD, RegimeKind, StepWindow, _libm, _positive_decreasing, _row, _square,
     _window_bounds, _window_refusal, pair_records,
 )
-from .spectral import matvec, padded, row_sums
+from .spectral import matvec, padded, row_sums, unpadded
 
 ASSUMPTIONS = (
     "A1_distinct_eigenvalues", "A2_rate_ordering", "A3_nonzero_initialization",
@@ -206,18 +210,34 @@ def _refusal(run_s, run_b, kind_s, kind_b, alpha, alpha_1, scale_s, scale_b):
     return _window_refusal(alpha, scale_s, scale_b)
 
 
-def certificates(pairs, runs_s, runs_b, alpha, record, measured):
+def _stacks(pairs):
+    """(bases, test eigenvalues, optima) of pairs, spectral.padded to their largest n.
+
+    bases[k] and optima[k] hold pair k's train and test eigenbasis and optimum.
+    """
+    width = max(p.n for p in pairs)
+    spectra = [s for p in pairs for s in (p.train.spectrum, p.test.spectrum)]
+    bases = padded([s.eigenvectors for s in spectra], width).reshape(len(pairs), 2, width, width)
+    optima = padded([x for p in pairs for x in (p.train.optimum, p.test.optimum)], width)
+    test_sig = padded([s.eigenvalues for s in spectra[1::2]], width)
+    return bases, test_sig, optima.reshape(len(pairs), 2, width)
+
+
+def certificates(pairs, runs_s, runs_b, alpha, record, iota, stacks=None):
     """The Certificate of a block of instances, a column per field, and each row's refusal.
 
     Row k bounds pairs[k] with its Small and Big runs runs_s[k] and
     runs_b[k] to its alpha[k] level set (or failed gd.level_set_runs
-    lanes); record is their pair_records at the runs' iota and rates,
-    measured the run_measurements columns. The certificate stores the
-    measured test losses, the epsilon ratios, the step windows, the
-    per-regime loss bounds, and R(theta_b) <= 34 (kappa_R/kappa_F)
-    R(theta_s). refusals[k] is None or row k's error, which voids its row.
+    lanes) from the start iota[k]; record is their pair_records at iota
+    and the runs' rates, stacks their _stacks (made here if not given).
+    One run_measurements pass over those stacks measures every row, a
+    failed lane at iota. The certificate stores the measured test
+    losses, the epsilon ratios, the step windows, the per-regime loss
+    bounds, and R(theta_b) <= 34 (kappa_R/kappa_F) R(theta_s).
+    refusals[k] is None or row k's error, which voids its row.
     """
-    alpha = np.asarray(alpha, dtype=float)
+    bases, test_sig, optima = stacks or _stacks(pairs)
+    alpha, (size, width) = np.asarray(alpha, dtype=float), test_sig.shape
     columns = (alpha, record.alpha_1, record.scale_s, record.scale_b)
     refusals = list(
         map(_refusal, runs_s, runs_b, record.kind_s, record.kind_b, *(c.tolist() for c in columns))
@@ -238,7 +258,16 @@ def certificates(pairs, runs_s, runs_b, alpha, record, measured):
         ],
         dtype=float,
     ).reshape(-1, 6).T
-    eps_b2, eps_s2, r_big, r_small = np.asarray(measured, dtype=float)
+    mu_s, mu_b = padded(
+        [run.mu if isinstance(run, GDRun) else row
+         for run, row in zip([*runs_s, *runs_b], [*iota, *iota])],
+        width,
+    ).reshape(2, size, width)
+    eps_b2, eps_s2, r_big, r_small = run_measurements(
+        bases[:, 0], bases[:, 1], test_sig, optima[:, 0] - optima[:, 1], mu_s, mu_b,
+    )
+    # A row of n = 1 has no mass off its direction; padded, it would read its padding.
+    eps_b2, eps_s2 = np.where(n >= 2, [eps_b2, eps_s2], 0.0)
     kappa_F, kappa_R, r_opt = record.kappa_F, record.kappa_R, record.r_opt
     with np.errstate(all="ignore"):
         scale = np.where(np.tile(ok, 2), np.concatenate([record.scale_s, record.scale_b]), math.nan)
@@ -285,14 +314,42 @@ def certify(pair, run_s, run_b, alpha):
     Both runs must have hit the same alpha level set of pair.train, one
     with a Small rate and one with a Big rate.
     """
-    spec, tspec = pair.train.spectrum, pair.test.spectrum
     record = pair_records([pair], [run_s.iota], [run_s.eta], [run_b.eta])
-    measured = run_measurements(
-        *(a[None] for a in (spec.eigenvectors, tspec.eigenvectors, tspec.eigenvalues)),
-        (pair.train.optimum - pair.test.optimum)[None],
-        *(np.asarray(run.mu, dtype=float)[None] for run in (run_s, run_b)),
-    )
-    cert, (refusal,) = certificates([pair], [run_s], [run_b], [alpha], record, measured)
+    cert, (refusal,) = certificates([pair], [run_s], [run_b], [alpha], record, [run_s.iota])
     if refusal is not None:
         raise refusal
     return cert.row(0)
+
+
+def certify_block(instances, first=0):
+    """(cert, passed, refusals) of a block of CertifyInstances: certificates, assumption_checks.
+
+    refusals[k] is None or the error of instance first + k alone:
+    CertificationFailed naming its failed assumptions, else its failed
+    level-set lane, else its certificate's refusal. A refused row keeps
+    its columns and verdicts; nothing raises. Padded to the largest n
+    (_stacks), one matvec gives every gd.decompose of theta0 and the test
+    coefficients of every train optimum, of which R(theta_hat) is the
+    loss, and one gd.level_set_runs searches every Small and Big lane.
+    """
+    pairs, n = [inst.pair for inst in instances], [inst.pair.n for inst in instances]
+    eta_s, eta_b, alpha = ([getattr(i, k) for i in instances] for k in ("eta_s", "eta_b", "alpha"))
+    stacks = bases, test_sig, optima = _stacks(pairs)
+    size, width = test_sig.shape
+    # theta0 - theta_hat on the train basis, theta_hat - theta_hat_* on the test basis.
+    starts = np.stack([padded([i.theta0 for i in instances], width), optima[:, 0]], axis=1)
+    coeffs = coefficients(bases, starts, optima)
+    lanes = level_set_runs(
+        [p.train for p in pairs] * 2, np.concatenate([coeffs[:, 0]] * 2), eta_s + eta_b,
+        alpha * 2, [i.t_max for i in instances] * 2,
+    )
+    iota = unpadded(coeffs[:, 0], n)
+    r_opt = excess_losses(test_sig, coeffs[:, 1])
+    record = pair_records(pairs, iota, eta_s, eta_b, r_opt)
+    passed, _ = assumption_checks(pairs, record, alpha)
+    cert, refusals = certificates(pairs, lanes[:size], lanes[size:], alpha, record, iota, stacks)
+    for k, verdicts in enumerate(passed.T.tolist()):
+        if not all(verdicts):
+            failed = ", ".join(name for name, ok in zip(ASSUMPTIONS, verdicts) if not ok)
+            refusals[k] = CertificationFailed(f"instance {first + k} fails assumptions: {failed}")
+    return cert, passed, refusals

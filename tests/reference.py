@@ -22,7 +22,7 @@ from stepbias import gd, instances
 from stepbias.errors import AlreadyBelowLevelSet, ZeroDenominator
 from stepbias.gd import DIVERGENCE_FACTOR, GDRun, StopStatus
 from stepbias.records import RegimeKind, StepWindow
-from stepbias.regimes import certify, check_assumptions, run_measurements
+from stepbias.regimes import certify, check_assumptions
 from stepbias.spectral import Spectrum, condition_number
 
 
@@ -191,24 +191,6 @@ def certified_alone(inst):
         for eta in (inst.eta_s, inst.eta_b)
     )
     return certify(inst.pair, run_s, run_b, inst.alpha).to_record()
-
-
-def measurements(pairs, mus):
-    """regimes.run_measurements of each pair alone, stacked as the columns certificates takes.
-
-    mus holds each pair's (mu_s, mu_b).
-    """
-    rows = [
-        [
-            m.item()
-            for m in run_measurements(
-                p.train.spectrum.eigenvectors, p.test.spectrum.eigenvectors,
-                p.test.spectrum.eigenvalues, p.train.optimum - p.test.optimum, mu_s, mu_b,
-            )
-        ]
-        for p, (mu_s, mu_b) in zip(pairs, mus)
-    ]
-    return np.array(rows).T
 
 
 # The per-quantity derivations that records.regime_records and

@@ -1,7 +1,7 @@
 """The block certificate and the lockstep search against their one-instance oracle.
 
 quadratic_certify certifies each block of instances with stacked numpy
-work (experiments._certify_block), and gd.level_set_runs searches every
+work (regimes.certify_block), and gd.level_set_runs searches every
 level set in lockstep. Both must give the bits of the one-lane search
 they replaced, reference.search_run, and the column passes
 (records.regime_records, regimes.assumption_checks and
@@ -21,9 +21,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stepbias import experiments, gd
+from stepbias import experiments, gd, regimes
 from stepbias.config import validate_config
-from stepbias.errors import AlreadyBelowLevelSet, StepbiasError
+from stepbias.errors import (
+    AlreadyBelowLevelSet, CertificationFailed, LevelSetMismatch, StepbiasError,
+)
 from stepbias.experiments import stream
 from stepbias.gd import GDRun, StopStatus, level_set_runs
 from stepbias.instances import CertifyInstance, random_instances
@@ -33,11 +35,12 @@ from stepbias.regimes import (
     assumption_checks,
     certificates,
     certify,
+    certify_block,
     check_assumptions,
 )
 from stepbias.spectral import condition_number, diagonal_spectrum, padded
 
-from reference import certified_alone, measurements, power, search_run, tie_alpha
+from reference import certified_alone, power, search_run, tie_alpha
 
 
 def assert_same_records(got, want):
@@ -49,8 +52,10 @@ def assert_same_records(got, want):
 
 
 def block_records(block):
-    """The certificate records of a block, one per row of _certify_block's columns."""
-    columns = experiments._certify_block(block, 0)
+    """The certificate records of a block, one per row of certify_block's columns; none refused."""
+    cert, _, refusals = certify_block(block)
+    assert refusals == [None] * len(block)
+    columns = cert.to_record()
     values = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
     return [dict(zip(columns, row)) for row in zip(*values)]
 
@@ -64,7 +69,7 @@ def test_block_rows_equal_the_one_instance_rows(seed):
 
 def test_a_block_of_every_dimension_is_certified_in_one_pass(tmp_path, monkeypatch):
     """The default quadratic_certify, one block of n = 4..8, makes one call of each pass."""
-    calls = {"_block_numbers": 0, "level_set_runs": 0}
+    calls = {"certify_block": 0, "level_set_runs": 0}
     sizes = []
 
     def counted(module, name):
@@ -76,18 +81,18 @@ def test_a_block_of_every_dimension_is_certified_in_one_pass(tmp_path, monkeypat
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(experiments, "_block_numbers")
-    counted(gd, "level_set_runs")
-    real_block = experiments._certify_block
+    counted(experiments, "certify_block")
+    counted(regimes, "level_set_runs")
+    real_block = experiments.certify_block
     monkeypatch.setattr(
-        experiments, "_certify_block",
+        experiments, "certify_block",
         lambda block, first: sizes.append({i.pair.n for i in block}) or real_block(block, first),
     )
     experiments.run_experiment(
         validate_config({"experiment": "quadratic_certify", "output_dir": str(tmp_path)})
     )
     assert sizes == [{4, 5, 6, 7, 8}]
-    assert calls == {"_block_numbers": 1, "level_set_runs": 1}
+    assert calls == {"certify_block": 1, "level_set_runs": 1}
 
 
 def diagonal(inst, zero=None):
@@ -177,16 +182,26 @@ def _one_lane(obj, iota, eta, alpha, t_max):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_column_rows_equal_their_one_row_views(seed):
-    """regime_records, assumption_checks and certificates over a mixed block, row by row.
+    """regime_records, assumption_checks, certificates and certify_block on a mixed block, by row.
 
     Each row's record is regime_records' on its instance alone, its A1-A5
     verdicts are check_assumptions', and its certificate or refusal is
     certify's, by repr, on generated instances of n = 4..8 and on the
     edge instances.
     A row whose run failed is refused with that run's error.
+    certify_block returns every row, refused ones included, with the
+    columns and verdicts of those passes. Its refusal column names the
+    failed assumptions where check_assumptions fails one, else holds the
+    class and message of the row's refusal above; an unrefused row is
+    certified_alone's record, a refused one its certify_block alone (an
+    n = 1 row's epsilon ratios too). A nonzero first renumbers only the
+    messages.
     """
     block = random_instances([stream(seed, f"certify-{i}") for i in range(30)])
     block += _edge_instances()
+    # Two that pass A1-A5 and are refused all the same: by a lane that
+    # cannot run (t_max 0) and by runs that stop at step 1 (t_max 1).
+    block += [dataclasses.replace(block[0], t_max=t_max) for t_max in (0, 1)]
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(block))
     block = [block[k] for k in order]
@@ -200,11 +215,12 @@ def test_column_rows_equal_their_one_row_views(seed):
     alpha = [inst.alpha for inst in block]
     record = pair_records(pairs, iota, [i.eta_s for i in block], [i.eta_b for i in block])
     passed, a_one = assumption_checks(pairs, record, alpha)
-    mus = [[run.mu if isinstance(run, GDRun) else i for run in lanes] for lanes, i in zip(runs, iota)]
-    measured = measurements(pairs, mus)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cert, refusals = certificates(pairs, *zip(*runs), alpha, record, measured)
+        cert, refusals = certificates(pairs, *zip(*runs), alpha, record, iota)
+        block_cert, block_passed, block_refusals = certify_block(block)
+        cert_7, passed_7, refusals_7 = certify_block(block, first=7)
+    assert block_passed.tolist() == passed_7.tolist() == passed.tolist()
     refused = 0
     for k, (inst, p, i, (run_s, run_b)) in enumerate(zip(block, pairs, iota, runs)):
         one = regime_records(
@@ -216,17 +232,35 @@ def test_column_rows_equal_their_one_row_views(seed):
         assert passed[:, k].tolist() == [v.passed for v in verdicts], k
         assert repr(a_one[k].item()) == repr(verdicts[3].details["alpha_1"]), k
         failed_run = next((run for run in (run_s, run_b) if not isinstance(run, GDRun)), None)
+        want = refusals[k]
         if failed_run is not None:
-            assert refusals[k] is failed_run, k
-        elif refusals[k] is None:
+            assert want is failed_run, k
+        elif want is None:
             assert repr(cert.row(k)) == repr(certify(p, run_s, run_b, inst.alpha)), k
         else:
-            with pytest.raises(type(refusals[k])) as raised:
+            with pytest.raises(type(want)) as raised:
                 certify(p, run_s, run_b, inst.alpha)
-            assert str(raised.value) == str(refusals[k]), k
-        refused += refusals[k] is not None
+            assert str(raised.value) == str(want), k
+        refused += want is not None
+        assert repr(block_cert.row(k)) == repr(cert_7.row(k)) == repr(cert.row(k)), k
+        failed = ", ".join(v.name for v in verdicts if not v.passed)
+        got, renumbered = block_refusals[k], refusals_7[k]
+        if failed:
+            assert type(got) is type(renumbered) is CertificationFailed, k
+            assert str(got) == f"instance {k} fails assumptions: {failed}", k
+            assert str(renumbered) == f"instance {7 + k} fails assumptions: {failed}", k
+        else:
+            assert type(got) is type(renumbered) is type(want), k
+            assert str(got) == str(renumbered) == str(want), k
+        if got is None:
+            assert_same_records([block_cert.row(k).to_record()], [certified_alone(inst)])
+        else:
+            alone, _, _ = certify_block([inst])
+            assert repr(alone.row(0)) == repr(block_cert.row(k)), k
     assert 0 < refused < len(block)
     assert sum(isinstance(r, StepbiasError) for r in refusals) >= 6
+    kinds = {type(r) for r, v in zip(block_refusals, passed.T) if v.all()}
+    assert kinds == {type(None), ValueError, LevelSetMismatch}
 
 
 def _lanes():

@@ -56,3 +56,22 @@ def test_a_changed_colour_lists_each_svg_and_its_manifest(tmp_path):
         "differs: config-001-toy2d/toy2d_loss.svg",
     ]
     assert "6 files, 4 differ" in done.stdout
+
+
+def test_a_changed_refusal_message_is_a_difference(tmp_path):
+    """Both trees refuse the config with the same class; only the message moved."""
+    copy = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    toy2d = copy / "src" / "stepbias" / "toy2d.py"
+    text = toy2d.read_text()
+    assert text.count('"level-set window infeasible for eta=') == 1
+    toy2d.write_text(text.replace('"level-set window infeasible', '"level-set window empty'))
+    refused = {"experiment": "toy2d", "alpha": 0.4}
+    done = _compare(tmp_path, copy, [refused])
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert (
+        f"outcome differs: config-000-toy2d {json.dumps(refused)}: "
+        "InfeasibleWindow: level-set window infeasible for eta=1.0: t2=-1.553 <= t1=1.000 -> "
+        "InfeasibleWindow: level-set window empty for eta=1.0: t2=-1.553 <= t1=1.000"
+    ) in done.stdout
+    assert "1 configs (1 refused by A), 0 files, 0 differ" in done.stdout

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from stepbias import experiments, gd, instances
+from stepbias import experiments, gd, instances, regimes
 from stepbias.config import validate_config
 from stepbias.errors import CertificationFailed, InfeasibleWindow, InvalidRegime, LevelSetMismatch
 from stepbias.experiments import run_experiment, stream
@@ -191,6 +191,14 @@ def test_block_generation_equals_one_instance_at_a_time():
     assert start == len(keys) == 520
 
 
+def test_a_two_value_draw_is_redrawn_until_its_gap_holds():
+    """count == 2 checks its one gap: the first draw of this stream is 0.15 apart, under 0.5."""
+    first = np.random.default_rng(3).uniform(0.0, 1.0, size=2)
+    assert abs(first[0] - first[1]) < 0.5
+    high, low = instances._spaced_descending(np.random.default_rng(3), 2, 0.0, 1.0, 0.5)
+    assert high - low >= 0.5
+
+
 def test_block_generation_with_a_retrying_stream(monkeypatch, failing_attempts):
     """Refused streams redraw in block rounds: block and one at a time agree.
 
@@ -328,6 +336,12 @@ def test_the_earliest_failing_instance_refuses_the_run(
         _certify_files(tmp_path, "refused", 8)
 
 
+def _raise_the_first_refusal(block):
+    """Raise the earliest refusal of regimes.certify_block, as quadratic_certify does."""
+    _, _, refusals = regimes.certify_block(block)
+    raise next(refusal for refusal in refusals if refusal is not None)
+
+
 @pytest.mark.parametrize(
     "failures, error",
     [
@@ -342,10 +356,10 @@ def test_the_earliest_certificate_error_refuses_the_block(monkeypatch, failures,
     block[first] = _broken(block[first], failures[0])
     block[later] = _broken(block[later], failures[1])
     monkeypatch.setattr(
-        experiments, "assumption_checks", lambda pairs, *args: (np.ones((5, len(pairs)), bool), None)
+        regimes, "assumption_checks", lambda pairs, *args: (np.ones((5, len(pairs)), bool), None)
     )
     with pytest.raises(error):
-        experiments._certify_block(block, 0)
+        _raise_the_first_refusal(block)
 
 
 @pytest.mark.parametrize(
@@ -368,4 +382,4 @@ def test_the_earlier_of_an_assumption_and_a_refusal_in_one_dimension_refuses_the
     block[first] = _broken(block[first], failures[0])
     block[later] = _broken(block[later], failures[1])
     with pytest.raises(error, match=match):
-        experiments._certify_block(block, 0)
+        _raise_the_first_refusal(block)

@@ -62,6 +62,21 @@ def test_ridge_alpha_singular():
         kernels.ridge_alpha(K, np.array([1.0, 1.0, -1.0]), 0.0)
 
 
+def test_ridge_alpha_accepts_a_pivot_at_its_threshold():
+    """A pivot equal to 1e-12 of the largest diagonal entry passes; one below it is singular.
+
+    On a diagonal K with lam = 0 the pivots are the diagonal: sqrt(2^-40)
+    squares back exactly, and 1e-12 * top rounds to 2^-40.
+    """
+    pivot = 2.0**-40
+    top = pivot / kernels.CHOLESKY_PIVOT_RTOL
+    assert kernels.CHOLESKY_PIVOT_RTOL * top == pivot
+    astar = kernels.ridge_alpha(np.diag([top, pivot]), np.array([top, pivot]), 0.0)
+    assert astar == pytest.approx([1.0, 1.0])
+    with pytest.raises(SingularSystem):
+        kernels.ridge_alpha(np.diag([top * (1 + 1e-9), pivot]), np.ones(2), 0.0)
+
+
 def test_eigen_coords_roundtrip(prob):
     rng = np.random.default_rng(3)
     a = rng.normal(size=prob.n)
@@ -278,6 +293,9 @@ def test_load_dataset_errors(tmp_path):
         kernels.load_dataset(p)
     p.write_text("x_1,x_2,label\n0.0,1\n")
     with pytest.raises(ParseError):
+        kernels.load_dataset(p)
+    p.write_text("x_1,x_2,label\n0.0,0.0,1\n1.0,1.0,-1\n0.0,1\n")
+    with pytest.raises(ParseError, match="row 4 has 2 fields, expected 3$"):
         kernels.load_dataset(p)
     p.write_text("x_1,x_2,label\n0.0,zero,1\n")
     with pytest.raises(ParseError):

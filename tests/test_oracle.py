@@ -1,24 +1,27 @@
-"""The regime record, step windows, kernel eigenvalues and sweep norms against 50-digit mpmath.
+"""Records, step windows, certificates, kernel eigenvalues and sweep norms against 50-digit mpmath.
 
 Every input (eigenvalues, iota, step sizes, alpha, kernel matrices) is
 taken exactly as the float code sees it, so the only difference is the
 rounding of the float arithmetic.
 """
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from stepbias import experiments, gd
+from stepbias import experiments, gd, regimes
 from stepbias.config import validate_config
 from stepbias.kernels import gaussian_kernel_matrix, two_cluster_dataset
 from stepbias.spectral import DEGENERACY_RTOL, EPS, _check_degenerate, eig_sym, eigvals_sym
 from stepbias.experiments import run_experiment, stream
-from stepbias.instances import random_instance
+from stepbias.instances import CertifyInstance, random_instance, random_instances
+from stepbias.quadratic import ProblemPair, QuadraticObjective
 from stepbias.records import pair_records
-from stepbias.regimes import certify
+from stepbias.regimes import certify, certify_block
+from stepbias.spectral import diagonal_spectrum
 
 # Relative tolerances. Over these 30 instances the largest errors are
 # 7.0e-14 on both alpha_1 readings (exp(-num / gap) multiplies the
@@ -111,6 +114,147 @@ def test_record_agrees_with_50_digit_evaluation(seed):
                 others[f"{name}_{t}"] = _rel(got, exact)
     assert max(readings.values()) <= ALPHA_RTOL, readings
     assert max(others.values()) <= RTOL, others
+
+
+# Relative tolerance on the certificate columns. A column takes about a
+# dozen roundings, more where c_alpha's denominator 1 - sqrt(x) cancels
+# as x nears 1; over these rows the largest error is 7.7e-16.
+CERT_RTOL = 1e-13
+
+
+def _diagonal_instance(train, test, iota, test_optimum, eta_s, eta_b, alpha, t_max):
+    """A CertifyInstance on identity bases from the train optimum 0: theta0 is iota."""
+    pair = ProblemPair(
+        QuadraticObjective(diagonal_spectrum(train), np.zeros(len(train))),
+        QuadraticObjective(diagonal_spectrum(test), np.array(test_optimum, dtype=float)),
+    )
+    return CertifyInstance(pair, np.array(iota, dtype=float), eta_s, eta_b, alpha, t_max)
+
+
+def _decisive_instances():
+    """Two refused rows on which a loosened bound changes a verdict.
+
+    kappa_F = 100 > 4 n kappa_R = 8.08: the Small run stops at step 1
+    with eps_s2 = 0.01 in (1 / (4 kappa_F), 1 / (16 n kappa_R)]. Then a
+    test optimum at theta0 and a target above the initial loss: both
+    lanes are refused and measured at iota, so r_small = 0 lies below
+    the r_small_lower floor at lower_arg = 0.5 (at lower_arg / sig_n^2
+    = 12.5 there would be no floor), and eps_b2 = 3 lies in
+    (1 / (4 n kappa_R), 4 n kappa_R].
+    """
+    train, test, iota = [1.0, 0.5, 0.3, 0.2], [1.0, 0.8, 0.7, 0.5], [1.0] * 4
+    r_opt = 0.5 * sum(v * i * i for v, i in zip(test, iota))
+    return [
+        _diagonal_instance([1.0, 0.01], [1.0, 0.99], [10.0, 1.0], [0.0] * 2, 1 / 1.01, 1.9, 1e-3, 1),
+        _diagonal_instance(train, test, iota, iota, 0.7, 1.9, 36 * r_opt * 0.2 / 0.5, 10**6),
+    ]
+
+
+def _theorem_instances(count=40):
+    """Instances of the theorem property's form at fixed draws: alpha a fraction of alpha_1."""
+    rng = np.random.default_rng(2202)
+    block = [
+        random_instance(np.random.default_rng(int(rng.integers(2**32))), n=None,
+                        model_error_fraction=float(rng.uniform()))
+        for _ in range(count)
+    ]
+    record = pair_records(
+        [i.pair for i in block], [gd.decompose(i.pair.train, i.theta0) for i in block],
+        [i.eta_s for i in block], [i.eta_b for i in block],
+    )
+    return [
+        dataclasses.replace(inst, alpha=float(rng.uniform(0.0, 1.0)) * a_one, t_max=10**6)
+        for inst, a_one in zip(block, record.alpha_1.tolist())
+    ]
+
+
+def _mp_certificate(row, pair, mu_b1, mu_sn):
+    """The certificate columns and the two sides of each bound verdict of one row, at 50 digits."""
+    mpf = mpmath.mpf
+    sig, var = pair.train.spectrum.eigenvalues, pair.test.spectrum.eigenvalues
+    sig_1, sig_n, varsig1, varsign = (mpf(float(v)) for v in (sig[0], sig[-1], var[0], var[-1]))
+    n = len(sig)
+    alpha, kappa_F, kappa_R, r_opt, eps_b2, eps_s2, r_big, r_small = (
+        mpf(getattr(row, name)) for name in
+        ("alpha", "kappa_F", "kappa_R", "r_opt", "epsilon_b2", "epsilon_s2", "r_big", "r_small")
+    )
+    den = 1 - mpmath.sqrt(18 * sig_n * r_opt / (varsign * alpha))
+    c_alpha = (1 + 2 * sig_1 * r_opt / (varsig1 * alpha)) / den if den > 0 else mpmath.inf
+    lower_arg = 18 * r_opt * sig_n / (varsign * alpha)
+    mu_big, mu_small = sig_1 * mpf(mu_b1) ** 2 / 2, sig_n * mpf(mu_sn) ** 2 / 2
+    floor = (
+        3 * alpha * varsign * (1 - mpmath.sqrt(lower_arg)) / (10 * sig_n)
+        if lower_arg <= 1 else -mpmath.inf
+    )
+    columns = {
+        "c_alpha": c_alpha,
+        "bound_rhs": 34 * kappa_R * r_small / kappa_F,
+        "bound_general": 17 * c_alpha * kappa_R * r_small / kappa_F if den > 0 else mpmath.inf,
+    }
+    # Each verdict as (a, b), for a <= b.
+    sides = {
+        "epsilon_b_bound": [(eps_b2, 1 / (4 * n * kappa_R))],
+        "epsilon_s_bound": [(eps_s2, min(1 / (16 * n * kappa_R), 1 / (4 * kappa_F)))],
+        "mu_big_window": [(2 * alpha / 5, mu_big), (mu_big, alpha)],
+        "mu_small_window": [(2 * alpha / 5, mu_small), (mu_small, alpha)],
+        "r_big_upper": [(r_big, 5 * alpha * varsig1 / sig_1 + 2 * r_opt)],
+        "r_small_lower": [(floor, r_small)],
+    }
+    return columns, sides
+
+
+def _decided(pairs):
+    """Whether a <= b for each (a, b) of pairs; None if an a is within CERT_RTOL of its b."""
+    verdict = True
+    for a, b in pairs:
+        if mpmath.isfinite(a - b) and abs(a - b) <= CERT_RTOL * max(abs(a), abs(b)):
+            return None
+        verdict = verdict and a <= b
+    return verdict
+
+
+def test_certificate_columns_agree_with_50_digit_evaluation(monkeypatch):
+    """Every certificate column and bound verdict of certify_block, refused rows included.
+
+    On the default config's block, the theorem property's instances and
+    the two decisive rows: c_alpha (inf where its denominator is not
+    positive), bound_rhs and bound_general within CERT_RTOL, and each
+    bound verdict equal to its 50-digit comparison wherever the two
+    sides are further apart than CERT_RTOL. The inputs are the measured
+    columns, the spectra and the final coefficients of the program's own
+    lanes; a row refused by its certificate has steps and coefficients 0.
+    """
+    cfg = validate_config({"experiment": "quadratic_certify", "output_dir": "unused"})
+    block = random_instances([stream(cfg.seed, f"certify-{i}") for i in range(cfg.instances)])
+    block += _theorem_instances() + _decisive_instances()
+    real, lanes = regimes.level_set_runs, []
+
+    def recorded(*args):
+        lanes.extend(real(*args))
+        return lanes
+
+    monkeypatch.setattr(regimes, "level_set_runs", recorded)
+    cert, _, refusals = certify_block(block)
+    runs_s, runs_b = lanes[: len(block)], lanes[len(block):]
+    seen = {name: set() for name in ("epsilon_b_bound", "epsilon_s_bound", "r_small_lower")}
+    with mpmath.workdps(50):
+        for k, inst in enumerate(block):
+            row = cert.row(k)
+            mu = (runs_b[k].mu[0], runs_s[k].mu[-1]) if row.t_small > 0 else (0.0, 0.0)
+            columns, sides = _mp_certificate(row, inst.pair, *mu)
+            for name, want in columns.items():
+                got = getattr(row, name)
+                if mpmath.isinf(want):
+                    assert got == math.inf, (k, name)
+                else:
+                    assert abs(mpmath.mpf(got) - want) <= CERT_RTOL * abs(want), (k, name, got)
+            for name, pairs in sides.items():
+                verdict = _decided(pairs)
+                if verdict is not None:
+                    assert row.verdicts[name] == verdict, (k, name)
+                    seen.get(name, set()).add(verdict)
+    assert sum(r is not None for r in refusals) >= 5
+    assert all(s == {True, False} for s in seen.values()), seen
 
 
 # Absolute tolerance on each eigenvalue of K/n: n eps sigma_1, the size

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepbias import experiments, gd, instances
+from stepbias import gd, instances
 from stepbias.errors import (
     CertificationFailed,
     InfeasibleWindow,
@@ -42,6 +42,7 @@ from stepbias.regimes import (
     assumption_checks,
     certificates,
     certify,
+    certify_block,
     check_assumptions,
     run_measurements,
 )
@@ -54,7 +55,6 @@ from reference import (
     epsilon_ratio,
     leading_attenuation,
     log_gaps,
-    measurements,
     random_instance_numbers,
     risk,
     run_error,
@@ -114,6 +114,23 @@ def test_boundary_tolerance():
     assert rate_kind(HIGH * (1 - 5e-13), LOW, HIGH) is RegimeKind.BOUNDARY
     assert rate_kind(HIGH * (1 - 1e-10), LOW, HIGH) is RegimeKind.BIG
     assert rate_kind(HIGH * (1 + 1e-10), LOW, HIGH) is RegimeKind.DIVERGENT
+
+
+@pytest.mark.parametrize("sigma_1", [1e-3, 1e3])
+def test_boundary_band_is_relative_to_each_threshold_at_any_scale(sigma_1):
+    """On SPEC scaled by sigma_1 the band is still 1e-12 of each threshold.
+
+    The mutant eta <= low for eta < low (records.rate_kind) is equivalent:
+    a rate equal to low is within the band, so Boundary is returned first.
+    """
+    low, high = 2.0 / (sigma_1 * (SPEC.top + SPEC.bottom)), 2.0 / (sigma_1 * SPEC.top)
+    for threshold, below, above in (
+        (low, RegimeKind.SMALL, RegimeKind.BIG), (high, RegimeKind.BIG, RegimeKind.DIVERGENT),
+    ):
+        for inside in (1 - 5e-13, 1.0, 1 + 5e-13):
+            assert rate_kind(threshold * inside, low, high) is RegimeKind.BOUNDARY
+        assert rate_kind(threshold * (1 - 1e-10), low, high) is below
+        assert rate_kind(threshold * (1 + 1e-10), low, high) is above
 
 
 def test_leading_and_second_attenuation():
@@ -269,8 +286,7 @@ def test_certificates_of_a_block_equal_certify_row_by_row():
         pairs, [run_s.iota for run_s, _ in runs], [inst.eta_s for inst in block],
         [inst.eta_b for inst in block],
     )
-    measured = measurements(pairs, [(run_s.mu, run_b.mu) for run_s, run_b in runs])
-    cert, refusals = certificates(pairs, *zip(*runs), alpha, record, measured)
+    cert, refusals = certificates(pairs, *zip(*runs), alpha, record, [r.iota for r, _ in runs])
     passed, _ = assumption_checks(pairs, record, alpha)
     assert refusals == [None] * len(block)
     for k, (inst, (run_s, run_b)) in enumerate(zip(block, runs)):
@@ -340,6 +356,8 @@ def test_step_window_shape():
     win, _ = windows(rec, 1e-10)
     assert win.t1 > 0 and win.t2 < win.t3
     assert win.feasible == (win.t2 > win.t1)
+    # A window whose crossing starts at t1 is not feasible: t2 > t1 is strict.
+    assert not StepWindow(win.t2, win.t2, win.t3).feasible
     assert win.t1 == rec.t1_s
     for alpha in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
@@ -591,8 +609,10 @@ def test_verdict_final_reads_neither_a5_nor_the_sub_verdicts():
     assert cert.verdict_final and math.isfinite(cert.c_alpha) and cert.r_big <= cert.bound_rhs
     assert not all(cert.verdicts.values())
     inst = instances.CertifyInstance(PROJECTION_PAIR, theta0, eta_s, eta_b, alpha, 10**6)
+    _, passed, (refusal,) = certify_block([inst])
+    assert passed[:, 0].tolist() == [True, True, True, True, False]
     with pytest.raises(CertificationFailed, match="^instance 0 fails assumptions: A5_initial_projection$"):
-        list(experiments._certify_block([inst], 0))
+        raise refusal
 
 
 def test_check_assumptions_on_singular_spectra_returns_verdicts():
@@ -714,6 +734,15 @@ def test_certify_rejects_mismatched_runs():
     )
     with pytest.raises(LevelSetMismatch):
         certify(inst.pair, unfinished, run_b, inst.alpha)
+
+
+def test_a4_holds_up_to_alpha_1_itself():
+    """A4 reads alpha <= alpha_1: it holds at alpha_1 and fails at the next float above."""
+    inst = _generated(model_error_fraction=0.0)
+    rec = pair_record(inst.pair, gd.decompose(inst.pair.train, inst.theta0), inst.eta_s, inst.eta_b)
+    for alpha, want in ((rec.alpha_1, True), (math.nextafter(rec.alpha_1, math.inf), False)):
+        a4 = check_assumptions(inst.pair, inst.theta0, inst.eta_s, inst.eta_b, alpha)[3]
+        assert (a4.passed, a4.details["alpha_1"]) == (want, rec.alpha_1)
 
 
 def test_check_assumptions_fails_a4_on_bad_alpha():

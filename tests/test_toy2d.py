@@ -77,6 +77,16 @@ def test_thresholds_keep_the_float_quotient_where_it_is_normal():
     )
 
 
+@pytest.mark.parametrize("sigma1", [4.0, 0.25])
+def test_small_rate_t1_caps_the_mass_ratio_at_any_scale(sigma1):
+    """At the Small t1, epsilon_s^2 = (a1/a2)^(2 t1) is sigma_2 / (2 sigma_1), at sigma_1 != 1."""
+    inst = toy2d.ToyInstance(sigma1, 0.2 * sigma1)
+    eta = 0.75 / sigma1
+    t1, _, _ = toy2d.thresholds(inst, eta, 1e-8, RegimeKind.SMALL)
+    a1, a2 = abs(1.0 - eta * inst.sigma1), abs(1.0 - eta * inst.sigma2)
+    assert (a1 / a2) ** (2 * t1) == pytest.approx(inst.sigma2 / (2 * inst.sigma1), rel=1e-12)
+
+
 def test_thresholds_refuse_a_factor_that_rounds_to_one():
     """A zero log is InfeasibleWindow (exit 2), not ZeroDivisionError."""
     # eta sigma_2 is below half an ulp of 1: the leading Small factor is 1.

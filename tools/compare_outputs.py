@@ -14,8 +14,10 @@ and N + 1, the sweeps of LEVEL_SET_EDGES (level-set runs at rates past
 the three kernel sweeps at d = 5), and the toy2d runs of TOY2D_EDGES.
 --configs FILE runs the JSON list of experiment configs in FILE
 instead. A config that a tree refuses with a library error records the
-error's class name, and one that raises any other exception records
-"uncaught" and its class name. --keep DIR writes tree A's outputs to DIR/a and
+error as "ClassName: message", and one that raises any other exception
+records "uncaught" and the same; each message has the run's output
+directory replaced by <out>, so that no message carries a temporary
+path. --keep DIR writes tree A's outputs to DIR/a and
 tree B's to DIR/b and keeps them; it refuses a DIR that already holds
 run, a or b.
 
@@ -106,6 +108,12 @@ from stepbias.config import validate_config
 from stepbias.errors import StepbiasError
 from stepbias.experiments import run_experiment
 
+
+def said(exc):
+    message = str(exc).replace(job["base"], "<out>")
+    return type(exc).__name__ + (": " + message if message else "")
+
+
 job = json.load(sys.stdin)
 outcomes = {}
 for label, raw in job["configs"]:
@@ -113,9 +121,9 @@ for label, raw in job["configs"]:
         run_experiment(validate_config(dict(raw, output_dir=job["base"] + "/" + label)))
         outcomes[label] = "ok"
     except StepbiasError as exc:
-        outcomes[label] = type(exc).__name__
+        outcomes[label] = said(exc)
     except Exception as exc:
-        outcomes[label] = "uncaught " + type(exc).__name__
+        outcomes[label] = "uncaught " + said(exc)
 print(json.dumps({"package": stepbias.__file__, "outcomes": outcomes}))
 """
 
