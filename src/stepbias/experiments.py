@@ -31,7 +31,7 @@ from .instances import random_instances
 from .quadratic import QuadraticObjective, excess_losses
 from .regimes import certify_block
 from .reporting import AxesSpec, Series, render_svg, write_bytes, write_csv
-from .spectral import condition_number, eigvals_sym
+from .spectral import condition_numbers, eigvals_sym, unpadded
 
 T_MAX_SWEEP = 500_000
 # Streams per random_instances block in quadratic_certify, each block
@@ -164,17 +164,17 @@ def _run_toy2d(cfg, out):
     )
 
 
-def _attenuation_series(spec):
-    """The attenuation coefficient |1 - eta sigma_i| of each eigenvalue.
+def _attenuation_series(sig):
+    """The attenuation coefficient |1 - eta sigma_i| of each eigenvalue of descending sig.
 
     Each series runs over eta in [0.01, 2.1/sigma_1] (an increasing range
     for sigma_1 < 210). |1 - eta sigma_i| is linear on either side of its
     kink at 1/sigma_i, so the two ends, and the kink where it lies
     strictly between them, draw it exactly.
     """
-    lo, hi = 0.01, 2.1 / spec.top
+    lo, hi = 0.01, 2.1 / float(sig[0])
     series = []
-    for i, s in enumerate(spec.eigenvalues.tolist()):
+    for i, s in enumerate(sig.tolist()):
         kink = 1.0 / s
         xs = (lo, kink, hi) if lo < kink < hi else (lo, hi)
         series.append(Series(f"sigma_{i + 1}", xs, tuple(abs(1.0 - eta * s) for eta in xs)))
@@ -189,7 +189,7 @@ def _run_quadratic_certify(cfg, out):
             [stream(cfg.seed, f"certify-{i}") for i in range(first, stop)]
         )
         if first == 0:
-            spec = block[0].pair.train.spectrum
+            (sig,) = unpadded(block.eigenvalues[:1, 0], block.n[:1])
         cert, _, refusals = certify_block(block, first)
         refusal = next((r for r in refusals if r is not None), None)
         if refusal is not None:
@@ -203,14 +203,14 @@ def _run_quadratic_certify(cfg, out):
     out.csv("certificates.csv", rows, schema)
     out.svg(
         "attenuation.svg",
-        _attenuation_series(spec),
+        _attenuation_series(sig),
         AxesSpec(
             title="Attenuation coefficients of the first instance",
             xlabel="step size",
             ylabel="|1 - eta sigma|",
             vlines=(
-                2.0 / (spec.top + spec.bottom),
-                2.0 / spec.top,
+                2.0 / (float(sig[0]) + float(sig[-1])),
+                2.0 / float(sig[0]),
             ),
         ),
     )
@@ -391,10 +391,12 @@ def _run_scale_sweep(cfg, out):
         data = kernels.two_cluster_dataset(
             cfg.n, stream(cfg.seed, "train-data"), d=cfg.d
         )
-    rows = []
-    for s in cfg.scale_grid:
-        sig = eigvals_sym(kernels.gaussian_kernel_matrix(data.points, float(s)) / data.n)
-        rows.append((float(s), condition_number(sig), condition_number(sig + cfg.lam)))
+    scales = [float(s) for s in cfg.scale_grid]
+    sig = np.array(
+        [eigvals_sym(kernels.gaussian_kernel_matrix(data.points, s) / data.n) for s in scales]
+    )
+    kappa = (condition_numbers(s, [data.n] * len(scales)).tolist() for s in (sig, sig + cfg.lam))
+    rows = list(zip(scales, *kappa))
     schema = ("scale", "kappa", "kappa_regularized")
     out.csv("scale_sweep.csv", rows, schema)
     xs = tuple(r[0] for r in rows)

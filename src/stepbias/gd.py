@@ -18,12 +18,14 @@ bisection on the sign of L(t + 1) - L(t) finds the minimiser first.
 
 The search is a coroutine (_search) that names each step whose loss it
 reads and is sent that loss. One loop, _lockstep, runs every search:
-level_set_runs drives the searches of many lanes, padded to one width,
+_level_set_lanes drives the searches of many lanes, padded to one width,
 side by side in one pass, each round's losses being rows of one array
-expression, with the loss bits of each lane run alone, and
-run_to_level_set is its one-lane case; level_set_search drives one
-search of a scalar loss. A dead direction (sigma_i iota_i^2 == 0) enters
-the search with coefficient 0 and factor 0: an exact 0 in every L(t).
+expression, with the loss bits of each lane run alone, and gives them
+as columns (LevelSetLanes), which the certify path reads as they are;
+level_set_runs wraps those columns into GDRuns, and run_to_level_set is
+its one-lane case; level_set_search drives one search of a scalar loss.
+A dead direction (sigma_i iota_i^2 == 0) enters the search with
+coefficient 0 and factor 0: an exact 0 in every L(t).
 
 A run also reports whether it stayed above alpha/2 (the half-level
 condition is reported, never enforced). The final loss is the one the
@@ -324,34 +326,67 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
     return run
 
 
-def level_set_runs(objs, iota, etas, alphas, t_maxes):
-    """run_to_level_set on many lanes, searched in lockstep.
+@dataclass(frozen=True)
+class LevelSetLanes:
+    """Level-set searches of a stack of lanes, a column per field, row k lane k.
 
-    Lane k runs GD on objs[k] from the eigen-coefficients iota[k] (rows
-    of an (L, width) array, spectral.padded from each lane's n) at rate
-    etas[k] to alphas[k] within t_maxes[k] steps. It gets its GDRun, at
-    its own n, or its ValueError or AlreadyBelowLevelSet for the caller
-    to raise. Every other lane is searched in one pass. A dead direction
-    (sigma_i iota_i^2 == 0, padding included) never moves the loss, so
-    the search sees it with coefficient 0 and factor 0: it adds an exact
-    0 to L(t), never 0 * inf, and at rate 0 it bounds no step. A lane with
-    every |factor| <= 1 searches from its hit_lower_bound. One evaluation
-    spares rounds: it gives each lane L at the first three steps its
-    search asks if its tests fail (start - 1, start, start + 1, or 1, 2,
-    4), and a bound usually sits one step before the hit. mu comes from
-    the lane's own iota and factors.
+    eta and alpha list each lane's rate and target as given; iota and mu
+    are its initial and final eigen-coefficients, spectral.padded to one
+    width (mu is iota on a failed lane); steps its step count and final
+    the excess loss the search evaluated there (0 and NaN on a failed
+    lane); outcome its StopStatus, or the ValueError or
+    AlreadyBelowLevelSet it fails with, for the caller to raise.
     """
-    sig = padded([obj.spectrum.eigenvalues for obj in objs], iota.shape[1])
+
+    eta: list
+    alpha: list
+    iota: np.ndarray
+    mu: np.ndarray
+    steps: np.ndarray
+    outcome: list
+    final: np.ndarray
+
+    @classmethod
+    def of(cls, runs, starts):
+        """The lanes of finished runs: runs[k] a GDRun, or the error of a lane from starts[k]."""
+        ran = [isinstance(run, GDRun) for run in runs]
+        width = max(map(len, starts))
+        iota = padded([run.iota if ok else s for run, ok, s in zip(runs, ran, starts)], width)
+        mu = padded([run.mu if ok else s for run, ok, s in zip(runs, ran, starts)], width)
+        eta, alpha, steps, outcome, final = zip(*[
+            (run.eta, run.alpha, run.steps, run.stop_status, run.final_excess) if ok
+            else (math.nan, None, 0, run, None)
+            for run, ok in zip(runs, ran)
+        ])
+        final = np.array([math.nan if f is None else f for f in final], dtype=float)
+        return cls(list(eta), list(alpha), iota, mu, np.array(steps), list(outcome), final)
+
+    @property
+    def half_level_ok(self):
+        """Whether each lane hit its level set with a final excess loss >= alpha/2."""
+        hit = np.array([o is StopStatus.HIT_LEVEL_SET for o in self.outcome], dtype=bool)
+        alpha = np.array([math.nan if a is None else a for a in self.alpha], dtype=float)
+        return hit & (self.final >= 0.5 * alpha)
+
+
+def _level_set_lanes(sig, iota, etas, alphas, t_maxes):
+    """The LevelSetLanes of GD on the spectral.padded rows of sig from the rows of iota.
+
+    Lane k runs at rate etas[k] to alphas[k] within t_maxes[k] steps; see
+    level_set_runs.
+    """
     power = sig * iota * iota
     loss0 = (0.5 * row_sums(power)).tolist()
-    runs = [_argument_error(*args) for args in zip(etas, alphas, t_maxes, loss0)]
-    lanes = [k for k, run in enumerate(runs) if run is None]
+    outcome = [_argument_error(*args) for args in zip(etas, alphas, t_maxes, loss0)]
+    steps, final = np.zeros(len(outcome), dtype=int), np.full(len(outcome), math.nan)
+    mu = iota.copy()
+    lanes = [k for k, error in enumerate(outcome) if error is None]
     if not lanes:
-        return runs
-    sig, iota, power = sig[lanes], iota[lanes], power[lanes]
+        return LevelSetLanes(list(etas), list(alphas), iota, mu, steps, outcome, final)
+    sig, live_iota, power = sig[lanes], iota[lanes], power[lanes]
     factors = 1.0 - np.array(etas, dtype=float)[lanes, None] * sig
     dead = power == 0
-    live_iota, live_factors = np.where(dead, 0.0, iota), np.where(dead, 0.0, factors)
+    live_iota, live_factors = np.where(dead, 0.0, live_iota), np.where(dead, 0.0, factors)
     targets, t_caps, limits = zip(
         *[(alphas[k], int(t_maxes[k]), DIVERGENCE_FACTOR * loss0[k]) for k in lanes]
     )
@@ -377,24 +412,53 @@ def level_set_runs(objs, iota, etas, alphas, t_maxes):
         values = _losses(sig, live_iota, live_factors, list(zip(*guesses))).tolist()
         known = [dict(zip(ts, vs)) for ts, vs in zip(guesses, zip(*values))]
         found = _lockstep(searches, losses, known)
-        mu = _final_mu(iota, factors, [t for t, _ in found])
-    n = [objs[k].n for k in lanes]
-    rows = zip(lanes, found, known, unpadded(mu, n), unpadded(iota, n))
-    for k, (t, status), seen, mu_k, iota_k in rows:
-        final, alpha = seen[t], float(alphas[k])
-        hit = status is StopStatus.HIT_LEVEL_SET
-        runs[k] = GDRun(
-            eta=etas[k],
+        mu[lanes] = _final_mu(iota[lanes], factors, [t for t, _ in found])
+    for k, (t, status), seen in zip(lanes, found, known):
+        steps[k], final[k], outcome[k] = t, seen[t], status
+    return LevelSetLanes(list(etas), list(alphas), iota, mu, steps, outcome, final)
+
+
+def level_set_runs(objs, iota, etas, alphas, t_maxes):
+    """run_to_level_set on many lanes, searched in lockstep.
+
+    Lane k runs GD on objs[k] from the eigen-coefficients iota[k] (rows
+    of an (L, width) array, spectral.padded from each lane's n) at rate
+    etas[k] to alphas[k] within t_maxes[k] steps. It gets its GDRun, at
+    its own n, or its ValueError or AlreadyBelowLevelSet for the caller
+    to raise. Every other lane is searched in one pass. A dead direction
+    (sigma_i iota_i^2 == 0, padding included) never moves the loss, so
+    the search sees it with coefficient 0 and factor 0: it adds an exact
+    0 to L(t), never 0 * inf, and at rate 0 it bounds no step. A lane with
+    every |factor| <= 1 searches from its hit_lower_bound. One evaluation
+    spares rounds: it gives each lane L at the first three steps its
+    search asks if its tests fail (start - 1, start, start + 1, or 1, 2,
+    4), and a bound usually sits one step before the hit. mu comes from
+    the lane's own iota and factors. The search itself gives columns
+    (LevelSetLanes), which the certify path reads without GDRuns.
+    """
+    sig = padded([obj.spectrum.eigenvalues for obj in objs], iota.shape[1])
+    lanes = _level_set_lanes(sig, iota, etas, alphas, t_maxes)
+    n = [obj.n for obj in objs]
+    half = lanes.half_level_ok.tolist()
+    columns = zip(
+        objs, lanes.outcome, lanes.eta, lanes.alpha, lanes.steps.tolist(), lanes.final.tolist(),
+        half, unpadded(lanes.mu, n), unpadded(lanes.iota, n),
+    )
+    return [
+        GDRun(
+            eta=eta,
             steps=t,
-            mu=mu_k,
-            iota=iota_k,
+            mu=mu,
+            iota=start,
             stop_status=status,
-            objective=objs[k],
+            objective=obj,
             final_excess=final,
-            alpha=alpha,
-            half_level_ok=final >= 0.5 * alpha if hit else None,
+            alpha=float(alpha),
+            half_level_ok=ok if status is StopStatus.HIT_LEVEL_SET else None,
         )
-    return runs
+        if isinstance(status, StopStatus) else status
+        for obj, status, eta, alpha, t, final, ok, mu, start in columns
+    ]
 
 
 def iterate(obj, theta0, eta, t):

@@ -10,7 +10,9 @@ either zero or scaled to a small fraction of its allowed cap.
 Instances are generated in blocks (random_instances, one stream each):
 the attempts of a block are recorded by one regime_records pass per
 round of draws, and the bases and their products of the whole block by
-one vectorized Givens pass and one padded product.
+one vectorized Givens pass and one padded product. A block is a
+CertifyBlock: the spectral.padded columns regimes.certify_block reads,
+from which block[k] builds instance k's CertifyInstance only when asked.
 """
 
 import math
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import InfeasibleWindow
 from .quadratic import ProblemPair, QuadraticObjective, coefficients, excess_losses
 from .records import _window_bounds, regime_records
-from .spectral import Spectrum, condition_number, matvec, padded, unpadded
+from .spectral import Spectrum, condition_numbers, live_mask, matvec, padded
 
 MAX_DRAWS = 100
 
@@ -34,6 +36,76 @@ class CertifyInstance:
     eta_b: float
     alpha: float
     t_max: int
+
+
+@dataclass(frozen=True, eq=False)
+class CertifyBlock:
+    """A block of CertifyInstances as spectral.padded columns, a row per instance.
+
+    Instance k has dimension n[k]; eigenvalues[k], bases[k], optima[k]
+    and degenerate[k] hold its train (index 0) and test (1) eigenvalues,
+    eigenbases, optima and spectral degeneracy flags; theta0[k] its
+    start; eta_s, eta_b, alpha and t_max its rates, level-set target and
+    step cap. block[k] is instance k as a CertifyInstance, built when
+    read, and CertifyBlock.of stacks a list of them.
+    """
+
+    n: np.ndarray
+    eigenvalues: np.ndarray
+    bases: np.ndarray
+    optima: np.ndarray
+    degenerate: np.ndarray
+    theta0: np.ndarray
+    eta_s: np.ndarray
+    eta_b: np.ndarray
+    alpha: np.ndarray
+    t_max: np.ndarray
+
+    def __len__(self):
+        return len(self.n)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, k):
+        at = [*range(self.n[k] - 1), -1]
+        train, test = (
+            QuadraticObjective(Spectrum(sig[at], basis[np.ix_(at, at)], bool(flag)), optimum[at])
+            for sig, basis, optimum, flag in zip(
+                self.eigenvalues[k], self.bases[k], self.optima[k], self.degenerate[k]
+            )
+        )
+        return CertifyInstance(
+            ProblemPair(train, test), self.theta0[k, at], self.eta_s[k].item(),
+            self.eta_b[k].item(), self.alpha[k].item(), self.t_max[k].item(),
+        )
+
+    @classmethod
+    def of(cls, instances):
+        """The block of a list of CertifyInstances, each stack spectral.padded once."""
+        instances = list(instances)
+        size, pairs = len(instances), [inst.pair for inst in instances]
+        n = np.array([p.n for p in pairs], dtype=int)
+        width = n.max(initial=0)
+        spectra = [s for p in pairs for s in (p.train.spectrum, p.test.spectrum)]
+        rows = [
+            *(s.eigenvalues for s in spectra),
+            *(x for p in pairs for x in (p.train.optimum, p.test.optimum)),
+            *(inst.theta0 for inst in instances),
+        ]
+        # An empty block has no row to pad.
+        stack = padded(rows, width) if size else np.zeros((0, width))
+        bases = padded([s.eigenvectors for s in spectra], width) if size else np.zeros((0, 0, 0))
+        numbers = (
+            np.array([getattr(inst, name) for inst in instances], dtype=float)
+            for name in ("eta_s", "eta_b", "alpha")
+        )
+        return cls(
+            n, stack[: 2 * size].reshape(size, 2, width), bases.reshape(size, 2, width, width),
+            stack[2 * size : 4 * size].reshape(size, 2, width),
+            np.array([s.degenerate for s in spectra], dtype=bool).reshape(size, 2),
+            stack[4 * size :], *numbers, np.array([inst.t_max for inst in instances], dtype=int),
+        )
 
 
 def givens_angles(rng, n):
@@ -62,10 +134,12 @@ def givens_bases(drawn):
     of the same loop on floats, so each basis has the bits, zero signs
     included, of its own rotation loop. c and s come from math, one angle
     at a time, not from numpy's vectorized transcendentals, whose results
-    may differ in the last bit. Returns C-contiguous (n, n) arrays.
+    may differ in the last bit. Returns the bases as one C-contiguous
+    (len(drawn), width, width) stack in spectral.padded's layout, width
+    the largest n, gathered from the pass's own array.
     """
     if not drawn:
-        return []
+        return np.zeros((0, 0, 0))
     size = max(n for n, _ in drawn)
     # where[n][j] is the position, among the padded rotations, of
     # rotation j of an n x n basis.
@@ -101,8 +175,14 @@ def givens_bases(drawn):
             col_p *= c
             col_p -= s_col_r
             j += 1
-    bases = cols.transpose(1, 2, 0)
-    return [bases[k, :n, :n].copy() for k, (n, _) in enumerate(drawn)]
+    # Basis k's entries, row by row, fill its live positions of the layout in order.
+    n = np.array([m for m, _ in drawn])
+    inside, live = np.arange(size) < n[:, None], live_mask(n, size)
+    bases = np.zeros((len(drawn), size, size))
+    bases[live[:, :, None] & live[:, None, :]] = cols.transpose(1, 2, 0)[
+        inside[:, :, None] & inside[:, None, :]
+    ]
+    return bases
 
 
 def _spaced_descending(rng, count, low, high, min_gap=1e-3):
@@ -148,42 +228,31 @@ def _draw(rng, n):
             )
 
 
-def _numbers(drawn):
-    """kappa_R, eta_s = 1/(sigma_1 + sigma_n) and eta_b = 1.9/sigma_1 of an attempt."""
-    sig, test = drawn[0], drawn[2]
-    return condition_number(test), 1.0 / (sig[0] + sig[-1]), 1.9 / sig[0]
-
-
 def _target(record):
     """The level-set target alpha of each attempt: half its smaller alpha_1 reading."""
     return 0.5 * np.minimum(record.alpha_1, record.alpha_1_split)
 
 
 def _records(drawn):
-    """The regime_records of attempts and their targets; train eigenvalues stand for the spectra."""
+    """The regime_records of attempts, their targets and their padded stacks.
+
+    The stacks are, a row per attempt, the train eigenvalues, the initial
+    eigen-coefficients, the test eigenvalues and the train optimum. Each
+    attempt's kappa_R is its test spectrum's, eta_s = 1/(sigma_1 +
+    sigma_n) and eta_b = 1.9/sigma_1.
+    """
+    n = np.array([len(d[0]) for d in drawn])
+    stack = padded([d[j] for j in (0, 5, 2, 4) for d in drawn], n.max()).reshape(4, len(drawn), -1)
+    sig, iota, test = stack[:3]
     record = regime_records(
-        [d[0] for d in drawn], *zip(*map(_numbers, drawn)), [d[5] for d in drawn],
+        n, sig, condition_numbers(test, n), 1.0 / (sig[:, 0] + sig[:, -1]), 1.9 / sig[:, 0], iota,
         np.full(len(drawn), math.nan),
     )
-    return record, _target(record)
-
-
-def _instance(drawn, train_basis, test_basis, v_iota, quad, eta_s, eta_b, alpha, cap, fraction,
-              direction, t_max):
-    """The CertifyInstance of an accepted attempt, from its block's bases, products and numbers."""
-    train_eigenvalues, _, test_eigenvalues, _, opt_train, _ = drawn
-    opt_test = opt_train.copy()
-    if fraction > 0:
-        opt_test = opt_train + math.sqrt(fraction * cap * alpha / quad) * direction
-    pair = ProblemPair(
-        QuadraticObjective(Spectrum(train_eigenvalues, train_basis), opt_train),
-        QuadraticObjective(Spectrum(test_eigenvalues, test_basis), opt_test),
-    )
-    return CertifyInstance(pair, opt_train + v_iota, eta_s, eta_b, alpha, int(t_max))
+    return record, _target(record), stack
 
 
 def random_instances(rngs, n=None, model_error_fraction=None):
-    """One CertifyInstance per stream of rngs, satisfying the certification assumptions.
+    """The CertifyBlock of one instance per stream of rngs, each satisfying the assumptions.
 
     Each stream draws n (unless given), the train eigenvalues and basis
     angles, the test spectrum and its angles, the train optimum and the
@@ -198,52 +267,53 @@ def random_instances(rngs, n=None, model_error_fraction=None):
     accepted, or raises InfeasibleWindow after MAX_DRAWS attempts of one
     stream. Then every stream draws its model error, all bases are built
     in one givens_bases pass, and every theta0 and model-error quadratic
-    comes from one padded product. An empty block gives [].
+    comes from one padded product. The last round's stacks are the
+    block's columns; no instance is built.
     """
     if n is not None and n < 4:
         raise ValueError("generator needs n >= 4")
     rngs = [np.random.default_rng(rng) for rng in rngs]
     if not rngs:
-        return []
+        return CertifyBlock.of([])
     sizes = [int(rng.integers(4, 9)) if n is None else n for rng in rngs]
     drawn, refused = [None] * len(rngs), range(len(rngs))
     for _ in range(MAX_DRAWS):
         for k in refused:
             drawn[k] = _draw(rngs[k], sizes[k])
-        record, alpha = _records(drawn)
+        record, alpha, stack = _records(drawn)
         refused = np.flatnonzero(~(alpha >= 1e-280)).tolist()
         if not refused:
             break
     else:
         raise InfeasibleWindow(f"no draw in {MAX_DRAWS} gave a level-set target alpha >= 1e-280")
-    fractions = [
+    fractions = np.array([
         (0.1 if rng.uniform() < 0.5 else 0.0) if model_error_fraction is None
         else model_error_fraction
         for rng in rngs
-    ]
+    ], dtype=float)
     directions = [
         rng.normal(size=m) if f > 0 else np.zeros(m) for rng, m, f in zip(rngs, sizes, fractions)
     ]
     scale = np.concatenate([record.scale_s, record.scale_b])
     lead = np.concatenate([record.lead_s, record.lead_b])
     t3 = _window_bounds(scale, lead, np.tile(alpha, 2))[1].reshape(2, -1)
+    train_sig, iota, test_sig, opt_train = stack
     bases = givens_bases([pair for m, d in zip(sizes, drawn) for pair in ((m, d[1]), (m, d[3]))])
-    width = max(sizes)
-    train, test = padded(bases[0::2], width), padded(bases[1::2], width)
-    v_iota = unpadded(matvec(train, padded([d[5] for d in drawn], width)), sizes)
-    quads = excess_losses(
-        padded([d[2] for d in drawn], width), coefficients(test, padded(directions, width), 0.0)
+    bases = bases.reshape(len(rngs), 2, *bases.shape[1:])
+    directions = padded(directions, stack.shape[-1])
+    quads = excess_losses(test_sig, coefficients(bases[:, 1], directions, 0.0))
+    # A stream without model error divides 0 by 0 here and keeps its train optimum.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.sqrt(fractions * record.model_error_cap * alpha / quads)[:, None] * directions
+    opt_test = np.where(fractions[:, None] > 0, opt_train + shift, opt_train)
+    return CertifyBlock(
+        np.array(sizes), np.stack([train_sig, test_sig], axis=1), bases,
+        np.stack([opt_train, opt_test], axis=1), np.zeros((len(rngs), 2), dtype=bool),
+        opt_train + matvec(bases[:, 0], iota), record.eta_s, record.eta_b, alpha,
+        (10 + 4 * np.maximum(*t3)).astype(int),
     )
-    numbers = (quads, record.eta_s, record.eta_b, alpha, record.model_error_cap)
-    return [
-        _instance(*args)
-        for args in zip(
-            drawn, bases[0::2], bases[1::2], v_iota, *(c.tolist() for c in numbers), fractions,
-            directions, (10 + 4 * np.maximum(*t3)).tolist(),
-        )
-    ]
 
 
 def random_instance(rng, n=None, model_error_fraction=None):
-    """The CertifyInstance of one stream: random_instances of a block of one."""
+    """The CertifyInstance of one stream: instance 0 of random_instances of a block of one."""
     return random_instances([rng], n, model_error_fraction)[0]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InfeasibleWindow
 from .quadratic import evaluate
-from .spectral import condition_number, padded, row_sums
+from .spectral import condition_number, condition_numbers, padded, row_sums
 
 BOUNDARY_RTOL = 1e-12
 UNDERFLOW_GUARD = 1e-300
@@ -216,7 +216,7 @@ def _window_bounds(scale, lead, alpha):
     return 0.5 * logs / _libm(math.log, 1.0 / lead)
 
 
-def regime_records(train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
+def regime_records(n, train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
     """The RegimeRecord of a block, row k from instance k's numbers (rows of any n).
 
     The theorem's domain: eta_s Small, eta_b Big, train eigenvalues
@@ -226,18 +226,18 @@ def regime_records(train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
     has lost bits), and a positive log gap in floats for both regimes
     (adjacent eigenvalues can round to one attenuation). Outside it the
     attenuations, gaps, windows and alpha_1 readings are NaN.
-    ||iota||^2 and the projections are spectral.row_sums of the rows,
-    spectral.padded to the block's largest n, each with the bits of its
-    row summed alone, left to right.
+    train_eigenvalues and iota are spectral.padded stacks, row k of
+    length n[k]. ||iota||^2 and the projections are spectral.row_sums of
+    the rows, each with the bits of its row summed alone, left to right.
     """
-    size, n = len(iota), np.array([len(w) for w in train_eigenvalues])
-    stack = padded([*train_eigenvalues, *iota], n.max())
-    sig, io, rows, last = stack[:size], stack[size:], np.arange(size), n - 1
+    sig, io, n = train_eigenvalues, iota, np.asarray(n)
+    size, last = len(n), n - 1
+    rows = np.arange(size)
     # Entry j of a row sits at position j before its last, which sits at -1.
     picks = last * _PICKS[0] + _PICKS[1]
     picks = np.where(picks < last, picks, -1)
     sig_at, iota_end = sig[rows, picks], io[rows, picks[:2]]  # iota_end: [iota_n, iota_1]
-    kappa_F = np.array([condition_number(w) for w in train_eigenvalues], dtype=float)
+    kappa_F = condition_numbers(sig, n)
     norm_sq = row_sums(io * io)
     # p_i = sigma_i iota_i^2; the projections sum it over i < n (all but
     # position -1) and i > 1 (from position 1, on rows of n >= 2).
@@ -291,10 +291,13 @@ def regime_records(train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
     )
 
 
-def pair_records(pairs, iota, eta_s, eta_b, r_opt=None):
-    """regime_records of problem pairs with their kappa_R and R(theta_hat) (r_opt, unless given)."""
-    if r_opt is None:
-        r_opt = [evaluate(p.test, p.train.optimum) for p in pairs]
+def pair_records(pairs, iota, eta_s, eta_b):
+    """regime_records of problem pairs at the eigen-coefficients iota, kappa_R and R(theta_hat).
+
+    For the one-row views; regimes.certify_block reads a CertifyBlock's stacks.
+    """
+    r_opt = [evaluate(p.test, p.train.optimum) for p in pairs]
     kappa_R = [condition_number(p.test.spectrum.eigenvalues) for p in pairs]
-    train = [p.train.spectrum.eigenvalues for p in pairs]
-    return regime_records(train, kappa_R, eta_s, eta_b, iota, r_opt)
+    n = [p.n for p in pairs]
+    stack = padded([*(p.train.spectrum.eigenvalues for p in pairs), *iota], max(n))
+    return regime_records(n, stack[: len(n)], kappa_R, eta_s, eta_b, stack[len(n) :], r_opt)

@@ -2,12 +2,14 @@
 
 The certificate compares the test losses of a Small-rate and a Big-rate
 run to one level set against the 34 (kappa_R / kappa_F) bound, from the
-runs' regime records (see records). A block of instances is checked and
-certified as columns, a row per instance: assumption_checks gives the
-verdicts, certificates the certificate and each row's refusal. Rows
-never mix; check_assumptions and certify are the one-row views.
-certify_block searches and certifies a block of instances, keeping each
-refused row beside its error.
+runs' regime records (see records). A block of instances
+(instances.CertifyBlock) is checked and certified as columns, a row per
+instance, from the block's own spectral.padded stacks: assumption_checks
+gives the verdicts, certificates the certificate and each row's refusal
+from the level-set search's columns (gd.LevelSetLanes). Rows never mix;
+check_assumptions and certify are the one-row views, which stack their
+one instance and their two GDRuns. certify_block searches and certifies
+a block of instances, keeping each refused row beside its error.
 """
 
 import math
@@ -18,13 +20,14 @@ import numpy as np
 from .errors import (
     CertificationFailed, InvalidRegime, LevelSetMismatch, RegimeMismatch, ZeroDenominator,
 )
-from .gd import GDRun, StopStatus, decompose, level_set_runs
+from .gd import LevelSetLanes, StopStatus, _level_set_lanes, decompose, reconstruct
+from .instances import CertifyBlock, CertifyInstance
 from .quadratic import coefficients, excess_losses
 from .records import (
     UNDERFLOW_GUARD, RegimeKind, StepWindow, _libm, _positive_decreasing, _row, _square,
-    _window_bounds, _window_refusal, pair_records,
+    _window_bounds, _window_refusal, pair_records, regime_records,
 )
-from .spectral import matvec, padded, row_sums, unpadded
+from .spectral import condition_numbers, matvec, row_sums
 
 ASSUMPTIONS = (
     "A1_distinct_eigenvalues", "A2_rate_ordering", "A3_nonzero_initialization",
@@ -52,12 +55,13 @@ class AssumptionVerdict:
     details: dict = field(default_factory=dict)
 
 
-def assumption_checks(pairs, record, alpha):
+def assumption_checks(block, record):
     """The A1-A5 verdicts of a block, a (5, L) bool array, and the alpha_1 A4 reads.
 
-    Row k checks pairs[k] at the level-set target alpha[k] with row k of
-    record, their pair_records at the start's iota. A1 distinct positive
-    eigenvalues (n >= 2), A2 rate ordering (eta_s Small, eta_b Big; a
+    Row k checks instance k of the CertifyBlock at its level-set target
+    with row k of record, its regime_records at the start's iota. A1
+    distinct positive eigenvalues (n >= 2) and no spectrum flagged
+    degenerate, A2 rate ordering (eta_s Small, eta_b Big; a
     rate <= 0 is NotPositive), A3 nonzero initialization on the boundary
     directions, A4 the target alpha between UNDERFLOW_GUARD (below it
     the windows overflow and the loss bounds divide by 0) and alpha_1,
@@ -67,12 +71,9 @@ def assumption_checks(pairs, record, alpha):
     distinguished direction (A4 does not imply it). Without A1-A3,
     alpha_1 is NaN and fails A4.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    spectra = [s for p in pairs for s in (p.train.spectrum, p.test.spectrum)]
-    n = np.array([s.n for s in spectra])
-    a1 = _positive_decreasing(padded([s.eigenvalues for s in spectra], n.max()), n)
-    a1 &= ~np.array([s.degenerate for s in spectra], dtype=bool)
-    a1 = a1[0::2] & a1[1::2]
+    alpha, width = block.alpha, block.eigenvalues.shape[-1]
+    a1 = _positive_decreasing(block.eigenvalues.reshape(-1, width), np.repeat(block.n, 2))
+    a1 = (a1 & ~block.degenerate.ravel()).reshape(-1, 2).all(axis=1)
     kinds = zip(record.kind_s, record.kind_b)
     a2 = np.array([s is RegimeKind.SMALL and b is RegimeKind.BIG for s, b in kinds], dtype=bool)
     a3 = (abs(record.iota_1) >= UNDERFLOW_GUARD) & (abs(record.iota_n) >= UNDERFLOW_GUARD)
@@ -89,16 +90,18 @@ def check_assumptions(pair, theta0, eta_s, eta_b, alpha):
 
     Each verdict carries the numbers it read; never raises on failure.
     """
-    block = pair_records([pair], [decompose(pair.train, theta0)], [eta_s], [eta_b])
-    passed, a_one = assumption_checks([pair], block, [alpha])
-    r, alpha, spectra = block.row(0), float(alpha), (pair.train.spectrum, pair.test.spectrum)
+    record = pair_records([pair], [decompose(pair.train, theta0)], [eta_s], [eta_b])
+    # assumption_checks reads no t_max.
+    block = CertifyBlock.of([CertifyInstance(pair, theta0, eta_s, eta_b, alpha, 0)])
+    passed, a_one = assumption_checks(block, record)
+    r, alpha, spectra = record.row(0), float(alpha), (pair.train.spectrum, pair.test.spectrum)
     details = (
         {"train_degenerate": spectra[0].degenerate, "test_degenerate": spectra[1].degenerate},
         {"eta_s_kind": r.kind_s.value, "eta_b_kind": r.kind_b.value,
          "threshold_low": r.threshold_low, "threshold_high": r.threshold_high},
         {"iota_1": r.iota_1, "iota_n": r.iota_n},
         {"alpha": alpha, "alpha_1": a_one.item(), "model_error": r.r_opt,
-         "model_error_ratio_cap": block.model_error_cap.item()},
+         "model_error_ratio_cap": record.model_error_cap.item()},
         {"alpha": alpha, "projection_s": r.projection_s, "projection_b": r.projection_b},
     )
     return [AssumptionVerdict(*v) for v in zip(ASSUMPTIONS, passed[:, 0].tolist(), details)]
@@ -187,84 +190,67 @@ def run_measurements(train_bases, test_bases, test_eigenvalues, offsets, mu_s, m
         return eps_b2, _mass_ratios(mu_s[..., -1], mu_s[..., :-1]), r_big, r_small
 
 
-def _refusal(run_s, run_b, kind_s, kind_b, alpha, alpha_1, scale_s, scale_b):
-    """The error certify raises on one instance, or None; a failed level-set lane is its own."""
-    for run in (run_s, run_b):
-        if not isinstance(run, GDRun):
-            return run
-    for run, want, got in ((run_s, RegimeKind.SMALL, kind_s), (run_b, RegimeKind.BIG, kind_b)):
+def _refusal(lanes, s, b, kind_s, kind_b, alpha, alpha_1, scale_s, scale_b, mu_b1, mu_sn):
+    """The error certify raises on one instance, or None; a failed level-set lane is its own.
+
+    s and b are the instance's Small and Big lanes of lanes
+    (gd.LevelSetLanes), mu_b1 and mu_sn their distinguished final
+    coefficients.
+    """
+    for k in (s, b):
+        if not isinstance(lanes.outcome[k], StopStatus):
+            return lanes.outcome[k]
+    for k, want, got in ((s, RegimeKind.SMALL, kind_s), (b, RegimeKind.BIG, kind_b)):
+        eta, status, target = lanes.eta[k], lanes.outcome[k], lanes.alpha[k]
         if got is not want:
-            return RegimeMismatch(f"run with eta={run.eta} is {got.value}, expected {want.value}")
-        if run.stop_status is not StopStatus.HIT_LEVEL_SET:
-            return LevelSetMismatch(f"run with eta={run.eta} stopped with {run.stop_status.value}")
-        if run.alpha is None or not math.isclose(run.alpha, alpha, rel_tol=1e-12):
-            return LevelSetMismatch(f"run targeted alpha={run.alpha}, certificate wants {alpha}")
-    a, b = run_s.iota, run_b.iota
-    if not (a.tobytes() == b.tobytes() or np.array_equal(a, b) or np.allclose(a, b, 1e-12, 0.0)):
+            return RegimeMismatch(f"run with eta={eta} is {got.value}, expected {want.value}")
+        if status is not StopStatus.HIT_LEVEL_SET:
+            return LevelSetMismatch(f"run with eta={eta} stopped with {status.value}")
+        if target is None or not math.isclose(target, alpha, rel_tol=1e-12):
+            return LevelSetMismatch(f"run targeted alpha={target}, certificate wants {alpha}")
+    x, y = lanes.iota[s], lanes.iota[b]
+    if not (x.tobytes() == y.tobytes() or np.array_equal(x, y) or np.allclose(x, y, 1e-12, 0.0)):
         return LevelSetMismatch("runs started from different initializations")
     # No epsilon ratio divides by a distinguished coefficient below UNDERFLOW_GUARD.
-    if abs(run_b.mu[0]) < UNDERFLOW_GUARD or abs(run_s.mu[-1]) < UNDERFLOW_GUARD:
+    if abs(mu_b1) < UNDERFLOW_GUARD or abs(mu_sn) < UNDERFLOW_GUARD:
         return ZeroDenominator("distinguished coefficient underflowed below 1e-300")
     if math.isnan(alpha_1):
         return InvalidRegime("instance outside the theorem's domain, see regime_records")
     return _window_refusal(alpha, scale_s, scale_b)
 
 
-def _stacks(pairs):
-    """(bases, test eigenvalues, optima) of pairs, spectral.padded to their largest n.
+def certificates(block, record, lanes):
+    """The Certificate of a CertifyBlock, a column per field, and each row's refusal.
 
-    bases[k] and optima[k] hold pair k's train and test eigenbasis and optimum.
+    Row k bounds instance k with its Small lane k and its Big lane
+    len(block) + k of lanes (gd.LevelSetLanes, failed lanes included) to
+    its level set; record is their regime_records at the lanes' start
+    and rates. One run_measurements pass over the block's stacks measures
+    every row, a failed lane at its start. The certificate stores the
+    measured test losses, the epsilon ratios, the step windows, the
+    per-regime loss bounds, and R(theta_b) <= 34 (kappa_R/kappa_F)
+    R(theta_s). refusals[k] is None or row k's error, which voids its
+    row; its step counts, half-level flags and distinguished
+    coefficients are still its lanes', 0 and false on a failed lane.
     """
-    width = max(p.n for p in pairs)
-    spectra = [s for p in pairs for s in (p.train.spectrum, p.test.spectrum)]
-    bases = padded([s.eigenvectors for s in spectra], width).reshape(len(pairs), 2, width, width)
-    optima = padded([x for p in pairs for x in (p.train.optimum, p.test.optimum)], width)
-    test_sig = padded([s.eigenvalues for s in spectra[1::2]], width)
-    return bases, test_sig, optima.reshape(len(pairs), 2, width)
-
-
-def certificates(pairs, runs_s, runs_b, alpha, record, iota, stacks=None):
-    """The Certificate of a block of instances, a column per field, and each row's refusal.
-
-    Row k bounds pairs[k] with its Small and Big runs runs_s[k] and
-    runs_b[k] to its alpha[k] level set (or failed gd.level_set_runs
-    lanes) from the start iota[k]; record is their pair_records at iota
-    and the runs' rates, stacks their _stacks (made here if not given).
-    One run_measurements pass over those stacks measures every row, a
-    failed lane at iota. The certificate stores the measured test
-    losses, the epsilon ratios, the step windows, the per-regime loss
-    bounds, and R(theta_b) <= 34 (kappa_R/kappa_F) R(theta_s).
-    refusals[k] is None or row k's error, which voids its row.
-    """
-    bases, test_sig, optima = stacks or _stacks(pairs)
-    alpha, (size, width) = np.asarray(alpha, dtype=float), test_sig.shape
-    columns = (alpha, record.alpha_1, record.scale_s, record.scale_b)
-    refusals = list(
-        map(_refusal, runs_s, runs_b, record.kind_s, record.kind_b, *(c.tolist() for c in columns))
-    )
+    alpha, n, (size, _, width) = block.alpha, block.n, block.eigenvalues.shape
+    # Entry 0 of a row of n >= 2 is its first; a row of n = 1 holds its one entry at -1.
+    rows, first = np.arange(size), np.where(n >= 2, 0, -1)
+    (sig_1, varsig1), (sig_n, varsign) = (block.eigenvalues[rows, :, i].T for i in (first, -1))
+    mu_s, mu_b = lanes.mu.reshape(2, size, width)
+    ran = np.array([isinstance(o, StopStatus) for o in lanes.outcome], dtype=bool).reshape(2, size)
+    mu_b1, mu_sn = np.where(ran[::-1], [mu_b[rows, first], mu_s[:, -1]], 0.0)
+    columns = (alpha, record.alpha_1, record.scale_s, record.scale_b, mu_b1, mu_sn)
+    refusals = [
+        _refusal(lanes, k, size + k, *row)
+        for k, row in enumerate(zip(record.kind_s, record.kind_b, *(c.tolist() for c in columns)))
+    ]
     ok = np.array([r is None for r in refusals], dtype=bool)
-    sig_1, sig_n, n, varsig1, varsign = np.array(
-        [(w[0], w[-1], len(w), v[0], v[-1]) for w, v in (
-            (p.train.spectrum.eigenvalues, p.test.spectrum.eigenvalues) for p in pairs
-        )],
-        dtype=float,
-    ).reshape(-1, 5).T
-    # Each row's step counts, half-level flags and distinguished coefficients.
-    steps_s, steps_b, half_s, half_b, mu_b1, mu_sn = np.array(
-        [
-            (s.steps, b.steps, bool(s.half_level_ok), bool(b.half_level_ok), b.mu[0], s.mu[-1])
-            if good else (0,) * 6
-            for s, b, good in zip(runs_s, runs_b, ok.tolist())
-        ],
-        dtype=float,
-    ).reshape(-1, 6).T
-    mu_s, mu_b = padded(
-        [run.mu if isinstance(run, GDRun) else row
-         for run, row in zip([*runs_s, *runs_b], [*iota, *iota])],
-        width,
-    ).reshape(2, size, width)
+    steps_s, steps_b = lanes.steps.reshape(2, size)
+    half_s, half_b = lanes.half_level_ok.reshape(2, size)
     eps_b2, eps_s2, r_big, r_small = run_measurements(
-        bases[:, 0], bases[:, 1], test_sig, optima[:, 0] - optima[:, 1], mu_s, mu_b,
+        block.bases[:, 0], block.bases[:, 1], block.eigenvalues[:, 1],
+        block.optima[:, 0] - block.optima[:, 1], mu_s, mu_b,
     )
     # A row of n = 1 has no mass off its direction; padded, it would read its padding.
     eps_b2, eps_s2 = np.where(n >= 2, [eps_b2, eps_s2], 0.0)
@@ -289,8 +275,8 @@ def certificates(pairs, runs_s, runs_b, alpha, record, iota, stacks=None):
             "mu_small_window": (0.4 * alpha <= mu_small) & (mu_small <= alpha),
             "r_big_upper": r_big <= 5.0 * alpha * varsig1 / sig_1 + 2.0 * r_opt,
             "r_small_lower": r_small >= np.where(lower_arg <= 1.0, r_small_floor, -math.inf),
-            "half_level_small": half_s.astype(bool),
-            "half_level_big": half_b.astype(bool),
+            "half_level_small": half_s,
+            "half_level_big": half_b,
             "window_small_feasible": win_s.feasible & ~win_s.window_empty,
             "window_big_feasible": win_b.feasible & ~win_b.window_empty,
         }
@@ -303,7 +289,7 @@ def certificates(pairs, runs_s, runs_b, alpha, record, iota, stacks=None):
         alpha, record.eta_s, record.eta_b, kappa_F, kappa_R, r_opt, eps_b2, eps_s2,
         record.alpha_1, record.alpha_1_split, c_alpha, r_small, r_big,
         np.where(finite, 17.0 * c_alpha * ratio * r_small, math.inf), bound_rhs,
-        steps_s.astype(int), steps_b.astype(int), win_s, win_b, finite & holds, reasons, verdicts,
+        steps_s, steps_b, win_s, win_b, finite & holds, reasons, verdicts,
     )
     return cert, refusals
 
@@ -315,39 +301,45 @@ def certify(pair, run_s, run_b, alpha):
     with a Small rate and one with a Big rate.
     """
     record = pair_records([pair], [run_s.iota], [run_s.eta], [run_b.eta])
-    cert, (refusal,) = certificates([pair], [run_s], [run_b], [alpha], record, [run_s.iota])
+    # certificates reads the runs' starts from their lanes, and no t_max.
+    start = reconstruct(pair.train, run_s.iota)
+    block = CertifyBlock.of([CertifyInstance(pair, start, run_s.eta, run_b.eta, alpha, 0)])
+    lanes = LevelSetLanes.of([run_s, run_b], [run_s.iota, run_b.iota])
+    cert, (refusal,) = certificates(block, record, lanes)
     if refusal is not None:
         raise refusal
     return cert.row(0)
 
 
-def certify_block(instances, first=0):
-    """(cert, passed, refusals) of a block of CertifyInstances: certificates, assumption_checks.
+def certify_block(block, first=0):
+    """(cert, passed, refusals) of a CertifyBlock (or a list of CertifyInstances, stacked once).
 
-    refusals[k] is None or the error of instance first + k alone:
-    CertificationFailed naming its failed assumptions, else its failed
-    level-set lane, else its certificate's refusal. A refused row keeps
-    its columns and verdicts; nothing raises. Padded to the largest n
-    (_stacks), one matvec gives every gd.decompose of theta0 and the test
-    coefficients of every train optimum, of which R(theta_hat) is the
-    loss, and one gd.level_set_runs searches every Small and Big lane.
+    certificates and assumption_checks of the block. refusals[k] is None
+    or the error of instance first + k alone: CertificationFailed naming
+    its failed assumptions, else its failed level-set lane, else its
+    certificate's refusal. A refused row keeps its columns and verdicts;
+    nothing raises. On the block's padded stacks, one matvec gives every
+    gd.decompose of theta0 and the test coefficients of every train
+    optimum, of which R(theta_hat) is the loss, and one level-set search
+    gives every Small and Big lane as columns: no instance, spectrum or
+    GDRun is built.
     """
-    pairs, n = [inst.pair for inst in instances], [inst.pair.n for inst in instances]
-    eta_s, eta_b, alpha = ([getattr(i, k) for i in instances] for k in ("eta_s", "eta_b", "alpha"))
-    stacks = bases, test_sig, optima = _stacks(pairs)
-    size, width = test_sig.shape
+    if not isinstance(block, CertifyBlock):
+        block = CertifyBlock.of(block)
+    train_sig, test_sig = block.eigenvalues.swapaxes(0, 1)
     # theta0 - theta_hat on the train basis, theta_hat - theta_hat_* on the test basis.
-    starts = np.stack([padded([i.theta0 for i in instances], width), optima[:, 0]], axis=1)
-    coeffs = coefficients(bases, starts, optima)
-    lanes = level_set_runs(
-        [p.train for p in pairs] * 2, np.concatenate([coeffs[:, 0]] * 2), eta_s + eta_b,
-        alpha * 2, [i.t_max for i in instances] * 2,
+    starts = np.stack([block.theta0, block.optima[:, 0]], axis=1)
+    coeffs = coefficients(block.bases, starts, block.optima)
+    iota, t_max = coeffs[:, 0], block.t_max.tolist()
+    lanes = _level_set_lanes(
+        np.concatenate([train_sig] * 2), np.concatenate([iota] * 2),
+        block.eta_s.tolist() + block.eta_b.tolist(), block.alpha.tolist() * 2, t_max * 2,
     )
-    iota = unpadded(coeffs[:, 0], n)
     r_opt = excess_losses(test_sig, coeffs[:, 1])
-    record = pair_records(pairs, iota, eta_s, eta_b, r_opt)
-    passed, _ = assumption_checks(pairs, record, alpha)
-    cert, refusals = certificates(pairs, lanes[:size], lanes[size:], alpha, record, iota, stacks)
+    kappa_R = condition_numbers(test_sig, block.n)
+    record = regime_records(block.n, train_sig, kappa_R, block.eta_s, block.eta_b, iota, r_opt)
+    passed, _ = assumption_checks(block, record)
+    cert, refusals = certificates(block, record, lanes)
     for k, verdicts in enumerate(passed.T.tolist()):
         if not all(verdicts):
             failed = ", ".join(name for name, ok in zip(ASSUMPTIONS, verdicts) if not ok)

@@ -83,8 +83,8 @@ def matvec(a, v):
     return row_sums(a * v[..., None, :])
 
 
-def _live(n, width):
-    """Where rows of lengths n sit in a padded stack of the given width."""
+def live_mask(n, width):
+    """Where the entries of rows of lengths n sit in a padded stack of the given width."""
     live = np.arange(width) < np.array(n)[:, None] - 1
     live[:, -1] = True
     return live
@@ -99,7 +99,7 @@ def padded(arrays, width):
     n = 1 keeps its one entry at [..., -1]. Zero terms are exact under
     row_sums: padded sums keep the unpadded bits.
     """
-    live = _live([len(a) for a in arrays], width)
+    live = live_mask([len(a) for a in arrays], width)
     if arrays[0].ndim == 2:
         live = live[:, :, None] & live[:, None, :]
     out = np.zeros(live.shape)
@@ -109,7 +109,7 @@ def padded(arrays, width):
 
 def unpadded(rows, n):
     """The rows of a padded (L, width) stack at their own lengths n, as views of one array."""
-    flat = rows[_live(n, rows.shape[-1])]
+    flat = rows[live_mask(n, rows.shape[-1])]
     return [flat[end - m : end] for end, m in zip(np.cumsum(n).tolist(), n)]
 
 
@@ -167,14 +167,21 @@ def eigvals_sym(A):
     return np.linalg.eigvalsh(_symmetrized(A))[::-1]
 
 
-def condition_number(w):
-    """Ratio of the largest to the smallest of descending eigenvalues w.
+def condition_numbers(w, n):
+    """Ratio of the largest to the smallest eigenvalue of each padded row of descending w.
 
-    inf when the smallest eigenvalue is at most n eps times the largest,
-    i.e. zero up to round-off: the ratio is never negative, never a
-    division by zero and never a quotient of round-off.
+    Row k holds n[k] eigenvalues. inf where the smallest is at most n eps
+    times the largest, i.e. zero up to round-off: the ratio is never
+    negative, never a division by zero and never a quotient of round-off.
     """
-    top, bottom = float(w[0]), float(w[-1])
-    if bottom <= len(w) * EPS * top:
-        return math.inf
-    return top / bottom
+    n = np.asarray(n)
+    top, bottom = w[np.arange(len(n)), np.where(n >= 2, 0, -1)], w[:, -1]
+    # The quotient is read only where it neither overflows nor divides by 0.
+    with np.errstate(all="ignore"):
+        return np.where(bottom <= n * EPS * top, math.inf, top / bottom)
+
+
+def condition_number(w):
+    """condition_numbers of the one row w, as a float."""
+    w = np.asarray(w, dtype=float)
+    return condition_numbers(w[None], [len(w)]).item()

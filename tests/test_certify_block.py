@@ -21,14 +21,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stepbias import experiments, gd, regimes
+from stepbias import experiments, gd, instances, quadratic, records, regimes, spectral
 from stepbias.config import validate_config
 from stepbias.errors import (
     AlreadyBelowLevelSet, CertificationFailed, LevelSetMismatch, StepbiasError,
 )
 from stepbias.experiments import stream
-from stepbias.gd import GDRun, StopStatus, level_set_runs
-from stepbias.instances import CertifyInstance, random_instances
+from stepbias.gd import GDRun, LevelSetLanes, StopStatus, level_set_runs
+from stepbias.instances import CertifyBlock, CertifyInstance, random_instances
 from stepbias.quadratic import ProblemPair, QuadraticObjective, evaluate
 from stepbias.records import pair_records, regime_records
 from stepbias.regimes import (
@@ -67,32 +67,55 @@ def test_block_rows_equal_the_one_instance_rows(seed):
     assert_same_records(block_records(block), [certified_alone(inst) for inst in block])
 
 
+# The spectral.padded calls of one default quadratic_certify block: the
+# generator's one round of draws (train and test eigenvalues, iota, train
+# optimum) and its model-error directions. certify_block pads nothing.
+BLOCK_PADDED_CALLS = 2
+
+
 def test_a_block_of_every_dimension_is_certified_in_one_pass(tmp_path, monkeypatch):
-    """The default quadratic_certify, one block of n = 4..8, makes one call of each pass."""
-    calls = {"certify_block": 0, "level_set_runs": 0}
+    """The default quadratic_certify, one block of n = 4..8, makes one call of each pass.
+
+    Its stacks are padded once, by the generator, and carried to the
+    certificate rows as columns: no instance, pair, spectrum or GDRun is
+    built on the way.
+    """
+    calls = {"certify_block": 0, "_level_set_lanes": 0, "padded": 0}
     sizes = []
 
-    def counted(module, name):
-        real = getattr(module, name)
-
+    def counted(module, name, real):
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(experiments, "certify_block")
-    counted(regimes, "level_set_runs")
+    counted(regimes, "_level_set_lanes", regimes._level_set_lanes)
+    real_padded = spectral.padded
+    for module in (experiments, gd, instances, quadratic, regimes, records, spectral):
+        if getattr(module, "padded", None) is real_padded:
+            counted(module, "padded", real_padded)
     real_block = experiments.certify_block
-    monkeypatch.setattr(
-        experiments, "certify_block",
-        lambda block, first: sizes.append({i.pair.n for i in block}) or real_block(block, first),
-    )
+
+    def certified(block, first):
+        sizes.append(set(block.n.tolist()))
+        return real_block(block, first)
+
+    counted(experiments, "certify_block", certified)
+    built = []
+    for cls in (spectral.Spectrum, quadratic.ProblemPair, CertifyInstance, GDRun):
+
+        def init(self, *args, real=cls.__init__, **kwargs):
+            built.append(type(self))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
     experiments.run_experiment(
         validate_config({"experiment": "quadratic_certify", "output_dir": str(tmp_path)})
     )
     assert sizes == [{4, 5, 6, 7, 8}]
-    assert calls == {"certify_block": 1, "level_set_runs": 1}
+    assert calls == {"certify_block": 1, "_level_set_lanes": 1, "padded": BLOCK_PADDED_CALLS}
+    assert built == []
 
 
 def diagonal(inst, zero=None):
@@ -113,7 +136,7 @@ def diagonal(inst, zero=None):
 
 def test_an_instance_with_a_zero_weight_direction_is_searched_in_lockstep(monkeypatch):
     """Its lanes are searched with the block's; every row is still the one-instance row."""
-    block = random_instances([stream(3, f"certify-{i}") for i in range(12)])
+    block = list(random_instances([stream(3, f"certify-{i}") for i in range(12)]))
     block[4] = diagonal(block[4], zero=1)
     block[5] = diagonal(block[5])
     want = [certified_alone(inst) for inst in block]
@@ -175,6 +198,47 @@ def _edge_instances():
     ]
 
 
+def _assert_same_block(got, want):
+    for field in dataclasses.fields(CertifyBlock):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), field.name
+        assert g.tobytes() == w.tobytes(), field.name
+
+
+def _certified(block):
+    """certify_block's rows by repr, its verdicts and its refusals by class and message."""
+    cert, passed, refusals = certify_block(block)
+    rows = [repr(cert.row(k)) for k in range(len(block))]
+    return rows, passed.tolist(), [(type(r), str(r)) for r in refusals]
+
+
+def test_a_block_rebuilt_from_its_instances_is_the_same_block():
+    """CertifyBlock.of(list(block)) is block, bit for bit, and certifies the same.
+
+    On the default config's blocks at seeds 0-2, and on the edge
+    instances mixed with generated ones of n = 4..8 and a degenerate one.
+    """
+    cfg = validate_config({"experiment": "quadratic_certify"})
+    blocks = [
+        random_instances([stream(seed, f"certify-{i}") for i in range(cfg.instances)])
+        for seed in range(3)
+    ]
+    mixed = list(random_instances([stream(4, f"certify-{i}") for i in range(12)]))
+    pair = mixed[0].pair
+    flagged = diagonal_spectrum(pair.train.spectrum.eigenvalues, degenerate=True)
+    mixed[0] = dataclasses.replace(
+        mixed[0], pair=ProblemPair(QuadraticObjective(flagged, pair.train.optimum), pair.test)
+    )
+    mixed = [*mixed[:6], *_edge_instances(), *mixed[6:]]
+    assert len({inst.pair.n for inst in mixed}) >= 6
+    blocks.append(CertifyBlock.of(mixed))
+    for block in blocks:
+        rebuilt = CertifyBlock.of(list(block))
+        _assert_same_block(rebuilt, block)
+        assert _certified(rebuilt) == _certified(block)
+    assert blocks[-1].degenerate[0].tolist() == [True, False]
+
+
 def _one_lane(obj, iota, eta, alpha, t_max):
     (run,) = level_set_runs([obj], iota[None], [eta], [alpha], [t_max])
     return run
@@ -197,7 +261,7 @@ def test_column_rows_equal_their_one_row_views(seed):
     n = 1 row's epsilon ratios too). A nonzero first renumbers only the
     messages.
     """
-    block = random_instances([stream(seed, f"certify-{i}") for i in range(30)])
+    block = list(random_instances([stream(seed, f"certify-{i}") for i in range(30)]))
     block += _edge_instances()
     # Two that pass A1-A5 and are refused all the same: by a lane that
     # cannot run (t_max 0) and by runs that stop at step 1 (t_max 1).
@@ -212,20 +276,22 @@ def test_column_rows_equal_their_one_row_views(seed):
         [_one_lane(p.train, i, eta, inst.alpha, inst.t_max) for eta in (inst.eta_s, inst.eta_b)]
         for p, i, inst in zip(pairs, iota, block)
     ]
-    alpha = [inst.alpha for inst in block]
     record = pair_records(pairs, iota, [i.eta_s for i in block], [i.eta_b for i in block])
-    passed, a_one = assumption_checks(pairs, record, alpha)
+    stacked = CertifyBlock.of(block)
+    passed, a_one = assumption_checks(stacked, record)
+    lanes = LevelSetLanes.of([run for side in zip(*runs) for run in side], iota * 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cert, refusals = certificates(pairs, *zip(*runs), alpha, record, iota)
-        block_cert, block_passed, block_refusals = certify_block(block)
+        cert, refusals = certificates(stacked, record, lanes)
+        block_cert, block_passed, block_refusals = certify_block(stacked)
         cert_7, passed_7, refusals_7 = certify_block(block, first=7)
     assert block_passed.tolist() == passed_7.tolist() == passed.tolist()
     refused = 0
     for k, (inst, p, i, (run_s, run_b)) in enumerate(zip(block, pairs, iota, runs)):
         one = regime_records(
-            [p.train.spectrum.eigenvalues], [condition_number(p.test.spectrum.eigenvalues)],
-            [inst.eta_s], [inst.eta_b], [i], [evaluate(p.test, p.train.optimum)],
+            [p.n], p.train.spectrum.eigenvalues[None],
+            [condition_number(p.test.spectrum.eigenvalues)], [inst.eta_s], [inst.eta_b], i[None],
+            [evaluate(p.test, p.train.optimum)],
         ).row(0)
         assert repr(record.row(k)) == repr(one), k
         verdicts = check_assumptions(p, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha)
@@ -261,6 +327,13 @@ def test_column_rows_equal_their_one_row_views(seed):
     assert sum(isinstance(r, StepbiasError) for r in refusals) >= 6
     kinds = {type(r) for r, v in zip(block_refusals, passed.T) if v.all()}
     assert kinds == {type(None), ValueError, LevelSetMismatch}
+    # A refused row keeps its lanes' step counts: 0 where the lanes could
+    # not run (t_max 0), 1 where both stopped at step 1 (t_max 1).
+    for t_max in (0, 1):
+        k = order.tolist().index(len(block) - 2 + t_max)
+        row = block_cert.row(k)
+        assert (row.t_small, row.t_big) == (t_max, t_max), k
+        assert type(block_refusals[k]) is (ValueError, LevelSetMismatch)[t_max], k
 
 
 def _lanes():

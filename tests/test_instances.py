@@ -11,13 +11,14 @@ from stepbias.config import validate_config
 from stepbias.errors import CertificationFailed, InfeasibleWindow, InvalidRegime, LevelSetMismatch
 from stepbias.experiments import run_experiment, stream
 from stepbias.instances import (
+    CertifyBlock,
     givens_angles,
     givens_bases,
     random_instance,
     random_instances,
 )
 from stepbias.quadratic import ProblemPair, QuadraticObjective, evaluate
-from stepbias.spectral import diagonal_spectrum
+from stepbias.spectral import diagonal_spectrum, padded
 
 
 def random_orthogonal(rng, n):
@@ -143,12 +144,14 @@ def test_block_bases_match_the_row_wise_builder(n, size):
 
 @pytest.mark.parametrize("size", [1, 2, 40, 200])
 def test_mixed_size_blocks_match_the_row_wise_builder(size):
-    """Bases padded to the block's largest n keep their own bits."""
+    """Bases padded to the block's largest n keep their own bits, in spectral.padded's layout."""
     rng = stream(size, "givens-mixed")
     sizes = rng.integers(2, 9, size=size).tolist()
     drawn = [(n, givens_angles(rng, n)) for n in sizes]
-    for basis, (n, angles) in zip(givens_bases(drawn), drawn):
-        _assert_bitwise(basis, row_wise_orthogonal(angles, n))
+    got = givens_bases(drawn)
+    assert got.shape == (size, max(sizes), max(sizes))
+    for basis, (n, angles) in zip(got, drawn):
+        _assert_bitwise(basis, padded([row_wise_orthogonal(angles, n)], max(sizes))[0])
 
 
 def test_signed_zeros_survive_the_block_pass():
@@ -163,8 +166,8 @@ def test_signed_zeros_survive_the_block_pass():
     got = givens_bases(drawn)
     assert np.signbit(got[0][0, 1]) and got[0][0, 1] == 0
     for basis, (n, angles) in zip(got, drawn):
-        _assert_bitwise(basis, column_list_orthogonal(angles, n))
-    assert givens_bases([]) == []
+        _assert_bitwise(basis, padded([column_list_orthogonal(angles, n)], 8)[0])
+    assert givens_bases([]).shape == (0, 0, 0)
 
 
 def _assert_same_instance(got, want):
@@ -228,7 +231,7 @@ def test_block_generation_with_a_retrying_stream(monkeypatch, failing_attempts):
 
 
 def test_an_empty_block_has_no_instances():
-    assert random_instances([]) == random_instances([], n=5) == []
+    assert list(random_instances([])) == list(random_instances([], n=5)) == []
     with pytest.raises(ValueError):
         random_instances([], n=3)
 
@@ -326,10 +329,10 @@ def test_the_earliest_failing_instance_refuses_the_run(
     broken = {first: failures[0], later: failures[1]}
 
     def breaking(rngs):
-        return [
+        return CertifyBlock.of(
             _broken(inst, broken[k]) if k in broken else inst
             for k, inst in enumerate(random_instances(rngs))
-        ]
+        )
 
     monkeypatch.setattr(experiments, "random_instances", breaking)
     with pytest.raises(error, match=match.format(first, eta_s0=block[first].eta_s)):
@@ -351,12 +354,12 @@ def _raise_the_first_refusal(block):
 )
 def test_the_earliest_certificate_error_refuses_the_block(monkeypatch, failures, error):
     """With every assumption check passing, certify's own refusals come in stream order too."""
-    block = random_instances([stream(1, f"certify-{i}") for i in range(8)])
+    block = list(random_instances([stream(1, f"certify-{i}") for i in range(8)]))
     first, later = _two_dimensions(block)
     block[first] = _broken(block[first], failures[0])
     block[later] = _broken(block[later], failures[1])
     monkeypatch.setattr(
-        regimes, "assumption_checks", lambda pairs, *args: (np.ones((5, len(pairs)), bool), None)
+        regimes, "assumption_checks", lambda block, *args: (np.ones((5, len(block)), bool), None)
     )
     with pytest.raises(error):
         _raise_the_first_refusal(block)
@@ -377,7 +380,7 @@ def test_the_earlier_of_an_assumption_and_a_refusal_in_one_dimension_refuses_the
     max_steps fails no assumption: its runs stop at step 1, which only
     the certificate refuses.
     """
-    block = random_instances([stream(2, f"certify-{i}") for i in range(8)])
+    block = list(random_instances([stream(2, f"certify-{i}") for i in range(8)]))
     first, later = [k for k, inst in enumerate(block) if inst.pair.n == block[0].pair.n][:2]
     block[first] = _broken(block[first], failures[0])
     block[later] = _broken(block[later], failures[1])

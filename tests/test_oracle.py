@@ -17,6 +17,7 @@ from stepbias.config import validate_config
 from stepbias.kernels import gaussian_kernel_matrix, two_cluster_dataset
 from stepbias.spectral import DEGENERACY_RTOL, EPS, _check_degenerate, eig_sym, eigvals_sym
 from stepbias.experiments import run_experiment, stream
+from stepbias.gd import StopStatus
 from stepbias.instances import CertifyInstance, random_instance, random_instances
 from stepbias.quadratic import ProblemPair, QuadraticObjective
 from stepbias.records import pair_records
@@ -222,25 +223,30 @@ def test_certificate_columns_agree_with_50_digit_evaluation(monkeypatch):
     bound verdict equal to its 50-digit comparison wherever the two
     sides are further apart than CERT_RTOL. The inputs are the measured
     columns, the spectra and the final coefficients of the program's own
-    lanes; a row refused by its certificate has steps and coefficients 0.
+    lanes, refused rows' too; a lane that could not run has coefficient 0.
     """
     cfg = validate_config({"experiment": "quadratic_certify", "output_dir": "unused"})
-    block = random_instances([stream(cfg.seed, f"certify-{i}") for i in range(cfg.instances)])
+    block = list(random_instances([stream(cfg.seed, f"certify-{i}") for i in range(cfg.instances)]))
     block += _theorem_instances() + _decisive_instances()
-    real, lanes = regimes.level_set_runs, []
+    real, lanes = regimes._level_set_lanes, []
 
     def recorded(*args):
-        lanes.extend(real(*args))
-        return lanes
+        lanes.append(real(*args))
+        return lanes[-1]
 
-    monkeypatch.setattr(regimes, "level_set_runs", recorded)
+    monkeypatch.setattr(regimes, "_level_set_lanes", recorded)
     cert, _, refusals = certify_block(block)
-    runs_s, runs_b = lanes[: len(block)], lanes[len(block):]
+    (lanes,) = lanes
+
+    def final(k, i):
+        """Entry i of lane k's final coefficients (every n >= 2), or 0 if it could not run."""
+        return lanes.mu[k][i] if isinstance(lanes.outcome[k], StopStatus) else 0.0
+
     seen = {name: set() for name in ("epsilon_b_bound", "epsilon_s_bound", "r_small_lower")}
     with mpmath.workdps(50):
         for k, inst in enumerate(block):
             row = cert.row(k)
-            mu = (runs_b[k].mu[0], runs_s[k].mu[-1]) if row.t_small > 0 else (0.0, 0.0)
+            mu = (final(len(block) + k, 0), final(k, -1))
             columns, sides = _mp_certificate(row, inst.pair, *mu)
             for name, want in columns.items():
                 got = getattr(row, name)

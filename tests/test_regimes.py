@@ -75,7 +75,10 @@ def pair_record(pair, iota, eta_s, eta_b):
 def one_record(spectrum, kappa_R, eta_s, eta_b, iota):
     """The record of one instance without R(theta_hat): row 0 of regime_records on it alone."""
     iota = np.asarray(iota, dtype=float)
-    return regime_records([spectrum.eigenvalues], [kappa_R], [eta_s], [eta_b], [iota], [math.nan]).row(0)
+    return regime_records(
+        [spectrum.n], spectrum.eigenvalues[None], [kappa_R], [eta_s], [eta_b], iota[None],
+        [math.nan],
+    ).row(0)
 
 
 def windows(record, alpha):
@@ -190,9 +193,14 @@ def test_epsilon_ratio():
     with pytest.raises(ZeroDenominator):
         epsilon_ratio(_fake_run([0.0, 1.0]), RegimeKind.BIG)
     tiny = dataclasses.replace(run, mu=np.array([1e-301, 1.0, 1e-301]), alpha=1e-3)
-    args = (RegimeKind.SMALL, RegimeKind.BIG, 1e-3, 1.0, 1.0, 1.0)
-    assert isinstance(_refusal(tiny, run, *args), LevelSetMismatch)  # run has no target
-    assert isinstance(_refusal(tiny, tiny, *args), ZeroDenominator)
+
+    def refusal(run_s, run_b):
+        lanes = gd.LevelSetLanes.of([run_s, run_b], [run_s.iota, run_b.iota])
+        args = (RegimeKind.SMALL, RegimeKind.BIG, 1e-3, 1.0, 1.0, 1.0, run_b.mu[0], run_s.mu[-1])
+        return _refusal(lanes, 0, 1, *args)
+
+    assert isinstance(refusal(tiny, run), LevelSetMismatch)  # run has no target
+    assert isinstance(refusal(tiny, tiny), ZeroDenominator)
     with pytest.raises(WrongRegime):
         epsilon_ratio(run, RegimeKind.DIVERGENT)
 
@@ -286,8 +294,11 @@ def test_certificates_of_a_block_equal_certify_row_by_row():
         pairs, [run_s.iota for run_s, _ in runs], [inst.eta_s for inst in block],
         [inst.eta_b for inst in block],
     )
-    cert, refusals = certificates(pairs, *zip(*runs), alpha, record, [r.iota for r, _ in runs])
-    passed, _ = assumption_checks(pairs, record, alpha)
+    stacked = instances.CertifyBlock.of(block)
+    small, big = zip(*runs)
+    lanes = gd.LevelSetLanes.of([*small, *big], [r.iota for r in small] * 2)
+    cert, refusals = certificates(stacked, record, lanes)
+    passed, _ = assumption_checks(stacked, record)
     assert refusals == [None] * len(block)
     for k, (inst, (run_s, run_b)) in enumerate(zip(block, runs)):
         assert repr(cert.row(k)) == repr(certify(inst.pair, run_s, run_b, inst.alpha)), k

@@ -31,7 +31,6 @@ from stepbias.reporting import (
     render_svg,
     write_csv,
 )
-from stepbias.spectral import Spectrum
 
 
 # ---------------------------------------------------------------- reporting
@@ -278,9 +277,8 @@ def _attenuation_spectra():
 
 @pytest.mark.parametrize("sigma", _attenuation_spectra())
 def test_attenuation_series_are_exact_through_each_kink(sigma):
-    spec = Spectrum(sigma, np.eye(sigma.size))
     lo, hi = 0.01, 2.1 / sigma[0]
-    series = experiments._attenuation_series(spec)
+    series = experiments._attenuation_series(sigma)
     assert [s.name for s in series] == [f"sigma_{i + 1}" for i in range(sigma.size)]
     grid = np.linspace(lo, hi, 2000)
     for s, sig in zip(series, sigma):
@@ -299,7 +297,7 @@ def test_default_attenuation_figure_draws_each_eigenvalue_of_instance_0(tmp_path
     root = ElementTree.parse(tmp_path / "attenuation.svg").getroot()
     lines = root.findall("{http://www.w3.org/2000/svg}polyline")
     assert len(lines) == spec.n
-    for line, s in zip(lines, experiments._attenuation_series(spec)):
+    for line, s in zip(lines, experiments._attenuation_series(spec.eigenvalues)):
         assert len(line.get("points").split()) == len(s.xs)
 
 
