@@ -265,35 +265,39 @@ def _sweep_problem(cfg):
 def _level_runs(sweep, eta_mults, alphas):
     """Theta-space GD from zero to each alpha at each eta_mult / sigma_1, searched at once.
 
-    Returns, in order, each run and its sweep metrics (proj_e1, Hilbert
-    norm, accuracy); the first failed run raises, InvalidRegime where its
-    step size overflows to inf or rounds to 0. Every run's alpha_hat is
+    Returns, in order, each run's (eta, steps, StopStatus, mu) and its
+    sweep metrics (proj_e1, Hilbert norm, accuracy), read from the
+    search's gd.LevelSetLanes: a sweep has one n, so a lane's padded mu
+    is its mu. The first failed run raises, InvalidRegime where its step
+    size overflows to inf or rounds to 0. Every run's alpha_hat is
     scored in one binary_error call.
     """
     obj = sweep.obj
     sigma1 = obj.spectrum.top
     iota = gd.decompose(obj, np.zeros(obj.n))
     etas = [eta_mult / sigma1 for eta_mult in eta_mults]
-    runs = gd.level_set_runs(
-        [obj] * len(alphas),
+    lanes = gd.level_set_lanes(
+        np.tile(obj.spectrum.eigenvalues, (len(alphas), 1)),
         np.tile(iota, (len(alphas), 1)),
         etas,
         alphas,
         [T_MAX_SWEEP] * len(alphas),
     )
-    for eta_mult, eta, run in zip(eta_mults, etas, runs):
+    for eta_mult, eta, outcome in zip(eta_mults, etas, lanes.outcome):
         if not (math.isfinite(eta) and eta > 0):
             raise InvalidRegime(
                 f"rate {eta_mult!r} / sigma_1 {sigma1!r} gives step size {eta!r}, "
                 "not a finite positive float"
             )
-        if not isinstance(run, gd.GDRun):
-            raise run
-    alpha_hats = [sweep.alpha_star + kernels.from_eigen_coords(sweep.prob, run.mu) for run in runs]
+        if not isinstance(outcome, gd.StopStatus):
+            raise outcome
+    alpha_hats = [sweep.alpha_star + kernels.from_eigen_coords(sweep.prob, mu) for mu in lanes.mu]
     errors = kernels.binary_error(sweep.prob, np.array(alpha_hats), sweep.test)
     return [
-        (run, abs(float(run.mu[0])), math.hypot(*run.mu.tolist()), 1.0 - error)
-        for run, error in zip(runs, errors.tolist())
+        (eta, steps, status, mu, abs(float(mu[0])), math.hypot(*mu.tolist()), 1.0 - error)
+        for eta, steps, status, mu, error in zip(
+            lanes.eta, lanes.steps.tolist(), lanes.outcome, lanes.mu, errors.tolist()
+        )
     ]
 
 
@@ -319,8 +323,8 @@ def _run_eta_sweep(cfg, out):
     alpha = cfg.alpha if cfg.alpha is not None else _level_target(0.05, sweep.excess0)
     grid = [float(eta_mult) for eta_mult in cfg.eta_grid]
     rows = [
-        (eta_mult, run.eta, run.steps, run.stop_status.value, proj_e1, hilbert_norm, accuracy)
-        for eta_mult, (run, proj_e1, hilbert_norm, accuracy) in zip(
+        (eta_mult, eta, steps, status.value, proj_e1, hilbert_norm, accuracy)
+        for eta_mult, (eta, steps, status, _, proj_e1, hilbert_norm, accuracy) in zip(
             grid, _level_runs(sweep, grid, [alpha] * len(grid))
         )
     ]
@@ -365,7 +369,7 @@ def _run_alpha_sweep(cfg, out):
     rows = []
     for frac in fracs:
         alpha = _level_target(frac, sweep.excess0)
-        acc_s, acc_b = next(runs)[3], next(runs)[3]
+        acc_s, acc_b = next(runs)[-1], next(runs)[-1]
         rows.append((frac, alpha, acc_s, acc_b))
     schema = ("alpha_fraction", "alpha", "accuracy_small", "accuracy_big")
     out.csv("alpha_sweep.csv", rows, schema)

@@ -18,14 +18,14 @@ bisection on the sign of L(t + 1) - L(t) finds the minimiser first.
 
 The search is a coroutine (_search) that names each step whose loss it
 reads and is sent that loss. One loop, _lockstep, runs every search:
-_level_set_lanes drives the searches of many lanes, padded to one width,
+level_set_lanes drives the searches of many lanes, padded to one width,
 side by side in one pass, each round's losses being rows of one array
 expression, with the loss bits of each lane run alone, and gives them
-as columns (LevelSetLanes), which the certify path reads as they are;
-level_set_runs wraps those columns into GDRuns, and run_to_level_set is
-its one-lane case; level_set_search drives one search of a scalar loss.
-A dead direction (sigma_i iota_i^2 == 0) enters the search with
-coefficient 0 and factor 0: an exact 0 in every L(t).
+as columns (LevelSetLanes), which the certify path and the kernel
+sweeps read as they are; run_to_level_set builds the GDRun of its one
+lane; level_set_search drives one search of a scalar loss. A dead
+direction (sigma_i iota_i^2 == 0) enters the search with coefficient 0
+and factor 0: an exact 0 in every L(t).
 
 A run also reports whether it stayed above alpha/2 (the half-level
 condition is reported, never enforced). The final loss is the one the
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import AlreadyBelowLevelSet
 from .quadratic import QuadraticObjective, _check_dim, coefficients, excess_losses, grad
-from .spectral import padded, row_sums, unpadded
+from .spectral import padded, row_sums
 
 DIVERGENCE_FACTOR = 1e12
 
@@ -320,10 +320,22 @@ def run_to_level_set(obj, theta0, eta, alpha, t_max):
     AlreadyBelowLevelSet when theta0 already sits at or below the level
     set, and ValueError on a non-finite or non-positive eta or alpha.
     """
-    (run,) = level_set_runs([obj], decompose(obj, theta0)[None], [eta], [alpha], [t_max])
-    if not isinstance(run, GDRun):
-        raise run
-    return run
+    iota = decompose(obj, theta0)
+    lanes = level_set_lanes(obj.spectrum.eigenvalues[None], iota[None], [eta], [alpha], [t_max])
+    (status,) = lanes.outcome
+    if not isinstance(status, StopStatus):
+        raise status
+    return GDRun(
+        eta=eta,
+        steps=lanes.steps.item(),
+        mu=lanes.mu[0],
+        iota=iota,
+        stop_status=status,
+        objective=obj,
+        final_excess=lanes.final.item(),
+        alpha=float(alpha),
+        half_level_ok=lanes.half_level_ok.item() if status is StopStatus.HIT_LEVEL_SET else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -369,11 +381,22 @@ class LevelSetLanes:
         return hit & (self.final >= 0.5 * alpha)
 
 
-def _level_set_lanes(sig, iota, etas, alphas, t_maxes):
-    """The LevelSetLanes of GD on the spectral.padded rows of sig from the rows of iota.
+def level_set_lanes(sig, iota, etas, alphas, t_maxes):
+    """run_to_level_set on many lanes, searched in lockstep, as LevelSetLanes columns.
 
-    Lane k runs at rate etas[k] to alphas[k] within t_maxes[k] steps; see
-    level_set_runs.
+    Lane k runs GD on the eigenvalues sig[k] from the eigen-coefficients
+    iota[k] (rows of (L, width) arrays, spectral.padded from each lane's
+    n) at rate etas[k] to alphas[k] within t_maxes[k] steps. Its outcome
+    is its StopStatus, or its ValueError or AlreadyBelowLevelSet for the
+    caller to raise. Every other lane is searched in one pass. A dead
+    direction (sigma_i iota_i^2 == 0, padding included) never moves the
+    loss, so the search sees it with coefficient 0 and factor 0: it adds
+    an exact 0 to L(t), never 0 * inf, and at rate 0 it bounds no step.
+    A lane with every |factor| <= 1 searches from its hit_lower_bound.
+    One evaluation spares rounds: it gives each lane L at the first three
+    steps its search asks if its tests fail (start - 1, start, start + 1,
+    or 1, 2, 4), and a bound usually sits one step before the hit. mu
+    comes from the lane's own iota and factors.
     """
     power = sig * iota * iota
     loss0 = (0.5 * row_sums(power)).tolist()
@@ -416,49 +439,6 @@ def _level_set_lanes(sig, iota, etas, alphas, t_maxes):
     for k, (t, status), seen in zip(lanes, found, known):
         steps[k], final[k], outcome[k] = t, seen[t], status
     return LevelSetLanes(list(etas), list(alphas), iota, mu, steps, outcome, final)
-
-
-def level_set_runs(objs, iota, etas, alphas, t_maxes):
-    """run_to_level_set on many lanes, searched in lockstep.
-
-    Lane k runs GD on objs[k] from the eigen-coefficients iota[k] (rows
-    of an (L, width) array, spectral.padded from each lane's n) at rate
-    etas[k] to alphas[k] within t_maxes[k] steps. It gets its GDRun, at
-    its own n, or its ValueError or AlreadyBelowLevelSet for the caller
-    to raise. Every other lane is searched in one pass. A dead direction
-    (sigma_i iota_i^2 == 0, padding included) never moves the loss, so
-    the search sees it with coefficient 0 and factor 0: it adds an exact
-    0 to L(t), never 0 * inf, and at rate 0 it bounds no step. A lane with
-    every |factor| <= 1 searches from its hit_lower_bound. One evaluation
-    spares rounds: it gives each lane L at the first three steps its
-    search asks if its tests fail (start - 1, start, start + 1, or 1, 2,
-    4), and a bound usually sits one step before the hit. mu comes from
-    the lane's own iota and factors. The search itself gives columns
-    (LevelSetLanes), which the certify path reads without GDRuns.
-    """
-    sig = padded([obj.spectrum.eigenvalues for obj in objs], iota.shape[1])
-    lanes = _level_set_lanes(sig, iota, etas, alphas, t_maxes)
-    n = [obj.n for obj in objs]
-    half = lanes.half_level_ok.tolist()
-    columns = zip(
-        objs, lanes.outcome, lanes.eta, lanes.alpha, lanes.steps.tolist(), lanes.final.tolist(),
-        half, unpadded(lanes.mu, n), unpadded(lanes.iota, n),
-    )
-    return [
-        GDRun(
-            eta=eta,
-            steps=t,
-            mu=mu,
-            iota=start,
-            stop_status=status,
-            objective=obj,
-            final_excess=final,
-            alpha=float(alpha),
-            half_level_ok=ok if status is StopStatus.HIT_LEVEL_SET else None,
-        )
-        if isinstance(status, StopStatus) else status
-        for obj, status, eta, alpha, t, final, ok, mu, start in columns
-    ]
 
 
 def iterate(obj, theta0, eta, t):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleWindow
+from .errors import DimensionMismatch, InfeasibleWindow
 from .quadratic import ProblemPair, QuadraticObjective, coefficients, excess_losses
 from .records import _window_bounds, regime_records
 from .spectral import Spectrum, condition_numbers, live_mask, matvec, padded
@@ -82,10 +82,19 @@ class CertifyBlock:
 
     @classmethod
     def of(cls, instances):
-        """The block of a list of CertifyInstances, each stack spectral.padded once."""
+        """The block of a list of CertifyInstances, each stack spectral.padded once.
+
+        Raises DimensionMismatch on an instance whose theta0 is not a
+        vector of its pair's dimension.
+        """
         instances = list(instances)
         size, pairs = len(instances), [inst.pair for inst in instances]
         n = np.array([p.n for p in pairs], dtype=int)
+        for k, (inst, m) in enumerate(zip(instances, n.tolist())):
+            if np.shape(inst.theta0) != (m,):
+                raise DimensionMismatch(
+                    f"instance {k}: theta0 has shape {np.shape(inst.theta0)}, its pair has n = {m}"
+                )
         width = n.max(initial=0)
         spectra = [s for p in pairs for s in (p.train.spectrum, p.test.spectrum)]
         rows = [

@@ -68,13 +68,6 @@ def excess_losses(sig, coeffs):
     return 0.5 * row_sums(sig * coeffs * coeffs)
 
 
-def evaluate(obj, theta):
-    """Excess loss 0.5 (theta-opt)^T T (theta-opt)."""
-    theta = _check_dim(obj, theta)
-    coeffs = coefficients(obj.spectrum.eigenvectors, theta, obj.optimum)
-    return float(excess_losses(obj.spectrum.eigenvalues, coeffs))
-
-
 def grad(obj, theta):
     """Gradient T (theta - optimum); zero at the optimum."""
     theta = _check_dim(obj, theta)

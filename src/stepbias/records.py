@@ -5,9 +5,10 @@ block of instances is computed at once, a row per instance:
 regime_records derives kappa_F, kappa_R, the thresholds, the rate kinds,
 the attenuations |1 - eta sigma|, the log gaps, both readings of the
 level-set ceiling alpha_1 and each t1 into a RegimeRecord of columns.
-Rows never mix: they are spectral.padded to the block's largest n. The
-arithmetic runs on numpy rows, with libm's log, exp and squares one
-float at a time, so no value depends on numpy's SIMD kernels;
+Rows never mix: they are spectral.padded to the block's largest n, by
+the caller (the generator's draws, or a CertifyBlock's stacks in
+regimes). The arithmetic runs on numpy rows, with libm's log, exp and
+squares one float at a time, so no value depends on numpy's SIMD kernels;
 RegimeRecord.row(k) is row k, in plain floats. _window_bounds gives the
 step windows at the targets _window_refusal lets through.
 Attenuation comparisons use magnitudes: for big rates the raw
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleWindow
-from .quadratic import evaluate
-from .spectral import condition_number, condition_numbers, padded, row_sums
+from .spectral import condition_numbers, row_sums
 
 BOUNDARY_RTOL = 1e-12
 UNDERFLOW_GUARD = 1e-300
@@ -290,14 +290,3 @@ def regime_records(n, train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
         np.minimum(half_b * readings[1], half_s * readings[2]),
     )
 
-
-def pair_records(pairs, iota, eta_s, eta_b):
-    """regime_records of problem pairs at the eigen-coefficients iota, kappa_R and R(theta_hat).
-
-    For the one-row views; regimes.certify_block reads a CertifyBlock's stacks.
-    """
-    r_opt = [evaluate(p.test, p.train.optimum) for p in pairs]
-    kappa_R = [condition_number(p.test.spectrum.eigenvalues) for p in pairs]
-    n = [p.n for p in pairs]
-    stack = padded([*(p.train.spectrum.eigenvalues for p in pairs), *iota], max(n))
-    return regime_records(n, stack[: len(n)], kappa_R, eta_s, eta_b, stack[len(n) :], r_opt)

@@ -6,10 +6,12 @@ runs' regime records (see records). A block of instances
 (instances.CertifyBlock) is checked and certified as columns, a row per
 instance, from the block's own spectral.padded stacks: assumption_checks
 gives the verdicts, certificates the certificate and each row's refusal
-from the level-set search's columns (gd.LevelSetLanes). Rows never mix;
-check_assumptions and certify are the one-row views, which stack their
-one instance and their two GDRuns. certify_block searches and certifies
-a block of instances, keeping each refused row beside its error.
+from the level-set search's columns (gd.LevelSetLanes), and one builder,
+_block_record, gives every record from the block's stacks at a stack of
+starts. Rows never mix; check_assumptions and certify are the one-row
+views, which stack their one instance (CertifyBlock.of) and their two
+GDRuns (LevelSetLanes.of). certify_block searches and certifies a
+CertifyBlock, keeping each refused row beside its error.
 """
 
 import math
@@ -20,12 +22,12 @@ import numpy as np
 from .errors import (
     CertificationFailed, InvalidRegime, LevelSetMismatch, RegimeMismatch, ZeroDenominator,
 )
-from .gd import LevelSetLanes, StopStatus, _level_set_lanes, decompose, reconstruct
+from .gd import LevelSetLanes, StopStatus, decompose, level_set_lanes, reconstruct
 from .instances import CertifyBlock, CertifyInstance
 from .quadratic import coefficients, excess_losses
 from .records import (
     UNDERFLOW_GUARD, RegimeKind, StepWindow, _libm, _positive_decreasing, _row, _square,
-    _window_bounds, _window_refusal, pair_records, regime_records,
+    _window_bounds, _window_refusal, regime_records,
 )
 from .spectral import condition_numbers, matvec, row_sums
 
@@ -85,14 +87,29 @@ def assumption_checks(block, record):
     return np.array([a1, a2, a3, a4, a5]), a_one
 
 
+def _block_record(block, iota):
+    """The regime_records of a CertifyBlock at the eigen-coefficients iota, from its own stacks.
+
+    iota stacks a start per instance, spectral.padded as the block is.
+    kappa_R is each test spectrum's condition number and R(theta_hat)
+    the test loss of each train optimum, from its test coefficients.
+    """
+    train_sig, test_sig = block.eigenvalues.swapaxes(0, 1)
+    optima = block.optima
+    r_opt = excess_losses(test_sig, coefficients(block.bases[:, 1], optima[:, 0], optima[:, 1]))
+    kappa_R = condition_numbers(test_sig, block.n)
+    return regime_records(block.n, train_sig, kappa_R, block.eta_s, block.eta_b, iota, r_opt)
+
+
 def check_assumptions(pair, theta0, eta_s, eta_b, alpha):
     """assumption_checks of one instance started at theta0, as AssumptionVerdicts.
 
     Each verdict carries the numbers it read; never raises on failure.
     """
-    record = pair_records([pair], [decompose(pair.train, theta0)], [eta_s], [eta_b])
+    iota = decompose(pair.train, theta0)
     # assumption_checks reads no t_max.
     block = CertifyBlock.of([CertifyInstance(pair, theta0, eta_s, eta_b, alpha, 0)])
+    record = _block_record(block, iota[None])
     passed, a_one = assumption_checks(block, record)
     r, alpha, spectra = record.row(0), float(alpha), (pair.train.spectrum, pair.test.spectrum)
     details = (
@@ -300,44 +317,35 @@ def certify(pair, run_s, run_b, alpha):
     Both runs must have hit the same alpha level set of pair.train, one
     with a Small rate and one with a Big rate.
     """
-    record = pair_records([pair], [run_s.iota], [run_s.eta], [run_b.eta])
     # certificates reads the runs' starts from their lanes, and no t_max.
     start = reconstruct(pair.train, run_s.iota)
     block = CertifyBlock.of([CertifyInstance(pair, start, run_s.eta, run_b.eta, alpha, 0)])
     lanes = LevelSetLanes.of([run_s, run_b], [run_s.iota, run_b.iota])
-    cert, (refusal,) = certificates(block, record, lanes)
+    cert, (refusal,) = certificates(block, _block_record(block, run_s.iota[None]), lanes)
     if refusal is not None:
         raise refusal
     return cert.row(0)
 
 
 def certify_block(block, first=0):
-    """(cert, passed, refusals) of a CertifyBlock (or a list of CertifyInstances, stacked once).
+    """(cert, passed, refusals) of a CertifyBlock.
 
     certificates and assumption_checks of the block. refusals[k] is None
     or the error of instance first + k alone: CertificationFailed naming
     its failed assumptions, else its failed level-set lane, else its
     certificate's refusal. A refused row keeps its columns and verdicts;
     nothing raises. On the block's padded stacks, one matvec gives every
-    gd.decompose of theta0 and the test coefficients of every train
-    optimum, of which R(theta_hat) is the loss, and one level-set search
-    gives every Small and Big lane as columns: no instance, spectrum or
-    GDRun is built.
+    gd.decompose of theta0, one level-set search every Small and Big
+    lane as columns, and _block_record the record: no instance, spectrum
+    or GDRun is built.
     """
-    if not isinstance(block, CertifyBlock):
-        block = CertifyBlock.of(block)
-    train_sig, test_sig = block.eigenvalues.swapaxes(0, 1)
-    # theta0 - theta_hat on the train basis, theta_hat - theta_hat_* on the test basis.
-    starts = np.stack([block.theta0, block.optima[:, 0]], axis=1)
-    coeffs = coefficients(block.bases, starts, block.optima)
-    iota, t_max = coeffs[:, 0], block.t_max.tolist()
-    lanes = _level_set_lanes(
+    train_sig, t_max = block.eigenvalues[:, 0], block.t_max.tolist()
+    iota = coefficients(block.bases[:, 0], block.theta0, block.optima[:, 0])
+    lanes = level_set_lanes(
         np.concatenate([train_sig] * 2), np.concatenate([iota] * 2),
         block.eta_s.tolist() + block.eta_b.tolist(), block.alpha.tolist() * 2, t_max * 2,
     )
-    r_opt = excess_losses(test_sig, coeffs[:, 1])
-    kappa_R = condition_numbers(test_sig, block.n)
-    record = regime_records(block.n, train_sig, kappa_R, block.eta_s, block.eta_b, iota, r_opt)
+    record = _block_record(block, iota)
     passed, _ = assumption_checks(block, record)
     cert, refusals = certificates(block, record, lanes)
     for k, verdicts in enumerate(passed.T.tolist()):

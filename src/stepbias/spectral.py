@@ -180,8 +180,3 @@ def condition_numbers(w, n):
     with np.errstate(all="ignore"):
         return np.where(bottom <= n * EPS * top, math.inf, top / bottom)
 
-
-def condition_number(w):
-    """condition_numbers of the one row w, as a float."""
-    w = np.asarray(w, dtype=float)
-    return condition_numbers(w[None], [len(w)]).item()

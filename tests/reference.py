@@ -23,7 +23,7 @@ from stepbias.errors import AlreadyBelowLevelSet, ZeroDenominator
 from stepbias.gd import DIVERGENCE_FACTOR, GDRun, StopStatus
 from stepbias.records import RegimeKind, StepWindow
 from stepbias.regimes import certify, check_assumptions
-from stepbias.spectral import Spectrum, condition_number
+from stepbias.spectral import Spectrum
 
 
 def row_sum(x):
@@ -47,6 +47,12 @@ def matvec(a, v):
 def excess(sig, coeffs):
     """1/2 sum_i sig_i c_i^2 of the eigen-coefficients c (the last axis), by row_sum."""
     return 0.5 * row_sum(sig * coeffs * coeffs)
+
+
+def objective_loss(obj, theta):
+    """The excess loss of a quadratic objective at theta: excess of V^T (theta - optimum)."""
+    spec, d = obj.spectrum, np.asarray(theta, dtype=float) - obj.optimum
+    return float(excess(spec.eigenvalues, matvec(spec.eigenvectors.T, d)))
 
 
 def stepping_run(sigma, mu0, eta, alpha, t_max, divergence_limit=None):
@@ -80,7 +86,7 @@ def tie_alpha(t):
 
 
 # The one-lane search as gd.run_to_level_set ran it before every lane
-# went through gd.level_set_runs: each search a coroutine told whether
+# went through gd.level_set_lanes: each search a coroutine told whether
 # its test holds, driven alone, on one 1-D lane whose dead directions
 # (sigma_i iota_i^2 == 0) have coefficient and factor 0.
 
@@ -256,7 +262,7 @@ def alpha_one(spectrum, iota, eta_s, eta_b, kappa_R, reading):
     i1, inn = float(iota[0]), float(iota[-1])
     sig = spectrum.eigenvalues
     n = spectrum.n
-    kappa_F = condition_number(spectrum.eigenvalues)
+    kappa_F = spectrum.top / spectrum.bottom
     norm_sq = float(row_sum(iota * iota))
     den_small, den_big = log_gaps(spectrum, eta_s, eta_b)
     small_tail = 1.0 / (1.0 - eta_s * sig[-1])
@@ -298,7 +304,7 @@ def step_window(spectrum, iota, eta, alpha, kappa_R, kind):
     i1, inn = float(iota[0]), float(iota[-1])
     sig = spectrum.eigenvalues
     n = spectrum.n
-    kappa_F = condition_number(spectrum.eigenvalues)
+    kappa_F = spectrum.top / spectrum.bottom
     norm_sq = float(row_sum(iota * iota))
     lead = leading_attenuation(eta, spectrum, kind)
     gap = math.log(lead / second_attenuation(eta, spectrum, kind))

@@ -1,7 +1,7 @@
 """The block certificate and the lockstep search against their one-instance oracle.
 
 quadratic_certify certifies each block of instances with stacked numpy
-work (regimes.certify_block), and gd.level_set_runs searches every
+work (regimes.certify_block), and gd.level_set_lanes searches every
 level set in lockstep. Both must give the bits of the one-lane search
 they replaced, reference.search_run, and the column passes
 (records.regime_records, regimes.assumption_checks and
@@ -24,13 +24,13 @@ import pytest
 from stepbias import experiments, gd, instances, quadratic, records, regimes, spectral
 from stepbias.config import validate_config
 from stepbias.errors import (
-    AlreadyBelowLevelSet, CertificationFailed, LevelSetMismatch, StepbiasError,
+    AlreadyBelowLevelSet, CertificationFailed, DimensionMismatch, LevelSetMismatch, StepbiasError,
 )
 from stepbias.experiments import stream
-from stepbias.gd import GDRun, LevelSetLanes, StopStatus, level_set_runs
+from stepbias.gd import GDRun, LevelSetLanes, StopStatus, level_set_lanes
 from stepbias.instances import CertifyBlock, CertifyInstance, random_instances
-from stepbias.quadratic import ProblemPair, QuadraticObjective, evaluate
-from stepbias.records import pair_records, regime_records
+from stepbias.quadratic import ProblemPair, QuadraticObjective
+from stepbias.records import regime_records
 from stepbias.regimes import (
     assumption_checks,
     certificates,
@@ -38,9 +38,9 @@ from stepbias.regimes import (
     certify_block,
     check_assumptions,
 )
-from stepbias.spectral import condition_number, diagonal_spectrum, padded
+from stepbias.spectral import condition_numbers, diagonal_spectrum, padded, unpadded
 
-from reference import certified_alone, power, search_run, tie_alpha
+from reference import certified_alone, objective_loss, power, search_run, tie_alpha
 
 
 def assert_same_records(got, want):
@@ -73,35 +73,22 @@ def test_block_rows_equal_the_one_instance_rows(seed):
 BLOCK_PADDED_CALLS = 2
 
 
-def test_a_block_of_every_dimension_is_certified_in_one_pass(tmp_path, monkeypatch):
-    """The default quadratic_certify, one block of n = 4..8, makes one call of each pass.
+def _count_passes(monkeypatch):
+    """Count level_set_lanes and spectral.padded calls, and objects built, until undone.
 
-    Its stacks are padded once, by the generator, and carried to the
-    certificate rows as columns: no instance, pair, spectrum or GDRun is
-    built on the way.
+    Each function is counted in every module that binds it. Returns the
+    calls by name and the list of the types of the objects built.
     """
-    calls = {"certify_block": 0, "_level_set_lanes": 0, "padded": 0}
-    sizes = []
+    calls = {"level_set_lanes": 0, "padded": 0}
+    for name, real in (("level_set_lanes", gd.level_set_lanes), ("padded", spectral.padded)):
 
-    def counted(module, name, real):
-        def wrapper(*args):
+        def wrapper(*args, name=name, real=real):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(regimes, "_level_set_lanes", regimes._level_set_lanes)
-    real_padded = spectral.padded
-    for module in (experiments, gd, instances, quadratic, regimes, records, spectral):
-        if getattr(module, "padded", None) is real_padded:
-            counted(module, "padded", real_padded)
-    real_block = experiments.certify_block
-
-    def certified(block, first):
-        sizes.append(set(block.n.tolist()))
-        return real_block(block, first)
-
-    counted(experiments, "certify_block", certified)
+        for module in (experiments, gd, instances, quadratic, regimes, records, spectral):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
     built = []
     for cls in (spectral.Spectrum, quadratic.ProblemPair, CertifyInstance, GDRun):
 
@@ -110,12 +97,72 @@ def test_a_block_of_every_dimension_is_certified_in_one_pass(tmp_path, monkeypat
             real(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", init)
+    return calls, built
+
+
+def test_a_block_of_every_dimension_is_certified_in_one_pass(tmp_path, monkeypatch):
+    """The default quadratic_certify, one block of n = 4..8, makes one call of each pass.
+
+    Its stacks are padded once, by the generator, and carried to the
+    certificate rows as columns: no instance, pair, spectrum or GDRun is
+    built on the way.
+    """
+    calls, built = _count_passes(monkeypatch)
+    sizes = []
+    real_block = experiments.certify_block
+
+    def certified(block, first):
+        sizes.append(set(block.n.tolist()))
+        return real_block(block, first)
+
+    monkeypatch.setattr(experiments, "certify_block", certified)
     experiments.run_experiment(
         validate_config({"experiment": "quadratic_certify", "output_dir": str(tmp_path)})
     )
     assert sizes == [{4, 5, 6, 7, 8}]
-    assert calls == {"certify_block": 1, "_level_set_lanes": 1, "padded": BLOCK_PADDED_CALLS}
+    assert calls == {"level_set_lanes": 1, "padded": BLOCK_PADDED_CALLS}
     assert built == []
+
+
+@pytest.mark.parametrize("experiment", ["eta_sweep", "alpha_sweep"])
+def test_a_sweep_reads_its_rows_from_one_lane_search(experiment, tmp_path, monkeypatch):
+    """Every level set of a default sweep (n = 50) is one level_set_lanes call's lane.
+
+    Its rows are read from the lanes' columns: nothing is padded and no
+    GDRun is built.
+    """
+    calls, built = _count_passes(monkeypatch)
+    experiments.run_experiment(
+        validate_config({"experiment": experiment, "n": 50, "output_dir": str(tmp_path)})
+    )
+    assert calls == {"level_set_lanes": 1, "padded": 0}
+    assert GDRun not in built
+
+
+def test_the_one_row_views_pad_only_what_they_stack(monkeypatch):
+    """run_to_level_set pads nothing; check_assumptions and certify pad one block of one.
+
+    check_assumptions stacks its instance (CertifyBlock.of: two padded
+    calls) and certify its instance and its two runs (LevelSetLanes.of:
+    two more).
+    """
+    inst = random_instances([stream(0, "certify-0")])[0]
+    calls, _ = _count_passes(monkeypatch)
+
+    def counted(view, *args):
+        calls.update(level_set_lanes=0, padded=0)
+        return view(*args), dict(calls)
+
+    start = (inst.pair, inst.theta0)
+    _, checked = counted(check_assumptions, *start, inst.eta_s, inst.eta_b, inst.alpha)
+    runs, searched = counted(lambda: [
+        gd.run_to_level_set(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
+        for eta in (inst.eta_s, inst.eta_b)
+    ])
+    _, certified = counted(certify, inst.pair, *runs, inst.alpha)
+    assert checked == {"level_set_lanes": 0, "padded": 2}
+    assert searched == {"level_set_lanes": 2, "padded": 0}
+    assert certified == {"level_set_lanes": 0, "padded": 4}
 
 
 def diagonal(inst, zero=None):
@@ -145,7 +192,7 @@ def test_an_instance_with_a_zero_weight_direction_is_searched_in_lockstep(monkey
         raise AssertionError("a block lane ran alone")
 
     monkeypatch.setattr(gd, "run_to_level_set", alone)
-    assert_same_records(block_records(block), want)
+    assert_same_records(block_records(CertifyBlock.of(block)), want)
 
 
 def test_block_rows_with_a_rejected_start(monkeypatch):
@@ -239,9 +286,32 @@ def test_a_block_rebuilt_from_its_instances_is_the_same_block():
     assert blocks[-1].degenerate[0].tolist() == [True, False]
 
 
-def _one_lane(obj, iota, eta, alpha, t_max):
-    (run,) = level_set_runs([obj], iota[None], [eta], [alpha], [t_max])
-    return run
+@pytest.mark.parametrize("entries", [5, 7])
+def test_a_start_of_another_dimension_is_refused(entries):
+    """CertifyBlock.of raises DimensionMismatch on a theta0 of n - 1 or n + 1 entries.
+
+    In a block of mixed n, such a start would be laid into the stack and
+    certified as if it were valid; check_assumptions raises the error too,
+    from gd.decompose.
+    """
+    block = list(random_instances([stream(0, f"certify-{i}") for i in range(6)]))
+    assert block[0].pair.n == 6 and len({inst.pair.n for inst in block}) >= 4
+    theta0 = np.append(block[0].theta0, 0.0)[:entries]
+    bad = dataclasses.replace(block[0], theta0=theta0)
+    for k, stack in ((5, [*block[1:], bad]), (0, [bad])):
+        with pytest.raises(DimensionMismatch) as raised:
+            CertifyBlock.of(stack)
+        assert str(raised.value) == f"instance {k}: theta0 has shape ({entries},), its pair has n = 6"
+    with pytest.raises(DimensionMismatch, match=f"^point has dimension {entries}, objective has 6$"):
+        check_assumptions(bad.pair, theta0, bad.eta_s, bad.eta_b, bad.alpha)
+
+
+def _one_lane(obj, theta0, eta, alpha, t_max):
+    """run_to_level_set's GDRun, or the error it raises."""
+    try:
+        return gd.run_to_level_set(obj, theta0, eta, alpha, t_max)
+    except (ValueError, AlreadyBelowLevelSet) as error:
+        return error
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -273,25 +343,28 @@ def test_column_rows_equal_their_one_row_views(seed):
     pairs = [inst.pair for inst in block]
     iota = [gd.decompose(p.train, inst.theta0) for p, inst in zip(pairs, block)]
     runs = [
-        [_one_lane(p.train, i, eta, inst.alpha, inst.t_max) for eta in (inst.eta_s, inst.eta_b)]
-        for p, i, inst in zip(pairs, iota, block)
+        [
+            _one_lane(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
+            for eta in (inst.eta_s, inst.eta_b)
+        ]
+        for inst in block
     ]
-    record = pair_records(pairs, iota, [i.eta_s for i in block], [i.eta_b for i in block])
     stacked = CertifyBlock.of(block)
+    record = regimes._block_record(stacked, padded(iota, stacked.theta0.shape[1]))
     passed, a_one = assumption_checks(stacked, record)
     lanes = LevelSetLanes.of([run for side in zip(*runs) for run in side], iota * 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cert, refusals = certificates(stacked, record, lanes)
         block_cert, block_passed, block_refusals = certify_block(stacked)
-        cert_7, passed_7, refusals_7 = certify_block(block, first=7)
+        cert_7, passed_7, refusals_7 = certify_block(stacked, first=7)
     assert block_passed.tolist() == passed_7.tolist() == passed.tolist()
     refused = 0
     for k, (inst, p, i, (run_s, run_b)) in enumerate(zip(block, pairs, iota, runs)):
         one = regime_records(
             [p.n], p.train.spectrum.eigenvalues[None],
-            [condition_number(p.test.spectrum.eigenvalues)], [inst.eta_s], [inst.eta_b], i[None],
-            [evaluate(p.test, p.train.optimum)],
+            condition_numbers(p.test.spectrum.eigenvalues[None], [p.n]), [inst.eta_s],
+            [inst.eta_b], i[None], [objective_loss(p.test, p.train.optimum)],
         ).row(0)
         assert repr(record.row(k)) == repr(one), k
         verdicts = check_assumptions(p, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha)
@@ -321,7 +394,7 @@ def test_column_rows_equal_their_one_row_views(seed):
         if got is None:
             assert_same_records([block_cert.row(k).to_record()], [certified_alone(inst)])
         else:
-            alone, _, _ = certify_block([inst])
+            alone, _, _ = certify_block(CertifyBlock.of([inst]))
             assert repr(alone.row(0)) == repr(block_cert.row(k)), k
     assert 0 < refused < len(block)
     assert sum(isinstance(r, StepbiasError) for r in refusals) >= 6
@@ -411,10 +484,9 @@ def test_a_direction_dead_by_underflow_keeps_its_coefficient(monkeypatch):
     monkeypatch.setattr(gd, "hit_lower_bound", recorded)
     found = []
     for sigma, iota, eta, alpha, t_max in _underflow_lanes():
-        obj = QuadraticObjective(diagonal_spectrum(np.array(sigma)), np.zeros(len(sigma)))
-        (run,) = level_set_runs([obj], np.array([iota]), [eta], [alpha], [t_max])
-        assert run.mu[-1] == run.iota[-1] == 1e-120
-        found.append((run.steps, run.stop_status))
+        lanes = level_set_lanes(np.array([sigma]), np.array([iota]), [eta], [alpha], [t_max])
+        assert lanes.mu[0, -1] == lanes.iota[0, -1] == 1e-120
+        found.append((lanes.steps.item(), *lanes.outcome))
     assert found == [
         (9, StopStatus.HIT_LEVEL_SET),
         (35, StopStatus.DIVERGED),
@@ -424,37 +496,52 @@ def test_a_direction_dead_by_underflow_keeps_its_coefficient(monkeypatch):
     assert starts == [8, 156, 61]
 
 
-def _assert_same_run(got, want):
-    assert (got.steps, got.stop_status, got.half_level_ok) == (
-        want.steps,
-        want.stop_status,
-        want.half_level_ok,
+def _fields(steps, status, half_level_ok, eta, alpha, final, mu, iota):
+    """What a finished run reports, its final loss and coefficients as bytes."""
+    final = np.float64(final).tobytes()
+    return steps, status, half_level_ok, eta, alpha, final, mu.tobytes(), iota.tobytes()
+
+
+def _run_fields(run):
+    """The _fields of a GDRun, or the error of a run that failed."""
+    if not isinstance(run, GDRun):
+        return run
+    return _fields(
+        run.steps, run.stop_status, run.half_level_ok, run.eta, run.alpha, run.final_excess,
+        run.mu, run.iota,
     )
-    assert (got.eta, got.alpha) == (want.eta, want.alpha)
-    assert np.float64(got.final_excess).tobytes() == np.float64(want.final_excess).tobytes()
-    assert got.mu.tobytes() == want.mu.tobytes()
-    assert np.array_equal(np.signbit(got.mu), np.signbit(want.mu))
-    assert got.iota.tobytes() == want.iota.tobytes()
+
+
+def _lane_fields(lanes, n):
+    """The _fields of each lane of a LevelSetLanes at its own n, or the error of a failed lane."""
+    columns = zip(
+        lanes.outcome, lanes.steps.tolist(), lanes.half_level_ok.tolist(), lanes.eta, lanes.alpha,
+        lanes.final.tolist(), unpadded(lanes.mu, n), unpadded(lanes.iota, n),
+    )
+    return [
+        _fields(t, status, ok if status is StopStatus.HIT_LEVEL_SET else None, *rest)
+        if isinstance(status, StopStatus) else status
+        for status, t, ok, *rest in columns
+    ]
 
 
 def _assert_same_outcome(got, obj, iota, lane):
-    """got is the GDRun of search_run on the lane, or the error it raises."""
+    """got is the _fields of search_run's GDRun on the lane, or the error it raises."""
     try:
         want = search_run(obj, iota, *lane)
     except (ValueError, AlreadyBelowLevelSet) as error:
         assert type(got) is type(error) and str(got) == str(error), lane
         return type(error)
-    assert isinstance(got, GDRun), lane
-    _assert_same_run(got, want)
-    return got.stop_status
+    assert got == _run_fields(want), lane
+    return want.stop_status
 
 
 def _run_lanes(lanes):
-    """level_set_runs over every lane at once, of mixed dimensions, against each lane alone.
+    """level_set_lanes over every lane at once, of mixed dimensions, against each lane alone.
 
     The lanes are padded to the widest (spectral.padded) and searched in
-    one call. Each lane must get what level_set_runs gives it on its own
-    and what search_run gives or raises. Returns the outcomes seen:
+    one call. Each lane must get what run_to_level_set gives it on its
+    own and what search_run gives or raises. Returns the outcomes seen:
     stop statuses and error classes.
     """
     objs = [
@@ -463,11 +550,13 @@ def _run_lanes(lanes):
     ]
     iotas = [np.asarray(i, dtype=float) for _, i, *_ in lanes]
     etas, alphas, t_maxes = ([lane[j] for lane in lanes] for j in (2, 3, 4))
-    runs = level_set_runs(objs, padded(iotas, max(map(len, iotas))), etas, alphas, t_maxes)
-    assert len(runs) == len(lanes)
+    n, width = [len(i) for i in iotas], max(map(len, iotas))
+    sig = padded([obj.spectrum.eigenvalues for obj in objs], width)
+    got = _lane_fields(level_set_lanes(sig, padded(iotas, width), etas, alphas, t_maxes), n)
+    assert len(got) == len(lanes)
     outcomes = []
-    for run, obj, row, lane in zip(runs, objs, iotas, lanes):
-        (alone,) = level_set_runs([obj], row[None], *([x] for x in lane[2:]))
+    for run, obj, row, lane in zip(got, objs, iotas, lanes):
+        alone = _run_fields(_one_lane(obj, row, *lane[2:]))
         outcomes.append(_assert_same_outcome(run, obj, row, lane[2:]))
         assert _assert_same_outcome(alone, obj, row, lane[2:]) is outcomes[-1]
     return outcomes

@@ -19,10 +19,10 @@ from stepbias.gd import (
     run_to_level_set,
     step,
 )
-from stepbias.quadratic import QuadraticObjective, evaluate
+from stepbias.quadratic import QuadraticObjective
 from stepbias.spectral import diagonal_spectrum, eig_sym
 
-from reference import excess, power, row_sum, stepping_run, tie_alpha
+from reference import excess, objective_loss, power, row_sum, stepping_run, tie_alpha
 
 
 def diagonal_run(sigma, iota, eta, alpha, t_max):
@@ -68,7 +68,7 @@ def test_closed_form_matches_iterative():
         theta_t = iterate(obj, theta0, eta, t)
         assert np.allclose(run.theta, theta_t, rtol=1e-9, atol=1e-12)
         assert run.loss_trace.shape == (t,)
-        want = evaluate(obj, theta_t)
+        want = objective_loss(obj, theta_t)
         assert run.loss_trace[-1] == pytest.approx(want, rel=1e-9)
 
 
@@ -78,7 +78,7 @@ def test_closed_form_trace_is_per_step_excess():
     theta = np.array([1.0, 1.0])
     for k in range(4):
         theta = step(obj, theta, 0.3)
-        want = evaluate(obj, theta)
+        want = objective_loss(obj, theta)
         assert run.loss_trace[k] == pytest.approx(want, rel=1e-12)
 
 
@@ -87,7 +87,7 @@ def test_run_to_level_set_hits_with_half_level():
     run = run_to_level_set(obj, np.array([1.0, 1.0]), 0.2, 1e-3, 1000)
     assert run.stop_status is StopStatus.HIT_LEVEL_SET
     assert run.final_excess <= 1e-3
-    got = evaluate(obj, run.theta)
+    got = objective_loss(obj, run.theta)
     assert got == pytest.approx(run.final_excess, rel=1e-9)
     # The step before stopping was still above the target.
     assert run.loss_trace[-2] > 1e-3
@@ -472,7 +472,7 @@ def test_final_loss_and_iterate_are_bitwise_the_eager_ones():
         obj = random_objective(rng, int(rng.integers(1, 9)))
         theta0 = obj.optimum + rng.normal(size=obj.n)
         top = obj.spectrum.top
-        loss0 = evaluate(obj, theta0)
+        loss0 = objective_loss(obj, theta0)
         for eta in (0.5 / top, 1.9 / top, 2.1 / top):
             problems.append((obj, theta0, eta, loss0 * 1e-6, 10**5))
     for seed in range(20):

@@ -17,8 +17,10 @@ from stepbias.instances import (
     random_instance,
     random_instances,
 )
-from stepbias.quadratic import ProblemPair, QuadraticObjective, evaluate
+from stepbias.quadratic import ProblemPair, QuadraticObjective
 from stepbias.spectral import diagonal_spectrum, padded
+
+from reference import objective_loss
 
 
 def random_orthogonal(rng, n):
@@ -278,7 +280,7 @@ def test_a_stream_that_runs_out_of_draws_refuses_the_run(tmp_path, failing_attem
 def _broken(inst, failure):
     """inst made to fail one way: its assumption check, its search or its domain."""
     if failure == "assumptions":  # a target above the initial loss fails A4
-        return dataclasses.replace(inst, alpha=10.0 * evaluate(inst.pair.train, inst.theta0))
+        return dataclasses.replace(inst, alpha=10.0 * objective_loss(inst.pair.train, inst.theta0))
     if failure == "max_steps":  # both runs stop at step 1 above the level set
         return dataclasses.replace(inst, t_max=1)
     # On identity bases from the optimum 0, theta0 is iota. iota_n^2 is
@@ -341,7 +343,7 @@ def test_the_earliest_failing_instance_refuses_the_run(
 
 def _raise_the_first_refusal(block):
     """Raise the earliest refusal of regimes.certify_block, as quadratic_certify does."""
-    _, _, refusals = regimes.certify_block(block)
+    _, _, refusals = regimes.certify_block(CertifyBlock.of(block))
     raise next(refusal for refusal in refusals if refusal is not None)
 
 

@@ -18,11 +18,10 @@ from stepbias.kernels import gaussian_kernel_matrix, two_cluster_dataset
 from stepbias.spectral import DEGENERACY_RTOL, EPS, _check_degenerate, eig_sym, eigvals_sym
 from stepbias.experiments import run_experiment, stream
 from stepbias.gd import StopStatus
-from stepbias.instances import CertifyInstance, random_instance, random_instances
+from stepbias.instances import CertifyBlock, CertifyInstance, random_instance, random_instances
 from stepbias.quadratic import ProblemPair, QuadraticObjective
-from stepbias.records import pair_records
 from stepbias.regimes import certify, certify_block
-from stepbias.spectral import diagonal_spectrum
+from stepbias.spectral import diagonal_spectrum, padded
 
 # Relative tolerances. Over these 30 instances the largest errors are
 # 7.0e-14 on both alpha_1 readings (exp(-num / gap) multiplies the
@@ -90,7 +89,7 @@ def test_record_agrees_with_50_digit_evaluation(seed):
     inst = random_instance(stream(seed, "mp-oracle"), n=4 + seed % 5)
     spec, tspec = inst.pair.train.spectrum, inst.pair.test.spectrum
     iota = gd.decompose(inst.pair.train, inst.theta0)
-    rec = pair_records([inst.pair], [iota], [inst.eta_s], [inst.eta_b]).row(0)
+    rec = regimes._block_record(CertifyBlock.of([inst]), iota[None]).row(0)
     runs = [
         gd.run_to_level_set(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
         for eta in (inst.eta_s, inst.eta_b)
@@ -159,10 +158,8 @@ def _theorem_instances(count=40):
                         model_error_fraction=float(rng.uniform()))
         for _ in range(count)
     ]
-    record = pair_records(
-        [i.pair for i in block], [gd.decompose(i.pair.train, i.theta0) for i in block],
-        [i.eta_s for i in block], [i.eta_b for i in block],
-    )
+    iota = [gd.decompose(i.pair.train, i.theta0) for i in block]
+    record = regimes._block_record(CertifyBlock.of(block), padded(iota, max(map(len, iota))))
     return [
         dataclasses.replace(inst, alpha=float(rng.uniform(0.0, 1.0)) * a_one, t_max=10**6)
         for inst, a_one in zip(block, record.alpha_1.tolist())
@@ -228,14 +225,14 @@ def test_certificate_columns_agree_with_50_digit_evaluation(monkeypatch):
     cfg = validate_config({"experiment": "quadratic_certify", "output_dir": "unused"})
     block = list(random_instances([stream(cfg.seed, f"certify-{i}") for i in range(cfg.instances)]))
     block += _theorem_instances() + _decisive_instances()
-    real, lanes = regimes._level_set_lanes, []
+    real, lanes = regimes.level_set_lanes, []
 
     def recorded(*args):
         lanes.append(real(*args))
         return lanes[-1]
 
-    monkeypatch.setattr(regimes, "_level_set_lanes", recorded)
-    cert, _, refusals = certify_block(block)
+    monkeypatch.setattr(regimes, "level_set_lanes", recorded)
+    cert, _, refusals = certify_block(CertifyBlock.of(block))
     (lanes,) = lanes
 
     def final(k, i):
@@ -301,10 +298,10 @@ def test_sweep_hilbert_norms_agree_with_50_digit_evaluation(lam, tmp_path):
     sweep = experiments._sweep_problem(cfg)
     grid = [float(e) for e in cfg.eta_grid]
     alpha = experiments._level_target(0.05, sweep.excess0)
-    runs = experiments._level_runs(sweep, grid, [alpha] * len(grid))
-    assert len(norms) == len(runs) == len(grid)
-    for got, (run, *_) in zip(norms, runs):
+    rows = experiments._level_runs(sweep, grid, [alpha] * len(grid))
+    assert len(norms) == len(rows) == len(grid)
+    for got, (_, _, _, mu, *_) in zip(norms, rows):
         with mpmath.workdps(50):
-            want = mpmath.sqrt(mpmath.fsum(mpmath.mpf(m) ** 2 for m in run.mu.tolist()))
+            want = mpmath.sqrt(mpmath.fsum(mpmath.mpf(m) ** 2 for m in mu.tolist()))
             assert math.isfinite(got)
             assert abs(mpmath.mpf(got) - want) <= 2 * math.ulp(float(want))

@@ -9,6 +9,7 @@ perfbench/tracer.py's TRACED table, which the benchmark wraps by name.
 
 import ast
 import contextlib
+import importlib.util
 import io
 import re
 from collections import Counter
@@ -100,3 +101,38 @@ def test_the_library_example_runs_as_written():
         exec(compile(library_example(), "README.md", "exec"), namespace)
     assert namespace["cert"].verdict_final
     assert printed.getvalue().startswith("True ")
+
+
+def test_the_benchmark_tracer_reads_the_real_package():
+    """perfbench/tracer.py's hooks, installed on stepbias, read what the one-row views return.
+
+    No benchmark workload calls run_to_level_set, certify,
+    check_assumptions or random_instance, so the README example and one
+    check_assumptions call do: every hook reads its counters off the real
+    results (steps, stop_status, loss_trace, verdict_final).
+    """
+    import stepbias.experiments  # noqa: F401  (loads every traced module)
+
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        namespace = {}
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(library_example(), "README.md", "exec"), namespace)
+        inst = namespace["inst"]
+        namespace["regimes"].check_assumptions(
+            inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha
+        )
+    finally:
+        tracer.uninstall()
+    counters = tracer.counters
+    runs = counters["gd.run_to_level_set"]
+    assert runs["calls"] == runs["hits"] == 2
+    assert runs["steps"] > 0 and runs["trace_bytes"] == 8 * runs["steps"]
+    assert counters["regimes.certify"] == {"calls": 1, "passes": 1}
+    assert counters["regimes.check_assumptions"] == {"calls": 1}
+    assert counters["instances.random_instance"] == {"calls": 1}
+    assert tracer.absent == ["quadratic.from_kernel"]

@@ -13,8 +13,14 @@ from stepbias.kernels import (
     ridge_fit,
     to_eigen_coords,
 )
-from stepbias.quadratic import ProblemPair, QuadraticObjective, evaluate, grad
+from stepbias.quadratic import ProblemPair, QuadraticObjective, coefficients, excess_losses, grad
 from stepbias.spectral import diagonal_spectrum, eig_sym
+
+
+def loss(obj, theta):
+    """The objective's excess loss at theta: excess_losses of its eigen-coefficients."""
+    coeffs = coefficients(obj.spectrum.eigenvectors, np.asarray(theta, dtype=float), obj.optimum)
+    return float(excess_losses(obj.spectrum.eigenvalues, coeffs))
 
 
 def make_objective(rng, n):
@@ -31,7 +37,7 @@ def test_evaluate_matches_matrix_form():
         theta = rng.normal(size=6)
         d = theta - obj.optimum
         want = 0.5 * d @ T @ d
-        assert evaluate(obj, theta) == pytest.approx(want, rel=1e-12)
+        assert loss(obj, theta) == pytest.approx(want, rel=1e-12)
         assert np.allclose(grad(obj, theta), T @ d, atol=1e-12)
 
 
@@ -39,13 +45,13 @@ def test_grad_zero_at_optimum():
     rng = np.random.default_rng(1)
     obj = make_objective(rng, 4)
     assert np.allclose(grad(obj, obj.optimum), 0.0, atol=1e-14)
-    assert evaluate(obj, obj.optimum) == pytest.approx(0.0, abs=1e-15)
+    assert loss(obj, obj.optimum) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dimension_checks():
     obj = QuadraticObjective(diagonal_spectrum([2.0, 1.0]), np.zeros(2))
     with pytest.raises(DimensionMismatch):
-        evaluate(obj, np.zeros(3))
+        grad(obj, np.zeros(3))
     with pytest.raises(DimensionMismatch):
         QuadraticObjective(diagonal_spectrum([2.0, 1.0]), np.zeros(3))
     with pytest.raises(DimensionMismatch):
@@ -79,7 +85,7 @@ def test_ridge_fit_matches_excess_dual_ridge_loss():
         a = rng.normal(size=12)
         theta = to_eigen_coords(prob, a)
         want = ridge_loss(K, y, lam, a) - ridge_loss(K, y, lam, astar)
-        assert evaluate(obj, theta) == pytest.approx(want, rel=1e-9)
+        assert loss(obj, theta) == pytest.approx(want, rel=1e-9)
     assert np.allclose(obj.optimum, to_eigen_coords(prob, astar), atol=1e-9)
 
 

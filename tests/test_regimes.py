@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepbias import gd, instances
+from stepbias import gd, instances, regimes
 from stepbias.errors import (
     CertificationFailed,
     InfeasibleWindow,
@@ -32,7 +32,6 @@ from stepbias.records import (
     _positive_decreasing,
     _window_bounds,
     _window_refusal,
-    pair_records,
     rate_kind,
     regime_records,
 )
@@ -46,7 +45,7 @@ from stepbias.regimes import (
     check_assumptions,
     run_measurements,
 )
-from stepbias.spectral import condition_number, diagonal_spectrum, matvec, padded
+from stepbias.spectral import condition_numbers, diagonal_spectrum, matvec, padded
 
 from reference import (
     WrongRegime,
@@ -55,6 +54,7 @@ from reference import (
     epsilon_ratio,
     leading_attenuation,
     log_gaps,
+    objective_loss,
     random_instance_numbers,
     risk,
     run_error,
@@ -67,9 +67,17 @@ SPEC = diagonal_spectrum([1.0, 0.9, 0.3, 0.2])
 LOW, HIGH = 2.0 / (SPEC.top + SPEC.bottom), 2.0 / SPEC.top
 
 
+def kappa(spectrum):
+    """The condition number of one spectrum: row 0 of condition_numbers on it alone."""
+    return condition_numbers(spectrum.eigenvalues[None], [spectrum.n]).item()
+
+
 def pair_record(pair, iota, eta_s, eta_b):
-    """The record of one pair: row 0 of pair_records on a block of one."""
-    return pair_records([pair], [iota], [eta_s], [eta_b]).row(0)
+    """The record of one pair at iota: row 0 of regime_records on it alone, with R(theta_hat)."""
+    return regime_records(
+        [pair.n], pair.train.spectrum.eigenvalues[None], [kappa(pair.test.spectrum)], [eta_s],
+        [eta_b], np.asarray(iota, dtype=float)[None], [objective_loss(pair.test, pair.train.optimum)],
+    ).row(0)
 
 
 def one_record(spectrum, kappa_R, eta_s, eta_b, iota):
@@ -254,7 +262,7 @@ def test_alpha_one_readings_match_per_reading_evaluation():
         inst = _generated(seed)
         spec = inst.pair.train.spectrum
         iota = spec.eigenvectors.T @ (inst.theta0 - inst.pair.train.optimum)
-        kappa_r = condition_number(inst.pair.test.spectrum.eigenvalues)
+        kappa_r = kappa(inst.pair.test.spectrum)
         args = (spec, iota, inst.eta_s, inst.eta_b, kappa_r)
         rec = pair_record(inst.pair, iota, inst.eta_s, inst.eta_b)
         assert rec.alpha_1 == alpha_one(*args, "displayed")
@@ -268,9 +276,9 @@ def test_record_matches_the_per_function_oracles():
         inst = _generated(seed, n=n, model_error_fraction=fraction)
         spec, tspec = inst.pair.train.spectrum, inst.pair.test.spectrum
         iota = gd.decompose(inst.pair.train, inst.theta0)
-        kappa_r = condition_number(tspec.eigenvalues)
+        kappa_r = kappa(tspec)
         rec = pair_record(inst.pair, iota, inst.eta_s, inst.eta_b)
-        assert rec.kappa_F == condition_number(spec.eigenvalues)
+        assert rec.kappa_F == kappa(spec)
         assert rec.kappa_R == kappa_r
         assert (rec.gap_s, rec.gap_b) == log_gaps(spec, inst.eta_s, inst.eta_b)
         args = (spec, iota, inst.eta_s, inst.eta_b, kappa_r)
@@ -289,14 +297,10 @@ def test_certificates_of_a_block_equal_certify_row_by_row():
     """
     block = [_generated(seed, n=n, model_error_fraction=fraction) for seed, n, fraction in _draws()]
     runs = [_runs_for(inst) for inst in block]
-    pairs, alpha = [inst.pair for inst in block], [inst.alpha for inst in block]
-    record = pair_records(
-        pairs, [run_s.iota for run_s, _ in runs], [inst.eta_s for inst in block],
-        [inst.eta_b for inst in block],
-    )
     stacked = instances.CertifyBlock.of(block)
     small, big = zip(*runs)
     lanes = gd.LevelSetLanes.of([*small, *big], [r.iota for r in small] * 2)
+    record = regimes._block_record(stacked, lanes.iota[: len(block)])
     cert, refusals = certificates(stacked, record, lanes)
     passed, _ = assumption_checks(stacked, record)
     assert refusals == [None] * len(block)
@@ -620,7 +624,7 @@ def test_verdict_final_reads_neither_a5_nor_the_sub_verdicts():
     assert cert.verdict_final and math.isfinite(cert.c_alpha) and cert.r_big <= cert.bound_rhs
     assert not all(cert.verdicts.values())
     inst = instances.CertifyInstance(PROJECTION_PAIR, theta0, eta_s, eta_b, alpha, 10**6)
-    _, passed, (refusal,) = certify_block([inst])
+    _, passed, (refusal,) = certify_block(instances.CertifyBlock.of([inst]))
     assert passed[:, 0].tolist() == [True, True, True, True, False]
     with pytest.raises(CertificationFailed, match="^instance 0 fails assumptions: A5_initial_projection$"):
         raise refusal

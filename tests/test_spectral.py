@@ -14,11 +14,12 @@ from stepbias.spectral import (
     _check_degenerate,
     _sign_convention,
     EPS,
-    condition_number,
+    condition_numbers,
     diagonal_spectrum,
     eig_sym,
     eigvals_sym,
     matvec,
+    padded,
 )
 from stepbias.kernels import gaussian_kernel_matrix, two_cluster_dataset
 from stepbias.quadratic import QuadraticObjective, grad
@@ -126,25 +127,30 @@ def test_distinct_spectrum_is_not_flagged():
     assert w.tolist() == [3.0, 2.0, 1.0]
 
 
+def _kappas(rows):
+    """condition_numbers of descending rows of mixed n, stacked by spectral.padded."""
+    rows = [np.asarray(r, dtype=float) for r in rows]
+    return condition_numbers(padded(rows, max(map(len, rows))), [len(r) for r in rows]).tolist()
+
+
 def test_diagonal_spectrum_and_condition_number():
     spec = diagonal_spectrum([4.0, 2.0, 1.0])
     assert spec.top == 4.0 and spec.bottom == 1.0
-    assert condition_number(spec.eigenvalues) == 4.0
+    assert _kappas([spec.eigenvalues]) == [4.0]
     assert np.array_equal(spec.matrix(), np.diag([4.0, 2.0, 1.0]))
 
 
 def test_condition_number_never_negative():
     # A zero bottom eigenvalue used to divide by zero, a negative one to
     # give a negative ratio.
-    assert condition_number(diagonal_spectrum([1.0, 0.5, 0.0]).eigenvalues) == math.inf
-    assert condition_number(diagonal_spectrum([1.0, -1e-17]).eigenvalues) == math.inf
-    assert condition_number(diagonal_spectrum([-1.0, -2.0]).eigenvalues) == math.inf
+    assert _kappas([[1.0, 0.5, 0.0], [1.0, -1e-17], [-1.0, -2.0]]) == [math.inf] * 3
     # A bottom eigenvalue at most n eps sigma_1 is round-off: singular.
     eps = np.finfo(float).eps
-    assert condition_number(diagonal_spectrum([1.0, 1e-15]).eigenvalues) == pytest.approx(1e15)
-    assert condition_number(diagonal_spectrum([1.0, 2 * eps]).eigenvalues) == math.inf
-    assert condition_number(diagonal_spectrum([1.0, 1.0, 1.0, 5 * eps]).eigenvalues) == 1 / (5 * eps)
-    assert condition_number(diagonal_spectrum([1.0, 1.0, 1.0, 4 * eps]).eigenvalues) == math.inf
+    near, *singular = _kappas(
+        [[1.0, 1e-15], [1.0, 2 * eps], [1.0, 1.0, 1.0, 5 * eps], [1.0, 1.0, 1.0, 4 * eps]]
+    )
+    assert near == pytest.approx(1e15)
+    assert singular == [math.inf, 1 / (5 * eps), math.inf]
 
 
 def test_eigvals_sym_agrees_with_eig_sym():

@@ -14,7 +14,7 @@ from stepbias import cli, experiments, gd, kernels
 from stepbias.config import validate_config
 from stepbias.errors import AlreadyBelowLevelSet, InfeasibleWindow
 from stepbias.experiments import run_experiment, stream
-from stepbias.spectral import condition_number, eigvals_sym
+from stepbias.spectral import condition_numbers, eigvals_sym
 
 EPS = float(np.finfo(float).eps)
 
@@ -129,15 +129,15 @@ def test_sweep_evaluates_each_test_kernel_row_once_in_blocks(
 def test_a_sweep_is_refused_at_its_first_failed_run_or_target(
     raw, failed_lanes, refusal, tmp_path, monkeypatch
 ):
-    real = gd.level_set_runs
+    real = gd.level_set_lanes
 
     def failing(*args):
-        runs = real(*args)
+        lanes = real(*args)
         for k in failed_lanes:
-            runs[k] = AlreadyBelowLevelSet(f"lane {k}")
-        return runs
+            lanes.outcome[k] = AlreadyBelowLevelSet(f"lane {k}")
+        return lanes
 
-    monkeypatch.setattr(gd, "level_set_runs", failing)
+    monkeypatch.setattr(gd, "level_set_lanes", failing)
     cfg = validate_config(dict(raw, n=20, output_dir=str(tmp_path)))
     with pytest.raises((AlreadyBelowLevelSet, InfeasibleWindow), match=refusal):
         run_experiment(cfg)
@@ -223,8 +223,8 @@ def test_scale_sweep_reads_eigenvalues_only(tmp_path, monkeypatch):
     assert len(rows) == len(cfg.scale_grid)
     for row, s in zip(rows, cfg.scale_grid):
         sig = eigvals_sym(kernels.gaussian_kernel_matrix(data.points, s) / 40)
-        assert float(row["kappa"]) == condition_number(sig)
-        assert float(row["kappa_regularized"]) == condition_number(sig + cfg.lam)
+        kappa, regularized = condition_numbers(np.array([sig, sig + cfg.lam]), [40, 40]).tolist()
+        assert (float(row["kappa"]), float(row["kappa_regularized"])) == (kappa, regularized)
 
 
 @pytest.mark.parametrize("experiment", ["eta_sweep", "alpha_sweep"])

@@ -12,10 +12,13 @@ import pytest
 from stepbias import toy2d
 from stepbias.config import TAU
 from stepbias.errors import AlreadyBelowLevelSet, InfeasibleWindow, InvalidRegime, ZeroDenominator
-from stepbias.gd import StopStatus, decompose, iterate, level_set_runs, level_set_search
-from stepbias.quadratic import evaluate
+from stepbias.gd import (
+    StopStatus, decompose, iterate, level_set_lanes, level_set_search, reconstruct,
+)
 from stepbias.records import RegimeKind, rate_kind
 from stepbias.spectral import diagonal_spectrum
+
+from reference import objective_loss
 
 
 def test_instance_validation():
@@ -44,10 +47,10 @@ def test_excess_loss_matches_objectives():
     train = inst.train_objective()
     test = inst.test_objective()
     theta = iterate(train, inst.theta0(), 0.5, 7)
-    want = evaluate(train, theta)
+    want = objective_loss(train, theta)
     assert toy2d.excess_loss(inst, 0.5, 7) == pytest.approx(want, rel=1e-12)
     x, y = toy2d.trajectory(inst, 0.5, 7)
-    assert evaluate(test, np.array([x, y])) == pytest.approx(0.5 * (x * x + y * y))
+    assert objective_loss(test, np.array([x, y])) == pytest.approx(0.5 * (x * x + y * y))
 
 
 def test_thresholds_ordering_and_regime_gate():
@@ -285,19 +288,21 @@ def _toy2d_instances():
 
 
 def test_ratio_check_agrees_with_the_generic_pipeline():
-    """A two-lane gd.level_set_runs on the toy's objectives lands where ratio_check does.
+    """A two-lane gd.level_set_lanes on the toy's objectives lands where ratio_check does.
 
     Its test losses, evaluated at the reconstructed iterates, give
     ratio_check's ratio to 1e-15 relative.
     """
     for inst, eta_s, eta_b, alpha in _toy2d_instances():
         train = inst.train_objective()
-        iota = np.tile(decompose(train, inst.theta0()), (2, 1))
-        runs = level_set_runs([train] * 2, iota, [eta_s, eta_b], [alpha] * 2, [10**7] * 2)
-        for run, eta in zip(runs, (eta_s, eta_b)):
-            assert run.stop_status is StopStatus.HIT_LEVEL_SET
-            assert run.steps == toy2d._first_hit(inst, eta, alpha, "landing", 10**7)
-        r_small, r_big = (evaluate(inst.test_objective(), run.theta) for run in runs)
+        start = decompose(train, inst.theta0())
+        sig, iota = (np.tile(v, (2, 1)) for v in (train.spectrum.eigenvalues, start))
+        lanes = level_set_lanes(sig, iota, [eta_s, eta_b], [alpha] * 2, [10**7] * 2)
+        for status, steps, eta in zip(lanes.outcome, lanes.steps.tolist(), (eta_s, eta_b)):
+            assert status is StopStatus.HIT_LEVEL_SET
+            assert steps == toy2d._first_hit(inst, eta, alpha, "landing", 10**7)
+        test = inst.test_objective()
+        r_small, r_big = (objective_loss(test, reconstruct(train, mu)) for mu in lanes.mu)
         ratio, _ = toy2d.ratio_check(inst, eta_s, eta_b, alpha, 10**7)
         assert ratio == pytest.approx(r_small / r_big, rel=1e-15, abs=0.0)
 
