@@ -8,13 +8,16 @@ orthogonal bases composed from Givens rotations, and a model error
 either zero or scaled to a small fraction of its allowed cap.
 
 Instances are generated in blocks (random_instances, one stream each):
-the attempts of a block are recorded by one regime_records pass per
-round of draws, and the bases and their products of the whole block by
-one vectorized Givens pass and one padded product. A block is a
+each round of draws builds its bases in one vectorized Givens pass and
+its starts theta0 in one padded product, and is recorded by one
+regime_records pass at theta0's eigen-coefficients. A block is a
 CertifyBlock: the spectral.padded columns regimes.certify_block reads,
-from which block[k] builds instance k's CertifyInstance only when asked.
+with the start coefficients, the regime record and the step windows at
+alpha that the certificate reads, from which block[k] builds instance
+k's CertifyInstance only when asked.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleWindow
 from .quadratic import ProblemPair, QuadraticObjective, coefficients, excess_losses
-from .records import _window_bounds, regime_records
+from .records import RegimeRecord, _window_bounds, _window_refusal, regime_records
 from .spectral import Spectrum, condition_numbers, live_mask, matvec, padded
 
 MAX_DRAWS = 100
@@ -46,8 +49,14 @@ class CertifyBlock:
     and degenerate[k] hold its train (index 0) and test (1) eigenvalues,
     eigenbases, optima and spectral degeneracy flags; theta0[k] its
     start; eta_s, eta_b, alpha and t_max its rates, level-set target and
-    step cap. block[k] is instance k as a CertifyInstance, built when
-    read, and CertifyBlock.of stacks a list of them.
+    step cap. iota[k] is its start's train eigen-coefficients, record
+    the block's records.RegimeRecord at those starts (r_opt the test
+    loss of each train optimum), and windows[:, :, k] the [t2, t3]
+    bounds of its Small and Big step windows at alpha (NaN where
+    records._window_refusal refuses them): the one record the assumption
+    checks and the certificate read. block[k] is instance k as a
+    CertifyInstance, built when read, and CertifyBlock.of stacks a list
+    of them.
     """
 
     n: np.ndarray
@@ -60,6 +69,9 @@ class CertifyBlock:
     eta_b: np.ndarray
     alpha: np.ndarray
     t_max: np.ndarray
+    iota: np.ndarray
+    record: RegimeRecord
+    windows: np.ndarray
 
     def __len__(self):
         return len(self.n)
@@ -81,40 +93,81 @@ class CertifyBlock:
         )
 
     @classmethod
-    def of(cls, instances):
+    def of(cls, instances, iota=None):
         """The block of a list of CertifyInstances, each stack spectral.padded once.
 
-        Raises DimensionMismatch on an instance whose theta0 is not a
-        vector of its pair's dimension.
+        Its record is at the eigen-coefficients of each theta0, or at
+        iota's rows where given, a start per instance (certify's is its
+        runs'). Raises DimensionMismatch on an instance whose theta0 or
+        row of iota is not a vector of its pair's dimension.
         """
         instances = list(instances)
         size, pairs = len(instances), [inst.pair for inst in instances]
         n = np.array([p.n for p in pairs], dtype=int)
-        for k, (inst, m) in enumerate(zip(instances, n.tolist())):
-            if np.shape(inst.theta0) != (m,):
-                raise DimensionMismatch(
-                    f"instance {k}: theta0 has shape {np.shape(inst.theta0)}, its pair has n = {m}"
-                )
-        width = n.max(initial=0)
+        starts = [("theta0", [inst.theta0 for inst in instances])]
+        if iota is not None:
+            starts.append(("iota", list(iota)))
+        for name, vectors in starts:
+            for k, (v, m) in enumerate(zip(vectors, n.tolist())):
+                if np.shape(v) != (m,):
+                    raise DimensionMismatch(
+                        f"instance {k}: {name} has shape {np.shape(v)}, its pair has n = {m}"
+                    )
+        width = n.max(initial=1)  # an empty block keeps a column for the record to read
         spectra = [s for p in pairs for s in (p.train.spectrum, p.test.spectrum)]
         rows = [
             *(s.eigenvalues for s in spectra),
             *(x for p in pairs for x in (p.train.optimum, p.test.optimum)),
-            *(inst.theta0 for inst in instances),
+            *(v for _, vectors in starts for v in vectors),
         ]
         # An empty block has no row to pad.
         stack = padded(rows, width) if size else np.zeros((0, width))
         bases = padded([s.eigenvectors for s in spectra], width) if size else np.zeros((0, 0, 0))
-        numbers = (
+        eigenvalues, optima = stack[: 4 * size].reshape(2, size, 2, width)
+        theta0, start = stack[4 * size : 5 * size], stack[5 * size :]
+        bases = bases.reshape(size, 2, width, width)
+        if iota is None:
+            start = coefficients(bases[:, 0], theta0, optima[:, 0])
+        eta_s, eta_b, alpha = (
             np.array([getattr(inst, name) for inst in instances], dtype=float)
             for name in ("eta_s", "eta_b", "alpha")
         )
+        train_sig, test_sig = eigenvalues.swapaxes(0, 1)
+        r_opt = _model_errors(test_sig, bases[:, 1], optima)
+        record = _record(n, train_sig, test_sig, eta_s, eta_b, start, r_opt)
         return cls(
-            n, stack[: 2 * size].reshape(size, 2, width), bases.reshape(size, 2, width, width),
-            stack[2 * size : 4 * size].reshape(size, 2, width),
-            np.array([s.degenerate for s in spectra], dtype=bool).reshape(size, 2),
-            stack[4 * size :], *numbers, np.array([inst.t_max for inst in instances], dtype=int),
+            n, eigenvalues, bases, optima,
+            np.array([s.degenerate for s in spectra], dtype=bool).reshape(size, 2), theta0,
+            eta_s, eta_b, alpha, np.array([inst.t_max for inst in instances], dtype=int), start,
+            record, _windows(record, alpha),
         )
+
+
+def _record(n, train_sig, test_sig, eta_s, eta_b, iota, r_opt):
+    """regime_records of a block at the starts iota, kappa_R each test spectrum's."""
+    return regime_records(n, train_sig, condition_numbers(test_sig, n), eta_s, eta_b, iota, r_opt)
+
+
+def _model_errors(test_sig, test_bases, optima):
+    """R(theta_hat) of each instance: its train optimum's test loss, from its test coefficients.
+
+    optima stacks each instance's train and test optimum, (L, 2, width).
+    """
+    return excess_losses(test_sig, coefficients(test_bases, optima[:, 0], optima[:, 1]))
+
+
+def _windows(record, alpha):
+    """The [t2, t3] bounds of each row's Small and Big step windows at alpha, (2, 2, L).
+
+    A row whose windows records._window_refusal refuses reads NaN.
+    """
+    columns = (alpha.tolist(), record.scale_s.tolist(), record.scale_b.tolist())
+    refused = [_window_refusal(*row) is not None for row in zip(*columns)]
+    with np.errstate(all="ignore"):
+        scale = np.concatenate([record.scale_s, record.scale_b])
+        scale = np.where(np.tile(refused, 2), math.nan, scale)
+        lead = np.concatenate([record.lead_s, record.lead_b])
+        return _window_bounds(scale, lead, np.tile(alpha, 2)).reshape(2, 2, -1)
 
 
 def givens_angles(rng, n):
@@ -237,47 +290,27 @@ def _draw(rng, n):
             )
 
 
-def _target(record):
-    """The level-set target alpha of each attempt: half its smaller alpha_1 reading."""
-    return 0.5 * np.minimum(record.alpha_1, record.alpha_1_split)
-
-
-def _records(drawn):
-    """The regime_records of attempts, their targets and their padded stacks.
-
-    The stacks are, a row per attempt, the train eigenvalues, the initial
-    eigen-coefficients, the test eigenvalues and the train optimum. Each
-    attempt's kappa_R is its test spectrum's, eta_s = 1/(sigma_1 +
-    sigma_n) and eta_b = 1.9/sigma_1.
-    """
-    n = np.array([len(d[0]) for d in drawn])
-    stack = padded([d[j] for j in (0, 5, 2, 4) for d in drawn], n.max()).reshape(4, len(drawn), -1)
-    sig, iota, test = stack[:3]
-    record = regime_records(
-        n, sig, condition_numbers(test, n), 1.0 / (sig[:, 0] + sig[:, -1]), 1.9 / sig[:, 0], iota,
-        np.full(len(drawn), math.nan),
-    )
-    return record, _target(record), stack
-
-
 def random_instances(rngs, n=None, model_error_fraction=None):
     """The CertifyBlock of one instance per stream of rngs, each satisfying the assumptions.
 
     Each stream draws n (unless given), the train eigenvalues and basis
     angles, the test spectrum and its angles, the train optimum and the
     initial eigen-coefficients, then the model-error fraction and
-    direction. model_error_fraction positions R(theta_hat) at that
-    fraction of its allowed cap (None draws 0 or 0.1 at random). alpha is
-    set to half the smaller alpha_1 reading, which orders every step
-    window. Every stream draws an attempt and the block is recorded in
-    one regime_records pass; each stream whose attempt is extremely
+    direction. eta_s = 1/(sigma_1 + sigma_n), eta_b = 1.9/sigma_1 and
+    kappa_R is the test spectrum's. model_error_fraction positions
+    R(theta_hat) at that fraction of its allowed cap (None draws 0 or 0.1
+    at random). Every stream draws an attempt; one givens_bases pass
+    builds the round's bases, one padded product its starts theta0, and
+    one regime_records pass records them at theta0's eigen-coefficients.
+    alpha is half the smaller alpha_1 reading of that record, which
+    orders every step window. Each stream whose attempt is extremely
     unbalanced (alpha < 1e-280) draws its next attempt from its own
-    stream and the block is recorded again, until every target is
-    accepted, or raises InfeasibleWindow after MAX_DRAWS attempts of one
-    stream. Then every stream draws its model error, all bases are built
-    in one givens_bases pass, and every theta0 and model-error quadratic
-    comes from one padded product. The last round's stacks are the
-    block's columns; no instance is built.
+    stream and the round is built again, until every target is accepted,
+    or raises InfeasibleWindow after MAX_DRAWS attempts of one stream.
+    Then every stream draws its model error, from one padded product, and
+    the record gets each R(theta_hat). The last round's stacks, record
+    and step windows at alpha are the block's columns; no instance is
+    built.
     """
     if n is not None and n < 4:
         raise ValueError("generator needs n >= 4")
@@ -285,11 +318,20 @@ def random_instances(rngs, n=None, model_error_fraction=None):
     if not rngs:
         return CertifyBlock.of([])
     sizes = [int(rng.integers(4, 9)) if n is None else n for rng in rngs]
-    drawn, refused = [None] * len(rngs), range(len(rngs))
+    size = len(rngs)
+    drawn, refused = [None] * size, range(size)
     for _ in range(MAX_DRAWS):
         for k in refused:
             drawn[k] = _draw(rngs[k], sizes[k])
-        record, alpha, stack = _records(drawn)
+        stack = padded([d[j] for j in (0, 5, 2, 4) for d in drawn], max(sizes))
+        train_sig, iota, test_sig, opt_train = stack.reshape(4, size, -1)
+        bases = givens_bases([(m, d[j]) for m, d in zip(sizes, drawn) for j in (1, 3)])
+        bases = bases.reshape(size, 2, *bases.shape[1:])
+        theta0 = opt_train + matvec(bases[:, 0], iota)
+        start = coefficients(bases[:, 0], theta0, opt_train)
+        eta_s, eta_b = 1.0 / (train_sig[:, 0] + train_sig[:, -1]), 1.9 / train_sig[:, 0]
+        record = _record(sizes, train_sig, test_sig, eta_s, eta_b, start, np.full(size, math.nan))
+        alpha = 0.5 * np.minimum(record.alpha_1, record.alpha_1_split)
         refused = np.flatnonzero(~(alpha >= 1e-280)).tolist()
         if not refused:
             break
@@ -303,23 +345,19 @@ def random_instances(rngs, n=None, model_error_fraction=None):
     directions = [
         rng.normal(size=m) if f > 0 else np.zeros(m) for rng, m, f in zip(rngs, sizes, fractions)
     ]
-    scale = np.concatenate([record.scale_s, record.scale_b])
-    lead = np.concatenate([record.lead_s, record.lead_b])
-    t3 = _window_bounds(scale, lead, np.tile(alpha, 2))[1].reshape(2, -1)
-    train_sig, iota, test_sig, opt_train = stack
-    bases = givens_bases([pair for m, d in zip(sizes, drawn) for pair in ((m, d[1]), (m, d[3]))])
-    bases = bases.reshape(len(rngs), 2, *bases.shape[1:])
     directions = padded(directions, stack.shape[-1])
     quads = excess_losses(test_sig, coefficients(bases[:, 1], directions, 0.0))
     # A stream without model error divides 0 by 0 here and keeps its train optimum.
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.sqrt(fractions * record.model_error_cap * alpha / quads)[:, None] * directions
     opt_test = np.where(fractions[:, None] > 0, opt_train + shift, opt_train)
+    optima = np.stack([opt_train, opt_test], axis=1)
+    record = dataclasses.replace(record, r_opt=_model_errors(test_sig, bases[:, 1], optima))
+    windows = _windows(record, alpha)
     return CertifyBlock(
-        np.array(sizes), np.stack([train_sig, test_sig], axis=1), bases,
-        np.stack([opt_train, opt_test], axis=1), np.zeros((len(rngs), 2), dtype=bool),
-        opt_train + matvec(bases[:, 0], iota), record.eta_s, record.eta_b, alpha,
-        (10 + 4 * np.maximum(*t3)).astype(int),
+        np.array(sizes), np.stack([train_sig, test_sig], axis=1), bases, optima,
+        np.zeros((size, 2), dtype=bool), theta0, record.eta_s, record.eta_b, alpha,
+        (10 + 4 * np.maximum(*windows[1])).astype(int), start, record, windows,
     )
 
 

@@ -46,7 +46,9 @@ GAUSSIAN_C_K = 1.0
 # benchmark's sweeps (n = 50 and 100, 1000 test points; 2-vCPU x86-64,
 # OpenBLAS on one thread) 64, 128 and 256 KiB blocks took 4.7, 7.0 and
 # 8.3 % less CPU than one block for the whole test set (medians of 200
-# paired passes), 32 KiB about as much.
+# paired passes), 32 KiB about as much. Timed as whole kernel_sweeps ops
+# (tools/ab_ops.py, 10 rounds at two seeds), 256 KiB took 5.3-5.6 % more
+# CPU than 64 KiB and 128 KiB was within 2 % either way.
 SCORE_BLOCK_BYTES = 64 * 1024
 
 

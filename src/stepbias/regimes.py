@@ -4,14 +4,14 @@ The certificate compares the test losses of a Small-rate and a Big-rate
 run to one level set against the 34 (kappa_R / kappa_F) bound, from the
 runs' regime records (see records). A block of instances
 (instances.CertifyBlock) is checked and certified as columns, a row per
-instance, from the block's own spectral.padded stacks: assumption_checks
-gives the verdicts, certificates the certificate and each row's refusal
-from the level-set search's columns (gd.LevelSetLanes), and one builder,
-_block_record, gives every record from the block's stacks at a stack of
-starts. Rows never mix; check_assumptions and certify are the one-row
-views, which stack their one instance (CertifyBlock.of) and their two
-GDRuns (LevelSetLanes.of). certify_block searches and certifies a
-CertifyBlock, keeping each refused row beside its error.
+instance, from the block's own spectral.padded stacks and the one regime
+record and step windows it carries: assumption_checks gives the
+verdicts, certificates the certificate and each row's refusal from the
+level-set search's columns (gd.LevelSetLanes). Rows never mix;
+check_assumptions and certify are the one-row views, which stack their
+one instance (CertifyBlock.of) and their two GDRuns (LevelSetLanes.of).
+certify_block searches and certifies a CertifyBlock, keeping each
+refused row beside its error.
 """
 
 import math
@@ -22,14 +22,15 @@ import numpy as np
 from .errors import (
     CertificationFailed, InvalidRegime, LevelSetMismatch, RegimeMismatch, ZeroDenominator,
 )
-from .gd import LevelSetLanes, StopStatus, decompose, level_set_lanes, reconstruct
+from .errors import DimensionMismatch
+from .gd import LevelSetLanes, StopStatus, level_set_lanes, reconstruct
 from .instances import CertifyBlock, CertifyInstance
-from .quadratic import coefficients, excess_losses
+from .quadratic import _check_dim, coefficients, excess_losses
 from .records import (
     UNDERFLOW_GUARD, RegimeKind, StepWindow, _libm, _positive_decreasing, _row, _square,
-    _window_bounds, _window_refusal, regime_records,
+    _window_refusal,
 )
-from .spectral import condition_numbers, matvec, row_sums
+from .spectral import matvec, row_sums
 
 ASSUMPTIONS = (
     "A1_distinct_eigenvalues", "A2_rate_ordering", "A3_nonzero_initialization",
@@ -57,11 +58,11 @@ class AssumptionVerdict:
     details: dict = field(default_factory=dict)
 
 
-def assumption_checks(block, record):
+def assumption_checks(block):
     """The A1-A5 verdicts of a block, a (5, L) bool array, and the alpha_1 A4 reads.
 
     Row k checks instance k of the CertifyBlock at its level-set target
-    with row k of record, its regime_records at the start's iota. A1
+    with row k of its record, the regime_records at its start. A1
     distinct positive eigenvalues (n >= 2) and no spectrum flagged
     degenerate, A2 rate ordering (eta_s Small, eta_b Big; a
     rate <= 0 is NotPositive), A3 nonzero initialization on the boundary
@@ -73,7 +74,7 @@ def assumption_checks(block, record):
     distinguished direction (A4 does not imply it). Without A1-A3,
     alpha_1 is NaN and fails A4.
     """
-    alpha, width = block.alpha, block.eigenvalues.shape[-1]
+    alpha, width, record = block.alpha, block.eigenvalues.shape[-1], block.record
     a1 = _positive_decreasing(block.eigenvalues.reshape(-1, width), np.repeat(block.n, 2))
     a1 = (a1 & ~block.degenerate.ravel()).reshape(-1, 2).all(axis=1)
     kinds = zip(record.kind_s, record.kind_b)
@@ -87,30 +88,16 @@ def assumption_checks(block, record):
     return np.array([a1, a2, a3, a4, a5]), a_one
 
 
-def _block_record(block, iota):
-    """The regime_records of a CertifyBlock at the eigen-coefficients iota, from its own stacks.
-
-    iota stacks a start per instance, spectral.padded as the block is.
-    kappa_R is each test spectrum's condition number and R(theta_hat)
-    the test loss of each train optimum, from its test coefficients.
-    """
-    train_sig, test_sig = block.eigenvalues.swapaxes(0, 1)
-    optima = block.optima
-    r_opt = excess_losses(test_sig, coefficients(block.bases[:, 1], optima[:, 0], optima[:, 1]))
-    kappa_R = condition_numbers(test_sig, block.n)
-    return regime_records(block.n, train_sig, kappa_R, block.eta_s, block.eta_b, iota, r_opt)
-
-
 def check_assumptions(pair, theta0, eta_s, eta_b, alpha):
     """assumption_checks of one instance started at theta0, as AssumptionVerdicts.
 
     Each verdict carries the numbers it read; never raises on failure.
     """
-    iota = decompose(pair.train, theta0)
+    theta0 = _check_dim(pair.train, theta0)
     # assumption_checks reads no t_max.
     block = CertifyBlock.of([CertifyInstance(pair, theta0, eta_s, eta_b, alpha, 0)])
-    record = _block_record(block, iota[None])
-    passed, a_one = assumption_checks(block, record)
+    passed, a_one = assumption_checks(block)
+    record = block.record
     r, alpha, spectra = record.row(0), float(alpha), (pair.train.spectrum, pair.test.spectrum)
     details = (
         {"train_degenerate": spectra[0].degenerate, "test_degenerate": spectra[1].degenerate},
@@ -236,21 +223,22 @@ def _refusal(lanes, s, b, kind_s, kind_b, alpha, alpha_1, scale_s, scale_b, mu_b
     return _window_refusal(alpha, scale_s, scale_b)
 
 
-def certificates(block, record, lanes):
+def certificates(block, lanes):
     """The Certificate of a CertifyBlock, a column per field, and each row's refusal.
 
     Row k bounds instance k with its Small lane k and its Big lane
     len(block) + k of lanes (gd.LevelSetLanes, failed lanes included) to
-    its level set; record is their regime_records at the lanes' start
-    and rates. One run_measurements pass over the block's stacks measures
-    every row, a failed lane at its start. The certificate stores the
-    measured test losses, the epsilon ratios, the step windows, the
-    per-regime loss bounds, and R(theta_b) <= 34 (kappa_R/kappa_F)
-    R(theta_s). refusals[k] is None or row k's error, which voids its
+    its level set, from the block's record and step windows, which are
+    at the lanes' start and rates. One run_measurements pass over the
+    block's stacks measures every row, a failed lane at its start. The
+    certificate stores the measured test losses, the epsilon ratios, the
+    step windows, the per-regime loss bounds, and R(theta_b) <= 34
+    (kappa_R/kappa_F) R(theta_s). refusals[k] is None or row k's error, which voids its
     row; its step counts, half-level flags and distinguished
     coefficients are still its lanes', 0 and false on a failed lane.
     """
     alpha, n, (size, _, width) = block.alpha, block.n, block.eigenvalues.shape
+    record = block.record
     # Entry 0 of a row of n >= 2 is its first; a row of n = 1 holds its one entry at -1.
     rows, first = np.arange(size), np.where(n >= 2, 0, -1)
     (sig_1, varsig1), (sig_n, varsign) = (block.eigenvalues[rows, :, i].T for i in (first, -1))
@@ -273,9 +261,7 @@ def certificates(block, record, lanes):
     eps_b2, eps_s2 = np.where(n >= 2, [eps_b2, eps_s2], 0.0)
     kappa_F, kappa_R, r_opt = record.kappa_F, record.kappa_R, record.r_opt
     with np.errstate(all="ignore"):
-        scale = np.where(np.tile(ok, 2), np.concatenate([record.scale_s, record.scale_b]), math.nan)
-        lead = np.concatenate([record.lead_s, record.lead_b])
-        t2, t3 = _window_bounds(scale, lead, np.tile(alpha, 2)).reshape(2, 2, -1)
+        t2, t3 = np.where(ok, block.windows, math.nan)
         win_s, win_b = (StepWindow(*w) for w in zip((record.t1_s, record.t1_b), t2, t3))
         c_alpha_den = 1.0 - np.sqrt(18.0 * (sig_n / varsign) * r_opt / alpha)
         c_alpha = (1.0 + 2.0 * (sig_1 / varsig1) * r_opt / alpha) / c_alpha_den
@@ -317,11 +303,18 @@ def certify(pair, run_s, run_b, alpha):
     Both runs must have hit the same alpha level set of pair.train, one
     with a Small rate and one with a Big rate.
     """
-    # certificates reads the runs' starts from their lanes, and no t_max.
+    for name, run in (("run_s", run_s), ("run_b", run_b)):
+        if np.shape(run.iota) != (pair.n,):
+            raise DimensionMismatch(
+                f"{name}: iota has shape {np.shape(run.iota)}, its pair has n = {pair.n}"
+            )
+    # certificates reads no t_max, and the block's record is at run_s's start.
     start = reconstruct(pair.train, run_s.iota)
-    block = CertifyBlock.of([CertifyInstance(pair, start, run_s.eta, run_b.eta, alpha, 0)])
+    block = CertifyBlock.of(
+        [CertifyInstance(pair, start, run_s.eta, run_b.eta, alpha, 0)], [run_s.iota]
+    )
     lanes = LevelSetLanes.of([run_s, run_b], [run_s.iota, run_b.iota])
-    cert, (refusal,) = certificates(block, _block_record(block, run_s.iota[None]), lanes)
+    cert, (refusal,) = certificates(block, lanes)
     if refusal is not None:
         raise refusal
     return cert.row(0)
@@ -334,20 +327,19 @@ def certify_block(block, first=0):
     or the error of instance first + k alone: CertificationFailed naming
     its failed assumptions, else its failed level-set lane, else its
     certificate's refusal. A refused row keeps its columns and verdicts;
-    nothing raises. On the block's padded stacks, one matvec gives every
-    gd.decompose of theta0, one level-set search every Small and Big
-    lane as columns, and _block_record the record: no instance, spectrum
-    or GDRun is built.
+    nothing raises. From the block's padded stacks and its starts' iota,
+    one level-set search gives every Small and Big lane as columns, and
+    the block's record and step windows are the ones it carries: no
+    record is computed again, and no instance, spectrum or GDRun is
+    built.
     """
     train_sig, t_max = block.eigenvalues[:, 0], block.t_max.tolist()
-    iota = coefficients(block.bases[:, 0], block.theta0, block.optima[:, 0])
     lanes = level_set_lanes(
-        np.concatenate([train_sig] * 2), np.concatenate([iota] * 2),
+        np.concatenate([train_sig] * 2), np.concatenate([block.iota] * 2),
         block.eta_s.tolist() + block.eta_b.tolist(), block.alpha.tolist() * 2, t_max * 2,
     )
-    record = _block_record(block, iota)
-    passed, _ = assumption_checks(block, record)
-    cert, refusals = certificates(block, record, lanes)
+    passed, _ = assumption_checks(block)
+    cert, refusals = certificates(block, lanes)
     for k, verdicts in enumerate(passed.T.tolist()):
         if not all(verdicts):
             failed = ", ".join(name for name, ok in zip(ASSUMPTIONS, verdicts) if not ok)

@@ -325,7 +325,11 @@ def step_window(spectrum, iota, eta, alpha, kappa_R, kind):
 
 
 def random_instance_numbers(rng, n, model_error_fraction):
-    """(alpha, t_max, theta0, test optimum) of random_instance, every number derived per call."""
+    """(alpha, t_max, theta0, test optimum) of random_instance, every number derived per call.
+
+    alpha and the step windows are read at theta0's eigen-coefficients,
+    not at the drawn iota they round from.
+    """
     for _ in range(instances.MAX_DRAWS):
         train_vals, train_angles, test_vals, test_angles, opt_train, iota = (
             instances._draw(rng, n)
@@ -333,16 +337,17 @@ def random_instance_numbers(rng, n, model_error_fraction):
         train_basis, test_basis = instances.givens_bases([(n, train_angles), (n, test_angles)])
         train_spec = Spectrum(train_vals, train_basis)
         test_spec = Spectrum(test_vals, test_basis)
+        theta0 = opt_train + matvec(train_spec.eigenvectors, iota)
+        start = matvec(train_spec.eigenvectors.T, theta0 - opt_train)
         sig1, sign = train_spec.eigenvalues[0], train_spec.eigenvalues[-1]
         eta_s = 1.0 / (sig1 + sign)
         eta_b = 1.9 / sig1
         kappa_R = test_spec.top / test_spec.bottom
         kappa_F = sig1 / sign
-        args = (train_spec, iota, eta_s, eta_b, kappa_R)
+        args = (train_spec, start, eta_s, eta_b, kappa_R)
         alpha = 0.5 * min(alpha_one(*args, "displayed"), alpha_one(*args, "split"))
         if alpha >= 1e-280:
             break
-    theta0 = opt_train + matvec(train_spec.eigenvectors, iota)
     fraction = model_error_fraction
     if fraction is None:
         fraction = 0.1 if rng.uniform() < 0.5 else 0.0
@@ -353,8 +358,8 @@ def random_instance_numbers(rng, n, model_error_fraction):
         quad = float(excess(test_spec.eigenvalues, matvec(test_spec.eigenvectors.T, direction)))
         opt_test = opt_train + math.sqrt(fraction * cap * alpha / quad) * direction
     small, big = RegimeKind.SMALL, RegimeKind.BIG
-    win_s = step_window(train_spec, iota, eta_s, alpha, kappa_R, small)
-    win_b = step_window(train_spec, iota, eta_b, alpha, kappa_R, big)
+    win_s = step_window(train_spec, start, eta_s, alpha, kappa_R, small)
+    win_b = step_window(train_spec, start, eta_b, alpha, kappa_R, big)
     return alpha, int(10 + 4 * max(win_s.t3, win_b.t3)), theta0, opt_test
 
 

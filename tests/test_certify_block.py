@@ -73,14 +73,23 @@ def test_block_rows_equal_the_one_instance_rows(seed):
 BLOCK_PADDED_CALLS = 2
 
 
+# The passes _count_passes counts, each in every module that binds it.
+COUNTED = {
+    "level_set_lanes": gd.level_set_lanes,
+    "padded": spectral.padded,
+    "regime_records": records.regime_records,
+    "_window_bounds": records._window_bounds,
+}
+
+
 def _count_passes(monkeypatch):
-    """Count level_set_lanes and spectral.padded calls, and objects built, until undone.
+    """Count the COUNTED passes' calls, and objects built, until undone.
 
     Each function is counted in every module that binds it. Returns the
     calls by name and the list of the types of the objects built.
     """
-    calls = {"level_set_lanes": 0, "padded": 0}
-    for name, real in (("level_set_lanes", gd.level_set_lanes), ("padded", spectral.padded)):
+    calls = dict.fromkeys(COUNTED, 0)
+    for name, real in COUNTED.items():
 
         def wrapper(*args, name=name, real=real):
             calls[name] += 1
@@ -105,37 +114,72 @@ def test_a_block_of_every_dimension_is_certified_in_one_pass(tmp_path, monkeypat
 
     Its stacks are padded once, by the generator, and carried to the
     certificate rows as columns: no instance, pair, spectrum or GDRun is
-    built on the way.
+    built on the way. Its one round of draws (one attempt per stream) is
+    recorded once, with its step windows, and certify_block reads that
+    record.
     """
     calls, built = _count_passes(monkeypatch)
-    sizes = []
-    real_block = experiments.certify_block
+    sizes, attempts = [], []
+    real_block, real_draw = experiments.certify_block, instances._draw
 
     def certified(block, first):
         sizes.append(set(block.n.tolist()))
         return real_block(block, first)
 
+    def draw(rng, n):
+        attempts.append(n)
+        return real_draw(rng, n)
+
     monkeypatch.setattr(experiments, "certify_block", certified)
-    experiments.run_experiment(
-        validate_config({"experiment": "quadratic_certify", "output_dir": str(tmp_path)})
-    )
+    monkeypatch.setattr(instances, "_draw", draw)
+    cfg = validate_config({"experiment": "quadratic_certify", "output_dir": str(tmp_path)})
+    experiments.run_experiment(cfg)
     assert sizes == [{4, 5, 6, 7, 8}]
-    assert calls == {"level_set_lanes": 1, "padded": BLOCK_PADDED_CALLS}
+    assert len(attempts) == cfg.instances
+    assert calls == {
+        "level_set_lanes": 1, "padded": BLOCK_PADDED_CALLS, "regime_records": 1,
+        "_window_bounds": 1,
+    }
     assert built == []
+
+
+def test_a_generated_block_is_certified_from_the_record_it_carries(monkeypatch):
+    """certify_block on a generated block records nothing and computes no step window.
+
+    Its assumption checks and certificate read the generator's record and
+    windows, at theta0's eigen-coefficients; only the level-set search runs.
+    """
+    block = random_instances([stream(1, f"certify-{i}") for i in range(20)])
+    calls, built = _count_passes(monkeypatch)
+    certify_block(block)
+    assert calls == {"level_set_lanes": 1, "padded": 0, "regime_records": 0, "_window_bounds": 0}
+    assert built == []
+
+
+def test_each_generator_round_is_recorded_once(monkeypatch, failing_attempts):
+    """A block whose second stream redraws once takes two rounds: two records, one set of windows.
+
+    The windows are computed once, at the accepted round's targets.
+    """
+    calls, _ = _count_passes(monkeypatch)
+    drawn = failing_attempts({2})
+    block = random_instances([stream(0, f"certify-{i}") for i in range(3)])
+    assert len(drawn) == 4 and len(block) == 3
+    assert (calls["regime_records"], calls["_window_bounds"]) == (2, 1)
 
 
 @pytest.mark.parametrize("experiment", ["eta_sweep", "alpha_sweep"])
 def test_a_sweep_reads_its_rows_from_one_lane_search(experiment, tmp_path, monkeypatch):
     """Every level set of a default sweep (n = 50) is one level_set_lanes call's lane.
 
-    Its rows are read from the lanes' columns: nothing is padded and no
-    GDRun is built.
+    Its rows are read from the lanes' columns: nothing is padded or
+    recorded and no GDRun is built.
     """
     calls, built = _count_passes(monkeypatch)
     experiments.run_experiment(
         validate_config({"experiment": experiment, "n": 50, "output_dir": str(tmp_path)})
     )
-    assert calls == {"level_set_lanes": 1, "padded": 0}
+    assert calls == {"level_set_lanes": 1, "padded": 0, "regime_records": 0, "_window_bounds": 0}
     assert GDRun not in built
 
 
@@ -144,13 +188,13 @@ def test_the_one_row_views_pad_only_what_they_stack(monkeypatch):
 
     check_assumptions stacks its instance (CertifyBlock.of: two padded
     calls) and certify its instance and its two runs (LevelSetLanes.of:
-    two more).
+    two more). Each records its block once, with its step windows.
     """
     inst = random_instances([stream(0, "certify-0")])[0]
     calls, _ = _count_passes(monkeypatch)
 
     def counted(view, *args):
-        calls.update(level_set_lanes=0, padded=0)
+        calls.update(dict.fromkeys(COUNTED, 0))
         return view(*args), dict(calls)
 
     start = (inst.pair, inst.theta0)
@@ -160,9 +204,10 @@ def test_the_one_row_views_pad_only_what_they_stack(monkeypatch):
         for eta in (inst.eta_s, inst.eta_b)
     ])
     _, certified = counted(certify, inst.pair, *runs, inst.alpha)
-    assert checked == {"level_set_lanes": 0, "padded": 2}
-    assert searched == {"level_set_lanes": 2, "padded": 0}
-    assert certified == {"level_set_lanes": 0, "padded": 4}
+    once = {"regime_records": 1, "_window_bounds": 1}
+    assert checked == {"level_set_lanes": 0, "padded": 2, **once}
+    assert searched == {"level_set_lanes": 2, "padded": 0, "regime_records": 0, "_window_bounds": 0}
+    assert certified == {"level_set_lanes": 0, "padded": 4, **once}
 
 
 def diagonal(inst, zero=None):
@@ -245,11 +290,17 @@ def _edge_instances():
     ]
 
 
-def _assert_same_block(got, want):
-    for field in dataclasses.fields(CertifyBlock):
+def _assert_same_columns(got, want):
+    """Every field of two dataclasses of columns, bit for bit; a RegimeRecord's too."""
+    for field in dataclasses.fields(want):
         g, w = getattr(got, field.name), getattr(want, field.name)
-        assert (g.dtype, g.shape) == (w.dtype, w.shape), field.name
-        assert g.tobytes() == w.tobytes(), field.name
+        if dataclasses.is_dataclass(w):
+            _assert_same_columns(g, w)
+        elif isinstance(w, tuple):  # a record's rate kinds
+            assert g == w, field.name
+        else:
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), field.name
+            assert g.tobytes() == w.tobytes(), field.name
 
 
 def _certified(block):
@@ -281,7 +332,7 @@ def test_a_block_rebuilt_from_its_instances_is_the_same_block():
     blocks.append(CertifyBlock.of(mixed))
     for block in blocks:
         rebuilt = CertifyBlock.of(list(block))
-        _assert_same_block(rebuilt, block)
+        _assert_same_columns(rebuilt, block)
         assert _certified(rebuilt) == _certified(block)
     assert blocks[-1].degenerate[0].tolist() == [True, False]
 
@@ -350,12 +401,12 @@ def test_column_rows_equal_their_one_row_views(seed):
         for inst in block
     ]
     stacked = CertifyBlock.of(block)
-    record = regimes._block_record(stacked, padded(iota, stacked.theta0.shape[1]))
-    passed, a_one = assumption_checks(stacked, record)
+    record = stacked.record
+    passed, a_one = assumption_checks(stacked)
     lanes = LevelSetLanes.of([run for side in zip(*runs) for run in side], iota * 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cert, refusals = certificates(stacked, record, lanes)
+        cert, refusals = certificates(stacked, lanes)
         block_cert, block_passed, block_refusals = certify_block(stacked)
         cert_7, passed_7, refusals_7 = certify_block(stacked, first=7)
     assert block_passed.tolist() == passed_7.tolist() == passed.tolist()

@@ -21,7 +21,7 @@ from stepbias.gd import StopStatus
 from stepbias.instances import CertifyBlock, CertifyInstance, random_instance, random_instances
 from stepbias.quadratic import ProblemPair, QuadraticObjective
 from stepbias.regimes import certify, certify_block
-from stepbias.spectral import diagonal_spectrum, padded
+from stepbias.spectral import diagonal_spectrum
 
 # Relative tolerances. Over these 30 instances the largest errors are
 # 7.0e-14 on both alpha_1 readings (exp(-num / gap) multiplies the
@@ -89,7 +89,7 @@ def test_record_agrees_with_50_digit_evaluation(seed):
     inst = random_instance(stream(seed, "mp-oracle"), n=4 + seed % 5)
     spec, tspec = inst.pair.train.spectrum, inst.pair.test.spectrum
     iota = gd.decompose(inst.pair.train, inst.theta0)
-    rec = regimes._block_record(CertifyBlock.of([inst]), iota[None]).row(0)
+    rec = CertifyBlock.of([inst]).record.row(0)
     runs = [
         gd.run_to_level_set(inst.pair.train, inst.theta0, eta, inst.alpha, inst.t_max)
         for eta in (inst.eta_s, inst.eta_b)
@@ -158,8 +158,7 @@ def _theorem_instances(count=40):
                         model_error_fraction=float(rng.uniform()))
         for _ in range(count)
     ]
-    iota = [gd.decompose(i.pair.train, i.theta0) for i in block]
-    record = regimes._block_record(CertifyBlock.of(block), padded(iota, max(map(len, iota))))
+    record = CertifyBlock.of(block).record
     return [
         dataclasses.replace(inst, alpha=float(rng.uniform(0.0, 1.0)) * a_one, t_max=10**6)
         for inst, a_one in zip(block, record.alpha_1.tolist())

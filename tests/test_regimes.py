@@ -1,6 +1,8 @@
 """Rate regimes, windows, and the certification bound."""
 
+import csv
 import dataclasses
+import io
 import math
 import sys
 import warnings
@@ -11,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepbias import gd, instances, regimes
+from stepbias import gd, instances
 from stepbias.errors import (
     CertificationFailed,
+    DimensionMismatch,
     InfeasibleWindow,
     InvalidRegime,
     LevelSetMismatch,
@@ -23,7 +26,7 @@ from stepbias.errors import (
 )
 from stepbias.config import validate_config
 from stepbias.experiments import run_experiment, stream
-from stepbias.instances import random_instance
+from stepbias.instances import random_instance, random_instances
 from stepbias.quadratic import ProblemPair, QuadraticObjective
 from stepbias.records import (
     RegimeKind,
@@ -297,12 +300,11 @@ def test_certificates_of_a_block_equal_certify_row_by_row():
     """
     block = [_generated(seed, n=n, model_error_fraction=fraction) for seed, n, fraction in _draws()]
     runs = [_runs_for(inst) for inst in block]
-    stacked = instances.CertifyBlock.of(block)
     small, big = zip(*runs)
+    stacked = instances.CertifyBlock.of(block, [r.iota for r in small])
     lanes = gd.LevelSetLanes.of([*small, *big], [r.iota for r in small] * 2)
-    record = regimes._block_record(stacked, lanes.iota[: len(block)])
-    cert, refusals = certificates(stacked, record, lanes)
-    passed, _ = assumption_checks(stacked, record)
+    cert, refusals = certificates(stacked, lanes)
+    passed, _ = assumption_checks(stacked)
     assert refusals == [None] * len(block)
     for k, (inst, (run_s, run_b)) in enumerate(zip(block, runs)):
         assert repr(cert.row(k)) == repr(certify(inst.pair, run_s, run_b, inst.alpha)), k
@@ -713,6 +715,29 @@ def test_certificate_columns_are_pinned(tmp_path):
     assert len(CERTIFICATE_COLUMNS) == 36
 
 
+@pytest.mark.parametrize(
+    "raw", [{"seed": 0}, {"seed": 1}, {"seed": 2}, {"seed": 3, "instances": 40}]
+)
+def test_the_written_alpha_is_half_the_smaller_written_alpha_1(raw, tmp_path):
+    """certificates.csv's alpha is its min(alpha_1, alpha_1_split) / 2, parsed, on every row.
+
+    The generator sets alpha from the record the certificate writes, at
+    theta0's eigen-coefficients. On the default config at three seeds,
+    and on a block of CERTIFY_BLOCK streams spanning n = 4..8.
+    """
+    cfg = validate_config({"experiment": "quadratic_certify", **raw, "output_dir": str(tmp_path)})
+    run_experiment(cfg)
+    text = (tmp_path / "certificates.csv").read_text()
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == cfg.instances
+    if cfg.instances == 40:
+        block = random_instances([stream(cfg.seed, f"certify-{i}") for i in range(40)])
+        assert set(block.n.tolist()) == {4, 5, 6, 7, 8}
+    for row in rows:
+        alpha_1 = min(float(row["alpha_1"]), float(row["alpha_1_split"]))
+        assert float(row["alpha"]) == 0.5 * alpha_1, row["instance"]
+
+
 def test_certify_with_model_error():
     inst = _generated(seed=2, model_error_fraction=0.1)
     run_s, run_b = _runs_for(inst)
@@ -749,6 +774,20 @@ def test_certify_rejects_mismatched_runs():
     )
     with pytest.raises(LevelSetMismatch):
         certify(inst.pair, unfinished, run_b, inst.alpha)
+
+
+def test_certify_refuses_runs_of_another_dimension():
+    """Runs whose iota is not a vector of the pair's n raise DimensionMismatch naming the run.
+
+    The n = 4 runs of certify-1 with the n = 6 pair of certify-0 at seed 0.
+    """
+    six, four = random_instances([stream(0, f"certify-{i}") for i in range(2)])
+    assert (six.pair.n, four.pair.n) == (6, 4)
+    (run_s, run_b), (good_s, _) = _runs_for(four), _runs_for(six)
+    for runs, name in (((run_s, run_b), "run_s"), ((good_s, run_b), "run_b")):
+        with pytest.raises(DimensionMismatch) as raised:
+            certify(six.pair, *runs, six.alpha)
+        assert str(raised.value) == f"{name}: iota has shape (4,), its pair has n = 6"
 
 
 def test_a4_holds_up_to_alpha_1_itself():
