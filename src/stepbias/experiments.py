@@ -116,12 +116,13 @@ def _run_toy2d(cfg, out):
     inst = toy2d.ToyInstance(cfg.sigma1, cfg.sigma2)
     eta_s = (cfg.eta_small if cfg.eta_small is not None else 1.0) / cfg.sigma1
     eta_b = (cfg.eta_big if cfg.eta_big is not None else TAU * 2.0) / cfg.sigma1
-    alpha = (
-        cfg.alpha
-        if cfg.alpha is not None
-        else toy2d.feasible_alpha(inst, eta_s, eta_b, target=1e-8, margin=1.0 + 1e-9)
-    )
-    ratio, passes = toy2d.ratio_check(inst, eta_s, eta_b, alpha, t_max=10**7)
+    if cfg.alpha is None:
+        alpha, ratio, passes = toy2d.aligned_ratio_check(
+            inst, eta_s, eta_b, target=1e-8, margin=1.0 + 1e-9
+        )
+    else:
+        alpha = cfg.alpha
+        ratio, passes = toy2d.ratio_check(inst, eta_s, eta_b, alpha, t_max=10**7)
     out.csv(
         "toy2d_ratio.csv",
         [

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
@@ -33,14 +34,26 @@ def format_value(value):
 
 
 def write_bytes(text, path):
-    """Write text to path as UTF-8 in one call; return the bytes written."""
+    """Write text to path as UTF-8 with one open, os.write calls and close; return the bytes."""
     data = text.encode("utf-8")
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise IoError(str(exc)) from exc
     return data
+
+
+def _column_text(values):
+    """The fields of one column: one text function where every value has one exact builtin type."""
+    kinds = set(map(type, values))
+    text = _TEXT_BY_TYPE.get(kinds.pop()) if len(kinds) == 1 else None
+    return map(text or format_value, values)
 
 
 def write_csv(rows, schema, path):
@@ -57,7 +70,7 @@ def write_csv(rows, schema, path):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(schema)
-    writer.writerows(map(format_value, row) for row in rows)
+    writer.writerows(zip(*map(_column_text, zip(*rows))))
     return write_bytes(buf.getvalue(), path)
 
 

@@ -153,6 +153,21 @@ def _test_losses(inst, eta_s, eta_b, alpha, t_max, start_s=None):
     return losses
 
 
+def _scan(inst, eta_s, eta_b, target, margin):
+    """(alpha, R(theta_s), R(theta_b)) of the candidate feasible_alpha accepts."""
+    _regime_kind(inst, eta_s, RegimeKind.SMALL)
+    _regime_kind(inst, eta_b, RegimeKind.BIG)
+    t = _first_hit(inst, eta_s, target, "small")
+    for candidate_t in range(t, t + ALIGN_SCAN):
+        alpha = excess_loss(inst, eta_s, candidate_t) * (1.0 + 1e-9)
+        if alpha <= 0:
+            break
+        r_small, r_big = _test_losses(inst, eta_s, eta_b, alpha, 10**7, min(candidate_t, 10**7))
+        if r_big > 0 and r_small / r_big >= inst.kappa * margin:
+            return alpha, r_small, r_big
+    raise InfeasibleWindow("no aligned level-set target found in the scan range")
+
+
 def feasible_alpha(inst, eta_s, eta_b, target, margin):
     """Pick a level-set target near ``target`` on which the ratio test is safe.
 
@@ -165,17 +180,28 @@ def feasible_alpha(inst, eta_s, eta_b, target, margin):
     steps, as ratio_check searches it; the small one from candidate_t,
     where alpha >= L(candidate_t) lands it but for a near-flat loss.
     """
-    _regime_kind(inst, eta_s, RegimeKind.SMALL)
-    _regime_kind(inst, eta_b, RegimeKind.BIG)
-    t = _first_hit(inst, eta_s, target, "small")
-    for candidate_t in range(t, t + ALIGN_SCAN):
-        alpha = excess_loss(inst, eta_s, candidate_t) * (1.0 + 1e-9)
-        if alpha <= 0:
-            break
-        r_small, r_big = _test_losses(inst, eta_s, eta_b, alpha, 10**7, min(candidate_t, 10**7))
-        if r_big > 0 and r_small / r_big >= inst.kappa * margin:
-            return alpha
-    raise InfeasibleWindow("no aligned level-set target found in the scan range")
+    return _scan(inst, eta_s, eta_b, target, margin)[0]
+
+
+def _check_window(inst, eta_s, eta_b, alpha, t_max):
+    """Raise ratio_check's refusals before its searches: an empty window, then a bad argument."""
+    for eta, kind in ((eta_s, RegimeKind.SMALL), (eta_b, RegimeKind.BIG)):
+        t1, t2, _ = thresholds(inst, eta, alpha, kind)
+        if t2 <= t1:
+            raise InfeasibleWindow(
+                f"level-set window infeasible for eta={eta}: t2={t2:.3f} <= t1={t1:.3f}"
+            )
+    error = _argument_error(eta_s, alpha, t_max, excess_loss(inst, eta_s, 0))
+    if error is not None:
+        raise error
+
+
+def _ratio(inst, r_small, r_big):
+    """(r_small / r_big, ratio >= kappa); ZeroDenominator where the ratio is not finite."""
+    ratio = r_small / r_big if r_big else math.inf
+    if ratio == math.inf:
+        raise ZeroDenominator(f"the big-rate test loss {r_big!r} leaves no finite ratio")
+    return ratio, bool(ratio >= inst.kappa)
 
 
 def ratio_check(inst, eta_s, eta_b, alpha, t_max):
@@ -187,17 +213,16 @@ def ratio_check(inst, eta_s, eta_b, alpha, t_max):
     kappa multiple is asserted, the measured ratio is returned so the
     stronger constant can be observed.
     """
-    for eta, kind in ((eta_s, RegimeKind.SMALL), (eta_b, RegimeKind.BIG)):
-        t1, t2, _ = thresholds(inst, eta, alpha, kind)
-        if t2 <= t1:
-            raise InfeasibleWindow(
-                f"level-set window infeasible for eta={eta}: t2={t2:.3f} <= t1={t1:.3f}"
-            )
-    error = _argument_error(eta_s, alpha, t_max, excess_loss(inst, eta_s, 0))
-    if error is not None:
-        raise error
-    r_small, r_big = _test_losses(inst, eta_s, eta_b, alpha, t_max)
-    ratio = r_small / r_big if r_big else math.inf
-    if ratio == math.inf:
-        raise ZeroDenominator(f"the big-rate test loss {r_big!r} leaves no finite ratio")
-    return ratio, bool(ratio >= inst.kappa)
+    _check_window(inst, eta_s, eta_b, alpha, t_max)
+    return _ratio(inst, *_test_losses(inst, eta_s, eta_b, alpha, t_max))
+
+
+def aligned_ratio_check(inst, eta_s, eta_b, target, margin):
+    """(alpha, ratio, passes): feasible_alpha's alpha and ratio_check's result there at t_max 10^7.
+
+    Each landing is searched once: the ratio is the one the scan accepted,
+    and the refusals are those of feasible_alpha, then ratio_check.
+    """
+    alpha, r_small, r_big = _scan(inst, eta_s, eta_b, target, margin)
+    _check_window(inst, eta_s, eta_b, alpha, 10**7)
+    return (alpha, *_ratio(inst, r_small, r_big))

@@ -5,7 +5,9 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import re
+import stat
 import warnings
 from xml.etree import ElementTree
 
@@ -100,6 +102,76 @@ def test_csv_arity_and_io_errors(tmp_path):
         write_csv([(1, 2)], ("a",), tmp_path / "x.csv")
     with pytest.raises(IoError):
         write_csv([], ("a",), tmp_path / "missing" / "x.csv")
+
+
+def test_write_csv_formats_a_mixed_column_value_by_value(tmp_path):
+    """A column of one exact builtin type and a mixed one read as format_value reads each value."""
+    mixed = [1.5, np.float64(0.1), True, np.bool_(False), None, "a,b", 3, np.float32(0.25)]
+    rows = [(value, float(i)) for i, value in enumerate(mixed)]
+    path = tmp_path / "mixed.csv"
+    got = write_csv(rows, ("mixed", "float"), path)
+    want = "mixed,float\n" + "".join(
+        f"{format_value(value)},{float(i)!r}\n" for i, value in enumerate(mixed)
+    ).replace("a,b", '"a,b"')
+    assert got == path.read_bytes() == want.encode()
+    assert got.splitlines()[1:6] == [b"1.5,0.0", b"0.1,1.0", b"true,2.0", b"false,3.0", b"None,4.0"]
+
+
+def test_write_csv_of_no_rows_writes_the_header(tmp_path):
+    assert write_csv([], ("a", "b"), tmp_path / "empty.csv") == b"a,b\n"
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+
+def test_write_csv_refuses_a_ragged_row_before_writing(tmp_path):
+    """zip would cut a long row to the others' length; the arity check names it first."""
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError, match="^row 1 has 3 fields, schema has 2$"):
+        write_csv([(1.0, 2.0), (1.0, 2.0, 3.0)], ("a", "b"), path)
+    with pytest.raises(ValueError, match="^row 0 has 1 fields, schema has 2$"):
+        write_csv([(1.0,), (1.0, 2.0)], ("a", "b"), path)
+    assert not path.exists()
+
+
+def test_write_bytes_writes_a_large_payload_whole(tmp_path):
+    text = "".join(f"{i},é\n" for i in range(200_000))
+    data = reporting.write_bytes(text, tmp_path / "big.csv")
+    assert len(data) > 1 << 20
+    assert data == text.encode("utf-8") == (tmp_path / "big.csv").read_bytes()
+
+
+def test_write_bytes_truncates_a_longer_file(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"x" * 10_000)
+    assert reporting.write_bytes("short\n", path) == b"short\n"
+    assert path.read_bytes() == b"short\n"
+
+
+def test_write_bytes_creates_files_with_the_mode_open_gives(tmp_path):
+    current = os.umask(0o022)
+    os.umask(current)
+    for k, umask in enumerate((current, 0o027, 0o077)):
+        ours, theirs = tmp_path / f"ours{k}", tmp_path / f"theirs{k}"
+        previous = os.umask(umask)
+        try:
+            reporting.write_bytes("a\n", ours)
+            with open(theirs, "wb") as fh:
+                fh.write(b"a\n")
+        finally:
+            os.umask(previous)
+        mode = stat.S_IMODE(ours.stat().st_mode)
+        assert mode == stat.S_IMODE(theirs.stat().st_mode) == 0o666 & ~umask
+
+
+def test_write_bytes_into_a_missing_directory_is_an_io_error(tmp_path, monkeypatch, capsys):
+    with pytest.raises(IoError, match="No such file or directory"):
+        reporting.write_bytes("a\n", tmp_path / "missing" / "x.csv")
+    # Through the CLI, with the output directory left uncreated: exit 3.
+    monkeypatch.setattr(experiments.os, "makedirs", lambda *args, **kwargs: None)
+    path = _write_cfg(tmp_path, experiment="toy2d")
+    out = tmp_path / "missing" / "out"
+    assert cli.main(["run", "--config", str(path), "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and "Traceback" not in err
 
 
 def test_render_svg_deterministic(tmp_path):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from stepbias import toy2d
-from stepbias.config import TAU
+from stepbias.config import TAU, validate_config
 from stepbias.errors import AlreadyBelowLevelSet, InfeasibleWindow, InvalidRegime, ZeroDenominator
+from stepbias.experiments import run_experiment
 from stepbias.gd import (
     StopStatus, decompose, iterate, level_set_lanes, level_set_search, reconstruct,
 )
@@ -326,6 +327,46 @@ def test_ratio_check_reports_the_ratio_feasible_alpha_accepted(monkeypatch):
         assert toy2d.ratio_check(inst, eta_s, eta_b, alpha, 10**7) == (r_small / r_big, True)
         lengths.append(len(scanned) - 1)  # ratio_check's own call is not the scan's
     assert lengths == [1] * len(TOY2D_GRID) + [76, 301]
+
+
+
+def _run_toy2d(tmp_path, label, **raw):
+    """toy2d_ratio.csv of one toy2d config, run in process."""
+    cfg = validate_config(dict(raw, experiment="toy2d", output_dir=str(tmp_path / label)))
+    run_experiment(cfg)
+    return (tmp_path / label / "toy2d_ratio.csv").read_bytes()
+
+
+def test_a_default_run_searches_each_landing_once(tmp_path, monkeypatch):
+    """One search for the scan's start and one per landing; none again for the ratio."""
+    real = toy2d._first_hit
+    hits = []
+
+    def counting(*args, **kwargs):
+        hits.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(toy2d, "_first_hit", counting)
+    row = _run_toy2d(tmp_path, "default").decode().splitlines()[1].split(",")
+    assert len(hits) == 3
+    hits.clear()
+    _run_toy2d(tmp_path, "alpha", alpha=float(row[5]))
+    assert len(hits) == 2
+
+
+_SCANNING = [{"sigma2": 0.05, "eta_small": eta_s, "eta_big": 1.91} for eta_s in (1.0, 0.2)]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"sigma1": s1, "sigma2": s2, "eta_big": eta_big} for s1, s2, eta_big in TOY2D_GRID]
+    + _SCANNING,
+)
+def test_a_default_run_writes_the_row_of_a_run_at_its_alpha(tmp_path, raw):
+    """The ratio the scan accepted is the one ratio_check reports at the written alpha."""
+    default = _run_toy2d(tmp_path, "default", **raw)
+    alpha = float(default.decode().splitlines()[1].split(",")[5])
+    assert _run_toy2d(tmp_path, "alpha", alpha=alpha, **raw) == default
 
 
 # The AVX-512 features of numpy's runtime dispatch, read as CI reads them.

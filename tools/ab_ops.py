@@ -1,22 +1,24 @@
-"""Time two stepbias source trees on one workload's ops, in one process.
+"""Time two stepbias source trees on workloads' ops, in one process.
 
-    python3 tools/ab_ops.py ROOT_A ROOT_B [--workload NAME] [--seed N] [--rounds R]
+    python3 tools/ab_ops.py ROOT_A ROOT_B [--workload NAME ... | all] [--seed N] [--rounds R]
 
 Each root is a source checkout. Its package, ROOT/src/stepbias, is
 imported under its own name (stepbias_a, stepbias_b); the package imports
-itself relatively, so the two copies load side by side. The ops are the
-steady op list of --workload (default certify_stream) at workload seed N
-(default 1) from this checkout's perfbench/workloads.py; each tree first
-runs the workload's cold op, untimed. BLAS is pinned to one thread before
-numpy loads. A round runs every op on both trees, tree by tree for each
-op, and the tree that runs first alternates from round to round. Each op
-writes into a fresh temporary directory, removed after it is timed. An
-op's time is the process CPU time of its validate_config and
-run_experiment calls, as perfbench times it.
+itself relatively, so the two copies load side by side. --workload names
+one or more workloads of this checkout's perfbench/workloads.py, or all
+for every one (default certify_stream); they are timed one after another.
+A workload's ops are its steady op list at workload seed N (default 1);
+each tree first runs the workload's cold op, untimed. BLAS is pinned to
+one thread before numpy loads. A round runs every op on both trees, tree
+by tree for each op, and the tree that runs first alternates from round
+to round. Each op writes into a fresh temporary directory, removed after
+it is timed. An op's time is the process CPU time of its validate_config
+and run_experiment calls, as perfbench times it.
 
-Prints each tree's median CPU per op over the rounds with its quartiles,
-the ratio B / A of the medians, the rounds each tree was faster in, and
-the ops whose output files hash differently on the two trees. Exits 0.
+Prints one block per workload, blocks apart by a blank line: each tree's
+median CPU per op over the rounds with its quartiles, the ratio B / A of
+the medians, the rounds each tree was faster in, and the ops whose output
+files hash differently on the two trees. Exits 0.
 
 Compare trees only within one run. On a 2-vCPU Xeon VM, creating an
 output directory with three 2 kB files and removing it took 0.07-0.67 ms
@@ -76,25 +78,19 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("root_a")
-    parser.add_argument("root_b")
-    parser.add_argument("--workload", default="certify_stream")
-    parser.add_argument("--seed", type=int, default=1, help="workload seed")
-    parser.add_argument("--rounds", type=int, default=10, help="at least 2")
-    args = parser.parse_args(argv)
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2, for quartiles")
-    for var in BLAS_THREADS:
-        os.environ[var] = "1"
-    cold, ops = load_workloads().build(args.workload, args.seed)
-    trees = [load_tree(args.root_a, "stepbias_a"), load_tree(args.root_b, "stepbias_b")]
+def workload_names(requested, known):
+    """The workloads to time: those requested, in order, or every known one if all is."""
+    return list(known) if "all" in requested else requested
+
+
+def compare(trees, roots, workloads, workload, seed, rounds):
+    """Time both trees on one workload's ops and print its block."""
+    cold, ops = workloads.build(workload, seed)
     for tree in trees:
         run_op(tree, cold)
     per_op = [[], []]  # each tree's mean CPU per op, one entry per round
     moved = set()
-    for r in range(args.rounds):
+    for r in range(rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)
         totals = [0.0, 0.0]
         for i, raw in enumerate(ops):
@@ -107,16 +103,39 @@ def main(argv=None):
         for t in (0, 1):
             per_op[t].append(totals[t] / len(ops))
     wins = [sum(a < b for a, b in zip(per_op[t], per_op[1 - t])) for t in (0, 1)]
-    print(f"{args.workload} seed {args.seed}: {len(ops)} ops x {args.rounds} rounds")
-    for t, (label, root) in enumerate((("A", args.root_a), ("B", args.root_b))):
+    print(f"{workload} seed {seed}: {len(ops)} ops x {rounds} rounds")
+    for t, (label, root) in enumerate(zip("AB", roots)):
         q1, q2, q3 = quartiles(per_op[t])
         print(
             f"{label} {root}: median {q2 * 1e3:.3f} ms/op "
-            f"(quartiles {q1 * 1e3:.3f}-{q3 * 1e3:.3f}), faster in {wins[t]}/{args.rounds} rounds"
+            f"(quartiles {q1 * 1e3:.3f}-{q3 * 1e3:.3f}), faster in {wins[t]}/{rounds} rounds"
         )
     ratio = statistics.median(per_op[1]) / statistics.median(per_op[0])
     print(f"B / A: {ratio:.4f} ({(1.0 / ratio - 1.0) * 100:+.1f} % ops/s)")
     print(f"ops whose output hashes differ: {len(moved)}/{len(ops)}")
+
+
+def main(argv=None):
+    workloads = load_workloads()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root_a")
+    parser.add_argument("root_b")
+    parser.add_argument(
+        "--workload", nargs="+", default=["certify_stream"], choices=[*workloads.WORKLOADS, "all"]
+    )
+    parser.add_argument("--seed", type=int, default=1, help="workload seed")
+    parser.add_argument("--rounds", type=int, default=10, help="at least 2")
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2, for quartiles")
+    for var in BLAS_THREADS:
+        os.environ[var] = "1"
+    roots = (args.root_a, args.root_b)
+    trees = [load_tree(root, name) for root, name in zip(roots, ("stepbias_a", "stepbias_b"))]
+    for k, workload in enumerate(workload_names(args.workload, workloads.WORKLOADS)):
+        if k:
+            print()
+        compare(trees, roots, workloads, workload, args.seed, args.rounds)
     return 0
 
 
