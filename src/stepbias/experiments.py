@@ -36,10 +36,11 @@ from .spectral import condition_numbers, eigvals_sym, unpadded
 T_MAX_SWEEP = 500_000
 # Streams per random_instances block in quadratic_certify, each block
 # generated and certified as one. Memory grows with it (about 10 kB per
-# stream), not with the number of instances. Generation to certificate
-# rows took 244, 179, 150 and 134 us of CPU per instance at 10, 20, 40
-# and 80 streams (2-vCPU Xeon, BLAS on one thread): doubling the memory
-# past 40 saves 11 %.
+# stream), not with the number of instances. random_instances and
+# certify_block took 184, 135, 108 and 91 us of CPU per instance at 10,
+# 20, 40 and 80 streams (2-vCPU Xeon, BLAS on one thread, median of 8
+# in-process rounds of 800 instances): doubling the memory past 40 saves
+# 15 %.
 CERTIFY_BLOCK = 40
 
 

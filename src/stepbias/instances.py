@@ -18,6 +18,7 @@ k's CertifyInstance only when asked.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,9 @@ from .records import RegimeRecord, _window_bounds, _window_refusal, regime_recor
 from .spectral import Spectrum, condition_numbers, live_mask, matvec, padded
 
 MAX_DRAWS = 100
+# Redraws of one spaced spectrum before the generator refuses its n: about
+# 1 s at n = 50 (2-vCPU Xeon), where a draw is spaced with chance ~1e-12.
+MAX_SPACING_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -171,12 +175,21 @@ def _windows(record, alpha):
 
 
 def givens_angles(rng, n):
-    """The n(n-1)/2 rotation angles of one random basis, in one rng.uniform call.
+    """The n(n-1)/2 rotation angles of one random basis, from one rng.random call.
 
-    One call gives the same values and generator state as one call per
-    rotation.
+    Each angle is rng.uniform(0, 2 pi)'s value, 0 + 2 pi u; one call
+    gives the same values and generator state as one call per rotation.
     """
-    return rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2).tolist()
+    return (2.0 * math.pi * rng.random(n * (n - 1) // 2)).tolist()
+
+
+@functools.cache
+def _givens_plan(n, width):
+    """Where an n x n basis's rotations sit among a width x width basis's, in draw order."""
+    return np.array(
+        [p * width - p * (p + 1) // 2 + r - p - 1 for p in range(n - 1) for r in range(p + 1, n)],
+        dtype=np.intp,
+    )
 
 
 def givens_bases(drawn):
@@ -203,25 +216,19 @@ def givens_bases(drawn):
     if not drawn:
         return np.zeros((0, 0, 0))
     size = max(n for n, _ in drawn)
-    # where[n][j] is the position, among the padded rotations, of
-    # rotation j of an n x n basis.
-    where = {}
-    for n, _ in drawn:
-        if n not in where:
-            where[n] = [
-                p * size - p * (p + 1) // 2 + r - p - 1
-                for p in range(n - 1)
-                for r in range(p + 1, n)
-            ]
-    basis_of = [k for k, (n, _) in enumerate(drawn) for _ in where[n]]
-    rotation = [j for n, _ in drawn for j in where[n]]
-    angles = [a for _, angles in drawn for a in angles]
     count = size * (size - 1) // 2
-    cos = np.ones((count, len(drawn)))
-    sin = np.zeros((count, len(drawn)))
-    cos[rotation, basis_of] = [math.cos(a) for a in angles]
-    sin[rotation, basis_of] = [math.sin(a) for a in angles]
-    cos, sin = cos[:, :, None], sin[:, :, None]
+    # cos[j, k] and sin[j, k] are c and s of padded rotation j of basis k,
+    # set for each basis's own rotations at one flat index each.
+    plans = [_givens_plan(n, size) for n, _ in drawn]
+    flat = np.concatenate(plans) * len(drawn) + np.repeat(
+        np.arange(len(drawn)), [len(plan) for plan in plans]
+    )
+    angles = [a for _, angles in drawn for a in angles]
+    cos = np.ones(count * len(drawn))
+    sin = np.zeros(count * len(drawn))
+    cos[flat] = list(map(math.cos, angles))
+    sin[flat] = list(map(math.sin, angles))
+    cos, sin = cos.reshape(count, len(drawn), 1), sin.reshape(count, len(drawn), 1)
     # cols[p, k] is column p of basis k.
     cols = np.zeros((size, len(drawn), size))
     cols[range(size), :, range(size)] = 1.0
@@ -248,23 +255,35 @@ def givens_bases(drawn):
 
 
 def _spaced_descending(rng, count, low, high, min_gap=1e-3):
-    """count draws from [low, high], descending, redrawn until gaps >= min_gap."""
-    while True:
-        vals = np.sort(rng.uniform(low, high, size=count)).tolist()[::-1]
-        if count < 2 or min(a - b for a, b in zip(vals, vals[1:])) >= min_gap:
+    """count draws from [low, high], descending, redrawn until gaps >= min_gap.
+
+    Each draw is rng.uniform(low, high)'s value, low + (high - low) u.
+    Raises ValueError where count - 1 gaps of min_gap do not fit in the
+    window, and InfeasibleWindow after MAX_SPACING_DRAWS draws.
+    """
+    width = high - low
+    if (count - 1) * min_gap >= width:
+        raise ValueError(f"{count} draws cannot lie {min_gap} apart in [{low}, {high}]")
+    for _ in range(MAX_SPACING_DRAWS):
+        vals = sorted([low + width * u for u in rng.random(count).tolist()], reverse=True)
+        if all(a - b >= min_gap for a, b in zip(vals, vals[1:])):
             return vals
+    raise InfeasibleWindow(
+        f"no {count} draws in [{low}, {high}] were {min_gap} apart in {MAX_SPACING_DRAWS} tries"
+    )
 
 
 def _train_eigenvalues(rng, n):
-    sig_n = rng.uniform(0.10, 0.15)
-    sig_n1 = rng.uniform(0.30, 0.40)
-    sig_2 = rng.uniform(0.55, 0.70)
+    u_n, u_n1, u_2 = rng.random(3).tolist()
+    sig_n = 0.10 + (0.15 - 0.10) * u_n
+    sig_n1 = 0.30 + (0.40 - 0.30) * u_n1
+    sig_2 = 0.55 + (0.70 - 0.55) * u_2
     middles = _spaced_descending(rng, n - 4, 0.42, 0.52)
     return np.array([1.0, sig_2, *middles, sig_n1, sig_n])
 
 
 def _test_eigenvalues(rng, n):
-    kappa_R = rng.uniform(1.2, 3.0)
+    kappa_R = 1.2 + (3.0 - 1.2) * rng.random()
     bottom = 1.0 / kappa_R
     interior = _spaced_descending(rng, n - 2, bottom + 0.02, 0.98)
     return np.array([1.0, *interior, bottom])
@@ -275,14 +294,19 @@ def _draw(rng, n):
 
     Returns the train eigenvalues and basis angles, the test eigenvalues
     and basis angles, the train optimum and the initial eigen-coefficients.
+    A spectrum whose spacing cannot be drawn refuses n: ValueError where
+    it cannot fit, InfeasibleWindow where its draws never held it.
     """
-    train_eigenvalues = _train_eigenvalues(rng, n)
-    train_angles = givens_angles(rng, n)
-    test_eigenvalues = _test_eigenvalues(rng, n)
+    try:
+        train_eigenvalues = _train_eigenvalues(rng, n)
+        train_angles = givens_angles(rng, n)
+        test_eigenvalues = _test_eigenvalues(rng, n)
+    except (ValueError, InfeasibleWindow) as exc:
+        raise type(exc)(f"generator refuses n = {n}: {exc}") from None
     test_angles = givens_angles(rng, n)
     opt_train = rng.normal(size=n)
     while True:
-        iota = rng.uniform(-1.0, 1.0, size=n)
+        iota = -1.0 + 2.0 * rng.random(n)
         if abs(iota[0]) >= 1e-3 and abs(iota[-1]) >= 1e-3:
             return (
                 train_eigenvalues, train_angles, test_eigenvalues, test_angles,
@@ -338,7 +362,7 @@ def random_instances(rngs, n=None, model_error_fraction=None):
     else:
         raise InfeasibleWindow(f"no draw in {MAX_DRAWS} gave a level-set target alpha >= 1e-280")
     fractions = np.array([
-        (0.1 if rng.uniform() < 0.5 else 0.0) if model_error_fraction is None
+        (0.1 if rng.random() < 0.5 else 0.0) if model_error_fraction is None
         else model_error_fraction
         for rng in rngs
     ], dtype=float)

@@ -1,9 +1,8 @@
 """Deterministic CSV and SVG emission for experiment outputs."""
 
-import csv
-import io
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
@@ -17,8 +16,10 @@ def _bool_text(value):
 
 
 # The text of each exact builtin type, found by one dict lookup; numpy
-# scalars and subclasses fall through to the isinstance chain.
-_TEXT_BY_TYPE = {float: float.__repr__, int: int.__repr__, str: str, bool: _bool_text}
+# scalars and subclasses fall through to the isinstance chain. The text
+# of a float, int or bool never holds a comma, quote or line break.
+_PLAIN_TEXT = {float: float.__repr__, int: int.__repr__, bool: _bool_text}
+_TEXT_BY_TYPE = {**_PLAIN_TEXT, str: str}
 
 
 def format_value(value):
@@ -49,29 +50,39 @@ def write_bytes(text, path):
     return data
 
 
-def _column_text(values):
-    """The fields of one column: one text function where every value has one exact builtin type."""
-    kinds = set(map(type, values))
-    text = _TEXT_BY_TYPE.get(kinds.pop()) if len(kinds) == 1 else None
-    return map(text or format_value, values)
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _quoted(text):
+    """text as one CSV field: in quotes, each quote doubled, where it holds , " \\r or \\n."""
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(rows, schema, path):
     """Write rows under a header; floats print shortest-round-trip.
 
-    RFC-4180-style quoting, '\\n' line endings, no locale formatting.
-    Every row must match the schema arity. Returns the bytes written.
+    RFC 4180 quoting (_quoted; a row whose one field is empty is written
+    ""), '\\n' line endings, no locale formatting. A column of one exact
+    type among float, int and bool is written with that type's text
+    function, unquoted, any other value by value (format_value). Every
+    row must match the schema arity. Returns the bytes written.
     """
     for i, row in enumerate(rows):
         if len(row) != len(schema):
             raise ValueError(
                 f"row {i} has {len(row)} fields, schema has {len(schema)}"
             )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(schema)
-    writer.writerows(zip(*map(_column_text, zip(*rows))))
-    return write_bytes(buf.getvalue(), path)
+    columns = []
+    for values in zip(*rows):
+        kinds = set(map(type, values))
+        text = _PLAIN_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        columns.append(map(text, values) if text else map(_quoted, map(format_value, values)))
+    lines = [",".join(map(_quoted, schema)), *map(",".join, zip(*columns))]
+    if len(schema) == 1:
+        lines = [line or '""' for line in lines]
+    return write_bytes("\n".join(lines) + "\n", path)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ test_certify_block.py pin each to the program's bits, so changing a
 convention is one edit of its helper and of those pins.
 """
 
+import collections
 import functools
 import math
 import operator
@@ -324,15 +325,56 @@ def step_window(spectrum, iota, eta, alpha, kappa_R, kind):
     return StepWindow(t1=t1, t2=t2, t3=t3)
 
 
-def random_instance_numbers(rng, n, model_error_fraction):
+def spaced_descending(rng, count, low, high, redraws):
+    """count rng.uniform draws from [low, high], descending, redrawn until 1e-3 apart."""
+    while True:
+        vals = np.sort(rng.uniform(low, high, size=count))[::-1]
+        if count < 2 or np.min(vals[:-1] - vals[1:]) >= 1e-3:
+            return vals
+        redraws["spaced"] += 1
+
+
+def drawn_attempt(rng, n, redraws):
+    """One attempt's draws by rng.uniform and rng.normal calls, in the generator's stream order.
+
+    Returns the train eigenvalues and basis angles, the test eigenvalues
+    and basis angles, the train optimum and the initial
+    eigen-coefficients; redraws counts the "spaced" and "iota" redraws.
+    """
+    sig_n = rng.uniform(0.10, 0.15)
+    sig_n1 = rng.uniform(0.30, 0.40)
+    sig_2 = rng.uniform(0.55, 0.70)
+    middles = spaced_descending(rng, n - 4, 0.42, 0.52, redraws)
+    train_vals = np.array([1.0, sig_2, *middles, sig_n1, sig_n])
+    train_angles = rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2)
+    bottom = 1.0 / rng.uniform(1.2, 3.0)
+    interior = spaced_descending(rng, n - 2, bottom + 0.02, 0.98, redraws)
+    test_vals = np.array([1.0, *interior, bottom])
+    test_angles = rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2)
+    opt_train = rng.normal(size=n)
+    iota = rng.uniform(-1.0, 1.0, size=n)
+    while abs(iota[0]) < 1e-3 or abs(iota[-1]) < 1e-3:
+        redraws["iota"] += 1
+        iota = rng.uniform(-1.0, 1.0, size=n)
+    return train_vals, train_angles.tolist(), test_vals, test_angles.tolist(), opt_train, iota
+
+
+def random_instance_numbers(rng, n, model_error_fraction, redraws=None):
     """(alpha, t_max, theta0, test optimum) of random_instance, every number derived per call.
 
-    alpha and the step windows are read at theta0's eigen-coefficients,
-    not at the drawn iota they round from.
+    The draws are drawn_attempt's (n from rng.integers where None), not
+    the generator's. alpha and the step windows are read at theta0's
+    eigen-coefficients, not at the drawn iota they round from. redraws,
+    a collections.Counter where given, counts the "spaced" and "iota"
+    redraws and the "attempts".
     """
+    redraws = collections.Counter() if redraws is None else redraws
+    if n is None:
+        n = int(rng.integers(4, 9))
     for _ in range(instances.MAX_DRAWS):
+        redraws["attempts"] += 1
         train_vals, train_angles, test_vals, test_angles, opt_train, iota = (
-            instances._draw(rng, n)
+            drawn_attempt(rng, n, redraws)
         )
         train_basis, test_basis = instances.givens_bases([(n, train_angles), (n, test_angles)])
         train_spec = Spectrum(train_vals, train_basis)

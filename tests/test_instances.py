@@ -1,7 +1,9 @@
 """Block-built Givens bases and block-generated instances against one-at-a-time oracles."""
 
+import collections
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from stepbias.instances import (
 from stepbias.quadratic import ProblemPair, QuadraticObjective
 from stepbias.spectral import diagonal_spectrum, padded
 
-from reference import objective_loss
+from reference import objective_loss, random_instance_numbers
 
 
 def random_orthogonal(rng, n):
@@ -172,6 +174,18 @@ def test_signed_zeros_survive_the_block_pass():
     assert givens_bases([]).shape == (0, 0, 0)
 
 
+def test_the_givens_plan_is_keyed_on_both_sizes():
+    """Blocks of width 8, 11, then 8 again, sharing n, each get their own width's rotation plan."""
+    instances._givens_plan.cache_clear()
+    rng = stream(0, "givens-plan")
+    for sizes in ([5, 8, 3, 5], [5, 11, 8, 2], [8, 5, 5, 4]):
+        drawn = [(n, givens_angles(rng, n)) for n in sizes]
+        got = givens_bases(drawn)
+        for basis, (n, angles) in zip(got, drawn):
+            _assert_bitwise(basis, padded([row_wise_orthogonal(angles, n)], max(sizes))[0])
+    assert instances._givens_plan.cache_info().hits > 0
+
+
 def _assert_same_instance(got, want):
     assert got.alpha == want.alpha and got.t_max == want.t_max
     assert (got.eta_s, got.eta_b) == (want.eta_s, want.eta_b)
@@ -202,6 +216,39 @@ def test_a_two_value_draw_is_redrawn_until_its_gap_holds():
     assert abs(first[0] - first[1]) < 0.5
     high, low = instances._spaced_descending(np.random.default_rng(3), 2, 0.0, 1.0, 0.5)
     assert high - low >= 0.5
+
+
+# Streams whose draws redraw, found by search and asserted below:
+# redraw-5 a spaced spectrum, redraw-939 and redraw-975 an iota.
+REDRAW_KEYS = [(0, f"redraw-{i}") for i in (0, 5, 939, 1, 975)]
+
+
+def test_a_block_with_redraws_matches_the_draw_reference():
+    """Each stream's columns and next draw are those of the reference's explicit rng.uniform draws."""
+    rngs = [stream(*key) for key in REDRAW_KEYS]
+    block = random_instances(rngs)
+    redraws = collections.Counter()
+    for k, (key, rng) in enumerate(zip(REDRAW_KEYS, rngs)):
+        ref_rng = stream(*key)
+        alpha, t_max, theta0, opt_test = random_instance_numbers(ref_rng, None, None, redraws)
+        inst = block[k]
+        assert inst.alpha == alpha and inst.t_max == t_max
+        assert inst.theta0.tobytes() == theta0.tobytes()
+        assert inst.pair.test.optimum.tobytes() == opt_test.tobytes()
+        assert rng.uniform() == ref_rng.uniform()
+    assert redraws == {"attempts": 5, "spaced": 1, "iota": 2}
+
+
+def test_an_unspaceable_n_is_refused_at_once_and_an_unlikely_one_after_bounded_redraws():
+    """n = 110 cannot space its train spectrum; n = 50 draws its spacing with chance ~1e-12."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="n = 110"):
+        random_instance(stream(0, "spacing"), n=110)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(InfeasibleWindow, match="n = 50"):
+        random_instances([stream(0, "spacing")], n=50)
+    # instances.MAX_SPACING_DRAWS redraws took 0.9 s on a 2-vCPU Xeon.
+    assert time.perf_counter() - start < 5.0
 
 
 def test_block_generation_with_a_retrying_stream(monkeypatch, failing_attempts):
