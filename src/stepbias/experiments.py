@@ -60,8 +60,9 @@ class _Outputs:
     def _add(self, name, data):
         self.files.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
 
-    def csv(self, name, rows, schema):
-        self._add(name, write_csv(rows, schema, os.path.join(self.dir, name)))
+    def csv(self, name, table):
+        """Write a dict of columns, its keys the header."""
+        self._add(name, write_csv(list(table.values()), tuple(table), os.path.join(self.dir, name)))
 
     def svg(self, name, series, axes):
         self._add(name, render_svg(series, axes, os.path.join(self.dir, name)))
@@ -124,31 +125,11 @@ def _run_toy2d(cfg, out):
     else:
         alpha = cfg.alpha
         ratio, passes = toy2d.ratio_check(inst, eta_s, eta_b, alpha, t_max=10**7)
-    out.csv(
-        "toy2d_ratio.csv",
-        [
-            (
-                cfg.sigma1,
-                cfg.sigma2,
-                inst.kappa,
-                eta_s,
-                eta_b,
-                float(alpha),
-                float(ratio),
-                passes,
-            )
-        ],
-        (
-            "sigma1",
-            "sigma2",
-            "kappa",
-            "eta_small",
-            "eta_big",
-            "alpha",
-            "ratio",
-            "passes",
-        ),
-    )
+    out.csv("toy2d_ratio.csv", {
+        "sigma1": [cfg.sigma1], "sigma2": [cfg.sigma2], "kappa": [inst.kappa],
+        "eta_small": [eta_s], "eta_big": [eta_b], "alpha": [float(alpha)],
+        "ratio": [float(ratio)], "passes": [passes],
+    })
     ts = tuple(range(41))
     series = [
         Series(name, ts, tuple([toy2d.excess_loss(inst, eta, t) for t in ts]))
@@ -157,12 +138,7 @@ def _run_toy2d(cfg, out):
     out.svg(
         "toy2d_loss.svg",
         series,
-        AxesSpec(
-            title="Excess train loss on the 2-D toy",
-            xlabel="step",
-            ylabel="log10 excess loss",
-            log_y=True,
-        ),
+        AxesSpec("Excess train loss on the 2-D toy", "step", "log10 excess loss", log_y=True),
     )
 
 
@@ -184,7 +160,7 @@ def _attenuation_series(sig):
 
 
 def _run_quadratic_certify(cfg, out):
-    rows = []
+    table = {"instance": []}
     for first in range(0, cfg.instances, CERTIFY_BLOCK):
         stop = min(first + CERTIFY_BLOCK, cfg.instances)
         block = random_instances(
@@ -196,24 +172,18 @@ def _run_quadratic_certify(cfg, out):
         refusal = next((r for r in refusals if r is not None), None)
         if refusal is not None:
             raise refusal
-        columns = cert.to_record()
-        schema = ("instance", *columns)
-        rows += zip(
-            range(first, stop),
-            *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()),
-        )
-    out.csv("certificates.csv", rows, schema)
+        table["instance"] += range(first, stop)
+        for name, column in cert.to_record().items():
+            table.setdefault(name, []).extend(
+                column.tolist() if isinstance(column, np.ndarray) else column
+            )
+    out.csv("certificates.csv", table)
     out.svg(
         "attenuation.svg",
         _attenuation_series(sig),
         AxesSpec(
-            title="Attenuation coefficients of the first instance",
-            xlabel="step size",
-            ylabel="|1 - eta sigma|",
-            vlines=(
-                2.0 / (float(sig[0]) + float(sig[-1])),
-                2.0 / float(sig[0]),
-            ),
+            "Attenuation coefficients of the first instance", "step size", "|1 - eta sigma|",
+            vlines=(2.0 / (float(sig[0]) + float(sig[-1])), 2.0 / float(sig[0])),
         ),
     )
 
@@ -267,12 +237,12 @@ def _sweep_problem(cfg):
 def _level_runs(sweep, eta_mults, alphas):
     """Theta-space GD from zero to each alpha at each eta_mult / sigma_1, searched at once.
 
-    Returns, in order, each run's (eta, steps, StopStatus, mu) and its
-    sweep metrics (proj_e1, Hilbert norm, accuracy), read from the
-    search's gd.LevelSetLanes: a sweep has one n, so a lane's padded mu
-    is its mu. The first failed run raises, InvalidRegime where its step
-    size overflows to inf or rounds to 0. Every run's alpha_hat is
-    scored in one binary_error call.
+    Returns the sweep's columns, a value per run in order: eta, steps,
+    stop_status and the metrics proj_e1, hilbert_norm and accuracy, read
+    from the search's gd.LevelSetLanes (a sweep has one n, so a lane's
+    padded mu is its mu). The first failed run raises, InvalidRegime
+    where its step size overflows to inf or rounds to 0. Every run's
+    alpha_hat is scored in one binary_error call.
     """
     obj = sweep.obj
     sigma1 = obj.spectrum.top
@@ -295,12 +265,15 @@ def _level_runs(sweep, eta_mults, alphas):
             raise outcome
     alpha_hats = [sweep.alpha_star + kernels.from_eigen_coords(sweep.prob, mu) for mu in lanes.mu]
     errors = kernels.binary_error(sweep.prob, np.array(alpha_hats), sweep.test)
-    return [
-        (eta, steps, status, mu, abs(float(mu[0])), math.hypot(*mu.tolist()), 1.0 - error)
-        for eta, steps, status, mu, error in zip(
-            lanes.eta, lanes.steps.tolist(), lanes.outcome, lanes.mu, errors.tolist()
-        )
-    ]
+    mu = lanes.mu.tolist()
+    return {
+        "eta": lanes.eta,
+        "steps": lanes.steps.tolist(),
+        "stop_status": [status.value for status in lanes.outcome],
+        "proj_e1": [abs(m[0]) for m in mu],
+        "hilbert_norm": [math.hypot(*m) for m in mu],
+        "accuracy": [1.0 - error for error in errors.tolist()],
+    }
 
 
 def _level_target(fraction, excess0):
@@ -324,35 +297,16 @@ def _run_eta_sweep(cfg, out):
     sweep = _sweep_problem(cfg)
     alpha = cfg.alpha if cfg.alpha is not None else _level_target(0.05, sweep.excess0)
     grid = [float(eta_mult) for eta_mult in cfg.eta_grid]
-    rows = [
-        (eta_mult, eta, steps, status.value, proj_e1, hilbert_norm, accuracy)
-        for eta_mult, (eta, steps, status, _, proj_e1, hilbert_norm, accuracy) in zip(
-            grid, _level_runs(sweep, grid, [alpha] * len(grid))
-        )
-    ]
-    schema = (
-        "eta_mult",
-        "eta",
-        "steps",
-        "stop_status",
-        "proj_e1",
-        "hilbert_norm",
-        "accuracy",
-    )
-    out.csv("eta_sweep.csv", rows, schema)
-    xs = tuple(r[0] for r in rows)
+    table = {"eta_mult": grid, **_level_runs(sweep, grid, [alpha] * len(grid))}
+    out.csv("eta_sweep.csv", table)
     out.svg(
         "eta_sweep.svg",
         [
-            Series("|<theta - theta_hat, e_1>|", xs, tuple(r[4] for r in rows)),
-            Series("Hilbert norm", xs, tuple(r[5] for r in rows)),
-            Series("accuracy", xs, tuple(r[6] for r in rows)),
+            Series("|<theta - theta_hat, e_1>|", grid, table["proj_e1"]),
+            Series("Hilbert norm", grid, table["hilbert_norm"]),
+            Series("accuracy", grid, table["accuracy"]),
         ],
-        AxesSpec(
-            title="Level-set estimators across step sizes",
-            xlabel="eta * sigma_1",
-            ylabel="value",
-        ),
+        AxesSpec("Level-set estimators across step sizes", "eta * sigma_1", "value"),
     )
 
 
@@ -367,25 +321,22 @@ def _run_alpha_sweep(cfg, out):
     alphas = [frac * sweep.excess0 for frac in fracs]
     kept = next((k for k, alpha in enumerate(alphas) if not alpha > 0), len(fracs))
     lanes = [alpha for alpha in alphas[:kept] for _ in range(2)]
-    runs = iter(_level_runs(sweep, [eta_s, eta_b] * kept, lanes) if kept else ())
-    rows = []
-    for frac in fracs:
-        alpha = _level_target(frac, sweep.excess0)
-        acc_s, acc_b = next(runs)[-1], next(runs)[-1]
-        rows.append((frac, alpha, acc_s, acc_b))
-    schema = ("alpha_fraction", "alpha", "accuracy_small", "accuracy_big")
-    out.csv("alpha_sweep.csv", rows, schema)
-    xs = tuple(r[0] for r in rows)
+    accuracy = _level_runs(sweep, [eta_s, eta_b] * kept, lanes)["accuracy"] if kept else []
+    table = {
+        "alpha_fraction": fracs,
+        "alpha": [_level_target(frac, sweep.excess0) for frac in fracs],
+        "accuracy_small": accuracy[0::2],
+        "accuracy_big": accuracy[1::2],
+    }
+    out.csv("alpha_sweep.csv", table)
     out.svg(
         "alpha_sweep.svg",
         [
-            Series("small rate", xs, tuple(r[2] for r in rows)),
-            Series("big rate", xs, tuple(r[3] for r in rows)),
+            Series("small rate", fracs, table["accuracy_small"]),
+            Series("big rate", fracs, table["accuracy_big"]),
         ],
         AxesSpec(
-            title="Test accuracy across level-set targets",
-            xlabel="alpha / initial excess loss",
-            ylabel="accuracy",
+            "Test accuracy across level-set targets", "alpha / initial excess loss", "accuracy"
         ),
     )
 
@@ -401,22 +352,19 @@ def _run_scale_sweep(cfg, out):
     sig = np.array(
         [eigvals_sym(kernels.gaussian_kernel_matrix(data.points, s) / data.n) for s in scales]
     )
-    kappa = (condition_numbers(s, [data.n] * len(scales)).tolist() for s in (sig, sig + cfg.lam))
-    rows = list(zip(scales, *kappa))
-    schema = ("scale", "kappa", "kappa_regularized")
-    out.csv("scale_sweep.csv", rows, schema)
-    xs = tuple(r[0] for r in rows)
+    kappa, kappa_regularized = (
+        condition_numbers(s, [data.n] * len(scales)).tolist() for s in (sig, sig + cfg.lam)
+    )
+    table = {"scale": scales, "kappa": kappa, "kappa_regularized": kappa_regularized}
+    out.csv("scale_sweep.csv", table)
     out.svg(
         "scale_sweep.svg",
         [
-            Series("log10 kappa", xs, tuple(r[1] for r in rows)),
-            Series("log10 kappa_regularized", xs, tuple(r[2] for r in rows)),
+            Series("log10 kappa", scales, kappa),
+            Series("log10 kappa_regularized", scales, kappa_regularized),
         ],
         AxesSpec(
-            title="Condition number of K/n across kernel scales",
-            xlabel="scale",
-            ylabel="log10 kappa",
-            log_y=True,
+            "Condition number of K/n across kernel scales", "scale", "log10 kappa", log_y=True
         ),
     )
 
@@ -431,26 +379,13 @@ FIG5_FILTERS = (
 
 
 def _run_filter_profiles(cfg, out):
-    sigmas = np.linspace(0.01, 1.0, 100)
-    rows = []
-    for s in sigmas:
-        rows.append(
-            (float(s), *(residual(f, float(s)) for _, f in FIG5_FILTERS))
-        )
-    schema = ("sigma", *(name for name, _ in FIG5_FILTERS))
-    out.csv("filter_profiles.csv", rows, schema)
-    xs = tuple(r[0] for r in rows)
+    sigmas = np.linspace(0.01, 1.0, 100).tolist()
+    table = {"sigma": sigmas, **{name: [residual(f, s) for s in sigmas] for name, f in FIG5_FILTERS}}
+    out.csv("filter_profiles.csv", table)
     out.svg(
         "filter_profiles.svg",
-        [
-            Series(name, xs, tuple(r[i + 1] for r in rows))
-            for i, (name, _) in enumerate(FIG5_FILTERS)
-        ],
-        AxesSpec(
-            title="Residual of spectral filters",
-            xlabel="sigma",
-            ylabel="residual",
-        ),
+        [Series(name, sigmas, table[name]) for name, _ in FIG5_FILTERS],
+        AxesSpec("Residual of spectral filters", "sigma", "residual"),
     )
 
 

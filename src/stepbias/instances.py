@@ -258,11 +258,12 @@ def _spaced_descending(rng, count, low, high, min_gap=1e-3):
     """count draws from [low, high], descending, redrawn until gaps >= min_gap.
 
     Each draw is rng.uniform(low, high)'s value, low + (high - low) u.
-    Raises ValueError where count - 1 gaps of min_gap do not fit in the
-    window, and InfeasibleWindow after MAX_SPACING_DRAWS draws.
+    Raises ValueError where count - 1 gaps of min_gap stacked on low
+    reach high (high - low can round up past them), and InfeasibleWindow
+    after MAX_SPACING_DRAWS draws.
     """
     width = high - low
-    if (count - 1) * min_gap >= width:
+    if low + (count - 1) * min_gap >= high:
         raise ValueError(f"{count} draws cannot lie {min_gap} apart in [{low}, {high}]")
     for _ in range(MAX_SPACING_DRAWS):
         vals = sorted([low + width * u for u in rng.random(count).tolist()], reverse=True)

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
@@ -60,26 +61,30 @@ def _quoted(text):
     return text
 
 
-def write_csv(rows, schema, path):
-    """Write rows under a header; floats print shortest-round-trip.
+def write_csv(columns, schema, path):
+    """Write columns under a header, column k named schema[k]; floats print shortest-round-trip.
 
     RFC 4180 quoting (_quoted; a row whose one field is empty is written
     ""), '\\n' line endings, no locale formatting. A column of one exact
     type among float, int and bool is written with that type's text
-    function, unquoted, any other value by value (format_value). Every
-    row must match the schema arity. Returns the bytes written.
+    function, unquoted, any other value by value (format_value). There
+    must be one column per schema name, each as long as the first.
+    Returns the bytes written.
     """
-    for i, row in enumerate(rows):
-        if len(row) != len(schema):
+    if len(columns) != len(schema):
+        raise ValueError(f"{len(columns)} columns, schema has {len(schema)}")
+    for name, values in zip(schema, columns):
+        if len(values) != len(columns[0]):
             raise ValueError(
-                f"row {i} has {len(row)} fields, schema has {len(schema)}"
+                f"column {name!r} has {len(values)} values, "
+                f"column {schema[0]!r} has {len(columns[0])}"
             )
-    columns = []
-    for values in zip(*rows):
+    texts = []
+    for values in columns:
         kinds = set(map(type, values))
         text = _PLAIN_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        columns.append(map(text, values) if text else map(_quoted, map(format_value, values)))
-    lines = [",".join(map(_quoted, schema)), *map(",".join, zip(*columns))]
+        texts.append(map(text, values) if text else map(_quoted, map(format_value, values)))
+    lines = [",".join(map(_quoted, schema)), *map(",".join, zip(*texts))]
     if len(schema) == 1:
         lines = [line or '""' for line in lines]
     return write_bytes("\n".join(lines) + "\n", path)
@@ -87,9 +92,11 @@ def write_csv(rows, schema, path):
 
 @dataclass(frozen=True)
 class Series:
+    """One polyline of a figure: its x and y values, often two columns of a table."""
+
     name: str
-    xs: tuple
-    ys: tuple
+    xs: Sequence
+    ys: Sequence
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,16 @@ def test_an_unspaceable_n_is_refused_at_once_and_an_unlikely_one_after_bounded_r
     assert time.perf_counter() - start < 5.0
 
 
+def test_n_105_is_refused_at_once_though_its_window_width_rounds_up():
+    """100 gaps of 1e-3 fill [0.42, 0.52] exactly; 0.52 - 0.42 rounds above 0.1, 0.42 + 0.1 does not."""
+    assert 100 * 1e-3 < 0.52 - 0.42 and 0.42 + 100 * 1e-3 >= 0.52
+    for n in (105, 106):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^generator refuses n = {n}: {n - 4} draws cannot"):
+            random_instances([stream(0, "spacing")], n=n)
+        assert time.perf_counter() - start < 0.1
+
+
 def test_block_generation_with_a_retrying_stream(monkeypatch, failing_attempts):
     """Refused streams redraw in block rounds: block and one at a time agree.
 

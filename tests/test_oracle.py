@@ -293,13 +293,23 @@ def test_sweep_hilbert_norms_agree_with_50_digit_evaluation(lam, tmp_path):
     cfg = validate_config(raw)
     run_experiment(cfg)
     with open(tmp_path / "eta_sweep.csv") as fh:
-        norms = [float(line.split(",")[5]) for line in fh.readlines()[1:]]
+        rows = [line.split(",") for line in fh.readlines()[1:]]
+    norms = [float(row[5]) for row in rows]
+    # mu of each run from the level_set_lanes search that _level_runs makes.
     sweep = experiments._sweep_problem(cfg)
+    obj = sweep.obj
     grid = [float(e) for e in cfg.eta_grid]
     alpha = experiments._level_target(0.05, sweep.excess0)
-    rows = experiments._level_runs(sweep, grid, [alpha] * len(grid))
-    assert len(norms) == len(rows) == len(grid)
-    for got, (_, _, _, mu, *_) in zip(norms, rows):
+    lanes = gd.level_set_lanes(
+        np.tile(obj.spectrum.eigenvalues, (len(grid), 1)),
+        np.tile(gd.decompose(obj, np.zeros(obj.n)), (len(grid), 1)),
+        [e / obj.spectrum.top for e in grid], [alpha] * len(grid),
+        [experiments.T_MAX_SWEEP] * len(grid),
+    )
+    assert all(outcome is StopStatus.HIT_LEVEL_SET for outcome in lanes.outcome)
+    assert [int(row[2]) for row in rows] == lanes.steps.tolist()
+    assert len(norms) == len(lanes.mu) == len(grid)
+    for got, mu in zip(norms, lanes.mu):
         with mpmath.workdps(50):
             want = mpmath.sqrt(mpmath.fsum(mpmath.mpf(m) ** 2 for m in mu.tolist()))
             assert math.isfinite(got)

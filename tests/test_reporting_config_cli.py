@@ -90,7 +90,7 @@ def test_csv_roundtrip_exact(tmp_path):
         for i in range(50)
     ]
     path = tmp_path / "t.csv"
-    write_csv(rows, ("value", "index", "name"), path)
+    write_csv(list(zip(*rows)), ("value", "index", "name"), path)
     schema, back = read_csv(path)
     assert schema == ["value", "index", "name"]
     for row, got in zip(rows, back):
@@ -102,17 +102,16 @@ def test_csv_roundtrip_exact(tmp_path):
 
 def test_csv_arity_and_io_errors(tmp_path):
     with pytest.raises(ValueError):
-        write_csv([(1, 2)], ("a",), tmp_path / "x.csv")
+        write_csv([[1], [2]], ("a",), tmp_path / "x.csv")
     with pytest.raises(IoError):
-        write_csv([], ("a",), tmp_path / "missing" / "x.csv")
+        write_csv([[]], ("a",), tmp_path / "missing" / "x.csv")
 
 
 def test_write_csv_formats_a_mixed_column_value_by_value(tmp_path):
     """A column of one exact builtin type and a mixed one read as format_value reads each value."""
     mixed = [1.5, np.float64(0.1), True, np.bool_(False), None, "a,b", 3, np.float32(0.25)]
-    rows = [(value, float(i)) for i, value in enumerate(mixed)]
     path = tmp_path / "mixed.csv"
-    got = write_csv(rows, ("mixed", "float"), path)
+    got = write_csv([mixed, [float(i) for i in range(len(mixed))]], ("mixed", "float"), path)
     want = "mixed,float\n" + "".join(
         f"{format_value(value)},{float(i)!r}\n" for i, value in enumerate(mixed)
     ).replace("a,b", '"a,b"')
@@ -121,17 +120,21 @@ def test_write_csv_formats_a_mixed_column_value_by_value(tmp_path):
 
 
 def test_write_csv_of_no_rows_writes_the_header(tmp_path):
-    assert write_csv([], ("a", "b"), tmp_path / "empty.csv") == b"a,b\n"
+    assert write_csv([[], []], ("a", "b"), tmp_path / "empty.csv") == b"a,b\n"
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
 
-def test_write_csv_refuses_a_ragged_row_before_writing(tmp_path):
-    """zip would cut a long row to the others' length; the arity check names it first."""
-    path = tmp_path / "ragged.csv"
-    with pytest.raises(ValueError, match="^row 1 has 3 fields, schema has 2$"):
-        write_csv([(1.0, 2.0), (1.0, 2.0, 3.0)], ("a", "b"), path)
-    with pytest.raises(ValueError, match="^row 0 has 1 fields, schema has 2$"):
-        write_csv([(1.0,), (1.0, 2.0)], ("a", "b"), path)
+def test_write_csv_refuses_a_short_column_before_writing(tmp_path):
+    """zip would cut every column to the shortest; the length and count checks name it first."""
+    path = tmp_path / "short.csv"
+    with pytest.raises(ValueError, match="^column 'b' has 1 values, column 'a' has 2$"):
+        write_csv([[1.0, 2.0], [1.0]], ("a", "b"), path)
+    with pytest.raises(ValueError, match="^column 'b' has 3 values, column 'a' has 2$"):
+        write_csv([[1.0, 2.0], [1.0, 2.0, 3.0]], ("a", "b"), path)
+    with pytest.raises(ValueError, match="^1 columns, schema has 2$"):
+        write_csv([[1.0, 2.0]], ("a", "b"), path)
+    with pytest.raises(ValueError, match="^3 columns, schema has 2$"):
+        write_csv([[1.0], [2.0], [3.0]], ("a", "b"), path)
     assert not path.exists()
 
 
@@ -760,7 +763,7 @@ def test_write_csv_matches_a_csv_writer_on_the_file(tmp_path):
     rows += [("",), ("only",)]
     for k, group in enumerate((rows[:-2], rows[-2:])):
         schema = ("a", "b", "c", "d")[: len(group[0])]
-        got = write_csv(group, schema, tmp_path / f"got{k}.csv")
+        got = write_csv(list(zip(*group)), schema, tmp_path / f"got{k}.csv")
         assert got == _csv_writer_bytes(group, schema) == (tmp_path / f"got{k}.csv").read_bytes()
 
 
@@ -782,11 +785,14 @@ _COLUMN_VALUES = st.sampled_from([
 
 @st.composite
 def _csv_tables(draw):
-    """(schema, rows): 1-4 columns, each of text, float, int, bool or mixed values."""
-    columns = draw(st.lists(_COLUMN_VALUES, min_size=1, max_size=4))
-    schema = tuple(draw(_TEXT) for _ in columns)
-    rows = draw(st.lists(st.tuples(*columns), max_size=5))
-    return schema, rows
+    """(schema, columns): 1-4 columns of 0-5 text, float, int, bool or mixed values.
+
+    Header names are any text: empty, repeated or holding quotes.
+    """
+    kinds = draw(st.lists(_COLUMN_VALUES, min_size=1, max_size=4))
+    schema = tuple(draw(_TEXT) for _ in kinds)
+    size = draw(st.integers(0, 5))
+    return schema, [draw(st.lists(kind, min_size=size, max_size=size)) for kind in kinds]
 
 
 @settings(
@@ -795,17 +801,18 @@ def _csv_tables(draw):
 @given(table=_csv_tables())
 def test_write_csv_writes_the_bytes_of_a_csv_writer(table, tmp_path):
     """Without '\\r', write_csv's quoting is csv.writer's, header and one-field rows included."""
-    schema, rows = table
-    assert write_csv(rows, schema, tmp_path / "t.csv") == _csv_writer_bytes(rows, schema)
+    schema, columns = table
+    want = _csv_writer_bytes(list(zip(*columns)), schema)
+    assert write_csv(columns, schema, tmp_path / "t.csv") == want
 
 
 def test_write_csv_quotes_carriage_returns_and_lone_empty_fields(tmp_path):
     """'\\r' is quoted on every Python (csv.writer only from 3.13), and so is a lone empty field."""
     path = tmp_path / "t.csv"
-    assert write_csv([("cr\rhere", 1.0)], ("a", "b"), path) == b'a,b\n"cr\rhere",1.0\n'
-    assert write_csv([("",), ("x",), ("",)], ("a",), path) == b'a\n""\nx\n""\n'
-    assert write_csv([("",)], ("",), path) == b'""\n""\n'
-    assert write_csv([("", "")], ("a,b", 'q"'), path) == b'"a,b","q"""\n,\n'
+    assert write_csv([["cr\rhere"], [1.0]], ("a", "b"), path) == b'a,b\n"cr\rhere",1.0\n'
+    assert write_csv([["", "x", ""]], ("a",), path) == b'a\n""\nx\n""\n'
+    assert write_csv([[""]], ("",), path) == b'""\n""\n'
+    assert write_csv([[""], [""]], ("a,b", 'q"'), path) == b'"a,b","q"""\n,\n'
     assert path.read_bytes() == b'"a,b","q"""\n,\n'
 
 
@@ -824,6 +831,47 @@ def test_manifest_hashes_the_files_on_disk(experiment, tmp_path):
     on_disk = (out_dir / "manifest.json").read_bytes()
     assert on_disk == (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
     assert json.loads(on_disk) == manifest
+
+
+# Each experiment's figure: the column of its table every series takes
+# as xs, and the column each series in turn takes as ys.
+FIGURE_COLUMNS = {
+    "eta_sweep": ("eta_mult", ["proj_e1", "hilbert_norm", "accuracy"]),
+    "alpha_sweep": ("alpha_fraction", ["accuracy_small", "accuracy_big"]),
+    "scale_sweep": ("scale", ["kappa", "kappa_regularized"]),
+    "filter_profiles": ("sigma", [name for name, _ in experiments.FIG5_FILTERS]),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(FIGURE_COLUMNS))
+def test_each_figure_draws_columns_of_the_table_written_beside_it(
+    experiment, tmp_path, monkeypatch
+):
+    calls = []
+
+    def recording(real):
+        def record(data, spec, path):
+            calls.append((data, spec))
+            return real(data, spec, path)
+        return record
+
+    monkeypatch.setattr(experiments, "write_csv", recording(reporting.write_csv))
+    monkeypatch.setattr(experiments, "render_svg", recording(reporting.render_svg))
+    raw = {"experiment": experiment, "output_dir": str(tmp_path)}
+    if experiment == "eta_sweep":
+        raw["n"] = 20
+    experiments.run_experiment(validate_config(raw))
+    (columns, schema), (series, _) = calls
+    table = dict(zip(schema, columns))
+    assert len(table) == len(schema)
+    file_schema, rows = read_csv(tmp_path / f"{experiment}.csv")
+    assert file_schema == list(schema)
+    # The file holds the captured columns, each field read back as the value written.
+    assert [list(column) for column in zip(*rows)] == [list(column) for column in columns]
+    x, ys = FIGURE_COLUMNS[experiment]
+    assert len(series) == len(ys)
+    for s, y in zip(series, ys):
+        assert list(s.xs) == list(table[x]) and list(s.ys) == list(table[y])
 
 
 @pytest.mark.parametrize("experiment", sorted(experiments._RUNNERS))

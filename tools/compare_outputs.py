@@ -4,9 +4,10 @@
 
 Each root is a source checkout; its package is imported from ROOT/src in a
 child process with BLAS pinned to one thread. Both run the same configs:
-by default the default config of every experiment, the cold op and
-every distinct op of the three benchmark workloads (perfbench/workloads.py
-of this checkout) at workload seed N (default 1), and quadratic_certify
+by default the default config of every experiment (config.EXPERIMENTS of
+this checkout), the cold op and every distinct op of each benchmark
+workload (WORKLOADS in perfbench/workloads.py of this checkout) at
+workload seed N (default 1), and quadratic_certify
 at the edges of its instance blocks (B - 1, B, B + 1 and 2B + 3
 instances for the CERTIFY_BLOCK B of this checkout) at config seeds N
 and N + 1, the sweeps of LEVEL_SET_EDGES (level-set runs at rates past
@@ -45,15 +46,6 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 HERE = Path(__file__).resolve().parents[1]
-EXPERIMENTS = (
-    "toy2d",
-    "quadratic_certify",
-    "eta_sweep",
-    "alpha_sweep",
-    "scale_sweep",
-    "filter_profiles",
-)
-WORKLOADS = ("certify_stream", "toy2d_grid", "kernel_sweeps")
 # Kernel sweeps at rates past 2/sigma_1, at n = 20 and the default n, and
 # two that a tree refuses: a target above the initial loss, and a target
 # fraction that underflows after one that does not. Then sweeps at lam
@@ -135,8 +127,8 @@ def default_configs(seed):
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    configs = [[f"default-{e}", {"experiment": e}] for e in EXPERIMENTS]
-    for name in WORKLOADS:
+    configs = [[f"default-{e}", {"experiment": e}] for e in constant("config.py", "EXPERIMENTS")]
+    for name in workloads.WORKLOADS:
         cold, ops = workloads.build(name, seed)
         seen = set()
         for raw in [cold, *ops]:
@@ -144,7 +136,7 @@ def default_configs(seed):
             if key not in seen:
                 seen.add(key)
                 configs.append([f"{name}-{len(seen) - 1:03d}-{raw['experiment']}", raw])
-    block = certify_block()
+    block = constant("experiments.py", "CERTIFY_BLOCK")
     for config_seed in (seed, seed + 1):
         for count in (block - 1, block, block + 1, 2 * block + 3):
             raw = {"experiment": "quadratic_certify", "instances": count, "seed": config_seed}
@@ -156,15 +148,15 @@ def default_configs(seed):
     return configs
 
 
-def certify_block():
-    """experiments.CERTIFY_BLOCK of this checkout, read without importing it."""
-    tree = ast.parse((HERE / "src" / "stepbias" / "experiments.py").read_text())
+def constant(module, name):
+    """The literal constant name of src/stepbias/module in this checkout, read without importing it."""
+    tree = ast.parse((HERE / "src" / "stepbias" / module).read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            getattr(target, "id", None) == "CERTIFY_BLOCK" for target in node.targets
+            getattr(target, "id", None) == name for target in node.targets
         ):
             return ast.literal_eval(node.value)
-    sys.exit("src/stepbias/experiments.py defines no CERTIFY_BLOCK")
+    sys.exit(f"src/stepbias/{module} defines no {name}")
 
 
 def run_tree(root, configs, base):
