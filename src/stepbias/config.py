@@ -115,7 +115,7 @@ def validate_config(raw):
     if grid_name is not None:
         grid = getattr(cfg, grid_name)
         if not grid:
-            raise ValidationError(grid_name)
+            raise ValidationError(f"{grid_name} must not be empty")
         if not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
             for v in grid

@@ -8,16 +8,15 @@ orthogonal bases composed from Givens rotations, and a model error
 either zero or scaled to a small fraction of its allowed cap.
 
 Instances are generated in blocks (random_instances, one stream each):
-each round of draws builds its bases in one vectorized Givens pass and
-its starts theta0 in one padded product, and is recorded by one
-regime_records pass at theta0's eigen-coefficients. A block is a
-CertifyBlock: the spectral.padded columns regimes.certify_block reads,
-with the start coefficients, the regime record and the step windows at
-alpha that the certificate reads, from which block[k] builds instance
-k's CertifyInstance only when asked.
+each round of draws builds its bases in one vectorized Givens pass, in
+the spectral.padded layout, its starts theta0 in one padded product and
+its record in one regime_records pass at theta0's eigen-coefficients. A
+block is a CertifyBlock: the spectral.padded columns
+regimes.certify_block reads, with the model errors, start coefficients,
+regime record and step windows at alpha the certificate reads; block[k]
+builds instance k's CertifyInstance only when asked.
 """
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -33,6 +32,8 @@ MAX_DRAWS = 100
 # Redraws of one spaced spectrum before the generator refuses its n: about
 # 1 s at n = 50 (2-vCPU Xeon), where a draw is spaced with chance ~1e-12.
 MAX_SPACING_DRAWS = 100_000
+# The least gap between the spaced eigenvalues of a drawn spectrum.
+MIN_SPACING = 1e-3
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,15 @@ class CertifyBlock:
     Instance k has dimension n[k]; eigenvalues[k], bases[k], optima[k]
     and degenerate[k] hold its train (index 0) and test (1) eigenvalues,
     eigenbases, optima and spectral degeneracy flags; theta0[k] its
-    start; eta_s, eta_b, alpha and t_max its rates, level-set target and
+    start; eta_s, eta_b, r_opt, alpha and t_max its rates, model error
+    R(theta_hat) (its train optimum's test loss), level-set target and
     step cap. iota[k] is its start's train eigen-coefficients, record
-    the block's records.RegimeRecord at those starts (r_opt the test
-    loss of each train optimum), and windows[:, :, k] the [t2, t3]
-    bounds of its Small and Big step windows at alpha (NaN where
-    records._window_refusal refuses them): the one record the assumption
-    checks and the certificate read. block[k] is instance k as a
-    CertifyInstance, built when read, and CertifyBlock.of stacks a list
-    of them.
+    the block's records.RegimeRecord at those starts, and
+    windows[:, :, k] the [t2, t3] bounds of its Small and Big step
+    windows at alpha (NaN where records._window_refusal refuses them):
+    the one record the assumption checks and the certificate read.
+    block[k] is instance k as a CertifyInstance, built when read, and
+    CertifyBlock.of stacks a list of them.
     """
 
     n: np.ndarray
@@ -71,6 +72,7 @@ class CertifyBlock:
     theta0: np.ndarray
     eta_s: np.ndarray
     eta_b: np.ndarray
+    r_opt: np.ndarray
     alpha: np.ndarray
     t_max: np.ndarray
     iota: np.ndarray
@@ -137,19 +139,19 @@ class CertifyBlock:
             for name in ("eta_s", "eta_b", "alpha")
         )
         train_sig, test_sig = eigenvalues.swapaxes(0, 1)
-        r_opt = _model_errors(test_sig, bases[:, 1], optima)
-        record = _record(n, train_sig, test_sig, eta_s, eta_b, start, r_opt)
+        record = _record(n, train_sig, test_sig, eta_s, eta_b, start)
         return cls(
             n, eigenvalues, bases, optima,
             np.array([s.degenerate for s in spectra], dtype=bool).reshape(size, 2), theta0,
-            eta_s, eta_b, alpha, np.array([inst.t_max for inst in instances], dtype=int), start,
-            record, _windows(record, alpha),
+            eta_s, eta_b, _model_errors(test_sig, bases[:, 1], optima), alpha,
+            np.array([inst.t_max for inst in instances], dtype=int), start, record,
+            _windows(record, alpha),
         )
 
 
-def _record(n, train_sig, test_sig, eta_s, eta_b, iota, r_opt):
+def _record(n, train_sig, test_sig, eta_s, eta_b, iota):
     """regime_records of a block at the starts iota, kappa_R each test spectrum's."""
-    return regime_records(n, train_sig, condition_numbers(test_sig, n), eta_s, eta_b, iota, r_opt)
+    return regime_records(n, train_sig, condition_numbers(test_sig, n), eta_s, eta_b, iota)
 
 
 def _model_errors(test_sig, test_bases, optima):
@@ -185,11 +187,18 @@ def givens_angles(rng, n):
 
 @functools.cache
 def _givens_plan(n, width):
-    """Where an n x n basis's rotations sit among a width x width basis's, in draw order."""
-    return np.array(
-        [p * width - p * (p + 1) // 2 + r - p - 1 for p in range(n - 1) for r in range(p + 1, n)],
-        dtype=np.intp,
-    )
+    """Where an n x n basis's rotations sit among a width x width basis's, and its identity sines.
+
+    Basis entry j < n - 1 sits at position j, entry n - 1 at width - 1
+    (spectral.padded's layout). The sines are +0.0 but -0.0 where a
+    padding position rotates with position width - 1 (see givens_bases).
+    """
+    number = np.zeros((width, width), dtype=np.intp)  # [p, r]: rotation (p, r)'s draw index
+    number[np.triu_indices(width, 1)] = range(width * (width - 1) // 2)
+    at = [*range(n - 1), width - 1]
+    sines = np.zeros(width * (width - 1) // 2)
+    sines[number[n - 1 : width - 1, -1]] = -0.0
+    return number[np.ix_(at, at)][np.triu_indices(n, 1)], sines
 
 
 def givens_bases(drawn):
@@ -201,34 +210,31 @@ def givens_bases(drawn):
 
         col_r <- s col_p + c col_r,    col_p <- c col_p - s col_r (old).
 
-    The pass applies each rotation to every basis at once, each padded to
-    the block's largest n with identity rotations (c = 1, s = 0). Those
-    leave a basis's own entries bitwise as they were: col_p becomes
-    col_p - 0 * col_r, and col_r of a padding column is +0 on the basis's
-    rows. Numpy's elementwise products and sums are the IEEE operations
-    of the same loop on floats, so each basis has the bits, zero signs
-    included, of its own rotation loop. c and s come from math, one angle
-    at a time, not from numpy's vectorized transcendentals, whose results
-    may differ in the last bit. Returns the bases as one C-contiguous
-    (len(drawn), width, width) stack in spectral.padded's layout, width
-    the largest n, gathered from the pass's own array.
+    The pass applies each rotation to every basis at once, in the
+    spectral.padded layout of the block's largest n, width, each basis
+    padded with identity rotations (c = 1, s = 0). Those leave a basis's
+    own entries bitwise as they were: a padding column stays +0 on the
+    basis's rows, so col_p becomes col_p - 0 * col_pad, and where a
+    padding column would add +0 to the last one (-0.0 + 0.0 is +0.0), s
+    is -0.0. Numpy's elementwise products and sums are the IEEE
+    operations of the same loop on floats, so each basis has the bits,
+    zero signs included, of its own rotation loop. c and s come from
+    math, one angle at a time, not from numpy's vectorized
+    transcendentals, whose results may differ in the last bit. One
+    np.where writes +0.0 over each basis's padding rows and columns.
+    Returns the bases as one C-contiguous (len(drawn), width, width) stack.
     """
     if not drawn:
         return np.zeros((0, 0, 0))
     size = max(n for n, _ in drawn)
-    count = size * (size - 1) // 2
-    # cos[j, k] and sin[j, k] are c and s of padded rotation j of basis k,
-    # set for each basis's own rotations at one flat index each.
-    plans = [_givens_plan(n, size) for n, _ in drawn]
-    flat = np.concatenate(plans) * len(drawn) + np.repeat(
-        np.arange(len(drawn)), [len(plan) for plan in plans]
-    )
+    # cos[j, k] and sin[j, k] are c and s of padded rotation j of basis k.
+    own, sines = zip(*(_givens_plan(n, size) for n, _ in drawn))
+    basis, own = np.repeat(np.arange(len(drawn)), list(map(len, own))), np.concatenate(own)
     angles = [a for _, angles in drawn for a in angles]
-    cos = np.ones(count * len(drawn))
-    sin = np.zeros(count * len(drawn))
-    cos[flat] = list(map(math.cos, angles))
-    sin[flat] = list(map(math.sin, angles))
-    cos, sin = cos.reshape(count, len(drawn), 1), sin.reshape(count, len(drawn), 1)
+    sin = np.array(sines).T[..., None]
+    cos = np.ones_like(sin)
+    cos[own, basis, 0] = list(map(math.cos, angles))
+    sin[own, basis, 0] = list(map(math.sin, angles))
     # cols[p, k] is column p of basis k.
     cols = np.zeros((size, len(drawn), size))
     cols[range(size), :, range(size)] = 1.0
@@ -244,33 +250,27 @@ def givens_bases(drawn):
             col_p *= c
             col_p -= s_col_r
             j += 1
-    # Basis k's entries, row by row, fill its live positions of the layout in order.
-    n = np.array([m for m, _ in drawn])
-    inside, live = np.arange(size) < n[:, None], live_mask(n, size)
-    bases = np.zeros((len(drawn), size, size))
-    bases[live[:, :, None] & live[:, None, :]] = cols.transpose(1, 2, 0)[
-        inside[:, :, None] & inside[:, None, :]
-    ]
-    return bases
+    live = live_mask([n for n, _ in drawn], size)
+    return np.where(live[:, :, None] & live[:, None, :], cols.transpose(1, 2, 0), 0.0)
 
 
-def _spaced_descending(rng, count, low, high, min_gap=1e-3):
-    """count draws from [low, high], descending, redrawn until gaps >= min_gap.
+def _spaced_descending(rng, count, low, high):
+    """count draws from [low, high], descending, redrawn until gaps >= MIN_SPACING.
 
     Each draw is rng.uniform(low, high)'s value, low + (high - low) u.
-    Raises ValueError where count - 1 gaps of min_gap stacked on low
+    Raises ValueError where count - 1 gaps of MIN_SPACING stacked on low
     reach high (high - low can round up past them), and InfeasibleWindow
     after MAX_SPACING_DRAWS draws.
     """
     width = high - low
-    if low + (count - 1) * min_gap >= high:
-        raise ValueError(f"{count} draws cannot lie {min_gap} apart in [{low}, {high}]")
+    if low + (count - 1) * MIN_SPACING >= high:
+        raise ValueError(f"{count} draws cannot lie {MIN_SPACING} apart in [{low}, {high}]")
     for _ in range(MAX_SPACING_DRAWS):
         vals = sorted([low + width * u for u in rng.random(count).tolist()], reverse=True)
-        if all(a - b >= min_gap for a, b in zip(vals, vals[1:])):
+        if all(a - b >= MIN_SPACING for a, b in zip(vals, vals[1:])):
             return vals
     raise InfeasibleWindow(
-        f"no {count} draws in [{low}, {high}] were {min_gap} apart in {MAX_SPACING_DRAWS} tries"
+        f"no {count} draws in [{low}, {high}] were {MIN_SPACING} apart in {MAX_SPACING_DRAWS} tries"
     )
 
 
@@ -332,10 +332,10 @@ def random_instances(rngs, n=None, model_error_fraction=None):
     unbalanced (alpha < 1e-280) draws its next attempt from its own
     stream and the round is built again, until every target is accepted,
     or raises InfeasibleWindow after MAX_DRAWS attempts of one stream.
-    Then every stream draws its model error, from one padded product, and
-    the record gets each R(theta_hat). The last round's stacks, record
-    and step windows at alpha are the block's columns; no instance is
-    built.
+    Then every stream draws its model error, from one padded product,
+    which gives each R(theta_hat). The last round's stacks and record,
+    the model errors and the step windows at alpha are the block's
+    columns; no instance is built.
     """
     if n is not None and n < 4:
         raise ValueError("generator needs n >= 4")
@@ -355,7 +355,7 @@ def random_instances(rngs, n=None, model_error_fraction=None):
         theta0 = opt_train + matvec(bases[:, 0], iota)
         start = coefficients(bases[:, 0], theta0, opt_train)
         eta_s, eta_b = 1.0 / (train_sig[:, 0] + train_sig[:, -1]), 1.9 / train_sig[:, 0]
-        record = _record(sizes, train_sig, test_sig, eta_s, eta_b, start, np.full(size, math.nan))
+        record = _record(sizes, train_sig, test_sig, eta_s, eta_b, start)
         alpha = 0.5 * np.minimum(record.alpha_1, record.alpha_1_split)
         refused = np.flatnonzero(~(alpha >= 1e-280)).tolist()
         if not refused:
@@ -377,11 +377,11 @@ def random_instances(rngs, n=None, model_error_fraction=None):
         shift = np.sqrt(fractions * record.model_error_cap * alpha / quads)[:, None] * directions
     opt_test = np.where(fractions[:, None] > 0, opt_train + shift, opt_train)
     optima = np.stack([opt_train, opt_test], axis=1)
-    record = dataclasses.replace(record, r_opt=_model_errors(test_sig, bases[:, 1], optima))
     windows = _windows(record, alpha)
     return CertifyBlock(
         np.array(sizes), np.stack([train_sig, test_sig], axis=1), bases, optima,
-        np.zeros((size, 2), dtype=bool), theta0, record.eta_s, record.eta_b, alpha,
+        np.zeros((size, 2), dtype=bool), theta0, eta_s, eta_b,
+        _model_errors(test_sig, bases[:, 1], optima), alpha,
         (10 + 4 * np.maximum(*windows[1])).astype(int), start, record, windows,
     )
 

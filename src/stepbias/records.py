@@ -4,7 +4,8 @@ The rate kinds partition eta at 2/(sigma_1+sigma_n) and 2/sigma_1. A
 block of instances is computed at once, a row per instance:
 regime_records derives kappa_F, kappa_R, the thresholds, the rate kinds,
 the attenuations |1 - eta sigma|, the log gaps, both readings of the
-level-set ceiling alpha_1 and each t1 into a RegimeRecord of columns.
+level-set ceiling alpha_1 and each t1 into a RegimeRecord of columns,
+and nothing else: the rates and R(theta_hat) are CertifyBlock columns.
 Rows never mix: they are spectral.padded to the block's largest n, by
 the caller (the generator's draws, or a CertifyBlock's stacks in
 regimes). The arithmetic runs on numpy rows, with libm's log, exp and
@@ -133,11 +134,10 @@ class RegimeRecord:
     Small run's distinguished direction, and projection_b 1/2 sum_{i>1}
     sigma_i iota_i^2, off the Big run's (assumption A5). Fields from
     lead_s on are NaN outside the theorem's domain (see regime_records);
-    r_opt is R(theta_hat), or NaN. row(k) is instance k's, in floats.
+    the rates and R(theta_hat) are the block's (instances.CertifyBlock).
+    row(k) is instance k's, in floats.
     """
 
-    eta_s: float
-    eta_b: float
     kappa_F: float
     kappa_R: float
     threshold_low: float
@@ -146,7 +146,6 @@ class RegimeRecord:
     kind_b: RegimeKind
     iota_1: float
     iota_n: float
-    r_opt: float
     projection_s: float
     projection_b: float
     lead_s: float
@@ -216,7 +215,7 @@ def _window_bounds(scale, lead, alpha):
     return 0.5 * logs / _libm(math.log, 1.0 / lead)
 
 
-def regime_records(n, train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
+def regime_records(n, train_eigenvalues, kappa_R, eta_s, eta_b, iota):
     """The RegimeRecord of a block, row k from instance k's numbers (rows of any n).
 
     The theorem's domain: eta_s Small, eta_b Big, train eigenvalues
@@ -244,7 +243,7 @@ def regime_records(n, train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
     power = sig * io * io
     power_b = np.where(n[:, None] >= 2, power[:, 1:], 0.0)
     eta = np.array([eta_s, eta_b], dtype=float)
-    kappa_R, r_opt = np.asarray(kappa_R, dtype=float), np.asarray(r_opt, dtype=float)
+    kappa_R = np.asarray(kappa_R, dtype=float)
     with np.errstate(all="ignore"):
         low, high = 2.0 / (sig_at[1] + sig_at[0]), 2.0 / sig_at[1]
         kind_s, kind_b = (tuple(map(rate_kind, e.tolist(), low.tolist(), high.tolist())) for e in eta)
@@ -284,9 +283,9 @@ def regime_records(n, train_eigenvalues, kappa_R, eta_s, eta_b, iota, r_opt):
         half_s, half_b = 0.5 * sig_at[:2] * iota_sq
         (t1_s, t1_b), lead, scale = 0.5 * logs[3:] / gap, lead * on, scale * on
     return RegimeRecord(
-        eta[0], eta[1], kappa_F, kappa_R, low, high, kind_s, kind_b, iota_end[1], iota_end[0],
-        r_opt, 0.5 * row_sums(power[:, :-1]), 0.5 * row_sums(power_b), lead[0], lead[1], gap[0],
-        gap[1], scale[0], scale[1], t1_s, t1_b, half_s * readings[0],
+        kappa_F, kappa_R, low, high, kind_s, kind_b, iota_end[1], iota_end[0],
+        0.5 * row_sums(power[:, :-1]), 0.5 * row_sums(power_b), lead[0], lead[1], gap[0], gap[1],
+        scale[0], scale[1], t1_s, t1_b, half_s * readings[0],
         np.minimum(half_b * readings[1], half_s * readings[2]),
     )
 

@@ -82,7 +82,7 @@ def assumption_checks(block):
     a3 = (abs(record.iota_1) >= UNDERFLOW_GUARD) & (abs(record.iota_n) >= UNDERFLOW_GUARD)
     a_one = np.where(a1 & a2 & a3, record.alpha_1, math.nan)
     with np.errstate(all="ignore"):
-        capped = record.r_opt / alpha <= record.model_error_cap
+        capped = block.r_opt / alpha <= record.model_error_cap
     a4 = (UNDERFLOW_GUARD <= alpha) & (alpha <= a_one) & capped
     a5 = (alpha <= record.projection_s) & (alpha <= record.projection_b)
     return np.array([a1, a2, a3, a4, a5]), a_one
@@ -104,7 +104,7 @@ def check_assumptions(pair, theta0, eta_s, eta_b, alpha):
         {"eta_s_kind": r.kind_s.value, "eta_b_kind": r.kind_b.value,
          "threshold_low": r.threshold_low, "threshold_high": r.threshold_high},
         {"iota_1": r.iota_1, "iota_n": r.iota_n},
-        {"alpha": alpha, "alpha_1": a_one.item(), "model_error": r.r_opt,
+        {"alpha": alpha, "alpha_1": a_one.item(), "model_error": block.r_opt[0].item(),
          "model_error_ratio_cap": record.model_error_cap.item()},
         {"alpha": alpha, "projection_s": r.projection_s, "projection_b": r.projection_b},
     )
@@ -259,7 +259,7 @@ def certificates(block, lanes):
     )
     # A row of n = 1 has no mass off its direction; padded, it would read its padding.
     eps_b2, eps_s2 = np.where(n >= 2, [eps_b2, eps_s2], 0.0)
-    kappa_F, kappa_R, r_opt = record.kappa_F, record.kappa_R, record.r_opt
+    kappa_F, kappa_R, r_opt = record.kappa_F, record.kappa_R, block.r_opt
     with np.errstate(all="ignore"):
         t2, t3 = np.where(ok, block.windows, math.nan)
         win_s, win_b = (StepWindow(*w) for w in zip((record.t1_s, record.t1_b), t2, t3))
@@ -289,7 +289,7 @@ def certificates(block, lanes):
         for f, h in zip(finite.tolist(), (holds & finite).tolist())
     ]
     cert = Certificate(
-        alpha, record.eta_s, record.eta_b, kappa_F, kappa_R, r_opt, eps_b2, eps_s2,
+        alpha, block.eta_s, block.eta_b, kappa_F, kappa_R, r_opt, eps_b2, eps_s2,
         record.alpha_1, record.alpha_1_split, c_alpha, r_small, r_big,
         np.where(finite, 17.0 * c_alpha * ratio * r_small, math.inf), bound_rhs,
         steps_s, steps_b, win_s, win_b, finite & holds, reasons, verdicts,

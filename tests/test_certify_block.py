@@ -369,7 +369,8 @@ def _one_lane(obj, theta0, eta, alpha, t_max):
 def test_column_rows_equal_their_one_row_views(seed):
     """regime_records, assumption_checks, certificates and certify_block on a mixed block, by row.
 
-    Each row's record is regime_records' on its instance alone, its A1-A5
+    Each row's record is regime_records' on its instance alone, its r_opt
+    the test loss of its train optimum, its A1-A5
     verdicts are check_assumptions', and its certificate or refusal is
     certify's, by repr, on generated instances of n = 4..8 and on the
     edge instances.
@@ -415,9 +416,10 @@ def test_column_rows_equal_their_one_row_views(seed):
         one = regime_records(
             [p.n], p.train.spectrum.eigenvalues[None],
             condition_numbers(p.test.spectrum.eigenvalues[None], [p.n]), [inst.eta_s],
-            [inst.eta_b], i[None], [objective_loss(p.test, p.train.optimum)],
+            [inst.eta_b], i[None],
         ).row(0)
         assert repr(record.row(k)) == repr(one), k
+        assert repr(stacked.r_opt[k].item()) == repr(objective_loss(p.test, p.train.optimum)), k
         verdicts = check_assumptions(p, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha)
         assert passed[:, k].tolist() == [v.passed for v in verdicts], k
         assert repr(a_one[k].item()) == repr(verdicts[3].details["alpha_1"]), k

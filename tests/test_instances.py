@@ -150,7 +150,7 @@ def test_block_bases_match_the_row_wise_builder(n, size):
 def test_mixed_size_blocks_match_the_row_wise_builder(size):
     """Bases padded to the block's largest n keep their own bits, in spectral.padded's layout."""
     rng = stream(size, "givens-mixed")
-    sizes = rng.integers(2, 9, size=size).tolist()
+    sizes = rng.integers(1, 13, size=size).tolist()
     drawn = [(n, givens_angles(rng, n)) for n in sizes]
     got = givens_bases(drawn)
     assert got.shape == (size, max(sizes), max(sizes))
@@ -161,16 +161,32 @@ def test_mixed_size_blocks_match_the_row_wise_builder(size):
 def test_signed_zeros_survive_the_block_pass():
     # Angles of exactly 0 and pi leave zeros that the column update signs;
     # the row-wise builder skips some of those updates, so the column loop
-    # is the oracle here.
-    drawn = [
-        (3, [0.0, 0.0, math.pi]),
-        (4, [0.0, math.pi, 0.0, math.pi, 0.0, math.pi]),
-        (8, [0.0] * 28),
+    # is the oracle here. In the second block, small bases sit beside a
+    # wider one: an angle of 4 (cos and sin both negative) after angles 0
+    # signs zeros of a small basis's last column, which an identity
+    # rotation with s = +0 would unsign, and angles pi sign zeros in its
+    # padding rows, which the padded layout holds as +0.
+    blocks = [
+        [
+            (3, [0.0, 0.0, math.pi]),
+            (4, [0.0, math.pi, 0.0, math.pi, 0.0, math.pi]),
+            (8, [0.0] * 28),
+        ],
+        [
+            (3, [0.0, 0.0, 4.0]),
+            (2, [math.pi]),
+            (7, [0.0, math.pi, 4.0] * 7),
+            (4, [0.0, 0.0, 0.0, math.pi, 0.0, 4.0]),
+            (1, []),
+        ],
     ]
-    got = givens_bases(drawn)
-    assert np.signbit(got[0][0, 1]) and got[0][0, 1] == 0
-    for basis, (n, angles) in zip(got, drawn):
-        _assert_bitwise(basis, padded([column_list_orthogonal(angles, n)], 8)[0])
+    got = [givens_bases(drawn) for drawn in blocks]
+    for bases, drawn in zip(got, blocks):
+        width = max(n for n, _ in drawn)
+        for basis, (n, angles) in zip(bases, drawn):
+            _assert_bitwise(basis, padded([column_list_orthogonal(angles, n)], width)[0])
+    assert np.signbit(got[0][0][0, 1]) and got[0][0][0, 1] == 0
+    assert np.signbit(got[1][0][0, -1]) and got[1][0][0, -1] == 0
     assert givens_bases([]).shape == (0, 0, 0)
 
 
@@ -210,11 +226,12 @@ def test_block_generation_equals_one_instance_at_a_time():
     assert start == len(keys) == 520
 
 
-def test_a_two_value_draw_is_redrawn_until_its_gap_holds():
+def test_a_two_value_draw_is_redrawn_until_its_gap_holds(monkeypatch):
     """count == 2 checks its one gap: the first draw of this stream is 0.15 apart, under 0.5."""
     first = np.random.default_rng(3).uniform(0.0, 1.0, size=2)
     assert abs(first[0] - first[1]) < 0.5
-    high, low = instances._spaced_descending(np.random.default_rng(3), 2, 0.0, 1.0, 0.5)
+    monkeypatch.setattr(instances, "MIN_SPACING", 0.5)
+    high, low = instances._spaced_descending(np.random.default_rng(3), 2, 0.0, 1.0)
     assert high - low >= 0.5
 
 

@@ -57,7 +57,6 @@ from reference import (
     epsilon_ratio,
     leading_attenuation,
     log_gaps,
-    objective_loss,
     random_instance_numbers,
     risk,
     run_error,
@@ -76,19 +75,15 @@ def kappa(spectrum):
 
 
 def pair_record(pair, iota, eta_s, eta_b):
-    """The record of one pair at iota: row 0 of regime_records on it alone, with R(theta_hat)."""
-    return regime_records(
-        [pair.n], pair.train.spectrum.eigenvalues[None], [kappa(pair.test.spectrum)], [eta_s],
-        [eta_b], np.asarray(iota, dtype=float)[None], [objective_loss(pair.test, pair.train.optimum)],
-    ).row(0)
+    """The record of one pair at iota: one_record of its train spectrum, kappa_R its test one's."""
+    return one_record(pair.train.spectrum, kappa(pair.test.spectrum), eta_s, eta_b, iota)
 
 
 def one_record(spectrum, kappa_R, eta_s, eta_b, iota):
-    """The record of one instance without R(theta_hat): row 0 of regime_records on it alone."""
+    """The record of one instance: row 0 of regime_records on it alone."""
     iota = np.asarray(iota, dtype=float)
     return regime_records(
-        [spectrum.n], spectrum.eigenvalues[None], [kappa_R], [eta_s], [eta_b], iota[None],
-        [math.nan],
+        [spectrum.n], spectrum.eigenvalues[None], [kappa_R], [eta_s], [eta_b], iota[None]
     ).row(0)
 
 

@@ -435,6 +435,13 @@ def test_validate_config_rejects(raw):
         validate_config(raw)
 
 
+@pytest.mark.parametrize("experiment", ["eta_sweep", "alpha_sweep", "scale_sweep"])
+def test_validate_config_names_an_empty_grid(experiment):
+    grid = f"{experiment.split('_')[0]}_grid"
+    with pytest.raises(ValidationError, match=f"^{grid} must not be empty$"):
+        validate_config({"experiment": experiment, grid: []})
+
+
 FLOAT_FIELDS = {"eta_small", "eta_big", "alpha", "lam", "scale", "sigma1", "sigma2"}
 
 

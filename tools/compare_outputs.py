@@ -7,12 +7,15 @@ child process with BLAS pinned to one thread. Both run the same configs:
 by default the default config of every experiment (config.EXPERIMENTS of
 this checkout), the cold op and every distinct op of each benchmark
 workload (WORKLOADS in perfbench/workloads.py of this checkout) at
-workload seed N (default 1), and quadratic_certify
-at the edges of its instance blocks (B - 1, B, B + 1 and 2B + 3
-instances for the CERTIFY_BLOCK B of this checkout) at config seeds N
-and N + 1, the sweeps of LEVEL_SET_EDGES (level-set runs at rates past
-2/sigma_1, MaxStepsExceeded and Diverged, targets that are refused, and
-the three kernel sweeps at d = 5), and the toy2d runs of TOY2D_EDGES.
+workload seed N (default 1), quadratic_certify at the edges of its
+instance blocks (B - 1, B, B + 1 and 2B + 3 instances for the
+CERTIFY_BLOCK B of this checkout) at config seeds N and N + 1, and at 1
+and 3 instances at config seeds N to N + 12 (blocks narrower than the
+width 8 of nearly every larger block; at N = 1 and 2 the one-instance
+blocks hold every n from 4 to 8), the sweeps of LEVEL_SET_EDGES
+(level-set runs at rates past 2/sigma_1, MaxStepsExceeded and Diverged,
+targets that are refused, and the three kernel sweeps at d = 5), and the
+toy2d runs of TOY2D_EDGES.
 --configs FILE runs the JSON list of experiment configs in FILE
 instead. A config that a tree refuses with a library error records the
 error as "ClassName: message", and one that raises any other exception
@@ -141,6 +144,10 @@ def default_configs(seed):
         for count in (block - 1, block, block + 1, 2 * block + 3):
             raw = {"experiment": "quadratic_certify", "instances": count, "seed": config_seed}
             configs.append([f"certify-block-{count}-seed{config_seed}", raw])
+    for config_seed in range(seed, seed + 13):
+        for count in (1, 3):
+            raw = {"experiment": "quadratic_certify", "instances": count, "seed": config_seed}
+            configs.append([f"certify-narrow-{count}-seed{config_seed}", raw])
     for i, raw in enumerate(LEVEL_SET_EDGES):
         configs.append([f"level-set-edge-{i}-{raw['experiment']}", dict(raw, seed=seed)])
     for i, raw in enumerate(TOY2D_EDGES):
