@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import reprlib
 from dataclasses import dataclass, field, fields
 
@@ -97,6 +98,15 @@ def validate_config(raw):
         raise ValidationError(
             f"experiment must be one of {EXPERIMENTS}, got {_ECHO.repr(cfg.experiment)}"
         )
+    for name in ("output_dir", "dataset_path"):
+        path = getattr(cfg, name)
+        try:
+            # The file system takes neither a NUL nor a lone surrogate.
+            unusable = path is not None and b"\0" in os.fsencode(path)
+        except UnicodeEncodeError:
+            unusable = True
+        if unusable:
+            raise ValidationError(f"{name}: not a path the OS can take, got {_ECHO.repr(path)}")
     for name in ("n", "d", "n_test", "instances"):
         if getattr(cfg, name) < 1:
             raise ValidationError(f"{name} must be positive")

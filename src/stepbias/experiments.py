@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gd, kernels, toy2d
 from .config import TAU, canonical_config
-from .errors import InfeasibleWindow, InvalidRegime, ParseError
+from .errors import InfeasibleWindow, InvalidRegime, LevelSetMismatch, ParseError
 from .filters import (
     cut_off,
     gd_filter,
@@ -316,12 +316,22 @@ def _run_alpha_sweep(cfg, out):
     eta_b = cfg.eta_big if cfg.eta_big is not None else TAU * 2.0
     fracs = [float(frac) for frac in cfg.alpha_grid]
     # Fractions past the first target that underflows are not run: a
-    # failed run before it refuses the sweep first, else _level_target
-    # below refuses it at that target.
+    # failed run before it refuses the sweep first, then a run that
+    # stopped before its level set, else _level_target below refuses it
+    # at that target.
     alphas = [frac * sweep.excess0 for frac in fracs]
     kept = next((k for k, alpha in enumerate(alphas) if not alpha > 0), len(fracs))
     lanes = [alpha for alpha in alphas[:kept] for _ in range(2)]
-    accuracy = _level_runs(sweep, [eta_s, eta_b] * kept, lanes)["accuracy"] if kept else []
+    runs = {"stop_status": [], "accuracy": []}
+    if kept:
+        runs = _level_runs(sweep, [eta_s, eta_b] * kept, lanes)
+    for k, status in enumerate(runs["stop_status"]):
+        if status != gd.StopStatus.HIT_LEVEL_SET.value:
+            raise LevelSetMismatch(
+                f"the {('small', 'big')[k % 2]}-rate run to alpha fraction {fracs[k // 2]!r} "
+                f"stopped with {status}"
+            )
+    accuracy = runs["accuracy"]
     table = {
         "alpha_fraction": fracs,
         "alpha": [_level_target(frac, sweep.excess0) for frac in fracs],

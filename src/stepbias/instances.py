@@ -8,13 +8,15 @@ orthogonal bases composed from Givens rotations, and a model error
 either zero or scaled to a small fraction of its allowed cap.
 
 Instances are generated in blocks (random_instances, one stream each):
-each round of draws builds its bases in one vectorized Givens pass, in
-the spectral.padded layout, its starts theta0 in one padded product and
-its record in one regime_records pass at theta0's eigen-coefficients. A
-block is a CertifyBlock: the spectral.padded columns
-regimes.certify_block reads, with the model errors, start coefficients,
-regime record and step windows at alpha the certificate reads; block[k]
-builds instance k's CertifyInstance only when asked.
+each stream draws once, and the block builds its bases in one vectorized
+Givens pass, in the spectral.padded layout, its starts theta0 in one
+padded product and its record in one regime_records pass at theta0's
+eigen-coefficients. The draw ranges keep every target alpha above about
+1e-119, so no stream draws again. A block is a CertifyBlock: the
+spectral.padded columns regimes.certify_block reads, with the model
+errors, start coefficients, regime record and step windows at alpha the
+certificate reads; block[k] builds instance k's CertifyInstance only
+when asked.
 """
 
 import functools
@@ -28,7 +30,6 @@ from .quadratic import ProblemPair, QuadraticObjective, coefficients, excess_los
 from .records import RegimeRecord, _window_bounds, _window_refusal, regime_records
 from .spectral import Spectrum, condition_numbers, live_mask, matvec, padded
 
-MAX_DRAWS = 100
 # Redraws of one spaced spectrum before the generator refuses its n: about
 # 1 s at n = 50 (2-vCPU Xeon), where a draw is spaced with chance ~1e-12.
 MAX_SPACING_DRAWS = 100_000
@@ -291,7 +292,7 @@ def _test_eigenvalues(rng, n):
 
 
 def _draw(rng, n):
-    """Every draw of one attempt, in stream order.
+    """Every draw of one instance, in stream order.
 
     Returns the train eigenvalues and basis angles, the test eigenvalues
     and basis angles, the train optimum and the initial eigen-coefficients.
@@ -324,18 +325,17 @@ def random_instances(rngs, n=None, model_error_fraction=None):
     direction. eta_s = 1/(sigma_1 + sigma_n), eta_b = 1.9/sigma_1 and
     kappa_R is the test spectrum's. model_error_fraction positions
     R(theta_hat) at that fraction of its allowed cap (None draws 0 or 0.1
-    at random). Every stream draws an attempt; one givens_bases pass
-    builds the round's bases, one padded product its starts theta0, and
-    one regime_records pass records them at theta0's eigen-coefficients.
+    at random). Every stream draws once; one givens_bases pass builds the
+    block's bases, one padded product its starts theta0, and one
+    regime_records pass records them at theta0's eigen-coefficients.
     alpha is half the smaller alpha_1 reading of that record, which
-    orders every step window. Each stream whose attempt is extremely
-    unbalanced (alpha < 1e-280) draws its next attempt from its own
-    stream and the round is built again, until every target is accepted,
-    or raises InfeasibleWindow after MAX_DRAWS attempts of one stream.
-    Then every stream draws its model error, from one padded product,
-    which gives each R(theta_hat). The last round's stacks and record,
-    the model errors and the step windows at alpha are the block's
-    columns; no instance is built.
+    orders every step window. The draw ranges keep it above about 1e-119
+    (the Big and Small log gaps are at least log(0.9/0.81) and
+    -log(0.85)); a target not at least 1e-280 raises InfeasibleWindow,
+    naming the first such stream. Then every stream draws its model error, from
+    one padded product, which gives each R(theta_hat). The stacks and
+    record, the model errors and the step windows at alpha are the
+    block's columns; no instance is built.
     """
     if n is not None and n < 4:
         raise ValueError("generator needs n >= 4")
@@ -344,24 +344,22 @@ def random_instances(rngs, n=None, model_error_fraction=None):
         return CertifyBlock.of([])
     sizes = [int(rng.integers(4, 9)) if n is None else n for rng in rngs]
     size = len(rngs)
-    drawn, refused = [None] * size, range(size)
-    for _ in range(MAX_DRAWS):
-        for k in refused:
-            drawn[k] = _draw(rngs[k], sizes[k])
-        stack = padded([d[j] for j in (0, 5, 2, 4) for d in drawn], max(sizes))
-        train_sig, iota, test_sig, opt_train = stack.reshape(4, size, -1)
-        bases = givens_bases([(m, d[j]) for m, d in zip(sizes, drawn) for j in (1, 3)])
-        bases = bases.reshape(size, 2, *bases.shape[1:])
-        theta0 = opt_train + matvec(bases[:, 0], iota)
-        start = coefficients(bases[:, 0], theta0, opt_train)
-        eta_s, eta_b = 1.0 / (train_sig[:, 0] + train_sig[:, -1]), 1.9 / train_sig[:, 0]
-        record = _record(sizes, train_sig, test_sig, eta_s, eta_b, start)
-        alpha = 0.5 * np.minimum(record.alpha_1, record.alpha_1_split)
-        refused = np.flatnonzero(~(alpha >= 1e-280)).tolist()
-        if not refused:
-            break
-    else:
-        raise InfeasibleWindow(f"no draw in {MAX_DRAWS} gave a level-set target alpha >= 1e-280")
+    drawn = [_draw(rng, m) for rng, m in zip(rngs, sizes)]
+    stack = padded([d[j] for j in (0, 5, 2, 4) for d in drawn], max(sizes))
+    train_sig, iota, test_sig, opt_train = stack.reshape(4, size, -1)
+    bases = givens_bases([(m, d[j]) for m, d in zip(sizes, drawn) for j in (1, 3)])
+    bases = bases.reshape(size, 2, *bases.shape[1:])
+    theta0 = opt_train + matvec(bases[:, 0], iota)
+    start = coefficients(bases[:, 0], theta0, opt_train)
+    eta_s, eta_b = 1.0 / (train_sig[:, 0] + train_sig[:, -1]), 1.9 / train_sig[:, 0]
+    record = _record(sizes, train_sig, test_sig, eta_s, eta_b, start)
+    alpha = 0.5 * np.minimum(record.alpha_1, record.alpha_1_split)
+    refused = np.flatnonzero(~(alpha >= 1e-280))
+    if refused.size:
+        k = refused[0]
+        raise InfeasibleWindow(
+            f"stream {k} of {size}: level-set target alpha = {alpha[k]:.3g} is not at least 1e-280"
+        )
     fractions = np.array([
         (0.1 if rng.random() < 0.5 else 0.0) if model_error_fraction is None
         else model_error_fraction

@@ -334,8 +334,8 @@ def spaced_descending(rng, count, low, high, redraws):
         redraws["spaced"] += 1
 
 
-def drawn_attempt(rng, n, redraws):
-    """One attempt's draws by rng.uniform and rng.normal calls, in the generator's stream order.
+def drawn_instance(rng, n, redraws):
+    """One instance's draws by rng.uniform and rng.normal calls, in the generator's stream order.
 
     Returns the train eigenvalues and basis angles, the test eigenvalues
     and basis angles, the train optimum and the initial
@@ -362,34 +362,30 @@ def drawn_attempt(rng, n, redraws):
 def random_instance_numbers(rng, n, model_error_fraction, redraws=None):
     """(alpha, t_max, theta0, test optimum) of random_instance, every number derived per call.
 
-    The draws are drawn_attempt's (n from rng.integers where None), not
+    The draws are drawn_instance's (n from rng.integers where None), not
     the generator's. alpha and the step windows are read at theta0's
     eigen-coefficients, not at the drawn iota they round from. redraws,
     a collections.Counter where given, counts the "spaced" and "iota"
-    redraws and the "attempts".
+    redraws.
     """
     redraws = collections.Counter() if redraws is None else redraws
     if n is None:
         n = int(rng.integers(4, 9))
-    for _ in range(instances.MAX_DRAWS):
-        redraws["attempts"] += 1
-        train_vals, train_angles, test_vals, test_angles, opt_train, iota = (
-            drawn_attempt(rng, n, redraws)
-        )
-        train_basis, test_basis = instances.givens_bases([(n, train_angles), (n, test_angles)])
-        train_spec = Spectrum(train_vals, train_basis)
-        test_spec = Spectrum(test_vals, test_basis)
-        theta0 = opt_train + matvec(train_spec.eigenvectors, iota)
-        start = matvec(train_spec.eigenvectors.T, theta0 - opt_train)
-        sig1, sign = train_spec.eigenvalues[0], train_spec.eigenvalues[-1]
-        eta_s = 1.0 / (sig1 + sign)
-        eta_b = 1.9 / sig1
-        kappa_R = test_spec.top / test_spec.bottom
-        kappa_F = sig1 / sign
-        args = (train_spec, start, eta_s, eta_b, kappa_R)
-        alpha = 0.5 * min(alpha_one(*args, "displayed"), alpha_one(*args, "split"))
-        if alpha >= 1e-280:
-            break
+    train_vals, train_angles, test_vals, test_angles, opt_train, iota = (
+        drawn_instance(rng, n, redraws)
+    )
+    train_basis, test_basis = instances.givens_bases([(n, train_angles), (n, test_angles)])
+    train_spec = Spectrum(train_vals, train_basis)
+    test_spec = Spectrum(test_vals, test_basis)
+    theta0 = opt_train + matvec(train_spec.eigenvectors, iota)
+    start = matvec(train_spec.eigenvectors.T, theta0 - opt_train)
+    sig1, sign = train_spec.eigenvalues[0], train_spec.eigenvalues[-1]
+    eta_s = 1.0 / (sig1 + sign)
+    eta_b = 1.9 / sig1
+    kappa_R = test_spec.top / test_spec.bottom
+    kappa_F = sig1 / sign
+    args = (train_spec, start, eta_s, eta_b, kappa_R)
+    alpha = 0.5 * min(alpha_one(*args, "displayed"), alpha_one(*args, "split"))
     fraction = model_error_fraction
     if fraction is None:
         fraction = 0.1 if rng.uniform() < 0.5 else 0.0

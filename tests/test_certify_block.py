@@ -114,28 +114,21 @@ def test_a_block_of_every_dimension_is_certified_in_one_pass(tmp_path, monkeypat
 
     Its stacks are padded once, by the generator, and carried to the
     certificate rows as columns: no instance, pair, spectrum or GDRun is
-    built on the way. Its one round of draws (one attempt per stream) is
-    recorded once, with its step windows, and certify_block reads that
-    record.
+    built on the way. Its draws are recorded once, with its step windows,
+    and certify_block reads that record.
     """
     calls, built = _count_passes(monkeypatch)
-    sizes, attempts = [], []
-    real_block, real_draw = experiments.certify_block, instances._draw
+    sizes = []
+    real_block = experiments.certify_block
 
     def certified(block, first):
         sizes.append(set(block.n.tolist()))
         return real_block(block, first)
 
-    def draw(rng, n):
-        attempts.append(n)
-        return real_draw(rng, n)
-
     monkeypatch.setattr(experiments, "certify_block", certified)
-    monkeypatch.setattr(instances, "_draw", draw)
     cfg = validate_config({"experiment": "quadratic_certify", "output_dir": str(tmp_path)})
     experiments.run_experiment(cfg)
     assert sizes == [{4, 5, 6, 7, 8}]
-    assert len(attempts) == cfg.instances
     assert calls == {
         "level_set_lanes": 1, "padded": BLOCK_PADDED_CALLS, "regime_records": 1,
         "_window_bounds": 1,
@@ -154,18 +147,6 @@ def test_a_generated_block_is_certified_from_the_record_it_carries(monkeypatch):
     certify_block(block)
     assert calls == {"level_set_lanes": 1, "padded": 0, "regime_records": 0, "_window_bounds": 0}
     assert built == []
-
-
-def test_each_generator_round_is_recorded_once(monkeypatch, failing_attempts):
-    """A block whose second stream redraws once takes two rounds: two records, one set of windows.
-
-    The windows are computed once, at the accepted round's targets.
-    """
-    calls, _ = _count_passes(monkeypatch)
-    drawn = failing_attempts({2})
-    block = random_instances([stream(0, f"certify-{i}") for i in range(3)])
-    assert len(drawn) == 4 and len(block) == 3
-    assert (calls["regime_records"], calls["_window_bounds"]) == (2, 1)
 
 
 @pytest.mark.parametrize("experiment", ["eta_sweep", "alpha_sweep"])

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import math
 import time
 
@@ -20,6 +21,7 @@ from stepbias.instances import (
     random_instances,
 )
 from stepbias.quadratic import ProblemPair, QuadraticObjective
+from stepbias.records import regime_records
 from stepbias.spectral import diagonal_spectrum, padded
 
 from reference import objective_loss, random_instance_numbers
@@ -253,7 +255,7 @@ def test_a_block_with_redraws_matches_the_draw_reference():
         assert inst.theta0.tobytes() == theta0.tobytes()
         assert inst.pair.test.optimum.tobytes() == opt_test.tobytes()
         assert rng.uniform() == ref_rng.uniform()
-    assert redraws == {"attempts": 5, "spaced": 1, "iota": 2}
+    assert redraws == {"spaced": 1, "iota": 2}
 
 
 def test_an_unspaceable_n_is_refused_at_once_and_an_unlikely_one_after_bounded_redraws():
@@ -276,34 +278,6 @@ def test_n_105_is_refused_at_once_though_its_window_width_rounds_up():
         with pytest.raises(ValueError, match=f"^generator refuses n = {n}: {n - 4} draws cannot"):
             random_instances([stream(0, "spacing")], n=n)
         assert time.perf_counter() - start < 0.1
-
-
-def test_block_generation_with_a_retrying_stream(monkeypatch, failing_attempts):
-    """Refused streams redraw in block rounds: block and one at a time agree.
-
-    refusals counts each stream's refused attempts. Attempts are numbered
-    round by round: {2} refuses the second stream's first attempt; {1, 3,
-    5} the first and third streams' first attempts, then the third
-    stream's second.
-    """
-    keys = [(3, "retry"), (4, "retry"), (5, "retry")]
-    for failing, refusals in (({2}, (0, 1, 0)), ({1, 3, 5}, (1, 0, 2))):
-        calls = failing_attempts(failing)
-        got = random_instances([stream(*key) for key in keys], n=5)
-        draws = len(keys) + sum(refusals)
-        assert len(calls) == draws
-        # Numbered past the block's draws, one at a time refuses the same attempts.
-        want = [random_instance(stream(*key), n=5) for key in keys]
-        assert len(calls) == 2 * draws
-        for g, w in zip(got, want, strict=True):
-            _assert_same_instance(g, w)
-        # Each stream's instance is the draw after its refused attempts.
-        monkeypatch.undo()
-        for g, key, count in zip(got, keys, refusals):
-            ref_rng = stream(*key)
-            for _ in range(count):
-                instances._draw(ref_rng, 5)
-            _assert_same_instance(g, random_instance(ref_rng, n=5))
 
 
 def test_an_empty_block_has_no_instances():
@@ -340,15 +314,92 @@ def test_certify_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
         assert _certify_files(tmp_path, f"block-{block}", 7) == want
 
 
-def test_a_stream_that_runs_out_of_draws_refuses_the_run(tmp_path, failing_attempts):
-    """quadratic_certify raises InfeasibleWindow when a stream runs out of draws.
+class _Corner:
+    """A stand-in generator: its first random() values are given, then evenly spread ones.
 
-    Every attempt but instance 0's first one underflows, so stream 1 of the
-    block runs out of draws.
+    The spread values of one call, from 0 to 1 - 2**-53, keep a spaced
+    spectrum's gaps at (high - low) / (count - 1) from its first draw.
     """
-    failing_attempts(range(2, 2 + 3 * instances.MAX_DRAWS))
-    with pytest.raises(InfeasibleWindow, match=f"no draw in {instances.MAX_DRAWS}"):
-        _certify_files(tmp_path, "infeasible", 3)
+
+    def __init__(self, *u):
+        self.u = list(u)
+
+    def random(self, size=None):
+        if size is None:
+            return self.u.pop(0)
+        if self.u:
+            drawn, self.u = self.u[:size], self.u[size:]
+            return np.array(drawn)
+        return np.linspace(0.0, 1.0 - 2**-53, size)
+
+
+def test_the_draw_ranges_keep_every_target_above_the_generator_floor():
+    """0.5 min(alpha_1, alpha_1_split) >= 1e-280 at every corner of the draw box, n = 4 and 104.
+
+    The corners are the generator's own draws at u = 0 and u = 1 - 2**-53
+    (sigma_n in [0.10, 0.15], sigma_{n-1} in [0.30, 0.40], sigma_2 in
+    [0.55, 0.70], kappa_R in [1.2, 3]), with |iota_1| and |iota_n| at
+    1e-3 (_draw redraws below it) or 1 and every other |iota_i| at 1,
+    its largest; n = 104 is the largest n the generator does not refuse
+    at once. Each reading is (1/2) sigma iota^2 exp(-L / g). The gaps g:
+    the Big one is log(1.9 - 1) - log(1 - 1.9 sigma_n) >= log(0.9 /
+    0.81), as |1 - 1.9 sigma_2| <= 0.33 never leads; the Small one is
+    -log(1 + sigma_n - sigma_{n-1}) >= -log(0.85). Each is monotone in
+    each coordinate, so their least is at a corner. The numerators L
+    grow with n, kappa_R, ||iota||^2, 1 / iota_1^2 and 1 / iota_n^2, to
+    at most about log(48 n^2 10^6), 27 at n = 104, and move with sigma_n
+    only through 1 + sigma_n, by under 1e-11 of themselves. So every
+    reading is at least about 1e-119 and its least is at a corner. A
+    change to the draw ranges that lets a target reach the floor fails
+    here.
+    """
+    u, iota_end = (0.0, 1.0 - 2**-53), (1e-3, 1.0)
+    for n in (4, 104):
+        train_sig, kappa_R, iota = [], [], []
+        for u_n, u_n1, u_2, u_R, iota_1, iota_n in itertools.product(u, u, u, u, iota_end, iota_end):
+            train_sig.append(instances._train_eigenvalues(_Corner(u_n, u_n1, u_2), n))
+            kappa_R.append(1.0 / instances._test_eigenvalues(_Corner(u_R), n)[-1])
+            iota.append([iota_1, *[1.0] * (n - 2), iota_n])
+        train_sig = np.array(train_sig)
+        record = regime_records(
+            np.full(len(iota), n), train_sig, kappa_R,
+            1.0 / (train_sig[:, 0] + train_sig[:, -1]), 1.9 / train_sig[:, 0], np.array(iota),
+        )
+        alpha = 0.5 * np.minimum(record.alpha_1, record.alpha_1_split)
+        assert (alpha >= 1e-280).all()
+
+
+def test_an_underflowed_target_refuses_at_once_after_one_draw_per_stream(tmp_path, monkeypatch):
+    """A target below 1e-280 refuses the block, and quadratic_certify's run, naming its stream.
+
+    Both alpha_1 readings of stream 1's row of a 3-stream block are
+    zeroed. Each stream has drawn once (its generator is where one _draw
+    leaves it) and the block is recorded once: nothing is redrawn.
+    """
+    real_records, recorded = instances.regime_records, []
+
+    def records(*args):
+        rec = real_records(*args)
+        recorded.append(len(rec.alpha_1))
+        zero = np.arange(len(rec.alpha_1)) == 1
+        return dataclasses.replace(
+            rec, alpha_1=np.where(zero, 0.0, rec.alpha_1),
+            alpha_1_split=np.where(zero, 0.0, rec.alpha_1_split),
+        )
+
+    monkeypatch.setattr(instances, "regime_records", records)
+    refusal = "^stream 1 of 3: level-set target alpha = 0 is not at least 1e-280$"
+    keys = [(3, f"underflow-{i}") for i in range(3)]
+    rngs = [stream(*key) for key in keys]
+    with pytest.raises(InfeasibleWindow, match=refusal):
+        random_instances(rngs)
+    for key, rng in zip(keys, rngs, strict=True):
+        ref_rng = stream(*key)
+        instances._draw(ref_rng, int(ref_rng.integers(4, 9)))
+        assert rng.random() == ref_rng.random()
+    with pytest.raises(InfeasibleWindow, match=refusal):
+        _certify_files(tmp_path, "underflow", 3)
+    assert recorded == [3, 3]
 
 
 def _broken(inst, failure):

@@ -508,29 +508,6 @@ def _generated_from(rng, n=5, **kw):
     return random_instance(rng, n=n, **kw)
 
 
-def test_random_instance_retry_redraws_from_the_same_stream(failing_attempts):
-    # One rejected attempt (both alpha_1 readings of its record)
-    # consumes exactly one attempt's draws, then the next attempt
-    # proceeds as a fresh call.
-    ref_rng = stream(3, "retry")
-    instances._draw(ref_rng, 5)
-    want = _generated_from(ref_rng)
-    calls = failing_attempts({1})
-    got = _generated_from(stream(3, "retry"))
-    assert len(calls) == 2
-    assert got.alpha == want.alpha and got.t_max == want.t_max
-    assert np.array_equal(got.theta0, want.theta0)
-    assert np.array_equal(got.pair.test.optimum, want.pair.test.optimum)
-    assert np.array_equal(got.pair.train.spectrum.matrix(), want.pair.train.spectrum.matrix())
-
-
-def test_random_instance_gives_up_after_max_draws(failing_attempts):
-    calls = failing_attempts(range(1, instances.MAX_DRAWS + 1))
-    with pytest.raises(InfeasibleWindow):
-        _generated_from(stream(3, "retry"))
-    assert len(calls) == instances.MAX_DRAWS
-
-
 def test_check_assumptions_pass_on_generated_instance():
     inst = _generated()
     verdicts = check_assumptions(inst.pair, inst.theta0, inst.eta_s, inst.eta_b, inst.alpha)

@@ -718,6 +718,44 @@ def test_cli_underflowed_level_set_target_is_a_refusal(raw, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (
+            {"experiment": "alpha_sweep", "n": 20, "eta_big": 2.5},
+            "the big-rate run to alpha fraction 0.2 stopped with Diverged",
+        ),
+        (
+            {"experiment": "alpha_sweep", "n": 20, "eta_small": 1e-9},
+            "the small-rate run to alpha fraction 0.2 stopped with MaxStepsExceeded",
+        ),
+    ],
+    ids=["diverged", "max-steps"],
+)
+def test_cli_alpha_sweep_refuses_a_run_that_stops_before_its_level_set(
+    raw, message, tmp_path, capsys
+):
+    path = _write_cfg(tmp_path, **raw)
+    out_dir = tmp_path / "o"
+    assert cli.main(["run", "--config", path, "--output-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out_dir / "alpha_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("char", ["\u0000", "\ud800"], ids=["nul", "lone-surrogate"])
+@pytest.mark.parametrize("name", ["output_dir", "dataset_path"])
+def test_cli_refuses_a_path_the_os_cannot_take(name, char, tmp_path, capsys, monkeypatch):
+    """A NUL or a lone surrogate is refused at validation; a surrogate escape of a byte is a path."""
+    monkeypatch.chdir(tmp_path)
+    path = _write_cfg(tmp_path, experiment="scale_sweep", n=20, **{name: f"o{char}"})
+    assert cli.main(["run", "--config", path]) == 1
+    echo = repr(f"o{char}")
+    assert capsys.readouterr().err == f"error: {name}: not a path the OS can take, got {echo}\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+    cfg = validate_config({"experiment": "scale_sweep", name: "o\udcff"})
+    assert getattr(cfg, name) == "o\udcff"
+
+
 def test_cli_overflowing_ridge_shift_is_a_refusal(tmp_path, capsys):
     # n (sigma + lam) overflows at n = 20: the ridge system is refused
     # before its coefficients are formed.

@@ -49,13 +49,15 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 HERE = Path(__file__).resolve().parents[1]
-# Kernel sweeps at rates past 2/sigma_1, at n = 20 and the default n, and
-# two that a tree refuses: a target above the initial loss, and a target
-# fraction that underflows after one that does not. Then sweeps at lam
-# 1e160 and 1e200, whose initial losses and Hilbert norms are formed from
-# coefficients whose squares alone would underflow, and one whose
-# n (sigma + lam) overflows (refused). Then the three kernel sweeps at
-# d = 5, where the kernel sums more coordinates than any default op's.
+# Kernel sweeps at rates past 2/sigma_1, at n = 20 and the default n (the
+# alpha_sweep ones are refused, as a run stops before its level set), and
+# four that a tree refuses: an alpha_sweep whose small-rate runs stop at
+# MaxStepsExceeded (eta_small 1e-9), a target above the initial loss, and
+# a target fraction that underflows after one that does not. Then sweeps
+# at lam 1e160 and 1e200, whose initial losses and Hilbert norms are
+# formed from coefficients whose squares alone would underflow, and one
+# whose n (sigma + lam) overflows (refused). Then the three kernel sweeps
+# at d = 5, where the kernel sums more coordinates than any default op's.
 # Last, three sweeps whose step size eta_mult / sigma_1 overflows to inf
 # or rounds to 0 (refused).
 LEVEL_SET_EDGES = [
@@ -66,6 +68,7 @@ LEVEL_SET_EDGES = [
         ("alpha_sweep", {"eta_big": 2.5}),
     )
 ] + [
+    {"experiment": "alpha_sweep", "n": 20, "eta_small": 1e-9},
     {"experiment": "eta_sweep", "n": 20, "alpha": 1e6},
     {"experiment": "alpha_sweep", "n": 20, "alpha_grid": [0.5, 5e-324]},
     {"experiment": "eta_sweep", "n": 20, "lam": 1e160},
